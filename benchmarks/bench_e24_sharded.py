@@ -51,6 +51,7 @@ from repro.linkage import (
     default_product_comparator,
     resolve,
 )
+from repro.text import clear_memo_caches
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sharded.json"
 
@@ -70,6 +71,7 @@ def _serial_baseline(records, by_id, pairs, repeats: int):
     reference = None
     best = float("inf")
     for __ in range(repeats):
+        clear_memo_caches()  # every timed run pays its own misses
         start = time.perf_counter()
         reference = resolve(
             records,
@@ -89,6 +91,7 @@ def _measure_sharded(records, pairs, n_shards: int, repeats: int):
     best = None
     wall_best = float("inf")
     for __ in range(repeats):
+        clear_memo_caches()
         start = time.perf_counter()
         run = sharded_resolve(
             records,

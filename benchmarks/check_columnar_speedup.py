@@ -1,13 +1,21 @@
-"""Gate: the columnar engine stays >= 2x the scalar early-exit path.
+"""Gate: columnar output is identical and not slower than 0.8x scalar.
 
-The columnar representation exists for one reason — throughput — so CI
-holds it to a measured floor: ``representation="columnar"`` through
-``ParallelComparisonEngine.match_pairs`` (block build included) must
-sustain at least ``--min-speedup`` times the pairs/second of the
-scalar early-exit engine on the same corpus and pair list, while
-producing the identical match-pair set and scored edges. Both sides
-are timed best-of-N in the same process, so the ratio is machine
-independent the same way the other overhead gates are.
+The columnar representation is a layout option, not the fast path: its
+4x over the scalar early-exit engine was mostly two per-block
+similarity memos the scalar path did not have, and both now live with
+the similarity functions, under every path. What is left is the
+vectorised cheap pass: 1.5-2.0x on the full corpus and 1.4-1.8x on the
+quick one over repeated runs, each side on cold memos — a margin one
+noisy run on a small corpus can lose, so the floor sits below 1. CI
+holds ``representation="columnar"`` through
+``ParallelComparisonEngine.match_pairs`` (block build included) to the
+identical match-pair set and scored edges, and to at least
+``--min-speedup`` (0.8) times the pairs/second of the scalar early-exit
+engine on the same corpus and pair list. Both sides are timed best-of-N
+in the same process, so the ratio is machine independent the same way
+the other overhead gates are; the similarity memos are process-wide,
+so they are emptied before each timed run and each side pays for its
+own misses.
 
 Run:  PYTHONPATH=src python benchmarks/check_columnar_speedup.py [--quick]
 """
@@ -27,6 +35,7 @@ from repro.linkage import (
     ThresholdClassifier,
     default_product_comparator,
 )
+from repro.text import clear_memo_caches
 
 
 def measure(by_id, pairs, repeats: int) -> dict:
@@ -37,6 +46,7 @@ def measure(by_id, pairs, repeats: int) -> dict:
     scalar_best = float("inf")
     for __ in range(repeats):
         engine = ParallelComparisonEngine(comparator, execution="serial")
+        clear_memo_caches()
         start = time.perf_counter()
         scalar_run = engine.match_pairs(by_id, pairs, classifier)
         scalar_best = min(scalar_best, time.perf_counter() - start)
@@ -46,6 +56,7 @@ def measure(by_id, pairs, repeats: int) -> dict:
         engine = ParallelComparisonEngine(
             comparator, execution="serial", representation="columnar"
         )
+        clear_memo_caches()
         start = time.perf_counter()
         columnar_run = engine.match_pairs(by_id, pairs, classifier)
         columnar_best = min(columnar_best, time.perf_counter() - start)
@@ -75,8 +86,8 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--min-speedup",
         type=float,
-        default=2.0,
-        help="columnar must beat scalar early-exit by this factor",
+        default=0.8,
+        help="columnar must reach this fraction of scalar early-exit",
     )
     args = parser.parse_args(argv)
 
@@ -98,7 +109,7 @@ def main(argv=None) -> None:
             f"columnar regression: {result['speedup']}x < "
             f"{args.min_speedup}x over the scalar early-exit engine"
         )
-    print("  OK: identical output, columnar keeps its speedup")
+    print("  OK: identical output, columnar no slower than the floor")
 
 
 if __name__ == "__main__":

@@ -9,13 +9,14 @@ per-pair loops, so the prepared+early-exit throughput must stay where
 Absolute pairs/sec is machine-dependent (CI runners ≠ the box that
 wrote the baseline), so the gate compares the *relative* speedup of
 the early-exit path over the naive path, measured fresh on this
-machine, against the baseline's ``speedup_vs_naive``. A genuine
-per-pair instrumentation cost would drag the measured ratio down on
-every machine alike; run-to-run noise would not, so the threshold is
-lenient (default: measured ratio must stay above half the recorded
-one — the seed ratio is ~7×, so even a 5% hot-path regression plus
-generous noise clears it, while per-pair tracer calls, which cost
-2-3×, do not).
+machine with every timed run on empty similarity memos, against the
+baseline's ``speedup_vs_naive``. A genuine per-pair instrumentation
+cost would drag the measured ratio down on every machine alike;
+run-to-run noise would not, so the threshold is lenient (default:
+measured ratio must stay above half the recorded one — the recorded
+ratio is ~5×, 4-5× on the ``--quick`` corpus where values repeat less,
+so even a 5% hot-path regression plus generous noise clears it, while
+per-pair tracer calls, which cost 2-3×, do not).
 
 Run:  PYTHONPATH=src python benchmarks/check_obs_overhead.py [--quick]
 """
@@ -23,60 +24,21 @@ Run:  PYTHONPATH=src python benchmarks/check_obs_overhead.py [--quick]
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from bench_e20_engine import THRESHOLD, _corpus_pairs
-
-from repro.linkage import (
-    ParallelComparisonEngine,
-    ThresholdClassifier,
-    default_product_comparator,
+from bench_e20_engine import (
+    _corpus_pairs,
+    early_exit_speedup,
+    recorded_early_exit_speedup,
 )
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+from repro.linkage import ParallelComparisonEngine, default_product_comparator
 
 
-def measure_speedup(records, by_id, pairs, repeats: int = 3) -> dict:
-    """Best-of-N naive vs early-exit timing on one corpus."""
-    comparator = default_product_comparator()
-    classifier = ThresholdClassifier(THRESHOLD)
-    engine = ParallelComparisonEngine(comparator)  # NullTracer default
-
-    naive_best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        naive_matches = {
-            frozenset(pair)
-            for pair in pairs
-            if comparator.compare(by_id[pair[0]], by_id[pair[1]]).score
-            >= THRESHOLD
-        }
-        naive_best = min(naive_best, time.perf_counter() - start)
-
-    early_best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        run = engine.match_pairs(by_id, pairs, classifier)
-        early_best = min(early_best, time.perf_counter() - start)
-    if run.match_pairs != naive_matches:
-        raise SystemExit("early-exit disagrees with naive on match pairs")
-
-    return {
-        "n_pairs": len(pairs),
-        "naive_pairs_per_sec": round(len(pairs) / naive_best, 1),
-        "early_exit_pairs_per_sec": round(len(pairs) / early_best, 1),
-        "measured_speedup": round(naive_best / early_best, 2),
-    }
-
-
-def baseline_speedup(path: Path = BASELINE_PATH) -> float:
-    payload = json.loads(path.read_text())
-    by_mode = {row["mode"]: row for row in payload["modes"]}
-    return by_mode["early-exit"]["speedup_vs_naive"]
+def _engine():
+    return ParallelComparisonEngine(default_product_comparator())  # NullTracer
 
 
 def main(argv=None) -> None:
@@ -98,16 +60,17 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
 
     n_entities, n_sources = (20, 6) if args.quick else (60, 12)
-    records, by_id, pairs = _corpus_pairs(n_entities, n_sources)
-    measured = measure_speedup(records, by_id, pairs, repeats=args.repeats)
-    recorded = baseline_speedup()
+    __, by_id, pairs = _corpus_pairs(n_entities, n_sources)
+    measured = early_exit_speedup(by_id, pairs, args.repeats, _engine)
+    recorded = recorded_early_exit_speedup()
     floor = args.min_ratio * recorded
 
     print("NullTracer overhead gate (early-exit vs naive speedup)")
     print(f"  corpus:            {n_entities} entities x {n_sources} sources"
-          f" -> {measured['n_pairs']} pairs")
-    print(f"  naive:             {measured['naive_pairs_per_sec']} pairs/sec")
-    print(f"  early-exit:        {measured['early_exit_pairs_per_sec']}"
+          f" -> {len(pairs)} pairs")
+    print(f"  naive:             {len(pairs) / measured['naive_best']:.1f}"
+          " pairs/sec")
+    print(f"  early-exit:        {len(pairs) / measured['early_best']:.1f}"
           " pairs/sec  (instrumented path, NullTracer)")
     print(f"  measured speedup:  {measured['measured_speedup']}x")
     print(f"  baseline speedup:  {recorded}x  (BENCH_engine.json)")

@@ -24,14 +24,18 @@ Run:  PYTHONPATH=src python benchmarks/check_outofcore_overhead.py [--quick]
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from bench_e20_engine import THRESHOLD, _corpus_pairs
+from bench_e20_engine import (
+    THRESHOLD,
+    _corpus_pairs,
+    early_exit_speedup,
+    recorded_early_exit_speedup,
+)
 
 from repro.linkage import (
     ParallelComparisonEngine,
@@ -41,52 +45,26 @@ from repro.linkage import (
     resolve,
 )
 from repro.outofcore import MemoryBudget
+from repro.text import clear_memo_caches
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 TIGHT_BUDGET = 48 * 1024
 ROOMY_BUDGET = 1 << 30
 
 
-def measure_inmemory_speedup(by_id, pairs, repeats: int) -> dict:
-    """Early-exit (no budget) vs naive, best-of-N."""
-    comparator = default_product_comparator()
-    classifier = ThresholdClassifier(THRESHOLD)
-
-    naive_best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        naive_matches = {
-            frozenset(pair)
-            for pair in pairs
-            if comparator.compare(by_id[pair[0]], by_id[pair[1]]).score
-            >= THRESHOLD
-        }
-        naive_best = min(naive_best, time.perf_counter() - start)
-
-    plain_best = float("inf")
-    for __ in range(repeats):
-        engine = ParallelComparisonEngine(comparator)
-        start = time.perf_counter()
-        run = engine.match_pairs(by_id, pairs, classifier)
-        plain_best = min(plain_best, time.perf_counter() - start)
-    if run.match_pairs != naive_matches:
-        raise SystemExit("engine disagrees with naive on match pairs")
-
-    return {
-        "naive_best": naive_best,
-        "plain_best": plain_best,
-        "measured_speedup": round(naive_best / plain_best, 2),
-    }
+def _engine():
+    return ParallelComparisonEngine(default_product_comparator())
 
 
 def measure_streaming(records, repeats: int) -> dict:
-    """In-memory vs streamed resolve (roomy and tight), best-of-N."""
+    """In-memory vs streamed resolve (roomy and tight), best-of-N,
+    every timed run on empty memos."""
     blocker = TokenBlocker(max_block_size=60)
     comparator = default_product_comparator()
     classifier = ThresholdClassifier(THRESHOLD)
 
     inmemory_best = float("inf")
     for __ in range(repeats):
+        clear_memo_caches()
         start = time.perf_counter()
         reference = resolve(records, blocker, comparator, classifier)
         inmemory_best = min(inmemory_best, time.perf_counter() - start)
@@ -101,6 +79,7 @@ def measure_streaming(records, repeats: int) -> dict:
         for __ in range(repeats):
             with tempfile.TemporaryDirectory() as root:
                 budget = MemoryBudget(limit)
+                clear_memo_caches()
                 start = time.perf_counter()
                 streamed = resolve(
                     records, blocker, comparator, classifier,
@@ -128,12 +107,6 @@ def measure_streaming(records, repeats: int) -> dict:
         "tight_spills": budgets["tight"].spill_count,
         "roomy_spills": budgets["roomy"].spill_count,
     }
-
-
-def baseline_speedup(path: Path = BASELINE_PATH) -> float:
-    payload = json.loads(path.read_text())
-    by_mode = {row["mode"]: row for row in payload["modes"]}
-    return by_mode["early-exit"]["speedup_vs_naive"]
 
 
 def main(argv=None) -> None:
@@ -164,8 +137,8 @@ def main(argv=None) -> None:
     n_entities, n_sources = (20, 6) if args.quick else (60, 12)
     records, by_id, pairs = _corpus_pairs(n_entities, n_sources)
 
-    inmemory = measure_inmemory_speedup(by_id, pairs, args.repeats)
-    recorded = baseline_speedup()
+    inmemory = early_exit_speedup(by_id, pairs, args.repeats, _engine)
+    recorded = recorded_early_exit_speedup()
     floor = args.min_ratio * recorded
     print("Out-of-core overhead gate")
     print(f"  corpus:               {n_entities} entities x {n_sources}"

@@ -17,7 +17,7 @@ per-record Python objects:
 * **scalar fields** (Jaro-Winkler, Monge-Elkan, product names, unknown
   callables) — an interned *payload table*: one prepared payload per
   distinct value, shared by every record carrying that value, scored
-  through memoized similarity lookups by the kernels.
+  by the kernels through the comparator's own payload similarities.
 
 Blocks are built **from the same prepared payloads the scalar fast
 path uses** (:meth:`RecordComparator.prepare`), so the two
@@ -25,9 +25,9 @@ representations cannot disagree about what a field's comparison input
 is; the batch kernels in :mod:`repro.columnar.kernels` then reproduce
 the scalar arithmetic bit for bit.
 
-A block is immutable once built, picklable (transient similarity memo
-caches are dropped, see :mod:`repro.columnar.serialize`), and carries a
-deterministic ``nbytes`` estimate compatible with
+A block is immutable once built, picklable (see
+:mod:`repro.columnar.serialize`), and carries a deterministic
+``nbytes`` estimate compatible with
 :class:`repro.outofcore.MemoryBudget` accounting.
 """
 
@@ -39,16 +39,14 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.record import Record
-from repro.linkage.comparison import RecordComparator, similarity_spec
+from repro.linkage.comparison import RecordComparator
 from repro.text.similarity import (
     cosine_similarity,
     dice_similarity,
     exact_similarity,
     jaccard_similarity,
     measurement_similarity,
-    monge_elkan_similarity,
     overlap_coefficient,
-    product_name_similarity,
 )
 
 __all__ = ["ColumnarBlock", "build_block"]
@@ -222,7 +220,6 @@ class _MeasurementColumn:
         self.unit_ids = unit_ids  # int32[n], interned base unit (-1 unparsed)
         self.text_ids = text_ids  # int32[n] into texts (-1 missing)
         self.texts = texts  # distinct normalized value strings
-        self._pair_memo: dict[tuple[int, int], float] = {}
 
     def present(self, rows: np.ndarray) -> np.ndarray:
         return ~self.missing[rows]
@@ -237,35 +234,19 @@ class _MeasurementColumn:
             + self.text_ids.nbytes
         ) + sum(_str_nbytes(text) for text in self.texts)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_pair_memo"] = {}
-        return state
-
 
 class _ScalarColumn:
     """Interned prepared payloads for scalar-path similarities.
 
     One payload per *distinct* value (records sharing a brand string
-    share one payload), plus a per-column pair memo: a similarity is
-    computed at most once per ordered payload-id pair per block, then
-    served as a dict lookup — exact, because the similarity functions
-    are pure.
+    share one payload).
     """
 
     kind = KIND_SCALAR
 
-    def __init__(
-        self,
-        field_similarity,
-        payload_ids: np.ndarray,
-        payloads: list[Any],
-    ) -> None:
-        self.field_similarity = field_similarity
+    def __init__(self, payload_ids: np.ndarray, payloads: list[Any]) -> None:
         self.payload_ids = payload_ids  # int32, -1 = missing
         self.payloads = payloads
-        self._spec_similarity = similarity_spec(field_similarity).similarity
-        self._pair_memo: dict[tuple[int, int], float] = {}
 
     def present(self, rows: np.ndarray) -> np.ndarray:
         return self.payload_ids[rows] >= 0
@@ -275,14 +256,6 @@ class _ScalarColumn:
         return int(self.payload_ids.nbytes) + sum(
             _payload_nbytes(payload) for payload in self.payloads
         )
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_pair_memo"] = {}
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
 
 class ColumnarBlock:
@@ -307,9 +280,6 @@ class ColumnarBlock:
             record_id: position
             for position, record_id in enumerate(record_ids)
         }
-        # Shared token-level similarity memo for Monge-Elkan / product
-        # name kernels (transient; rebuilt empty after unpickling).
-        self._token_sim_memo: dict[tuple[str, str], float] = {}
 
     def __len__(self) -> int:
         return len(self.record_ids)
@@ -344,7 +314,6 @@ class ColumnarBlock:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_token_sim_memo"] = {}
         state.pop("index")  # rebuilt from record_ids
         return state
 
@@ -528,7 +497,6 @@ def build_block(
         else:
             columns.append(
                 _ScalarColumn(
-                    field.similarity,
                     np.asarray(state["ids"], dtype=np.int32),
                     list(interner.values),
                 )
@@ -536,8 +504,3 @@ def build_block(
 
     return ColumnarBlock(comparator, tuple(record_ids), tuple(columns))
 
-
-# Referenced by kernels for the scalar dispatch; re-exported here so
-# kernels.py does not need its own copy of the registry.
-MONGE_ELKAN = monge_elkan_similarity
-PRODUCT_NAME = product_name_similarity

@@ -18,7 +18,8 @@ pairs that survive a vectorized early-exit mask:
    early exit.
 3. **Residual pass** — survivors evaluate their remaining fields
    (Jaro-Winkler, Monge-Elkan, unparsed measurements) through the
-   scalar similarity functions, memoized per distinct value pair, then
+   comparator's own payload similarities — and so through the same
+   bounded token- and value-level memos as the scalar path — then
    rebuild the exact score in field-declaration order.
 
 Because the cheap kernels perform the *same IEEE-754 operation
@@ -39,14 +40,11 @@ from repro.columnar.block import (
     KIND_SCALAR,
     ColumnarBlock,
 )
-from repro.linkage.comparison import BOUND_MARGIN, ComparisonVector
-from repro.text.similarity import (
-    jaro_winkler_similarity,
-    levenshtein_similarity,
-    monge_elkan_similarity,
-    monge_elkan_tokens,
-    product_name_similarity,
-    product_name_similarity_tokens,
+from repro.linkage.comparison import (
+    BOUND_MARGIN,
+    ComparisonVector,
+    measurement_text_similarity,
+    similarity_spec,
 )
 
 __all__ = [
@@ -298,81 +296,30 @@ def _cheap_pass(block: ColumnarBlock, left: np.ndarray, right: np.ndarray):
 # --- residual (scalar-fallback) evaluation ----------------------------
 
 
-def _token_inner(block: ColumnarBlock):
-    """Jaro-Winkler with a block-shared directional string-pair memo.
-
-    Injected as the ``inner`` of Monge-Elkan / product-name scoring:
-    cached values are the function's own outputs, so results are
-    bit-identical with or without the memo.
-    """
-    memo = block._token_sim_memo
-
-    def inner(a: str, b: str) -> float:
-        key = (a, b)
-        value = memo.get(key)
-        if value is None:
-            value = jaro_winkler_similarity(a, b)
-            memo[key] = value
-        return value
-
-    return inner
-
-
 def _field_evaluator(block: ColumnarBlock, field_index: int):
     """``evaluate(id_left, id_right) -> float`` for one residual field.
 
     Ids are interned payload ids (scalar fields) or text ids
-    (unparsed measurements); each distinct ordered id pair is computed
-    once per block and memoized.
+    (unparsed measurements). The similarity is the one the scalar path
+    calls, so expensive ones are served from the shared value-level
+    memo exactly as there.
     """
     column = block.columns[field_index]
-    memo = column._pair_memo
     if column.kind == KIND_MEASUREMENT:
         texts = column.texts
 
-        def compute(id_left: int, id_right: int) -> float:
-            # _measurement_payload_similarity's fallback branch: at
-            # least one side is unparsed here, so it is always the
-            # normalized-Levenshtein arm.
-            return levenshtein_similarity(
-                texts[id_left].lower().strip(),
-                texts[id_right].lower().strip(),
-            )
+        def evaluate(id_left: int, id_right: int) -> float:
+            # At least one side is unparsed here: the text fallback.
+            return measurement_text_similarity(texts[id_left], texts[id_right])
 
     else:
         payloads = column.payloads
-        similarity = column.field_similarity
-        if similarity is product_name_similarity:
-            inner = _token_inner(block)
+        similarity = similarity_spec(
+            block.comparator.fields[field_index].similarity
+        ).similarity
 
-            def compute(id_left: int, id_right: int) -> float:
-                a = payloads[id_left]
-                b = payloads[id_right]
-                return product_name_similarity_tokens(
-                    a[0], a[1], b[0], b[1], inner=inner
-                )
-
-        elif similarity is monge_elkan_similarity:
-            inner = _token_inner(block)
-
-            def compute(id_left: int, id_right: int) -> float:
-                return monge_elkan_tokens(
-                    payloads[id_left][0], payloads[id_right][0], inner
-                )
-
-        else:
-            spec_similarity = column._spec_similarity
-
-            def compute(id_left: int, id_right: int) -> float:
-                return spec_similarity(payloads[id_left], payloads[id_right])
-
-    def evaluate(id_left: int, id_right: int) -> float:
-        key = (id_left, id_right)
-        value = memo.get(key)
-        if value is None:
-            value = compute(id_left, id_right)
-            memo[key] = value
-        return value
+        def evaluate(id_left: int, id_right: int) -> float:
+            return similarity(payloads[id_left], payloads[id_right])
 
     return evaluate
 
@@ -582,7 +529,7 @@ def score_positions(
 
     Bit-identical to :meth:`RecordComparator.compare_prepared` per
     pair: vector-kind similarities come from the batch kernels, scalar
-    fields from the memoized residual evaluators, and the final scores
+    fields from the residual evaluators, and the final scores
     from a declaration-order masked accumulation that replays the
     scalar float-op sequence exactly.
     """

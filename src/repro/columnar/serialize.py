@@ -3,10 +3,9 @@
 Blocks ship to worker processes and spill to disk (the out-of-core
 layer), so their wire size matters. Serialization uses pickle protocol
 5: numpy columns serialize as raw contiguous buffers (no per-element
-overhead), interned tables carry each distinct string exactly once, and
-the transient similarity memo caches are dropped by the columns' own
-``__getstate__`` — a round-tripped block is value-identical with cold
-memos.
+overhead) and interned tables carry each distinct string exactly once.
+A block holds no caches (similarity memos live with the similarity
+functions), so a round-tripped block is value-identical.
 
 Round-tripping is lossless for scoring: every kernel output over a
 deserialized block is bit-identical to the original (asserted in
@@ -27,7 +26,7 @@ _PROTOCOL = 5
 
 
 def block_to_bytes(block: ColumnarBlock) -> bytes:
-    """Serialize ``block`` (without its transient memo caches)."""
+    """Serialize ``block``."""
     return pickle.dumps(block, protocol=_PROTOCOL)
 
 

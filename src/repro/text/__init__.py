@@ -11,6 +11,7 @@ from repro.text.normalize import (
 )
 from repro.text.phonetic import soundex
 from repro.text.similarity import (
+    _jaro_winkler_memo,
     cosine_similarity,
     damerau_levenshtein_distance,
     dice_similarity,
@@ -35,19 +36,36 @@ from repro.text.tokens import (
     word_tokens,
 )
 
-#: The text layer's bounded memo caches, by report name. This is the
-#: registry :func:`repro.obs.observe_text_caches` reads to publish
-#: hit/miss gauges; anything added here shows up in run reports.
+#: The bounded memo caches of the value-comparison stack, by report
+#: name. This is the registry :func:`repro.obs.observe_text_caches`
+#: reads to publish hit/miss gauges; anything added here shows up in
+#: run reports. ``repro.linkage.comparison`` registers its value-level
+#: similarity memo (``"value_similarity"``) here when it is imported.
 MEMO_CACHES = {
     "normalize_value": normalize_value,
     "word_tokens": word_token_tuple,
+    "jaro_winkler": _jaro_winkler_memo,
 }
+
+
+def clear_memo_caches() -> None:
+    """Empty every cache in :data:`MEMO_CACHES`.
+
+    The memos are process-wide and never change a result, only when it
+    is computed — so the one place this matters is timing: two modes
+    timed one after the other in one process share them, and the second
+    runs on the first's entries unless they are emptied in between.
+    """
+    for cache in MEMO_CACHES.values():
+        cache.cache_clear()
+
 
 __all__ = [
     "MEMO_CACHES",
     "Measurement",
     "TfidfModel",
     "canonical_value",
+    "clear_memo_caches",
     "cosine_similarity",
     "damerau_levenshtein_distance",
     "dice_similarity",

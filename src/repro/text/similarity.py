@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from repro.text.normalize import parse_measurement
 from repro.text.tokens import word_tokens
 
 __all__ = [
+    "TOKEN_SIMILARITY_CACHE_MAXSIZE",
     "levenshtein_distance",
     "damerau_levenshtein_distance",
     "levenshtein_similarity",
@@ -38,7 +40,17 @@ __all__ = [
     "product_name_similarity_tokens",
 ]
 
-StringSimilarity = Callable[[str, str], float]
+#: Bound on the token tier — the Jaro-Winkler memo every token-level
+#: consumer (Monge-Elkan, product names, the schema name matcher, plain
+#: string fields) shares. Redundant sources re-publish the same tokens:
+#: the ledger's ``stream_steady`` makes 478,515 token comparisons over
+#: 196 distinct ordered pairs, ``batch_wide`` sees 28,408 distinct
+#: pairs. Sized on ``batch_wide``, the workload it is tight for: 8,192
+#: entries cost +6.4 % peak RSS at a 76 % hit rate, 32,768 (every pair
+#: resident) cost +13 % and were rejected. Observable via
+#: :func:`repro.obs.observe_text_caches`, like
+#: :data:`repro.text.normalize.NORMALIZE_CACHE_MAXSIZE`.
+TOKEN_SIMILARITY_CACHE_MAXSIZE = 8192
 
 
 def levenshtein_distance(a: str, b: str) -> int:
@@ -115,27 +127,34 @@ def jaro_similarity(a: str, b: str) -> float:
         return 1.0
     if not a or not b:
         return 0.0
-    window = max(len(a), len(b)) // 2 - 1
-    window = max(window, 0)
-    a_flags = [False] * len(a)
-    b_flags = [False] * len(b)
-    matches = 0
+    window = max(max(len(a), len(b)) // 2 - 1, 0)
+    # Greedy matching, as the textbook window scan does it: each
+    # character of ``a`` takes the first untaken equal character of
+    # ``b`` inside its window. ``str.find`` does the scan in C.
+    find = b.find
+    taken = [False] * len(b)
+    a_matched: list[str] = []
     for i, ca in enumerate(a):
-        low = max(0, i - window)
-        high = min(len(b), i + window + 1)
-        for j in range(low, high):
-            if not b_flags[j] and b[j] == ca:
-                a_flags[i] = True
-                b_flags[j] = True
-                matches += 1
-                break
+        high = i + window + 1
+        j = find(ca, i - window if i > window else 0, high)
+        while j >= 0 and taken[j]:
+            j = find(ca, j + 1, high)
+        if j >= 0:
+            taken[j] = True
+            a_matched.append(ca)
+    matches = len(a_matched)
     if matches == 0:
         return 0.0
-    a_matched = [c for c, flag in zip(a, a_flags) if flag]
-    b_matched = [c for c, flag in zip(b, b_flags) if flag]
-    transpositions = (
-        sum(ca != cb for ca, cb in zip(a_matched, b_matched)) // 2
-    )
+    # One pass over ``b``'s matched characters, in ``b`` order, against
+    # ``a``'s matched characters in ``a`` order.
+    out_of_order = 0
+    k = 0
+    for cb, flag in zip(b, taken):
+        if flag:
+            if cb != a_matched[k]:
+                out_of_order += 1
+            k += 1
+    transpositions = out_of_order // 2
     return (
         matches / len(a)
         + matches / len(b)
@@ -143,12 +162,14 @@ def jaro_similarity(a: str, b: str) -> float:
     ) / 3.0
 
 
-def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
-    """Jaro similarity boosted for a shared prefix of up to 4 characters."""
-    if not 0.0 <= prefix_weight <= 0.25:
-        raise ValueError(
-            f"prefix_weight must be in [0, 0.25], got {prefix_weight}"
-        )
+@lru_cache(maxsize=TOKEN_SIMILARITY_CACHE_MAXSIZE)
+def _jaro_winkler_memo(a: str, b: str, prefix_weight: float) -> float:
+    """The token tier: Jaro-Winkler of one *ordered* argument triple.
+
+    Greedy Jaro matching runs from ``a``'s side and nothing here proves
+    it symmetric, so ``(a, b)`` and ``(b, a)`` are separate entries — a
+    canonicalised key would answer one order with the other's float.
+    """
     jaro = jaro_similarity(a, b)
     prefix = 0
     for ca, cb in zip(a[:4], b[:4]):
@@ -156,6 +177,20 @@ def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float
             break
         prefix += 1
     return jaro + prefix * prefix_weight * (1.0 - jaro)
+
+
+def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
+    """Jaro similarity boosted for a shared prefix of up to 4 characters.
+
+    Memoized per ordered ``(a, b, prefix_weight)`` (see
+    :data:`TOKEN_SIMILARITY_CACHE_MAXSIZE`); the argument check runs on
+    every call.
+    """
+    if not 0.0 <= prefix_weight <= 0.25:
+        raise ValueError(
+            f"prefix_weight must be in [0, 0.25], got {prefix_weight}"
+        )
+    return _jaro_winkler_memo(a, b, prefix_weight)
 
 
 def _as_set(value: str | Iterable[str]) -> set[str]:
@@ -242,9 +277,7 @@ def cosine_similarity(
 
 
 def monge_elkan_tokens(
-    tokens_a: Sequence[str],
-    tokens_b: Sequence[str],
-    inner: StringSimilarity = jaro_winkler_similarity,
+    tokens_a: Sequence[str], tokens_b: Sequence[str]
 ) -> float:
     """Monge-Elkan over pre-tokenized inputs (the prepared fast path).
 
@@ -257,22 +290,21 @@ def monge_elkan_tokens(
         return 0.0
 
     def directed(xs: Sequence[str], ys: Sequence[str]) -> float:
-        return sum(max(inner(x, y) for y in ys) for x in xs) / len(xs)
+        return (
+            sum(max(jaro_winkler_similarity(x, y) for y in ys) for x in xs)
+            / len(xs)
+        )
 
     return (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0
 
 
-def monge_elkan_similarity(
-    a: str,
-    b: str,
-    inner: StringSimilarity = jaro_winkler_similarity,
-) -> float:
-    """Average best inner similarity of each token of ``a`` against ``b``.
+def monge_elkan_similarity(a: str, b: str) -> float:
+    """Average best Jaro-Winkler of each token of ``a`` against ``b``.
 
     Asymmetric in principle; this implementation symmetrizes by
     averaging both directions, which is the common practice.
     """
-    return monge_elkan_tokens(word_tokens(a), word_tokens(b), inner)
+    return monge_elkan_tokens(word_tokens(a), word_tokens(b))
 
 
 def numeric_similarity(a: float, b: float, tolerance: float = 0.1) -> float:
@@ -341,19 +373,14 @@ def product_name_similarity_tokens(
     numbers_a: frozenset[str] | set[str],
     tokens_b: Sequence[str],
     numbers_b: frozenset[str] | set[str],
-    inner: StringSimilarity = jaro_winkler_similarity,
 ) -> float:
     """Model-number-aware name similarity over pre-tokenized inputs.
 
     Identical arithmetic to :func:`product_name_similarity`; ``numbers_*``
     must be the numeric-token subsets of ``tokens_*`` (see
     :func:`repro.linkage.engine.prepare_records`, which caches both).
-    ``inner`` replaces the token-level Jaro-Winkler in both the
-    Monge-Elkan base and the model-number matching — the hook the
-    columnar batch kernels use to inject a memoized (but numerically
-    identical) token similarity.
     """
-    base = monge_elkan_tokens(tokens_a, tokens_b, inner)
+    base = monge_elkan_tokens(tokens_a, tokens_b)
     if not numbers_a and not numbers_b:
         return base
     if not numbers_a or not numbers_b:
@@ -361,7 +388,7 @@ def product_name_similarity_tokens(
     matched = 0
     for token_a in numbers_a:
         if any(
-            inner(token_a, token_b) >= 0.8
+            jaro_winkler_similarity(token_a, token_b) >= 0.8
             for token_b in numbers_b
         ):
             matched += 1

@@ -36,7 +36,13 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
-from repro.text import exact_similarity, jaro_winkler_similarity
+from repro.text import (
+    MEMO_CACHES,
+    clear_memo_caches,
+    exact_similarity,
+    jaro_winkler_similarity,
+    product_name_similarity,
+)
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +221,89 @@ class TestScoreBounded:
         full = comparator.compare(left, right)
         bounded = comparator.score_bounded(left, right, threshold)
         assert bounded.is_match == (full.score >= threshold)
+
+
+class TestMemoIsInvisible:
+    """The similarity memos may change when a float is computed, never
+    which float: clearing them mid-run must not move a byte."""
+
+    CHUNK = 97
+
+    def test_vectors_and_matches_identical_with_memos_cleared_between_chunks(
+        self, corpus
+    ):
+        __, by_id, pairs = corpus
+        comparator = default_product_comparator()
+        classifier = ThresholdClassifier(0.72)
+        engine = ParallelComparisonEngine(comparator, execution="serial")
+        warm_vectors = engine.compare_pairs(by_id, pairs)
+        warm_run = engine.match_pairs(by_id, pairs, classifier)
+
+        cold_vectors = []
+        cold_matches = set()
+        cold_edges = []
+        for start in range(0, len(pairs), self.CHUNK):
+            chunk = pairs[start : start + self.CHUNK]
+            clear_memo_caches()
+            cold_vectors.extend(engine.compare_pairs(by_id, chunk))
+            clear_memo_caches()
+            run = engine.match_pairs(by_id, chunk, classifier)
+            cold_matches |= run.match_pairs
+            cold_edges.extend(run.scored_edges)
+        assert pickle.dumps(cold_vectors) == pickle.dumps(warm_vectors)
+        assert cold_matches == warm_run.match_pairs
+        assert pickle.dumps(sorted(cold_edges)) == pickle.dumps(
+            sorted(warm_run.scored_edges)
+        )
+        # ... and both are the naive path's floats.
+        for vector, (left, right) in zip(warm_vectors, pairs):
+            assert vector == comparator.compare(by_id[left], by_id[right])
+
+    def test_value_tier_eviction_keeps_the_bound_and_the_results(self):
+        from repro.linkage.comparison import VALUE_SIMILARITY_CACHE_MAXSIZE
+
+        memo = MEMO_CACHES["value_similarity"]
+        memo.cache_clear()
+        assert memo.cache_info().maxsize == VALUE_SIMILARITY_CACHE_MAXSIZE
+        comparator = RecordComparator(
+            [FieldComparator("name", product_name_similarity)]
+        )
+
+        def prepared(index, name):
+            return comparator.prepare(Record(f"r{index}", "s", {"name": name}))
+
+        probe = prepared(0, "canon powershot 512")
+        early = [prepared(k, f"cannon powershot {k}") for k in range(1, 40)]
+        first_pass = [comparator.compare_prepared(probe, e) for e in early]
+        for k in range(VALUE_SIMILARITY_CACHE_MAXSIZE + 50):
+            comparator.compare_prepared(probe, prepared(k, f"filler {k}"))
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize
+        misses_before = info.misses
+        assert [
+            comparator.compare_prepared(probe, e) for e in early
+        ] == first_pass
+        assert memo.cache_info().misses == misses_before + len(early)
+        assert memo.cache_info().currsize <= VALUE_SIMILARITY_CACHE_MAXSIZE
+
+    def test_unknown_similarity_callables_are_never_memoized(self):
+        calls = []
+
+        def impure(a, b):
+            calls.append((a, b))
+            return 1.0 if a == b else 0.5
+
+        comparator = RecordComparator([FieldComparator("name", impure)])
+        left = comparator.prepare(Record("a", "s", {"name": "x"}))
+        right = comparator.prepare(Record("b", "s", {"name": "y"}))
+        memo = MEMO_CACHES["value_similarity"]
+        before = memo.cache_info()
+        for __ in range(3):
+            comparator.compare_prepared(left, right)
+            comparator.score_bounded(left, right, 0.4)
+        assert len(calls) == 6
+        after = memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestProcessBackend:

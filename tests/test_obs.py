@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.core.pipeline import BDIPipeline, PipelineConfig
+from repro.core.record import Record
 from repro.linkage import (
     ParallelComparisonEngine,
     ThresholdClassifier,
@@ -274,7 +275,41 @@ class TestInstrumentHelpers:
         assert gauges["text.normalize_value.cache_hits"] >= 1
         assert gauges["text.normalize_value.cache_misses"] >= 1
         assert 0.0 < gauges["text.normalize_value.cache_hit_ratio"] <= 1.0
-        assert set(MEMO_CACHES) == {"normalize_value", "word_tokens"}
+        assert set(MEMO_CACHES) == {
+            "normalize_value",
+            "word_tokens",
+            "jaro_winkler",
+            "value_similarity",
+        }
+
+    def test_run_report_shows_both_similarity_tiers(self):
+        from repro.text import clear_memo_caches
+
+        clear_memo_caches()
+        comparator = default_product_comparator()
+        left = comparator.prepare(
+            Record("a", "s1", {"name": "canon pro 512", "brand": "canon"})
+        )
+        right = comparator.prepare(
+            Record("b", "s2", {"name": "cannon pro 512", "brand": "cannon"})
+        )
+        first = comparator.compare_prepared(left, right)
+        assert comparator.compare_prepared(left, right) == first
+        tracer = Tracer(clock=ManualClock())
+        observe_text_caches(tracer)
+        gauges = tracer.report().metrics["gauges"]
+        # One name pair: missed once, served from the value tier once.
+        assert gauges["text.value_similarity.cache_misses"] == 1
+        assert gauges["text.value_similarity.cache_hits"] == 1
+        assert gauges["text.value_similarity.cache_size"] == 1
+        # Its token pairs, plus the brand pair, went through the token
+        # tier on the miss; the repeat never reached it for the name.
+        assert gauges["text.jaro_winkler.cache_misses"] > 1
+        assert gauges["text.jaro_winkler.cache_hits"] >= 1
+        assert (
+            gauges["text.jaro_winkler.cache_size"]
+            == gauges["text.jaro_winkler.cache_misses"]
+        )
 
 
 class TestEngineEdgeCases:

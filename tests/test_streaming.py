@@ -18,6 +18,7 @@ The load-bearing suites:
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,7 @@ from repro.streaming import (
     fuse_entity,
     projection_accuracy,
 )
+from repro.text import clear_memo_caches
 
 MATCH_THRESHOLD = 0.72
 
@@ -541,7 +543,7 @@ class TestDriftWorld:
 DIFF_CONFIG = DriftStreamConfig(n_entities=8, n_sources=4, seed=7)
 
 
-def run_differential(n_windows):
+def run_differential(n_windows, clear_memos=False):
     world = DriftWorld(DIFF_CONFIG)
     accuracies = world.accuracies_at(0.0)
     resolver = make_resolver(accuracies, window=WindowConfig(size=1.0))
@@ -573,6 +575,8 @@ def run_differential(n_windows):
         )
         if len(boundary_pairs) >= n_windows:
             break
+        if clear_memos:
+            clear_memo_caches()
     return boundary_pairs
 
 
@@ -580,6 +584,12 @@ class TestDriftFreeDifferential:
 
     def test_streaming_matches_batch_at_every_window_boundary(self):
         for index, (streamed, batch) in enumerate(run_differential(6)):
+            assert streamed == batch, f"diverged at window {index}"
+
+    def test_same_bytes_with_memo_caches_cleared_between_windows(self):
+        cold = run_differential(6, clear_memos=True)
+        assert cold == run_differential(6)
+        for index, (streamed, batch) in enumerate(cold):
             assert streamed == batch, f"diverged at window {index}"
 
     @settings(max_examples=12, deadline=None)
@@ -1144,6 +1154,49 @@ class TestSnapshotMaintainerStream:
             list(bounded.process_stream(iter(datasets), max_snapshots=2))
             == expected[:2]
         )
+
+
+# ---------------------------------------------------------------------
+# The live path stays off numpy: importing it alone costs ~13 MB of
+# peak RSS per process, which the scalar scoring path no longer needs
+# to be fast (the similarity memos closed that gap).
+
+NUMPY_FREE_SCRIPT = """
+import sys
+import repro.serve
+import repro.streaming
+from repro.linkage import ThresholdClassifier, default_product_comparator
+from repro.linkage.blocking import first_token_key
+from repro.streaming import (
+    DriftStreamConfig, DriftWorld, StreamingResolver, WindowConfig,
+)
+
+world = DriftWorld(DriftStreamConfig(n_entities=8, n_sources=4, seed=7))
+resolver = StreamingResolver(
+    key_functions=[first_token_key("name")],
+    comparator=default_product_comparator(),
+    classifier=ThresholdClassifier(0.72),
+    source_accuracies=world.accuracies_at(0.0),
+    window=WindowConfig(size=1.0),
+)
+(result,) = resolver.run(world.stream(), max_windows=1)
+assert result.comparisons > 0
+print("numpy" in sys.modules)
+"""
+
+
+class TestLivePathStaysOffNumpy:
+    def test_streaming_and_serve_never_import_numpy(self):
+        src = Path(__file__).parent.parent / "src"
+        finished = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert finished.returncode == 0, finished.stderr
+        assert finished.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text import (
+    MEMO_CACHES,
     cosine_similarity,
     damerau_levenshtein_distance,
     dice_similarity,
@@ -20,9 +21,60 @@ from repro.text import (
     overlap_coefficient,
 )
 
+from repro.text.similarity import TOKEN_SIMILARITY_CACHE_MAXSIZE
+
 short_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12
 )
+# Few letters, many repeats: where greedy window matching has choices.
+repetitive_text = st.one_of(
+    st.text(alphabet="ab", max_size=12), st.text(alphabet="abc", max_size=12)
+)
+
+
+def reference_jaro(a: str, b: str) -> float:
+    """The textbook window scan ``jaro_similarity`` used before it was
+    rewritten over ``str.find`` — kept verbatim as the oracle."""
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    window = max(len(a), len(b)) // 2 - 1
+    window = max(window, 0)
+    a_flags = [False] * len(a)
+    b_flags = [False] * len(b)
+    matches = 0
+    for i, ca in enumerate(a):
+        low = max(0, i - window)
+        high = min(len(b), i + window + 1)
+        for j in range(low, high):
+            if not b_flags[j] and b[j] == ca:
+                a_flags[i] = True
+                b_flags[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    a_matched = [c for c, flag in zip(a, a_flags) if flag]
+    b_matched = [c for c, flag in zip(b, b_flags) if flag]
+    transpositions = (
+        sum(ca != cb for ca, cb in zip(a_matched, b_matched)) // 2
+    )
+    return (
+        matches / len(a)
+        + matches / len(b)
+        + (matches - transpositions) / matches
+    ) / 3.0
+
+
+def reference_jaro_winkler(a: str, b: str, prefix_weight: float = 0.1) -> float:
+    jaro = reference_jaro(a, b)
+    prefix = 0
+    for ca, cb in zip(a[:4], b[:4]):
+        if ca != cb:
+            break
+        prefix += 1
+    return jaro + prefix * prefix_weight * (1.0 - jaro)
 
 
 class TestLevenshtein:
@@ -90,6 +142,78 @@ class TestJaro:
         s = jaro_similarity(a, b)
         assert 0.0 <= s <= 1.0
         assert s == pytest.approx(jaro_similarity(b, a))
+
+    @settings(max_examples=500)
+    @given(repetitive_text, repetitive_text)
+    def test_jaro_is_bit_identical_to_the_window_scan(self, a, b):
+        assert jaro_similarity(a, b) == reference_jaro(a, b)
+
+    @given(short_text, short_text)
+    def test_jaro_is_bit_identical_on_printable_text(self, a, b):
+        assert jaro_similarity(a, b) == reference_jaro(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ("martha", "marhta"),
+            ("dixon", "dicksonx"),
+            ("dwayne", "duane"),
+            ("prefixed", "prefixes"),
+            ("abcd", "abcd"),
+            ("abcde", "abcdx"),
+            ("a", "ab"),
+            ("", "abc"),
+        ],
+    )
+    @pytest.mark.parametrize("prefix_weight", [0.0, 0.1, 0.25])
+    def test_winkler_prefix_cases_match_the_oracle(self, a, b, prefix_weight):
+        assert jaro_winkler_similarity(
+            a, b, prefix_weight
+        ) == reference_jaro_winkler(a, b, prefix_weight)
+
+    @given(repetitive_text, repetitive_text)
+    def test_winkler_matches_the_oracle_cold_and_warm(self, a, b):
+        expected = reference_jaro_winkler(a, b)
+        assert jaro_winkler_similarity(a, b) == expected  # maybe a miss
+        assert jaro_winkler_similarity(a, b) == expected  # surely a hit
+
+    def test_winkler_checks_the_weight_on_a_memo_hit(self):
+        jaro_winkler_similarity("a", "b")
+        with pytest.raises(ValueError):
+            jaro_winkler_similarity("a", "b", prefix_weight=0.5)
+
+
+class TestTokenTierMemo:
+    def test_argument_orders_are_separate_entries(self):
+        # Greedy matching runs from ``a``'s side; nothing here proves it
+        # symmetric, so the memo never answers one order with the other.
+        a, b = "abaa", "aaba"
+        memo = MEMO_CACHES["jaro_winkler"]
+        memo.cache_clear()
+        forward = jaro_winkler_similarity(a, b)
+        backward = jaro_winkler_similarity(b, a)
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+        assert forward == reference_jaro_winkler(a, b)
+        assert backward == reference_jaro_winkler(b, a)
+
+    def test_eviction_keeps_the_bound_and_the_results(self):
+        memo = MEMO_CACHES["jaro_winkler"]
+        memo.cache_clear()
+        assert memo.cache_info().maxsize == TOKEN_SIMILARITY_CACHE_MAXSIZE
+        early = [("token0", f"tokne{k}") for k in range(50)]
+        first_pass = [jaro_winkler_similarity(a, b) for a, b in early]
+        for k in range(TOKEN_SIMILARITY_CACHE_MAXSIZE + 100):
+            jaro_winkler_similarity("filler", f"filler{k}")
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize
+        misses_before = info.misses
+        assert [
+            jaro_winkler_similarity(a, b) for a, b in early
+        ] == first_pass
+        # The early pairs really were evicted and recomputed.
+        assert memo.cache_info().misses == misses_before + len(early)
+        assert memo.cache_info().currsize <= TOKEN_SIMILARITY_CACHE_MAXSIZE
 
 
 class TestTokenSimilarities:
