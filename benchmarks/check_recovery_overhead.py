@@ -4,16 +4,17 @@ The recovery layer (`repro.recovery`) threads an optional checkpoint
 store through the comparison engine's chunk loop. Two promises guard
 the E20 hot path (`BENCH_engine.json`):
 
-1. **Disabled is free.** With ``checkpoint=None`` the engine takes the
-   exact pre-recovery code path, so the early-exit speedup over naive
-   scoring must stay where the baseline recorded it. As in
+1. **Disabled is free.** With ``checkpoint=None`` the same chunk loop
+   runs without a store (every persist/replay is one ``is None``
+   check), so the early-exit speedup over naive scoring must stay
+   where the baseline recorded it. As in
    ``check_obs_overhead.py``, the gate compares the machine-independent
    *ratio*, not absolute pairs/sec, and passes while the measured
    speedup stays above half the recorded one.
-2. **Enabled is cheap.** With a live ``RunStore`` the engine routes
-   through the chunked executor and durably pickles each completed
-   chunk. What that costs is the best-of-N wall time over the identical
-   run without a store, per checkpointed chunk, in milliseconds, and it
+2. **Enabled is cheap.** With a live ``RunStore`` the executor
+   durably pickles each completed chunk. What that costs is the
+   best-of-N wall time over the identical run without a store, per
+   checkpointed chunk, in milliseconds, and it
    must stay under ``--chunk-budget-ms``. An absolute cost, not a
    fraction of the scoring time: that is a moving base, under which
    every scoring speed-up reads as a checkpointing regression (the

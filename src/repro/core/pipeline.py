@@ -369,33 +369,25 @@ class BDIPipeline:
                     )
                     if config.classifier == "fellegi-sunter":
                         from repro.linkage import fit_fellegi_sunter
-                        from repro.linkage.engine import (
-                            ParallelComparisonEngine,
+                        from repro.linkage.resolver import (
+                            _canonical_pairs,
+                            _engine,
                         )
 
                         candidates = blocker.block(
                             records
                         ).candidate_pairs()
-                        pair_engine = ParallelComparisonEngine(
+                        pair_engine = _engine(
                             comparator,
-                            execution=config.execution,  # type: ignore[arg-type]
-                            n_workers=config.n_workers,
-                            tracer=tracer,
-                            resilience=config.resilience,
-                            checkpoint=sub("linkage.vectors"),
-                            representation=config.representation,  # type: ignore[arg-type]
+                            config.execution,
+                            config.n_workers,
+                            tracer,
+                            config.resilience,
+                            sub("linkage.vectors"),
+                            config.representation,
                         )
                         vectors = pair_engine.compare_pairs(
-                            records,
-                            [
-                                (a, b)
-                                for a, b in (
-                                    sorted(pair)
-                                    for pair in sorted(
-                                        candidates, key=sorted
-                                    )
-                                )
-                            ],
+                            records, _canonical_pairs(candidates)
                         )
                         classifier: object = fit_fellegi_sunter(
                             vectors,

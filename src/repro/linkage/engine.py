@@ -1,30 +1,21 @@
 """The fast pair-comparison engine.
 
 Candidate-pair comparison is the quadratic hot path of the whole
-linkage stack; this module makes it fast at three layers, each strictly
-preserving the output of the naive path:
+linkage stack. :class:`ParallelComparisonEngine` runs it as one loop
+over two small seams; every combination preserves the output of the
+naive per-pair path bit for bit.
 
-1. **Prepared records** — :func:`prepare_records` normalizes,
-   tokenizes, and parses measurements for every record *once*
-   (:class:`~repro.linkage.comparison.PreparedRecord`), so per-pair
-   work collapses to pure similarity arithmetic.
-2. **Staged early-exit scoring** — when the classifier is a plain
-   threshold rule, fields are evaluated cheap-to-expensive and scoring
-   stops as soon as the pair provably cannot reach (or cannot fall
-   below) the threshold
-   (:meth:`~repro.linkage.comparison.RecordComparator.score_bounded`).
-3. **Multiprocess execution** — :class:`ParallelComparisonEngine` with
-   ``execution="process"`` fans chunked pair batches out over a
-   :class:`~concurrent.futures.ProcessPoolExecutor`; each worker keeps
-   its own prepared-record cache, and results reassemble in input
-   order so output is identical to the serial path.
-4. **Columnar batch scoring** — ``representation="columnar"`` packs
-   prepared records into per-field numpy columns
-   (:mod:`repro.columnar`) and scores whole chunks per call with
-   vectorized kernels plus a vectorized early-exit mask, falling back
-   to the scalar path only for the residual pairs that survive it.
-   Orthogonal to ``execution`` and streaming; output stays
-   bit-identical to the dict representation.
+* **Chunk scorer** — how a chunk of id pairs becomes a chunk value:
+  :class:`_DictScorer` (pair by pair) or :class:`_ColumnarScorer`
+  (vectorized, a chunk per call).
+* **Chunk runner** — where a chunk is scored: inline, or by a
+  :class:`_PoolRunner` keeping several chunks in flight on a
+  :class:`~concurrent.futures.ProcessPoolExecutor`.
+* **The loop** —
+  :class:`~repro.resilience.executor.ResilientChunkExecutor`, alone:
+  chunks are awaited, validated, checkpointed, dead-lettered and
+  consumed strictly in input order. ``resilience=None`` is its
+  fail-fast configuration, not a second code path.
 
 Records must be immutable after preparation (library records are
 immutable by construction); a prepared record is only meaningful to
@@ -35,11 +26,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter, OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
@@ -73,12 +66,9 @@ Representation = Literal["dict", "columnar"]
 
 IdPair = tuple[str, str]
 
-# Checkpointing without an explicit ResilienceConfig routes through the
-# resilient chunked path under this fail-fast config: one attempt, no
-# retries, abort on first failure — the same semantics as the
-# non-resilient path (and serial-chunked output is asserted identical
-# to unchunked in tests/test_resilience.py), but chunk results flow
-# through the executor where they can be persisted and replayed.
+# What ``resilience=None`` means: the same loop under a fail-fast
+# config — one attempt, no retries, abort on the first failure with a
+# ChunkExecutionError naming the chunk.
 _CHECKPOINT_PASSTHROUGH = ResilienceConfig(failure="fail")
 
 
@@ -101,14 +91,13 @@ class EngineRun:
     decided without evaluating every field (0 for non-threshold
     classifiers, which always score fully).
 
-    The last fields carry the run's fault-tolerance outcome (only
-    populated when the engine was built with a
-    :class:`~repro.resilience.ResilienceConfig`): the dead-letter log
-    of quarantined work, the quarantined pairs themselves, and the
-    ``completed_chunks``/``n_chunks`` split — partial-result semantics
-    for runs that survived worker failures. ``replayed_chunks`` counts
-    chunks restored from a checkpoint store instead of recomputed (0
-    for fresh runs and when checkpointing is off).
+    The last fields carry the run's fault-tolerance outcome: the
+    dead-letter log of quarantined work and the quarantined pairs
+    themselves (empty unless ``failure="skip"`` let the run survive
+    failures), and the ``completed_chunks``/``n_chunks`` split —
+    partial-result semantics for such runs, equal on every clean one.
+    ``replayed_chunks`` counts chunks restored from a checkpoint store
+    instead of recomputed (0 for fresh runs and without a store).
     """
 
     match_pairs: set[frozenset[str]]
@@ -125,279 +114,9 @@ class EngineRun:
     replayed_chunks: int = 0
 
 
-# --- worker-side state for the process backend -----------------------
-#
-# Initialized once per worker process; the prepared cache fills lazily
-# as the worker's chunks reference records, so each record is prepared
-# at most once per worker. Columnar workers instead receive the whole
-# block at pool startup (its transient memo caches ship empty and
-# refill per worker).
-
-_WORKER: dict = {}
-
-
-def _worker_init(comparator: RecordComparator, records: list[Record]) -> None:
-    _WORKER["comparator"] = comparator
-    _WORKER["by_id"] = {record.record_id: record for record in records}
-    _WORKER["prepared"] = {}
-
-
-def _worker_prepared(record_id: str) -> PreparedRecord:
-    cache = _WORKER["prepared"]
-    prepared = cache.get(record_id)
-    if prepared is None:
-        prepared = _WORKER["comparator"].prepare(_WORKER["by_id"][record_id])
-        cache[record_id] = prepared
-    return prepared
-
-
-def _chunk_cache_stats(pairs: list[IdPair], misses: int) -> dict[str, int]:
-    """Worker-side counter snapshot for one chunk.
-
-    Each pair performs two prepared-cache lookups; every lookup that
-    did not add a cache entry was a hit. These plain dicts are the
-    degenerate form of the obs collection protocol
-    (:meth:`repro.obs.MetricsRegistry.merge_counters`) — the parent
-    folds them into its registry after the chunk result arrives.
-    """
-    return {
-        "engine.prepared_cache_misses": misses,
-        "engine.prepared_cache_hits": 2 * len(pairs) - misses,
-    }
-
-
-def _score_chunk(
-    pairs: list[IdPair],
-) -> tuple[list[ComparisonVector], dict[str, int]]:
-    comparator: RecordComparator = _WORKER["comparator"]
-    cache_before = len(_WORKER["prepared"])
-    vectors = [
-        comparator.compare_prepared(
-            _worker_prepared(left), _worker_prepared(right)
-        )
-        for left, right in pairs
-    ]
-    misses = len(_WORKER["prepared"]) - cache_before
-    return vectors, _chunk_cache_stats(pairs, misses)
-
-
-def _match_chunk(
-    args: tuple[list[IdPair], float],
-) -> tuple[list[tuple[str, str, float]], int, dict[str, int]]:
-    pairs, threshold = args
-    comparator: RecordComparator = _WORKER["comparator"]
-    cache_before = len(_WORKER["prepared"])
-    matches: list[tuple[str, str, float]] = []
-    n_early = 0
-    for left, right in pairs:
-        bounded = comparator.score_bounded(
-            _worker_prepared(left),
-            _worker_prepared(right),
-            threshold,
-            exact_scores=True,
-        )
-        if not bounded.exact:
-            n_early += 1
-        if bounded.is_match:
-            matches.append((left, right, bounded.score))
-    misses = len(_WORKER["prepared"]) - cache_before
-    return matches, n_early, _chunk_cache_stats(pairs, misses)
-
-
-# --- worker-side paths for the streaming (out-of-core) backend -------
-#
-# Streamed runs cannot ship the whole corpus to workers at pool
-# startup, so the pool is initialized with the comparator only and each
-# chunk carries the records it references; the per-chunk prepared dict
-# plays the cache role, keeping worker residency bounded by chunk size.
-
-
-def _stream_worker_init(comparator: RecordComparator) -> None:
-    _WORKER["comparator"] = comparator
-
-
-def _match_chunk_shipped(
-    args: tuple[list[IdPair], dict[str, Record], float],
-) -> tuple[list[tuple[str, str, float]], int, dict[str, int]]:
-    pairs, records, threshold = args
-    comparator: RecordComparator = _WORKER["comparator"]
-    prepared: dict[str, PreparedRecord] = {}
-
-    def prepared_for(record_id: str) -> PreparedRecord:
-        entry = prepared.get(record_id)
-        if entry is None:
-            entry = comparator.prepare(records[record_id])
-            prepared[record_id] = entry
-        return entry
-
-    matches: list[tuple[str, str, float]] = []
-    n_early = 0
-    for left, right in pairs:
-        bounded = comparator.score_bounded(
-            prepared_for(left),
-            prepared_for(right),
-            threshold,
-            exact_scores=True,
-        )
-        if not bounded.exact:
-            n_early += 1
-        if bounded.is_match:
-            matches.append((left, right, bounded.score))
-    return matches, n_early, _chunk_cache_stats(pairs, len(prepared))
-
-
-def _score_chunk_shipped(
-    args: tuple[list[IdPair], dict[str, Record]],
-) -> tuple[list[ComparisonVector], dict[str, int]]:
-    pairs, records = args
-    comparator: RecordComparator = _WORKER["comparator"]
-    prepared: dict[str, PreparedRecord] = {}
-
-    def prepared_for(record_id: str) -> PreparedRecord:
-        entry = prepared.get(record_id)
-        if entry is None:
-            entry = comparator.prepare(records[record_id])
-            prepared[record_id] = entry
-        return entry
-
-    vectors = [
-        comparator.compare_prepared(prepared_for(left), prepared_for(right))
-        for left, right in pairs
-    ]
-    return vectors, _chunk_cache_stats(pairs, len(prepared))
-
-
-# --- worker-side paths for the columnar representation ---------------
-#
-# Non-streamed columnar runs build the block once in the parent and
-# ship it whole via pool initargs (interned columns are far smaller
-# than the record list the dict representation ships). Streamed runs
-# ship each chunk's records and let the worker build a chunk-local
-# block — same residency bound as the shipped dict path.
-
-
-def _columnar_worker_init(block) -> None:
-    _WORKER["block"] = block
-
-
-def _columnar_match_chunk(
-    args: tuple[list[IdPair], float],
-) -> tuple[list[tuple[str, str, float]], int, dict[str, int]]:
-    from repro.columnar import match_id_pairs
-
-    pairs, threshold = args
-    return match_id_pairs(_WORKER["block"], pairs, threshold)
-
-
-def _columnar_score_chunk(
-    pairs: list[IdPair],
-) -> tuple[list[ComparisonVector], dict[str, int]]:
-    from repro.columnar import score_id_pairs
-
-    return score_id_pairs(_WORKER["block"], pairs)
-
-
-def _columnar_match_chunk_shipped(
-    args: tuple[list[IdPair], dict[str, Record], float],
-) -> tuple[list[tuple[str, str, float]], int, dict[str, int]]:
-    from repro.columnar import build_block, match_id_pairs
-
-    pairs, records, threshold = args
-    block = build_block(_WORKER["comparator"], records)
-    return match_id_pairs(block, pairs, threshold)
-
-
-def _columnar_score_chunk_shipped(
-    args: tuple[list[IdPair], dict[str, Record]],
-) -> tuple[list[ComparisonVector], dict[str, int]]:
-    from repro.columnar import build_block, score_id_pairs
-
-    pairs, records = args
-    block = build_block(_WORKER["comparator"], records)
-    return score_id_pairs(block, pairs)
-
-
-class _BoundedPreparedCache:
-    """An LRU prepared-record cache tracked against a memory budget.
-
-    The serial streaming backend's replacement for the unbounded
-    prepared dict: entries are charged to the shared
-    :class:`repro.outofcore.MemoryBudget` (a small multiple of the raw
-    record payload) and evicted least-recently-used when an insert
-    would exceed it. Without a budget it degrades to an unbounded
-    cache with hit/miss counting.
-    """
-
-    def __init__(
-        self,
-        comparator: RecordComparator,
-        by_id: Mapping[str, Record],
-        budget,
-    ) -> None:
-        from collections import OrderedDict
-
-        self._comparator = comparator
-        self._by_id = by_id
-        self._budget = budget
-        self._cache: "OrderedDict[str, tuple[PreparedRecord, int]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, record_id: str) -> PreparedRecord:
-        entry = self._cache.get(record_id)
-        if entry is not None:
-            self._cache.move_to_end(record_id)
-            self.hits += 1
-            return entry[0]
-        self.misses += 1
-        record = self._by_id[record_id]
-        prepared = self._comparator.prepare(record)
-        cost = 0
-        if self._budget is not None:
-            from repro.outofcore.budget import (
-                PREPARED_RECORD_FACTOR,
-                record_nbytes,
-            )
-
-            cost = PREPARED_RECORD_FACTOR * record_nbytes(record)
-            while self._cache and self._budget.would_exceed(cost):
-                __, (___, old_cost) = self._cache.popitem(last=False)
-                self._budget.remove(old_cost)
-            if self._budget.would_exceed(cost):
-                # Another component holds the remaining budget; serve
-                # the prepared record uncached rather than exceed it.
-                return prepared
-            self._budget.add(cost)
-        self._cache[record_id] = (prepared, cost)
-        return prepared
-
-    def release(self) -> None:
-        if self._budget is not None:
-            for __, cost in self._cache.values():
-                self._budget.remove(cost)
-        self._cache.clear()
-
-
-# --- chunk-result validation (garbage detection) ---------------------
-#
-# The resilient executor runs these after every chunk attempt; a result
-# whose shape is wrong — a worker that OOMed mid-pickle, a fault
-# injector returning garbage — becomes a retryable failure instead of
-# a crash (or worse, silent corruption) further downstream.
-
-
-def _fold_stats(acc: dict[str, int], stats: Mapping[str, int]) -> None:
-    """Accumulate one chunk's stats dict into ``acc``, key by key.
-
-    Chunk workers report whatever counters their path tracks (the
-    prepared-cache pair for the dict representation, plus the
-    vectorized/residual pair split for columnar kernels); folding
-    generically keeps the parent agnostic of the representation.
-    """
-    for key, value in stats.items():
-        acc[key] = acc.get(key, 0) + value
+# The executor validates every attempt's result: a wrong shape — a
+# worker that OOMed mid-pickle, a fault injector returning garbage —
+# becomes a retryable failure instead of silent corruption downstream.
 
 
 def _validate_score_result(pairs: list[IdPair], value) -> None:
@@ -427,100 +146,396 @@ def _validate_match_result(pairs: list[IdPair], value) -> None:
         )
 
 
-class _PoolRunner:
-    """Submits chunks to a worker pool with timeout and self-healing.
+def _chunk_records(
+    by_id: Mapping[str, Record], pairs: list[IdPair]
+) -> dict[str, Record]:
+    """Exactly the records ``pairs`` references."""
+    records: dict[str, Record] = {}
+    for left, right in pairs:
+        if left not in records:
+            records[left] = by_id[left]
+        if right not in records:
+            records[right] = by_id[right]
+    return records
 
-    A timed-out future cannot reclaim its worker and a crashed worker
-    breaks the whole pool, so on either event the pool is torn down and
-    lazily rebuilt for the next attempt — the retried chunk lands on
-    fresh workers.
+
+class _ChunkScorer:
+    """The scorer seam: ``score(pairs, threshold)`` returns the chunk's
+    value — ``(vectors, stats)`` when ``threshold`` is None,
+    ``(matches, n_early, stats)`` for staged threshold matching. Both
+    scorers produce both shapes, so checkpointed chunks interchange
+    between representations. ``stats`` is a plain dict of whatever the
+    scorer counts — the degenerate form of the obs collection protocol
+    (:meth:`repro.obs.MetricsRegistry.merge_counters`); the loop sums
+    them key by key, agnostic of which.
+
+    ``budget`` is the :class:`repro.outofcore.MemoryBudget` a serial
+    out-of-core run charges; ``measure`` asks for byte sizes (a live
+    tracer wants them, and they are not free); ``stream`` says the
+    corpus may not fit in memory at once. Scorers pickle — a pool's
+    workers are started with one — so they hold no tracer.
     """
 
-    def __init__(self, make_pool: Callable[[], ProcessPoolExecutor]) -> None:
-        self._make_pool = make_pool
-        self._pool: ProcessPoolExecutor | None = None
+    def __init__(
+        self,
+        comparator: RecordComparator,
+        by_id: Mapping[str, Record],
+        budget=None,
+        measure: bool = False,
+        stream: bool = False,
+    ) -> None:
+        self.comparator = comparator
+        self.measure = measure
+        self._by_id = by_id
+        self._budget = budget
+        self._stream = stream
 
-    def submit(self, fn, arg, timeout: float | None):
-        if self._pool is None:
-            self._pool = self._make_pool()
-        future = self._pool.submit(fn, arg)
+    def close(self) -> None:
+        """Release whatever is still charged to the budget."""
+
+
+class _DictScorer(_ChunkScorer):
+    """Scores a chunk pair by pair over lazily prepared records
+    (normalized, tokenized, measurements parsed — once per record);
+    a plain threshold gets the staged scorer, which stops as soon as a
+    pair provably cannot reach, or fall below, it.
+
+    It is also the one prepared-record cache: unbounded without a
+    budget, and indexed directly by the scoring loop. With one, entries
+    are charged (a small multiple of the raw record payload) and
+    evicted least-recently-used when an insert would exceed it; the
+    loop then indexes the scorer itself, so a record evicted mid-chunk
+    is prepared again rather than missed.
+    """
+
+    #: What every chunk's stats count (a run of no chunks reports zeros).
+    counters = ("engine.prepared_cache_hits", "engine.prepared_cache_misses")
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._cache: OrderedDict[str, PreparedRecord] = OrderedDict()
+        self._costs: dict[str, int] = {}
+        self._misses = 0
+        self._nbytes = 0
+
+    def score(self, pairs: list[IdPair], threshold: float | None) -> tuple:
+        comparator = self.comparator
+        misses, nbytes = self._misses, self._nbytes
+        prepared: Mapping[str, PreparedRecord] = self
+        if self._budget is None:
+            # Fill first and index the dict itself in the hot loop: a
+            # Python-level lookup per pair side costs ~10% of a run.
+            prepared = self._cache
+            for left, right in pairs:
+                if left not in prepared:
+                    self._prepare(left)
+                if right not in prepared:
+                    self._prepare(right)
+        if threshold is None:
+            vectors = [
+                comparator.compare_prepared(prepared[left], prepared[right])
+                for left, right in pairs
+            ]
+            head: tuple = (vectors,)
+        else:
+            matches: list[tuple[str, str, float]] = []
+            n_early = 0
+            for left, right in pairs:
+                bounded = comparator.score_bounded(
+                    prepared[left],
+                    prepared[right],
+                    threshold,
+                    exact_scores=True,
+                )
+                if not bounded.exact:
+                    n_early += 1
+                if bounded.is_match:
+                    matches.append((left, right, bounded.score))
+            head = (matches, n_early)
+        # Each pair performs two cache lookups; every lookup that did
+        # not prepare a record was a hit.
+        misses = self._misses - misses
+        stats = {
+            "engine.prepared_cache_misses": misses,
+            "engine.prepared_cache_hits": 2 * len(pairs) - misses,
+        }
+        if self.measure:
+            stats["engine.prepared_bytes"] = self._nbytes - nbytes
+        return (*head, stats)
+
+    def __getitem__(self, record_id: str) -> PreparedRecord:
+        prepared = self._cache.get(record_id)
+        if prepared is None:
+            return self._prepare(record_id)
+        self._cache.move_to_end(record_id)
+        return prepared
+
+    def _prepare(self, record_id: str) -> PreparedRecord:
+        self._misses += 1
+        record = self._by_id[record_id]
+        prepared = self.comparator.prepare(record)
+        budget = self._budget
+        cost = 0
+        if budget is not None or self.measure:
+            # The estimate walks every attribute of the record, so an
+            # untraced unbounded run skips it.
+            from repro.outofcore.budget import (
+                PREPARED_RECORD_FACTOR,
+                record_nbytes,
+            )
+
+            cost = PREPARED_RECORD_FACTOR * record_nbytes(record)
+        if budget is not None:
+            while self._cache and budget.would_exceed(cost):
+                evicted, __ = self._cache.popitem(last=False)
+                budget.remove(self._costs.pop(evicted))
+            if budget.would_exceed(cost):
+                # Another component holds the remaining budget; serve
+                # the prepared record uncached rather than exceed it.
+                return prepared
+            budget.add(cost)
+            self._costs[record_id] = cost
+        self._cache[record_id] = prepared
+        self._nbytes += cost
+        return prepared
+
+    def close(self) -> None:
+        for cost in self._costs.values():
+            self._budget.remove(cost)
+
+
+class _ColumnarScorer(_ChunkScorer):
+    """Scores a chunk per call through the :mod:`repro.columnar` kernels:
+    prepared records packed into per-field numpy columns, a vectorized
+    early-exit mask, the scalar path only for the pairs surviving it.
+
+    The corpus is columnarized once, up front; the block travels to
+    pool workers inside the scorer (interned columns are far smaller
+    than the record list the dict scorer carries). Under ``stream``
+    each chunk instead gets a block over just the records it
+    references, charged to the budget for the chunk's lifetime and,
+    like the bounded prepared cache, never past the limit: a chunk
+    whose block would exceed the remaining budget is scored in halves
+    until each sub-block fits (pairs score independently, so the
+    concatenated results are bit-identical). Only a single pair whose
+    own block exceeds the budget is charged past the limit, mirroring
+    the dict cache's one-resident-record floor. ``block_bytes`` is the
+    size of the latest block built here.
+    """
+
+    counters = _DictScorer.counters + (
+        "columnar.pairs_vectorized",
+        "columnar.pairs_residual",
+    )
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._block = None
+        self.block_bytes = 0
+        if not self._stream:
+            from repro.columnar import build_block
+
+            self._block = build_block(self.comparator, self._by_id.values())
+            if self.measure:
+                self.block_bytes = self._block.nbytes
+
+    def score(self, pairs: list[IdPair], threshold: float | None) -> tuple:
+        from repro.columnar import build_block, match_id_pairs, score_id_pairs
+        from repro.outofcore.budget import columnar_block_nbytes
+
+        block = self._block
+        budget = self._budget
+        cost = 0
+        if block is None:
+            records = _chunk_records(self._by_id, pairs)
+            block = build_block(self.comparator, records)
+            cost = self.block_bytes = columnar_block_nbytes(block)
+            if (
+                budget is not None
+                and len(pairs) > 1
+                and budget.would_exceed(cost)
+            ):
+                mid = len(pairs) // 2
+                *first, stats = self.score(pairs[:mid], threshold)
+                *second, more = self.score(pairs[mid:], threshold)
+                stats = Counter(stats)
+                stats.update(more)
+                return (*(a + b for a, b in zip(first, second)), dict(stats))
+        if budget is not None:
+            budget.add(cost)
+        try:
+            if threshold is None:
+                return score_id_pairs(block, pairs)
+            return match_id_pairs(block, pairs, threshold)
+        finally:
+            if budget is not None:
+                budget.remove(cost)
+
+
+_WORKER: dict = {}
+
+
+def _worker_init(scorer: _ChunkScorer) -> None:
+    """Pool initializer: a worker keeps the scorer it started with (a
+    dict scorer's cache then fills lazily, once per worker)."""
+    _WORKER["scorer"] = scorer
+
+
+def _score_chunk(task: tuple) -> tuple:
+    """The worker-side function: score one chunk with the pool's
+    scorer — or, when the chunk's records came with it, with one of the
+    same kind over those alone, so worker residency stays bounded by
+    chunk size however long the stream runs."""
+    pairs, threshold, records = task
+    scorer = _WORKER["scorer"]
+    if records is not None:
+        scorer = type(scorer)(scorer.comparator, records, None, scorer.measure)
+    return scorer.score(pairs, threshold)
+
+
+class _PoolRunner:
+    """Scores chunks on a worker pool, several in flight, self-healing.
+
+    :meth:`feed` passes the chunks through to the executor while
+    holding a window on them: the chunk the executor has plus up to
+    ``n_workers`` upcoming ones. Whenever the executor runs a top-level
+    chunk, whatever in the window is not yet submitted is submitted, so
+    workers stay busy while results are still awaited — and validated,
+    checkpointed, consumed — strictly in input order. Submission starts
+    at the first chunk the executor actually runs, so a
+    checkpoint-replayed prefix is never re-scored, and a stream is read
+    at most ``n_workers`` chunks ahead. Workers hold the corpus from
+    pool start, unless ``ship_from`` names the mapping each chunk's
+    records are read from to travel with it.
+
+    A timed-out future cannot reclaim its worker and a dead worker
+    breaks the whole pool: either way the pool is dropped and the chunk
+    being awaited is charged the failure (whichever chunk a dead worker
+    was running; retries and bisection still corner the culprit). The
+    next submission starts a fresh pool, and other chunks that were in
+    flight are resubmitted when their turn comes, at no charge to them.
+    """
+
+    def __init__(self, scorer, n_workers: int, threshold, ship_from) -> None:
+        self._scorer = scorer
+        self._n_workers = n_workers
+        self._threshold = threshold
+        self._ship_from = ship_from
+        self._pool: ProcessPoolExecutor | None = None
+        # [chunk, its future or None]; the head is the executor's chunk.
+        self._window: deque[list] = deque()
+
+    def feed(self, chunks: Iterable[list[IdPair]]) -> Iterator[list[IdPair]]:
+        source = iter(chunks)
+        window = self._window
+        while True:
+            for chunk in islice(source, 1 + self._n_workers - len(window)):
+                window.append([chunk, None])
+            if not window:
+                return
+            yield window[0][0]
+            window.popleft()
+
+    def run(self, pairs: list[IdPair], timeout: float | None) -> tuple:
+        """One attempt at ``pairs`` (the executor's ``run_attempt``)."""
+        window = self._window
+        if window and pairs == window[0][0]:
+            for slot in window:
+                if slot[1] is None:
+                    slot[1] = self._submit(slot[0])
+            future, window[0][1] = window[0][1], None
+        else:
+            future = self._submit(pairs)  # part of a bisected chunk
         try:
             return future.result(timeout=timeout)
         except FuturesTimeout:
-            future.cancel()
-            self._recycle()
+            self.close()
             raise ChunkTimeoutError(timeout) from None
         except BrokenProcessPool:
-            self._recycle()
+            self.close()
             raise
 
-    def _recycle(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+    def _submit(self, pairs: list[IdPair]):
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._n_workers,
+                initializer=_worker_init,
+                initargs=(self._scorer,),
+            )
+        records = None
+        if self._ship_from is not None:
+            records = _chunk_records(self._ship_from, pairs)
+        task = (pairs, self._threshold, records)
+        return self._pool.submit(_score_chunk, task)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Kill the pool's workers and forget what was in flight on it.
+
+        ``shutdown`` alone never stops a worker that is still running:
+        a hung one would outlive the run and block interpreter exit. At
+        the end of a run too — an aborted one leaves chunks in flight
+        that nobody wants — and idle workers have nothing to lose.
+        """
+        pool, self._pool = self._pool, None
+        for slot in self._window:
+            slot[1] = None
+        if pool is not None:
+            for process in list(pool._processes.values()):
+                process.kill()
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 class ParallelComparisonEngine:
     """Executes pair comparisons with prepared records, early exit, and
     an optional multiprocess backend.
 
+    Every call — plain, resilient, checkpointed, streamed; serial or
+    process; dict or columnar — runs the same chunked loop, so a
+    failing chunk always surfaces the same way: under the default
+    fail-fast policy, a :class:`~repro.resilience.ChunkExecutionError`
+    naming the chunk, with the comparator's (or worker's) own exception
+    as its ``__cause__``. ``comparator``, ``execution``,
+    ``representation``, ``n_workers`` and ``resilience`` are readable
+    as attributes; ``dead_letters`` is the most recent call's
+    :class:`~repro.resilience.DeadLetterLog` (also on the
+    :class:`EngineRun`; the attribute serves :meth:`compare_pairs`).
+
     Parameters
     ----------
     comparator:
-        The comparison rules. For ``execution="process"`` it must be
-        picklable (the built-in comparators are).
+        The comparison rules; picklable for ``execution="process"``
+        (the built-in comparators are).
     execution:
-        ``"serial"`` runs in-process; ``"process"`` fans chunked pair
-        batches out over ``n_workers`` OS processes. Both produce
-        identical output.
+        ``"serial"`` runs in-process; ``"process"`` fans chunks out over
+        ``n_workers`` OS processes (default: CPU count).
     representation:
         ``"dict"`` (the default) scores pairs one at a time over
-        prepared records; ``"columnar"`` packs the records into a
+        prepared records; ``"columnar"`` packs them into a
         :class:`repro.columnar.ColumnarBlock` and scores whole chunks
-        per call with the vectorized batch kernels. Orthogonal to
-        ``execution``, streaming, resilience, and checkpointing —
-        every combination produces bit-identical output (the columnar
-        representation always routes through the chunked executor, so
-        chunk checkpoints are even interchangeable between
-        representations).
-    n_workers:
-        Process count for the process backend (default: CPU count).
+        per call. Every combination with ``execution``, streaming,
+        resilience, and checkpointing produces bit-identical output,
+        and chunk checkpoints interchange between representations.
     chunk_size:
-        Maximum pairs per worker task; the engine shrinks chunks when
-        the pair list is small so every worker gets work.
+        Maximum pairs per chunk; the engine shrinks chunks when the
+        pair list is small so every worker gets work.
     tracer:
         An :class:`repro.obs.Tracer` to record spans and counters into
         (pairs compared, early exits, prepared-cache hits, matched-score
         histogram, chunk counts). Defaults to the no-op
-        :data:`repro.obs.NULL_TRACER`, whose overhead is below bench
-        noise. Counters are always touched, so an empty pair list or
-        fewer chunks than workers still yields a well-formed zeroed
-        report.
+        :data:`repro.obs.NULL_TRACER` (overhead below bench noise).
     resilience:
         A :class:`~repro.resilience.ResilienceConfig` to survive worker
         failures: crashed, hung, or garbage-returning chunks are
         retried with backoff, bisected down to the poison pair, and —
-        under ``failure="skip"`` — quarantined into a
-        :class:`~repro.resilience.DeadLetterLog` carried on the
-        :class:`EngineRun`, rather than aborting the run. ``None``
-        (the default) keeps the zero-overhead fail-fast path; serial
-        execution is then also chunked so both backends recover
-        identically.
+        under ``failure="skip"`` — quarantined into the dead-letter
+        log rather than aborting the run. ``None`` (the default) means
+        ``ResilienceConfig(failure="fail")``: the same loop, one
+        attempt per chunk, abort on the first failure.
     checkpoint:
-        An optional checkpoint store (a :class:`repro.recovery.RunStore`,
-        a view of one, or a directory path to open a store at).
-        Completed chunk results are durably saved as
-        they finish, and a rerun of the same workload against the same
-        store resumes from the last completed chunk instead of
-        recomputing. Works with or without ``resilience``: without it,
-        work routes through the chunked path under a fail-fast
-        pass-through config whose output is identical to the plain
-        path.
+        A checkpoint store (a :class:`repro.recovery.RunStore`, a view
+        of one, or a directory path to open one at). Completed chunks
+        are durably saved as they finish, and a rerun of the same
+        workload against the same store resumes after the last one.
     """
 
     def __init__(
@@ -550,122 +565,39 @@ class ParallelComparisonEngine:
             raise ConfigurationError(
                 "resilience must be a ResilienceConfig or None"
             )
-        self._comparator = comparator
-        self._execution: ExecutionMode = execution
-        self._representation: Representation = representation
-        self._n_workers = n_workers or os.cpu_count() or 1
+        self.comparator = comparator
+        self.execution: ExecutionMode = execution
+        self.representation: Representation = representation
+        self.n_workers = n_workers or os.cpu_count() or 1
+        self.resilience = resilience
+        self.dead_letters: DeadLetterLog | None = None
         self._chunk_size = chunk_size
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._resilience = resilience
         if isinstance(checkpoint, (str, os.PathLike)):
             from repro.recovery import RunStore
 
             checkpoint = RunStore(checkpoint)
         self._checkpoint = checkpoint
-        self._last_dead_letters: DeadLetterLog | None = None
-
-    @property
-    def comparator(self) -> RecordComparator:
-        """The comparison rules this engine executes."""
-        return self._comparator
-
-    @property
-    def execution(self) -> str:
-        """The configured execution mode."""
-        return self._execution
-
-    @property
-    def representation(self) -> str:
-        """The configured record representation."""
-        return self._representation
-
-    @property
-    def n_workers(self) -> int:
-        """Worker-process count used by the process backend."""
-        return self._n_workers
-
-    @property
-    def resilience(self) -> ResilienceConfig | None:
-        """The fault-tolerance configuration, if any."""
-        return self._resilience
-
-    @property
-    def dead_letters(self) -> DeadLetterLog | None:
-        """Quarantined work from the most recent call, if resilient.
-
-        :meth:`match_pairs` also carries this on the returned
-        :class:`EngineRun`; this property is how
-        :meth:`compare_pairs` callers reach it.
-        """
-        return self._last_dead_letters
-
-    # --- helpers -----------------------------------------------------
-
-    @staticmethod
-    def _by_id(
-        records: Sequence[Record] | Mapping[str, Record],
-    ) -> Mapping[str, Record]:
-        if isinstance(records, Mapping):
-            return records
-        return {record.record_id: record for record in records}
-
-    def _valid_pairs(
-        self,
-        by_id: Mapping[str, Record],
-        pairs: Iterable[IdPair],
-    ) -> list[IdPair]:
-        """Drop pairs referencing unknown ids (mirrors the naive loops)."""
-        return [
-            (left, right)
-            for left, right in pairs
-            if left in by_id and right in by_id
-        ]
 
     def _chunks(self, pairs: list[IdPair]) -> list[list[IdPair]]:
+        """The list feed: cut so that every worker gets work — serial
+        runs too, since chunk indexes name checkpoints and so must not
+        depend on the execution mode."""
         size = max(
             1,
             min(
                 self._chunk_size,
-                math.ceil(len(pairs) / max(1, self._n_workers)),
+                math.ceil(len(pairs) / max(1, self.n_workers)),
             ),
         )
         return [pairs[i : i + size] for i in range(0, len(pairs), size)]
 
-    def _prepared_lookup(
-        self, by_id: Mapping[str, Record], pairs: list[IdPair]
-    ) -> dict[str, PreparedRecord]:
-        """Prepare exactly the records the pair list references."""
-        prepared: dict[str, PreparedRecord] = {}
-        comparator = self._comparator
-        for left, right in pairs:
-            if left not in prepared:
-                prepared[left] = comparator.prepare(by_id[left])
-            if right not in prepared:
-                prepared[right] = comparator.prepare(by_id[right])
-        if self._tracer is not NULL_TRACER:
-            from repro.outofcore.budget import (
-                PREPARED_RECORD_FACTOR,
-                record_nbytes,
-            )
-
-            self._tracer.gauge("engine.prepared_bytes").set(
-                sum(
-                    PREPARED_RECORD_FACTOR * record_nbytes(by_id[record_id])
-                    for record_id in prepared
-                )
-            )
-        return prepared
-
-    def _build_block(self, by_id: Mapping[str, Record]):
-        """Columnarize the corpus once, publishing its size gauge."""
-        from repro.columnar import build_block
-
-        block = build_block(self._comparator, by_id.values())
-        if self._tracer is not NULL_TRACER:
-            self._tracer.gauge("columnar.block_bytes").set(block.nbytes)
-        return block
-
-    # --- public API --------------------------------------------------
+    def _stream_chunks(
+        self, pairs: Iterator[IdPair]
+    ) -> Iterator[list[IdPair]]:
+        """The stream feed: ``chunk_size`` pairs at a time, never a list."""
+        while chunk := list(islice(pairs, self._chunk_size)):
+            yield chunk
 
     def compare_pairs(
         self,
@@ -676,56 +608,12 @@ class ParallelComparisonEngine:
 
         Byte-identical to calling
         :meth:`RecordComparator.compare` per pair, at prepared-record
-        speed; the process backend reassembles chunk results in order.
+        speed; chunk results reassemble in order under either backend.
+        Pairs quarantined under ``failure="skip"`` are absent (see
+        ``dead_letters``).
         """
-        by_id = self._by_id(records)
-        valid = self._valid_pairs(by_id, pairs)
-        if (
-            self._resilience is not None
-            or self._checkpoint is not None
-            or self._representation == "columnar"
-        ):
-            # Columnar scoring always runs through the chunked executor
-            # (fail-fast pass-through when no resilience is configured):
-            # one batch-kernel path covers plain, resilient, and
-            # checkpointed runs alike.
-            return self._compare_pairs_resilient(by_id, valid)
-        tracer = self._tracer
-        with tracer.span(
-            "engine.compare_pairs",
-            execution=self._execution,
-            n_workers=self._n_workers,
-        ) as span:
-            vectors: list[ComparisonVector] = []
-            cache_hits = cache_misses = n_chunks = 0
-            if valid and self._execution == "process":
-                chunks = self._chunks(valid)
-                n_chunks = len(chunks)
-                heartbeat = tracer.gauge("engine.chunks_done")
-                with self._executor(by_id) as executor:
-                    for done, (chunk_vectors, stats) in enumerate(
-                        executor.map(_score_chunk, chunks), start=1
-                    ):
-                        vectors.extend(chunk_vectors)
-                        cache_hits += stats["engine.prepared_cache_hits"]
-                        cache_misses += stats["engine.prepared_cache_misses"]
-                        heartbeat.set(done)
-            elif valid:
-                prepared = self._prepared_lookup(by_id, valid)
-                cache_misses = len(prepared)
-                cache_hits = 2 * len(valid) - cache_misses
-                comparator = self._comparator
-                vectors = [
-                    comparator.compare_prepared(
-                        prepared[left], prepared[right]
-                    )
-                    for left, right in valid
-                ]
-            tracer.counter("engine.pairs_total").inc(len(valid))
-            tracer.counter("engine.prepared_cache_hits").inc(cache_hits)
-            tracer.counter("engine.prepared_cache_misses").inc(cache_misses)
-            tracer.counter("engine.chunks").inc(n_chunks)
-            span.set("n_pairs", len(valid))
+        vectors: list[ComparisonVector] = []
+        self._run(records, pairs, None, vectors)
         return vectors
 
     def match_pairs(
@@ -741,127 +629,7 @@ class ParallelComparisonEngine:
         fields; matches are always scored fully, so ``scored_edges``
         carries exact scores. Other classifiers get full vectors.
         """
-        by_id = self._by_id(records)
-        valid = self._valid_pairs(by_id, pairs)
-        threshold: float | None = None
-        if isinstance(classifier, ThresholdClassifier):
-            threshold = classifier.match_threshold
-        if (
-            self._resilience is not None
-            or self._checkpoint is not None
-            or self._representation == "columnar"
-        ):
-            return self._match_pairs_resilient(
-                by_id, valid, classifier, threshold
-            )
-        tracer = self._tracer
-        match_pairs: set[frozenset[str]] = set()
-        scored_edges: list[tuple[str, str, float]] = []
-        n_early = 0
-        cache_hits = cache_misses = n_chunks = 0
-        with tracer.span(
-            "engine.match_pairs",
-            execution=self._execution,
-            n_workers=self._n_workers,
-        ) as span:
-            started = tracer.time()
-            if valid and self._execution == "process":
-                chunks = self._chunks(valid)
-                n_chunks = len(chunks)
-                heartbeat = tracer.gauge("engine.chunks_done")
-                with self._executor(by_id) as executor:
-                    if threshold is not None:
-                        chunk_args = [
-                            (chunk, threshold) for chunk in chunks
-                        ]
-                        for done, (matches, chunk_early, stats) in enumerate(
-                            executor.map(_match_chunk, chunk_args), start=1
-                        ):
-                            n_early += chunk_early
-                            cache_hits += stats[
-                                "engine.prepared_cache_hits"
-                            ]
-                            cache_misses += stats[
-                                "engine.prepared_cache_misses"
-                            ]
-                            heartbeat.set(done)
-                            for left, right, score in matches:
-                                match_pairs.add(frozenset((left, right)))
-                                scored_edges.append((left, right, score))
-                    else:
-                        for done, (chunk_vectors, stats) in enumerate(
-                            executor.map(_score_chunk, chunks), start=1
-                        ):
-                            cache_hits += stats[
-                                "engine.prepared_cache_hits"
-                            ]
-                            cache_misses += stats[
-                                "engine.prepared_cache_misses"
-                            ]
-                            heartbeat.set(done)
-                            for vector in chunk_vectors:
-                                if classifier.is_match(vector):
-                                    match_pairs.add(
-                                        frozenset(
-                                            (vector.left_id, vector.right_id)
-                                        )
-                                    )
-                                    scored_edges.append(
-                                        (
-                                            vector.left_id,
-                                            vector.right_id,
-                                            vector.score,
-                                        )
-                                    )
-            elif valid:
-                prepared = self._prepared_lookup(by_id, valid)
-                cache_misses = len(prepared)
-                cache_hits = 2 * len(valid) - cache_misses
-                comparator = self._comparator
-                for left, right in valid:
-                    if threshold is not None:
-                        bounded = comparator.score_bounded(
-                            prepared[left],
-                            prepared[right],
-                            threshold,
-                            exact_scores=True,
-                        )
-                        if not bounded.exact:
-                            n_early += 1
-                        if bounded.is_match:
-                            match_pairs.add(frozenset((left, right)))
-                            scored_edges.append(
-                                (left, right, bounded.score)
-                            )
-                    else:
-                        vector = comparator.compare_prepared(
-                            prepared[left], prepared[right]
-                        )
-                        if classifier.is_match(vector):
-                            match_pairs.add(frozenset((left, right)))
-                            scored_edges.append(
-                                (left, right, vector.score)
-                            )
-            elapsed = tracer.time() - started
-            self._record_match_metrics(
-                span,
-                n_pairs=len(valid),
-                scored_edges=scored_edges,
-                n_early=n_early,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                n_chunks=n_chunks,
-                elapsed=elapsed,
-            )
-        return EngineRun(
-            match_pairs,
-            scored_edges,
-            len(valid),
-            n_early,
-            self._execution,
-            self._n_workers,
-            representation=self._representation,
-        )
+        return self._run(records, pairs, classifier)
 
     def match_pairs_stream(
         self,
@@ -874,622 +642,158 @@ class ParallelComparisonEngine:
 
         ``pairs`` may be any iterable — typically the sorted-unique
         merge off a spill (:class:`repro.outofcore.ExternalPairDeduper`)
-        — consumed once, chunked lazily, and never materialized as a
-        list. Output is identical to :meth:`match_pairs` over the same
-        pairs in the same order. ``records`` is usually a lazy mapping
+        — consumed once, chunked lazily, never materialized as a list.
+        Output is identical to :meth:`match_pairs` over the same pairs
+        in the same order. ``records`` is usually a lazy mapping
         (:class:`repro.outofcore.IndexedRecordStore`); the serial
-        backend holds prepared records in an LRU charged to ``budget``
-        (a :class:`repro.outofcore.MemoryBudget`, optional), while the
-        process backend ships each chunk's records with the chunk so
-        worker residency is bounded by chunk size.
-
-        Resilience, checkpointing, and dead-lettering apply per chunk
-        exactly as in :meth:`match_pairs`: the executor persists and
-        replays chunk results by index and content signature, so a
-        killed streamed run resumes mid-stream.
+        backend holds prepared records in an LRU (or one columnar block
+        per chunk) charged to ``budget`` (a
+        :class:`repro.outofcore.MemoryBudget`, optional), the process
+        backend ships each chunk's records with the chunk. Chunks
+        checkpoint by index and content signature as in
+        :meth:`match_pairs`, so a killed streamed run resumes mid-stream.
         """
-        by_id = self._by_id(records)
+        return self._run(records, pairs, classifier, None, True, budget)
+
+    def _run(
+        self,
+        records: Sequence[Record] | Mapping[str, Record],
+        pairs: Iterable[IdPair],
+        classifier,
+        vectors: list[ComparisonVector] | None = None,
+        stream: bool = False,
+        budget=None,
+    ) -> EngineRun:
+        """The one loop: chunk feed → runner → resilient executor →
+        ``consume``, which sees every chunk value in input order.
+
+        Full comparison vectors are collected into ``vectors`` when
+        given; otherwise pairs are classified. Everything a run reports
+        is published here, whatever it ran on; counters are touched
+        even when zero, so an empty pair list reports zeros.
+        """
+        tracer = self._tracer
+        matching = vectors is None
+        by_id = records
+        if not isinstance(records, Mapping):
+            by_id = {record.record_id: record for record in records}
+        if stream:  # pairs naming unknown ids are dropped, as naive loops do
+            chunks = self._stream_chunks(
+                (a, b) for a, b in pairs if a in by_id and b in by_id
+            )
+        else:
+            chunks = self._chunks(
+                [(a, b) for a, b in pairs if a in by_id and b in by_id]
+            )
         threshold: float | None = None
         if isinstance(classifier, ThresholdClassifier):
             threshold = classifier.match_threshold
-        tracer = self._tracer
+        columnar = self.representation == "columnar"
+        Scorer = _ColumnarScorer if columnar else _DictScorer
+        measure = tracer is not NULL_TRACER
+        if self.execution == "serial":
+            scorer = Scorer(self.comparator, by_id, budget, measure, stream)
+            feed = iter
+            close = scorer.close
+
+            def run_attempt(pairs: list[IdPair], timeout) -> tuple:
+                return scorer.score(pairs, threshold)
+        else:
+            # Workers sent each chunk's records start with none
+            # resident; this process's memory budget is not theirs.
+            resident = {} if stream else by_id
+            scorer = Scorer(self.comparator, resident, None, measure, stream)
+            pool = _PoolRunner(
+                scorer, self.n_workers, threshold, by_id if stream else None
+            )
+            feed, run_attempt, close = pool.feed, pool.run, pool.close
+        # Score chunks and match chunks carry differently-shaped values,
+        # so they checkpoint under distinct prefixes — a store reused
+        # across both operations never replays one shape into the other.
+        kind, validate = "match", _validate_match_result
+        if threshold is None:
+            kind, validate = "score", _validate_score_result
+        checkpoint = self._checkpoint
+        if checkpoint is not None:
+            checkpoint = checkpoint.sub(kind)
+        executor = ResilientChunkExecutor(
+            self.resilience or _CHECKPOINT_PASSTHROUGH,
+            tracer=tracer,
+            scope="engine.chunk",
+            checkpoint=checkpoint,
+        )
         match_pairs: set[frozenset[str]] = set()
         scored_edges: list[tuple[str, str, float]] = []
-        counts = {"pairs": 0, "early": 0}
-        folded: dict[str, int] = {}
-        with tracer.span(
-            "engine.match_pairs",
-            execution=self._execution,
-            n_workers=self._n_workers,
-            streaming=True,
-        ) as span:
-            started = tracer.time()
-            run_attempt, close = self._stream_runner(by_id, threshold, budget)
+        n_pairs = n_early = 0
+        folded = Counter(dict.fromkeys(scorer.counters, 0))
+
+        def consume(pairs: list[IdPair], value: tuple) -> None:
+            nonlocal n_pairs, n_early
+            n_pairs += len(pairs)
+            folded.update(value[-1])  # sums, key by key
+            if not matching:
+                vectors.extend(value[0])
+                return
             if threshold is not None:
-                validate = _validate_match_result
-                executor = self._chunk_executor("match")
+                edges = value[0]
+                n_early += value[1]
             else:
-                validate = _validate_score_result
-                executor = self._chunk_executor("score")
+                edges = [
+                    (vector.left_id, vector.right_id, vector.score)
+                    for vector in value[0]
+                    if classifier.is_match(vector)
+                ]
+            for left, right, __ in edges:
+                match_pairs.add(frozenset((left, right)))
+            scored_edges.extend(edges)
 
-            def feed():
-                chunk: list[IdPair] = []
-                for left, right in pairs:
-                    if left not in by_id or right not in by_id:
-                        continue
-                    chunk.append((left, right))
-                    counts["pairs"] += 1
-                    if len(chunk) >= self._chunk_size:
-                        yield chunk
-                        chunk = []
-                if chunk:
-                    yield chunk
-
-            def consume(chunk_pairs, value) -> None:
-                if threshold is not None:
-                    matches, chunk_early, stats = value
-                    counts["early"] += chunk_early
-                    for left, right, score in matches:
-                        match_pairs.add(frozenset((left, right)))
-                        scored_edges.append((left, right, score))
-                else:
-                    chunk_vectors, stats = value
-                    for vector in chunk_vectors:
-                        if classifier.is_match(vector):
-                            match_pairs.add(
-                                frozenset((vector.left_id, vector.right_id))
-                            )
-                            scored_edges.append(
-                                (vector.left_id, vector.right_id, vector.score)
-                            )
-                _fold_stats(folded, stats)
-
+        with tracer.span(
+            "engine.match_pairs" if matching else "engine.compare_pairs",
+            execution=self.execution,
+            n_workers=self.n_workers,
+            streaming=stream,
+        ) as span:
             try:
                 outcome = executor.run_stream(
-                    feed(), run_attempt, validate, consume
+                    feed(chunks), run_attempt, validate, consume
                 )
             finally:
                 close()
-            cache_hits, cache_misses = self._publish_chunk_counters(folded)
-            elapsed = tracer.time() - started
-            self._record_match_metrics(
-                span,
-                n_pairs=counts["pairs"],
-                scored_edges=scored_edges,
-                n_early=counts["early"],
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                n_chunks=outcome.n_chunks,
-                elapsed=elapsed,
+            self.dead_letters = outcome.dead_letters
+            # Every pair fed was consumed or quarantined.
+            n_pairs += len(outcome.quarantined_items)
+            tracer.gauge("engine.chunks_done").set(outcome.n_chunks)
+            tracer.gauge("engine.prepared_bytes").set(
+                folded.pop("engine.prepared_bytes", 0)
             )
-            quarantined = tuple(outcome.quarantined_items)
-            self._last_dead_letters = outcome.dead_letters
-            span.set("n_quarantined", len(quarantined))
-            span.set("completed_chunks", outcome.completed_chunks)
+            if columnar:
+                tracer.gauge("columnar.block_bytes").set(scorer.block_bytes)
+            tracer.counter("engine.pairs_total").inc(n_pairs)
+            tracer.counter("engine.chunks").inc(outcome.n_chunks)
+            for key, value in folded.items():
+                tracer.counter(key).inc(value)
+            span.set("n_pairs", n_pairs)
+            if matching:
+                tracer.counter("engine.pairs_matched").inc(len(scored_edges))
+                tracer.counter("engine.pairs_early_exit").inc(n_early)
+                tracer.histogram(
+                    "engine.match_score", SCORE_BUCKETS
+                ).observe_many(score for __, __, score in scored_edges)
+                span.set("n_matched", len(scored_edges))
+                span.set("n_early_exit", n_early)
+                rate = round(n_early / n_pairs, 4) if n_pairs else 0.0
+                span.set("early_exit_rate", rate)
         return EngineRun(
             match_pairs,
             scored_edges,
-            counts["pairs"],
-            counts["early"],
-            self._execution,
-            self._n_workers,
-            dead_letters=outcome.dead_letters,
-            quarantined_pairs=quarantined,
-            completed_chunks=outcome.completed_chunks,
-            n_chunks=outcome.n_chunks,
-            representation=self._representation,
-            replayed_chunks=outcome.replayed_chunks,
-        )
-
-    def _stream_runner(
-        self,
-        by_id: Mapping[str, Record],
-        threshold: float | None,
-        budget,
-    ):
-        """``(run_attempt, close)`` for the streaming backends."""
-
-        def chunk_records(pairs: list[IdPair]) -> dict[str, Record]:
-            records: dict[str, Record] = {}
-            for left, right in pairs:
-                if left not in records:
-                    records[left] = by_id[left]
-                if right not in records:
-                    records[right] = by_id[right]
-            return records
-
-        if self._representation == "columnar":
-            return self._columnar_stream_runner(
-                chunk_records, threshold, budget
-            )
-        if self._execution == "process":
-            pool = _PoolRunner(
-                lambda: ProcessPoolExecutor(
-                    max_workers=self._n_workers,
-                    initializer=_stream_worker_init,
-                    initargs=(self._comparator,),
-                )
-            )
-            if threshold is not None:
-                def run(pairs: list[IdPair], timeout):
-                    return pool.submit(
-                        _match_chunk_shipped,
-                        (pairs, chunk_records(pairs), threshold),
-                        timeout,
-                    )
-            else:
-                def run(pairs: list[IdPair], timeout):
-                    return pool.submit(
-                        _score_chunk_shipped,
-                        (pairs, chunk_records(pairs)),
-                        timeout,
-                    )
-            return run, pool.close
-        cache = _BoundedPreparedCache(self._comparator, by_id, budget)
-        comparator = self._comparator
-        if threshold is not None:
-            def run(pairs: list[IdPair], timeout):
-                hits, misses = cache.hits, cache.misses
-                matches: list[tuple[str, str, float]] = []
-                n_early = 0
-                for left, right in pairs:
-                    bounded = comparator.score_bounded(
-                        cache.get(left),
-                        cache.get(right),
-                        threshold,
-                        exact_scores=True,
-                    )
-                    if not bounded.exact:
-                        n_early += 1
-                    if bounded.is_match:
-                        matches.append((left, right, bounded.score))
-                return matches, n_early, {
-                    "engine.prepared_cache_hits": cache.hits - hits,
-                    "engine.prepared_cache_misses": cache.misses - misses,
-                }
-        else:
-            def run(pairs: list[IdPair], timeout):
-                hits, misses = cache.hits, cache.misses
-                vectors = [
-                    comparator.compare_prepared(
-                        cache.get(left), cache.get(right)
-                    )
-                    for left, right in pairs
-                ]
-                return vectors, {
-                    "engine.prepared_cache_hits": cache.hits - hits,
-                    "engine.prepared_cache_misses": cache.misses - misses,
-                }
-        return run, cache.release
-
-    def _columnar_stream_runner(self, chunk_records, threshold, budget):
-        """Streaming runners that columnarize each chunk's records.
-
-        The process backend ships each chunk's records and lets the
-        worker build a chunk-local block (residency bounded by chunk
-        size, like the shipped dict path); the serial backend builds
-        the block in-process, charging its deterministic byte estimate
-        to ``budget`` for the chunk's lifetime — and, like the bounded
-        prepared cache on the dict path, never past the limit: a chunk
-        whose block would exceed the remaining budget is split in half
-        until each sub-block fits (pairs score independently, so the
-        concatenated results are bit-identical). Only a single pair
-        whose own block exceeds the budget is charged past the limit,
-        mirroring the dict cache's one-resident-record floor.
-        """
-        if self._execution == "process":
-            pool = _PoolRunner(
-                lambda: ProcessPoolExecutor(
-                    max_workers=self._n_workers,
-                    initializer=_stream_worker_init,
-                    initargs=(self._comparator,),
-                )
-            )
-            if threshold is not None:
-                def run(pairs: list[IdPair], timeout):
-                    return pool.submit(
-                        _columnar_match_chunk_shipped,
-                        (pairs, chunk_records(pairs), threshold),
-                        timeout,
-                    )
-            else:
-                def run(pairs: list[IdPair], timeout):
-                    return pool.submit(
-                        _columnar_score_chunk_shipped,
-                        (pairs, chunk_records(pairs)),
-                        timeout,
-                    )
-            return run, pool.close
-
-        from repro.columnar import (
-            build_block,
-            match_id_pairs,
-            score_id_pairs,
-        )
-        from repro.outofcore.budget import columnar_block_nbytes
-
-        comparator = self._comparator
-        tracer = self._tracer
-
-        def with_chunk_block(pairs: list[IdPair], kernel, merge):
-            block = build_block(comparator, chunk_records(pairs))
-            cost = columnar_block_nbytes(block)
-            if (
-                budget is not None
-                and len(pairs) > 1
-                and budget.would_exceed(cost)
-            ):
-                mid = len(pairs) // 2
-                return merge(
-                    with_chunk_block(pairs[:mid], kernel, merge),
-                    with_chunk_block(pairs[mid:], kernel, merge),
-                )
-            if tracer is not NULL_TRACER:
-                tracer.gauge("columnar.block_bytes").set(cost)
-            if budget is not None:
-                budget.add(cost)
-            try:
-                return kernel(block, pairs)
-            finally:
-                if budget is not None:
-                    budget.remove(cost)
-
-        if threshold is not None:
-            def merge(a, b):
-                stats = dict(a[2])
-                _fold_stats(stats, b[2])
-                return a[0] + b[0], a[1] + b[1], stats
-
-            def run(pairs: list[IdPair], timeout):
-                return with_chunk_block(
-                    pairs,
-                    lambda block, chunk: match_id_pairs(
-                        block, chunk, threshold
-                    ),
-                    merge,
-                )
-        else:
-            def merge(a, b):
-                stats = dict(a[1])
-                _fold_stats(stats, b[1])
-                return a[0] + b[0], stats
-
-            def run(pairs: list[IdPair], timeout):
-                return with_chunk_block(pairs, score_id_pairs, merge)
-        return run, lambda: None
-
-    # --- resilient execution -----------------------------------------
-    #
-    # With a ResilienceConfig, both backends run through the shared
-    # retry → bisect → quarantine loop: serial execution is chunked
-    # exactly like the process backend (same _chunks), so a given
-    # fault pattern recovers identically under either mode.
-
-    def _serial_prepared(self, by_id: Mapping[str, Record]):
-        """A lazily-filled prepared cache shared across chunk retries."""
-        prepared: dict[str, PreparedRecord] = {}
-        comparator = self._comparator
-
-        def prepared_for(record_id: str) -> PreparedRecord:
-            entry = prepared.get(record_id)
-            if entry is None:
-                entry = comparator.prepare(by_id[record_id])
-                prepared[record_id] = entry
-            return entry
-
-        return prepared, prepared_for
-
-    def _publish_chunk_counters(
-        self, folded: dict[str, int]
-    ) -> tuple[int, int]:
-        """Publish folded chunk stats; return the (hits, misses) pair.
-
-        The prepared-cache pair feeds the standard match metrics; any
-        remaining keys (the columnar kernels' counters) publish as
-        counters of their own. Columnar counters are touched even when
-        zero, so columnar runs always yield well-formed reports.
-        """
-        hits = folded.pop("engine.prepared_cache_hits", 0)
-        misses = folded.pop("engine.prepared_cache_misses", 0)
-        if self._representation == "columnar":
-            for key in (
-                "columnar.pairs_vectorized",
-                "columnar.pairs_residual",
-            ):
-                folded.setdefault(key, 0)
-        for key, value in folded.items():
-            self._tracer.counter(key).inc(value)
-        return hits, misses
-
-    def _score_runner(self, by_id: Mapping[str, Record]):
-        """``(run_attempt, close)`` for full-vector chunk scoring."""
-        if self._representation == "columnar":
-            block = self._build_block(by_id)
-            if self._execution == "process":
-                pool = _PoolRunner(
-                    lambda: ProcessPoolExecutor(
-                        max_workers=self._n_workers,
-                        initializer=_columnar_worker_init,
-                        initargs=(block,),
-                    )
-                )
-                return (
-                    lambda pairs, timeout: pool.submit(
-                        _columnar_score_chunk, pairs, timeout
-                    ),
-                    pool.close,
-                )
-            from repro.columnar import score_id_pairs
-
-            return (
-                lambda pairs, timeout: score_id_pairs(block, pairs),
-                lambda: None,
-            )
-        if self._execution == "process":
-            pool = _PoolRunner(lambda: self._executor(by_id))
-            return (
-                lambda pairs, timeout: pool.submit(
-                    _score_chunk, pairs, timeout
-                ),
-                pool.close,
-            )
-        prepared, prepared_for = self._serial_prepared(by_id)
-        comparator = self._comparator
-
-        def run(pairs: list[IdPair], timeout):
-            before = len(prepared)
-            vectors = [
-                comparator.compare_prepared(
-                    prepared_for(left), prepared_for(right)
-                )
-                for left, right in pairs
-            ]
-            return vectors, _chunk_cache_stats(
-                pairs, len(prepared) - before
-            )
-
-        return run, lambda: None
-
-    def _match_runner(self, by_id: Mapping[str, Record], threshold: float):
-        """``(run_attempt, close)`` for staged threshold matching."""
-        if self._representation == "columnar":
-            block = self._build_block(by_id)
-            if self._execution == "process":
-                pool = _PoolRunner(
-                    lambda: ProcessPoolExecutor(
-                        max_workers=self._n_workers,
-                        initializer=_columnar_worker_init,
-                        initargs=(block,),
-                    )
-                )
-                return (
-                    lambda pairs, timeout: pool.submit(
-                        _columnar_match_chunk, (pairs, threshold), timeout
-                    ),
-                    pool.close,
-                )
-            from repro.columnar import match_id_pairs
-
-            return (
-                lambda pairs, timeout: match_id_pairs(
-                    block, pairs, threshold
-                ),
-                lambda: None,
-            )
-        if self._execution == "process":
-            pool = _PoolRunner(lambda: self._executor(by_id))
-            return (
-                lambda pairs, timeout: pool.submit(
-                    _match_chunk, (pairs, threshold), timeout
-                ),
-                pool.close,
-            )
-        prepared, prepared_for = self._serial_prepared(by_id)
-        comparator = self._comparator
-
-        def run(pairs: list[IdPair], timeout):
-            before = len(prepared)
-            matches: list[tuple[str, str, float]] = []
-            n_early = 0
-            for left, right in pairs:
-                bounded = comparator.score_bounded(
-                    prepared_for(left),
-                    prepared_for(right),
-                    threshold,
-                    exact_scores=True,
-                )
-                if not bounded.exact:
-                    n_early += 1
-                if bounded.is_match:
-                    matches.append((left, right, bounded.score))
-            return matches, n_early, _chunk_cache_stats(
-                pairs, len(prepared) - before
-            )
-
-        return run, lambda: None
-
-    def _scoped_checkpoint(self, kind: str):
-        """The chunk store namespaced by payload shape.
-
-        Score chunks and match chunks carry differently-shaped values,
-        so they checkpoint under distinct prefixes — a store reused
-        across both operations never replays one shape into the other.
-        """
-        if self._checkpoint is None:
-            return None
-        return self._checkpoint.sub(kind)
-
-    def _chunk_executor(self, kind: str) -> ResilientChunkExecutor:
-        return ResilientChunkExecutor(
-            self._resilience
-            if self._resilience is not None
-            else _CHECKPOINT_PASSTHROUGH,
-            tracer=self._tracer,
-            scope="engine.chunk",
-            checkpoint=self._scoped_checkpoint(kind),
-        )
-
-    def _compare_pairs_resilient(
-        self, by_id: Mapping[str, Record], valid: list[IdPair]
-    ) -> list[ComparisonVector]:
-        tracer = self._tracer
-        with tracer.span(
-            "engine.compare_pairs",
-            execution=self._execution,
-            n_workers=self._n_workers,
-            resilient=True,
-        ) as span:
-            chunks = self._chunks(valid) if valid else []
-            run_attempt, close = self._score_runner(by_id)
-            executor = self._chunk_executor("score")
-            try:
-                outcome = executor.run(
-                    chunks, run_attempt, _validate_score_result
-                )
-            finally:
-                close()
-            vectors: list[ComparisonVector] = []
-            folded: dict[str, int] = {}
-            for __, value in outcome.results:
-                chunk_vectors, stats = value
-                vectors.extend(chunk_vectors)
-                _fold_stats(folded, stats)
-            cache_hits, cache_misses = self._publish_chunk_counters(folded)
-            self._last_dead_letters = outcome.dead_letters
-            tracer.counter("engine.pairs_total").inc(len(valid))
-            tracer.counter("engine.prepared_cache_hits").inc(cache_hits)
-            tracer.counter("engine.prepared_cache_misses").inc(cache_misses)
-            tracer.counter("engine.chunks").inc(len(chunks))
-            span.set("n_pairs", len(valid))
-            span.set("n_quarantined", len(outcome.quarantined_items))
-        return vectors
-
-    def _match_pairs_resilient(
-        self,
-        by_id: Mapping[str, Record],
-        valid: list[IdPair],
-        classifier,
-        threshold: float | None,
-    ) -> EngineRun:
-        tracer = self._tracer
-        match_pairs: set[frozenset[str]] = set()
-        scored_edges: list[tuple[str, str, float]] = []
-        n_early = 0
-        folded: dict[str, int] = {}
-        with tracer.span(
-            "engine.match_pairs",
-            execution=self._execution,
-            n_workers=self._n_workers,
-            resilient=True,
-        ) as span:
-            started = tracer.time()
-            chunks = self._chunks(valid) if valid else []
-            if threshold is not None:
-                run_attempt, close = self._match_runner(by_id, threshold)
-                validate = _validate_match_result
-                executor = self._chunk_executor("match")
-            else:
-                run_attempt, close = self._score_runner(by_id)
-                validate = _validate_score_result
-                executor = self._chunk_executor("score")
-            try:
-                outcome = executor.run(chunks, run_attempt, validate)
-            finally:
-                close()
-            for __, value in outcome.results:
-                if threshold is not None:
-                    matches, chunk_early, stats = value
-                    n_early += chunk_early
-                    for left, right, score in matches:
-                        match_pairs.add(frozenset((left, right)))
-                        scored_edges.append((left, right, score))
-                else:
-                    chunk_vectors, stats = value
-                    for vector in chunk_vectors:
-                        if classifier.is_match(vector):
-                            match_pairs.add(
-                                frozenset(
-                                    (vector.left_id, vector.right_id)
-                                )
-                            )
-                            scored_edges.append(
-                                (
-                                    vector.left_id,
-                                    vector.right_id,
-                                    vector.score,
-                                )
-                            )
-                _fold_stats(folded, stats)
-            cache_hits, cache_misses = self._publish_chunk_counters(folded)
-            elapsed = tracer.time() - started
-            self._record_match_metrics(
-                span,
-                n_pairs=len(valid),
-                scored_edges=scored_edges,
-                n_early=n_early,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                n_chunks=len(chunks),
-                elapsed=elapsed,
-            )
-            quarantined = tuple(outcome.quarantined_items)
-            self._last_dead_letters = outcome.dead_letters
-            span.set("n_quarantined", len(quarantined))
-            span.set("completed_chunks", outcome.completed_chunks)
-        return EngineRun(
-            match_pairs,
-            scored_edges,
-            len(valid),
+            n_pairs,
             n_early,
-            self._execution,
-            self._n_workers,
+            self.execution,
+            self.n_workers,
             dead_letters=outcome.dead_letters,
-            quarantined_pairs=quarantined,
+            quarantined_pairs=outcome.quarantined_items,
             completed_chunks=outcome.completed_chunks,
             n_chunks=outcome.n_chunks,
-            representation=self._representation,
+            representation=self.representation,
             replayed_chunks=outcome.replayed_chunks,
-        )
-
-    def _record_match_metrics(
-        self,
-        span,
-        n_pairs: int,
-        scored_edges: list[tuple[str, str, float]],
-        n_early: int,
-        cache_hits: int,
-        cache_misses: int,
-        n_chunks: int,
-        elapsed: float,
-    ) -> None:
-        """Publish one match pass's counters and span attributes.
-
-        Every counter is touched unconditionally, so empty pair lists
-        and degenerate chunkings still produce zeroed metrics rather
-        than missing keys.
-        """
-        tracer = self._tracer
-        tracer.counter("engine.pairs_total").inc(n_pairs)
-        tracer.counter("engine.pairs_matched").inc(len(scored_edges))
-        tracer.counter("engine.pairs_early_exit").inc(n_early)
-        tracer.counter("engine.prepared_cache_hits").inc(cache_hits)
-        tracer.counter("engine.prepared_cache_misses").inc(cache_misses)
-        tracer.counter("engine.chunks").inc(n_chunks)
-        tracer.histogram("engine.match_score", SCORE_BUCKETS).observe_many(
-            score for __, __, score in scored_edges
-        )
-        span.set("n_pairs", n_pairs)
-        span.set("n_matched", len(scored_edges))
-        span.set("n_early_exit", n_early)
-        span.set("early_exit_rate", round(n_early / n_pairs, 4) if n_pairs else 0.0)
-        if n_chunks:
-            span.set("n_chunks", n_chunks)
-        if elapsed > 0 and n_pairs:
-            span.set("pairs_per_sec", round(n_pairs / elapsed, 1))
-
-    def _executor(self, by_id: Mapping[str, Record]) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self._n_workers,
-            initializer=_worker_init,
-            initargs=(self._comparator, list(by_id.values())),
         )

@@ -80,6 +80,36 @@ def _cluster(clustering, match_pairs, scored_edges, all_ids, tracer):
     return clusters
 
 
+def _canonical_pairs(
+    candidate_pairs: set[frozenset[str]],
+) -> list[tuple[str, str]]:
+    """Candidate pairs as sorted id tuples in sorted order — the one
+    order every engine run scores them in, so chunk boundaries (and so
+    checkpoints) line up across runs and execution modes."""
+    return [
+        (pair_ids[0], pair_ids[1])
+        for pair_ids in (
+            sorted(pair) for pair in sorted(candidate_pairs, key=sorted)
+        )
+    ]
+
+
+def _engine(
+    comparator, execution, n_workers, tracer, resilience, checkpoint,
+    representation,
+) -> ParallelComparisonEngine:
+    """The comparison engine a linkage run's options describe."""
+    return ParallelComparisonEngine(
+        comparator,
+        execution=execution,
+        n_workers=n_workers,
+        tracer=tracer,
+        resilience=resilience,
+        checkpoint=checkpoint,
+        representation=representation,
+    )
+
+
 def resolve(
     records: Sequence[Record],
     blocker: Blocker,
@@ -110,7 +140,11 @@ def resolve(
     are prepared once, threshold classifiers get staged early-exit
     scoring, and ``execution="process"`` fans the pair batches out
     over ``n_workers`` OS processes — all with output identical to the
-    naive per-pair loop.
+    naive per-pair loop. Every mode runs the same chunked loop, so a
+    comparison that fails surfaces the same way everywhere: unless
+    ``resilience`` says otherwise, a
+    :class:`~repro.resilience.ChunkExecutionError` naming the chunk,
+    with the comparator's own exception as its ``__cause__``.
 
     ``tracer`` (an :class:`repro.obs.Tracer`, default no-op) records
     one span per stage — blocking (block count and size histogram),
@@ -217,22 +251,13 @@ def resolve(
             candidate_pairs = blocks.candidate_pairs()
             span.set("n_blocks", len(blocks))
             span.set("n_candidates", len(candidate_pairs))
-    ordered_pairs = [
-        (pair_ids[0], pair_ids[1])
-        for pair_ids in (
-            sorted(pair) for pair in sorted(candidate_pairs, key=sorted)
-        )
-    ]
-    engine = ParallelComparisonEngine(
-        comparator,
-        execution=execution,
-        n_workers=n_workers,
-        tracer=tracer,
-        resilience=resilience,
-        checkpoint=checkpoint,
-        representation=representation,
+    engine = _engine(
+        comparator, execution, n_workers, tracer, resilience, checkpoint,
+        representation,
     )
-    run = engine.match_pairs(by_id, ordered_pairs, classifier)
+    run = engine.match_pairs(
+        by_id, _canonical_pairs(candidate_pairs), classifier
+    )
     match_pairs = run.match_pairs
     scored_edges: list[ScoredEdge] = run.scored_edges
     clusters = _cluster(
@@ -308,13 +333,7 @@ def _resolve_streaming(
         if candidate_pairs is not None:
             # Pairs were supplied in memory; stream them in canonical
             # order for the bounded engine path.
-            ordered = [
-                (pair_ids[0], pair_ids[1])
-                for pair_ids in (
-                    sorted(pair)
-                    for pair in sorted(candidate_pairs, key=sorted)
-                )
-            ]
+            ordered = _canonical_pairs(candidate_pairs)
             pair_stream = iter(ordered)
             n_candidates = len(ordered)
         else:
@@ -344,14 +363,9 @@ def _resolve_streaming(
                 span.set("n_blocks", n_blocks)
             pair_stream = deduper.stream()
             n_candidates = None
-        engine = ParallelComparisonEngine(
-            comparator,
-            execution=execution,
-            n_workers=n_workers,
-            tracer=tracer,
-            resilience=resilience,
-            checkpoint=checkpoint,
-            representation=representation,
+        engine = _engine(
+            comparator, execution, n_workers, tracer, resilience,
+            checkpoint, representation,
         )
         run = engine.match_pairs_stream(
             by_id, pair_stream, classifier, budget=budget

@@ -323,7 +323,7 @@ class ResilientChunkExecutor:
                 failure.attempts,
                 tuple(items),
                 failure.error,
-            )
+            ) from failure.error
         if len(items) > 1:
             outcome.n_bisections += 1
             self._tracer.counter("resilience.bisections").inc()
@@ -346,7 +346,7 @@ class ResilientChunkExecutor:
             failure.attempts,
             items[0],
             failure.error,
-        )
+        ) from failure.error
 
     def _attempt_loop(
         self,

@@ -8,7 +8,15 @@ multiprocess backend must produce identical vectors and final cluster
 sets to serial execution on a seeded corpus.
 """
 
+import functools
+import itertools
+import math
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +44,11 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
+from repro.obs import Tracer
+from repro.outofcore import MemoryBudget
+from repro.recovery import RunStore
+from repro.resilience import ChunkExecutionError, ResilienceConfig
+from repro.resilience.testing import FaultInjector, crash
 from repro.text import (
     MEMO_CACHES,
     clear_memo_caches,
@@ -462,3 +475,311 @@ class TestDistributedMemoization:
             execution="process", n_workers=2,
         )
         assert process.match_pairs == serial.match_pairs
+
+
+# --- one loop under every configuration --------------------------------
+#
+# Every engine call runs the same chunk loop, whatever it is configured
+# with; the lattice below pins each cell of execution × representation ×
+# feed × operation to the naive per-pair path, and the tests after it
+# pin what only one side of the old direct-vs-resilient fork used to do.
+
+
+class _ScoreBandClassifier:
+    """A non-threshold classifier: the engine must hand it full vectors."""
+
+    def is_match(self, vector):
+        return vector.score >= 0.72 and len(vector.similarities) > 1
+
+
+def _exact(value):
+    """An identity-free exact rendering (``repr`` round-trips floats).
+
+    ``pickle.dumps`` would do for serial runs, but it memoizes by object
+    identity, and worker results arrive as copies of the id strings.
+    """
+    return repr(value)
+
+
+_LATTICE = [
+    pytest.param(
+        execution, representation, feed, operation,
+        marks=[pytest.mark.slow] if execution == "process" else [],
+        id=f"{execution}-{representation}-{feed}-{operation}",
+    )
+    for execution, representation, feed, operation in itertools.product(
+        ("serial", "process"),
+        ("dict", "columnar"),
+        ("list", "stream", "stream-budget"),
+        ("threshold", "classifier", "compare"),
+    )
+    # compare_pairs takes a pair list; only the match operations stream.
+    if operation != "compare" or feed == "list"
+]
+
+
+class TestOneLoop:
+    CHUNK = 97
+
+    @pytest.fixture(scope="class")
+    def reference(self, corpus):
+        __, by_id, pairs = corpus
+        comparator = default_product_comparator()
+        vectors = [
+            comparator.compare(by_id[left], by_id[right])
+            for left, right in pairs
+        ]
+        early = ParallelComparisonEngine(comparator).match_pairs(
+            by_id, pairs, ThresholdClassifier(0.72)
+        ).n_early_exit
+        return vectors, early
+
+    @pytest.mark.parametrize(
+        "execution,representation,feed,operation", _LATTICE
+    )
+    def test_every_cell_equals_the_naive_path(
+        self, corpus, reference, execution, representation, feed, operation
+    ):
+        __, by_id, pairs = corpus
+        vectors, n_early = reference
+        tracer = Tracer()
+        engine = ParallelComparisonEngine(
+            default_product_comparator(),
+            execution=execution,
+            n_workers=2,
+            chunk_size=self.CHUNK,
+            representation=representation,
+            tracer=tracer,
+        )
+        expected_chunks = (
+            len(engine._chunks(pairs))
+            if feed == "list"
+            else math.ceil(len(pairs) / self.CHUNK)
+        )
+        assert expected_chunks > 2
+        if operation == "compare":
+            assert _exact(engine.compare_pairs(by_id, pairs)) == _exact(
+                vectors
+            )
+            counters = tracer.metrics.snapshot()["counters"]
+            assert counters["engine.chunks"] == expected_chunks
+            assert counters["engine.pairs_total"] == len(pairs)
+            assert not engine.dead_letters
+            return
+        classifier = (
+            ThresholdClassifier(0.72)
+            if operation == "threshold"
+            else _ScoreBandClassifier()
+        )
+        if feed == "list":
+            run = engine.match_pairs(by_id, pairs, classifier)
+        else:
+            budget = MemoryBudget(1 << 26) if feed == "stream-budget" else None
+            run = engine.match_pairs_stream(
+                by_id, iter(pairs), classifier, budget=budget
+            )
+        edges = [
+            (vector.left_id, vector.right_id, vector.score)
+            for vector in vectors
+            if classifier.is_match(vector)
+        ]
+        assert _exact(run.scored_edges) == _exact(edges)
+        assert run.match_pairs == {
+            frozenset((left, right)) for left, right, __ in edges
+        }
+        assert run.n_pairs == len(pairs)
+        assert run.n_early_exit == (n_early if operation == "threshold" else 0)
+        assert run.n_chunks == run.completed_chunks == expected_chunks
+        assert not run.dead_letters and run.dead_letters is engine.dead_letters
+        gauges = tracer.metrics.snapshot()["gauges"]
+        assert gauges["engine.chunks_done"] == expected_chunks
+        if representation == "dict":
+            assert gauges["engine.prepared_bytes"] > 0
+
+
+def _raising_similarity(left: str, right: str) -> float:
+    raise ValueError(f"boom on {left!r}")
+
+
+class TestFailureContract:
+    """Whatever ran the chunk, a failing comparator surfaces as one
+    error type naming the chunk, with the original as its cause."""
+
+    @pytest.mark.parametrize("representation", ["dict", "columnar"])
+    @pytest.mark.parametrize(
+        "execution",
+        ["serial", pytest.param("process", marks=pytest.mark.slow)],
+    )
+    @pytest.mark.parametrize("operation", ["match", "compare"])
+    def test_raising_similarity_is_a_chunk_error_with_its_cause(
+        self, execution, representation, operation
+    ):
+        records = [
+            Record(f"r{i}", "s", {"name": f"item {i}"}) for i in range(4)
+        ]
+        pairs = [("r0", "r1"), ("r2", "r3")]
+        engine = ParallelComparisonEngine(
+            RecordComparator([FieldComparator("name", _raising_similarity)]),
+            execution=execution,
+            n_workers=2,
+            chunk_size=1,
+            representation=representation,
+        )
+        with pytest.raises(ChunkExecutionError) as caught:
+            if operation == "match":
+                engine.match_pairs(records, pairs, ThresholdClassifier(0.5))
+            else:
+                engine.compare_pairs(records, pairs)
+        assert caught.value.chunk_id == "0"
+        assert caught.value.attempts == 1
+        cause = caught.value.__cause__
+        assert type(cause) is ValueError and "boom on" in str(cause)
+        assert caught.value.cause is cause
+
+
+def _slow_similarity(left: str, right: str, sleep=0.0, log=None) -> float:
+    """Sleeps per call and, when given a file, logs the call — from
+    inside whichever process scored the pair."""
+    if log is not None:
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{left}|{right}\n")
+    time.sleep(sleep)
+    return 1.0 if left == right else 0.0
+
+
+@pytest.mark.slow
+class TestChunksInFlight:
+    def _workload(self, n_pairs):
+        records = [
+            Record(f"r{i}", "s", {"name": f"item {i}"})
+            for i in range(n_pairs + 1)
+        ]
+        pairs = [(f"r{i}", f"r{i + 1}") for i in range(n_pairs)]
+        return records, pairs
+
+    def _engine(self, similarity, **kwargs):
+        return ParallelComparisonEngine(
+            RecordComparator([FieldComparator("name", similarity)]),
+            execution="process",
+            n_workers=2,
+            chunk_size=1,
+            **kwargs,
+        )
+
+    def test_resilient_process_run_keeps_both_workers_busy(self):
+        records, pairs = self._workload(4)
+        engine = self._engine(
+            functools.partial(_slow_similarity, sleep=0.4),
+            resilience=ResilienceConfig(failure="fail"),
+        )
+        started = time.perf_counter()
+        run = engine.match_pairs(records, pairs, ThresholdClassifier(0.5))
+        elapsed = time.perf_counter() - started
+        assert run.n_chunks == run.completed_chunks == 4
+        # Two rounds of two chunks (0.8 s) plus pool start-up; one
+        # chunk in flight at a time would take 1.6 s.
+        assert elapsed < 1.4
+
+    def test_resume_never_rescores_the_replayed_prefix(self, tmp_path):
+        log = tmp_path / "scored.log"
+        logged = functools.partial(_slow_similarity, log=str(log))
+        records, pairs = self._workload(6)
+        classifier = ThresholdClassifier(0.5)
+        single = self._engine(logged).match_pairs(records, pairs, classifier)
+        abort = ResilienceConfig(
+            failure="fail", fault_injector=FaultInjector(crash(chunk=3))
+        )
+        with pytest.raises(ChunkExecutionError):
+            self._engine(
+                logged,
+                resilience=abort,
+                checkpoint=RunStore(tmp_path / "store"),
+            ).match_pairs(records, pairs, classifier)
+        log.write_text("")
+        resumed = self._engine(
+            logged, checkpoint=RunStore(tmp_path / "store")
+        ).match_pairs(records, pairs, classifier)
+        assert resumed.replayed_chunks == 3
+        assert resumed.scored_edges == single.scored_edges
+        assert resumed.n_chunks == resumed.completed_chunks == 6
+        # Lookahead starts at the first chunk the executor runs: the
+        # replayed chunks 0-2 never reach a worker, the rest run once.
+        scored = sorted(log.read_text().splitlines())
+        assert scored == sorted(
+            f"item {i}|item {i + 1}" for i in range(3, 6)
+        )
+
+
+_HANG_DRIVER = """
+import os, sys, time
+
+from repro.core import Record
+from repro.linkage import (
+    FieldComparator, ParallelComparisonEngine, RecordComparator,
+    ThresholdClassifier,
+)
+from repro.resilience import ResilienceConfig, RetryPolicy
+
+
+def hanging(left, right):
+    if "hang" in (left, right):
+        time.sleep(60.0)
+    return 1.0 if left == right else 0.0
+
+
+def children():
+    me = str(os.getpid())
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    fields = handle.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if fields[1] == me and fields[0] != "Z":
+                found.append(entry)
+    return found
+
+
+if __name__ == "__main__":
+    records = [
+        Record("p0", "s0", {"name": "hang"}),
+        Record("p1", "s1", {"name": "alpha"}),
+        Record("p2", "s0", {"name": "alpha"}),
+    ]
+    engine = ParallelComparisonEngine(
+        RecordComparator(fields=[FieldComparator("name", hanging)]),
+        execution="process", n_workers=2, chunk_size=2,
+        resilience=ResilienceConfig(
+            retry=RetryPolicy(max_attempts=1), failure="skip", timeout=0.5
+        ),
+    )
+    run = engine.match_pairs(
+        records, [("p0", "p1"), ("p1", "p2"), ("p0", "p2")],
+        ThresholdClassifier(0.9),
+    )
+    print(sorted(run.quarantined_pairs), children(), time.time(), flush=True)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_timed_out_worker_is_killed_not_leaked(tmp_path):
+    """A worker hung inside a chunk must not outlive the recycled pool:
+    the interpreter used to exit only when the hang did (never, for a
+    real one)."""
+    driver = tmp_path / "hang_driver.py"
+    driver.write_text(textwrap.dedent(_HANG_DRIVER))
+    source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(source))
+    done = subprocess.run(
+        [sys.executable, str(driver)],
+        env=env, capture_output=True, text=True, timeout=50,
+    )
+    exited = time.time()
+    assert done.returncode == 0, done.stderr
+    quarantined, leaked, returned = done.stdout.rsplit("]", 2)
+    assert quarantined.count("p0") == 2
+    assert leaked.strip(" [") == ""
+    assert exited - float(returned) < 10.0
