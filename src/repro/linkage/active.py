@@ -50,8 +50,9 @@ def noisy_oracle(
 
     def oracle(left_id: str, right_id: str) -> bool:
         answer = truth(left_id, right_id)
-        key = hash((min(left_id, right_id), max(left_id, right_id), seed))
-        rng = random.Random(key)
+        # A string seed, not hash(): str hashes differ per process.
+        low, high = sorted((left_id, right_id))
+        rng = random.Random(f"{low}\x1f{high}\x1f{seed}")
         if rng.random() < noise_rate:
             return not answer
         return answer

@@ -314,15 +314,23 @@ class IncrementalLinker:
         )
 
     def add_batch(self, batch: Sequence[Record]) -> BatchStats:
-        """Fold a batch of new records into the clustering."""
+        """Fold a batch of new records into the clustering.
+
+        An id that is already linked, or appears twice in ``batch``,
+        refuses the whole batch before anything is indexed or merged.
+        """
+        batch_ids: set[str] = set()
+        for record in batch:
+            record_id = record.record_id
+            if record_id in self._records or record_id in batch_ids:
+                raise ConfigurationError(
+                    f"record {record_id!r} already linked"
+                )
+            batch_ids.add(record_id)
         candidates_total = 0
         comparisons = 0
         match_pairs: list[tuple[str, str]] = []
         for record in batch:
-            if record.record_id in self._records:
-                raise ConfigurationError(
-                    f"record {record.record_id!r} already linked"
-                )
             keys = self._keys_of(record)
             candidate_ids = self.candidates(record)
             candidates_total += len(candidate_ids)

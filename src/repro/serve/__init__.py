@@ -28,13 +28,14 @@ queries, cache hits/misses, generation swaps, quarantined ingests, …)
 on any attached :class:`repro.obs.Tracer`.
 """
 
+from repro.linkage.projection import entity_id_for
 from repro.serve.cache import MISS, GenerationCache
 from repro.serve.service import (
     IngestResult,
     ResolutionService,
     ResolvedEntity,
 )
-from repro.serve.store import EntityStore, entity_id_for, record_to_row
+from repro.serve.store import EntityStore, record_to_row
 from repro.serve.traffic import (
     TrafficConfig,
     TrafficResult,

@@ -3,10 +3,10 @@
 :class:`ResolutionService` is the projection layer of the
 reconciliation pattern made user-facing. Four calls —
 
-* ``ingest(record)`` — durably append the record, link it through the
-  :class:`~repro.linkage.incremental.IncrementalLinker` (never the
-  batch pipeline), and re-fuse the touched entity with
-  :class:`~repro.fusion.online.OnlineFusion`;
+* ``ingest(record)`` — durably append the record, then fold it into
+  the live :class:`~repro.linkage.projection.EntityProjection` — the
+  incremental linker (never the batch pipeline) plus online re-fusion
+  of the touched entity, the core shared with :mod:`repro.streaming`;
 * ``match(record)`` — read-only: which entity would this record join?
 * ``get(entity_id)`` — the resolved entity: members, fused attributes,
   provenance, confidence;
@@ -39,11 +39,9 @@ from typing import Mapping, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
-from repro.fusion.base import Claim, ClaimSet
-from repro.fusion.online import OnlineFusion
 from repro.linkage.blocking.base import Blocker, KeyFunction
 from repro.linkage.comparison import RecordComparator
-from repro.linkage.incremental import IncrementalLinker
+from repro.linkage.projection import DEFAULT_SOURCE_ACCURACY, EntityProjection
 from repro.linkage.resolver import MatchClassifier, resolve
 from repro.obs import NULL_TRACER, SystemClock
 from repro.resilience import (
@@ -54,13 +52,10 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.serve.cache import MISS, GenerationCache
-from repro.serve.store import EntityStore, entity_id_for
+from repro.serve.store import EntityStore
 from repro.supervision import AdmissionGate, CircuitBreaker, Overloaded, OverloadPolicy
 
 __all__ = ["IngestResult", "ResolutionService", "ResolvedEntity"]
-
-#: Accuracy assumed for sources the caller gave no estimate for.
-DEFAULT_SOURCE_ACCURACY = 0.8
 
 
 @dataclass(frozen=True)
@@ -103,18 +98,13 @@ class IngestResult:
     shed: bool = False
 
 
-class _Generation:
-    """One consistent resolution state: linker + entity projection."""
+class _Generation(EntityProjection):
+    """One consistent resolution state: the live projection (linker +
+    entity table) plus the stamp readers and the cache see it under."""
 
-    __slots__ = ("number", "linker", "entities", "entity_of", "mutations")
-
-    def __init__(self, number: int, linker: IncrementalLinker) -> None:
+    def __init__(self, number: int, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.number = number
-        self.linker = linker
-        #: entity_id -> {"members", "attributes", "confidence", "provenance"}
-        self.entities: dict[str, dict] = {}
-        #: record_id -> entity_id
-        self.entity_of: dict[str, str] = {}
         self.mutations = 0
 
     @property
@@ -234,11 +224,16 @@ class ResolutionService:
 
     # --- construction / recovery -------------------------------------
 
-    def _new_linker(self) -> IncrementalLinker:
-        return IncrementalLinker(
+    def _accuracy_of(self, source_id: str) -> float:
+        return self._source_accuracies.get(source_id, DEFAULT_SOURCE_ACCURACY)
+
+    def _new_generation(self, number: int) -> _Generation:
+        return _Generation(
+            number,
             self._key_functions,
             self._comparator,
             self._classifier,
+            self._accuracy_of,
             max_candidates_per_record=self._max_candidates,
         )
 
@@ -247,15 +242,17 @@ class ResolutionService:
 
         The published generation artifact supplies the resolved state
         for the log prefix it covers (zero comparisons to reload); the
-        log suffix past its watermark is replayed through the normal
-        incremental path — deterministic, so the projection equals the
-        pre-crash one.
+        rest of the log — the suffix past its watermark, and any prefix
+        record no saved entity contains (an ingest quarantined before a
+        :meth:`checkpoint`) — is replayed in log order through the
+        normal incremental path — deterministic, so the projection
+        equals the pre-crash one.
         """
         number = self._store.current_generation()
-        if number is None:
-            generation = _Generation(0, self._new_linker())
-            watermark = 0
-        else:
+        generation = self._new_generation(number or 0)
+        replay: list[Record] = []
+        watermark = 0
+        if number is not None:
             payload = self._store.load_generation(number)
             if payload is None:
                 raise ConfigurationError(
@@ -263,95 +260,17 @@ class ResolutionService:
                     f"in store {str(self._store.root)!r}"
                 )
             watermark = payload["watermark"]
-            generation = _Generation(number, self._new_linker())
-            for record in self._store.records_from(0, watermark):
-                generation.linker.resurrect(record)
-            for entity_id, entity in payload["entities"].items():
-                members = list(entity["members"])
-                for left, right in zip(members, members[1:]):
-                    generation.linker.merge(left, right)
-                generation.entities[entity_id] = {
-                    "members": list(members),
-                    "attributes": dict(entity["attributes"]),
-                    "confidence": dict(entity["confidence"]),
-                    "provenance": {
-                        attr: list(ids)
-                        for attr, ids in entity["provenance"].items()
-                    },
-                }
-                for member in members:
-                    generation.entity_of[member] = entity_id
-        replayed = 0
-        for record in self._store.records_from(watermark):
+            replay = generation.load(
+                self._store.records_from(0, watermark), payload["entities"]
+            )
+        replay.extend(self._store.records_from(watermark))
+        for record in replay:
             self._link_record(generation, record)
-            replayed += 1
-        if replayed:
-            self._tracer.counter("serve.replayed_records").inc(replayed)
+        if replay:
+            self._tracer.counter("serve.replayed_records").inc(len(replay))
         return generation
 
     # --- internals ----------------------------------------------------
-
-    def _fuse_members(self, generation: _Generation, member_ids) -> tuple[
-        dict, dict, dict
-    ]:
-        """Fuse one entity's member records into attributes/confidence/
-        provenance via online fusion (one claim per source per item)."""
-        members = [
-            generation.linker.record(member_id)
-            for member_id in sorted(member_ids)
-        ]
-        claims: list[Claim] = []
-        claimed: set[tuple[str, str]] = set()
-        for record in members:
-            for attribute in sorted(record.attributes):
-                value = record.attributes[attribute]
-                key = (record.source_id, attribute)
-                if key in claimed or not value:
-                    continue
-                claimed.add(key)
-                claims.append(Claim(record.source_id, attribute, value))
-        if not claims:
-            return {}, {}, {}
-        accuracies = {
-            record.source_id: self._source_accuracies.get(
-                record.source_id, DEFAULT_SOURCE_ACCURACY
-            )
-            for record in members
-        }
-        fusion = OnlineFusion(accuracies)
-        result, _ = fusion.run(ClaimSet(claims))
-        attributes = {
-            item: result.chosen[item] for item in sorted(result.chosen)
-        }
-        confidence = {
-            item: result.confidence.get(item, 0.0)
-            for item in sorted(result.chosen)
-        }
-        provenance = {
-            item: sorted(
-                record.record_id
-                for record in members
-                if record.attributes.get(item) == chosen
-            )
-            for item, chosen in attributes.items()
-        }
-        return attributes, confidence, provenance
-
-    def _set_entity(self, generation: _Generation, member_ids) -> str:
-        """(Re)project the entity containing ``member_ids``."""
-        entity_id = entity_id_for(member_ids)
-        attributes, confidence, provenance = self._fuse_members(
-            generation, member_ids
-        )
-        generation.entities[entity_id] = {
-            "members": sorted(member_ids),
-            "attributes": attributes,
-            "confidence": confidence,
-            "provenance": provenance,
-        }
-        for member in member_ids:
-            generation.entity_of[member] = entity_id
-        return entity_id
 
     def _link_record(
         self, generation: _Generation, record: Record
@@ -366,18 +285,7 @@ class ResolutionService:
             # A retried attempt after a partial failure: withdraw the
             # previous attempt's index entries before relinking.
             generation.linker.remove(record.record_id)
-        stats = generation.linker.add_batch([record])
-        absorbed = []
-        seen = set()
-        for _, other_id in stats.match_pairs:
-            entity_id = generation.entity_of.get(other_id)
-            if entity_id is not None and entity_id not in seen:
-                seen.add(entity_id)
-                absorbed.append(entity_id)
-        members = {record.record_id}
-        for entity_id in absorbed:
-            members.update(generation.entities.pop(entity_id)["members"])
-        new_entity = self._set_entity(generation, members)
+        stats, (entity_id,), absorbed = generation.fold([record])
         generation.mutations += 1
         self._tracer.counter("serve.ingests").inc()
         self._tracer.counter("serve.ingest_comparisons").inc(
@@ -387,9 +295,9 @@ class ResolutionService:
         return IngestResult(
             record_id=record.record_id,
             position=-1,
-            entity_id=new_entity,
+            entity_id=entity_id,
             comparisons=stats.comparisons,
-            matched_entities=tuple(absorbed),
+            matched_entities=absorbed,
         )
 
     def _now(self) -> float:
@@ -667,40 +575,34 @@ class ResolutionService:
             self._tracer.counter("serve.queries").inc()
             if cached is not MISS:
                 return cached
-            entity = generation.entities.get(entity_id)
             resolved = None
-            if entity is not None:
-                resolved = ResolvedEntity(
-                    entity_id=entity_id,
-                    members=tuple(entity["members"]),
-                    attributes=dict(entity["attributes"]),
-                    confidence=dict(entity["confidence"]),
-                    provenance={
-                        attr: tuple(ids)
-                        for attr, ids in entity["provenance"].items()
-                    },
-                    generation=generation.number,
-                )
+            if entity_id in generation.entities:
+                resolved = self._resolved(generation, entity_id)
             self._cache.put(generation.version, key, resolved)
             return resolved
+
+    @staticmethod
+    def _resolved(generation: _Generation, entity_id: str) -> ResolvedEntity:
+        entity = generation.entities[entity_id]
+        return ResolvedEntity(
+            entity_id=entity_id,
+            members=tuple(entity["members"]),
+            attributes=dict(entity["attributes"]),
+            confidence=dict(entity["confidence"]),
+            provenance={
+                attr: tuple(ids)
+                for attr, ids in entity["provenance"].items()
+            },
+            generation=generation.number,
+        )
 
     def entities(self) -> tuple[ResolvedEntity, ...]:
         """Every resolved entity, sorted by entity id."""
         with self._lock:
             generation = self._generation
             return tuple(
-                ResolvedEntity(
-                    entity_id=entity_id,
-                    members=tuple(entity["members"]),
-                    attributes=dict(entity["attributes"]),
-                    confidence=dict(entity["confidence"]),
-                    provenance={
-                        attr: tuple(ids)
-                        for attr, ids in entity["provenance"].items()
-                    },
-                    generation=generation.number,
-                )
-                for entity_id, entity in sorted(generation.entities.items())
+                self._resolved(generation, entity_id)
+                for entity_id in sorted(generation.entities)
             )
 
     def snapshot(self) -> dict:
@@ -714,29 +616,8 @@ class ResolutionService:
             generation = self._generation
             return {
                 "generation": generation.number,
-                "entities": self._canonical_entities(generation),
+                "entities": generation.canonical(),
             }
-
-    @staticmethod
-    def _canonical_entities(generation: _Generation) -> dict:
-        return {
-            entity_id: {
-                "members": sorted(entity["members"]),
-                "attributes": {
-                    attr: entity["attributes"][attr]
-                    for attr in sorted(entity["attributes"])
-                },
-                "confidence": {
-                    attr: entity["confidence"][attr]
-                    for attr in sorted(entity["confidence"])
-                },
-                "provenance": {
-                    attr: sorted(entity["provenance"][attr])
-                    for attr in sorted(entity["provenance"])
-                },
-            }
-            for entity_id, entity in sorted(generation.entities.items())
-        }
 
     def set_source_accuracies(
         self, accuracies: Mapping[str, float]
@@ -758,11 +639,8 @@ class ResolutionService:
                 )
         with self._lock:
             self._source_accuracies = dict(accuracies)
-            generation = self._generation
-            for entity_id in list(generation.entities):
-                members = generation.entities[entity_id]["members"]
-                self._set_entity(generation, members)
-            generation.mutations += 1
+            self._generation.refuse_all()
+            self._generation.mutations += 1
             self._tracer.counter("serve.accuracy_updates").inc()
 
     # --- background refresh ------------------------------------------
@@ -832,13 +710,8 @@ class ResolutionService:
             clustering="components",
             resilience=engine_resilience,
         )
-        fresh = _Generation(number, self._new_linker())
-        for record in base_records:
-            fresh.linker.resurrect(record)
-        for cluster in result.clusters:
-            for left, right in zip(cluster, cluster[1:]):
-                fresh.linker.merge(left, right)
-            self._set_entity(fresh, cluster)
+        fresh = self._new_generation(number)
+        fresh.rebuild(base_records, result.clusters)
         with self._lock:
             caught_up = 0
             for record in self._store.records_from(watermark):
@@ -851,7 +724,7 @@ class ResolutionService:
             self._store.save_generation(
                 fresh.number,
                 self._store.log_length,
-                self._canonical_entities(fresh),
+                fresh.canonical(),
             )
             self._store.publish_generation(fresh.number)
             self._generation = fresh
@@ -943,7 +816,7 @@ class ResolutionService:
             self._store.save_generation(
                 generation.number,
                 self._store.log_length,
-                self._canonical_entities(generation),
+                generation.canonical(),
             )
             self._store.publish_generation(generation.number)
             return generation.number

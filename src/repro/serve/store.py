@@ -39,20 +39,10 @@ from repro.obs import NULL_TRACER
 from repro.outofcore import IndexedRecordStore
 from repro.recovery import RunStore
 
-__all__ = ["EntityStore", "entity_id_for", "record_to_row"]
+__all__ = ["EntityStore", "record_to_row"]
 
 _LOG_NAME = "records.jsonl"
 _CURRENT_KEY = "current"
-
-
-def entity_id_for(member_ids) -> str:
-    """Canonical entity id of a cluster: its smallest member record id.
-
-    Deterministic across the batch and incremental paths — equal
-    clusters always project to equal entity ids, and a merge's id is
-    the min over the union.
-    """
-    return f"ent:{min(member_ids)}"
 
 
 def record_to_row(record: Record) -> dict:

@@ -4,10 +4,12 @@
 batch pipeline and the serving layer's ingest path. Records flow
 through an event-time :class:`~repro.streaming.windows.TumblingWindower`;
 every window close folds the window's records (in canonical order)
-through an :class:`~repro.linkage.incremental.IncrementalLinker`,
-updates the entity projection for every touched cluster, re-fuses those
-entities, feeds the per-window signals to the drift monitors, and —
-when configured — checkpoints the whole state durably.
+into an :class:`~repro.linkage.projection.EntityProjection` (the
+incremental core shared with the serving layer: link, absorb, re-fuse
+every touched cluster), feeds the per-window signals to the drift
+monitors, and — when configured — checkpoints the whole state durably.
+A record id that is already linked or buffered is a redelivery: it is
+dropped and counted (``duplicate_records``), like a late record.
 
 Two fusion regimes:
 
@@ -37,8 +39,8 @@ Recovery: with a ``checkpoint_store`` attached, every window close
 durably saves the closed-window state (entities, tracker, monitors,
 consumed-record count) into the :class:`~repro.recovery.store.RunStore`.
 :meth:`StreamingResolver.resume` restores it with *zero comparisons*
-(resurrect + merge, the serving layer's trick) and replays the open
-window from the deterministic stream — a killed consumer restarted on
+(the projection's ``load``, as a serving restart does) and replays the
+open window from the deterministic stream — a killed consumer restarted on
 the same stream converges byte-identically to an unkilled one.
 """
 
@@ -50,17 +52,17 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
-from repro.core.unionfind import UnionFind
-from repro.fusion.base import Claim, ClaimSet
-from repro.fusion.online import OnlineFusion
 from repro.linkage.blocking.base import Blocker, KeyFunction
 from repro.linkage.comparison import RecordComparator
-from repro.linkage.incremental import IncrementalLinker
+from repro.linkage.projection import (
+    DEFAULT_SOURCE_ACCURACY,
+    EntityProjection,
+    entity_id_for,
+    fuse_entity,
+)
 from repro.linkage.resolver import MatchClassifier, resolve
 from repro.obs import NULL_TRACER, SystemClock
 from repro.obs.instruments import observe_stream_window
-from repro.serve.service import DEFAULT_SOURCE_ACCURACY
-from repro.serve.store import entity_id_for
 from repro.streaming.fusion import (
     DEFAULT_PRIOR_STRENGTH,
     DecayedAccuracyTracker,
@@ -82,67 +84,6 @@ __all__ = [
 #: Checkpoint key within the attached store (one latest-state artifact;
 #: the store's atomic write-rename makes each save all-or-nothing).
 CHECKPOINT_KEY = "streaming.checkpoint"
-
-
-def fuse_entity(
-    members: Sequence[Record],
-    accuracy_of: Callable[[str], float],
-    pick: str = "first",
-) -> tuple[dict, dict, dict]:
-    """Fuse one entity's member records -> (attributes, confidence,
-    provenance).
-
-    The single fusion projection shared by the streaming runtime and
-    :func:`batch_reference_snapshot` — and semantically identical to
-    the serving layer's per-entity fusion: members in record-id order,
-    one claim per ``(source, attribute)`` (empty values skipped),
-    :class:`~repro.fusion.online.OnlineFusion` under the per-source
-    accuracies ``accuracy_of`` supplies.
-
-    ``pick`` selects which of a source's claims represents it:
-    ``"first"`` (lowest record id — the serving layer's rule, and the
-    batch anchor) or ``"latest"`` (highest record id — what drift
-    tracking wants: on a continuous stream record ids embed event
-    time, so a source's newest statement supersedes its older ones).
-    """
-    if pick not in ("first", "latest"):
-        raise ConfigurationError("pick must be 'first' or 'latest'")
-    members = sorted(members, key=lambda record: record.record_id)
-    claims: list[Claim] = []
-    claimed: set[tuple[str, str]] = set()
-    ordered = members if pick == "first" else reversed(members)
-    for record in ordered:
-        for attribute in sorted(record.attributes):
-            value = record.attributes[attribute]
-            key = (record.source_id, attribute)
-            if key in claimed or not value:
-                continue
-            claimed.add(key)
-            claims.append(Claim(record.source_id, attribute, value))
-    if not claims:
-        return {}, {}, {}
-    accuracies = {
-        record.source_id: accuracy_of(record.source_id)
-        for record in members
-    }
-    fusion = OnlineFusion(accuracies)
-    result, _ = fusion.run(ClaimSet(claims))
-    attributes = {
-        item: result.chosen[item] for item in sorted(result.chosen)
-    }
-    confidence = {
-        item: result.confidence.get(item, 0.0)
-        for item in sorted(result.chosen)
-    }
-    provenance = {
-        item: sorted(
-            record.record_id
-            for record in members
-            if record.attributes.get(item) == chosen
-        )
-        for item, chosen in attributes.items()
-    }
-    return attributes, confidence, provenance
 
 
 def batch_reference_snapshot(
@@ -276,10 +217,8 @@ class StreamingResolver:
             raise ConfigurationError("decay must be None or in (0, 1]")
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._clock = clock if clock is not None else SystemClock()
-        self._key_functions = tuple(key_functions)
         self._comparator = comparator
         self._classifier = classifier
-        self._max_candidates = max_candidates_per_record
         self._accuracies = dict(source_accuracies or {})
         self._default_accuracy = default_accuracy
         self._decay = decay
@@ -289,7 +228,18 @@ class StreamingResolver:
             else None
         )
         self._windower = TumblingWindower(window)
-        self._linker = self._new_linker()
+        self._projection = EntityProjection(
+            key_functions,
+            comparator,
+            classifier,
+            self._accuracy_of,
+            # Static mode keeps the serving layer's first-wins rule (the
+            # batch byte-identity anchor); drift mode represents every
+            # source by its newest claim, so the projection itself —
+            # not just the accuracy weights — tracks the stream.
+            pick="first" if decay is None else "latest",
+            max_candidates_per_record=max_candidates_per_record,
+        )
         # The tracker runs in every mode (the monitors watch it); only
         # the *fusion weights* switch between static and decayed.
         self._tracker = DecayedAccuracyTracker(
@@ -310,12 +260,10 @@ class StreamingResolver:
         self._monitors = tuple(monitors)
         self._on_drift = on_drift
         self._store = checkpoint_store
-        #: entity_id -> {"members", "attributes", "confidence", "provenance"}
-        self._entities: dict[str, dict] = {}
-        self._entity_of: dict[str, str] = {}
         self._events: list[MonitorEvent] = []
         self._arrivals: dict[str, float] = {}
         self._consumed = 0
+        self._duplicates = 0
         self._re_resolutions = 0
 
     # --- accessors ----------------------------------------------------
@@ -334,8 +282,13 @@ class StreamingResolver:
         return self._windower.late_records
 
     @property
+    def duplicate_records(self) -> int:
+        """Redeliveries of an already accepted record id, dropped."""
+        return self._duplicates
+
+    @property
     def n_entities(self) -> int:
-        return len(self._entities)
+        return len(self._projection.entities)
 
     @property
     def re_resolutions(self) -> int:
@@ -357,10 +310,10 @@ class StreamingResolver:
         return self._tracker.estimates()
 
     def entity(self, entity_id: str) -> dict | None:
-        return self._entities.get(entity_id)
+        return self._projection.entities.get(entity_id)
 
     def entity_of(self, record_id: str) -> str | None:
-        return self._entity_of.get(record_id)
+        return self._projection.entity_of.get(record_id)
 
     def snapshot(self) -> dict:
         """Canonical JSON-able projection state (differential anchor)."""
@@ -369,109 +322,20 @@ class StreamingResolver:
             "consumed": self._consumed,
             "late_records": self._windower.late_records,
             "re_resolutions": self._re_resolutions,
-            "entities": self._canonical_entities(),
-        }
-
-    def _canonical_entities(self) -> dict:
-        return {
-            entity_id: {
-                "members": sorted(entity["members"]),
-                "attributes": {
-                    attr: entity["attributes"][attr]
-                    for attr in sorted(entity["attributes"])
-                },
-                "confidence": {
-                    attr: entity["confidence"][attr]
-                    for attr in sorted(entity["confidence"])
-                },
-                "provenance": {
-                    attr: sorted(entity["provenance"][attr])
-                    for attr in sorted(entity["provenance"])
-                },
-            }
-            for entity_id, entity in sorted(self._entities.items())
+            "entities": self._projection.canonical(),
         }
 
     # --- internals ----------------------------------------------------
-
-    def _new_linker(self) -> IncrementalLinker:
-        return IncrementalLinker(
-            self._key_functions,
-            self._comparator,
-            self._classifier,
-            max_candidates_per_record=self._max_candidates,
-        )
 
     def _accuracy_of(self, source_id: str) -> float:
         if self._decay is None:
             return self._accuracies.get(source_id, self._default_accuracy)
         return self._tracker.accuracy(source_id)
 
-    def _set_entity(self, member_ids) -> str:
-        entity_id = entity_id_for(member_ids)
-        members = [
-            self._linker.record(member_id)
-            for member_id in sorted(member_ids)
-        ]
-        attributes, confidence, provenance = fuse_entity(
-            members,
-            self._accuracy_of,
-            # Static mode keeps the serving layer's first-wins rule (the
-            # batch byte-identity anchor); drift mode represents every
-            # source by its newest claim, so the projection itself —
-            # not just the accuracy weights — tracks the stream.
-            pick="first" if self._decay is None else "latest",
-        )
-        self._entities[entity_id] = {
-            "members": sorted(member_ids),
-            "attributes": attributes,
-            "confidence": confidence,
-            "provenance": provenance,
-        }
-        for member in member_ids:
-            self._entity_of[member] = entity_id
-        return entity_id
-
-    def _project_window(self, window: Window, match_pairs) -> int:
-        """Fold one window's link decisions into the entity projection.
-
-        A window-local union-find groups the window's records; every
-        match into a pre-existing entity absorbs that entity's members
-        (the batch-of-records generalization of the serving layer's
-        per-record fold). Returns the number of entities (re)projected.
-        """
-        local: UnionFind[str] = UnionFind()
-        for record in window.records:
-            local.add(record.record_id)
-        absorbed_rep: dict[str, str] = {}
-        for new_id, other_id in match_pairs:
-            entity_id = self._entity_of.get(other_id)
-            if entity_id is None:
-                # Both endpoints are in this window.
-                local.union(new_id, other_id)
-            else:
-                rep = absorbed_rep.setdefault(entity_id, new_id)
-                local.union(new_id, rep)
-        absorbed_by_root: dict[str, list[str]] = {}
-        for entity_id, rep in absorbed_rep.items():
-            absorbed_by_root.setdefault(local.find(rep), []).append(
-                entity_id
-            )
-        touched = 0
-        for group in sorted(local.groups(), key=min):
-            members = set(group)
-            for entity_id in absorbed_by_root.get(local.find(group[0]), ()):
-                members.update(self._entities.pop(entity_id)["members"])
-            self._set_entity(members)
-            touched += 1
-        return touched
-
     def _observe_claims(self, window: Window) -> None:
         """Feed claim-vs-fused-value outcomes to the accuracy tracker."""
         for record in window.records:
-            entity = self._entities.get(
-                self._entity_of.get(record.record_id, ""), None
-            )
+            entity = self.entity(self.entity_of(record.record_id) or "")
             if entity is None:
                 continue
             for attribute in sorted(record.attributes):
@@ -495,8 +359,9 @@ class StreamingResolver:
                 "next_window": self._windower.next_window,
                 "watermark": self._windower.watermark,
                 "late_records": self._windower.late_records,
+                "duplicate_records": self._duplicates,
                 "re_resolutions": self._re_resolutions,
-                "entities": self._canonical_entities(),
+                "entities": self._projection.canonical(),
                 "tracker": self._tracker.state(),
                 "monitors": [
                     monitor.state() for monitor in self._monitors
@@ -508,8 +373,7 @@ class StreamingResolver:
 
     def _close_window(self, window: Window) -> WindowResult:
         self._tracker.advance()
-        stats = self._linker.add_batch(list(window.records))
-        touched = self._project_window(window, stats.match_pairs)
+        stats, projected, _ = self._projection.fold(list(window.records))
         self._observe_claims(window)
         estimates = self._tracker.estimates()
         re_resolutions_before = self._re_resolutions
@@ -542,7 +406,7 @@ class StreamingResolver:
             candidates=stats.candidates,
             comparisons=stats.comparisons,
             matches=stats.matches,
-            entities_touched=touched,
+            entities_touched=len(projected),
             accuracies=estimates,
             events=tuple(events),
             lags=lags,
@@ -564,6 +428,14 @@ class StreamingResolver:
         """
         for record in records:
             self._consumed += 1
+            if (
+                record.record_id in self._arrivals
+                or record.record_id in self._projection.linker
+            ):
+                # Redelivery of a record already buffered or linked.
+                self._duplicates += 1
+                self._tracer.counter("streaming.duplicate_records").inc()
+                continue
             self._arrivals[record.record_id] = self._clock.now()
             late_before = self._windower.late_records
             closed = self._windower.feed(record)
@@ -607,8 +479,8 @@ class StreamingResolver:
         number of entities in the rebuilt projection.
         """
         records = [
-            self._linker.record(member)
-            for entity in self._entities.values()
+            self._projection.linker.record(member)
+            for entity in self._projection.entities.values()
             for member in entity["members"]
         ]
         result = resolve(
@@ -618,18 +490,10 @@ class StreamingResolver:
             self._classifier,
             clustering="components",
         )
-        self._linker = self._new_linker()
-        for record in records:
-            self._linker.resurrect(record)
-        self._entities.clear()
-        self._entity_of.clear()
-        for cluster in result.clusters:
-            for left, right in zip(cluster, cluster[1:]):
-                self._linker.merge(left, right)
-            self._set_entity(cluster)
+        self._projection.rebuild(records, result.clusters)
         self._re_resolutions += 1
         self._tracer.counter("streaming.re_resolutions").inc()
-        return len(self._entities)
+        return self.n_entities
 
     # --- checkpoint / resume -----------------------------------------
 
@@ -640,12 +504,12 @@ class StreamingResolver:
         deterministic stream* the killed run consumed (e.g. a new pass
         over a :class:`~repro.io.GeneratorRecordStream`). The first
         ``consumed`` records are taken from it: closed-window records
-        are resurrected into the linker (zero comparisons, merges
-        replayed from the checkpointed entities), open-window records
-        are re-buffered, late-dropped ones are skipped. The iterator is
-        left positioned at the first unseen record — pass it straight
-        to :meth:`process` to continue. Returns the number of records
-        replayed (0 with no checkpoint).
+        and the checkpointed entities are loaded into the projection
+        as saved (zero comparisons, no re-fusion), open-window records
+        are re-buffered, late-dropped and redelivered ones are skipped
+        again. The iterator is left positioned at the first unseen
+        record — pass it straight to :meth:`process` to continue.
+        Returns the number of records replayed (0 with no checkpoint).
         """
         if self._store is None:
             raise ConfigurationError(
@@ -659,37 +523,23 @@ class StreamingResolver:
         if payload is None:
             return 0
         next_window = int(payload["next_window"])
-        self._entities = {
-            entity_id: {
-                "members": list(entity["members"]),
-                "attributes": dict(entity["attributes"]),
-                "confidence": dict(entity["confidence"]),
-                "provenance": {
-                    attr: list(ids)
-                    for attr, ids in entity["provenance"].items()
-                },
-            }
-            for entity_id, entity in payload["entities"].items()
-        }
-        self._entity_of = {
-            member: entity_id
-            for entity_id, entity in self._entities.items()
-            for member in entity["members"]
-        }
-        pending: list[Record] = []
-        now = self._clock.now()
-        size = self._windower.config.size
+        # A redelivered id was dropped as a duplicate; only its first
+        # delivery replays.
+        first: dict[str, Record] = {}
         for record in itertools.islice(records, payload["consumed"]):
-            if record.record_id in self._entity_of:
-                self._linker.resurrect(record)
-            elif int(record.timestamp // size) >= next_window:
-                pending.append(record)
-                self._arrivals[record.record_id] = now
-            # else: it was dropped as late; drop it again.
-        for entity in self._entities.values():
-            members = entity["members"]
-            for left, right in zip(members, members[1:]):
-                self._linker.merge(left, right)
+            first.setdefault(record.record_id, record)
+        unlinked = self._projection.load(first.values(), payload["entities"])
+        # Of those, the open windows' are re-buffered; the rest had
+        # been dropped as late.
+        size = self._windower.config.size
+        pending = [
+            record
+            for record in unlinked
+            if int(record.timestamp // size) >= next_window
+        ]
+        self._arrivals = dict.fromkeys(
+            (record.record_id for record in pending), self._clock.now()
+        )
         self._windower.restore(
             next_window,
             float(payload["watermark"]),
@@ -703,6 +553,7 @@ class StreamingResolver:
             MonitorEvent(**event) for event in payload["events"]
         ]
         self._re_resolutions = int(payload["re_resolutions"])
+        self._duplicates = int(payload.get("duplicate_records", 0))
         self._consumed = int(payload["consumed"])
         self._tracer.counter("streaming.resumes").inc()
         return self._consumed

@@ -1,6 +1,8 @@
 """Tests for identifier-based and incremental linkage."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
 from repro.linkage import (
@@ -11,8 +13,10 @@ from repro.linkage import (
     detect_identifier_attributes,
     link_by_identifier,
     normalize_identifier,
+    resolve,
 )
 from repro.linkage.blocking import first_token_key, token_set_key
+from repro.linkage.projection import EntityProjection
 from repro.quality import pairwise_cluster_quality
 from repro.schema import profile_attributes
 from repro.synth import (
@@ -120,6 +124,26 @@ class TestIncrementalLinker:
         with pytest.raises(ConfigurationError):
             linker.add_batch([record])
 
+    def test_refused_batch_leaves_the_linker_untouched(self):
+        linker = self._make()
+        a = Record("a", "s1", {"name": "canon powershot a560"})
+        b = Record("b", "s2", {"name": "canon powershot a560"})
+        c = Record("c", "s3", {"name": "canon powershot a560"})
+        linker.add_batch([a])
+        before = linker.clusters()
+        # A repeat inside the batch, and a repeat of an indexed record:
+        # both are refused before the first mutation.
+        for batch in ([b, c, b], [b, a]):
+            with pytest.raises(ConfigurationError, match="already linked"):
+                linker.add_batch(batch)
+            assert linker.n_records == 1
+            assert "b" not in linker and "c" not in linker
+            assert linker.clusters() == before
+            assert linker.candidates(c) == ("a",)
+        stats = linker.add_batch([b, c])
+        assert stats.matches == 3
+        assert linker.clusters() == [["a", "b", "c"]]
+
     def test_incremental_equals_batch_exactly(self, corpus):
         # With identical candidate generation (all-value-token keys vs
         # TokenBlocker) and a deterministic classifier, incremental
@@ -148,6 +172,119 @@ class TestIncrementalLinker:
         linker.add_batch(records)
         flattened = [m for c in linker.clusters() for m in c]
         assert sorted(flattened) == sorted(r.record_id for r in records)
+
+
+class _CountingComparator:
+    """Delegates to a real comparator, counting every scored pair."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.scored = 0
+
+    def prepare(self, record):
+        return self._inner.prepare(record)
+
+    def score_bounded(self, *args, **kwargs):
+        self.scored += 1
+        return self._inner.score_bounded(*args, **kwargs)
+
+    def compare_prepared(self, left, right):
+        self.scored += 1
+        return self._inner.compare_prepared(left, right)
+
+
+class TestEntityProjection:
+    """The one live core: however the records get in — one at a time,
+    in batches, as a batch clustering, or as a saved table — the entity
+    table is the same."""
+
+    @pytest.fixture(scope="class")
+    def pool(self, corpus):
+        truth = corpus.ground_truth
+        few = sorted(truth.entities)[:6]
+        return [
+            record
+            for record in corpus.records()
+            if truth.entity_of(record.record_id) in few
+        ]
+
+    @staticmethod
+    def _make(comparator):
+        return EntityProjection(
+            [all_value_tokens],
+            comparator,
+            ThresholdClassifier(0.72),
+            lambda source_id: 0.6 + 0.03 * (sum(map(ord, source_id)) % 10),
+            max_candidates_per_record=10_000,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fold_rebuild_and_load_agree(self, pool, data):
+        *records, extra = data.draw(
+            st.lists(
+                st.sampled_from(pool),
+                min_size=2,
+                max_size=24,
+                unique_by=lambda record: record.record_id,
+            )
+        )
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, len(records)), max_size=4)
+            )
+        )
+        comparator = default_product_comparator()
+
+        one = self._make(comparator)
+        one_by_one = 0
+        for record in records:
+            before = set(one.entities)
+            stats, (entity_id,), absorbed = one.fold([record])
+            one_by_one += stats.comparisons
+            assert one.entity_of[record.record_id] == entity_id
+            assert set(absorbed) <= before
+            assert bool(absorbed) == bool(stats.matches)
+
+        split = self._make(comparator)
+        comparisons = 0
+        for low, high in zip([0, *cuts], [*cuts, len(records)]):
+            stats, projected, _ = split.fold(records[low:high])
+            comparisons += stats.comparisons
+            assert set(projected) <= set(split.entities)
+        table = one.canonical()
+        assert split.canonical() == table
+        assert comparisons == one_by_one
+        assert sorted(one.entity_of) == sorted(r.record_id for r in records)
+
+        counting = _CountingComparator(comparator)
+        rebuilt = self._make(counting)
+        clusters = resolve(
+            records,
+            TokenBlocker(),
+            comparator,
+            ThresholdClassifier(0.72),
+            clustering="components",
+        ).clusters
+        rebuilt.rebuild(records, clusters)
+        assert rebuilt.canonical() == table
+
+        loaded = self._make(counting)
+        # Records no saved entity contains come back for replay.
+        assert loaded.load([*records, extra], one.canonical()) == [extra]
+        assert loaded.canonical() == table
+        assert extra.record_id not in loaded.linker
+        assert counting.scored == 0
+
+        # A preloaded core is as live as a folded one: the next record
+        # costs the same comparisons and lands in the same table.
+        expected, _, _ = one.fold([extra])
+        for projection in (rebuilt, loaded):
+            counting.scored = 0
+            stats, _, _ = projection.fold([extra])
+            assert stats.comparisons == expected.comparisons == counting.scored
+            assert sorted(stats.match_pairs) == sorted(expected.match_pairs)
+            assert projection.canonical() == one.canonical()
 
 
 class _DelegatingClassifier:

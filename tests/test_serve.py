@@ -337,6 +337,35 @@ class TestResolutionService:
         service.refresh()
         assert service.get("ent:a").members == ("a", "b")
 
+    def test_checkpoint_does_not_strand_a_quarantined_ingest(
+        self, tmp_path, resilience_config
+    ):
+        """Quarantine -> checkpoint -> restart: the watermark has moved
+        past the quarantined record, so the restart must replay it (no
+        saved entity contains it) rather than index it entity-less."""
+        records = build_records(9)
+        clean = make_service(tmp_path / "clean")
+        for record in records:
+            clean.ingest(record)
+        config = resilience_config(
+            failure="skip", max_attempts=2, injector=FaultInjector(crash(chunk=1))
+        )
+        service = make_service(tmp_path / "faulted", resilience=config)
+        results = [service.ingest(record) for record in records]
+        assert [r.quarantined for r in results] == [False, True] + [False] * 7
+        service.checkpoint()
+        tracer = Tracer()
+        reopened = make_service(tmp_path / "faulted", tracer=tracer)
+        quarantined = records[1].record_id
+        assert any(
+            quarantined in entity.members for entity in reopened.entities()
+        )
+        assert reopened.snapshot() == clean.snapshot()
+        assert tracer.metrics.counter("serve.replayed_records").value == 1
+        # ... and a checkpoint of the reconciled state sticks.
+        reopened.checkpoint()
+        assert make_service(tmp_path / "faulted").snapshot() == clean.snapshot()
+
     def test_retry_policy_recovers_transient_ingest_faults(
         self, tmp_path, resilience_config
     ):

@@ -543,25 +543,49 @@ class TestDriftWorld:
 DIFF_CONFIG = DriftStreamConfig(n_entities=8, n_sources=4, seed=7)
 
 
-def run_differential(n_windows, clear_memos=False):
+class Redelivery:
+    """The same stream with every ``every``-th record emitted again a
+    few records later — alternately while its window is still open and
+    long after it was linked. ``emitted`` counts the re-emissions."""
+
+    def __init__(self, every=5, delays=(2, 45)):
+        self.every = every
+        self.delays = delays
+        self.emitted = 0
+
+    def __call__(self, stream):
+        due = {}
+        for position, rec in enumerate(stream):
+            yield rec
+            if position % self.every == 0:
+                delay = self.delays[(position // self.every) % len(self.delays)]
+                due.setdefault(position + delay, []).append(rec)
+            for again in due.pop(position, ()):
+                self.emitted += 1
+                yield again
+
+
+def differential_run(n_windows, clear_memos=False, wrap=iter):
     world = DriftWorld(DIFF_CONFIG)
     accuracies = world.accuracies_at(0.0)
     resolver = make_resolver(accuracies, window=WindowConfig(size=1.0))
-    seen = []
+    seen = {}
 
     def tee(records):
         for rec in records:
-            seen.append(rec)
+            seen.setdefault(rec.record_id, rec)
             yield rec
 
     boundary_pairs = []
-    for result in resolver.process(tee(world.stream())):
+    for result in resolver.process(tee(wrap(world.stream()))):
         closed = {
             member
             for entity in resolver.snapshot()["entities"].values()
             for member in entity["members"]
         }
-        closed_records = [rec for rec in seen if rec.record_id in closed]
+        closed_records = [
+            rec for rec in seen.values() if rec.record_id in closed
+        ]
         assert len(closed_records) == len(closed)
         boundary_pairs.append(
             (
@@ -577,7 +601,11 @@ def run_differential(n_windows, clear_memos=False):
             break
         if clear_memos:
             clear_memo_caches()
-    return boundary_pairs
+    return resolver, boundary_pairs
+
+
+def run_differential(n_windows, clear_memos=False):
+    return differential_run(n_windows, clear_memos)[1]
 
 
 class TestDriftFreeDifferential:
@@ -591,6 +619,26 @@ class TestDriftFreeDifferential:
         assert cold == run_differential(6)
         for index, (streamed, batch) in enumerate(cold):
             assert streamed == batch, f"diverged at window {index}"
+
+    def test_redelivered_records_change_nothing(self):
+        """At-least-once delivery: a record id arriving again — while
+        still buffered, or windows after it was linked — is dropped and
+        counted, and every boundary keeps the bytes of the clean run."""
+        redelivery = Redelivery()
+        resolver, pairs = differential_run(6, wrap=redelivery)
+        assert pairs == run_differential(6)
+        for index, (streamed, batch) in enumerate(pairs):
+            assert streamed == batch, f"diverged at window {index}"
+        assert redelivery.emitted > 10
+        assert resolver.duplicate_records == redelivery.emitted
+        assert resolver.late_records == 0
+        assert "duplicate_records" not in resolver.snapshot()
+        # Every redelivery was consumed, none of them projected twice.
+        linked = sum(
+            len(entity["members"])
+            for entity in resolver.snapshot()["entities"].values()
+        )
+        assert resolver.consumed >= linked + redelivery.emitted
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -960,6 +1008,55 @@ class TestCheckpointResume:
             event.to_json() for event in baseline.events
         ]
 
+    def test_resume_skips_redelivered_records(self, tmp_path):
+        """The same kill/resume over the stream with records re-emitted:
+        killed or not, it ends on the clean stream's entities, having
+        counted every redelivery exactly once."""
+        world, clean = self.make_stored(tmp_path, "clean")
+        clean.run(itertools.islice(world.stream(), 50_000), max_windows=10)
+        expected = canonical(clean.snapshot()["entities"])
+
+        unkilled_feed = Redelivery()
+        _, unkilled = self.make_stored(tmp_path, "unkilled")
+        unkilled.run(
+            unkilled_feed(itertools.islice(world.stream(), 50_000)),
+            max_windows=10,
+        )
+        assert canonical(unkilled.snapshot()["entities"]) == expected
+        assert unkilled.duplicate_records == unkilled_feed.emitted > 0
+
+        _, first = self.make_stored(tmp_path, "killed")
+        first.run(
+            Redelivery()(itertools.islice(world.stream(), 50_000)),
+            max_windows=6,
+        )
+        assert 0 < first.duplicate_records < unkilled.duplicate_records
+        _, resumed = self.make_stored(tmp_path, "killed")
+        stream = Redelivery()(world.stream())
+        assert resumed.resume(stream) == first.consumed
+        assert resumed.duplicate_records == first.duplicate_records
+        for _ in resumed.process(stream):
+            if resumed.windows_closed >= 10:
+                break
+        assert canonical(resumed.snapshot()) == canonical(unkilled.snapshot())
+        assert canonical(resumed.snapshot()["entities"]) == expected
+        assert resumed.duplicate_records == unkilled.duplicate_records
+        assert [event.to_json() for event in resumed.events] == [
+            event.to_json() for event in clean.events
+        ]
+
+    def test_checkpoint_without_duplicate_count_reads_zero(self, tmp_path):
+        world, first = self.make_stored(tmp_path, "old")
+        first.run(itertools.islice(world.stream(), 50_000), max_windows=3)
+        store = RunStore(tmp_path / "old", durable=False)
+        payload = store.load("streaming.checkpoint")
+        del payload["duplicate_records"]
+        store.save("streaming.checkpoint", payload)
+        _, resumed = self.make_stored(tmp_path, "old")
+        assert resumed.resume(iter(world.stream())) == first.consumed
+        assert resumed.duplicate_records == 0
+        assert canonical(resumed.snapshot()) == canonical(first.snapshot())
+
     def test_resume_without_checkpoint_is_a_fresh_start(self, tmp_path):
         world, resolver = self.make_stored(tmp_path, "fresh")
         assert resolver.resume(iter(world.stream())) == 0
@@ -1163,8 +1260,11 @@ class TestSnapshotMaintainerStream:
 
 NUMPY_FREE_SCRIPT = """
 import sys
-import repro.serve
 import repro.streaming
+# Streaming reaches the shared core directly, not through serve.
+assert "repro.serve" not in sys.modules
+assert "repro.supervision" not in sys.modules
+import repro.serve
 from repro.linkage import ThresholdClassifier, default_product_comparator
 from repro.linkage.blocking import first_token_key
 from repro.streaming import (
