@@ -4,8 +4,8 @@ A complete reproduction of the systems covered by the ICDE 2013 "Big
 Data Integration" tutorial (Dong & Srivastava): schema alignment,
 record linkage, and data fusion, re-examined under the volume /
 velocity / variety / veracity dimensions, together with the synthetic
-substrates (web-like corpora, claim worlds, a simulated MapReduce
-cluster) needed to regenerate the canonical experimental results.
+substrates (web-like corpora, claim worlds, a cluster cost model)
+needed to regenerate the canonical experimental results.
 
 Quickstart
 ----------
@@ -23,7 +23,7 @@ Subpackages
 - :mod:`repro.synth` — synthetic worlds, sources, claims, evolution
 - :mod:`repro.schema` — attribute matching, mediated & probabilistic schemas
 - :mod:`repro.linkage` — blocking, meta-blocking, classifiers, clustering
-- :mod:`repro.dist` — simulated MapReduce, skew-aware partitioning
+- :mod:`repro.dist` — sharded runtime, skew-aware partitioning, cost model
 - :mod:`repro.obs` — tracing spans, metrics registry, run reports
 - :mod:`repro.fusion` — voting, TruthFinder, AccuVote, AccuCopy, online
 - :mod:`repro.selection` — source profiling, less-is-more selection

@@ -9,6 +9,7 @@ the 4-V knobs over.
 
 from __future__ import annotations
 
+import contextlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -52,10 +53,11 @@ class PipelineConfig:
     across worker shards (:mod:`repro.dist.runtime`) — ``n_shards``
     pins the shard count (``None`` lets the cluster cost model plan
     it) and ``shard_backend`` picks ``"process"`` workers or the
-    sequential ``"inline"`` backend — and, with ``fusion="vote"``,
-    shards the fusion stage by item too. Output stays byte-identical
-    to the serial pipeline. Sharded execution requires the threshold
-    classifier and does not compose with ``memory_budget``.
+    sequential ``"inline"`` backend; fusion runs at the coordinator
+    through the same fusers as every other execution mode. Output
+    stays byte-identical to the serial pipeline. Sharded execution
+    requires the threshold classifier and does not compose with
+    ``memory_budget``.
 
     ``supervision`` (a :class:`repro.supervision.SupervisionPolicy`,
     sharded execution only) makes the linkage stage self-healing: a
@@ -296,7 +298,7 @@ class BDIPipeline:
         records = list(dataset.records())
         store = self._open_store(checkpoint, dataset, tracer)
 
-        budget = spill_store = spill_temp = None
+        budget = spill_store = None
         if memory_budget is not None:
             if config.execution == "sharded":
                 raise ConfigurationError(
@@ -317,33 +319,37 @@ class BDIPipeline:
                 raise ConfigurationError(
                     "numeric_fusion is not supported with memory_budget"
                 )
-            import tempfile
-
             from repro.outofcore import MemoryBudget
-            from repro.recovery import RunStore
 
             budget = MemoryBudget(memory_budget, tracer=tracer)
-            if spill_dir is None:
-                spill_temp = tempfile.TemporaryDirectory(
-                    prefix="repro-spill-"
-                )
-                spill_store = RunStore(spill_temp.name, durable=False)
-            elif hasattr(spill_dir, "save_stream"):
-                spill_store = spill_dir
-            else:
-                spill_store = RunStore(spill_dir, durable=False)
 
         def sub(prefix: str):
             """An intra-stage checkpoint namespace (None when off)."""
             return store.sub(prefix) if store is not None else None
 
-        with tracer.span(
+        with contextlib.ExitStack() as cleanup, tracer.span(
             "pipeline.run",
             n_records=len(records),
             n_sources=len(dataset),
             execution=config.execution,
             resumable=store is not None,
         ) as run_span:
+            if budget is not None:
+                import tempfile
+
+                from repro.recovery import RunStore
+
+                if spill_dir is None:
+                    # The run's own spill directory goes with the run,
+                    # whether it returns or a stage raises.
+                    spill_dir = cleanup.enter_context(
+                        tempfile.TemporaryDirectory(prefix="repro-spill-")
+                    )
+                if hasattr(spill_dir, "save_stream"):
+                    spill_store = spill_dir
+                else:
+                    spill_store = RunStore(spill_dir, durable=False)
+
             # 1. Schema alignment.
             with tracer.span("pipeline.schema_alignment") as span:
                 schema = self._stage(
@@ -520,32 +526,6 @@ class BDIPipeline:
                 ) as span:
 
                     def compute_fusion():
-                        if (
-                            config.execution == "sharded"
-                            and config.fusion == "vote"
-                        ):
-                            # Voting is item-independent, so it shards
-                            # by item like linkage shards by entity.
-                            import os as _os
-
-                            from repro.dist.runtime import (
-                                sharded_vote_fusion,
-                            )
-
-                            fusion = sharded_vote_fusion(
-                                claim_set,
-                                n_shards=(
-                                    config.n_shards
-                                    or (_os.cpu_count() or 1)
-                                ),
-                                backend=config.shard_backend,
-                                tracer=tracer,
-                            )
-                            if config.numeric_fusion:
-                                fusion = self._refuse_numeric_items(
-                                    claim_set, fusion
-                                )
-                            return fusion
                         fusers = {
                             "vote": lambda: VotingFuser(),
                             "truthfinder": lambda: TruthFinder(
@@ -649,8 +629,6 @@ class BDIPipeline:
             if store is not None:
                 store.mark_complete()
 
-        if spill_temp is not None:
-            spill_temp.cleanup()
         return PipelineResult(
             schema=schema,
             linkage=linkage,

@@ -1,24 +1,15 @@
-"""Distributed-execution substrate: MapReduce engine, skew-aware
-partitioning, cluster cost model, distributed ER driver, and the
-sharded pipeline runtime (:mod:`repro.dist.runtime`)."""
+"""Distributed-execution substrate: the sharded pipeline runtime
+(:mod:`repro.dist.runtime` — the one distributed linkage path), plus
+the skew-aware partitioning strategies and the cluster cost model that
+price them (the load-balancing study of experiment E05)."""
 
 from repro.dist.costmodel import ClusterCostModel, PartitionCost
-from repro.dist.mapreduce import (
-    JobResult,
-    MapReduceJob,
-    ReducerMetrics,
-    hash_partitioner,
-)
-from repro.dist.parallel_linkage import (
-    DistributedRun,
-    partition_blocks,
-    run_distributed_linkage,
-)
 from repro.dist.partition import (
     MatchTask,
     block_split_partition,
     naive_partition,
     pair_range_partition,
+    partition_blocks,
     shard_of_key,
     stable_key_hash,
     task_pairs,
@@ -29,34 +20,24 @@ from repro.dist.runtime import (
     ShardResult,
     ShardedResolveRun,
     plan_shards,
-    sharded_match_pairs,
     sharded_resolve,
-    sharded_vote_fusion,
 )
 
 __all__ = [
     "ClusterCostModel",
-    "DistributedRun",
-    "JobResult",
-    "MapReduceJob",
     "MatchTask",
     "PartitionCost",
-    "ReducerMetrics",
     "SHARD_BACKENDS",
     "ShardPlan",
     "ShardResult",
     "ShardedResolveRun",
     "block_split_partition",
-    "hash_partitioner",
     "naive_partition",
     "pair_range_partition",
     "partition_blocks",
     "plan_shards",
-    "run_distributed_linkage",
     "shard_of_key",
-    "sharded_match_pairs",
     "sharded_resolve",
-    "sharded_vote_fusion",
     "stable_key_hash",
     "task_pairs",
 ]

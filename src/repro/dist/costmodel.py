@@ -76,7 +76,6 @@ class ClusterCostModel:
         # The 1-reducer baseline: all tasks on one machine.
         all_tasks = [task for tasks in partition for task in tasks]
         serial = self.reducer_time(all_tasks)
-        loaded = [c for c in comparisons if c > 0] or [0]
         mean_load = sum(comparisons) / len(comparisons)
         skew = (max(comparisons) / mean_load) if mean_load else 1.0
         return PartitionCost(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.linkage.blocking.base import BlockCollection
@@ -33,17 +33,20 @@ __all__ = [
     "naive_partition",
     "block_split_partition",
     "pair_range_partition",
+    "partition_blocks",
     "shard_of_key",
     "stable_key_hash",
     "task_pairs",
 ]
+
+StrategyName = Literal["naive", "blocksplit", "pairrange"]
 
 
 def stable_key_hash(text: str) -> int:
     """A deterministic string hash (Python's ``hash`` is salted).
 
     The same polynomial fold everywhere partitioning happens — block
-    hashing, MapReduce shuffling, shard ownership — so every layer
+    hashing, the sharded shuffle, shard ownership — so every layer
     agrees on where a key lives, across processes and interpreter
     restarts.
     """
@@ -220,3 +223,18 @@ def pair_range_partition(
                     reducer += 1
                     remaining = per_reducer
     return buckets
+
+
+def partition_blocks(
+    blocks: BlockCollection,
+    strategy: StrategyName,
+    n_reducers: int,
+) -> list[list[MatchTask]]:
+    """Partition a block collection's comparisons with one strategy."""
+    if strategy == "naive":
+        return naive_partition(blocks, n_reducers)
+    if strategy == "blocksplit":
+        return block_split_partition(blocks, n_reducers)
+    if strategy == "pairrange":
+        return pair_range_partition(blocks, n_reducers)
+    raise ConfigurationError(f"unknown strategy {strategy!r}")

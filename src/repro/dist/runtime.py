@@ -1,10 +1,12 @@
 """Sharded pipeline runtime: entity-partitioned linkage over workers.
 
-The rest of :mod:`repro.dist` *simulates* a cluster (MapReduce engine,
-partitioning strategies, cost model). This module runs the real thing
-on one machine: the pipeline is hash-partitioned into shards that
-execute in actual worker processes, and the coordinator reassembles a
-result **byte-identical** to the single-process :func:`repro.linkage.resolve`.
+The rest of :mod:`repro.dist` *prices* a cluster (partitioning
+strategies scored by the cost model — the load-balancing study of
+experiment E05). This module is the one distributed linkage path, run
+for real on one machine: the pipeline is hash-partitioned into shards
+that execute in actual worker processes, and the coordinator
+reassembles a result **byte-identical** to the single-process
+:func:`repro.linkage.resolve`.
 
 The run proceeds in four coordinated steps:
 
@@ -64,7 +66,8 @@ from repro.dist.costmodel import ClusterCostModel
 from repro.dist.partition import shard_of_key
 from repro.linkage.blocking.base import Blocker
 from repro.linkage.clustering import ScoredEdge, connected_components
-from repro.linkage.engine import EngineRun, ParallelComparisonEngine
+from repro.linkage.engine import ParallelComparisonEngine
+from repro.linkage.resolver import LinkageResult, _canonical_pairs, _cluster
 from repro.obs import NULL_TRACER, Tracer, observe_block_collection
 from repro.outofcore import merge_sorted_streams
 from repro.recovery import CheckpointMismatchError, RunStore, config_fingerprint
@@ -76,9 +79,7 @@ __all__ = [
     "ShardResult",
     "ShardedResolveRun",
     "plan_shards",
-    "sharded_match_pairs",
     "sharded_resolve",
-    "sharded_vote_fusion",
 ]
 
 #: Worker backends: ``"process"`` fans shards out over OS processes,
@@ -189,19 +190,6 @@ def plan_shards(
         return ShardPlan(n_shards, predicted(n_shards), candidates, pinned=True)
     best = min(candidates, key=lambda entry: (entry[1], entry[0]))
     return ShardPlan(best[0], best[1], candidates)
-
-
-def _canonical_pairs(candidate_pairs) -> list[tuple[str, str]]:
-    """The serial resolver's canonical sorted-unique pair order.
-
-    Equivalent to ``sorted(candidate_pairs, key=sorted)`` followed by
-    sorting each pair, but orients every pair first and sorts the
-    tuples directly — one sort pass, no per-comparison key lists.
-    """
-    return sorted(
-        (pair_ids[0], pair_ids[1])
-        for pair_ids in (sorted(pair) for pair in candidate_pairs)
-    )
 
 
 def _partition_pairs(
@@ -616,8 +604,6 @@ def sharded_resolve(
     at the coordinator, since the shuffle needs the shard count
     up-front).
     """
-    from repro.linkage.resolver import LinkageResult, _cluster
-
     if backend not in SHARD_BACKENDS:
         raise ConfigurationError(
             f"unknown shard backend {backend!r}; expected one of "
@@ -741,143 +727,3 @@ def sharded_resolve(
         n_spanning_pairs=spanning,
         signatures=tuple(signatures),
     )
-
-
-def sharded_match_pairs(
-    by_id: Mapping[str, Record],
-    pairs: Sequence[tuple[str, str]],
-    comparator,
-    classifier,
-    *,
-    n_shards: int,
-    backend: str = "inline",
-    chunk_size: int = 2048,
-    tracer=None,
-    resilience=None,
-    checkpoint=None,
-    representation: str = "dict",
-    supervisor=None,
-) -> EngineRun:
-    """Shard an explicit canonical pair list and merge to one EngineRun.
-
-    The sharded counterpart of
-    :meth:`~repro.linkage.engine.ParallelComparisonEngine.match_pairs`
-    for callers that already hold the sorted-unique pair list (e.g. the
-    distributed-linkage driver). Output fields are merged exactly as
-    :func:`sharded_resolve` merges them.
-    """
-    if backend not in SHARD_BACKENDS:
-        raise ConfigurationError(
-            f"unknown shard backend {backend!r}; expected one of "
-            f"{SHARD_BACKENDS}"
-        )
-    tracer = tracer if tracer is not None else NULL_TRACER
-    ordered = _canonical_pairs(pairs)
-    buckets, spanning = _partition_pairs(ordered, n_shards)
-    signatures = [_pair_signature(bucket) for bucket in buckets]
-    binding = _bind_store(checkpoint)
-    _guard_layout(binding, n_shards, signatures)
-    shards = _execute_shards(
-        buckets,
-        by_id,
-        comparator,
-        classifier,
-        backend=backend,
-        chunk_size=chunk_size,
-        representation=representation,
-        resilience=resilience,
-        binding=binding,
-        signatures=signatures,
-        tracer=tracer,
-        supervisor=supervisor,
-    )
-    _emit_shard_metrics(tracer, shards, n_shards, spanning)
-    match_pairs: set[frozenset[str]] = set()
-    for shard in shards:
-        match_pairs.update(frozenset(pair) for pair in shard.match_pairs)
-    return EngineRun(
-        match_pairs=match_pairs,
-        scored_edges=list(
-            merge_sorted_streams(iter(shard.scored_edges) for shard in shards)
-        ),
-        n_pairs=sum(shard.n_pairs for shard in shards),
-        n_early_exit=sum(shard.n_early_exit for shard in shards),
-        execution="sharded",
-        n_workers=n_shards,
-        dead_letters=_merge_dead_letters(shards),
-        quarantined_pairs=tuple(
-            itertools.chain.from_iterable(
-                shard.quarantined_pairs for shard in shards
-            )
-        ),
-        completed_chunks=sum(shard.completed_chunks for shard in shards),
-        n_chunks=sum(shard.n_chunks for shard in shards),
-        representation=representation,
-        replayed_chunks=sum(shard.replayed_chunks for shard in shards),
-    )
-
-
-def _run_fusion_shard(args) -> "object":
-    """Worker half of :func:`sharded_vote_fusion` (must stay picklable)."""
-    from repro.fusion.voting import VotingFuser
-
-    shard_claims = args
-    return VotingFuser().fuse(shard_claims)
-
-
-def sharded_vote_fusion(
-    claims,
-    *,
-    n_shards: int,
-    backend: str = "inline",
-    tracer=None,
-):
-    """Voting fusion partitioned by item across shards.
-
-    Voting decides each item independently, so items hash-partition
-    cleanly: every shard fuses the claim subset for its items and the
-    coordinator reassembles the chosen/confidence maps **in the serial
-    claim-set's item order** — byte-identical to one
-    :class:`~repro.fusion.voting.VotingFuser` pass over all claims.
-    """
-    from repro.fusion.base import ClaimSet, FusionResult
-
-    if backend not in SHARD_BACKENDS:
-        raise ConfigurationError(
-            f"unknown shard backend {backend!r}; expected one of "
-            f"{SHARD_BACKENDS}"
-        )
-    if n_shards < 1:
-        raise ConfigurationError("n_shards must be >= 1")
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with tracer.span("dist.fusion", n_shards=n_shards):
-        shard_claims = [ClaimSet() for __ in range(n_shards)]
-        for item in claims.items():
-            owner = shard_of_key(item, n_shards)
-            for claim in claims.claims_for(item):
-                shard_claims[owner].add(claim)
-        populated = [
-            (shard, subset)
-            for shard, subset in enumerate(shard_claims)
-            if subset.items()
-        ]
-        if backend == "inline" or len(populated) <= 1:
-            fused = {
-                shard: _run_fusion_shard(subset)
-                for shard, subset in populated
-            }
-        else:
-            max_workers = max(1, min(len(populated), os.cpu_count() or 1))
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    (shard, pool.submit(_run_fusion_shard, subset))
-                    for shard, subset in populated
-                ]
-                fused = {shard: future.result() for shard, future in futures}
-        chosen = {}
-        confidence = {}
-        for item in claims.items():
-            shard_result = fused[shard_of_key(item, n_shards)]
-            chosen[item] = shard_result.chosen[item]
-            confidence[item] = shard_result.confidence[item]
-    return FusionResult(chosen=chosen, confidence=confidence)

@@ -22,11 +22,9 @@ from typing import Mapping
 
 from repro.core.errors import ConfigurationError
 from repro.fusion.base import ClaimSet, Fuser, FusionResult
+from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
 
 __all__ = ["AccuVote"]
-
-_ACCURACY_FLOOR = 0.01
-_ACCURACY_CEIL = 0.99
 
 
 class AccuVote(Fuser):
@@ -68,10 +66,6 @@ class AccuVote(Fuser):
         self._max_iterations = max_iterations
         self._tolerance = tolerance
 
-    def _vote_count(self, accuracy: float) -> float:
-        accuracy = min(_ACCURACY_CEIL, max(_ACCURACY_FLOOR, accuracy))
-        return math.log(self._n * accuracy / (1.0 - accuracy))
-
     def _posteriors(
         self, claims: ClaimSet, accuracy: Mapping[str, float]
     ) -> dict[tuple[str, str], float]:
@@ -83,7 +77,7 @@ class AccuVote(Fuser):
             for value in values:
                 scores.append(
                     sum(
-                        self._vote_count(accuracy[source])
+                        vote_count(accuracy[source], self._n)
                         for source in claims.supporters(item, value)
                     )
                 )

@@ -29,13 +29,11 @@ from typing import Mapping
 from repro.core.errors import ConfigurationError
 from repro.fusion.base import ClaimSet, Fuser, FusionResult
 from repro.fusion.copydetect import CopyDetector
+from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
 from repro.fusion.voting import VotingFuser
 from repro.obs import NULL_TRACER
 
 __all__ = ["AccuCopy"]
-
-_ACCURACY_FLOOR = 0.01
-_ACCURACY_CEIL = 0.99
 
 
 class AccuCopy(Fuser):
@@ -97,10 +95,6 @@ class AccuCopy(Fuser):
             self._tolerance,
         )
 
-    def _vote_count(self, accuracy: float) -> float:
-        accuracy = min(_ACCURACY_CEIL, max(_ACCURACY_FLOOR, accuracy))
-        return math.log(self._n * accuracy / (1.0 - accuracy))
-
     def _discounted_posteriors(
         self,
         claims: ClaimSet,
@@ -126,8 +120,9 @@ class AccuCopy(Fuser):
                         independence *= 1.0 - c * copy_probability.get(
                             key, 0.0
                         )
-                    score += independence * self._vote_count(
-                        accuracy.get(source, self._initial_accuracy)
+                    score += independence * vote_count(
+                        accuracy.get(source, self._initial_accuracy),
+                        self._n,
                     )
                     counted.append(source)
                 scores.append(score)

@@ -33,9 +33,11 @@ def vote_count(accuracy: float, n_false_values: int) -> float:
     The uniform-false-value model of Dong et al.: a source with
     accuracy ``a`` choosing among ``n`` wrong values contributes
     ``ln(n * a / (1 - a))`` to its claimed value's log-score. Accuracy
-    is clamped away from 0 and 1 so weights stay finite. Shared by
-    :class:`OnlineFusion` and the streaming decayed-fusion layer so
-    the two agree bit-for-bit on undrifted inputs.
+    is clamped away from 0 and 1 so weights stay finite. The one
+    definition under every Bayesian fuser — :class:`AccuVote`,
+    :class:`AccuCopy`, the out-of-core ``stream_accuvote``,
+    :class:`OnlineFusion` and the streaming decayed-fusion layer — so
+    they agree bit-for-bit on the same inputs.
     """
     accuracy = min(_ACCURACY_CEIL, max(_ACCURACY_FLOOR, accuracy))
     return math.log(n_false_values * accuracy / (1.0 - accuracy))

@@ -9,7 +9,7 @@ cost counters the benchmarks report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Protocol, Sequence
+from typing import Collection, Iterable, Literal, Protocol, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
@@ -81,17 +81,17 @@ def _cluster(clustering, match_pairs, scored_edges, all_ids, tracer):
 
 
 def _canonical_pairs(
-    candidate_pairs: set[frozenset[str]],
+    candidate_pairs: Iterable[Collection[str]],
 ) -> list[tuple[str, str]]:
     """Candidate pairs as sorted id tuples in sorted order — the one
-    order every engine run scores them in, so chunk boundaries (and so
-    checkpoints) line up across runs and execution modes."""
-    return [
+    order every engine run (serial, process, streamed, sharded) scores
+    them in, so chunk boundaries (and so checkpoints) line up across
+    runs and execution modes. Orients every pair first and sorts the
+    tuples directly: one sort pass, no per-comparison key lists."""
+    return sorted(
         (pair_ids[0], pair_ids[1])
-        for pair_ids in (
-            sorted(pair) for pair in sorted(candidate_pairs, key=sorted)
-        )
-    ]
+        for pair_ids in (sorted(pair) for pair in candidate_pairs)
+    )
 
 
 def _engine(

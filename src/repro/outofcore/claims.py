@@ -19,8 +19,8 @@ import math
 from typing import Iterator, Mapping
 
 from repro.core.errors import ConfigurationError, EmptyInputError
-from repro.fusion.accu import _ACCURACY_CEIL, _ACCURACY_FLOOR
 from repro.fusion.base import Claim, FusionResult
+from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
 from repro.outofcore.budget import MemoryBudget
 from repro.outofcore.spill import ExternalSorter, entry_nbytes
 
@@ -175,11 +175,6 @@ def stream_voting(groups: SpillableClaimGroups) -> FusionResult:
     return FusionResult(chosen=chosen, confidence=confidence)
 
 
-def _vote_count(n_false_values: int, accuracy: float) -> float:
-    accuracy = min(_ACCURACY_CEIL, max(_ACCURACY_FLOOR, accuracy))
-    return math.log(n_false_values * accuracy / (1.0 - accuracy))
-
-
 def _group_posteriors(
     claims: list[Claim],
     accuracy: Mapping[str, float],
@@ -200,7 +195,7 @@ def _group_posteriors(
     for value in ordered:
         scores.append(
             sum(
-                _vote_count(n_false_values, accuracy[claim.source_id])
+                vote_count(accuracy[claim.source_id], n_false_values)
                 for claim in claims
                 if claim.value == value
             )

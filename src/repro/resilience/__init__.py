@@ -11,8 +11,8 @@ the stack degrade gracefully instead of aborting:
   (quarantine and complete with partial results).
 - :class:`ResilienceConfig` — the one object threaded through
   :class:`~repro.linkage.engine.ParallelComparisonEngine`,
-  :func:`~repro.dist.parallel_linkage.run_distributed_linkage`,
-  :class:`~repro.dist.mapreduce.MapReduceJob`, and
+  :func:`~repro.linkage.resolve` (every execution mode, including
+  :func:`~repro.dist.runtime.sharded_resolve`'s per-shard engines), and
   :class:`~repro.core.pipeline.PipelineConfig`.
 - :class:`ResilientChunkExecutor` — the shared retry → bisect →
   quarantine loop, emitting ``resilience.*`` counters and heartbeat

@@ -7,8 +7,9 @@ what kind of failure, how many attempts, the offending items, and when.
 A run that quarantined work still completes and still produces a
 well-formed :class:`~repro.obs.report.RunReport`; the log rides on the
 run result (:class:`~repro.linkage.engine.EngineRun`,
-:class:`~repro.dist.parallel_linkage.DistributedRun`) and round-trips
-through JSON so CI can ship it as an artifact.
+:class:`~repro.linkage.resolver.LinkageResult` — a sharded run merges
+its shards' logs in shard order) and round-trips through JSON so CI can
+ship it as an artifact.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ class DeadLetterEntry:
     """One quarantined unit of work.
 
     ``scope`` names the execution layer (``"engine.chunk"``,
-    ``"mapreduce.key"``); ``chunk_id`` is the bisection path of the
+    ``"serve.ingest"``); ``chunk_id`` is the bisection path of the
     failing chunk (``"3"``, ``"3.1.0"``); ``kind`` is the failure class
     (``"crash"``, ``"timeout"``, ``"garbage"``, ``"deadline"``);
     ``items`` holds the quarantined work itself (id pairs for the
-    engine, reduce keys for MapReduce); ``quarantined_at`` is the clock
-    reading when the entry was written.
+    engine, record ids for the service); ``quarantined_at`` is the
+    clock reading when the entry was written.
     """
 
     scope: str

@@ -2,10 +2,10 @@
 
 This is the recovery loop every fault-tolerant execution path shares.
 Work arrives as an ordered list of chunks (lists of items — id pairs
-for the comparison engine, reduce keys for MapReduce) plus a
-``run_attempt(items, timeout)`` callable supplied by the caller (a
-direct call for serial execution, a pool submission with a real future
-timeout for the process backend). The executor then guarantees:
+for the comparison engine) plus a ``run_attempt(items, timeout)``
+callable supplied by the caller (a direct call for serial execution, a
+pool submission with a real future timeout for the process backend).
+The executor then guarantees:
 
 1. **Retry with backoff** — a crashed, timed-out, or garbage-returning
    attempt is retried up to ``RetryPolicy.max_attempts`` times, sleeping
@@ -111,7 +111,7 @@ class ResilientChunkExecutor:
         heartbeat gauges, and the per-run span. Defaults to the no-op.
     scope:
         Names the execution layer in dead-letter entries and span
-        attributes (``"engine.chunk"``, ``"mapreduce.key"``).
+        attributes (``"engine.chunk"``).
     checkpoint:
         An optional checkpoint store (a
         :class:`repro.recovery.RunStore` or a view of one). When set,

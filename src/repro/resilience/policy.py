@@ -158,7 +158,7 @@ def _unit_fraction(text: str) -> float:
     """Deterministic hash of ``text`` folded into [0, 1).
 
     Python's ``hash`` is salted per process, so jitter uses the same
-    stable fold as :func:`repro.dist.mapreduce.hash_partitioner`.
+    stable fold as :func:`repro.dist.partition.stable_key_hash`.
     """
     value = 0
     for character in text:

@@ -192,8 +192,7 @@ class _Supervised:
 class Supervisor:
     """Run shard tasks to completion, restarting the ones that die.
 
-    Plugs into :func:`repro.dist.runtime.sharded_resolve` /
-    :func:`~repro.dist.runtime.sharded_match_pairs` via their
+    Plugs into :func:`repro.dist.runtime.sharded_resolve` via its
     ``supervisor=`` argument; the runtime hands over exactly the shard
     tasks that could not be resumed from the store. ``events`` holds
     the full decision timeline after (or during) a run.

@@ -1,95 +1,36 @@
-"""Tests for the MapReduce engine, partitioners, and cost model."""
+"""Tests for the partitioners, the cost model that prices them, and the
+sharded path's agreement with serial linkage on their workloads."""
 
 import pytest
 
 from repro.core import ConfigurationError
 from repro.dist import (
     ClusterCostModel,
-    MapReduceJob,
     MatchTask,
     block_split_partition,
-    hash_partitioner,
     naive_partition,
     pair_range_partition,
     partition_blocks,
-    run_distributed_linkage,
+    shard_of_key,
+    sharded_resolve,
+    stable_key_hash,
     task_pairs,
 )
-from repro.linkage import Block, BlockCollection, ThresholdClassifier
+from repro.linkage import (
+    Block,
+    BlockCollection,
+    StandardBlocker,
+    ThresholdClassifier,
+    default_product_comparator,
+    resolve,
+)
 from repro.linkage.blocking import first_token_key
-from repro.linkage import StandardBlocker, default_product_comparator
 from repro.synth import (
     CorpusConfig,
     WorldConfig,
     generate_dataset,
     generate_world,
 )
-
-
-class TestMapReduce:
-    def test_word_count(self):
-        job = MapReduceJob(
-            map_function=lambda line: [(w, 1) for w in line.split()],
-            reduce_function=lambda key, values: [(key, sum(values))],
-            n_reducers=3,
-        )
-        result = job.run(["a b a", "b c"])
-        counts = dict(result.outputs)
-        assert counts == {"a": 2, "b": 2, "c": 1}
-
-    def test_deterministic_output_order(self):
-        job = MapReduceJob(
-            map_function=lambda x: [(x % 5, x)],
-            reduce_function=lambda key, values: [(key, sorted(values))],
-            n_reducers=2,
-        )
-        first = job.run(list(range(20))).outputs
-        second = job.run(list(range(20))).outputs
-        assert first == second
-
-    def test_metrics_cover_all_values(self):
-        job = MapReduceJob(
-            map_function=lambda x: [(x % 3, x)],
-            reduce_function=lambda key, values: [],
-            n_reducers=2,
-        )
-        result = job.run(list(range(30)))
-        assert result.n_map_outputs == 30
-        assert sum(m.n_values for m in result.reducer_metrics) == 30
-
-    def test_custom_cost_function(self):
-        job = MapReduceJob(
-            map_function=lambda x: [("k", x)],
-            reduce_function=lambda key, values: [],
-            n_reducers=1,
-            cost_function=lambda key, values: 100.0,
-        )
-        result = job.run([1, 2, 3])
-        assert result.total_cost == 100.0
-
-    def test_skew_metric(self):
-        job = MapReduceJob(
-            map_function=lambda x: [(x, x)],
-            reduce_function=lambda key, values: [],
-            n_reducers=2,
-            partitioner=lambda key, n: 0,  # everything on reducer 0
-        )
-        result = job.run(list(range(10)))
-        assert result.skew == pytest.approx(2.0)
-
-    def test_bad_partitioner_caught(self):
-        job = MapReduceJob(
-            map_function=lambda x: [(x, x)],
-            reduce_function=lambda key, values: [],
-            n_reducers=2,
-            partitioner=lambda key, n: 7,
-        )
-        with pytest.raises(ConfigurationError):
-            job.run([1])
-
-    def test_hash_partitioner_stable(self):
-        assert hash_partitioner("abc", 16) == hash_partitioner("abc", 16)
-        assert 0 <= hash_partitioner("anything", 7) < 7
 
 
 def skewed_blocks():
@@ -116,15 +57,16 @@ class TestMatchTask:
         assert set(task_pairs(task)) == {("a", "x"), ("b", "x")}
 
 
-class TestPartitioners:
-    def all_pairs(self, partition):
-        pairs = set()
-        for tasks in partition:
-            for task in tasks:
-                for a, b in task_pairs(task):
-                    pairs.add(frozenset((a, b)))
-        return pairs
+def _all_pairs(partition):
+    return {
+        frozenset(pair)
+        for tasks in partition
+        for task in tasks
+        for pair in task_pairs(task)
+    }
 
+
+class TestPartitioners:
     def comparisons(self, partition):
         return [
             sum(t.n_comparisons for t in tasks) for tasks in partition
@@ -136,7 +78,7 @@ class TestPartitioners:
     def test_every_strategy_covers_all_pairs(self, strategy):
         blocks = skewed_blocks()
         partition = partition_blocks(blocks, strategy, 8)
-        assert self.all_pairs(partition) == blocks.candidate_pairs()
+        assert _all_pairs(partition) == blocks.candidate_pairs()
 
     @pytest.mark.parametrize(
         "strategy", ["naive", "blocksplit", "pairrange"]
@@ -172,6 +114,17 @@ class TestPartitioners:
         with pytest.raises(ConfigurationError):
             partition_blocks(skewed_blocks(), "zap", 4)
 
+    def test_key_hash_stable(self):
+        # Pinned values: ownership must survive interpreter restarts
+        # (Python's own str hash is salted per process), or a resumed
+        # sharded run would look for its checkpoints on other shards.
+        assert stable_key_hash("abc") == 1677554
+        assert stable_key_hash("") == 0
+        assert shard_of_key("abc", 16) == 1677554 % 16
+        assert all(0 <= shard_of_key(f"k{i}", 7) < 7 for i in range(50))
+        with pytest.raises(ConfigurationError):
+            shard_of_key("abc", 0)
+
 
 class TestCostModel:
     def test_makespan_is_max(self):
@@ -193,6 +146,15 @@ class TestCostModel:
         cost = model.evaluate(partition)
         assert cost.speedup == pytest.approx(2.0)
 
+    def test_skew_metric(self):
+        # Everything on one of two reducers: the heaviest load is twice
+        # the mean.
+        partition = [
+            [MatchTask("a", ("x", "y", "z")), MatchTask("b", ("p", "q"))],
+            [],
+        ]
+        assert ClusterCostModel().evaluate(partition).skew == pytest.approx(2.0)
+
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             ClusterCostModel(comparison_cost=0.0)
@@ -210,40 +172,48 @@ class TestDistributedLinkage:
         return records, blocks
 
     def test_strategies_agree_on_matches(self, setup):
-        records, blocks = setup
-        results = {}
+        # Every strategy schedules exactly the blocker's candidate
+        # pairs, so whatever scores them finds the same matches.
+        __, blocks = setup
         for strategy in ("naive", "blocksplit", "pairrange"):
-            run = run_distributed_linkage(
-                records,
-                blocks,
-                default_product_comparator(),
-                ThresholdClassifier(0.72),
-                strategy,
-                n_reducers=4,
-            )
-            results[strategy] = run.match_pairs
-        assert results["naive"] == results["blocksplit"] == results["pairrange"]
+            partition = partition_blocks(blocks, strategy, 4)
+            assert _all_pairs(partition) == blocks.candidate_pairs()
 
     def test_balanced_strategies_scale_better(self, setup):
-        records, blocks = setup
+        __, blocks = setup
+        model = ClusterCostModel()
+
         def makespan(strategy, r):
-            return run_distributed_linkage(
-                records, blocks, default_product_comparator(),
-                ThresholdClassifier(0.72), strategy, r,
-            ).cost.makespan
+            return model.evaluate(
+                partition_blocks(blocks, strategy, r)
+            ).makespan
+
         assert makespan("blocksplit", 16) < makespan("naive", 16)
 
 
-class TestOrderIndependentDedup:
-    """Regression: the per-run comparison cache must not depend on the
-    order reducers (or blocks) happen to emit raw pairs.
+def _sharded_matches(records, pairs, classifier, n_shards):
+    return sharded_resolve(
+        records,
+        None,
+        default_product_comparator(),
+        classifier,
+        candidate_pairs=pairs,
+        n_shards=n_shards,
+        backend="inline",
+    ).result
 
-    The dedup used to keep the first-seen orientation of each pair, so
-    two partitionings of the same blocks could score ``(a, b)`` in one
-    run and ``(b, a)`` in another. It now canonicalizes to the sorted
-    unique pair list before scoring, which is also what
-    ``execution="sharded"`` partitions.
+
+class TestOrderIndependentDedup:
+    """Regression: the scored workload must not depend on the order (or
+    orientation) in which blocks happen to emit raw pairs.
+
+    A dedup that keeps the first-seen spelling of each pair would score
+    ``(a, b)`` in one run and ``(b, a)`` in another; the sharded path
+    canonicalizes to the sorted unique pair list before partitioning,
+    the same list the serial resolver scores.
     """
+
+    CLASSIFIER = ThresholdClassifier(0.5)
 
     def _records(self):
         from repro.core import Record
@@ -253,45 +223,48 @@ class TestOrderIndependentDedup:
             for i in range(4)
         ]
 
-    def _run(self, blocks, **kwargs):
-        return run_distributed_linkage(
-            self._records(),
-            blocks,
-            default_product_comparator(),
-            ThresholdClassifier(0.5),
-            "naive",
-            n_reducers=2,
-            **kwargs,
-        )
+    def _first_seen_pairs(self, blocks):
+        """Unique pairs, each in the spelling the tasks emit it first."""
+        seen = {}
+        for tasks in partition_blocks(blocks, "naive", 2):
+            for task in tasks:
+                for pair in task_pairs(task):
+                    seen.setdefault(frozenset(pair), pair)
+        return list(seen.values())
 
     def test_block_order_and_orientation_are_irrelevant(self):
-        # The same pairs reach the dedup in different orders and
-        # orientations: (r1, r2) arrives as r1<r2 from one block and
-        # r2>r1 from the other, and reversing the block list flips
-        # which spelling is seen first.
-        forward = BlockCollection([
+        # The same pairs arrive in different orders and orientations:
+        # (r1, r2) comes as r1<r2 from one block and r2>r1 from the
+        # other, and reversing the block list flips which spelling is
+        # seen first.
+        forward = self._first_seen_pairs(BlockCollection([
             Block("k1", ("r0", "r1", "r2")),
             Block("k2", ("r2", "r1", "r3")),
-        ])
-        reversed_blocks = BlockCollection([
+        ]))
+        backward = self._first_seen_pairs(BlockCollection([
             Block("k2", ("r3", "r1", "r2")),
             Block("k1", ("r2", "r1", "r0")),
-        ])
-        first = self._run(forward)
-        second = self._run(reversed_blocks)
+        ]))
+        assert forward != backward
+        first = _sharded_matches(self._records(), forward, self.CLASSIFIER, 2)
+        second = _sharded_matches(self._records(), backward, self.CLASSIFIER, 2)
         assert first.match_pairs == second.match_pairs
-        assert first.n_unique_comparisons == second.n_unique_comparisons
-        assert first.n_comparisons == second.n_comparisons
+        assert first.scored_edges == second.scored_edges
+        assert first.n_candidates == second.n_candidates
 
     def test_sharded_execution_matches_engine(self):
         blocks = BlockCollection([
             Block("k1", ("r0", "r1", "r2")),
             Block("k2", ("r2", "r1", "r3")),
         ])
-        serial = self._run(blocks)
-        sharded = self._run(blocks, execution="sharded", n_workers=3)
+        pairs = self._first_seen_pairs(blocks)
+        serial = resolve(
+            self._records(), None, default_product_comparator(),
+            self.CLASSIFIER, candidate_pairs=set(map(frozenset, pairs)),
+        )
+        sharded = _sharded_matches(self._records(), pairs, self.CLASSIFIER, 3)
         assert sharded.match_pairs == serial.match_pairs
-        assert sharded.n_unique_comparisons == serial.n_unique_comparisons
+        assert sharded.scored_edges == serial.scored_edges
 
 
 class TestShardedDistributedLinkage:
@@ -302,15 +275,16 @@ class TestShardedDistributedLinkage:
         dataset = generate_dataset(world, CorpusConfig(n_sources=4, seed=5))
         records = list(dataset.records())
         blocks = StandardBlocker(first_token_key("name")).block(records)
-        serial = run_distributed_linkage(
-            records, blocks, default_product_comparator(),
-            ThresholdClassifier(0.72), "blocksplit", n_reducers=4,
+        classifier = ThresholdClassifier(0.72)
+        serial = resolve(
+            records, None, default_product_comparator(), classifier,
+            candidate_pairs=blocks.candidate_pairs(),
         )
-        sharded = run_distributed_linkage(
-            records, blocks, default_product_comparator(),
-            ThresholdClassifier(0.72), "blocksplit", n_reducers=4,
-            execution="sharded", n_workers=3,
-        )
+        # What a reducer fleet would be handed: the task pairs of one
+        # partitioning, deduplicated across blocks.
+        task_level = _all_pairs(partition_blocks(blocks, "blocksplit", 4))
+        sharded = _sharded_matches(records, task_level, classifier, 3)
         assert sharded.match_pairs == serial.match_pairs
-        assert sharded.n_unique_comparisons == serial.n_unique_comparisons
-        assert sharded.n_comparisons == serial.n_comparisons
+        assert sharded.scored_edges == serial.scored_edges
+        assert sharded.clusters == serial.clusters
+        assert sharded.n_candidates == serial.n_candidates

@@ -33,13 +33,9 @@ from repro.dist import (
     ClusterCostModel,
     plan_shards,
     shard_of_key,
-    sharded_match_pairs,
     sharded_resolve,
-    sharded_vote_fusion,
 )
-from repro.dist.runtime import _canonical_pairs, _partition_pairs
-from repro.fusion.base import Claim, ClaimSet
-from repro.fusion.voting import VotingFuser
+from repro.dist.runtime import _partition_pairs
 from repro.linkage import (
     FieldComparator,
     RecordComparator,
@@ -51,6 +47,7 @@ from repro.linkage.blocking.keys import first_token_key
 from repro.linkage.blocking.standard import StandardBlocker
 from repro.linkage.blocking.token import TokenBlocker
 from repro.linkage.comparison import default_product_comparator
+from repro.linkage.resolver import _canonical_pairs
 from repro.obs import Tracer
 from repro.recovery import CheckpointMismatchError, RunStore
 from repro.resilience import ChunkExecutionError
@@ -528,12 +525,12 @@ def _chaos_baseline(records, pairs):
 
 
 def _sharded(records, pairs, n_shards=2, resilience=None, tracer=None):
-    by_id = {record.record_id: record for record in records}
-    return sharded_match_pairs(
-        by_id,
-        pairs,
+    return sharded_resolve(
+        records,
+        None,
         _chaos_comparator(),
         CHAOS_CLASSIFIER,
+        candidate_pairs=pairs,
         n_shards=n_shards,
         backend="inline",
         chunk_size=7,
@@ -553,9 +550,9 @@ class TestChaosMatrix:
             records, pairs,
             resilience=resilience_config(injector=injector),
         )
-        assert run.match_pairs == baseline.match_pairs
-        assert run.scored_edges == baseline.scored_edges
-        assert not run.dead_letters
+        assert run.result.match_pairs == baseline.match_pairs
+        assert run.result.scored_edges == baseline.scored_edges
+        assert not run.result.dead_letters
         assert injector.fired() == 1
 
     def test_shard_targeted_fault_spares_other_shards(
@@ -611,9 +608,10 @@ class TestChaosMatrix:
             records, pairs,
             resilience=resilience_config(failure="skip", injector=injector),
         )
-        assert run.quarantined_pairs == (poison,)
-        assert run.match_pairs == baseline.match_pairs - {frozenset(poison)}
-        [entry] = run.dead_letters
+        result = run.result
+        assert result.quarantined_pairs == (poison,)
+        assert result.match_pairs == baseline.match_pairs - {frozenset(poison)}
+        [entry] = result.dead_letters
         assert entry.kind == "crash"
         assert entry.items == (poison,)
 
@@ -621,39 +619,14 @@ class TestChaosMatrix:
         records, pairs = _chaos_workload()
         tracer = Tracer()
         run = _sharded(records, pairs, tracer=tracer)
-        assert run.execution == "sharded"
-        assert run.n_workers == 2
-        assert run.n_pairs == len(pairs)
+        assert run.backend == "inline"
+        assert run.n_shards == 2
+        assert run.result.n_candidates == len(pairs)
+        assert sum(shard.n_pairs for shard in run.shards) == len(pairs)
         counters = tracer.report().metrics["counters"]
         assert counters["dist.shard.pairs"] == len(pairs)
         gauges = tracer.report().metrics.get("gauges", {})
         assert gauges.get("dist.shard.count") == 2
-
-
-class TestShardedVoteFusion:
-    def _claims(self):
-        claims = ClaimSet()
-        for item in ("width", "height", "brand", "zoom", "mount"):
-            for source in ("s0", "s1", "s2"):
-                value = "a" if (source, item) != ("s2", item) else "b"
-                claims.add(Claim(source, item, value))
-        return claims
-
-    def test_identical_to_serial_voting(self):
-        claims = self._claims()
-        serial = VotingFuser().fuse(claims)
-        for n_shards in (1, 2, 4):
-            fused = sharded_vote_fusion(claims, n_shards=n_shards)
-            assert fused.chosen == serial.chosen
-            assert fused.confidence == serial.confidence
-            # Item order is the serial claim-set order, not shard order.
-            assert list(fused.chosen) == list(serial.chosen)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sharded_vote_fusion(self._claims(), n_shards=2, backend="nope")
-        with pytest.raises(ConfigurationError):
-            sharded_vote_fusion(self._claims(), n_shards=0)
 
 
 class TestShardedPipeline:
@@ -676,6 +649,26 @@ class TestShardedPipeline:
         assert sharded.clusters == serial.clusters
         assert sharded.fusion.chosen == serial.fusion.chosen
         assert sharded.entity_table == serial.entity_table
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_voted_entity_table_is_byte_identical(self, corpus, backend):
+        # Fusion runs at the coordinator through the ordinary voter, so
+        # a sharded pipeline's table has the serial one's bytes: same
+        # values, same confidences, same item and attribute order.
+        serial = BDIPipeline(PipelineConfig(fusion="vote")).run(corpus.dataset)
+        sharded = BDIPipeline(
+            PipelineConfig(
+                fusion="vote",
+                execution="sharded",
+                n_shards=2,
+                shard_backend=backend,
+            )
+        ).run(corpus.dataset)
+        assert repr(sharded.entity_table) == repr(serial.entity_table)
+        assert repr(sharded.fusion.chosen) == repr(serial.fusion.chosen)
+        assert repr(sharded.fusion.confidence) == repr(
+            serial.fusion.confidence
+        )
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
 from repro.core.pipeline import PipelineConfig
-from repro.dist import run_distributed_linkage
+from repro.dist import partition_blocks, task_pairs
 from repro.linkage import (
     Block,
     BlockCollection,
@@ -408,6 +408,10 @@ class TestProcessBackend:
 
 
 class TestDistributedMemoization:
+    """Overlapping blocks put every shared pair into two match tasks;
+    the dedup that scores it once is ``candidate_pairs()`` and the
+    canonical pair list, whatever strategy scheduled the tasks."""
+
     @pytest.fixture(scope="class")
     def overlapping(self, request):
         world = generate_world(
@@ -430,51 +434,42 @@ class TestDistributedMemoization:
         )
         return records, blocks
 
-    def test_duplicated_pairs_scored_once(self, overlapping):
-        records, blocks = overlapping
-        comparator = default_product_comparator()
-        classifier = ThresholdClassifier(0.72)
-        memoized = run_distributed_linkage(
-            records, blocks, comparator, classifier, "naive", 3
-        )
-        raw = run_distributed_linkage(
-            records, blocks, comparator, classifier, "naive", 3,
-            memoize=False,
-        )
-        assert memoized.match_pairs == raw.match_pairs
-        assert memoized.n_unique_comparisons < memoized.n_comparisons
-        assert raw.n_comparisons == memoized.n_comparisons
+    @staticmethod
+    def _task_level_pairs(blocks, strategy, n_reducers):
+        return [
+            pair
+            for tasks in partition_blocks(blocks, strategy, n_reducers)
+            for task in tasks
+            for pair in task_pairs(task)
+        ]
 
     def test_strategies_report_same_unique_count(self, overlapping):
-        records, blocks = overlapping
-        comparator = default_product_comparator()
-        classifier = ThresholdClassifier(0.72)
-        runs = [
-            run_distributed_linkage(
-                records, blocks, comparator, classifier, strategy, 4
-            )
+        __, blocks = overlapping
+        unique = [
+            {
+                frozenset(pair)
+                for pair in self._task_level_pairs(blocks, strategy, 4)
+            }
             for strategy in ("naive", "blocksplit", "pairrange")
         ]
-        assert len({run.n_unique_comparisons for run in runs}) == 1
-        assert (
-            runs[0].match_pairs
-            == runs[1].match_pairs
-            == runs[2].match_pairs
-        )
+        assert unique[0] == unique[1] == unique[2] == blocks.candidate_pairs()
+        # The overlap is real: tasks carry every shared pair twice.
+        assert len(unique[0]) < blocks.n_comparisons
 
     @pytest.mark.slow
     def test_process_execution_matches_serial(self, overlapping):
         records, blocks = overlapping
         comparator = default_product_comparator()
         classifier = ThresholdClassifier(0.72)
-        serial = run_distributed_linkage(
-            records, blocks, comparator, classifier, "blocksplit", 4
+        pairs = self._task_level_pairs(blocks, "blocksplit", 4)
+        serial = ParallelComparisonEngine(comparator).match_pairs(
+            records, pairs, classifier
         )
-        process = run_distributed_linkage(
-            records, blocks, comparator, classifier, "blocksplit", 4,
-            execution="process", n_workers=2,
-        )
+        process = ParallelComparisonEngine(
+            comparator, execution="process", n_workers=2
+        ).match_pairs(records, pairs, classifier)
         assert process.match_pairs == serial.match_pairs
+        assert process.scored_edges == serial.scored_edges
 
 
 # --- one loop under every configuration --------------------------------

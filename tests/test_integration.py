@@ -2,7 +2,7 @@
 
 Each test wires several subsystems together and asserts an
 *equivalence* or *round-trip* property that only holds when the seams
-line up: persistence feeding the pipeline, distributed linkage
+line up: persistence feeding the pipeline, sharded linkage
 matching sequential linkage, schema translation feeding comparators,
 and claims surviving the CSV round-trip into fusion.
 """
@@ -10,7 +10,6 @@ and claims surviving the CSV round-trip into fusion.
 import pytest
 
 from repro import BDIPipeline, FourVKnobs, PipelineConfig, build_corpus
-from repro.dist import run_distributed_linkage
 from repro.fusion import AccuVote, VotingFuser
 from repro.io import load_claims, load_dataset, save_claims, save_dataset
 from repro.linkage import (
@@ -19,7 +18,6 @@ from repro.linkage import (
     StandardBlocker,
     ThresholdClassifier,
     TokenBlocker,
-    connected_components,
     default_product_comparator,
     resolve,
 )
@@ -78,16 +76,15 @@ class TestDistributedEqualsSequential:
         comparator = default_product_comparator()
         classifier = ThresholdClassifier(0.72)
         sequential = resolve(records, blocker, comparator, classifier)
-        for strategy in ("naive", "blocksplit", "pairrange"):
-            distributed = run_distributed_linkage(
-                records,
-                blocker.block(records),
-                comparator,
-                classifier,
-                strategy,
-                n_reducers=8,
+        for n_shards in (2, 8):
+            distributed = resolve(
+                records, blocker, comparator, classifier,
+                execution="sharded", n_shards=n_shards,
+                shard_backend="inline",
             )
             assert distributed.match_pairs == sequential.match_pairs
+            assert distributed.scored_edges == sequential.scored_edges
+            assert distributed.clusters == sequential.clusters
 
     def test_distributed_clusters_match_quality(self):
         world = generate_world(
@@ -95,19 +92,18 @@ class TestDistributedEqualsSequential:
         )
         dataset = generate_dataset(world, CorpusConfig(n_sources=8, seed=6))
         records = list(dataset.records())
-        blocks = TokenBlocker(max_block_size=60).block(records)
-        run = run_distributed_linkage(
+        linkage = resolve(
             records,
-            blocks,
+            TokenBlocker(max_block_size=60),
             default_product_comparator(),
             ThresholdClassifier(0.72),
-            "blocksplit",
-            n_reducers=4,
+            execution="sharded",
+            n_shards=4,
+            shard_backend="inline",
         )
-        clusters = connected_components(
-            run.match_pairs, [r.record_id for r in records]
+        quality = pairwise_cluster_quality(
+            linkage.clusters, dataset.ground_truth
         )
-        quality = pairwise_cluster_quality(clusters, dataset.ground_truth)
         assert quality.f1 > 0.9
 
 

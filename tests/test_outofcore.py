@@ -606,6 +606,31 @@ class TestStreamingPipeline:
                     dataset, memory_budget=30_000, spill_dir=tmp_path
                 )
 
+    def test_failed_run_removes_its_spill_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # With no spill_dir the run owns a temporary directory; a stage
+        # that raises must take it (and its spilled runs) down on the
+        # way out, not leave it to the garbage collector for as long
+        # as the traceback is referenced.
+        import tempfile
+
+        import repro.outofcore
+
+        def failing_fusion(*args, **kwargs):
+            raise RuntimeError("fusion stage failed")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(
+            repro.outofcore, "stream_accuvote", failing_fusion
+        )
+        with pytest.raises(RuntimeError) as excinfo:
+            BDIPipeline(PipelineConfig(fusion="accuvote")).run(
+                _dataset(), memory_budget=30_000
+            )
+        assert excinfo.value.args == ("fusion stage failed",)
+        assert list(tmp_path.glob("repro-spill-*")) == []
+
 
 # --- kill-and-resume mid-spill ---------------------------------------
 

@@ -267,6 +267,25 @@ class TestClusteringInvariants:
         assert quality.recall == pytest.approx(1.0)
 
 
+class TestCanonicalPairOrder:
+    @given(
+        st.sets(
+            st.frozensets(st.text(max_size=4), min_size=2, max_size=2),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=80)
+    def test_canonical_pairs_are_sorted_oriented_tuples(self, pairs):
+        # The one order every engine run — serial, streamed, sharded —
+        # scores candidates in; chunk checkpoints line up only if every
+        # path agrees on it.
+        from repro.linkage.resolver import _canonical_pairs
+
+        assert _canonical_pairs(pairs) == sorted(
+            tuple(sorted(pair)) for pair in pairs
+        )
+
+
 # --- fault-tolerance invariants --------------------------------------
 
 

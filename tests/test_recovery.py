@@ -466,8 +466,8 @@ class TestEngineCheckpoint:
         assert run.scored_edges == baseline_run.scored_edges
 
     def test_checkpoint_accepts_directory_path(self, tmp_path):
-        # resolve()/run_distributed_linkage()/the engine take a plain
-        # path and open the store themselves, like BDIPipeline.run.
+        # resolve() and the engine take a plain path and open the store
+        # themselves, like BDIPipeline.run.
         from repro.linkage import TokenBlocker, resolve
 
         records = _records()

@@ -18,15 +18,15 @@ import pytest
 
 from repro.core import ConfigurationError, Record
 from repro.core.pipeline import BDIPipeline, PipelineConfig
-from repro.dist import MapReduceJob, run_distributed_linkage
 from repro.linkage import (
-    Block,
-    BlockCollection,
     FieldComparator,
     ParallelComparisonEngine,
     RecordComparator,
+    StandardBlocker,
     ThresholdClassifier,
+    resolve,
 )
+from repro.linkage.blocking import first_token_key
 from repro.obs import Tracer
 from repro.resilience import (
     ChunkExecutionError,
@@ -163,8 +163,6 @@ class TestResilienceConfig:
     def test_hosts_reject_non_config(self):
         with pytest.raises(ConfigurationError):
             _engine(resilience=42)
-        with pytest.raises(ConfigurationError):
-            MapReduceJob(lambda x: [], lambda k, v: [], resilience="skip")
         with pytest.raises(ConfigurationError):
             PipelineConfig(resilience="retry")
 
@@ -609,123 +607,52 @@ class TestProcessRealFaults:
         assert gauges["engine.chunks_done"] == 4
 
 
-# --- distributed driver and MapReduce ----------------------------------
+# --- the sharded path --------------------------------------------------
+#
+# Faults aimed at one shard live in tests/test_dist_runtime.py
+# (TestChaosMatrix); here an untargeted fault reaches every shard's
+# engine through the public ``resolve(execution="sharded")`` surface.
 
 
 class TestDistributedResilience:
-    def _inputs(self):
-        records = _records()
-        ids = tuple(record.record_id for record in records)
-        blocks = BlockCollection([Block("all", ids)])
-        return records, blocks
+    def _resolve(self, resilience=None):
+        # Every record shares the brand: one block, all 28 pairs,
+        # split over two shards by pair owner.
+        return resolve(
+            _records(),
+            StandardBlocker(first_token_key("brand")),
+            _comparator(),
+            CLASSIFIER,
+            execution="sharded",
+            n_shards=2,
+            shard_backend="inline",
+            resilience=resilience,
+        )
 
     def test_retry_matches_fault_free_run(
         self, resilience_config, fault_injector
     ):
-        records, blocks = self._inputs()
-        kwargs = dict(
-            strategy="naive", n_reducers=2, execution="serial", n_workers=1
-        )
-        clean = run_distributed_linkage(
-            records, blocks, _comparator(), CLASSIFIER, **kwargs
-        )
-        config = resilience_config(injector=fault_injector(crash(attempts=1)))
-        run = run_distributed_linkage(
-            records, blocks, _comparator(), CLASSIFIER,
-            resilience=config, **kwargs,
-        )
+        clean = self._resolve()
+        injector = fault_injector(crash(attempts=1))
+        run = self._resolve(resilience_config(injector=injector))
+        assert injector.fired() >= 2  # once per shard at least
         assert run.match_pairs == clean.match_pairs
+        assert run.scored_edges == clean.scored_edges
+        assert run.clusters == clean.clusters
         assert not run.dead_letters
-        assert run.completed_chunks == run.n_chunks == 1
+        assert run.quarantined_pairs == ()
 
     def test_skip_degrades_to_partial_results(
         self, resilience_config, fault_injector
     ):
-        records, blocks = self._inputs()
-        kwargs = dict(
-            strategy="naive", n_reducers=2, execution="serial", n_workers=1
-        )
-        clean = run_distributed_linkage(
-            records, blocks, _comparator(), CLASSIFIER, **kwargs
-        )
+        clean = self._resolve()
         config = resilience_config(
             failure="skip", injector=fault_injector(crash(item=POISON))
         )
-        run = run_distributed_linkage(
-            records, blocks, _comparator(), CLASSIFIER,
-            resilience=config, **kwargs,
-        )
+        run = self._resolve(config)
         assert run.quarantined_pairs == (POISON,)
         assert run.match_pairs == clean.match_pairs - {frozenset(POISON)}
         assert len(run.dead_letters) == 1
-
-
-def _mod_map(item):
-    return [(item % 3, item)]
-
-
-def _sum_reduce(key, values):
-    return [(key, sum(values))]
-
-
-class TestMapReduceResilience:
-    INPUTS = list(range(12))
-
-    def _baseline(self):
-        return MapReduceJob(_mod_map, _sum_reduce, n_reducers=2).run(
-            self.INPUTS
-        )
-
-    def test_retry_reproduces_fault_free_outputs(
-        self, resilience_config, fault_injector
-    ):
-        clean = self._baseline()
-        job = MapReduceJob(
-            _mod_map, _sum_reduce, n_reducers=2,
-            resilience=resilience_config(
-                injector=fault_injector(crash(chunk=0, attempts=1))
-            ),
-        )
-        result = job.run(self.INPUTS)
-        assert result.outputs == clean.outputs
-        assert result.n_quarantined_keys == 0
-        assert result.reducer_metrics == clean.reducer_metrics
-
-    def test_skip_quarantines_poison_key_only(self, resilience_config):
-        clean = self._baseline()
-
-        def bad_reduce(key, values):
-            if key == 2:
-                raise ValueError("reducer OOM")
-            return _sum_reduce(key, values)
-
-        job = MapReduceJob(
-            _mod_map, bad_reduce, n_reducers=2,
-            resilience=resilience_config(failure="skip"),
-        )
-        result = job.run(self.INPUTS)
-        assert result.n_quarantined_keys == 1
-        [entry] = result.dead_letters
-        assert entry.scope == "mapreduce.key"
-        assert entry.error_type == "ValueError"
-        assert entry.items[0][1] == 2  # the (reducer, key) unit
-        assert result.outputs == [
-            output for output in clean.outputs if output[0] != 2
-        ]
-        # Cost is still charged for the attempted key.
-        assert result.reducer_metrics == clean.reducer_metrics
-
-    def test_fail_raises_chunk_execution_error(
-        self, resilience_config, fault_injector
-    ):
-        job = MapReduceJob(
-            _mod_map, _sum_reduce, n_reducers=2,
-            resilience=resilience_config(
-                failure="fail", injector=fault_injector(crash())
-            ),
-        )
-        with pytest.raises(ChunkExecutionError):
-            job.run(self.INPUTS)
 
 
 class TestPipelineResilience:
