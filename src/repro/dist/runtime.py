@@ -10,19 +10,16 @@ reassembles a result **byte-identical** to the single-process
 
 The run proceeds in four coordinated steps:
 
-1. **Shuffle / blocking.** Every record belongs to a home shard
-   (:func:`~repro.dist.partition.shard_of_key` over its record id) and
-   every candidate pair to an owner shard (hash of its smaller id).
-   Decomposable blockers (``blocker.supports_shard_keys``) run as a
-   distributed map: each home shard emits ``(key, position, id)``
-   tuples into sorted per-destination runs through the
-   :mod:`repro.outofcore` spill machinery, key-owner shards k-way merge
-   their inbound runs, rebuild each block in original record order,
-   and write sorted pair runs to the pair-owner shards. The
-   coordinator's final merge (:func:`~repro.outofcore.merge_sorted_streams`
-   with dedup) hands every shard exactly its sorted slice of the
-   canonical pair list — the same sorted-unique order the serial
-   resolver feeds its engine.
+1. **Candidate pairs.** The coordinator holds the canonical pair list
+   (sorted, unique, oriented id tuples — the order the serial resolver
+   feeds its engine): the caller's ``candidate_pairs`` when given,
+   otherwise the blocker's, run once over the whole corpus and
+   reporting the same ``blocking.*`` metrics as a serial run.
+   :func:`_partition_pairs` deals it out by the home shard
+   (:func:`~repro.dist.partition.shard_of_key`) of each pair's smaller
+   id, so every shard holds a sorted slice of that order; pairs whose
+   two records have different home shards are counted as *spanning* —
+   the shuffle volume a real cluster would pay.
 2. **Matching.** Each shard's pairs run through the existing resilient
    chunked :class:`~repro.linkage.engine.ParallelComparisonEngine`
    (dict or columnar) inside a worker. Workers checkpoint into their
@@ -53,7 +50,6 @@ import hashlib
 import itertools
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -67,8 +63,13 @@ from repro.dist.partition import shard_of_key
 from repro.linkage.blocking.base import Blocker
 from repro.linkage.clustering import ScoredEdge, connected_components
 from repro.linkage.engine import ParallelComparisonEngine
-from repro.linkage.resolver import LinkageResult, _canonical_pairs, _cluster
-from repro.obs import NULL_TRACER, Tracer, observe_block_collection
+from repro.linkage.resolver import (
+    LinkageResult,
+    _block_pairs,
+    _canonical_pairs,
+    _cluster,
+)
+from repro.obs import NULL_TRACER, Tracer
 from repro.outofcore import merge_sorted_streams
 from repro.recovery import CheckpointMismatchError, RunStore, config_fingerprint
 from repro.resilience import DeadLetterLog
@@ -217,88 +218,6 @@ def _partition_pairs(
             spanning += 1
         buckets[owner].append(pair)
     return buckets, spanning
-
-
-def _shuffled_shard_pairs(
-    records: Sequence[Record], blocker: Blocker, n_shards: int, store, tracer
-) -> tuple[list[list[tuple[str, str]]], int, int]:
-    """The decomposed blocking shuffle (step 1 of the module docstring).
-
-    Returns per-owner sorted pair lists, the number of accepted blocks,
-    and the spanning-pair count. The per-owner lists concatenate to
-    exactly the serial blocker's canonical pair order: every block is
-    rebuilt with its ids in original record order before the blocker's
-    own ``accepts_block`` filter runs, and the final per-owner merge
-    dedups across key owners.
-    """
-    # Map side: home shards emit (key, position, record id) runs.
-    by_producer: list[list[tuple[int, Record]]] = [[] for __ in range(n_shards)]
-    for position, record in enumerate(records):
-        home = shard_of_key(record.record_id, n_shards)
-        by_producer[home].append((position, record))
-    for producer, assigned in enumerate(by_producer):
-        outbound: list[list[tuple[str, int, str]]] = [
-            [] for __ in range(n_shards)
-        ]
-        for position, record in assigned:
-            for key in blocker.shard_keys(record):
-                owner = shard_of_key(key, n_shards)
-                outbound[owner].append((key, position, record.record_id))
-        for owner, items in enumerate(outbound):
-            if items:
-                store.save_stream(
-                    f"shuffle.keys.to{owner}.from{producer}", sorted(items)
-                )
-    # Key-owner side: merge inbound runs, rebuild blocks, emit pairs.
-    n_blocks = 0
-    for key_owner in range(n_shards):
-        inbound = [
-            store.load_stream(f"shuffle.keys.to{key_owner}.from{producer}")
-            for producer in range(n_shards)
-        ]
-        merged = merge_sorted_streams(
-            stream for stream in inbound if stream is not None
-        )
-        pairs_out: list[set[tuple[str, str]]] = [set() for __ in range(n_shards)]
-        for key, group in itertools.groupby(merged, key=lambda item: item[0]):
-            ids = [record_id for __, __, record_id in group]
-            if not blocker.accepts_block(key, ids):
-                continue
-            n_blocks += 1
-            for i, left in enumerate(ids):
-                for right in ids[i + 1 :]:
-                    if left == right:
-                        continue
-                    pair = (left, right) if left < right else (right, left)
-                    pairs_out[shard_of_key(pair[0], n_shards)].add(pair)
-        for pair_owner, pairs in enumerate(pairs_out):
-            if pairs:
-                store.save_stream(
-                    f"shuffle.pairs.to{pair_owner}.from{key_owner}",
-                    sorted(pairs),
-                )
-    # Coordinator side: per-owner k-way merge with cross-owner dedup.
-    buckets: list[list[tuple[str, str]]] = []
-    spanning = 0
-    for pair_owner in range(n_shards):
-        inbound = [
-            store.load_stream(f"shuffle.pairs.to{pair_owner}.from{key_owner}")
-            for key_owner in range(n_shards)
-        ]
-        merged = list(
-            merge_sorted_streams(
-                (stream for stream in inbound if stream is not None),
-                dedup=True,
-            )
-        )
-        spanning += sum(
-            1
-            for pair in merged
-            if shard_of_key(pair[1], n_shards) != pair_owner
-        )
-        buckets.append(merged)
-    tracer.counter("dist.shuffle.blocks").inc(n_blocks)
-    return buckets, n_blocks, spanning
 
 
 @dataclass(frozen=True)
@@ -589,7 +508,6 @@ def sharded_resolve(
     tracer=None,
     resilience=None,
     checkpoint=None,
-    spill_dir=None,
     representation: str = "dict",
     supervisor=None,
 ) -> ShardedResolveRun:
@@ -599,10 +517,9 @@ def sharded_resolve(
     ``.result``) byte-identical to the serial
     :func:`~repro.linkage.resolve` over the same inputs, for every
     ``n_shards``, backend, and representation. See the module docstring
-    for the four coordinated steps; ``n_shards=None`` lets
-    :func:`plan_shards` choose from the cost model (which then blocks
-    at the coordinator, since the shuffle needs the shard count
-    up-front).
+    for the four coordinated steps. ``candidate_pairs`` (unique pairs)
+    replaces the blocker's output when given; ``n_shards=None`` lets
+    :func:`plan_shards` choose from the cost model.
     """
     if backend not in SHARD_BACKENDS:
         raise ConfigurationError(
@@ -613,70 +530,30 @@ def sharded_resolve(
     records = list(records)
     by_id = {record.record_id: record for record in records}
     with tracer.span("dist.sharded", backend=backend) as span:
-        temp = None
-        try:
-            buckets: list[list[tuple[str, str]]] | None = None
-            spanning = 0
-            if candidate_pairs is not None:
-                ordered = _canonical_pairs(candidate_pairs)
-                plan = plan_shards(
-                    len(ordered), model=cost_model, n_shards=n_shards
-                )
-                buckets, spanning = _partition_pairs(ordered, plan.n_shards)
-            elif n_shards is not None and blocker.supports_shard_keys:
-                if spill_dir is None:
-                    temp = tempfile.TemporaryDirectory(prefix="repro-shuffle-")
-                    store = RunStore(temp.name, durable=False)
-                elif hasattr(spill_dir, "save_stream"):
-                    store = spill_dir
-                else:
-                    store = RunStore(spill_dir, durable=False)
-                with tracer.span(
-                    "dist.shuffle", blocker=type(blocker).__name__
-                ) as shuffle_span:
-                    buckets, n_blocks, spanning = _shuffled_shard_pairs(
-                        records, blocker, n_shards, store, tracer
-                    )
-                    shuffle_span.set("n_blocks", n_blocks)
-                plan = plan_shards(
-                    sum(len(bucket) for bucket in buckets),
-                    model=cost_model,
-                    n_shards=n_shards,
-                )
-            else:
-                with tracer.span(
-                    "dist.block", blocker=type(blocker).__name__
-                ) as block_span:
-                    blocks = blocker.block(records)
-                    observe_block_collection(tracer, blocks)
-                    pairs = blocks.candidate_pairs()
-                    block_span.set("n_blocks", len(blocks))
-                ordered = _canonical_pairs(pairs)
-                plan = plan_shards(
-                    len(ordered), model=cost_model, n_shards=n_shards
-                )
-                buckets, spanning = _partition_pairs(ordered, plan.n_shards)
-            n_candidates = sum(len(bucket) for bucket in buckets)
-            signatures = [_pair_signature(bucket) for bucket in buckets]
-            binding = _bind_store(checkpoint)
-            _guard_layout(binding, plan.n_shards, signatures)
-            shards = _execute_shards(
-                buckets,
-                by_id,
-                comparator,
-                classifier,
-                backend=backend,
-                chunk_size=chunk_size,
-                representation=representation,
-                resilience=resilience,
-                binding=binding,
-                signatures=signatures,
-                tracer=tracer,
-                supervisor=supervisor,
-            )
-        finally:
-            if temp is not None:
-                temp.cleanup()
+        ordered = (
+            _canonical_pairs(candidate_pairs)
+            if candidate_pairs is not None
+            else _block_pairs(blocker, records, tracer, "dist.block")
+        )
+        plan = plan_shards(len(ordered), model=cost_model, n_shards=n_shards)
+        buckets, spanning = _partition_pairs(ordered, plan.n_shards)
+        signatures = [_pair_signature(bucket) for bucket in buckets]
+        binding = _bind_store(checkpoint)
+        _guard_layout(binding, plan.n_shards, signatures)
+        shards = _execute_shards(
+            buckets,
+            by_id,
+            comparator,
+            classifier,
+            backend=backend,
+            chunk_size=chunk_size,
+            representation=representation,
+            resilience=resilience,
+            binding=binding,
+            signatures=signatures,
+            tracer=tracer,
+            supervisor=supervisor,
+        )
         _emit_shard_metrics(tracer, shards, plan.n_shards, spanning)
         match_pairs: set[frozenset[str]] = set()
         for shard in shards:
@@ -708,7 +585,7 @@ def sharded_resolve(
         result = LinkageResult(
             clusters=clusters,
             match_pairs=match_pairs,
-            n_candidates=n_candidates,
+            n_candidates=len(ordered),
             scored_edges=scored_edges,
             dead_letters=(
                 _merge_dead_letters(shards) if resilience is not None else None
@@ -716,7 +593,7 @@ def sharded_resolve(
             quarantined_pairs=quarantined,
         )
         span.set("n_shards", plan.n_shards)
-        span.set("n_candidates", n_candidates)
+        span.set("n_candidates", len(ordered))
         span.set("n_resumed", sum(1 for shard in shards if shard.resumed))
     return ShardedResolveRun(
         result=result,

@@ -13,6 +13,7 @@ from repro.linkage.blocking import (
     Blocker,
     CanopyBlocker,
     CompositeBlocker,
+    KeyBlocker,
     KeyFunction,
     QGramBlocker,
     SortedNeighborhoodBlocker,
@@ -93,6 +94,7 @@ __all__ = [
     "FieldComparator",
     "IdentifierDetection",
     "IncrementalLinker",
+    "KeyBlocker",
     "KeyFunction",
     "LabeledPair",
     "LinkageResult",

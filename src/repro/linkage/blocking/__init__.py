@@ -5,6 +5,7 @@ from repro.linkage.blocking.base import (
     Block,
     BlockCollection,
     Blocker,
+    KeyBlocker,
     KeyFunction,
 )
 from repro.linkage.blocking.canopy import CanopyBlocker
@@ -34,6 +35,7 @@ __all__ = [
     "Blocker",
     "CanopyBlocker",
     "CompositeBlocker",
+    "KeyBlocker",
     "KeyFunction",
     "MinHashBlocker",
     "NAME_ALIASES",

@@ -15,7 +15,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 
-__all__ = ["Block", "BlockCollection", "Blocker", "KeyFunction"]
+__all__ = [
+    "Block",
+    "BlockCollection",
+    "Blocker",
+    "KeyBlocker",
+    "KeyFunction",
+    "keys_of",
+]
 
 #: A key function maps a record to zero or more blocking keys.
 #: ``None`` and empty strings are treated as "no key".
@@ -144,47 +151,67 @@ class Blocker:
         """Whether this blocker overrides :meth:`stream_blocks`."""
         return type(self).stream_blocks is not Blocker.stream_blocks
 
-    def shard_keys(self, record: Record) -> list[str]:
-        """Blocking keys of one record, for shard-decomposed blocking.
 
-        A blocker whose keys depend only on the record itself can run
-        as a distributed map: each shard emits ``(key, record)``
-        contributions independently and key owners reassemble blocks.
-        Overrides must emit, per record, exactly the keys :meth:`block`
-        would index the record under (duplicates included, since
-        :meth:`block` keeps them too). The base raises so callers can
-        detect (via :attr:`supports_shard_keys`) and fall back to
-        whole-corpus blocking at the coordinator.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no shard-decomposable key path"
-        )
+class KeyBlocker(Blocker):
+    """A blocker that *is* its keys: records sharing a key form a block.
 
-    def accepts_block(self, key: str, record_ids: Sequence[str]) -> bool:
-        """Whether a reassembled block survives this blocker's filters.
+    A subclass supplies :meth:`record_keys` — the keys one record is
+    indexed under, a function of that record alone — and may set
+    ``max_block_size`` to drop oversize (stop-word) blocks. Grouping,
+    the size filter and the out-of-core stream are written here once,
+    so every keyed blocker runs in memory and under a memory budget
+    with identical blocks: sorted by key, each block's ids in record
+    order, sizes in ``2 .. max_block_size``.
+    """
 
-        Called by the sharded runtime after a key owner regroups a
-        key's record ids (in original record order). The base keeps
-        any block that can produce at least one pair — the same rule
-        ``BlockCollection.from_key_map`` applies; blockers with extra
-        filters (e.g. an oversize cutoff) override and re-apply them.
-        """
-        return len(record_ids) > 1
+    def __init__(self, max_block_size: int | None = None) -> None:
+        if max_block_size is not None:
+            require_positive("max_block_size", max_block_size)
+        self._max_block_size = max_block_size
 
-    @property
-    def supports_shard_keys(self) -> bool:
-        """Whether this blocker overrides :meth:`shard_keys`."""
-        return type(self).shard_keys is not Blocker.shard_keys
+    def record_keys(self, record: Record) -> Iterable[str]:
+        """The blocking keys of one record; it is appended once per key
+        emitted, so a repeated key repeats the record in that block."""
+        raise NotImplementedError
 
-    @staticmethod
-    def _keys_of(key_function: KeyFunction, record: Record) -> list[str]:
-        """Normalize a key function's output to a list of usable keys."""
-        raw = key_function(record)
-        if raw is None:
-            return []
-        if isinstance(raw, str):
-            return [raw] if raw else []
-        return [key for key in raw if key]
+    def _blocks(
+        self, groups: Iterable[tuple[str, Sequence[str]]]
+    ) -> Iterator[Block]:
+        """The blocks worth comparing among key-sorted ``(key, ids)``
+        groups; the cap is on a key's complete id list, so a streamed
+        index can only be filtered here, after its merge."""
+        cap = self._max_block_size
+        for key, record_ids in groups:
+            if len(record_ids) > 1 and (cap is None or len(record_ids) <= cap):
+                yield Block(key, tuple(record_ids))
+
+    def block(self, records: Sequence[Record]) -> BlockCollection:
+        by_key: dict[str, list[str]] = defaultdict(list)
+        for record in records:
+            for key in self.record_keys(record):
+                by_key[key].append(record.record_id)
+        return BlockCollection(self._blocks(sorted(by_key.items())))
+
+    def stream_blocks(self, records: Iterable[Record], spill) -> Iterator[Block]:
+        """Out-of-core :meth:`block`: identical blocks, bounded memory."""
+        from repro.outofcore.spill import SpillableBlockIndex
+
+        index = SpillableBlockIndex(spill.scoped(self.name), spill.budget)
+        for record in records:
+            for key in self.record_keys(record):
+                index.add(key, record.record_id)
+        yield from self._blocks(index.merged())
+
+
+def keys_of(key_function: KeyFunction, record: Record) -> list[str]:
+    """A key function's output as a list of usable keys: ``None`` and
+    ``""`` give none, a string one, an iterable its non-empty members."""
+    raw = key_function(record)
+    if raw is None:
+        return []
+    if isinstance(raw, str):
+        return [raw] if raw else []
+    return [key for key in raw if key]
 
 
 def require_positive(name: str, value: int) -> None:

@@ -11,12 +11,11 @@ S-curve whose threshold ``(1/bands)^(1/rows)`` the constructor reports.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
-from repro.linkage.blocking.base import BlockCollection, Blocker
+from repro.linkage.blocking.base import KeyBlocker
 from repro.text.normalize import normalize_value
 from repro.text.tokens import word_tokens
 
@@ -35,7 +34,7 @@ def _stable_hash(token: str) -> int:
     return value
 
 
-class MinHashBlocker(Blocker):
+class MinHashBlocker(KeyBlocker):
     """LSH over MinHash sketches of record token sets.
 
     Parameters
@@ -61,6 +60,7 @@ class MinHashBlocker(Blocker):
         text_function: Callable[[Record], str] | None = None,
         seed: int = 0,
     ) -> None:
+        super().__init__()
         if n_hashes < 1 or bands < 1:
             raise ConfigurationError("n_hashes and bands must be >= 1")
         if n_hashes % bands != 0:
@@ -100,18 +100,15 @@ class MinHashBlocker(Blocker):
             )
         return tuple(sketch)
 
-    def block(self, records: Sequence[Record]) -> BlockCollection:
-        buckets: dict[str, list[str]] = defaultdict(list)
-        for record in records:
-            tokens = word_tokens(
-                normalize_value(self._text_function(record))
-            )
-            sketch = self._sketch(tokens)
-            if sketch is None:
-                continue
-            for band in range(self._bands):
-                start = band * self._rows
-                signature = sketch[start : start + self._rows]
-                key = f"b{band}:" + ",".join(map(str, signature))
-                buckets[key].append(record.record_id)
-        return BlockCollection.from_key_map(buckets)
+    def record_keys(self, record: Record) -> list[str]:
+        """One key per band: the band index and its slice of the sketch."""
+        tokens = word_tokens(normalize_value(self._text_function(record)))
+        sketch = self._sketch(tokens)
+        if sketch is None:
+            return []
+        keys = []
+        for band in range(self._bands):
+            start = band * self._rows
+            signature = sketch[start : start + self._rows]
+            keys.append(f"b{band}:" + ",".join(map(str, signature)))
+        return keys

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Sequence
-
 from repro.core.record import Record
 from repro.linkage.blocking.base import (
-    BlockCollection,
-    Blocker,
+    KeyBlocker,
     KeyFunction,
+    keys_of,
     require_positive,
 )
 from repro.text.tokens import qgrams
@@ -17,7 +14,7 @@ from repro.text.tokens import qgrams
 __all__ = ["QGramBlocker"]
 
 
-class QGramBlocker(Blocker):
+class QGramBlocker(KeyBlocker):
     """Each q-gram of the blocking key becomes a block key.
 
     A single typo perturbs only ``q`` of the key's q-grams, so typo'd
@@ -35,25 +32,13 @@ class QGramBlocker(Blocker):
         q: int = 3,
         max_block_size: int | None = None,
     ) -> None:
+        super().__init__(max_block_size)
         require_positive("q", q)
-        if max_block_size is not None:
-            require_positive("max_block_size", max_block_size)
         self._key_function = key_function
         self._q = q
-        self._max_block_size = max_block_size
 
-    def block(self, records: Sequence[Record]) -> BlockCollection:
-        by_gram: dict[str, list[str]] = defaultdict(list)
-        for record in records:
-            grams: set[str] = set()
-            for key in self._keys_of(self._key_function, record):
-                grams.update(qgrams(key, q=self._q))
-            for gram in grams:
-                by_gram[gram].append(record.record_id)
-        if self._max_block_size is not None:
-            by_gram = {
-                gram: ids
-                for gram, ids in by_gram.items()
-                if len(ids) <= self._max_block_size
-            }
-        return BlockCollection.from_key_map(by_gram)
+    def record_keys(self, record: Record) -> set[str]:
+        grams: set[str] = set()
+        for key in keys_of(self._key_function, record):
+            grams.update(qgrams(key, q=self._q))
+        return grams

@@ -12,13 +12,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
+from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 from repro.linkage.blocking.base import (
     Block,
     BlockCollection,
     Blocker,
     KeyFunction,
-    require_positive,
+    keys_of,
 )
 
 __all__ = ["SortedNeighborhoodBlocker"]
@@ -36,10 +37,11 @@ class SortedNeighborhoodBlocker(Blocker):
     name = "sorted-neighborhood"
 
     def __init__(self, key_function: KeyFunction, window: int = 5) -> None:
-        require_positive("window", window)
         if window < 2:
             # A window of 1 never pairs anything; catch the mistake early.
-            raise ValueError("window must be >= 2 to produce candidates")
+            raise ConfigurationError(
+                f"window must be >= 2 to produce candidates, got {window}"
+            )
         self._key_function = key_function
         self._window = window
 
@@ -51,7 +53,7 @@ class SortedNeighborhoodBlocker(Blocker):
     def block(self, records: Sequence[Record]) -> BlockCollection:
         keyed: list[tuple[str, str]] = []
         for record in records:
-            keys = self._keys_of(self._key_function, record)
+            keys = keys_of(self._key_function, record)
             if keys:
                 keyed.append((keys[0], record.record_id))
         keyed.sort()
@@ -84,7 +86,7 @@ class SortedNeighborhoodBlocker(Blocker):
 
         sorter = ExternalSorter(spill.scoped(self.name), spill.budget)
         for record in records:
-            keys = self._keys_of(self._key_function, record)
+            keys = keys_of(self._key_function, record)
             if keys:
                 entry = (keys[0], record.record_id)
                 sorter.add(entry, entry_nbytes(*entry))

@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable, Iterator, Sequence
-
 from repro.core.record import Record
-from repro.linkage.blocking.base import (
-    Block,
-    BlockCollection,
-    Blocker,
-    KeyFunction,
-)
+from repro.linkage.blocking.base import KeyBlocker, KeyFunction, keys_of
 
 __all__ = ["StandardBlocker"]
 
 
-class StandardBlocker(Blocker):
+class StandardBlocker(KeyBlocker):
     """Records sharing a blocking key form a block.
 
     The cheapest and most brittle scheme: recall depends entirely on the
@@ -27,34 +19,8 @@ class StandardBlocker(Blocker):
     name = "standard"
 
     def __init__(self, key_function: KeyFunction) -> None:
+        super().__init__()
         self._key_function = key_function
 
-    def block(self, records: Sequence[Record]) -> BlockCollection:
-        by_key: dict[str, list[str]] = defaultdict(list)
-        for record in records:
-            for key in self._keys_of(self._key_function, record):
-                by_key[key].append(record.record_id)
-        return BlockCollection.from_key_map(by_key)
-
-    def shard_keys(self, record: Record) -> list[str]:
-        """Per-record keys for shard-decomposed blocking.
-
-        Exactly what :meth:`block` indexes the record under —
-        duplicates included, since ``block`` appends the record once
-        per emitted key.
-        """
-        return self._keys_of(self._key_function, record)
-
-    def stream_blocks(
-        self, records: Iterable[Record], spill
-    ) -> Iterator[Block]:
-        """Out-of-core :meth:`block`: identical blocks, bounded memory."""
-        from repro.outofcore.spill import SpillableBlockIndex
-
-        index = SpillableBlockIndex(spill.scoped(self.name), spill.budget)
-        for record in records:
-            for key in self._keys_of(self._key_function, record):
-                index.add(key, record.record_id)
-        for key, ids in index.merged():
-            if len(ids) > 1:
-                yield Block(key, tuple(ids))
+    def record_keys(self, record: Record) -> list[str]:
+        return keys_of(self._key_function, record)

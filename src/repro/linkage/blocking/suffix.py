@@ -8,21 +8,18 @@ complements prefix/q-gram schemes.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Sequence
-
 from repro.core.record import Record
 from repro.linkage.blocking.base import (
-    BlockCollection,
-    Blocker,
+    KeyBlocker,
     KeyFunction,
+    keys_of,
     require_positive,
 )
 
 __all__ = ["SuffixArrayBlocker"]
 
 
-class SuffixArrayBlocker(Blocker):
+class SuffixArrayBlocker(KeyBlocker):
     """Block on all sufficiently long suffixes of the key."""
 
     name = "suffix"
@@ -33,29 +30,19 @@ class SuffixArrayBlocker(Blocker):
         min_suffix_length: int = 4,
         max_block_size: int = 50,
     ) -> None:
+        super().__init__(max_block_size)
         require_positive("min_suffix_length", min_suffix_length)
-        require_positive("max_block_size", max_block_size)
         self._key_function = key_function
         self._min_suffix_length = min_suffix_length
-        self._max_block_size = max_block_size
 
-    def block(self, records: Sequence[Record]) -> BlockCollection:
-        by_suffix: dict[str, list[str]] = defaultdict(list)
-        for record in records:
-            suffixes: set[str] = set()
-            for key in self._keys_of(self._key_function, record):
-                compact = key.replace(" ", "")
-                for start in range(
-                    0, max(0, len(compact) - self._min_suffix_length) + 1
-                ):
-                    suffix = compact[start:]
-                    if len(suffix) >= self._min_suffix_length:
-                        suffixes.add(suffix)
-            for suffix in suffixes:
-                by_suffix[suffix].append(record.record_id)
-        pruned = {
-            suffix: ids
-            for suffix, ids in by_suffix.items()
-            if len(ids) <= self._max_block_size
-        }
-        return BlockCollection.from_key_map(pruned)
+    def record_keys(self, record: Record) -> set[str]:
+        suffixes: set[str] = set()
+        for key in keys_of(self._key_function, record):
+            compact = key.replace(" ", "")
+            for start in range(
+                0, max(0, len(compact) - self._min_suffix_length) + 1
+            ):
+                suffix = compact[start:]
+                if len(suffix) >= self._min_suffix_length:
+                    suffixes.add(suffix)
+        return suffixes

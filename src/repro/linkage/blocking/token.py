@@ -9,18 +9,15 @@ exists to prune.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable, Iterator, Sequence
-
 from repro.core.record import Record
-from repro.linkage.blocking.base import Block, BlockCollection, Blocker
+from repro.linkage.blocking.base import KeyBlocker, require_positive
 from repro.text.normalize import normalize_value
 from repro.text.tokens import word_tokens
 
 __all__ = ["TokenBlocker"]
 
 
-class TokenBlocker(Blocker):
+class TokenBlocker(KeyBlocker):
     """Block on every token of every attribute value.
 
     ``max_block_size`` drops stop-word blocks; ``min_token_length``
@@ -34,75 +31,15 @@ class TokenBlocker(Blocker):
         max_block_size: int | None = None,
         min_token_length: int = 2,
     ) -> None:
-        self._max_block_size = max_block_size
+        super().__init__(max_block_size)
+        require_positive("min_token_length", min_token_length)
         self._min_token_length = min_token_length
 
-    def block(self, records: Sequence[Record]) -> BlockCollection:
-        by_token: dict[str, list[str]] = defaultdict(list)
-        for record in records:
-            tokens: set[str] = set()
-            for value in record.attributes.values():
-                for token in word_tokens(normalize_value(value)):
-                    if len(token) >= self._min_token_length:
-                        tokens.add(token)
-            for token in tokens:
-                by_token[token].append(record.record_id)
-        if self._max_block_size is not None:
-            by_token = {
-                token: ids
-                for token, ids in by_token.items()
-                if len(ids) <= self._max_block_size
-            }
-        return BlockCollection.from_key_map(by_token)
-
-    def shard_keys(self, record: Record) -> list[str]:
-        """Per-record token keys for shard-decomposed blocking.
-
-        The token *set* of :meth:`block`, sorted: each distinct token
-        indexes the record once, and per-key id lists depend only on
-        record order, so sorted emission regroups identically.
-        """
+    def record_keys(self, record: Record) -> set[str]:
+        """The record's distinct tokens: each indexes it once."""
         tokens: set[str] = set()
         for value in record.attributes.values():
             for token in word_tokens(normalize_value(value)):
                 if len(token) >= self._min_token_length:
                     tokens.add(token)
-        return sorted(tokens)
-
-    def accepts_block(self, key: str, record_ids: Sequence[str]) -> bool:
-        """Re-apply the ``max_block_size`` stop-word filter at reassembly."""
-        if (
-            self._max_block_size is not None
-            and len(record_ids) > self._max_block_size
-        ):
-            return False
-        return len(record_ids) > 1
-
-    def stream_blocks(
-        self, records: Iterable[Record], spill
-    ) -> Iterator[Block]:
-        """Out-of-core :meth:`block`: identical blocks, bounded memory.
-
-        The ``max_block_size`` filter applies at merge time — only
-        there is a key's full id list known — which is equivalent to
-        the in-memory filter over the complete token map.
-        """
-        from repro.outofcore.spill import SpillableBlockIndex
-
-        index = SpillableBlockIndex(spill.scoped(self.name), spill.budget)
-        for record in records:
-            tokens: set[str] = set()
-            for value in record.attributes.values():
-                for token in word_tokens(normalize_value(value)):
-                    if len(token) >= self._min_token_length:
-                        tokens.add(token)
-            for token in tokens:
-                index.add(token, record.record_id)
-        for token, ids in index.merged():
-            if (
-                self._max_block_size is not None
-                and len(ids) > self._max_block_size
-            ):
-                continue
-            if len(ids) > 1:
-                yield Block(token, tuple(ids))
+        return tokens

@@ -29,7 +29,7 @@ from typing import Sequence
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 from repro.core.unionfind import UnionFind
-from repro.linkage.blocking.base import Blocker, KeyFunction
+from repro.linkage.blocking.base import Blocker, KeyFunction, keys_of
 from repro.linkage.classify.threshold import ThresholdClassifier
 from repro.linkage.comparison import PreparedRecord, RecordComparator
 from repro.linkage.resolver import MatchClassifier
@@ -115,17 +115,11 @@ class IncrementalLinker:
         )
 
     def _keys_of(self, record: Record) -> list[str]:
-        keys: list[str] = []
-        for function in self._key_functions:
-            raw = function(record)
-            if raw is None:
-                continue
-            if isinstance(raw, str):
-                if raw:
-                    keys.append(raw)
-            else:
-                keys.extend(k for k in raw if k)
-        return keys
+        return [
+            key
+            for function in self._key_functions
+            for key in keys_of(function, record)
+        ]
 
     @property
     def n_records(self) -> int:

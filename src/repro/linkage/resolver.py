@@ -8,6 +8,9 @@ cost counters the benchmarks report.
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Literal, Protocol, Sequence
 
@@ -26,7 +29,7 @@ from repro.linkage.engine import (
     ParallelComparisonEngine,
     Representation,
 )
-from repro.obs import NULL_TRACER, observe_block_collection
+from repro.obs import BLOCK_SIZE_BUCKETS, NULL_TRACER, observe_block_collection
 
 __all__ = ["MatchClassifier", "LinkageResult", "resolve"]
 
@@ -92,6 +95,54 @@ def _canonical_pairs(
         (pair_ids[0], pair_ids[1])
         for pair_ids in (sorted(pair) for pair in candidate_pairs)
     )
+
+
+def _block_pairs(
+    blocker: Blocker, records: Sequence[Record], tracer, span_name: str
+) -> list[tuple[str, str]]:
+    """Block ``records`` in memory: the canonical candidate-pair list."""
+    with tracer.span(span_name, blocker=type(blocker).__name__) as span:
+        blocks = blocker.block(records)
+        observe_block_collection(tracer, blocks)
+        candidate_pairs = blocks.candidate_pairs()
+        span.set("n_blocks", len(blocks))
+        span.set("n_candidates", len(candidate_pairs))
+    return _canonical_pairs(candidate_pairs)
+
+
+def _spill_block_pairs(blocker: Blocker, records, store, budget, tracer):
+    """Block ``records`` out of core: the blocker streams its blocks
+    through a spillable index into an external sorted-merge deduper,
+    whose ``stream()`` is the canonical pair order and whose ``n_pairs``
+    is known once that stream is drained. Reports what
+    :func:`_block_pairs` reports, counted block by block."""
+    from repro.outofcore import ExternalPairDeduper, SpillSession
+
+    if not blocker.supports_streaming:
+        raise ConfigurationError(
+            f"{type(blocker).__name__} has no streaming path; "
+            "out-of-core resolve requires one (or explicit "
+            "candidate_pairs)"
+        )
+    spill = SpillSession(store.sub("blocks"), budget)
+    deduper = ExternalPairDeduper(store.sub("pairs"), budget)
+    with tracer.span(
+        "linkage.block", blocker=type(blocker).__name__, streaming=True
+    ) as span:
+        n_blocks = 0
+        n_comparisons = 0
+        size_histogram = tracer.histogram(
+            "blocking.block_size", BLOCK_SIZE_BUCKETS
+        )
+        for block in blocker.stream_blocks(records, spill):
+            n_blocks += 1
+            n_comparisons += block.n_comparisons
+            size_histogram.observe(float(len(block)))
+            deduper.add_block(block.record_ids)
+        tracer.counter("blocking.blocks_built").inc(n_blocks)
+        tracer.counter("blocking.comparisons").inc(n_comparisons)
+        span.set("n_blocks", n_blocks)
+    return deduper
 
 
 def _engine(
@@ -170,9 +221,11 @@ def resolve(
     directory) whenever tracked resident bytes would exceed the
     budget, and pairs stream through the engine chunk by chunk. Output
     is byte-identical to the unbounded run; the blocker must have a
-    streaming path (``blocker.supports_streaming``). ``records`` may
-    then be a mapping (e.g. :class:`repro.outofcore.IndexedRecordStore`)
-    instead of a materialized sequence.
+    streaming path (``blocker.supports_streaming``: every
+    :class:`~repro.linkage.blocking.KeyBlocker` and sorted
+    neighbourhood). ``records`` may then be a mapping (e.g.
+    :class:`repro.outofcore.IndexedRecordStore`) instead of a
+    materialized sequence.
 
     ``representation`` selects the engine's record layout:
     ``"dict"`` (default) scores prepared dict payloads pair by pair;
@@ -181,11 +234,11 @@ def resolve(
     bit-identical either way; it composes with every ``execution``
     mode, resilience, checkpointing, and the out-of-core path.
 
-    ``execution="sharded"`` hash-partitions the whole run across worker
-    shards (:mod:`repro.dist.runtime`): entity-sharded blocking,
-    per-shard matching workers with their own checkpoint namespaces,
-    and union-find boundary reconciliation — with output byte-identical
-    to the serial path. ``n_shards`` pins the shard count (``None``
+    ``execution="sharded"`` hash-partitions the candidate pairs across
+    worker shards (:mod:`repro.dist.runtime`): blocking once at the
+    coordinator, per-shard matching workers with their own checkpoint
+    namespaces, and union-find boundary reconciliation — with output
+    byte-identical to the serial path. ``n_shards`` pins the shard count (``None``
     lets the cluster cost model plan it); ``shard_backend`` selects
     ``"process"`` workers or the ``"inline"`` sequential backend. The
     sharded path composes with everything except ``memory_budget``.
@@ -222,168 +275,68 @@ def resolve(
             tracer=tracer,
             resilience=resilience,
             checkpoint=checkpoint,
-            spill_dir=spill_dir,
             representation=representation,
             supervisor=supervisor,
         ).result
-    if memory_budget is not None:
-        return _resolve_streaming(
-            records,
-            blocker,
-            comparator,
-            classifier,
-            clustering,
-            candidate_pairs,
-            execution,
-            n_workers,
-            tracer,
-            resilience,
-            checkpoint,
-            memory_budget,
-            spill_dir,
-            representation,
-        )
-    by_id = {record.record_id: record for record in records}
-    if candidate_pairs is None:
-        with tracer.span("linkage.block", blocker=type(blocker).__name__) as span:
-            blocks = blocker.block(records)
-            observe_block_collection(tracer, blocks)
-            candidate_pairs = blocks.candidate_pairs()
-            span.set("n_blocks", len(blocks))
-            span.set("n_candidates", len(candidate_pairs))
+    by_id = (
+        records
+        if isinstance(records, Mapping)
+        else {record.record_id: record for record in records}
+    )
     engine = _engine(
         comparator, execution, n_workers, tracer, resilience, checkpoint,
         representation,
     )
-    run = engine.match_pairs(
-        by_id, _canonical_pairs(candidate_pairs), classifier
-    )
-    match_pairs = run.match_pairs
-    scored_edges: list[ScoredEdge] = run.scored_edges
+    if memory_budget is None:
+        ordered = (
+            _canonical_pairs(candidate_pairs)
+            if candidate_pairs is not None
+            else _block_pairs(blocker, records, tracer, "linkage.block")
+        )
+        run = engine.match_pairs(by_id, ordered, classifier)
+        n_candidates = len(ordered)
+    else:
+        from repro.outofcore import MemoryBudget
+        from repro.recovery import RunStore
+
+        budget = (
+            memory_budget
+            if isinstance(memory_budget, MemoryBudget)
+            else MemoryBudget(memory_budget, tracer=tracer)
+        )
+        # Spill runs are transient per call and go with it, whether it
+        # returns or raises; checkpoints live in the separate
+        # ``checkpoint`` store, so kill-and-resume works mid-spill.
+        with contextlib.ExitStack() as cleanup:
+            if candidate_pairs is not None:
+                ordered = _canonical_pairs(candidate_pairs)
+                feed = iter(ordered)
+            else:
+                if spill_dir is None:
+                    spill_dir = cleanup.enter_context(
+                        tempfile.TemporaryDirectory(prefix="repro-spill-")
+                    )
+                if not hasattr(spill_dir, "save_stream"):
+                    spill_dir = RunStore(spill_dir, durable=False)
+                deduper = _spill_block_pairs(
+                    blocker, by_id.values(), spill_dir, budget, tracer
+                )
+                feed = deduper.stream()
+            run = engine.match_pairs_stream(
+                by_id, feed, classifier, budget=budget
+            )
+            n_candidates = (
+                len(ordered) if candidate_pairs is not None else deduper.n_pairs
+            )
+        budget.publish()
     clusters = _cluster(
-        clustering, match_pairs, scored_edges, sorted(by_id), tracer
+        clustering, run.match_pairs, run.scored_edges, sorted(by_id), tracer
     )
     return LinkageResult(
         clusters=clusters,
-        match_pairs=match_pairs,
-        n_candidates=len(candidate_pairs),
-        scored_edges=scored_edges,
+        match_pairs=run.match_pairs,
+        n_candidates=n_candidates,
+        scored_edges=run.scored_edges,
         dead_letters=run.dead_letters if resilience is not None else None,
         quarantined_pairs=run.quarantined_pairs,
     )
-
-
-def _resolve_streaming(
-    records,
-    blocker: Blocker,
-    comparator: RecordComparator,
-    classifier: MatchClassifier,
-    clustering: ClusteringName,
-    candidate_pairs,
-    execution: ExecutionMode,
-    n_workers: int | None,
-    tracer,
-    resilience,
-    checkpoint,
-    memory_budget,
-    spill_dir,
-    representation: Representation = "dict",
-) -> LinkageResult:
-    """The out-of-core variant of :func:`resolve`.
-
-    Identical stages, bounded resident memory: the blocker streams
-    blocks through a spillable index, candidate pairs dedup through an
-    external sorted merge (yielding exactly the sorted-unique order the
-    in-memory path builds), and the engine consumes the pair stream in
-    fixed-size chunks. Spill runs are transient per call; checkpoints,
-    when configured, live in the separate ``checkpoint`` store exactly
-    as in the in-memory path, so kill-and-resume works mid-spill.
-    """
-    import tempfile
-    from collections.abc import Mapping
-
-    from repro.obs import BLOCK_SIZE_BUCKETS
-    from repro.outofcore import (
-        ExternalPairDeduper,
-        MemoryBudget,
-        SpillSession,
-    )
-    from repro.recovery import RunStore
-
-    budget = (
-        memory_budget
-        if isinstance(memory_budget, MemoryBudget)
-        else MemoryBudget(memory_budget, tracer=tracer)
-    )
-    temp = None
-    if spill_dir is None:
-        temp = tempfile.TemporaryDirectory(prefix="repro-spill-")
-        store = RunStore(temp.name, durable=False)
-    elif hasattr(spill_dir, "save_stream"):
-        store = spill_dir
-    else:
-        store = RunStore(spill_dir, durable=False)
-    try:
-        by_id = (
-            records
-            if isinstance(records, Mapping)
-            else {record.record_id: record for record in records}
-        )
-        record_iter = by_id.values()
-        if candidate_pairs is not None:
-            # Pairs were supplied in memory; stream them in canonical
-            # order for the bounded engine path.
-            ordered = _canonical_pairs(candidate_pairs)
-            pair_stream = iter(ordered)
-            n_candidates = len(ordered)
-        else:
-            if not blocker.supports_streaming:
-                raise ConfigurationError(
-                    f"{type(blocker).__name__} has no streaming path; "
-                    "out-of-core resolve requires one (or explicit "
-                    "candidate_pairs)"
-                )
-            spill = SpillSession(store.sub("blocks"), budget)
-            deduper = ExternalPairDeduper(store.sub("pairs"), budget)
-            with tracer.span(
-                "linkage.block", blocker=type(blocker).__name__, streaming=True
-            ) as span:
-                n_blocks = 0
-                n_comparisons = 0
-                size_histogram = tracer.histogram(
-                    "blocking.block_size", BLOCK_SIZE_BUCKETS
-                )
-                for block in blocker.stream_blocks(record_iter, spill):
-                    n_blocks += 1
-                    n_comparisons += block.n_comparisons
-                    size_histogram.observe(float(len(block)))
-                    deduper.add_block(block.record_ids)
-                tracer.counter("blocking.blocks_built").inc(n_blocks)
-                tracer.counter("blocking.comparisons").inc(n_comparisons)
-                span.set("n_blocks", n_blocks)
-            pair_stream = deduper.stream()
-            n_candidates = None
-        engine = _engine(
-            comparator, execution, n_workers, tracer, resilience,
-            checkpoint, representation,
-        )
-        run = engine.match_pairs_stream(
-            by_id, pair_stream, classifier, budget=budget
-        )
-        if n_candidates is None:
-            n_candidates = deduper.n_pairs
-        clusters = _cluster(
-            clustering, run.match_pairs, run.scored_edges, sorted(by_id), tracer
-        )
-        budget.publish()
-        return LinkageResult(
-            clusters=clusters,
-            match_pairs=run.match_pairs,
-            n_candidates=n_candidates,
-            scored_edges=run.scored_edges,
-            dead_letters=run.dead_letters if resilience is not None else None,
-            quarantined_pairs=run.quarantined_pairs,
-        )
-    finally:
-        if temp is not None:
-            temp.cleanup()

@@ -23,7 +23,9 @@ Building blocks:
 * :class:`IndexedRecordStore` — random-access record lookup over a
   ``records.jsonl`` file through a budget-tracked LRU cache.
 * :class:`SpillSession` — bundles the spill store and budget handed to
-  streaming blockers.
+  streaming blockers: any :class:`~repro.linkage.blocking.KeyBlocker`
+  (a blocker that is a per-record key function streams for free) and
+  sorted neighbourhood's own external sort.
 """
 
 from repro.outofcore.budget import (

@@ -8,7 +8,8 @@ absence):
 * :class:`SpillableBlockIndex` — a ``key → [record ids]`` blocking
   index. Partitions spill as runs sorted by key; the merge reassembles
   each key's id list in insertion order, so the merged output is
-  exactly what :meth:`BlockCollection.from_key_map` would have built.
+  exactly the key map :meth:`KeyBlocker.block` groups in memory — its
+  :meth:`KeyBlocker.stream_blocks` is this index's one caller.
 * :class:`ExternalSorter` — generic external sort over picklable,
   totally ordered items (used for sorted-neighborhood keys, claim
   groups, and AccuVote posterior contributions).
@@ -17,7 +18,9 @@ absence):
   order :func:`repro.linkage.resolve` feeds the comparison engine.
 
 :class:`SpillSession` bundles the spill store and shared budget that
-streaming blockers receive.
+streaming blockers receive: every
+:class:`~repro.linkage.blocking.KeyBlocker` (through the block index)
+and sorted neighbourhood (through the sorter).
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ class SpillableBlockIndex:
     sorted on-disk run. :meth:`merged` streams back ``(key, ids)``
     groups in sorted key order with each key's ids in insertion order
     across all spills — byte-identical to sorting the full in-memory
-    key map, which is what ``BlockCollection.from_key_map`` does.
+    key map, which is what ``KeyBlocker.block`` does.
     """
 
     def __init__(self, store, budget: MemoryBudget, *, name: str = "index") -> None:

@@ -190,7 +190,7 @@ def assert_identical(serial, run):
 
 
 class _OpaqueBlocker(Blocker):
-    """A blocker without a shard-decomposable key path."""
+    """A blocker that only has ``block()`` — not a ``KeyBlocker``."""
 
     def block(self, records):
         return BLOCKERS["standard"]().block(records)
@@ -241,13 +241,12 @@ class TestDifferentialIdentity:
             tracer=tracer,
         )
         counters = tracer.report().metrics["counters"]
-        assert counters.get("dist.shuffle.blocks", 0) > 0
+        assert counters["blocking.blocks_built"] > 0
         assert_identical(_serial("uniform", "token"), run)
 
     def test_opaque_blocker_blocks_at_coordinator(self):
         records, comparator, classifier = _corpus("adversarial")
         blocker = _OpaqueBlocker()
-        assert not blocker.supports_shard_keys
         tracer = Tracer()
         run = sharded_resolve(
             list(records),
@@ -259,8 +258,37 @@ class TestDifferentialIdentity:
             tracer=tracer,
         )
         counters = tracer.report().metrics["counters"]
-        assert "dist.shuffle.blocks" not in counters
+        assert counters["blocking.blocks_built"] > 0
         assert_identical(_serial("adversarial", "standard"), run)
+
+    def test_blocking_metrics_equal_across_execution_modes(self):
+        # However a run executes, it blocks the same records into the
+        # same blocks and must say so in the same three instruments.
+        records, comparator, classifier = _corpus("uniform")
+
+        def blocking_metrics(**options):
+            tracer = Tracer()
+            resolve(
+                list(records),
+                TokenBlocker(max_block_size=40),
+                comparator,
+                classifier,
+                tracer=tracer,
+                **options,
+            )
+            metrics = tracer.report().metrics
+            return (
+                metrics["counters"].get("blocking.blocks_built"),
+                metrics["counters"].get("blocking.comparisons"),
+                metrics["histograms"].get("blocking.block_size"),
+            )
+
+        serial = blocking_metrics()
+        assert serial[0] > 0 and serial[1] > 0 and serial[2]["count"] > 0
+        sharded = {"execution": "sharded", "shard_backend": "inline"}
+        assert blocking_metrics(memory_budget=48 * 1024) == serial
+        assert blocking_metrics(**sharded) == serial
+        assert blocking_metrics(**sharded, n_shards=3) == serial
 
     def test_candidate_pairs_override(self):
         records, comparator, classifier = _corpus("skewed")

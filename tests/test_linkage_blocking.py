@@ -8,6 +8,8 @@ from repro.linkage import (
     BlockCollection,
     CanopyBlocker,
     CompositeBlocker,
+    KeyBlocker,
+    MinHashBlocker,
     QGramBlocker,
     SortedNeighborhoodBlocker,
     StandardBlocker,
@@ -140,6 +142,11 @@ class TestSortedNeighborhood:
         with pytest.raises(ValueError):
             SortedNeighborhoodBlocker(attribute_key("name"), window=1)
 
+    @pytest.mark.parametrize("window", [1, 0])
+    def test_invalid_window_is_a_configuration_error(self, window):
+        with pytest.raises(ConfigurationError, match="window must be >= 2"):
+            SortedNeighborhoodBlocker(attribute_key("name"), window=window)
+
     def test_window_size_monotone_in_candidates(self, records):
         small = SortedNeighborhoodBlocker(
             normalized_attribute_key("name"), window=2
@@ -224,6 +231,64 @@ class TestTokenBlocker:
         rs = [record(f"r{i}", f"camera item {i}") for i in range(10)]
         pruned = TokenBlocker(max_block_size=5).block(rs)
         assert pruned.candidate_pairs() == set()
+
+
+# Every constructor that takes a ``max_block_size`` (standard and
+# MinHash blocking take none; the base validates for all of them).
+CAPPED = {
+    "base": lambda cap: KeyBlocker(max_block_size=cap),
+    "token": lambda cap: TokenBlocker(max_block_size=cap),
+    "qgram": lambda cap: QGramBlocker(attribute_key("name"), max_block_size=cap),
+    "suffix": lambda cap: SuffixArrayBlocker(
+        attribute_key("name"), max_block_size=cap
+    ),
+}
+
+
+class TestKeyBlocker:
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_refused(self, name, cap):
+        with pytest.raises(ConfigurationError, match="max_block_size"):
+            CAPPED[name](cap)
+
+    @pytest.mark.parametrize("name", sorted(set(CAPPED) - {"base"}))
+    def test_cap_of_one_or_none_accepted(self, name, records):
+        assert CAPPED[name](1).block(records).candidate_pairs() == set()
+        assert CAPPED[name](None).block(records).candidate_pairs()
+
+    def test_token_length_below_one_refused(self):
+        with pytest.raises(ConfigurationError, match="min_token_length"):
+            TokenBlocker(min_token_length=0)
+
+    def test_keyed_blockers_only_supply_keys(self):
+        # Grouping, the size filter and the out-of-core stream are
+        # written once, in the base: a subclass that defines one of
+        # them, or reads the cap, is a second copy.
+        import inspect
+
+        import repro.linkage.blocking as package
+
+        keyed = {
+            cls
+            for cls in vars(package).values()
+            if inspect.isclass(cls)
+            and issubclass(cls, KeyBlocker)
+            and cls is not KeyBlocker
+        }
+        assert keyed >= {
+            StandardBlocker,
+            TokenBlocker,
+            QGramBlocker,
+            SuffixArrayBlocker,
+            MinHashBlocker,
+        }
+        for cls in keyed:
+            assert cls.record_keys is not KeyBlocker.record_keys
+            assert cls.block is KeyBlocker.block
+            assert cls.stream_blocks is KeyBlocker.stream_blocks
+            assert cls._blocks is KeyBlocker._blocks
+            assert "_max_block_size" not in inspect.getsource(cls)
 
 
 class TestComposite:

@@ -21,9 +21,12 @@ from repro.core.pipeline import BDIPipeline, PipelineConfig
 from repro.io import load_dataset, open_record_stream, save_dataset
 from repro.linkage import (
     CanopyBlocker,
+    MinHashBlocker,
     ParallelComparisonEngine,
+    QGramBlocker,
     SortedNeighborhoodBlocker,
     StandardBlocker,
+    SuffixArrayBlocker,
     ThresholdClassifier,
     TokenBlocker,
     default_product_comparator,
@@ -246,17 +249,50 @@ def _first_value(record):
     return min(map(str, record.attributes.values()), default="")
 
 
+# Every KeyBlocker, as (factory, the cap it was built with).
+KEYED_BLOCKERS = {
+    "token": (lambda: TokenBlocker(max_block_size=40), 40),
+    "standard": (lambda: StandardBlocker(lambda r: _first_value(r)[:2]), None),
+    # A key function may name a key twice; the record then sits in
+    # that block twice, in memory and streamed alike.
+    "standard-repeated-key": (
+        lambda: StandardBlocker(lambda r: [_first_value(r)[:2]] * 2),
+        None,
+    ),
+    "qgram": (lambda: QGramBlocker(_first_value, q=3, max_block_size=12), 12),
+    "suffix": (
+        lambda: SuffixArrayBlocker(
+            _first_value, min_suffix_length=3, max_block_size=4
+        ),
+        4,
+    ),
+    "minhash": (lambda: MinHashBlocker(n_hashes=16, bands=8), None),
+}
+
 BLOCKERS = [
-    pytest.param(lambda: TokenBlocker(max_block_size=40), id="token"),
-    pytest.param(
-        lambda: StandardBlocker(lambda r: _first_value(r)[:2]),
-        id="standard",
+    *(
+        pytest.param(factory, id=name)
+        for name, (factory, __) in KEYED_BLOCKERS.items()
     ),
     pytest.param(
         lambda: SortedNeighborhoodBlocker(_first_value, window=4),
         id="sorted-neighborhood",
     ),
 ]
+
+
+def _naive_blocks(blocker, cap, records):
+    """Group-by-key longhand, so the shared core is not its own oracle."""
+    by_key = {}
+    for record in records:
+        for key in blocker.record_keys(record):
+            by_key.setdefault(key, []).append(record.record_id)
+    return [
+        (key, tuple(ids))
+        for key, ids in sorted(by_key.items())
+        if len(ids) >= 2 and (cap is None or len(ids) <= cap)
+    ]
+
 
 SKEWS = [0.8, 1.1, 1.6]
 
@@ -291,6 +327,22 @@ class TestStreamingBlockers:
         ]
         assert streamed == expected
         assert budget.spill_count == 0
+
+    @pytest.mark.parametrize("name", sorted(KEYED_BLOCKERS))
+    def test_keyed_blocks_match_naive_oracle(self, tmp_path, name):
+        make_blocker, cap = KEYED_BLOCKERS[name]
+        records = _records(seed=7, entities=30)
+        expected = _naive_blocks(make_blocker(), cap, records)
+        assert len(expected) > 1
+        if cap is not None:  # a cap that drops nothing is not under test
+            assert len(expected) < len(
+                _naive_blocks(make_blocker(), None, records)
+            )
+        assert _block_list(make_blocker().block(records)) == expected
+        spill, budget = _spill(tmp_path, limit=3_000)
+        streamed = make_blocker().stream_blocks(records, spill)
+        assert [(b.key, b.record_ids) for b in streamed] == expected
+        assert budget.spill_count > 0
 
     def test_supports_streaming_flag(self):
         assert TokenBlocker().supports_streaming
@@ -328,6 +380,27 @@ class TestStreamingResolve:
         gauges = tracer.report().metrics.get("gauges", {})
         assert gauges["outofcore.peak_tracked_bytes"] <= 25_000
         assert gauges["outofcore.spill_count"] > 0
+
+    @pytest.mark.parametrize("name", sorted(KEYED_BLOCKERS))
+    def test_resolve_parity_every_keyed_blocker(self, tmp_path, name):
+        records = _records(seed=5)
+        make_blocker, __ = KEYED_BLOCKERS[name]
+        base = resolve(records, make_blocker(), COMPARATOR, CLASSIFIER)
+        budget = MemoryBudget(16 * 1024)
+        streamed = resolve(
+            records,
+            make_blocker(),
+            COMPARATOR,
+            CLASSIFIER,
+            memory_budget=budget,
+            spill_dir=tmp_path,
+        )
+        assert streamed.clusters == base.clusters
+        assert streamed.match_pairs == base.match_pairs
+        assert streamed.scored_edges == base.scored_edges
+        assert streamed.n_candidates == base.n_candidates > 0
+        assert budget.peak <= budget.limit
+        assert budget.spill_count > 0
 
     def test_resolve_parity_process_backend(self, tmp_path):
         records = _records(seed=6)
