@@ -58,7 +58,8 @@ def main() -> None:
     truth = dataset.ground_truth
 
     # --- Stage 1: schema alignment --------------------------------
-    schema = build_mediated_schema(dataset, threshold=0.6)
+    profiles = profile_attributes(dataset)
+    schema = build_mediated_schema(dataset, threshold=0.6, profiles=profiles)
     print(render_kv(
         [
             ("source attributes", sum(len(m.members) for m in schema.attributes)),
@@ -83,7 +84,7 @@ def main() -> None:
     )
     # Fortify with identifier joins — shops publish SKUs for the
     # shopping engines, so use them.
-    detections = detect_identifier_attributes(profile_attributes(dataset))
+    detections = detect_identifier_attributes(profiles)
     id_clusters = link_by_identifier(records, detections)
     from repro.linkage import connected_components
     from repro.quality import clusters_to_pairs

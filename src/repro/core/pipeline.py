@@ -10,6 +10,7 @@ the 4-V knobs over.
 from __future__ import annotations
 
 import contextlib
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -350,13 +351,22 @@ class BDIPipeline:
                 else:
                     spill_store = RunStore(spill_dir, durable=False)
 
+            # Schema alignment and identifier linkage read the same
+            # attribute profiles: built on first use, so a resumed run
+            # that replays both stages from its checkpoint never
+            # profiles, and let go once linkage is done.
+            profiles = functools.cache(lambda: profile_attributes(dataset))
+
             # 1. Schema alignment.
             with tracer.span("pipeline.schema_alignment") as span:
                 schema = self._stage(
                     store,
                     "schema",
                     lambda: build_mediated_schema(
-                        dataset, threshold=config.schema_threshold
+                        dataset,
+                        threshold=config.schema_threshold,
+                        profiles=profiles(),
+                        tracer=tracer,
                     ),
                     span,
                 )
@@ -444,9 +454,8 @@ class BDIPipeline:
                         with tracer.span(
                             "pipeline.identifier_linkage"
                         ) as id_span:
-                            profiles = profile_attributes(dataset)
                             detections = detect_identifier_attributes(
-                                profiles
+                                profiles()
                             )
                             identifier_clusters = link_by_identifier(
                                 records, detections
@@ -476,6 +485,7 @@ class BDIPipeline:
                     span.set("n_quarantined", linkage.n_quarantined)
                 span.set("n_clusters", len(clusters))
                 tracer.counter("pipeline.clusters").inc(len(clusters))
+            profiles.cache_clear()
 
             # 3. Claims: one claim per (source, cluster, mediated
             #    attribute), values canonicalized so format variants

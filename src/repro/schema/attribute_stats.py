@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from repro.core.dataset import Dataset
@@ -97,8 +98,22 @@ class AttributeProfile:
             return None
         return sum(math.log10(m) for m in magnitudes) / len(magnitudes)
 
+    @cached_property
+    def features(self) -> tuple[frozenset, set, float, float | None]:
+        """``(distinct values, value_tokens, numeric_fraction,
+        numeric_mean_log())``, derived once: instance matching reads
+        them for every pair the profile is in. :meth:`observe` drops
+        the cached tuple; mutating the fields directly does not."""
+        return (
+            frozenset(self.values),
+            self.value_tokens,
+            self.numeric_fraction,
+            self.numeric_mean_log(),
+        )
+
     def observe(self, raw_value: str) -> None:
         """Fold one raw value into the profile."""
+        self.__dict__.pop("features", None)
         self.n_records += 1
         normalized = normalize_value(raw_value)
         self.values[normalized] += 1

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.dataset import Dataset
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 from repro.schema.attribute_stats import (
+    AttributeProfile,
     SourceAttribute,
     profile_attributes,
 )
 from repro.schema.clustering import cluster_attributes_robust
 from repro.schema.correspondence import (
+    report_counts,
     score_all_pairs,
     select_correspondences,
 )
@@ -48,6 +50,7 @@ class MediatedSchema:
     def __init__(self, attributes: Sequence[MediatedAttribute]) -> None:
         self._attributes = tuple(attributes)
         self._of_source_attribute: dict[SourceAttribute, MediatedAttribute] = {}
+        self._by_name = {mediated.name: mediated for mediated in attributes}
         for mediated in self._attributes:
             for member in mediated.members:
                 if member in self._of_source_attribute:
@@ -70,10 +73,7 @@ class MediatedSchema:
 
     def by_name(self, name: str) -> MediatedAttribute | None:
         """Look up a mediated attribute by its canonical name."""
-        for mediated in self._attributes:
-            if mediated.name == name:
-                return mediated
-        return None
+        return self._by_name.get(name)
 
     def find(self, keyword: str) -> list[MediatedAttribute]:
         """Mediated attributes whose canonical name or members mention
@@ -123,18 +123,14 @@ class MediatedSchema:
         return f"MediatedSchema(attributes={len(self._attributes)})"
 
 
-def canonical_name(
-    members: Iterable[SourceAttribute],
-) -> str:
+def canonical_name(members: Iterable[SourceAttribute]) -> str:
     """Most frequent normalized member name (ties break alphabetically)."""
     counts = Counter(
         normalize_attribute_name(attribute) for __, attribute in members
     )
-    best = max(counts.items(), key=lambda kv: (kv[1], -len(kv[0]), kv[0]))
+    best = max(counts.values())
     # Prefer the most common; among equals prefer shorter, then earlier.
-    candidates = [
-        name for name, count in counts.items() if count == best[1]
-    ]
+    candidates = [name for name, count in counts.items() if count == best]
     return sorted(candidates, key=lambda name: (len(name), name))[0]
 
 
@@ -144,21 +140,26 @@ def build_mediated_schema(
     threshold: float = 0.6,
     one_to_one: bool = True,
     min_cohesion: float = 0.3,
+    profiles: Mapping[SourceAttribute, AttributeProfile] | None = None,
+    tracer=None,
 ) -> MediatedSchema:
     """End-to-end deterministic mediated-schema construction.
 
-    Profiles attributes, scores all cross-source pairs with ``matcher``
-    (default :class:`HybridMatcher`), selects correspondences above
-    ``threshold``, clusters them (with cohesion-based splitting), and
-    names each cluster by its most common member name — with clusters
-    sharing a name disambiguated by a numeric suffix.
+    Profiles attributes (unless given the dataset's ``profiles``), scores
+    the cross-source pairs that reach ``threshold`` with ``matcher``
+    (default :class:`HybridMatcher`), selects correspondences among them,
+    clusters those (with cohesion-based splitting), and names each cluster
+    by its most common member name — with clusters sharing a name told
+    apart by a numeric suffix. ``tracer`` receives the ``schema.*`` counts.
     """
     matcher = matcher or HybridMatcher()
-    profiles = profile_attributes(dataset)
-    scored = score_all_pairs(profiles, matcher, min_score=threshold / 2)
+    if profiles is None:
+        profiles = profile_attributes(dataset)
+    scored = score_all_pairs(profiles, matcher, threshold, tracer=tracer)
     selected = select_correspondences(
         scored, threshold=threshold, one_to_one=one_to_one
     )
+    report_counts(tracer, {"schema.correspondences_selected": len(selected)})
     clusters = cluster_attributes_robust(
         selected, all_attributes=profiles.keys(), min_cohesion=min_cohesion
     )

@@ -238,6 +238,7 @@ def build_probabilistic_mediated_schema(
     max_schemas: int = 8,
     max_uncertain_edges: int = 12,
     one_to_one: bool = True,
+    tracer=None,
 ) -> ProbabilisticMediatedSchema:
     """Build a probabilistic mediated schema over ``dataset``.
 
@@ -245,7 +246,7 @@ def build_probabilistic_mediated_schema(
     candidate; those in ``[uncertain_threshold, certain_threshold)``
     become probabilistic edges; lower scores are discarded. The top
     ``max_schemas`` edge resolutions (by probability) become the
-    candidate schemas.
+    candidate schemas. ``tracer`` receives the ``schema.*`` pair counts.
     """
     if not 0 <= uncertain_threshold < certain_threshold <= 1:
         raise ConfigurationError(
@@ -254,7 +255,7 @@ def build_probabilistic_mediated_schema(
     matcher = matcher or HybridMatcher()
     profiles = profile_attributes(dataset)
     scored = score_all_pairs(
-        profiles, matcher, min_score=uncertain_threshold
+        profiles, matcher, min_score=uncertain_threshold, tracer=tracer
     )
     if one_to_one:
         from repro.schema.correspondence import select_correspondences

@@ -414,6 +414,26 @@ class TestPipelineInstrumented:
         clone = RunReport.from_json(report.to_json())
         assert clone.to_dict() == report.to_dict()
 
+    def test_schema_alignment_accounts_for_its_pairs(self, dataset):
+        __, report = BDIPipeline().run_instrumented(dataset)
+        span = report.find_span("pipeline.schema_alignment")
+        counters = report.metrics["counters"]
+        for name in (
+            "schema.attributes",
+            "schema.pairs_possible",
+            "schema.candidate_pairs",
+            "schema.pairs_name_scored",
+            "schema.name_pairs_distinct",
+            "schema.correspondences_selected",
+        ):
+            assert span.attributes[name] == counters[name] > 0
+        assert (
+            counters["schema.correspondences_selected"]
+            <= counters["schema.pairs_name_scored"]
+            <= counters["schema.candidate_pairs"]
+            < counters["schema.pairs_possible"]
+        )
+
     def test_default_run_is_uninstrumented(self, dataset):
         # No tracer: the NullTracer path must not grow any state.
         result = BDIPipeline().run(dataset)

@@ -196,3 +196,43 @@ class TestIdentifierToggle:
         assert with_report.linkage_pairwise_f1 >= (
             without_report.linkage_pairwise_f1 - 0.01
         )
+
+
+class TestProfilesOncePerRun:
+    """Schema alignment and identifier linkage share one profiling pass."""
+
+    @pytest.fixture
+    def profiled(self, monkeypatch):
+        import repro.schema
+        import repro.schema.mediated
+
+        calls = []
+
+        def counting(dataset, sources=None):
+            calls.append(dataset)
+            return profile(dataset, sources)
+
+        profile = repro.schema.profile_attributes
+        monkeypatch.setattr(repro.schema, "profile_attributes", counting)
+        monkeypatch.setattr(
+            repro.schema.mediated, "profile_attributes", counting
+        )
+        return calls
+
+    def test_one_pass_and_same_result(self, corpus, run, profiled):
+        result = BDIPipeline(PipelineConfig(fusion="accuvote")).run(
+            corpus.dataset
+        )
+        assert len(profiled) == 1
+        assert result.entity_table == run[0].entity_table
+        assert result.schema.attributes == run[0].schema.attributes
+
+    def test_resumed_run_profiles_only_on_demand(
+        self, corpus, profiled, tmp_path
+    ):
+        pipeline = BDIPipeline(PipelineConfig(fusion="accuvote"))
+        first = pipeline.run(corpus.dataset, checkpoint=tmp_path)
+        assert len(profiled) == 1
+        resumed = pipeline.run(corpus.dataset, checkpoint=tmp_path)
+        assert len(profiled) == 1  # every stage replayed: nothing asks
+        assert resumed.entity_table == first.entity_table

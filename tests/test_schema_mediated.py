@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ConfigurationError
+from repro.obs import Tracer
 from repro.schema import (
     Correspondence,
     MediatedAttribute,
@@ -10,6 +11,7 @@ from repro.schema import (
     build_mediated_schema,
     cluster_attributes,
     cluster_attributes_robust,
+    profile_attributes,
     select_correspondences,
 )
 from repro.synth import (
@@ -19,6 +21,11 @@ from repro.synth import (
     generate_world,
 )
 from repro.quality import attribute_cluster_quality
+from tests.test_schema_matchers import (
+    BENCHMARK_CORPORA,
+    all_pairs_oracle,
+    benchmark_corpus_named,
+)
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +147,47 @@ class TestMediatedSchema:
         s1 = build_mediated_schema(dataset)
         s2 = build_mediated_schema(dataset)
         assert s1.clusters() == s2.clusters()
+
+
+@pytest.fixture(scope="module", params=BENCHMARK_CORPORA)
+def benchmark_corpus(request):
+    return benchmark_corpus_named(request.param)
+
+
+class TestBuiltFromCandidatesEqualsBuiltFromAllPairs:
+    """The schema from ``score_all_pairs`` at ``threshold`` is the one
+    the all-pairs loop gave at ``threshold / 2`` (what the builder asked
+    for before it asked only for what ``select_correspondences`` keeps).
+    """
+
+    def test_same_schema(self, benchmark_corpus, monkeypatch):
+        built = build_mediated_schema(benchmark_corpus)
+        monkeypatch.setattr(
+            "repro.schema.mediated.score_all_pairs",
+            lambda profiles, matcher, min_score, tracer: all_pairs_oracle(
+                profiles, matcher, min_score / 2
+            ),
+        )
+        reference = build_mediated_schema(benchmark_corpus)
+        assert built.attributes == reference.attributes
+        assert len(built) > 1
+
+    def test_given_profiles_and_counts(self, benchmark_corpus):
+        profiles = profile_attributes(benchmark_corpus)
+        tracer = Tracer()
+        built = build_mediated_schema(
+            benchmark_corpus, profiles=profiles, tracer=tracer
+        )
+        assert built.attributes == build_mediated_schema(
+            benchmark_corpus
+        ).attributes
+        assert tracer.counter("schema.attributes").value == len(profiles)
+        assert 0 < tracer.counter(
+            "schema.correspondences_selected"
+        ).value <= tracer.counter("schema.pairs_name_scored").value
+
+    def test_by_name_finds_every_attribute(self, benchmark_corpus):
+        schema = build_mediated_schema(benchmark_corpus)
+        for mediated in schema.attributes:
+            assert schema.by_name(mediated.name) is mediated
+        assert schema.by_name("no such attribute") is None

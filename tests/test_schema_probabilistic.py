@@ -19,6 +19,11 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
+from tests.test_schema_matchers import (
+    BENCHMARK_CORPORA,
+    all_pairs_oracle,
+    benchmark_corpus_named,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +129,28 @@ class TestQueryAnswering:
         pschema = build_probabilistic_mediated_schema(dataset)
         scored = answer_with_pschema(dataset, pschema, "color")
         assert all(0.0 <= p <= 1.0 + 1e-9 for p in scored.values())
+
+
+@pytest.mark.parametrize("corpus", BENCHMARK_CORPORA)
+def test_pschema_from_candidates_equals_pschema_from_all_pairs(
+    corpus, monkeypatch
+):
+    """``uncertain_threshold`` equals the default ``name_weight``, so
+    this goes through the branch where a name alone can carry a pair."""
+    dataset = benchmark_corpus_named(corpus)
+    built = build_probabilistic_mediated_schema(dataset)
+    monkeypatch.setattr(
+        "repro.schema.probabilistic.score_all_pairs",
+        lambda profiles, matcher, min_score, tracer: all_pairs_oracle(
+            profiles, matcher, min_score
+        ),
+    )
+    reference = build_probabilistic_mediated_schema(dataset)
+    assert [
+        (candidate.schema.attributes, candidate.probability)
+        for candidate in built.candidates
+    ] == [
+        (candidate.schema.attributes, candidate.probability)
+        for candidate in reference.candidates
+    ]
+    assert len(built) > 1
