@@ -243,7 +243,8 @@ class BDIPipeline:
         ``tracer`` (an :class:`repro.obs.Tracer`, default no-op)
         records one span per stage — schema alignment, record linkage
         (with the engine's comparison counters nested inside), claim
-        extraction, fusion (with per-iteration convergence deltas),
+        extraction, fusion (TruthFinder and AccuCopy nest a solver span
+        with per-iteration convergence deltas; AccuVote runs untraced),
         entity-table materialization — plus the text-layer cache
         gauges. Call ``tracer.report()`` afterwards for the structured
         run artifact, or use :meth:`run_instrumented`.
@@ -252,10 +253,12 @@ class BDIPipeline:
         :class:`repro.recovery.RunStore`, default off) makes the run
         crash-resumable: every completed stage is durably recorded in
         the store's stage ledger and skipped on a rerun, and the
-        stages with internal loops — comparison chunks in linkage, EM
-        and fusion iterations — checkpoint *within* the stage, so a
-        killed run resumes from its last completed unit of work with
-        results identical to an uninterrupted run. The store is bound
+        stages with internal loops — comparison chunks in linkage,
+        Fellegi-Sunter EM, TruthFinder and AccuCopy iterations —
+        checkpoint *within* the stage, so a killed run resumes from its
+        last completed unit of work with results identical to an
+        uninterrupted run (AccuVote and voting resume by stage; so does
+        TruthFinder under ``memory_budget``). The store is bound
         to a fingerprint of this exact config and dataset; resuming
         under a different one raises
         :class:`repro.recovery.CheckpointMismatchError`.
@@ -269,8 +272,10 @@ class BDIPipeline:
         streams. Output is byte-identical to the unbounded run;
         :attr:`PipelineResult.claims` then carries a
         :class:`repro.outofcore.ClaimStreamSummary` instead of the full
-        claim set. Requires the ``threshold`` classifier and ``vote``
-        or ``accuvote`` fusion (the streaming paths that exist today).
+        claim set. Requires the ``threshold`` classifier and refuses
+        ``accucopy`` fusion: voting, AccuVote and TruthFinder read one
+        item's claims at a time and run on the spilled groups unchanged,
+        AccuCopy's copy detector compares source pairs across items.
         """
         from repro.fusion import (
             AccuCopy,
@@ -311,16 +316,17 @@ class BDIPipeline:
                 raise ConfigurationError(
                     "memory_budget requires the threshold classifier"
                 )
-            if config.fusion not in {"vote", "accuvote"}:
+            if config.fusion == "accucopy":
                 raise ConfigurationError(
-                    "memory_budget supports only vote/accuvote fusion, "
-                    f"not {config.fusion!r}"
+                    "memory_budget does not support fusion='accucopy': "
+                    "its copy detector compares source pairs across "
+                    "items, which a spilled claim stream cannot serve"
                 )
             if config.numeric_fusion:
                 raise ConfigurationError(
                     "numeric_fusion is not supported with memory_budget"
                 )
-            from repro.outofcore import MemoryBudget
+            from repro.outofcore import MemoryBudget, SpillableClaimGroups
 
             budget = MemoryBudget(memory_budget, tracer=tracer)
 
@@ -489,126 +495,87 @@ class BDIPipeline:
 
             # 3. Claims: one claim per (source, cluster, mediated
             #    attribute), values canonicalized so format variants
-            #    agree. Memory-bounded runs spill grouped claims
-            #    instead of materializing a ClaimSet and stream fusion
-            #    over the groups — identical fused output.
+            #    agree. A memory-bounded run spills the grouped claims
+            #    instead of materializing a ClaimSet; the fusers read
+            #    either through the same four calls.
             cluster_of: dict[str, str] = {}
             for cluster in clusters:
                 cluster_id = min(cluster)
                 for record_id in cluster:
                     cluster_of[record_id] = cluster_id
+            streaming = {"streaming": True} if budget is not None else {}
 
-            if budget is None:
-                with tracer.span("pipeline.claims") as span:
+            with tracer.span("pipeline.claims", **streaming) as span:
 
-                    def compute_claims():
-                        claim_set = ClaimSet()
-                        seen: set[tuple[str, str]] = set()
-                        for record in records:
-                            cluster_id = cluster_of[record.record_id]
-                            translated = schema.translate(record)
-                            for attribute, value in translated.items():
-                                item_id = f"{cluster_id}::{attribute}"
-                                key = (record.source_id, item_id)
-                                if key in seen:
-                                    continue
-                                seen.add(key)
-                                claim_set.add(
-                                    Claim(
-                                        record.source_id,
-                                        item_id,
-                                        canonical_value(value),
-                                    )
-                                )
-                        return claim_set
-
-                    claim_set = self._stage(
-                        store, "claims", compute_claims, span
-                    )
-                    span.set("n_claims", len(claim_set))
-                    span.set("n_items", len(claim_set.items()))
-
-                # 4. Fusion. Fusers are built lazily so only the
-                #    selected algorithm is constructed (and wired to
-                #    the solver's iteration checkpoint when resumable).
-                with tracer.span(
-                    "pipeline.fusion", algorithm=config.fusion
-                ) as span:
-
-                    def compute_fusion():
-                        fusers = {
-                            "vote": lambda: VotingFuser(),
-                            "truthfinder": lambda: TruthFinder(
-                                tracer=tracer,
-                                checkpoint=sub("fusion.solver"),
-                            ),
-                            "accuvote": lambda: AccuVote(
-                                n_false_values=config.n_false_values
-                            ),
-                            "accucopy": lambda: AccuCopy(
-                                n_false_values=config.n_false_values,
-                                tracer=tracer,
-                                checkpoint=sub("fusion.solver"),
-                            ),
-                        }
-                        fusion = fusers[config.fusion]().fuse(claim_set)
-                        if config.numeric_fusion:
-                            fusion = self._refuse_numeric_items(
-                                claim_set, fusion
-                            )
-                        return fusion
-
-                    fusion = self._stage(
-                        store, "fusion", compute_fusion, span
-                    )
-                    span.set("iterations", fusion.iterations)
-            else:
-                from repro.outofcore import (
-                    SpillableClaimGroups,
-                    stream_accuvote,
-                    stream_voting,
-                )
-
-                with tracer.span(
-                    "pipeline.claims", streaming=True
-                ) as span:
-                    groups = SpillableClaimGroups(
-                        spill_store.sub("claims"), budget
+                def compute_claims():
+                    claims = (
+                        ClaimSet()
+                        if budget is None
+                        else SpillableClaimGroups(
+                            spill_store.sub("claims"), budget
+                        )
                     )
                     for record in records:
+                        source_id = record.source_id
                         cluster_id = cluster_of[record.record_id]
                         translated = schema.translate(record)
                         for attribute, value in translated.items():
-                            groups.add(
-                                record.source_id,
-                                f"{cluster_id}::{attribute}",
-                                canonical_value(value),
-                            )
-                    claim_set = groups.summary()
-                    span.set("n_claims", groups.n_claims)
-                    span.set("n_items", groups.n_items)
+                            item_id = f"{cluster_id}::{attribute}"
+                            # A source's first claim on an item wins;
+                            # the spilled groups drop the later ones as
+                            # they stream out.
+                            if budget is not None:
+                                claims.add(
+                                    source_id, item_id, canonical_value(value)
+                                )
+                            elif claims.value_of(source_id, item_id) is None:
+                                value = canonical_value(value)
+                                claims.add(Claim(source_id, item_id, value))
+                    return claims
 
-                with tracer.span(
-                    "pipeline.fusion",
-                    algorithm=config.fusion,
-                    streaming=True,
-                ) as span:
+                # Spilled groups are rebuilt, not replayed: a ledger
+                # artifact would be the very thing that does not fit.
+                ledger = store if budget is None else None
+                claim_set = self._stage(ledger, "claims", compute_claims, span)
+                span.set("n_claims", len(claim_set))
+                span.set("n_items", len(claim_set.items()))
 
-                    def compute_fusion():
-                        if config.fusion == "vote":
-                            return stream_voting(groups)
-                        return stream_accuvote(
-                            groups,
-                            spill_store.sub("fusion"),
-                            budget,
+            # 4. Fusion. Fusers are built lazily so only the selected
+            #    algorithm is constructed (and wired to the solver's
+            #    iteration checkpoint when resumable; a solver signs its
+            #    claims by sorting them in memory, so not when spilled).
+            with tracer.span(
+                "pipeline.fusion", algorithm=config.fusion, **streaming
+            ) as span:
+
+                def compute_fusion():
+                    solver = sub("fusion.solver") if budget is None else None
+                    fusers = {
+                        "vote": lambda: VotingFuser(),
+                        "truthfinder": lambda: TruthFinder(
+                            tracer=tracer, checkpoint=solver
+                        ),
+                        "accuvote": lambda: AccuVote(
+                            n_false_values=config.n_false_values
+                        ),
+                        "accucopy": lambda: AccuCopy(
                             n_false_values=config.n_false_values,
+                            tracer=tracer,
+                            checkpoint=solver,
+                        ),
+                    }
+                    fusion = fusers[config.fusion]().fuse(claim_set)
+                    if config.numeric_fusion:
+                        fusion = self._refuse_numeric_items(
+                            claim_set, fusion
                         )
+                    return fusion
 
-                    fusion = self._stage(
-                        store, "fusion", compute_fusion, span
-                    )
-                    span.set("iterations", fusion.iterations)
-                groups.release()
+                fusion = self._stage(store, "fusion", compute_fusion, span)
+                span.set("iterations", fusion.iterations)
+            if budget is not None:
+                claim_set.release()
+                claim_set = claim_set.summary()
 
             # 5. Entity table.
             with tracer.span("pipeline.entity_table") as span:

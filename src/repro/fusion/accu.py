@@ -17,11 +17,20 @@ until the accuracy vector stabilizes.
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 from typing import Mapping
 
 from repro.core.errors import ConfigurationError
-from repro.fusion.base import ClaimSet, Fuser, FusionResult
+from repro.core.fixedpoint import fixed_point
+from repro.fusion.base import (
+    ClaimSet,
+    Fuser,
+    FusionResult,
+    ItemScorer,
+    reweigh,
+    softmax,
+    sweep,
+)
 from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
 
 __all__ = ["AccuVote"]
@@ -66,73 +75,50 @@ class AccuVote(Fuser):
         self._max_iterations = max_iterations
         self._tolerance = tolerance
 
-    def _posteriors(
-        self, claims: ClaimSet, accuracy: Mapping[str, float]
-    ) -> dict[tuple[str, str], float]:
-        """P(value true | claims) per (item, value) under the model."""
-        posteriors: dict[tuple[str, str], float] = {}
-        for item in claims.items():
-            values = claims.values_for(item)
-            scores = []
-            for value in values:
-                scores.append(
-                    sum(
-                        vote_count(accuracy[source], self._n)
-                        for source in claims.supporters(item, value)
-                    )
+    def item_scorer(self, accuracy: Mapping[str, float]) -> ItemScorer:
+        """The AccuVote rule under ``accuracy``: one item's claims to
+        P(value true | claims) per claimed value — the softmax of each
+        value's summed supporter vote counts."""
+        votes = {
+            source: vote_count(a, self._n) for source, a in accuracy.items()
+        }
+
+        def score_item(item_claims):
+            scores: dict[str, float] = {}
+            for claim in item_claims:
+                scores[claim.value] = (
+                    scores.get(claim.value, 0) + votes[claim.source_id]
                 )
-            peak = max(scores)
-            exps = [math.exp(score - peak) for score in scores]
-            total = sum(exps)
-            for value, weight in zip(values, exps):
-                posteriors[(item, value)] = weight / total
-        return posteriors
+            return softmax(scores)
+
+        return score_item
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         claims.require_nonempty()
-        sources = claims.sources()
-        if self._known is not None:
-            accuracy = {
-                source: self._known.get(source, self._initial_accuracy)
-                for source in sources
-            }
-            posteriors = self._posteriors(claims, accuracy)
-            iterations = 1
-        else:
-            accuracy = {
-                source: self._initial_accuracy for source in sources
-            }
-            posteriors = {}
-            iterations = 0
-            for iterations in range(1, self._max_iterations + 1):
-                posteriors = self._posteriors(claims, accuracy)
-                new_accuracy: dict[str, float] = {}
-                for source in sources:
-                    source_claims = claims.claims_by(source)
-                    mean_posterior = sum(
-                        posteriors[(claim.item_id, claim.value)]
-                        for claim in source_claims
-                    ) / len(source_claims)
-                    new_accuracy[source] = min(
-                        _ACCURACY_CEIL,
-                        max(_ACCURACY_FLOOR, mean_posterior),
-                    )
-                change = max(
-                    abs(new_accuracy[s] - accuracy[s]) for s in sources
-                )
-                accuracy = new_accuracy
-                if change < self._tolerance:
-                    break
-        chosen: dict[str, str] = {}
-        confidence: dict[str, float] = {}
-        for item in claims.items():
-            values = claims.values_for(item)
-            best = max(values, key=lambda v: (posteriors[(item, v)], v))
-            chosen[item] = best
-            confidence[item] = posteriors[(item, best)]
-        return FusionResult(
-            chosen=chosen,
-            confidence=confidence,
-            source_accuracy=dict(accuracy),
-            iterations=iterations,
+        known = self._known
+
+        def step(result):
+            accuracy = result.source_accuracy
+            chosen, confidence, means = sweep(
+                claims, self.item_scorer(accuracy)
+            )
+            if known is not None:
+                return FusionResult(chosen, confidence, accuracy), 0.0, True
+            accuracy, change = reweigh(
+                accuracy, means, _ACCURACY_FLOOR, _ACCURACY_CEIL
+            )
+            done = change < self._tolerance
+            return FusionResult(chosen, confidence, accuracy), change, done
+
+        accuracy = {
+            source: (known or {}).get(source, self._initial_accuracy)
+            for source in claims.sources()
+        }
+        result, iterations = fixed_point(
+            step,
+            FusionResult({}, source_accuracy=accuracy),
+            max_iterations=self._max_iterations,
+            span="fusion.accuvote",
+            counter="fusion.accuvote.iterations",
         )
+        return replace(result, iterations=iterations)

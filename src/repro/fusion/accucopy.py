@@ -23,15 +23,23 @@ of the original experiments — are detected regardless of cabal size.
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 from typing import Mapping
 
 from repro.core.errors import ConfigurationError
-from repro.fusion.base import ClaimSet, Fuser, FusionResult
+from repro.core.fixedpoint import fixed_point
+from repro.fusion.base import (
+    ClaimSet,
+    Fuser,
+    FusionResult,
+    ItemScorer,
+    reweigh,
+    softmax,
+    sweep,
+)
 from repro.fusion.copydetect import CopyDetector
 from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
 from repro.fusion.voting import VotingFuser
-from repro.obs import NULL_TRACER
 
 __all__ = ["AccuCopy"]
 
@@ -71,8 +79,8 @@ class AccuCopy(Fuser):
         tracer=None,
         checkpoint=None,
     ) -> None:
-        if outer_iterations < 1:
-            raise ConfigurationError("outer_iterations must be >= 1")
+        if not 0.0 < initial_accuracy < 1.0:
+            raise ConfigurationError("initial_accuracy must be in (0, 1)")
         self._n = n_false_values
         self._initial_accuracy = initial_accuracy
         self._detector = detector or CopyDetector(
@@ -80,7 +88,7 @@ class AccuCopy(Fuser):
         )
         self._outer_iterations = outer_iterations
         self._tolerance = tolerance
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._tracer = tracer
         self._checkpoint = checkpoint
 
     def _state_signature(self, claims: ClaimSet) -> str:
@@ -95,140 +103,71 @@ class AccuCopy(Fuser):
             self._tolerance,
         )
 
-    def _discounted_posteriors(
+    def item_scorer(
         self,
-        claims: ClaimSet,
         accuracy: Mapping[str, float],
         copy_probability: Mapping[tuple[str, str], float],
-    ) -> dict[tuple[str, str], float]:
+    ) -> ItemScorer:
+        """The AccuCopy rule under ``accuracy`` and the detected copying:
+        AccuVote's softmax with each value's supporters visited in
+        descending accuracy and each vote scaled by its independence
+        of the supporters already counted."""
         c = self._detector.copy_rate
-        posteriors: dict[tuple[str, str], float] = {}
-        for item in claims.items():
-            values = claims.values_for(item)
-            scores: list[float] = []
-            for value in values:
-                supporters = sorted(
-                    claims.supporters(item, value),
-                    key=lambda s: (-accuracy.get(s, 0.5), s),
-                )
+        votes = {
+            source: vote_count(a, self._n) for source, a in accuracy.items()
+        }
+
+        def score_item(item_claims):
+            supporters: dict[str, list[str]] = {}
+            for claim in item_claims:
+                supporters.setdefault(claim.value, []).append(claim.source_id)
+            scores: dict[str, float] = {}
+            for value, sources in supporters.items():
+                sources.sort(key=lambda s: (-accuracy[s], s))
                 score = 0.0
                 counted: list[str] = []
-                for source in supporters:
+                for source in sources:
                     independence = 1.0
                     for earlier in counted:
                         key = (min(source, earlier), max(source, earlier))
                         independence *= 1.0 - c * copy_probability.get(
                             key, 0.0
                         )
-                    score += independence * vote_count(
-                        accuracy.get(source, self._initial_accuracy),
-                        self._n,
-                    )
+                    score += independence * votes[source]
                     counted.append(source)
-                scores.append(score)
-            peak = max(scores)
-            exps = [math.exp(score - peak) for score in scores]
-            total = sum(exps)
-            for value, weight in zip(values, exps):
-                posteriors[(item, value)] = weight / total
-        return posteriors
+                scores[value] = score
+            return softmax(scores)
+
+        return score_item
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         claims.require_nonempty()
-        sources = claims.sources()
+
+        def step(result):
+            accuracy = result.source_accuracy
+            copying = self._detector.detect(claims, result.chosen, accuracy)
+            chosen, confidence, means = sweep(
+                claims, self.item_scorer(accuracy, copying)
+            )
+            accuracy, change = reweigh(
+                accuracy, means, _ACCURACY_FLOOR, _ACCURACY_CEIL
+            )
+            done = chosen == result.chosen and change < self._tolerance
+            result = FusionResult(
+                chosen, confidence, accuracy, copy_probability=copying
+            )
+            return result, change, done
+
         # Bootstrap truths with plain voting; accuracies with the prior.
-        truths = VotingFuser().fuse(claims).chosen
-        accuracy = {source: self._initial_accuracy for source in sources}
-        copy_probability: dict[tuple[str, str], float] = {}
-        posteriors: dict[tuple[str, str], float] = {}
-        iterations = 0
-        deltas: list[float] = []
-        checkpoint = self._checkpoint
-        signature = start = None
-        converged = False
-        if checkpoint is not None:
-            signature = self._state_signature(claims)
-            state = checkpoint.load("state")
-            if state is not None and state.get("signature") == signature:
-                truths = state["truths"]
-                accuracy = state["accuracy"]
-                copy_probability = state["copy_probability"]
-                posteriors = state["posteriors"]
-                deltas = list(state["deltas"])
-                iterations = state["iterations"]
-                converged = state["converged"]
-                start = iterations + 1
-                self._tracer.counter(
-                    "recovery.iterations_skipped"
-                ).inc(iterations)
-        with self._tracer.span(
-            "fusion.accucopy",
-            outer_iterations=self._outer_iterations,
-            resumed_at=start or 0,
-        ) as span:
-            for iterations in (
-                ()
-                if converged
-                else range(start or 1, self._outer_iterations + 1)
-            ):
-                copy_probability = self._detector.detect(
-                    claims, truths, accuracy
-                )
-                posteriors = self._discounted_posteriors(
-                    claims, accuracy, copy_probability
-                )
-                new_truths: dict[str, str] = {}
-                for item in claims.items():
-                    values = claims.values_for(item)
-                    new_truths[item] = max(
-                        values, key=lambda v: (posteriors[(item, v)], v)
-                    )
-                new_accuracy: dict[str, float] = {}
-                for source in sources:
-                    source_claims = claims.claims_by(source)
-                    mean_posterior = sum(
-                        posteriors[(claim.item_id, claim.value)]
-                        for claim in source_claims
-                    ) / len(source_claims)
-                    new_accuracy[source] = min(
-                        _ACCURACY_CEIL, max(_ACCURACY_FLOOR, mean_posterior)
-                    )
-                accuracy_change = max(
-                    abs(new_accuracy[s] - accuracy[s]) for s in sources
-                )
-                deltas.append(accuracy_change)
-                stable_truths = new_truths == truths
-                truths, accuracy = new_truths, new_accuracy
-                done = (
-                    stable_truths and accuracy_change < self._tolerance
-                )
-                if checkpoint is not None:
-                    checkpoint.save(
-                        "state",
-                        {
-                            "signature": signature,
-                            "iterations": iterations,
-                            "truths": truths,
-                            "accuracy": accuracy,
-                            "copy_probability": copy_probability,
-                            "posteriors": posteriors,
-                            "deltas": deltas,
-                            "converged": done,
-                        },
-                    )
-                if done:
-                    break
-            span.set("iterations", iterations)
-            span.set("deltas", [round(delta, 8) for delta in deltas])
-        self._tracer.counter("fusion.accucopy.iterations").inc(iterations)
-        confidence = {
-            item: posteriors[(item, truths[item])]
-            for item in claims.items()
-        }
-        return FusionResult(
-            chosen=truths,
-            confidence=confidence,
-            source_accuracy=dict(accuracy),
-            iterations=iterations,
-            copy_probability=dict(copy_probability),
+        accuracy = dict.fromkeys(claims.sources(), self._initial_accuracy)
+        result, iterations = fixed_point(
+            step,
+            replace(VotingFuser().fuse(claims), source_accuracy=accuracy),
+            max_iterations=self._outer_iterations,
+            span="fusion.accucopy",
+            counter="fusion.accucopy.iterations",
+            tracer=self._tracer,
+            checkpoint=self._checkpoint,
+            signature=lambda: self._state_signature(claims),
         )
+        return replace(result, iterations=iterations)

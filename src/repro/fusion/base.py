@@ -4,13 +4,19 @@ Fusion operates on *data items* — (entity, attribute) pairs — and the
 *claims* sources make about them. A :class:`ClaimSet` is the triple
 store of who-said-what, indexed both by item and by source; every
 fusion algorithm consumes one and produces a :class:`FusionResult`.
+
+The truth-discovery fusers share one pass over the claims: a fuser is
+the rule scoring one item's claimed values under the current source
+weights, and :func:`sweep` turns that rule into every item's winner and
+every source's mean score.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import DataModelError, EmptyInputError
 
@@ -120,6 +126,29 @@ class ClaimSet:
         if not self._claims:
             raise EmptyInputError("claim set is empty")
 
+    def groups(self) -> Iterable[tuple[str, Sequence[Claim]]]:
+        """``(item_id, claims in claim order)`` in item first-seen order."""
+        return self._by_item.items()
+
+    def source_means(
+        self,
+        scored: Iterable[tuple[Sequence[Claim], Mapping[str, float]]],
+    ) -> dict[str, float]:
+        """Each source's mean score over the values it claimed.
+
+        ``scored`` yields every group of :meth:`groups` with its
+        ``{value: score}``. A source's scores are looked up and summed
+        in its own claim order, which fixes the float addition order.
+        """
+        scores = {claims[0].item_id: by_value for claims, by_value in scored}
+        return {
+            source: sum(
+                scores[claim.item_id][claim.value] for claim in claims
+            )
+            / len(claims)
+            for source, claims in self._by_source.items()
+        }
+
     def __len__(self) -> int:
         return len(self._claims)
 
@@ -176,11 +205,70 @@ class FusionResult:
 class Fuser:
     """Protocol-like base class for fusion algorithms.
 
-    Subclasses implement :meth:`fuse`, taking a :class:`ClaimSet` and
+    Subclasses implement :meth:`fuse`, taking a claim source and
     returning a :class:`FusionResult`.
     """
 
     name = "fuser"
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
+        """Fuse a claim source: whatever answers ``require_nonempty()``,
+        ``sources()``, ``groups()`` and ``source_means(scored)`` the way
+        :class:`ClaimSet` does — the set itself, or a
+        :class:`repro.outofcore.SpillableClaimGroups` holding the same
+        claims on disk. A fuser that reads nothing else (voting,
+        AccuVote, TruthFinder) gives identical output on either; one
+        that reads across items (AccuCopy's copy detector) needs the
+        :class:`ClaimSet`.
+        """
         raise NotImplementedError
+
+
+def softmax(scores: Mapping[str, float]) -> dict[str, float]:
+    """Normalise log-scores into probabilities, peak subtracted first."""
+    peak = max(scores.values())
+    exps = [math.exp(score - peak) for score in scores.values()]
+    total = sum(exps)
+    return {value: weight / total for value, weight in zip(scores, exps)}
+
+
+#: One item's claims, in claim order, to the score of each claimed
+#: value, in first-seen order: the rule that distinguishes a fuser.
+ItemScorer = Callable[[Sequence[Claim]], Mapping[str, float]]
+
+
+def sweep(
+    claims, score_item: ItemScorer
+) -> tuple[dict[str, str], dict[str, float], dict[str, float]]:
+    """One pass of ``score_item`` over every item of a claim source.
+
+    Returns ``(chosen, confidence, means)``: each item's best-scored
+    value (ties to the larger value string) and its score, and each
+    source's mean score over the values it claimed.
+    """
+    chosen: dict[str, str] = {}
+    confidence: dict[str, float] = {}
+
+    def scored():
+        for item, item_claims in claims.groups():
+            scores = score_item(item_claims)
+            best = max(scores, key=lambda value: (scores[value], value))
+            chosen[item] = best
+            confidence[item] = scores[best]
+            yield item_claims, scores
+
+    return chosen, confidence, claims.source_means(scored())
+
+
+def reweigh(
+    weights: Mapping[str, float],
+    means: Mapping[str, float],
+    floor: float,
+    ceiling: float,
+) -> tuple[dict[str, float], float]:
+    """Source weights moved to their clamped mean scores, and the
+    largest move any source made."""
+    updated = {
+        source: min(ceiling, max(floor, means[source])) for source in weights
+    }
+    return updated, max(abs(updated[s] - weights[s]) for s in weights)

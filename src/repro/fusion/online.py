@@ -34,8 +34,8 @@ def vote_count(accuracy: float, n_false_values: int) -> float:
     accuracy ``a`` choosing among ``n`` wrong values contributes
     ``ln(n * a / (1 - a))`` to its claimed value's log-score. Accuracy
     is clamped away from 0 and 1 so weights stay finite. The one
-    definition under every Bayesian fuser — :class:`AccuVote`,
-    :class:`AccuCopy`, the out-of-core ``stream_accuvote``,
+    definition under every Bayesian fuser — :class:`AccuVote` (in
+    memory and out of core alike), :class:`AccuCopy`,
     :class:`OnlineFusion` and the streaming decayed-fusion layer — so
     they agree bit-for-bit on the same inputs.
     """

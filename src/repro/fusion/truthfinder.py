@@ -18,11 +18,19 @@ claims likely-true values*. TruthFinder iterates that fixed point:
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import replace
+from typing import Callable, Mapping
 
 from repro.core.errors import ConfigurationError
-from repro.fusion.base import ClaimSet, Fuser, FusionResult
-from repro.obs import NULL_TRACER
+from repro.core.fixedpoint import fixed_point
+from repro.fusion.base import (
+    ClaimSet,
+    Fuser,
+    FusionResult,
+    ItemScorer,
+    reweigh,
+    sweep,
+)
 
 __all__ = ["TruthFinder"]
 
@@ -87,7 +95,7 @@ class TruthFinder(Fuser):
         self._similarity = similarity
         self._max_iterations = max_iterations
         self._tolerance = tolerance
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._tracer = tracer
         self._checkpoint = checkpoint
 
     def _state_signature(self, claims: ClaimSet) -> str:
@@ -102,122 +110,59 @@ class TruthFinder(Fuser):
             self._tolerance,
         )
 
-    def fuse(self, claims: ClaimSet) -> FusionResult:
-        claims.require_nonempty()
-        sources = claims.sources()
-        trust = {source: self._initial_trust for source in sources}
-        iterations = 0
-        value_confidence: dict[tuple[str, str], float] = {}
-        deltas: list[float] = []
-        checkpoint = self._checkpoint
-        signature = start = None
-        if checkpoint is not None:
-            signature = self._state_signature(claims)
-            state = checkpoint.load("state")
-            if state is not None and state.get("signature") == signature:
-                # Resume mid-convergence. value_confidence is part of
-                # the state because the final chosen values use the
-                # confidences computed *before* the last trust update —
-                # recomputing them from the restored trust would differ.
-                trust = state["trust"]
-                value_confidence = state["value_confidence"]
-                deltas = list(state["deltas"])
-                iterations = state["iterations"]
-                start = iterations + 1
-                self._tracer.counter(
-                    "recovery.iterations_skipped"
-                ).inc(iterations)
-        with self._tracer.span(
-            "fusion.truthfinder",
-            max_iterations=self._max_iterations,
-            resumed_at=start or 0,
-        ) as span:
-            converged = bool(deltas) and deltas[-1] < self._tolerance
-            for iterations in (
-                ()
-                if converged
-                else range(start or 1, self._max_iterations + 1)
-            ):
-                value_confidence = self._value_confidences(claims, trust)
-                new_trust: dict[str, float] = {}
-                for source in sources:
-                    source_claims = claims.claims_by(source)
-                    mean_confidence = sum(
-                        value_confidence[(claim.item_id, claim.value)]
-                        for claim in source_claims
-                    ) / len(source_claims)
-                    new_trust[source] = min(_MAX_TRUST, mean_confidence)
-                change = self._trust_change(trust, new_trust)
-                deltas.append(change)
-                trust = new_trust
-                if checkpoint is not None:
-                    checkpoint.save(
-                        "state",
-                        {
-                            "signature": signature,
-                            "iterations": iterations,
-                            "trust": trust,
-                            "value_confidence": value_confidence,
-                            "deltas": deltas,
-                        },
-                    )
-                if change < self._tolerance:
-                    break
-            span.set("iterations", iterations)
-            span.set("converged", bool(deltas) and deltas[-1] < self._tolerance)
-            span.set("deltas", [round(delta, 8) for delta in deltas])
-        self._tracer.counter("fusion.truthfinder.iterations").inc(iterations)
-        chosen: dict[str, str] = {}
-        confidence: dict[str, float] = {}
-        for item in claims.items():
-            values = claims.values_for(item)
-            best = max(
-                values, key=lambda v: (value_confidence[(item, v)], v)
-            )
-            chosen[item] = best
-            confidence[item] = value_confidence[(item, best)]
-        return FusionResult(
-            chosen=chosen,
-            confidence=confidence,
-            source_accuracy=dict(trust),
-            iterations=iterations,
-        )
-
-    def _value_confidences(
-        self, claims: ClaimSet, trust: dict[str, float]
-    ) -> dict[tuple[str, str], float]:
+    def item_scorer(self, trust: Mapping[str, float]) -> ItemScorer:
+        """The TruthFinder rule under ``trust``: one item's claims to
+        the confidence of each claimed value — the logistic of its
+        supporters' summed trust scores plus what similar co-claimed
+        values imply."""
         tau = {
             source: -math.log(max(1e-9, 1.0 - t))
             for source, t in trust.items()
         }
-        raw: dict[tuple[str, str], float] = {}
-        for item in claims.items():
-            for value in claims.values_for(item):
-                raw[(item, value)] = sum(
-                    tau[source] for source in claims.supporters(item, value)
+
+        def score_item(item_claims):
+            raw: dict[str, float] = {}
+            for claim in item_claims:
+                raw[claim.value] = (
+                    raw.get(claim.value, 0) + tau[claim.source_id]
                 )
-        if self._implication_weight > 0 and self._similarity is not None:
-            adjusted: dict[tuple[str, str], float] = {}
-            for item in claims.items():
-                values = claims.values_for(item)
-                for value in values:
-                    bonus = sum(
-                        self._similarity(value, other) * raw[(item, other)]
-                        for other in values
+            if self._implication_weight > 0 and self._similarity is not None:
+                raw = {
+                    value: score
+                    + self._implication_weight
+                    * sum(
+                        self._similarity(value, other) * raw[other]
+                        for other in raw
                         if other != value
                     )
-                    adjusted[(item, value)] = (
-                        raw[(item, value)]
-                        + self._implication_weight * bonus
-                    )
-            raw = adjusted
-        return {
-            key: 1.0 / (1.0 + math.exp(-self._dampening * score))
-            for key, score in raw.items()
-        }
+                    for value, score in raw.items()
+                }
+            return {
+                value: 1.0 / (1.0 + math.exp(-self._dampening * score))
+                for value, score in raw.items()
+            }
 
-    @staticmethod
-    def _trust_change(
-        old: dict[str, float], new: dict[str, float]
-    ) -> float:
-        return max(abs(new[s] - old[s]) for s in old)
+        return score_item
+
+    def fuse(self, claims: ClaimSet) -> FusionResult:
+        claims.require_nonempty()
+
+        def step(result):
+            trust = result.source_accuracy
+            chosen, confidence, means = sweep(claims, self.item_scorer(trust))
+            trust, change = reweigh(trust, means, 0.0, _MAX_TRUST)
+            done = change < self._tolerance
+            return FusionResult(chosen, confidence, trust), change, done
+
+        trust = dict.fromkeys(claims.sources(), self._initial_trust)
+        result, iterations = fixed_point(
+            step,
+            FusionResult({}, source_accuracy=trust),
+            max_iterations=self._max_iterations,
+            span="fusion.truthfinder",
+            counter="fusion.truthfinder.iterations",
+            tracer=self._tracer,
+            checkpoint=self._checkpoint,
+            signature=lambda: self._state_signature(claims),
+        )
+        return replace(result, iterations=iterations)

@@ -26,15 +26,14 @@ class VotingFuser(Fuser):
         claims.require_nonempty()
         chosen: dict[str, str] = {}
         confidence: dict[str, float] = {}
-        for item in claims.items():
+        for item, item_claims in claims.groups():
             counts: dict[str, int] = {}
-            for claim in claims.claims_for(item):
+            for claim in item_claims:
                 counts[claim.value] = counts.get(claim.value, 0) + 1
-            total = sum(counts.values())
             best_value = max(
                 counts,
                 key=lambda value: (counts[value], -list(counts).index(value)),
             )
             chosen[item] = best_value
-            confidence[item] = counts[best_value] / total if total else 0.0
+            confidence[item] = counts[best_value] / len(item_claims)
         return FusionResult(chosen=chosen, confidence=confidence)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.errors import ConfigurationError, EmptyInputError
+from repro.core.fixedpoint import fixed_point
 from repro.linkage.classify.threshold import MatchDecision
 from repro.linkage.comparison import ComparisonVector
-from repro.obs import NULL_TRACER
 
 __all__ = ["FellegiSunterModel", "fit_fellegi_sunter"]
 
@@ -135,7 +135,6 @@ def fit_fellegi_sunter(
     a rerun over the same patterns with the same parameters resumes
     mid-convergence with a fit identical to an uninterrupted run.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     if not vectors:
         raise EmptyInputError("cannot fit Fellegi-Sunter on no vectors")
     n_fields = len(vectors[0].similarities)
@@ -145,105 +144,83 @@ def fit_fellegi_sunter(
     if any(len(p) != n_fields for p in patterns):
         raise ConfigurationError("inconsistent vector lengths")
 
-    # Initialization: matches agree often, non-matches rarely.
-    m = [0.9] * n_fields
-    u = [0.1] * n_fields
-    prevalence = initial_prevalence
-    deltas: list[float] = []
-    signature = None
-    if checkpoint is not None:
+    total_pairs = sum(patterns.values())
+
+    def step(state):
+        m, u, prevalence = state
+        # E-step: responsibility of the match class for each pattern.
+        responsibilities: dict[tuple[bool, ...], float] = {}
+        for pattern in patterns:
+            likelihood_match = prevalence
+            likelihood_non = 1.0 - prevalence
+            for agrees, m_i, u_i in zip(pattern, m, u):
+                likelihood_match *= m_i if agrees else (1.0 - m_i)
+                likelihood_non *= u_i if agrees else (1.0 - u_i)
+            total = likelihood_match + likelihood_non
+            responsibilities[pattern] = (
+                likelihood_match / total if total > 0 else 0.5
+            )
+        # M-step.
+        expected_matches = sum(
+            responsibilities[p] * count for p, count in patterns.items()
+        )
+        expected_non = total_pairs - expected_matches
+        new_prevalence = _clamp(expected_matches / total_pairs)
+        new_m: list[float] = []
+        new_u: list[float] = []
+        for index in range(n_fields):
+            agree_match = sum(
+                responsibilities[p] * count
+                for p, count in patterns.items()
+                if p[index]
+            )
+            agree_non = sum(
+                (1.0 - responsibilities[p]) * count
+                for p, count in patterns.items()
+                if p[index]
+            )
+            new_m.append(
+                _clamp(agree_match / expected_matches)
+                if expected_matches > 0
+                else 0.5
+            )
+            new_u.append(
+                _clamp(agree_non / expected_non)
+                if expected_non > 0
+                else 0.5
+            )
+        delta = (
+            abs(new_prevalence - prevalence)
+            + sum(abs(a - b) for a, b in zip(new_m, m))
+            + sum(abs(a - b) for a, b in zip(new_u, u))
+        )
+        return (new_m, new_u, new_prevalence), delta, delta < tolerance
+
+    def signature() -> str:
         from repro.recovery import config_fingerprint
 
-        signature = config_fingerprint(
+        return config_fingerprint(
             sorted(patterns.items()),
             agreement_threshold,
             max_iterations,
             tolerance,
             initial_prevalence,
         )
-        state = checkpoint.load("state")
-        if state is not None and state.get("signature") == signature:
-            m = list(state["m"])
-            u = list(state["u"])
-            prevalence = state["prevalence"]
-            deltas = list(state["deltas"])
-            tracer.counter("recovery.iterations_skipped").inc(len(deltas))
 
-    with tracer.span(
-        "classify.fellegi_sunter_em",
+    # Initialization: matches agree often, non-matches rarely.
+    (m, u, prevalence), __ = fixed_point(
+        step,
+        ([0.9] * n_fields, [0.1] * n_fields, initial_prevalence),
+        max_iterations=max_iterations,
+        span="classify.fellegi_sunter_em",
+        counter="classify.em_iterations",
+        tracer=tracer,
+        checkpoint=checkpoint,
+        signature=signature,
+        digits=10,
         n_vectors=len(vectors),
         n_patterns=len(patterns),
-        max_iterations=max_iterations,
-        resumed_at=len(deltas),
-    ) as span:
-        converged = bool(deltas) and deltas[-1] < tolerance
-        for __ in () if converged else range(len(deltas), max_iterations):
-            # E-step: responsibility of the match class for each pattern.
-            responsibilities: dict[tuple[bool, ...], float] = {}
-            for pattern in patterns:
-                likelihood_match = prevalence
-                likelihood_non = 1.0 - prevalence
-                for agrees, m_i, u_i in zip(pattern, m, u):
-                    likelihood_match *= m_i if agrees else (1.0 - m_i)
-                    likelihood_non *= u_i if agrees else (1.0 - u_i)
-                total = likelihood_match + likelihood_non
-                responsibilities[pattern] = (
-                    likelihood_match / total if total > 0 else 0.5
-                )
-            # M-step.
-            total_pairs = sum(patterns.values())
-            expected_matches = sum(
-                responsibilities[p] * count for p, count in patterns.items()
-            )
-            expected_non = total_pairs - expected_matches
-            new_prevalence = _clamp(expected_matches / total_pairs)
-            new_m: list[float] = []
-            new_u: list[float] = []
-            for index in range(n_fields):
-                agree_match = sum(
-                    responsibilities[p] * count
-                    for p, count in patterns.items()
-                    if p[index]
-                )
-                agree_non = sum(
-                    (1.0 - responsibilities[p]) * count
-                    for p, count in patterns.items()
-                    if p[index]
-                )
-                new_m.append(
-                    _clamp(agree_match / expected_matches)
-                    if expected_matches > 0
-                    else 0.5
-                )
-                new_u.append(
-                    _clamp(agree_non / expected_non)
-                    if expected_non > 0
-                    else 0.5
-                )
-            delta = (
-                abs(new_prevalence - prevalence)
-                + sum(abs(a - b) for a, b in zip(new_m, m))
-                + sum(abs(a - b) for a, b in zip(new_u, u))
-            )
-            deltas.append(delta)
-            m, u, prevalence = new_m, new_u, new_prevalence
-            if checkpoint is not None:
-                checkpoint.save(
-                    "state",
-                    {
-                        "signature": signature,
-                        "m": m,
-                        "u": u,
-                        "prevalence": prevalence,
-                        "deltas": deltas,
-                    },
-                )
-            if delta < tolerance:
-                break
-        span.set("iterations", len(deltas))
-        span.set("converged", bool(deltas) and deltas[-1] < tolerance)
-        span.set("deltas", [round(delta, 10) for delta in deltas])
-    tracer.counter("classify.em_iterations").inc(len(deltas))
+    )
 
     # EM's two components are label-symmetric; orient so the "match"
     # component is the one agreeing more (standard identifiability fix).

@@ -17,9 +17,10 @@ Building blocks:
 * :class:`SpillableBlockIndex`, :class:`ExternalSorter`,
   :class:`ExternalPairDeduper` — bounded blocking indexes, external
   sort, and candidate-pair deduplication.
-* :class:`SpillableClaimGroups` with :func:`stream_voting` /
-  :func:`stream_accuvote` — bounded grouped-claims aggregation and
-  streaming fusion.
+* :class:`SpillableClaimGroups` — bounded grouped claims, a claim
+  source the item-local fusers (voting, AccuVote, TruthFinder) run on
+  unchanged; :func:`stream_voting` / :func:`stream_accuvote` are those
+  fusers called on it.
 * :class:`IndexedRecordStore` — random-access record lookup over a
   ``records.jsonl`` file through a budget-tracked LRU cache.
 * :class:`SpillSession` — bundles the spill store and budget handed to

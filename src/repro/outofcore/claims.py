@@ -1,26 +1,29 @@
-"""Bounded-memory grouped-claims aggregation and streaming fusion.
+"""Bounded-memory grouped claims: the out-of-core claim source.
 
 :class:`SpillableClaimGroups` accumulates claims out of core and
 streams them back grouped by item, in item first-seen order with each
 item's claims in claim order and at most one claim per
 ``(source, item)`` (first wins) — exactly the view a
 :class:`~repro.fusion.base.ClaimSet` built by the in-memory pipeline
-presents to the fusers. :func:`stream_voting` and
-:func:`stream_accuvote` replay the corresponding fusers over that
-stream, reproducing their output **bit for bit**: voting copies the
-tie-break expression verbatim, and AccuVote's accuracy update re-sorts
-per-claim posterior contributions back into claim order before summing,
-because float addition order is part of the contract.
+presents to the fusers. It answers the same four questions a fuser asks
+of its claims (``require_nonempty``, ``sources``, ``groups``,
+``source_means``), so every fuser that reads nothing but one item's
+claims at a time — voting, AccuVote, TruthFinder — runs on it unchanged
+and reproduces its in-memory output **bit for bit**. The one thing the
+spilled side adds is in :meth:`SpillableClaimGroups.source_means`:
+per-claim scores are re-sorted into claim order before summing, because
+float addition order is part of the contract.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.core.errors import ConfigurationError, EmptyInputError
+from repro.core.errors import EmptyInputError
+from repro.fusion.accu import AccuVote
 from repro.fusion.base import Claim, FusionResult
-from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
+from repro.fusion.voting import VotingFuser
 from repro.outofcore.budget import MemoryBudget
 from repro.outofcore.spill import ExternalSorter, entry_nbytes
 
@@ -30,6 +33,13 @@ __all__ = [
     "stream_accuvote",
     "stream_voting",
 ]
+
+
+@dataclass(frozen=True)
+class _SpilledClaim(Claim):
+    """A claim streamed back from disk, with its arrival position."""
+
+    seq: int
 
 
 class ClaimStreamSummary:
@@ -63,30 +73,23 @@ class SpillableClaimGroups:
     while the claims themselves live in budget-bounded sorted runs,
     keyed ``(item first-seen seq, claim seq)`` so the merge restores
     ClaimSet iteration semantics exactly. Duplicate ``(source, item)``
-    claims are dropped at stream time, first claim wins, mirroring the
-    pipeline's pre-insertion ``seen`` set.
+    claims are dropped at stream time, first claim wins, as the
+    in-memory pipeline asks its ClaimSet before adding.
+
+    ``scratch`` is the ``(store, budget)`` that :meth:`source_means`
+    spills its per-claim scores to — the claims' own unless rebound.
     """
 
     def __init__(self, store, budget: MemoryBudget) -> None:
         self._sorter = ExternalSorter(store, budget, name="claims")
+        self.scratch = (store, budget)
         self._item_seq: dict[str, int] = {}
         self._source_seq: dict[str, int] = {}
         self._n_added = 0
 
-    @property
-    def n_claims(self) -> int:
+    def __len__(self) -> int:
         """Claims added (before (source, item) deduplication)."""
         return self._n_added
-
-    @property
-    def n_items(self) -> int:
-        """Distinct items seen."""
-        return len(self._item_seq)
-
-    @property
-    def n_sources(self) -> int:
-        """Distinct sources seen."""
-        return len(self._source_seq)
 
     def add(self, source_id: str, item_id: str, value: str) -> None:
         """Register one claim; later duplicates of a (source, item) are
@@ -115,36 +118,60 @@ class SpillableClaimGroups:
             n_sources=len(self._source_seq),
         )
 
-    def indexed_groups(
-        self,
-    ) -> Iterator[tuple[str, list[tuple[int, Claim]]]]:
-        """``(item_id, [(claim seq, claim), ...])`` groups, re-iterable.
+    def groups(self) -> Iterator[tuple[str, list[_SpilledClaim]]]:
+        """``(item_id, claims)`` groups, re-iterable.
 
         Groups arrive in item first-seen order; within a group claims
         are in claim order with ``(source, item)`` duplicates dropped
         (first wins). Each call starts a fresh merge over the runs.
         """
-        current_item: str | None = None
-        current: list[tuple[int, Claim]] = []
+        current: list[_SpilledClaim] = []
         seen_sources: set[str] = set()
         for __, seq, item_id, source_id, value in self._sorter.sorted_stream():
-            if item_id != current_item:
-                if current_item is not None:
-                    yield current_item, current
-                current_item = item_id
+            if current and item_id != current[0].item_id:
+                yield current[0].item_id, current
                 current = []
                 seen_sources = set()
             if source_id in seen_sources:
                 continue
             seen_sources.add(source_id)
-            current.append((seq, Claim(source_id, item_id, value)))
-        if current_item is not None:
-            yield current_item, current
+            current.append(_SpilledClaim(source_id, item_id, value, seq))
+        if current:
+            yield current[0].item_id, current
 
-    def groups(self) -> Iterator[tuple[str, list[Claim]]]:
-        """``(item_id, claims)`` groups — :meth:`indexed_groups` minus seqs."""
-        for item_id, indexed in self.indexed_groups():
-            yield item_id, [claim for __, claim in indexed]
+    def source_means(
+        self,
+        scored: Iterable[tuple[Sequence[_SpilledClaim], Mapping[str, float]]],
+    ) -> dict[str, float]:
+        """Each source's mean score over the values it claimed.
+
+        ``scored`` yields every group of :meth:`groups` with its
+        ``{value: score}``. In memory a source's scores are summed in
+        claim order, and float addition order changes the low bits; the
+        stream arrives grouped by *item*, so the per-claim scores are
+        spilled keyed by claim seq and merged back into claim order
+        before summing.
+        """
+        store, budget = self.scratch
+        contributions = ExternalSorter(store, budget, name="scores")
+        for claims, scores in scored:
+            for claim in claims:
+                contributions.add(
+                    (claim.seq, claim.source_id, scores[claim.value]),
+                    entry_nbytes(claim.source_id, 0, 0.0),
+                )
+        sums: dict[str, float] = {}
+        counts: dict[str, int] = {}
+        for __, source_id, score in contributions.sorted_stream():
+            sums[source_id] = sums.get(source_id, 0) + score
+            counts[source_id] = counts.get(source_id, 0) + 1
+        contributions.discard()
+        return {source: sums[source] / counts[source] for source in sums}
+
+    def require_nonempty(self) -> None:
+        """Raise :class:`EmptyInputError` when there are no claims."""
+        if not self._n_added:
+            raise EmptyInputError("claim set is empty")
 
     def release(self) -> None:
         """Release the resident buffer's budget tracking."""
@@ -152,149 +179,15 @@ class SpillableClaimGroups:
 
 
 def stream_voting(groups: SpillableClaimGroups) -> FusionResult:
-    """Majority voting over a claim stream.
-
-    Bit-identical to :class:`repro.fusion.VotingFuser` over the
-    equivalent ClaimSet — including its first-in-claim-order tie-break.
-    """
-    if groups.n_claims == 0:
-        raise EmptyInputError("claim set is empty")
-    chosen: dict[str, str] = {}
-    confidence: dict[str, float] = {}
-    for item, claims in groups.groups():
-        counts: dict[str, int] = {}
-        for claim in claims:
-            counts[claim.value] = counts.get(claim.value, 0) + 1
-        total = sum(counts.values())
-        best_value = max(
-            counts,
-            key=lambda value: (counts[value], -list(counts).index(value)),
-        )
-        chosen[item] = best_value
-        confidence[item] = counts[best_value] / total if total else 0.0
-    return FusionResult(chosen=chosen, confidence=confidence)
-
-
-def _group_posteriors(
-    claims: list[Claim],
-    accuracy: Mapping[str, float],
-    n_false_values: int,
-) -> tuple[list[str], dict[str, float]]:
-    """One item's value posteriors, mirroring ``AccuVote._posteriors``.
-
-    Values in first-seen order; per-value scores sum supporter vote
-    counts in claim order; softmax with peak subtraction — the same
-    operations in the same order as the in-memory implementation, so
-    every float matches exactly.
-    """
-    values: dict[str, None] = {}
-    for claim in claims:
-        values.setdefault(claim.value, None)
-    ordered = list(values)
-    scores = []
-    for value in ordered:
-        scores.append(
-            sum(
-                vote_count(accuracy[claim.source_id], n_false_values)
-                for claim in claims
-                if claim.value == value
-            )
-        )
-    peak = max(scores)
-    exps = [math.exp(score - peak) for score in scores]
-    total = sum(exps)
-    posteriors = {
-        value: weight / total for value, weight in zip(ordered, exps)
-    }
-    return ordered, posteriors
+    """Majority voting over a claim stream: ``VotingFuser`` itself."""
+    return VotingFuser().fuse(groups)
 
 
 def stream_accuvote(
-    groups: SpillableClaimGroups,
-    store,
-    budget: MemoryBudget,
-    *,
-    n_false_values: int = 10,
-    initial_accuracy: float = 0.8,
-    known_accuracies: Mapping[str, float] | None = None,
-    max_iterations: int = 50,
-    tolerance: float = 1e-4,
+    groups: SpillableClaimGroups, store, budget: MemoryBudget, **params
 ) -> FusionResult:
-    """AccuVote over a claim stream, bit-identical to the in-memory run.
-
-    The accuracy update is the delicate part: in memory, a source's
-    accuracy is ``sum(posterior of its claims in claim order) / count``,
-    and float addition order changes the low bits. The stream arrives
-    grouped by *item*, so each iteration spills per-claim posterior
-    contributions keyed by claim seq and merges them back into claim
-    order before summing — restoring the exact addition sequence.
-    """
-    if groups.n_claims == 0:
-        raise EmptyInputError("claim set is empty")
-    if n_false_values < 1:
-        raise ConfigurationError("n_false_values must be >= 1")
-    if not 0.0 < initial_accuracy < 1.0:
-        raise ConfigurationError("initial_accuracy must be in (0, 1)")
-    sources = groups.sources()
-    if known_accuracies is not None:
-        accuracy = {
-            source: known_accuracies.get(source, initial_accuracy)
-            for source in sources
-        }
-        acc_used = accuracy
-        iterations = 1
-    else:
-        accuracy = {source: initial_accuracy for source in sources}
-        acc_used = accuracy
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            acc_used = accuracy
-            contributions = ExternalSorter(store, budget, name="accu.contrib")
-            for __, indexed in groups.indexed_groups():
-                claims = [claim for __, claim in indexed]
-                _, posteriors = _group_posteriors(
-                    claims, accuracy, n_false_values
-                )
-                for seq, claim in indexed:
-                    contributions.add(
-                        (seq, claim.source_id, posteriors[claim.value]),
-                        entry_nbytes(claim.source_id, 0, 0.0),
-                    )
-            sums: dict[str, float] = {}
-            counts: dict[str, int] = {}
-            for __, source_id, posterior in contributions.sorted_stream():
-                sums[source_id] = sums.get(source_id, 0) + posterior
-                counts[source_id] = counts.get(source_id, 0) + 1
-            contributions.discard()
-            new_accuracy: dict[str, float] = {}
-            for source in sources:
-                mean_posterior = sums[source] / counts[source]
-                new_accuracy[source] = min(
-                    _ACCURACY_CEIL,
-                    max(_ACCURACY_FLOOR, mean_posterior),
-                )
-            change = max(
-                abs(new_accuracy[s] - accuracy[s]) for s in sources
-            )
-            accuracy = new_accuracy
-            if change < tolerance:
-                break
-    # The in-memory path picks winners from the posteriors of the final
-    # iteration, which were computed with that iteration's *pre-update*
-    # accuracies — hence acc_used, not accuracy, here.
-    chosen: dict[str, str] = {}
-    confidence: dict[str, float] = {}
-    for item_id, indexed in groups.indexed_groups():
-        claims = [claim for __, claim in indexed]
-        ordered, posteriors = _group_posteriors(
-            claims, acc_used, n_false_values
-        )
-        best = max(ordered, key=lambda v: (posteriors[v], v))
-        chosen[item_id] = best
-        confidence[item_id] = posteriors[best]
-    return FusionResult(
-        chosen=chosen,
-        confidence=confidence,
-        source_accuracy=dict(accuracy),
-        iterations=iterations,
-    )
+    """AccuVote over a claim stream: ``AccuVote(**params)`` itself, its
+    per-iteration score round-trip spilling to ``store`` under
+    ``budget``."""
+    groups.scratch = (store, budget)
+    return AccuVote(**params).fuse(groups)

@@ -9,6 +9,7 @@ from repro.fusion import (
     Claim,
     ClaimSet,
     CopyDetector,
+    CRHNumericFuser,
     OnlineFusion,
     TruthFinder,
     VotingFuser,
@@ -315,3 +316,259 @@ class TestOnlineFusionSparseClaims:
         online = OnlineFusion({"s1": 0.8})
         with pytest.raises(EmptyInputError):
             online.run(ClaimSet())
+
+
+# --- golden digests: the whole FusionResult, to the last float -------
+
+
+def _golden_world(n_copiers):
+    """A seeded planted world with its claims in a fixed shuffled order
+    (arrival order drives value first-seen order and float sum order)."""
+    import random
+
+    planted = generate_claims(
+        ClaimWorldConfig(
+            n_items=120,
+            n_independent=8,
+            n_copiers=n_copiers,
+            coverage=0.7,
+            n_false_values=4,
+            seed=1900 + n_copiers,
+        )
+    )
+    arrival = list(planted.claims)
+    random.Random(19).shuffle(arrival)
+    return ClaimSet(arrival)
+
+
+def _rank_similarity(a, b):
+    """Planted values are ``<item>/v<k>``; nearby ranks imply each other."""
+    rank_a, rank_b = int(a.rsplit("v", 1)[1]), int(b.rsplit("v", 1)[1])
+    return 1.0 / (1.0 + abs(rank_a - rank_b))
+
+
+GOLDEN_FUSERS = {
+    "vote": VotingFuser,
+    "accuvote": lambda: AccuVote(n_false_values=4),
+    "truthfinder": TruthFinder,
+    "truthfinder-implication": lambda: TruthFinder(
+        implication_weight=0.5, similarity=_rank_similarity
+    ),
+    "accucopy": lambda: AccuCopy(n_false_values=4),
+}
+
+#: sha256 of :func:`result_document` as canonical JSON, recorded at the
+#: parent of the PR that put every fuser on one sweep and one loop
+#: (f6baee5), before any edit. Floats serialize by ``repr``, so a digest
+#: moves if any low bit of any confidence or accuracy does.
+GOLDEN_DIGESTS = {
+    ("clean", "vote"): (
+        "f6a217f0ed15ec283149782d5f05338917dacbf7a4d5ba2345b1094dd1e40270"
+    ),
+    ("clean", "accuvote"): (
+        "42177bbbbcbd4359bacf6654fbf7dbc85445db79f4916f425ef716c14decc934"
+    ),
+    ("clean", "truthfinder"): (
+        "a6c56eae4d83416bb150864e783cb8cd581ddc8c7f37af1a04ebc66225271407"
+    ),
+    ("clean", "truthfinder-implication"): (
+        "eb24df558129b1270e930d822b9d43847a00347233c85a1427b5e5f08ccc89d5"
+    ),
+    ("clean", "accucopy"): (
+        "502abb8b38d88280d162646cc6a0b2e2e5afd96f087ad4ad960727d7263b0ad1"
+    ),
+    ("copiers", "vote"): (
+        "6ab55378afaa66f73180717939e7e7379a843d2e5b760ed3db74650e55fc3ba1"
+    ),
+    ("copiers", "accuvote"): (
+        "1233317f6058af27cf3f80f722a6a9003323f2eae58363395cceb5863a908696"
+    ),
+    ("copiers", "truthfinder"): (
+        "6ff2c0b2c92f057933e2ee85f1e2f3e4202455d591ecb3a64a5fc4cf91eca140"
+    ),
+    ("copiers", "truthfinder-implication"): (
+        "1eab41d726542eb54ee77e95cc904b6a55d6edf91d2ab2dd11e3a36b0116b5c1"
+    ),
+    ("copiers", "accucopy"): (
+        "bddc7145a1bd15b3b6591973241e184cd8da8cc12f841da2ff3de16198cbef4f"
+    ),
+}
+
+
+def result_document(result):
+    """Every field of a FusionResult, dict order included."""
+    return {
+        "chosen": list(result.chosen.items()),
+        "confidence": list(result.confidence.items()),
+        "source_accuracy": list(result.source_accuracy.items()),
+        "iterations": result.iterations,
+        "copy_probability": [
+            [a, b, p] for (a, b), p in result.copy_probability.items()
+        ],
+    }
+
+
+def result_digest(result):
+    import hashlib
+    import json
+
+    document = json.dumps(result_document(result), separators=(",", ":"))
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("world, fuser", sorted(GOLDEN_DIGESTS))
+    def test_whole_result_is_unchanged(self, world, fuser):
+        claims = _golden_world(n_copiers=6 if world == "copiers" else 0)
+        result = GOLDEN_FUSERS[fuser]().fuse(claims)
+        assert result_digest(result) == GOLDEN_DIGESTS[(world, fuser)]
+
+
+# --- configuration the solvers refuse ---------------------------------
+
+
+def _zero_iteration_em():
+    from repro.linkage import ComparisonVector, fit_fellegi_sunter
+
+    vectors = [ComparisonVector("a", "b", (0.9, 0.1), 0.5)]
+    return fit_fellegi_sunter(vectors, max_iterations=0)
+
+
+class TestSolverConfiguration:
+    """A solver told to run no iteration has no answer to give: it is a
+    configuration error from every solver, never a ``KeyError`` out of
+    the winner tail."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda claims: AccuVote(max_iterations=0).fuse(claims),
+            lambda claims: TruthFinder(max_iterations=0).fuse(claims),
+            lambda claims: AccuCopy(outer_iterations=0).fuse(claims),
+            lambda claims: CRHNumericFuser(max_iterations=0).fuse(claims),
+            lambda claims: _zero_iteration_em(),
+            lambda claims: AccuCopy(initial_accuracy=1.5).fuse(claims),
+        ],
+        ids=[
+            "accuvote",
+            "truthfinder",
+            "accucopy",
+            "crh",
+            "em",
+            "accucopy-prior",
+        ],
+    )
+    def test_refused_as_configuration_error(self, solve):
+        claims = claim_set(
+            [("s1", "i", "1"), ("s2", "i", "1"), ("s3", "i", "2")]
+        )
+        with pytest.raises(ConfigurationError):
+            solve(claims)
+
+
+# --- conflict-resolution edges, in memory and spilled -----------------
+
+#: (case, claims, Vote's choice for item "i", the score-ranked fusers'
+#: choice). On an exact tie Vote keeps the value claimed first; AccuVote,
+#: TruthFinder and AccuCopy break equal scores toward the larger value
+#: string.
+EDGE_CASES = [
+    ("single claim", [("s1", "i", "a")], "a", "a"),
+    (
+        "unanimous",
+        [("s1", "i", "a"), ("s2", "i", "a"), ("s3", "i", "a")],
+        "a",
+        "a",
+    ),
+    (
+        "exact 2-2 tie",
+        [
+            ("s1", "i", "a"),
+            ("s2", "i", "b"),
+            ("s3", "i", "a"),
+            ("s4", "i", "b"),
+        ],
+        "a",
+        "b",
+    ),
+    (
+        "exact 2-2 tie, larger value claimed first",
+        [
+            ("s1", "i", "b"),
+            ("s2", "i", "a"),
+            ("s3", "i", "b"),
+            ("s4", "i", "a"),
+        ],
+        "b",
+        "b",
+    ),
+    ("one source only", [("s1", "i", "a"), ("s1", "j", "b")], "a", "a"),
+]
+
+#: Every fuser in memory; spilled, every fuser that reads one item's
+#: claims at a time (AccuCopy's detector needs the ClaimSet).
+EDGE_RUNS = [
+    (fuser, source)
+    for fuser in ("vote", "accuvote", "truthfinder", "accucopy")
+    for source in ("memory", "spilled")
+    if (fuser, source) != ("accucopy", "spilled")
+]
+
+
+def _claim_source(tmp_path, rows, source):
+    """``rows`` as a ClaimSet, or spilled under a budget of a few claims."""
+    if source == "memory":
+        return claim_set(rows)
+    from repro.outofcore import MemoryBudget, SpillableClaimGroups
+    from repro.recovery import RunStore
+
+    groups = SpillableClaimGroups(
+        RunStore(tmp_path, durable=False), MemoryBudget(400)
+    )
+    for row in rows:
+        groups.add(*row)
+    return groups
+
+
+class TestConflictEdges:
+    @pytest.mark.parametrize("fuser, source", EDGE_RUNS)
+    @pytest.mark.parametrize(
+        "rows, vote, ranked",
+        [case[1:] for case in EDGE_CASES],
+        ids=[case[0] for case in EDGE_CASES],
+    )
+    def test_edge_table(self, tmp_path, rows, vote, ranked, fuser, source):
+        claims = _claim_source(tmp_path, rows, source)
+        result = GOLDEN_FUSERS[fuser]().fuse(claims)
+        assert result.chosen["i"] == (vote if fuser == "vote" else ranked)
+        assert set(result.chosen) == {item for __, item, __ in rows}
+        assert all(0.0 < c <= 1.0 for c in result.confidence.values())
+
+    @pytest.mark.parametrize("fuser, source", EDGE_RUNS)
+    def test_empty_is_refused(self, tmp_path, fuser, source):
+        claims = _claim_source(tmp_path, [], source)
+        with pytest.raises(EmptyInputError):
+            GOLDEN_FUSERS[fuser]().fuse(claims)
+
+
+# --- structure: one loop ----------------------------------------------
+
+
+def test_solvers_leave_resume_to_the_driver():
+    """The fixed-point driver is the only place a solver state is saved
+    or a resumed iteration counted: a fuser supplies its step."""
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    spellings = ("checkpoint.save(", "recovery.iterations_skipped")
+    offenders = [
+        str(path.relative_to(root))
+        for package in ("fusion", "outofcore", "linkage/classify")
+        for path in sorted((root / package).glob("*.py"))
+        if any(spelling in path.read_text() for spelling in spellings)
+    ]
+    assert offenders == []
+    driver = (root / "core" / "fixedpoint.py").read_text()
+    assert all(spelling in driver for spelling in spellings)

@@ -629,7 +629,7 @@ class TestStreamingFusion:
 
 
 class TestStreamingPipeline:
-    @pytest.mark.parametrize("fusion", ["vote", "accuvote"])
+    @pytest.mark.parametrize("fusion", ["vote", "accuvote", "truthfinder"])
     @pytest.mark.parametrize("zipf", [0.8, 1.6])
     def test_pipeline_parity(self, tmp_path, fusion, zipf):
         dataset = _dataset(seed=11, zipf=zipf)
@@ -671,13 +671,15 @@ class TestStreamingPipeline:
         dataset = _dataset()
         for config in [
             PipelineConfig(classifier="fellegi-sunter"),
-            PipelineConfig(fusion="truthfinder"),
+            PipelineConfig(fusion="accucopy"),
             PipelineConfig(fusion="vote", numeric_fusion=True),
         ]:
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError) as excinfo:
                 BDIPipeline(config).run(
                     dataset, memory_budget=30_000, spill_dir=tmp_path
                 )
+            if config.fusion == "accucopy":
+                assert "accucopy" in str(excinfo.value)
 
     def test_failed_run_removes_its_spill_directory(
         self, tmp_path, monkeypatch
@@ -688,15 +690,13 @@ class TestStreamingPipeline:
         # as the traceback is referenced.
         import tempfile
 
-        import repro.outofcore
+        from repro.fusion import AccuVote
 
         def failing_fusion(*args, **kwargs):
             raise RuntimeError("fusion stage failed")
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(
-            repro.outofcore, "stream_accuvote", failing_fusion
-        )
+        monkeypatch.setattr(AccuVote, "fuse", failing_fusion)
         with pytest.raises(RuntimeError) as excinfo:
             BDIPipeline(PipelineConfig(fusion="accuvote")).run(
                 _dataset(), memory_budget=30_000
@@ -804,6 +804,65 @@ class TestKillAndResume:
             base.fusion.confidence
         )
         assert resumed.entity_table == base.entity_table
+
+    def test_streamed_truthfinder_resumes_by_stage(self, tmp_path):
+        # TruthFinder's solver checkpoint signs its claims by sorting
+        # them in memory, so a spilled run gets none: killed between two
+        # fusion iterations it resumes from the stage ledger and redoes
+        # the fusion — to the same bytes, and without ever asking the
+        # spilled groups to iterate as a claim set.
+        from repro.fusion import TruthFinder
+
+        dataset = _dataset(seed=17)
+        config = PipelineConfig(fusion="truthfinder")
+        base = BDIPipeline(config).run(dataset)
+
+        class Boom(Exception):
+            pass
+
+        calls = {"n": 0}
+        original = TruthFinder.item_scorer
+
+        def exploding(self, trust):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise Boom()
+            return original(self, trust)
+
+        checkpoint = tmp_path / "ckpt"
+        spill_dir = tmp_path / "spill"
+        import unittest.mock as mock
+
+        with mock.patch.object(TruthFinder, "item_scorer", exploding):
+            with pytest.raises(Boom):
+                BDIPipeline(config).run(
+                    dataset,
+                    checkpoint=checkpoint,
+                    memory_budget=30_000,
+                    spill_dir=spill_dir,
+                )
+        store = RunStore(checkpoint)
+        assert "linkage" in store.completed_stages()
+        assert "fusion" not in store.completed_stages()
+        assert not any("fusion.solver" in key for key in store.keys())
+        tracer = Tracer()
+        resumed = BDIPipeline(config).run(
+            dataset,
+            tracer=tracer,
+            checkpoint=checkpoint,
+            memory_budget=30_000,
+            spill_dir=spill_dir,
+        )
+        assert resumed.clusters == base.clusters
+        for field in ("chosen", "confidence", "source_accuracy"):
+            assert json.dumps(getattr(resumed.fusion, field)) == json.dumps(
+                getattr(base.fusion, field)
+            )
+        assert resumed.fusion.iterations == base.fusion.iterations
+        assert resumed.entity_table == base.entity_table
+        counters = tracer.report().metrics.get("counters", {})
+        assert counters["recovery.stages_skipped"] == 2
+        assert "recovery.iterations_skipped" not in counters
 
 
 # --- Hypothesis: random corpus × budget × chunk size -----------------

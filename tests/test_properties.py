@@ -155,13 +155,76 @@ class TestFusionInvariants:
     def test_accuvote_posteriors_sum_to_one_per_item(self, claims):
         fuser = AccuVote(n_false_values=4, max_iterations=10)
         result = fuser.fuse(claims)
-        posteriors = fuser._posteriors(claims, result.source_accuracy)
+        score_item = fuser.item_scorer(result.source_accuracy)
         for item in claims.items():
-            sigma = sum(
-                posteriors[(item, value)]
-                for value in claims.values_for(item)
+            posteriors = score_item(claims.claims_for(item))
+            assert tuple(posteriors) == claims.values_for(item)
+            assert sum(posteriors.values()) == pytest.approx(1.0)
+
+    @given(
+        claims=claim_sets(),
+        seed=st.integers(min_value=0, max_value=999),
+        limit=st.sampled_from([300, 1_000, 1_000_000]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_item_local_fusers_agree_in_memory_and_spilled(
+        self, tmp_path_factory, claims, seed, limit
+    ):
+        # Any claims in any arrival order, a third of them re-claimed
+        # (the first claim of a (source, item) wins on both sides),
+        # under budgets from one claim to all of them: a fuser that
+        # reads one item's claims at a time cannot tell the spilled
+        # groups from the ClaimSet — not in the last bit of a float.
+        import json
+
+        from repro.fusion import TruthFinder
+        from repro.outofcore import MemoryBudget, SpillableClaimGroups
+        from repro.recovery import RunStore
+        from repro.text import levenshtein_similarity
+
+        rng = random.Random(seed)
+        rows = [(c.source_id, c.item_id, c.value) for c in claims]
+        rows += [
+            (source, item, f"v{rng.randrange(4)}")
+            for source, item, __ in rng.sample(rows, len(rows) // 3)
+        ]
+        rng.shuffle(rows)
+        in_memory = ClaimSet()
+        for source, item, value in rows:
+            if in_memory.value_of(source, item) is None:
+                in_memory.add(Claim(source, item, value))
+        budget = MemoryBudget(limit)
+        spilled = SpillableClaimGroups(
+            RunStore(tmp_path_factory.mktemp("claims"), durable=False), budget
+        )
+        for row in rows:
+            spilled.add(*row)
+
+        def document(result):
+            assert not result.copy_probability
+            return json.dumps(
+                [
+                    list(result.chosen.items()),
+                    list(result.confidence.items()),
+                    list(result.source_accuracy.items()),
+                    result.iterations,
+                ]
             )
-            assert sigma == pytest.approx(1.0)
+
+        for make in (
+            VotingFuser,
+            lambda: AccuVote(n_false_values=4),
+            lambda: AccuVote(known_accuracies={"s0": 0.9, "s1": 0.6}),
+            TruthFinder,
+            lambda: TruthFinder(
+                implication_weight=0.5, similarity=levenshtein_similarity
+            ),
+        ):
+            assert document(make().fuse(spilled)) == document(
+                make().fuse(in_memory)
+            )
+        if limit == 300 and len(rows) > 1:
+            assert budget.spill_count > 0
 
 
 class TestTextInvariants:

@@ -553,6 +553,10 @@ class _StopAfterSaves:
         return meta
 
 
+def _solver_span(tracer, name):
+    return tracer.report().find_span(name).attributes
+
+
 class TestSolverResume:
     def test_truthfinder_resumes_identically(self, tmp_path):
         claims = _claims()
@@ -571,6 +575,10 @@ class TestSolverResume:
         assert resumed.source_accuracy == baseline.source_accuracy
         assert resumed.iterations == baseline.iterations
         assert _counters(tracer)["recovery.iterations_skipped"] == 3
+        span = _solver_span(tracer, "fusion.truthfinder")
+        assert span["resumed_at"] == 3
+        assert span["iterations"] == baseline.iterations == 50
+        assert span["converged"] is False  # 1e-9 is out of 50 steps' reach
 
     def test_truthfinder_resume_from_converged_state(self, tmp_path):
         claims = _claims()
@@ -599,12 +607,18 @@ class TestSolverResume:
         store = RunStore(tmp_path)
         with pytest.raises(_StopAfterSaves.Stop):
             AccuCopy(checkpoint=_StopAfterSaves(store, 2)).fuse(claims)
-        resumed = AccuCopy(checkpoint=store).fuse(claims)
+        tracer = Tracer()
+        resumed = AccuCopy(tracer=tracer, checkpoint=store).fuse(claims)
         assert resumed.chosen == baseline.chosen
         assert resumed.confidence == baseline.confidence
         assert resumed.source_accuracy == baseline.source_accuracy
         assert resumed.copy_probability == baseline.copy_probability
         assert resumed.iterations == baseline.iterations
+        span = _solver_span(tracer, "fusion.accucopy")
+        assert span["resumed_at"] == 2
+        assert span["max_iterations"] == 5
+        assert span["iterations"] == baseline.iterations
+        assert span["converged"] is True
 
     def test_em_resumes_identically(self, tmp_path):
         records, pairs = _records(), _pairs(_records())
@@ -619,6 +633,34 @@ class TestSolverResume:
         resumed = fit_fellegi_sunter(vectors, tracer=tracer, checkpoint=store)
         assert resumed == baseline
         assert _counters(tracer)["recovery.iterations_skipped"] == 2
+        span = _solver_span(tracer, "classify.fellegi_sunter_em")
+        assert span["resumed_at"] == 2
+        assert span["converged"] is True
+
+    def test_state_of_another_layout_reads_as_absent(self, tmp_path):
+        # What the solvers saved before they shared one loop: the same
+        # signature over the same inputs, another payload. It must be
+        # recomputed past, not indexed into.
+        claims = _claims()
+        baseline = TruthFinder().fuse(claims)
+        store = RunStore(tmp_path)
+        store.save(
+            "state",
+            {
+                "signature": config_fingerprint(
+                    claims_signature(claims), 0.9, 0.3, 0.0, 50, 1e-4
+                ),
+                "iterations": 3,
+                "trust": {f"src{s}": 0.5 for s in range(4)},
+                "value_confidence": {},
+                "deltas": [0.3, 0.2, 0.1],
+            },
+        )
+        tracer = Tracer()
+        result = TruthFinder(tracer=tracer, checkpoint=store).fuse(claims)
+        assert result == baseline
+        assert "recovery.iterations_skipped" not in _counters(tracer)
+        assert _solver_span(tracer, "fusion.truthfinder")["resumed_at"] == 0
 
 
 # --- pipeline stage ledger -------------------------------------------
