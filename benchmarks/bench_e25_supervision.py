@@ -16,7 +16,7 @@ are cheap to state and easy to quietly break:
   path. The read p99 while degraded must stay within a small multiple
   of the healthy read p99 (the gate in
   ``benchmarks/check_supervision_degraded.py`` enforces 3x against
-  the recorded ``BENCH_service.json`` baseline).
+  the healthy p99 of the same run).
 
 ``BENCH_supervision.json`` at the repo root records both numbers.
 

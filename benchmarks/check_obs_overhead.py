@@ -1,22 +1,26 @@
-"""Gate: the NullTracer default keeps the E20 engine within noise.
+"""Gate: every switched-off option leaves the default engine its speed.
 
 The observability layer (`repro.obs`) wires spans and counters into
-the comparison engine's hot path. By design the default
+the comparison engine's hot path; recovery threads an optional
+checkpoint store through the same chunk loop and out-of-core an
+optional memory budget. Each is free when off by design: the default
 :data:`~repro.obs.NULL_TRACER` batches all metric work outside the
-per-pair loops, so the prepared+early-exit throughput must stay where
-`BENCH_engine.json` recorded it before instrumentation existed.
+per-pair loops, and ``checkpoint=None`` / ``budget=None`` are one
+``is None`` check per chunk. All three leave behind the same
+``ParallelComparisonEngine(default_product_comparator())``, so this is
+the one place its prepared+early-exit throughput is timed.
 
 Absolute pairs/sec is machine-dependent (CI runners ≠ the box that
 wrote the baseline), so the gate compares the *relative* speedup of
 the early-exit path over the naive path, measured fresh on this
-machine with every timed run on empty similarity memos, against the
-baseline's ``speedup_vs_naive``. A genuine per-pair instrumentation
-cost would drag the measured ratio down on every machine alike;
-run-to-run noise would not, so the threshold is lenient (default:
-measured ratio must stay above half the recorded one — the recorded
-ratio is ~5×, 4-5× on the ``--quick`` corpus where values repeat less,
-so even a 5% hot-path regression plus generous noise clears it, while
-per-pair tracer calls, which cost 2-3×, do not).
+machine with every timed run on empty similarity memos, against
+``bench_common.RECORDED_EARLY_EXIT_SPEEDUP``. A genuine per-pair
+instrumentation cost would drag the measured ratio down on every
+machine alike; run-to-run noise would not, so the threshold is lenient
+(default: measured ratio must stay above half the recorded one — the
+recorded ratio is ~5×, 4-5× on the ``--quick`` corpus where values
+repeat less, so even a 5% hot-path regression plus generous noise
+clears it, while per-pair tracer calls, which cost 2-3×, do not).
 
 Run:  PYTHONPATH=src python benchmarks/check_obs_overhead.py [--quick]
 """
@@ -28,17 +32,11 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from bench_e20_engine import (
-    _corpus_pairs,
+from bench_common import (
+    RECORDED_EARLY_EXIT_SPEEDUP,
+    corpus_pairs,
     early_exit_speedup,
-    recorded_early_exit_speedup,
 )
-
-from repro.linkage import ParallelComparisonEngine, default_product_comparator
-
-
-def _engine():
-    return ParallelComparisonEngine(default_product_comparator())  # NullTracer
 
 
 def main(argv=None) -> None:
@@ -60,9 +58,9 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
 
     n_entities, n_sources = (20, 6) if args.quick else (60, 12)
-    __, by_id, pairs = _corpus_pairs(n_entities, n_sources)
-    measured = early_exit_speedup(by_id, pairs, args.repeats, _engine)
-    recorded = recorded_early_exit_speedup()
+    __, by_id, pairs = corpus_pairs(n_entities, n_sources)
+    measured = early_exit_speedup(by_id, pairs, args.repeats)
+    recorded = RECORDED_EARLY_EXIT_SPEEDUP
     floor = args.min_ratio * recorded
 
     print("NullTracer overhead gate (early-exit vs naive speedup)")
@@ -73,7 +71,7 @@ def main(argv=None) -> None:
     print(f"  early-exit:        {len(pairs) / measured['early_best']:.1f}"
           " pairs/sec  (instrumented path, NullTracer)")
     print(f"  measured speedup:  {measured['measured_speedup']}x")
-    print(f"  baseline speedup:  {recorded}x  (BENCH_engine.json)")
+    print(f"  baseline speedup:  {recorded}x  (recorded, bench_common.py)")
     print(f"  required:          > {floor:.2f}x")
     if measured["measured_speedup"] <= floor:
         raise SystemExit(

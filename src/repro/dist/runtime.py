@@ -47,6 +47,7 @@ not pin one.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import math
 import os
@@ -70,7 +71,6 @@ from repro.linkage.resolver import (
     _cluster,
 )
 from repro.obs import NULL_TRACER, Tracer
-from repro.outofcore import merge_sorted_streams
 from repro.recovery import CheckpointMismatchError, RunStore, config_fingerprint
 from repro.resilience import DeadLetterLog
 
@@ -559,9 +559,7 @@ def sharded_resolve(
         for shard in shards:
             match_pairs.update(frozenset(pair) for pair in shard.match_pairs)
         scored_edges = list(
-            merge_sorted_streams(
-                iter(shard.scored_edges) for shard in shards
-            )
+            heapq.merge(*(shard.scored_edges for shard in shards))
         )
         all_ids = sorted(by_id)
         if clustering == "components":

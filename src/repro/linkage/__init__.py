@@ -28,6 +28,7 @@ from repro.linkage.classify import (
     RuleBasedClassifier,
     ThresholdClassifier,
     fit_fellegi_sunter,
+    plain_threshold,
     rule_for,
 )
 from repro.linkage.clustering import (
@@ -131,6 +132,7 @@ __all__ = [
     "noisy_oracle",
     "normalize_identifier",
     "order_candidates",
+    "plain_threshold",
     "prepare_records",
     "progressive_resolution_curve",
     "r_swoosh",

@@ -9,7 +9,11 @@ from repro.linkage.classify.rules import (
     RuleBasedClassifier,
     rule_for,
 )
-from repro.linkage.classify.threshold import MatchDecision, ThresholdClassifier
+from repro.linkage.classify.threshold import (
+    MatchDecision,
+    ThresholdClassifier,
+    plain_threshold,
+)
 
 __all__ = [
     "FellegiSunterModel",
@@ -18,5 +22,6 @@ __all__ = [
     "RuleBasedClassifier",
     "ThresholdClassifier",
     "fit_fellegi_sunter",
+    "plain_threshold",
     "rule_for",
 ]

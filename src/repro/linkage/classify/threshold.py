@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.core.errors import ConfigurationError
 from repro.linkage.comparison import ComparisonVector
 
-__all__ = ["MatchDecision", "ThresholdClassifier"]
+__all__ = ["MatchDecision", "ThresholdClassifier", "plain_threshold"]
 
 
 class MatchDecision:
@@ -61,3 +61,19 @@ class ThresholdClassifier:
     def is_match(self, vector: ComparisonVector) -> bool:
         """True iff the pair is classified a match."""
         return self.classify(vector) == MatchDecision.MATCH
+
+
+def plain_threshold(classifier) -> float | None:
+    """``match_threshold`` when ``classifier`` is exactly a
+    :class:`ThresholdClassifier`, else ``None``.
+
+    The threshold-bounded early-exit scorers decide a pair by
+    ``score >= match_threshold`` without building its vector. That is
+    the classifier's own decision only for the plain rule: a subclass
+    may override ``is_match``, so the type check is exact and every
+    linkage path (batch engine, incremental linker, progressive
+    resolution) asks this one function, once per run.
+    """
+    if type(classifier) is ThresholdClassifier:
+        return classifier.match_threshold
+    return None

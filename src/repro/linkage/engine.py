@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
-from repro.linkage.classify.threshold import ThresholdClassifier
+from repro.linkage.classify.threshold import plain_threshold
 from repro.linkage.comparison import (
     ComparisonVector,
     PreparedRecord,
@@ -624,10 +624,12 @@ class ParallelComparisonEngine:
     ) -> EngineRun:
         """Classify every pair, skipping provably-decided work.
 
-        When ``classifier`` is a :class:`ThresholdClassifier` the staged
-        early-exit scorer decides most non-matches after the cheap
-        fields; matches are always scored fully, so ``scored_edges``
-        carries exact scores. Other classifiers get full vectors.
+        When ``classifier`` is a plain ``ThresholdClassifier``
+        (:func:`plain_threshold`) the staged early-exit scorer decides
+        most non-matches after the cheap fields; matches are always
+        scored fully, so ``scored_edges`` carries exact scores. Other
+        classifiers, subclasses included, get full vectors and their
+        own ``is_match``.
         """
         return self._run(records, pairs, classifier)
 
@@ -685,9 +687,7 @@ class ParallelComparisonEngine:
             chunks = self._chunks(
                 [(a, b) for a, b in pairs if a in by_id and b in by_id]
             )
-        threshold: float | None = None
-        if isinstance(classifier, ThresholdClassifier):
-            threshold = classifier.match_threshold
+        threshold = plain_threshold(classifier)
         columnar = self.representation == "columnar"
         Scorer = _ColumnarScorer if columnar else _DictScorer
         measure = tracer is not NULL_TRACER

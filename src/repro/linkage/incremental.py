@@ -30,7 +30,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 from repro.core.unionfind import UnionFind
 from repro.linkage.blocking.base import Blocker, KeyFunction, keys_of
-from repro.linkage.classify.threshold import ThresholdClassifier
+from repro.linkage.classify.threshold import plain_threshold
 from repro.linkage.comparison import PreparedRecord, RecordComparator
 from repro.linkage.resolver import MatchClassifier
 
@@ -105,14 +105,7 @@ class IncrementalLinker:
         self._prepared: dict[str, PreparedRecord] = {}
         self._index: dict[str, list[str]] = {}
         self._uf: UnionFind[str] = UnionFind()
-        # The early-exit fast path is only provably decision-identical
-        # for the plain threshold rule (score >= match_threshold);
-        # subclasses may override is_match, so the check is exact.
-        self._threshold = (
-            classifier.match_threshold
-            if type(classifier) is ThresholdClassifier
-            else None
-        )
+        self._threshold = plain_threshold(classifier)
 
     def _keys_of(self, record: Record) -> list[str]:
         return [

@@ -26,7 +26,7 @@ import random as _random
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 from repro.linkage.blocking.base import BlockCollection
-from repro.linkage.classify.threshold import ThresholdClassifier
+from repro.linkage.classify.threshold import plain_threshold
 from repro.linkage.comparison import PreparedRecord, RecordComparator
 from repro.linkage.metablocking import build_blocking_graph
 from repro.linkage.resolver import MatchClassifier
@@ -107,11 +107,7 @@ def progressive_resolution_curve(
     # Prepared records + decision-only bounded scoring: a progressive
     # run revisits the same records across many pairs and only needs
     # the match decision, so this is the cheapest correct path.
-    threshold = (
-        classifier.match_threshold
-        if isinstance(classifier, ThresholdClassifier)
-        else None
-    )
+    threshold = plain_threshold(classifier)
     prepared: dict[str, PreparedRecord] = {}
 
     def prepared_for(record_id: str) -> PreparedRecord | None:

@@ -48,7 +48,6 @@ from repro.outofcore.spill import (
     ExternalSorter,
     SpillableBlockIndex,
     SpillSession,
-    merge_sorted_streams,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "columnar_block_nbytes",
     "SpillableBlockIndex",
     "SpillableClaimGroups",
-    "merge_sorted_streams",
     "pair_nbytes",
     "record_nbytes",
     "str_nbytes",

@@ -40,31 +40,7 @@ __all__ = [
     "ExternalSorter",
     "SpillSession",
     "SpillableBlockIndex",
-    "merge_sorted_streams",
 ]
-
-
-def merge_sorted_streams(streams, *, dedup: bool = False) -> Iterator:
-    """K-way merge of already-sorted item streams.
-
-    ``streams`` is an iterable of sorted iterables — typically
-    :meth:`~repro.recovery.store.RunStore.load_stream` readers over
-    spilled runs, which is how the sharded runtime merges per-shard
-    shuffle output. The merge is lazy (one resident item per stream).
-    With ``dedup``, consecutive equal items collapse to one — over
-    sorted inputs that is a full dedup, exactly ``sorted(set(...))``
-    of the union.
-    """
-    merged = heapq.merge(*streams)
-    if not dedup:
-        yield from merged
-        return
-    previous = _NO_ITEM
-    for item in merged:
-        if item == previous:
-            continue
-        previous = item
-        yield item
 
 
 class SpillSession:

@@ -21,7 +21,7 @@ resolutions decide, projections serve*.
   stamp, so re-resolution (and every ingest) invalidates cached
   answers by construction.
 * :func:`run_traffic` — the deterministic synthetic workload driver
-  behind ``benchmarks/bench_e23_serve.py`` and the CI latency gate.
+  behind the benchmark ledger's ``serve_mixed`` workload.
 
 Service health is observable through the ``serve.*`` counters (ingests,
 queries, cache hits/misses, generation swaps, quarantined ingests, …)

@@ -20,7 +20,7 @@ from repro.streaming.drift import (
     DriftWorld,
     projection_accuracy,
 )
-from repro.streaming.fusion import DecayedAccuracyTracker, StreamFusion
+from repro.streaming.fusion import DecayedAccuracyTracker
 from repro.streaming.monitors import (
     AccuracyShiftMonitor,
     MatchRateMonitor,
@@ -42,7 +42,6 @@ __all__ = [
     "DriftWorld",
     "MatchRateMonitor",
     "MonitorEvent",
-    "StreamFusion",
     "StreamingResolver",
     "TumblingWindower",
     "Window",

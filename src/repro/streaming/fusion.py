@@ -1,40 +1,25 @@
-"""Drift-tracking online fusion: decayed counts, decayed posteriors.
+"""Drift-tracking source accuracy: decayed counts, decayed posteriors.
 
 Batch fusion assumes source accuracy is a constant of the world. Under
 velocity it is not: a source's feed degrades, an editor changes, a
 scraper re-points — and the claims it made a thousand windows ago say
-little about the claims it makes now. This module makes the fusion
-posteriors *forget*:
-
-* :class:`DecayedAccuracyTracker` keeps per-source correctness counts
-  that are multiplied by ``decay`` at every window close, so the
-  accuracy posterior is an exponentially-weighted estimate over recent
-  windows. ``decay=1.0`` is the undecayed (lifetime-average) baseline
-  the drift benchmarks compare against.
-* :class:`StreamFusion` folds claim batches in window-at-a-time,
-  maintaining decayed per-item vote counts and re-estimating source
-  accuracies from agreement with each window's fused leaders — the
-  streaming analogue of one TruthFinder round per window. With
-  ``decay=None`` it degrades to exact batch behaviour: accumulate
-  claims and re-run :class:`~repro.fusion.online.OnlineFusion` with
-  the static accuracies, bit-for-bit.
-
-The vote-count and posterior formulas are shared with
-:class:`~repro.fusion.online.OnlineFusion`
-(:func:`~repro.fusion.online.vote_count`,
-:func:`~repro.fusion.online.claim_posterior`), so the decayed and
-batch paths agree exactly wherever they overlap.
+little about the claims it makes now. :class:`DecayedAccuracyTracker`
+makes the accuracy posteriors *forget*: it keeps per-source correctness
+counts that are multiplied by ``decay`` at every window close, so the
+posterior is an exponentially-weighted estimate over recent windows.
+``decay=1.0`` is the undecayed (lifetime-average) baseline the drift
+regressions compare against.
+:class:`~repro.streaming.runtime.StreamingResolver` advances one
+tracker per window and fuses each entity under its estimates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.core.errors import ConfigurationError
-from repro.fusion.base import Claim, ClaimSet, FusionResult
-from repro.fusion.online import OnlineFusion, claim_posterior, vote_count
 
-__all__ = ["DecayedAccuracyTracker", "StreamFusion"]
+__all__ = ["DecayedAccuracyTracker"]
 
 #: Pseudo-observations backing the prior accuracy; small enough that a
 #: few windows of evidence dominate, large enough that one window of
@@ -123,180 +108,3 @@ class DecayedAccuracyTracker:
         """Restore counts captured by :meth:`state`."""
         self._correct = dict(state["correct"])
         self._total = dict(state["total"])
-
-
-class StreamFusion:
-    """Window-at-a-time fusion over an unbounded claim stream.
-
-    Parameters
-    ----------
-    accuracies:
-        Prior per-source accuracies (the batch path's static input).
-    decay:
-        ``None`` — static mode: claims accumulate (latest claim per
-        ``(source, item)`` wins — a source's newest statement
-        supersedes its older ones) and every :meth:`fuse_window`
-        re-runs :class:`OnlineFusion` with the prior accuracies over
-        all accumulated claims, reproducing the batch output
-        bit-for-bit (the drift-free differential anchor).
-        A float in ``(0, 1]`` — drift mode: per-item vote counts and
-        per-source correctness counts decay by this factor per window,
-        and each window's claims are weighted by the *current* decayed
-        accuracy estimates.
-    n_false_values, stop_posterior:
-        The Bayesian vote model, identical to :class:`OnlineFusion`.
-    prior_strength:
-        See :class:`DecayedAccuracyTracker`.
-    """
-
-    def __init__(
-        self,
-        accuracies: Mapping[str, float],
-        decay: float | None = None,
-        n_false_values: int = 10,
-        stop_posterior: float = 0.99,
-        prior_strength: float = DEFAULT_PRIOR_STRENGTH,
-    ) -> None:
-        if not accuracies:
-            raise ConfigurationError("accuracies must be non-empty")
-        if decay is not None and not 0.0 < decay <= 1.0:
-            raise ConfigurationError("decay must be None or in (0, 1]")
-        self._accuracies = dict(accuracies)
-        self._decay = decay
-        self._n = n_false_values
-        self._stop_posterior = stop_posterior
-        #: Static mode's claim log: latest claim per (source, item).
-        self._claims: dict[tuple[str, str], Claim] = {}
-        self._scores: dict[str, dict[str, float]] = {}
-        self._windows = 0
-        self._tracker = DecayedAccuracyTracker(
-            accuracies,
-            decay=decay if decay is not None else 1.0,
-            prior_strength=prior_strength,
-        )
-
-    @property
-    def windows_fused(self) -> int:
-        return self._windows
-
-    @property
-    def decay(self) -> float | None:
-        return self._decay
-
-    def accuracies(self) -> dict[str, float]:
-        """The accuracies the *next* window's claims would be weighted by.
-
-        Static priors in ``decay=None`` mode, decayed estimates
-        otherwise — this is what the drift monitors watch.
-        """
-        if self._decay is None:
-            return dict(sorted(self._accuracies.items()))
-        return self._tracker.estimates()
-
-    def _leader(self, item_scores: Mapping[str, float]) -> str:
-        """Highest vote count, ties by value — OnlineFusion's rule."""
-        ranked = sorted(item_scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[0][0]
-
-    def fuse_window(self, claims: Iterable[Claim]) -> FusionResult:
-        """Fold one closed window's claims; return the current answers.
-
-        The returned :class:`FusionResult` covers every item seen so
-        far (items absent from this window keep their decayed leaders)
-        and carries the post-window source-accuracy estimates in
-        ``source_accuracy``; ``iterations`` counts fused windows.
-        """
-        window_claims = list(claims)
-        self._windows += 1
-        if self._decay is None:
-            for claim in window_claims:
-                self._claims[(claim.source_id, claim.item_id)] = claim
-            if not self._claims:
-                return FusionResult(
-                    chosen={},
-                    source_accuracy=dict(self._accuracies),
-                    iterations=self._windows,
-                )
-            fusion = OnlineFusion(
-                self._accuracies,
-                n_false_values=self._n,
-                stop_posterior=self._stop_posterior,
-            )
-            result, _ = fusion.run(ClaimSet(list(self._claims.values())))
-            return FusionResult(
-                chosen=result.chosen,
-                confidence=result.confidence,
-                source_accuracy=result.source_accuracy,
-                iterations=self._windows,
-            )
-
-        # Drift mode: decay, weigh, vote, re-estimate.
-        self._tracker.advance()
-        for item_scores in self._scores.values():
-            for value in item_scores:
-                item_scores[value] *= self._decay
-        weights = {
-            claim.source_id: vote_count(
-                self._tracker.accuracy(claim.source_id), self._n
-            )
-            for claim in window_claims
-        }
-        touched: dict[str, None] = {}
-        for claim in window_claims:
-            item_scores = self._scores.setdefault(claim.item_id, {})
-            item_scores[claim.value] = (
-                item_scores.get(claim.value, 0.0) + weights[claim.source_id]
-            )
-            touched.setdefault(claim.item_id, None)
-        leaders = {
-            item: self._leader(self._scores[item]) for item in touched
-        }
-        for claim in window_claims:
-            self._tracker.observe(
-                claim.source_id, claim.value == leaders[claim.item_id]
-            )
-        chosen = {
-            item: self._leader(scores)
-            for item, scores in self._scores.items()
-        }
-        confidence = {
-            item: claim_posterior(self._scores[item], value, self._n)
-            for item, value in chosen.items()
-        }
-        return FusionResult(
-            chosen=chosen,
-            confidence=confidence,
-            source_accuracy=self._tracker.estimates(),
-            iterations=self._windows,
-        )
-
-    def state(self) -> dict:
-        """JSON-able checkpoint payload (exact restore of drift state).
-
-        Static mode also captures the claim log, so a restored fuser
-        keeps producing batch-identical outputs.
-        """
-        return {
-            "windows": self._windows,
-            "tracker": self._tracker.state(),
-            "scores": {
-                item: dict(sorted(scores.items()))
-                for item, scores in sorted(self._scores.items())
-            },
-            "claims": [
-                [claim.source_id, claim.item_id, claim.value]
-                for claim in self._claims.values()
-            ],
-        }
-
-    def restore(self, state: Mapping) -> None:
-        """Restore the payload captured by :meth:`state`."""
-        self._windows = int(state["windows"])
-        self._tracker.restore(state["tracker"])
-        self._scores = {
-            item: dict(scores) for item, scores in state["scores"].items()
-        }
-        self._claims = {
-            (source, item): Claim(source, item, value)
-            for source, item, value in state["claims"]
-        }

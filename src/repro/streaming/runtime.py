@@ -26,8 +26,7 @@ Two fusion regimes:
   claim under the decayed accuracy estimates of a
   :class:`~repro.streaming.fusion.DecayedAccuracyTracker`, which is
   advanced once per window and fed each window's claim-vs-fused-value
-  outcomes — the projection-level analogue of
-  :class:`~repro.streaming.fusion.StreamFusion`.
+  outcomes.
 
 Monitors (:mod:`repro.streaming.monitors`) watch the estimates and the
 per-window match rate; their events invoke the ``on_drift`` hook —

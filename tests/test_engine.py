@@ -28,6 +28,7 @@ from repro.dist import partition_blocks, task_pairs
 from repro.linkage import (
     Block,
     BlockCollection,
+    IncrementalLinker,
     ParallelComparisonEngine,
     PreparedRecord,
     RecordComparator,
@@ -35,9 +36,12 @@ from repro.linkage import (
     ThresholdClassifier,
     TokenBlocker,
     default_product_comparator,
+    plain_threshold,
     prepare_records,
+    progressive_resolution_curve,
     resolve,
 )
+from repro.linkage.blocking import first_token_key
 from repro.synth import (
     CorpusConfig,
     WorldConfig,
@@ -590,6 +594,79 @@ class TestOneLoop:
         assert gauges["engine.chunks_done"] == expected_chunks
         if representation == "dict":
             assert gauges["engine.prepared_bytes"] > 0
+
+
+class _Never(ThresholdClassifier):
+    """A threshold subclass with its own decision: no path may answer
+    for it with ``score >= match_threshold``."""
+
+    def is_match(self, vector):
+        return False
+
+
+def _resolve_matches(**options):
+    def run(records, classifier):
+        return resolve(
+            records,
+            TokenBlocker(max_block_size=60),
+            default_product_comparator(),
+            classifier,
+            **options,
+        ).match_pairs
+
+    return run
+
+
+def _incremental_matches(records, classifier):
+    linker = IncrementalLinker(
+        [first_token_key("name")], default_product_comparator(), classifier
+    )
+    return {frozenset(pair) for pair in linker.add_batch(records).match_pairs}
+
+
+def _progressive_matches(records, classifier):
+    blocks = TokenBlocker(max_block_size=60).block(records)
+    curve = progressive_resolution_curve(
+        records, blocks, default_product_comparator(), classifier
+    )
+    return curve[-1].matches_found
+
+
+class TestPlainThreshold:
+    """Every linkage path asks one rule whether it may early-exit."""
+
+    PATHS = {
+        "serial": _resolve_matches(),
+        "columnar": _resolve_matches(representation="columnar"),
+        "sharded": _resolve_matches(
+            execution="sharded", n_shards=2, shard_backend="inline"
+        ),
+        "incremental": _incremental_matches,
+        "progressive": _progressive_matches,
+    }
+
+    def test_only_the_exact_type_is_plain(self):
+        assert plain_threshold(ThresholdClassifier(0.7)) == 0.7
+        assert plain_threshold(_Never(0.7)) is None
+        assert plain_threshold(_ScoreBandClassifier()) is None
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_a_subclass_decides_for_itself_on_every_path(self, corpus, path):
+        records, by_id, pairs = corpus
+        comparator = default_product_comparator()
+        classifier = _Never(0.7)
+        naive = {
+            frozenset(pair)
+            for pair in pairs
+            if classifier.is_match(
+                comparator.compare(by_id[pair[0]], by_id[pair[1]])
+            )
+        }
+        assert not naive
+        run = self.PATHS[path]
+        # The path is live: the plain rule finds matches on it.
+        assert run(records, ThresholdClassifier(0.7))
+        assert not run(records, classifier)
 
 
 def _raising_similarity(left: str, right: str) -> float:

@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
-from repro.fusion import Claim, ClaimSet, OnlineFusion
 from repro.linkage import (
     StandardBlocker,
     ThresholdClassifier,
@@ -45,7 +44,6 @@ from repro.streaming import (
     DriftStreamConfig,
     DriftWorld,
     MatchRateMonitor,
-    StreamFusion,
     StreamingResolver,
     TumblingWindower,
     WindowConfig,
@@ -248,119 +246,6 @@ class TestDecayedAccuracyTracker:
             DecayedAccuracyTracker({}, decay=0.0)
         with pytest.raises(ConfigurationError):
             DecayedAccuracyTracker({}, prior_strength=0.0)
-
-
-def synthetic_claim_windows(n_windows, flip_after=None, seed=3):
-    """Deterministic claim windows over 3 sources and 5 items.
-
-    ``good0``/``good1`` always claim the truth; ``shifty`` claims the
-    truth until ``flip_after`` windows have passed, then always a wrong
-    value.
-    """
-    import random
-
-    rng = random.Random(seed)
-    windows = []
-    for window_index in range(n_windows):
-        claims = []
-        for item in range(5):
-            item_id = f"i{item}"
-            claims.append(Claim("good0", item_id, "t"))
-            claims.append(Claim("good1", item_id, "t"))
-            flipped = flip_after is not None and window_index >= flip_after
-            claims.append(
-                Claim("shifty", item_id, "w" if flipped else "t")
-            )
-        rng.shuffle(claims)
-        windows.append(claims)
-    return windows
-
-
-class TestStreamFusion:
-
-    ACCURACIES = {"good0": 0.85, "good1": 0.8, "shifty": 0.8}
-
-    def test_decay_none_is_bitwise_batch_fusion(self):
-        """The drift-free anchor: static mode == OnlineFusion, exactly.
-
-        Accumulation keeps the latest claim per (source, item) — the
-        batch side sees the same deduplicated claim set.
-        """
-        fusion = StreamFusion(self.ACCURACIES, decay=None)
-        latest = {}
-        for window_index, claims in enumerate(
-            synthetic_claim_windows(6, flip_after=3)
-        ):
-            for claim in claims:
-                latest[(claim.source_id, claim.item_id)] = claim
-            streamed = fusion.fuse_window(claims)
-            batch, _ = OnlineFusion(self.ACCURACIES).run(
-                ClaimSet(list(latest.values()))
-            )
-            assert streamed.chosen == batch.chosen
-            assert streamed.confidence == batch.confidence
-            assert streamed.source_accuracy == batch.source_accuracy
-            assert streamed.iterations == window_index + 1
-
-    def test_static_accuracies_are_the_priors(self):
-        fusion = StreamFusion(self.ACCURACIES, decay=None)
-        fusion.fuse_window(synthetic_claim_windows(1)[0])
-        assert fusion.accuracies() == dict(sorted(self.ACCURACIES.items()))
-
-    def test_decayed_estimates_cross_over_after_flip(self):
-        decayed = StreamFusion(self.ACCURACIES, decay=0.5)
-        undecayed = StreamFusion(self.ACCURACIES, decay=1.0)
-        for claims in synthetic_claim_windows(16, flip_after=10):
-            decayed.fuse_window(claims)
-            undecayed.fuse_window(claims)
-        assert decayed.accuracies()["shifty"] < 0.45
-        assert undecayed.accuracies()["shifty"] > 0.6
-        # Both keep trusting the stable sources.
-        for fusion in (decayed, undecayed):
-            assert fusion.accuracies()["good0"] > 0.7
-
-    def test_decayed_leaders_follow_recent_claims(self):
-        """After the flip the decayed fuser's answers stay with the
-        (still majority) truth, and the flipped source's claims lose."""
-        fusion = StreamFusion(self.ACCURACIES, decay=0.5)
-        result = None
-        for claims in synthetic_claim_windows(14, flip_after=8):
-            result = fusion.fuse_window(claims)
-        assert all(value == "t" for value in result.chosen.values())
-        assert result.iterations == 14
-
-    def test_state_restore_round_trip_drift_mode(self):
-        fusion = StreamFusion(self.ACCURACIES, decay=0.6)
-        windows = synthetic_claim_windows(8, flip_after=4)
-        for claims in windows[:5]:
-            fusion.fuse_window(claims)
-        twin = StreamFusion(self.ACCURACIES, decay=0.6)
-        twin.restore(fusion.state())
-        for claims in windows[5:]:
-            expected = fusion.fuse_window(claims)
-            resumed = twin.fuse_window(claims)
-            assert resumed.chosen == expected.chosen
-            assert resumed.confidence == expected.confidence
-            assert resumed.source_accuracy == expected.source_accuracy
-
-    def test_state_restore_round_trip_static_mode(self):
-        fusion = StreamFusion(self.ACCURACIES, decay=None)
-        windows = synthetic_claim_windows(6)
-        for claims in windows[:3]:
-            fusion.fuse_window(claims)
-        twin = StreamFusion(self.ACCURACIES, decay=None)
-        twin.restore(fusion.state())
-        for claims in windows[3:]:
-            assert (
-                twin.fuse_window(claims).chosen
-                == fusion.fuse_window(claims).chosen
-            )
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            StreamFusion({})
-        with pytest.raises(ConfigurationError):
-            StreamFusion({"s": 0.8}, decay=1.5)
 
 
 # ---------------------------------------------------------------------
@@ -751,7 +636,9 @@ class TestAccuracyFlipRegression:
         planted = world.accuracies_at(results[-1].end - 1.0)
         decayed_error = estimation_rmse(decayed.estimates(), planted)
         undecayed_error = estimation_rmse(undecayed.estimates(), planted)
-        assert decayed_error < undecayed_error
+        # E26's bar: the decayed error is under half the undecayed one
+        # (0.043 against 0.135 on this stream).
+        assert decayed_error < 0.5 * undecayed_error
 
     def test_monitor_fires_for_the_flipped_source_and_settles(
         self, flip_runs
