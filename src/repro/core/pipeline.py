@@ -243,8 +243,8 @@ class BDIPipeline:
         ``tracer`` (an :class:`repro.obs.Tracer`, default no-op)
         records one span per stage — schema alignment, record linkage
         (with the engine's comparison counters nested inside), claim
-        extraction, fusion (TruthFinder and AccuCopy nest a solver span
-        with per-iteration convergence deltas; AccuVote runs untraced),
+        extraction, fusion (TruthFinder, AccuVote and AccuCopy nest a
+        solver span with per-iteration convergence deltas),
         entity-table materialization — plus the text-layer cache
         gauges. Call ``tracer.report()`` afterwards for the structured
         run artifact, or use :meth:`run_instrumented`.
@@ -254,13 +254,13 @@ class BDIPipeline:
         crash-resumable: every completed stage is durably recorded in
         the store's stage ledger and skipped on a rerun, and the
         stages with internal loops — comparison chunks in linkage,
-        Fellegi-Sunter EM, TruthFinder and AccuCopy iterations —
-        checkpoint *within* the stage, so a killed run resumes from its
-        last completed unit of work with results identical to an
-        uninterrupted run (AccuVote and voting resume by stage; so does
-        TruthFinder under ``memory_budget``). The store is bound
-        to a fingerprint of this exact config and dataset; resuming
-        under a different one raises
+        Fellegi-Sunter EM, TruthFinder, AccuVote and AccuCopy
+        iterations — checkpoint *within* the stage, so a killed run
+        resumes from its last completed unit of work with results
+        identical to an uninterrupted run (voting resumes by stage; so
+        do TruthFinder and AccuVote under ``memory_budget``). The store
+        is bound to a fingerprint of this exact config and dataset;
+        resuming under a different one raises
         :class:`repro.recovery.CheckpointMismatchError`.
 
         ``memory_budget`` (estimated bytes, default off) runs the
@@ -275,7 +275,8 @@ class BDIPipeline:
         claim set. Requires the ``threshold`` classifier and refuses
         ``accucopy`` fusion: voting, AccuVote and TruthFinder read one
         item's claims at a time and run on the spilled groups unchanged,
-        AccuCopy's copy detector compares source pairs across items.
+        AccuCopy's copy detector indexes every source's claims in memory
+        to compare source pairs across items.
         """
         from repro.fusion import (
             AccuCopy,
@@ -317,11 +318,9 @@ class BDIPipeline:
                     "memory_budget requires the threshold classifier"
                 )
             if config.fusion == "accucopy":
-                raise ConfigurationError(
-                    "memory_budget does not support fusion='accucopy': "
-                    "its copy detector compares source pairs across "
-                    "items, which a spilled claim stream cannot serve"
-                )
+                from repro.fusion.accucopy import SPILLED_CLAIMS_REFUSED
+
+                raise ConfigurationError(SPILLED_CLAIMS_REFUSED)
             if config.numeric_fusion:
                 raise ConfigurationError(
                     "numeric_fusion is not supported with memory_budget"
@@ -556,7 +555,9 @@ class BDIPipeline:
                             tracer=tracer, checkpoint=solver
                         ),
                         "accuvote": lambda: AccuVote(
-                            n_false_values=config.n_false_values
+                            n_false_values=config.n_false_values,
+                            tracer=tracer,
+                            checkpoint=solver,
                         ),
                         "accucopy": lambda: AccuCopy(
                             n_false_values=config.n_false_values,

@@ -53,6 +53,11 @@ class AccuVote(Fuser):
         source quality (used by online fusion).
     max_iterations, tolerance:
         Convergence control on the accuracy vector.
+    tracer, checkpoint:
+        As in :class:`~repro.fusion.truthfinder.TruthFinder`: a span
+        carrying the per-iteration accuracy-change deltas, and a store
+        each iteration's state is saved to so a rerun over the same
+        claims and parameters resumes mid-convergence.
     """
 
     name = "accuvote"
@@ -64,6 +69,8 @@ class AccuVote(Fuser):
         known_accuracies: Mapping[str, float] | None = None,
         max_iterations: int = 50,
         tolerance: float = 1e-4,
+        tracer=None,
+        checkpoint=None,
     ) -> None:
         if n_false_values < 1:
             raise ConfigurationError("n_false_values must be >= 1")
@@ -74,6 +81,20 @@ class AccuVote(Fuser):
         self._known = dict(known_accuracies) if known_accuracies else None
         self._max_iterations = max_iterations
         self._tolerance = tolerance
+        self._tracer = tracer
+        self._checkpoint = checkpoint
+
+    def _state_signature(self, claims: ClaimSet) -> str:
+        from repro.recovery import claims_signature, config_fingerprint
+
+        return config_fingerprint(
+            claims_signature(claims),
+            self._n,
+            self._initial_accuracy,
+            self._known,
+            self._max_iterations,
+            self._tolerance,
+        )
 
     def item_scorer(self, accuracy: Mapping[str, float]) -> ItemScorer:
         """The AccuVote rule under ``accuracy``: one item's claims to
@@ -120,5 +141,8 @@ class AccuVote(Fuser):
             max_iterations=self._max_iterations,
             span="fusion.accuvote",
             counter="fusion.accuvote.iterations",
+            tracer=self._tracer,
+            checkpoint=self._checkpoint,
+            signature=lambda: self._state_signature(claims),
         )
         return replace(result, iterations=iterations)

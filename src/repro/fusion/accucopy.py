@@ -43,6 +43,15 @@ from repro.fusion.voting import VotingFuser
 
 __all__ = ["AccuCopy"]
 
+#: The one refusal of claims that are not resident, raised by
+#: :meth:`AccuCopy.fuse` and — before any stage runs — by
+#: ``BDIPipeline.run(memory_budget=...)``.
+SPILLED_CLAIMS_REFUSED = (
+    "fusion='accucopy' does not run on spilled claims (memory_budget): "
+    "its copy detector indexes who claims what, O(claims) resident, to "
+    "compare source pairs across items, so it needs an in-memory ClaimSet"
+)
+
 
 class AccuCopy(Fuser):
     """Joint truth discovery and copy detection.
@@ -112,10 +121,24 @@ class AccuCopy(Fuser):
         AccuVote's softmax with each value's supporters visited in
         descending accuracy and each vote scaled by its independence
         of the supporters already counted."""
-        c = self._detector.copy_rate
         votes = {
             source: vote_count(a, self._n) for source, a in accuracy.items()
         }
+        # Nothing here depends on the item. Supporters are visited in one
+        # ranking of the sources, and a vote is discounted only by the
+        # sources ranked ahead of it whose factor is not exactly 1.0
+        # (multiplying by 1.0 changes no bit), kept in ranking order —
+        # the order they are counted in whatever the item.
+        c = self._detector.copy_rate
+        ranking = sorted(accuracy, key=lambda s: (-accuracy[s], s))
+        rank = {source: position for position, source in enumerate(ranking)}
+        discounts: dict[str, list[tuple[str, float]]] = {}
+        for position, source in enumerate(ranking):
+            for earlier in ranking[:position]:
+                key = (min(source, earlier), max(source, earlier))
+                factor = 1.0 - c * copy_probability.get(key, 0.0)
+                if factor != 1.0:
+                    discounts.setdefault(source, []).append((earlier, factor))
 
         def score_item(item_claims):
             supporters: dict[str, list[str]] = {}
@@ -123,24 +146,22 @@ class AccuCopy(Fuser):
                 supporters.setdefault(claim.value, []).append(claim.source_id)
             scores: dict[str, float] = {}
             for value, sources in supporters.items():
-                sources.sort(key=lambda s: (-accuracy[s], s))
+                sources.sort(key=rank.__getitem__)
                 score = 0.0
-                counted: list[str] = []
                 for source in sources:
                     independence = 1.0
-                    for earlier in counted:
-                        key = (min(source, earlier), max(source, earlier))
-                        independence *= 1.0 - c * copy_probability.get(
-                            key, 0.0
-                        )
+                    for earlier, factor in discounts.get(source, ()):
+                        if earlier in sources:
+                            independence *= factor
                     score += independence * votes[source]
-                    counted.append(source)
                 scores[value] = score
             return softmax(scores)
 
         return score_item
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
+        if not isinstance(claims, ClaimSet):
+            raise ConfigurationError(SPILLED_CLAIMS_REFUSED)
         claims.require_nonempty()
 
         def step(result):

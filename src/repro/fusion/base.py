@@ -36,12 +36,62 @@ class Claim:
             raise DataModelError("claims need non-empty source and item ids")
 
 
+class ClaimIndex:
+    """Who claims what, as sets: the half of copy detection that does
+    not depend on what is believed true.
+
+    ``items[source]`` is the set of items the source claims and
+    ``keys[source]`` the set of its ``(item, value)`` claim keys, one
+    tuple object per distinct key shared by every source claiming it.
+    Built in one pass over a :class:`ClaimSet` and valid while that set
+    holds ``n_claims`` claims (claims are only ever added).
+    """
+
+    __slots__ = ("n_claims", "items", "keys", "_overlaps")
+
+    def __init__(self, by_source: Mapping[str, Sequence[Claim]]) -> None:
+        interned: dict[tuple[str, str], tuple[str, str]] = {}
+        self.n_claims = sum(map(len, by_source.values()))
+        self.items = {
+            source: {claim.item_id for claim in claims}
+            for source, claims in by_source.items()
+        }
+        self.keys = {
+            source: {
+                interned.setdefault(key, key)
+                for key in [(claim.item_id, claim.value) for claim in claims]
+            }
+            for source, claims in by_source.items()
+        }
+        self._overlaps: dict[tuple[str, str], tuple[int, int]] = {}
+
+    def overlap(self, source_a: str, source_b: str) -> tuple[int, int]:
+        """``(shared, agree)``: how many items both sources claim, and on
+        how many of those they claim the same value. Memoised per pair
+        as asked; a source with no claims shares nothing."""
+        pair = (source_a, source_b)
+        counts = self._overlaps.get(pair)
+        if counts is None:
+            nothing: frozenset = frozenset()
+            items_a, items_b = (self.items.get(s, nothing) for s in pair)
+            keys_a, keys_b = (self.keys.get(s, nothing) for s in pair)
+            counts = self._overlaps[pair] = (
+                len(items_a & items_b),
+                len(keys_a & keys_b),
+            )
+        return counts
+
+
 class ClaimSet:
     """An indexed collection of claims.
 
     Enforces that a source makes at most one claim per item (the
     single-truth assumption of the classical fusion setting).
     """
+
+    #: The :class:`ClaimIndex` of :meth:`index`, once asked for. A class
+    #: default and never pickled, so a state written without it loads.
+    _index: ClaimIndex | None = None
 
     def __init__(self, claims: Iterable[Claim] = ()) -> None:
         self._claims: list[Claim] = []
@@ -114,6 +164,19 @@ class ClaimSet:
             if claim.item_id in items_a
         )
 
+    def index(self) -> ClaimIndex:
+        """The per-source item and claim-key sets copy detection reads,
+        built on first use and rebuilt when claims were added since."""
+        index = self._index
+        if index is None or index.n_claims != len(self._claims):
+            index = self._index = ClaimIndex(self._by_source)
+        return index
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_index", None)
+        return state
+
     def restricted_to_sources(self, source_ids: Iterable[str]) -> "ClaimSet":
         """A new claim set keeping only claims by the given sources."""
         keep = set(source_ids)
@@ -179,8 +242,10 @@ class FusionResult:
     iterations:
         Number of iterations the algorithm ran (1 for non-iterative).
     copy_probability:
-        Estimated probability that ``(copier, original)`` pairs are in a
-        copying relationship, for copy-aware algorithms.
+        Estimated probability that two sources are dependent, for
+        copy-aware algorithms. Keys are unordered pairs spelled
+        ``(a, b)`` with ``a < b``; which of the two copies is
+        :meth:`CopyDetector.direction`'s question, not the key's.
     """
 
     chosen: Mapping[str, str]
@@ -218,8 +283,9 @@ class Fuser:
         :class:`repro.outofcore.SpillableClaimGroups` holding the same
         claims on disk. A fuser that reads nothing else (voting,
         AccuVote, TruthFinder) gives identical output on either; one
-        that reads across items (AccuCopy's copy detector) needs the
-        :class:`ClaimSet`.
+        that reads across items (AccuCopy's copy detector, through
+        :meth:`ClaimSet.index`) needs the :class:`ClaimSet` and refuses
+        anything else by name.
         """
         raise NotImplementedError
 

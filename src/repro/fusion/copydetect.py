@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.core.errors import ConfigurationError
 from repro.fusion.base import ClaimSet
@@ -29,6 +29,34 @@ from repro.fusion.base import ClaimSet
 __all__ = ["CopyDetector"]
 
 _EPSILON = 1e-12
+
+
+def _outcome_counter(
+    claims: ClaimSet, truths: Mapping[str, str], sources: Iterable[str]
+) -> Callable[[str, str], tuple[int, int, int]]:
+    """``counts(a, b)``: the (agree-true, agree-false, disagree) counts
+    of two of ``sources`` over the items both claim.
+
+    A pair's shared items and agreements do not depend on ``truths`` and
+    come memoised from the claim index; what a round adds is each
+    source's *false* claim keys — one set difference against the
+    believed-true keys — and per pair the size of their intersection,
+    the shared false values that are the only strong evidence of
+    copying. The other two counts follow by subtraction.
+    """
+    index = claims.index()
+    believed = set(truths.items())
+    false_keys = {
+        source: index.keys.get(source, frozenset()) - believed
+        for source in sources
+    }
+
+    def counts(source_a: str, source_b: str) -> tuple[int, int, int]:
+        shared, agree = index.overlap(source_a, source_b)
+        agree_false = len(false_keys[source_a] & false_keys[source_b])
+        return agree - agree_false, agree_false, shared - agree
+
+    return counts
 
 
 @dataclass(frozen=True)
@@ -61,26 +89,6 @@ class CopyDetector:
             raise ConfigurationError("prior must be in (0, 1)")
         if self.n_false_values < 1:
             raise ConfigurationError("n_false_values must be >= 1")
-
-    def _outcome_counts(
-        self,
-        claims: ClaimSet,
-        source_a: str,
-        source_b: str,
-        truths: Mapping[str, str],
-    ) -> tuple[int, int, int]:
-        """(agree-true, agree-false, disagree) counts over shared items."""
-        agree_true = agree_false = disagree = 0
-        for item in claims.shared_items(source_a, source_b):
-            value_a = claims.value_of(source_a, item)
-            value_b = claims.value_of(source_b, item)
-            if value_a != value_b:
-                disagree += 1
-            elif truths.get(item) == value_a:
-                agree_true += 1
-            else:
-                agree_false += 1
-        return agree_true, agree_false, disagree
 
     def _log_likelihood_independent(
         self, counts: tuple[int, int, int], accuracy_a: float, accuracy_b: float
@@ -117,20 +125,15 @@ class CopyDetector:
             + disagree * math.log(p_diff)
         )
 
-    def pair_probability(
+    def _dependence(
         self,
-        claims: ClaimSet,
-        source_a: str,
-        source_b: str,
-        truths: Mapping[str, str],
-        accuracies: Mapping[str, float],
+        counts: tuple[int, int, int],
+        accuracy_a: float,
+        accuracy_b: float,
     ) -> float:
-        """Posterior probability that the pair is dependent."""
-        counts = self._outcome_counts(claims, source_a, source_b, truths)
+        """Posterior probability of dependence given a pair's counts."""
         if sum(counts) < self.min_overlap:
             return 0.0
-        accuracy_a = accuracies.get(source_a, 0.8)
-        accuracy_b = accuracies.get(source_b, 0.8)
         independent = self._log_likelihood_independent(
             counts, accuracy_a, accuracy_b
         )
@@ -154,6 +157,22 @@ class CopyDetector:
         odds = math.exp(log_odds)
         return odds / (1.0 + odds)
 
+    def pair_probability(
+        self,
+        claims: ClaimSet,
+        source_a: str,
+        source_b: str,
+        truths: Mapping[str, str],
+        accuracies: Mapping[str, float],
+    ) -> float:
+        """Posterior probability that the pair is dependent."""
+        pair = (source_a, source_b)
+        return self._dependence(
+            _outcome_counter(claims, truths, pair)(*pair),
+            accuracies.get(source_a, 0.8),
+            accuracies.get(source_b, 0.8),
+        )
+
     def direction(
         self,
         claims: ClaimSet,
@@ -170,7 +189,8 @@ class CopyDetector:
         mean the evidence cannot orient the edge — the common case the
         literature warns about.
         """
-        counts = self._outcome_counts(claims, source_a, source_b, truths)
+        pair = (source_a, source_b)
+        counts = _outcome_counter(claims, truths, pair)(*pair)
         if sum(counts) < self.min_overlap:
             return 0.0
         accuracy_a = accuracies.get(source_a, 0.8)
@@ -193,17 +213,23 @@ class CopyDetector:
     ) -> dict[tuple[str, str], float]:
         """Posterior dependence probability for every source pair.
 
-        Keys are ordered pairs ``(a, b)`` with ``a < b``; pairs with
-        insufficient overlap are omitted.
+        Keys are unordered pairs spelled ``(a, b)`` with ``a < b`` —
+        which of the two copies is :meth:`direction`'s question — in
+        source first-seen order; pairs whose probability is zero
+        (insufficient overlap included) are omitted.
         """
         sources = claims.sources()
+        counts = _outcome_counter(claims, truths, sources)
         probabilities: dict[tuple[str, str], float] = {}
         for i, source_a in enumerate(sources):
+            accuracy_a = accuracies.get(source_a, 0.8)
             for source_b in sources[i + 1 :]:
-                key = (min(source_a, source_b), max(source_a, source_b))
-                probability = self.pair_probability(
-                    claims, source_a, source_b, truths, accuracies
+                probability = self._dependence(
+                    counts(source_a, source_b),
+                    accuracy_a,
+                    accuracies.get(source_b, 0.8),
                 )
                 if probability > 0.0:
+                    key = (min(source_a, source_b), max(source_a, source_b))
                     probabilities[key] = probability
         return probabilities

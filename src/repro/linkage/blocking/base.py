@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
@@ -59,18 +59,6 @@ class BlockCollection:
         self._blocks_of_record: dict[str, set[int]] = defaultdict(set)
         for block in blocks:
             self.add(block)
-
-    @classmethod
-    def from_key_map(
-        cls, key_to_records: Mapping[str, Sequence[str]]
-    ) -> "BlockCollection":
-        """Build from a key → record-ids mapping, dropping size-1 blocks."""
-        collection = cls()
-        for key in sorted(key_to_records):
-            record_ids = key_to_records[key]
-            if len(record_ids) > 1:
-                collection.add(Block(key, tuple(record_ids)))
-        return collection
 
     def add(self, block: Block) -> None:
         """Append a block (singletons are permitted but useless)."""

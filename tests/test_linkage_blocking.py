@@ -45,12 +45,6 @@ def records():
 
 
 class TestBlockCollection:
-    def test_from_key_map_drops_singletons(self):
-        collection = BlockCollection.from_key_map(
-            {"a": ["r1", "r2"], "b": ["r3"]}
-        )
-        assert len(collection) == 1
-
     def test_candidate_pairs_deduplicated(self):
         collection = BlockCollection(
             [Block("k1", ("r1", "r2")), Block("k2", ("r1", "r2", "r3"))]

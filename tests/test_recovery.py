@@ -25,7 +25,7 @@ import pytest
 
 from repro.core import ConfigurationError, Dataset, Record, Source
 from repro.core.pipeline import BDIPipeline, PipelineConfig
-from repro.fusion import AccuCopy, Claim, ClaimSet, TruthFinder
+from repro.fusion import AccuCopy, AccuVote, Claim, ClaimSet, TruthFinder
 from repro.linkage import (
     FieldComparator,
     ParallelComparisonEngine,
@@ -620,6 +620,44 @@ class TestSolverResume:
         assert span["iterations"] == baseline.iterations
         assert span["converged"] is True
 
+    def test_accuvote_resumes_identically(self, tmp_path):
+        from repro.synth import ClaimWorldConfig, generate_claims
+
+        # Noisy enough that AccuVote is still moving after two rounds.
+        claims = generate_claims(
+            ClaimWorldConfig(
+                n_items=40, n_independent=5, n_false_values=3, seed=5
+            )
+        ).claims
+        baseline = AccuVote().fuse(claims)
+        store = RunStore(tmp_path)
+        with pytest.raises(_StopAfterSaves.Stop):
+            AccuVote(checkpoint=_StopAfterSaves(store, 2)).fuse(claims)
+        tracer = Tracer()
+        resumed = AccuVote(tracer=tracer, checkpoint=store).fuse(claims)
+        assert resumed == baseline
+        assert _counters(tracer)["recovery.iterations_skipped"] == 2
+        span = _solver_span(tracer, "fusion.accuvote")
+        assert span["resumed_at"] == 2
+        assert span["max_iterations"] == 50
+        assert span["iterations"] == baseline.iterations > 2
+        assert span["converged"] is True
+        # Other parameters, other state: recomputed, not resumed.
+        tracer = Tracer()
+        AccuVote(n_false_values=4, tracer=tracer, checkpoint=store).fuse(
+            claims
+        )
+        assert _solver_span(tracer, "fusion.accuvote")["resumed_at"] == 0
+
+    def test_accuvote_with_known_accuracies_is_one_traced_pass(self):
+        known = {f"src{s}": 0.9 - 0.1 * s for s in range(4)}
+        tracer = Tracer()
+        fuser = AccuVote(known_accuracies=known, tracer=tracer)
+        result = fuser.fuse(_claims())
+        assert result.source_accuracy == known
+        span = _solver_span(tracer, "fusion.accuvote")
+        assert (span["iterations"], span["converged"]) == (1, True)
+
     def test_em_resumes_identically(self, tmp_path):
         records, pairs = _records(), _pairs(_records())
         vectors = _engine().compare_pairs(records, pairs)
@@ -699,6 +737,19 @@ class TestPipelineCheckpoint:
         assert store.completed_stages() == PIPELINE_STAGES
         assert store.completed
         assert store.fingerprint is not None
+
+    @pytest.mark.parametrize(
+        "fusion", ["truthfinder", "accuvote", "accucopy"]
+    )
+    def test_every_solver_is_traced_and_checkpointed(self, tmp_path, fusion):
+        tracer = Tracer()
+        result = BDIPipeline(PipelineConfig(fusion=fusion)).run(
+            _dataset(), tracer=tracer, checkpoint=str(tmp_path)
+        )
+        span = _solver_span(tracer, f"fusion.{fusion}")
+        assert span["iterations"] == result.fusion.iterations
+        saved = RunStore(tmp_path).sub("fusion.solver").load("state")
+        assert len(saved["deltas"]) == result.fusion.iterations
 
     def test_completed_run_resumes_without_recompute(self, tmp_path):
         pipeline = BDIPipeline(PipelineConfig(fusion="truthfinder"))
