@@ -57,6 +57,8 @@ def bench_e06_incremental_linkage(benchmark, capsys):
     batch_costs = []
     for index, batch in enumerate(batches):
         stats = linker.add_batch(batch)
+        # Candidates in an entity the record already matched are skipped.
+        assert stats.comparisons <= stats.candidates
         total_seen += len(batch)
         # Batch baseline cost: candidates of a full re-run over all
         # records seen so far.

@@ -37,12 +37,15 @@ class UnionFind(Generic[T]):
 
     def find(self, item: T) -> T:
         """Canonical representative of ``item``'s set (adds if new)."""
-        self.add(item)
+        parent = self._parent
+        if item not in parent:
+            self.add(item)
+            return item
         root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:  # path compression
-            self._parent[item], item = root, self._parent[item]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:  # path compression
+            parent[item], item = root, parent[item]
         return root
 
     def union(self, a: T, b: T) -> T:

@@ -22,6 +22,7 @@ __all__ = [
     "KeyBlocker",
     "KeyFunction",
     "keys_of",
+    "usable_keys",
 ]
 
 #: A key function maps a record to zero or more blocking keys.
@@ -191,15 +192,19 @@ class KeyBlocker(Blocker):
         yield from self._blocks(index.merged())
 
 
-def keys_of(key_function: KeyFunction, record: Record) -> list[str]:
+def usable_keys(raw) -> list[str]:
     """A key function's output as a list of usable keys: ``None`` and
     ``""`` give none, a string one, an iterable its non-empty members."""
-    raw = key_function(record)
     if raw is None:
         return []
     if isinstance(raw, str):
         return [raw] if raw else []
     return [key for key in raw if key]
+
+
+def keys_of(key_function: KeyFunction, record: Record) -> list[str]:
+    """:func:`usable_keys` of what ``key_function`` returns for ``record``."""
+    return usable_keys(key_function(record))
 
 
 def require_positive(name: str, value: int) -> None:

@@ -89,8 +89,8 @@ class _SimilaritySpec(NamedTuple):
 #: over whole prepared payloads, shared by every expensive registered
 #: similarity (see :data:`_VALUE_MEMO_MIN_COST`). Redundant sources
 #: re-publish the same values, so a pair loop meets few distinct value
-#: pairs: the ledger's workloads see 65 (``stream_steady``, over 25,185
-#: comparisons), 815 (``batch_wide``), 2,481 (``batch_link``) and 5,396
+#: pairs: the ledger's workloads see 25 (``stream_steady``, over 706
+#: comparisons), 815 (``batch_wide``), 2,481 (``batch_link``) and 5,394
 #: (``serve_mixed``) distinct ordered pairs. All fit, with headroom; on
 #: ``serve_mixed``, the largest, the tier costs +0.7 MB (+0.9 %) peak
 #: RSS. Observable via :func:`repro.obs.observe_text_caches` as

@@ -19,6 +19,13 @@ the staged early-exit scorer
 :meth:`~repro.linkage.comparison.RecordComparator.score_bounded` —
 match decisions are provably identical to the full ``compare`` path
 (asserted in tests), only cheaper.
+
+An arriving record is decided once per *linked component*, not once per
+candidate: after it matches one member of a component, the component's
+other candidates are skipped — they are already connected, so a second
+union could not move a cluster. The partition, ``match_pairs``' first
+match into each entity and everything folded from them equal what
+comparing every candidate gives; rejections are never skipped.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Sequence
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 from repro.core.unionfind import UnionFind
-from repro.linkage.blocking.base import Blocker, KeyFunction, keys_of
+from repro.linkage.blocking.base import Blocker, KeyFunction, usable_keys
 from repro.linkage.classify.threshold import plain_threshold
 from repro.linkage.comparison import PreparedRecord, RecordComparator
 from repro.linkage.resolver import MatchClassifier
@@ -41,9 +48,14 @@ __all__ = ["BatchStats", "IncrementalLinker", "ProbeResult"]
 class BatchStats:
     """Cost counters for one incremental batch.
 
-    ``match_pairs`` lists every ``(new_record_id, existing_record_id)``
-    pair the classifier accepted, in decision order — the serving layer
-    folds these into its entity projection without re-deriving clusters.
+    ``comparisons`` counts the decisions made; ``candidates -
+    comparisons`` candidates were skipped as already linked to a match.
+    ``match_pairs`` lists the ``(new_record_id, existing_record_id)``
+    pairs the classifier accepted, in decision order, at most one per
+    component matched — the serving layer folds these into its entity
+    projection without re-deriving clusters. ``matches / comparisons``
+    is therefore one vote per (record, entity) link, whatever the size
+    of the entity.
     """
 
     batch_size: int
@@ -75,6 +87,10 @@ class ProbeResult:
 class IncrementalLinker:
     """Maintains linkage clusters under record insertions.
 
+    The write path (:meth:`add_batch`) decides an arriving record once
+    per entity already linked; the read path (:meth:`probe`) reports
+    every matching record. Both see the same candidates.
+
     Parameters
     ----------
     key_functions:
@@ -85,7 +101,8 @@ class IncrementalLinker:
         The pairwise machinery, identical to batch linkage.
     max_candidates_per_record:
         Safety valve against stop-key blowups: a record's candidate set
-        is truncated (deterministically) beyond this size.
+        is truncated (deterministically) beyond this size, before any
+        candidate is skipped as already linked.
     """
 
     def __init__(
@@ -108,11 +125,18 @@ class IncrementalLinker:
         self._threshold = plain_threshold(classifier)
 
     def _keys_of(self, record: Record) -> list[str]:
-        return [
-            key
-            for function in self._key_functions
-            for key in keys_of(function, record)
-        ]
+        """The record's blocking keys, in key-function order. A set has
+        no order of its own (iterating it follows ``PYTHONHASHSEED``,
+        and with it the candidate order and what a binding cap keeps),
+        so a set-returning function's keys are sorted."""
+        keys: list[str] = []
+        for function in self._key_functions:
+            raw = function(record)
+            found = usable_keys(raw)
+            keys.extend(
+                sorted(found) if isinstance(raw, (set, frozenset)) else found
+            )
+        return keys
 
     @property
     def n_records(self) -> int:
@@ -226,51 +250,33 @@ class IncrementalLinker:
         bucket insertion order), and truncated at
         ``max_candidates_per_record`` exactly like :meth:`add_batch`.
         """
-        candidate_ids: list[str] = []
-        seen: set[str] = set()
-        for key in self._keys_of(record):
-            for other_id in self._index.get(key, ()):
-                if other_id not in seen:
-                    seen.add(other_id)
-                    candidate_ids.append(other_id)
-        return tuple(candidate_ids[: self._max_candidates])
+        return tuple(self._candidates_under(self._keys_of(record)))
+
+    def _candidates_under(self, keys: Sequence[str]) -> list[str]:
+        """The capped candidate list of a record with these keys."""
+        candidate_ids: dict[str, None] = {}
+        for key in keys:
+            candidate_ids.update(dict.fromkeys(self._index.get(key, ())))
+        return list(candidate_ids)[: self._max_candidates]
 
     def _decide(
-        self,
-        prepared: PreparedRecord,
-        candidate_ids: Sequence[str],
-        exact_scores: bool,
-    ) -> list[tuple[str, float, bool]]:
-        """Classify ``prepared`` against each candidate.
+        self, prepared: PreparedRecord, other_id: str, exact_scores: bool
+    ) -> tuple[float, bool]:
+        """Classify ``prepared`` against one candidate -> (score, match).
 
         Routes through :meth:`RecordComparator.score_bounded` under a
         plain threshold classifier (early exit, identical decisions);
         any other classifier gets the full prepared vector. With
         ``exact_scores=False`` rejected/accepted scores may be bounds.
         """
-        decisions: list[tuple[str, float, bool]] = []
-        for other_id in candidate_ids:
-            other = self._prepared[other_id]
-            if self._threshold is not None:
-                bounded = self._comparator.score_bounded(
-                    prepared,
-                    other,
-                    self._threshold,
-                    exact_scores=exact_scores,
-                )
-                decisions.append(
-                    (other_id, bounded.score, bounded.is_match)
-                )
-            else:
-                vector = self._comparator.compare_prepared(prepared, other)
-                decisions.append(
-                    (
-                        other_id,
-                        vector.score,
-                        self._classifier.is_match(vector),
-                    )
-                )
-        return decisions
+        other = self._prepared[other_id]
+        if self._threshold is not None:
+            bounded = self._comparator.score_bounded(
+                prepared, other, self._threshold, exact_scores=exact_scores
+            )
+            return bounded.score, bounded.is_match
+        vector = self._comparator.compare_prepared(prepared, other)
+        return vector.score, self._classifier.is_match(vector)
 
     def probe(self, record: Record) -> ProbeResult:
         """Read-only query: which indexed records match ``record``?
@@ -278,26 +284,24 @@ class IncrementalLinker:
         The serving layer's ``match`` endpoint — candidate generation
         and classification identical to :meth:`add_batch`, but nothing
         is indexed or merged, so probing the same record twice (or from
-        concurrent readers) is side-effect free. Matches carry exact
-        scores, sorted best-first.
+        concurrent readers) is side-effect free. Every candidate is
+        decided (a reader is owed each match and its exact score, so
+        nothing is skipped as already linked), sorted best-first.
         """
         candidate_ids = self.candidates(record)
         prepared = self._comparator.prepare(record)
-        decisions = self._decide(prepared, candidate_ids, exact_scores=True)
-        matches = tuple(
-            sorted(
-                (
-                    (other_id, score)
-                    for other_id, score, is_match in decisions
-                    if is_match
-                ),
-                key=lambda pair: (-pair[1], pair[0]),
+        matches = []
+        for other_id in candidate_ids:
+            score, is_match = self._decide(
+                prepared, other_id, exact_scores=True
             )
-        )
+            if is_match:
+                matches.append((other_id, score))
+        matches.sort(key=lambda pair: (-pair[1], pair[0]))
         return ProbeResult(
-            matches=matches,
+            matches=tuple(matches),
             candidates=len(candidate_ids),
-            comparisons=len(decisions),
+            comparisons=len(candidate_ids),
         )
 
     def add_batch(self, batch: Sequence[Record]) -> BatchStats:
@@ -305,6 +309,13 @@ class IncrementalLinker:
 
         An id that is already linked, or appears twice in ``batch``,
         refuses the whole batch before anything is indexed or merged.
+
+        Each record is decided once per linked component: a candidate
+        whose union-find root the record has already matched is skipped
+        (the cap truncated the candidates first, as ever). The record's
+        own unions wait until its last decision, so the roots hold still
+        while it is decided and a comparator that raises half-way leaves
+        no merge behind for a retry to trip over.
         """
         batch_ids: set[str] = set()
         for record in batch:
@@ -317,24 +328,32 @@ class IncrementalLinker:
         candidates_total = 0
         comparisons = 0
         match_pairs: list[tuple[str, str]] = []
+        find = self._uf.find
         for record in batch:
+            record_id = record.record_id
             keys = self._keys_of(record)
-            candidate_ids = self.candidates(record)
+            candidate_ids = self._candidates_under(keys)
             candidates_total += len(candidate_ids)
             prepared = self._comparator.prepare(record)
-            self._records[record.record_id] = record
-            self._prepared[record.record_id] = prepared
-            self._uf.add(record.record_id)
-            decisions = self._decide(
-                prepared, candidate_ids, exact_scores=False
-            )
-            comparisons += len(decisions)
-            for other_id, _, is_match in decisions:
+            self._records[record_id] = record
+            self._prepared[record_id] = prepared
+            self._uf.add(record_id)
+            matched: dict[str, str] = {}  # root -> first candidate matched
+            for other_id in candidate_ids:
+                root = find(other_id)
+                if root in matched:
+                    continue
+                comparisons += 1
+                _, is_match = self._decide(
+                    prepared, other_id, exact_scores=False
+                )
                 if is_match:
-                    match_pairs.append((record.record_id, other_id))
-                    self._uf.union(record.record_id, other_id)
+                    matched[root] = other_id
+            for other_id in matched.values():
+                match_pairs.append((record_id, other_id))
+                self._uf.union(record_id, other_id)
             for key in keys:
-                self._index.setdefault(key, []).append(record.record_id)
+                self._index.setdefault(key, []).append(record_id)
         return BatchStats(
             batch_size=len(batch),
             candidates=candidates_total,

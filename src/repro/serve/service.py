@@ -87,6 +87,8 @@ class IngestResult:
     ``shed="dead_letter"``) was never appended to the log at all —
     ``position`` is ``-1`` and the payload lives only in the
     dead-letter log, for replay once the service recovers.
+    ``comparisons`` counts the match decisions linking made: one per
+    candidate, except those in an entity the record had already matched.
     """
 
     record_id: str

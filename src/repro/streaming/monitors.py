@@ -168,10 +168,13 @@ class MatchRateMonitor:
 
     The match rate is ``matches / comparisons`` per closed window
     (windows with fewer than ``min_comparisons`` comparisons are
-    skipped — a near-empty window's rate is noise). The baseline
-    latches on the first qualifying window; a sustained shift beyond
-    ``threshold`` fires once and re-baselines, exactly like
-    :class:`AccuracyShiftMonitor`.
+    skipped — a near-empty window's rate is noise): accepted decisions
+    over decisions made. The linker decides a record once per entity it
+    links to, so each (record, entity) link is one vote whatever the
+    entity's size, and the rate does not climb merely because entities
+    grow. The baseline latches on the first qualifying window; a
+    sustained shift beyond ``threshold`` fires once and re-baselines,
+    exactly like :class:`AccuracyShiftMonitor`.
     """
 
     name = "match_rate"

@@ -157,6 +157,8 @@ class WindowResult:
 
     @property
     def match_rate(self) -> float:
+        """Accepted decisions over decisions made in this window — one
+        vote per (record, entity) link, not one per entity member."""
         return self.matches / self.comparisons if self.comparisons else 0.0
 
 

@@ -1,12 +1,19 @@
 """Tests for identifier-based and incremental linkage."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
 from repro.linkage import (
+    BatchStats,
     IncrementalLinker,
+    ProbeResult,
     ThresholdClassifier,
     TokenBlocker,
     default_product_comparator,
@@ -16,9 +23,11 @@ from repro.linkage import (
     resolve,
 )
 from repro.linkage.blocking import first_token_key, token_set_key
+from repro.linkage.comparison import FieldComparator, RecordComparator
 from repro.linkage.projection import EntityProjection
 from repro.quality import pairwise_cluster_quality
 from repro.schema import profile_attributes
+from repro.text.similarity import jaccard_similarity
 from repro.synth import (
     CorpusConfig,
     WorldConfig,
@@ -141,7 +150,9 @@ class TestIncrementalLinker:
             assert linker.clusters() == before
             assert linker.candidates(c) == ("a",)
         stats = linker.add_batch([b, c])
-        assert stats.matches == 3
+        # b and a are one entity by the time c arrives: c is decided
+        # against it once (b-a, c-a), not once per member.
+        assert stats.matches == 2
         assert linker.clusters() == [["a", "b", "c"]]
 
     def test_incremental_equals_batch_exactly(self, corpus):
@@ -193,20 +204,22 @@ class _CountingComparator:
         return self._inner.compare_prepared(left, right)
 
 
+@pytest.fixture(scope="module")
+def pool(corpus):
+    """The records of six entities: enough to link, cheap to sweep."""
+    truth = corpus.ground_truth
+    few = sorted(truth.entities)[:6]
+    return [
+        record
+        for record in corpus.records()
+        if truth.entity_of(record.record_id) in few
+    ]
+
+
 class TestEntityProjection:
     """The one live core: however the records get in — one at a time,
     in batches, as a batch clustering, or as a saved table — the entity
     table is the same."""
-
-    @pytest.fixture(scope="class")
-    def pool(self, corpus):
-        truth = corpus.ground_truth
-        few = sorted(truth.entities)[:6]
-        return [
-            record
-            for record in corpus.records()
-            if truth.entity_of(record.record_id) in few
-        ]
 
     @staticmethod
     def _make(comparator):
@@ -454,3 +467,248 @@ class TestIncrementalChurn:
         linker.add_batch([Record("b", "s", {"name": "fuji z5"})])
         linker.merge("a", "b")
         assert sorted(map(sorted, linker.clusters())) == [["a", "b"]]
+
+
+class CompareAllLinker(IncrementalLinker):
+    """The reference the write path is held to: every candidate is
+    compared (plain ``compare`` over the raw records — no prepared
+    payloads, no early exit, nothing skipped), every accepted pair is
+    reported and unioned. Quadratic in entity size; kept for tests."""
+
+    def _matches(self, record):
+        candidate_ids = self.candidates(record)
+        scored = []
+        for other_id in candidate_ids:
+            vector = self._comparator.compare(record, self.record(other_id))
+            if self._classifier.is_match(vector):
+                scored.append((other_id, vector.score))
+        return candidate_ids, scored
+
+    def probe(self, record):
+        candidate_ids, scored = self._matches(record)
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        return ProbeResult(tuple(scored), len(candidate_ids), len(candidate_ids))
+
+    def add_batch(self, batch):
+        candidates, match_pairs = 0, []
+        for record in batch:
+            candidate_ids, scored = self._matches(record)
+            candidates += len(candidate_ids)
+            self.resurrect(record)  # index it; refuses a repeated id
+            for other_id, _ in scored:
+                match_pairs.append((record.record_id, other_id))
+                self.merge(record.record_id, other_id)
+        return BatchStats(
+            len(batch), candidates, candidates, len(match_pairs),
+            tuple(match_pairs),
+        )
+
+
+def _chain_pool():
+    """Three chains of overlapping names: neighbours match (Jaccard
+    0.6 against a 0.5 threshold), names two apart do not (0.33) — so
+    which records share an entity depends on what arrived in between,
+    and an arriving record often links two entities at once."""
+    return [
+        Record(
+            f"{chain}{link}/{source}",
+            f"s{source}",
+            {"name": " ".join(["acme", *(f"{chain}{link + i}" for i in range(3))])},
+        )
+        for chain in "xyz"
+        for link in range(6)
+        for source in range(3)
+    ]
+
+
+def _jaccard_comparator():
+    return RecordComparator([FieldComparator("name", jaccard_similarity)])
+
+
+NAME_ALIASES = ("title", "product name", "model", "item name")
+KEY_FUNCTIONS = {
+    "single key": [first_token_key("name", NAME_ALIASES)],
+    "multi-key": [token_set_key("name", NAME_ALIASES)],
+    "set-returning": [all_value_tokens],
+}
+
+
+def _is_subsequence(short, long):
+    remaining = iter(long)
+    return all(item in remaining for item in short)
+
+
+class TestDecidedOncePerEntity:
+    """The write path skips a candidate whose entity the arriving record
+    has already matched. That is exact: clusters, the projection and
+    every fold's outcome equal :class:`CompareAllLinker`'s; only the
+    cost counters are smaller."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_projection_equals_compare_all(self, pool, data):
+        pool, comparator, threshold = data.draw(
+            st.sampled_from(
+                [
+                    (pool, default_product_comparator(), 0.72),
+                    (_chain_pool(), _jaccard_comparator(), 0.5),
+                ]
+            )
+        )
+        *records, extra = data.draw(
+            st.lists(
+                st.sampled_from(pool),
+                min_size=2,
+                max_size=30,
+                unique_by=lambda record: record.record_id,
+            )
+        )
+        cuts = sorted(
+            data.draw(st.lists(st.integers(0, len(records)), max_size=4))
+        )
+        linker_args = (
+            KEY_FUNCTIONS[data.draw(st.sampled_from(sorted(KEY_FUNCTIONS)))],
+            comparator,
+            data.draw(
+                st.sampled_from([ThresholdClassifier, _DelegatingClassifier])
+            )(threshold),
+        )
+        cap = data.draw(st.sampled_from([3, 8, 64, 1000]))
+
+        def accuracy_of(source_id):
+            return 0.6 + 0.03 * (sum(map(ord, source_id)) % 10)
+
+        pruned = EntityProjection(
+            *linker_args, accuracy_of, max_candidates_per_record=cap
+        )
+        reference = EntityProjection(
+            *linker_args, accuracy_of, max_candidates_per_record=cap
+        )
+        reference.linker = CompareAllLinker(*linker_args, cap)
+        for low, high in zip([0, *cuts], [*cuts, len(records)]):
+            stats, *outcome = pruned.fold(records[low:high])
+            expected, *expected_outcome = reference.fold(records[low:high])
+            assert json.dumps(outcome) == json.dumps(expected_outcome)
+            assert json.dumps(pruned.linker.clusters()) == json.dumps(
+                reference.linker.clusters()
+            )
+            assert json.dumps(pruned.canonical()) == json.dumps(
+                reference.canonical()
+            )
+            assert stats.candidates == expected.candidates
+            assert stats.comparisons <= expected.comparisons
+            assert stats.matches == len(stats.match_pairs)
+            assert _is_subsequence(stats.match_pairs, expected.match_pairs)
+        # The read path is owed every match: it never skips.
+        assert pruned.linker.probe(extra) == reference.linker.probe(extra)
+
+    @staticmethod
+    def _observations(n):
+        return [
+            Record(f"r{i:02d}", f"s{i:02d}", {"name": "canon powershot a560"})
+            for i in range(n)
+        ]
+
+    def test_thirty_observations_cost_one_decision_each(self):
+        projection = TestEntityProjection._make(default_product_comparator())
+        candidates = comparisons = 0
+        for record in self._observations(30):
+            stats, _, _ = projection.fold([record])
+            candidates += stats.candidates
+            comparisons += stats.comparisons
+            assert stats.matches == min(stats.candidates, 1)
+        assert (candidates, comparisons) == (435, 29)
+        assert projection.linker.clusters() == [
+            [f"r{i:02d}" for i in range(30)]
+        ]
+
+    @pytest.mark.parametrize(
+        "classifier", [ThresholdClassifier, _DelegatingClassifier]
+    )
+    def test_skips_are_candidates_minus_comparisons(self, corpus, classifier):
+        """What is skipped is told from the read API alone: a candidate
+        is skipped iff an earlier candidate of the same cluster matched."""
+        counting = _CountingComparator(default_product_comparator())
+        linker = IncrementalLinker(
+            [all_value_tokens], counting, classifier(0.72), 40
+        )
+        skipped = 0
+        for record in list(corpus.records())[:150]:
+            cluster_of = {
+                member: index
+                for index, cluster in enumerate(linker.clusters())
+                for member in cluster
+            }
+            matching = {other for other, _ in linker.probe(record).matches}
+            matched_clusters, expected_skips = set(), 0
+            for other in linker.candidates(record):
+                if cluster_of[other] in matched_clusters:
+                    expected_skips += 1
+                elif other in matching:
+                    matched_clusters.add(cluster_of[other])
+            counting.scored = 0
+            stats = linker.add_batch([record])
+            assert stats.comparisons == counting.scored
+            assert stats.candidates - stats.comparisons == expected_skips
+            assert stats.matches == len(matched_clusters)
+            skipped += expected_skips
+        assert skipped > 0
+
+    def test_clusters_do_not_depend_on_the_hash_seed(self):
+        """A set-returning key function has no key order of its own; the
+        linker sorts its keys, so candidate order — and what a binding
+        cap keeps — is the same under every ``PYTHONHASHSEED``."""
+        script = """
+import json
+from repro.linkage import (
+    IncrementalLinker, ThresholdClassifier, default_product_comparator,
+)
+from repro.synth import (
+    CorpusConfig, WorldConfig, generate_dataset, generate_world,
+)
+from repro.text import normalize_value, word_tokens
+
+def all_value_tokens(record):
+    return {
+        token
+        for value in record.attributes.values()
+        for token in word_tokens(normalize_value(value))
+        if len(token) >= 2
+    }
+
+world = generate_world(
+    WorldConfig(categories=("camera",), entities_per_category=30, seed=1)
+)
+dataset = generate_dataset(
+    world, CorpusConfig(n_sources=8, identifier_probability=1.0, seed=2)
+)
+linker = IncrementalLinker(
+    [all_value_tokens],
+    default_product_comparator(),
+    ThresholdClassifier(0.72),
+    max_candidates_per_record=5,
+)
+stats = linker.add_batch(list(dataset.records()))
+print(json.dumps([stats.batch_size, stats.candidates, stats.comparisons,
+                  stats.match_pairs, linker.clusters()]))
+"""
+        source_root = os.path.join(os.path.dirname(__file__), "..", "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [source_root, env.get("PYTHONPATH", "")])
+            )
+            process = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert process.returncode == 0, process.stderr
+            outputs.append(process.stdout)
+        assert outputs[0] == outputs[1]
+        batch_size, candidates, comparisons, *_ = json.loads(outputs[0])
+        # Under the cap, and some candidates were skipped as linked.
+        assert comparisons < candidates <= 5 * batch_size

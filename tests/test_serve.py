@@ -32,10 +32,12 @@ from repro.linkage import (
 )
 from repro.linkage.blocking import first_token_key
 from repro.linkage.blocking.base import Blocker
+from repro.linkage.comparison import FieldComparator, RecordComparator
 from repro.obs import ManualClock, Tracer
 from repro.resilience.testing import FaultInjector, crash, kill
 from repro.resilience.testing import KILL_EXIT_CODE
 from repro.supervision import OverloadPolicy
+from repro.text.similarity import jaccard_similarity
 from repro.serve import (
     MISS,
     EntityStore,
@@ -381,6 +383,57 @@ class TestResolutionService:
         assert result.entity_id == "ent:a"
         # The retry consumed backoff on the injected clock.
         assert config.clock.now() > 0.0
+
+    def test_ingest_retried_after_a_partial_link_lands_the_same_snapshot(
+        self, tmp_path, resilience_config
+    ):
+        """The comparator fails after the arriving record has already
+        matched two separate entities. The retry withdraws the record
+        and relinks it; no merge of the failed attempt may outlive it,
+        or the linker would call the two entities one (and decide them
+        once) while the table still holds two."""
+
+        class FlakyComparator(RecordComparator):
+            calls = 0
+
+            def score_bounded(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 6:  # d's third candidate, first attempt
+                    raise RuntimeError("similarity backend hiccup")
+                return super().score_bounded(*args, **kwargs)
+
+        fields = [FieldComparator("name", jaccard_similarity)]
+        steady, hiccuping = RecordComparator(fields), FlakyComparator(fields)
+
+        def service(root, comparator, resilience=None):
+            return ResolutionService(
+                root,
+                key_functions=[first_token_key("name")],
+                comparator=comparator,
+                classifier=ThresholdClassifier(0.5),
+                resilience=resilience,
+                durable=False,
+            )
+
+        records = [
+            camera("a", "s1", "acme x0 x1 x2"),
+            camera("b", "s2", "acme x2 x3 x4"),
+            camera("c", "s3", "acme y0 y1 y2"),
+            camera("d", "s4", "acme x1 x2 x3"),  # matches a and b, not c
+        ]
+        clean = service(tmp_path / "clean", steady)
+        flaky = service(
+            tmp_path / "flaky",
+            hiccuping,
+            resilience_config(failure="retry", max_attempts=2),
+        )
+        for record in records:
+            expected, result = clean.ingest(record), flaky.ingest(record)
+            assert result == expected
+        assert hiccuping.calls == 6 + 3  # the failed attempt, then the retry
+        assert result.matched_entities == ("ent:a", "ent:b")
+        assert flaky.snapshot() == clean.snapshot()
+        assert flaky.get("ent:a").members == ("a", "b", "d")
 
     def test_concurrent_readers_see_consistent_generations(self, tmp_path):
         tracer = Tracer()

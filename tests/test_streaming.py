@@ -783,6 +783,39 @@ class TestStreamingResolver:
             assert len(result.lags) == result.n_records
             assert all(lag >= 0.0 for lag in result.lags)
 
+    def test_match_rate_does_not_grow_with_entity_size(self):
+        """The drift signal is accepted decisions over decisions made,
+        one vote per (record, entity) link: the same link structure
+        observed 5 or 50 times a window reads the same rate. (Counting
+        one vote per entity *member* it read 0.75 and 0.96 here.)"""
+        products = ["canon powershot a560", "nikon coolpix p50"]
+        decoys = ["canon eos 400d", "nikon d40 kit"]
+
+        def stream(per_window):
+            # Window 0 seeds each block: a decoy, then the product.
+            for block, decoy in enumerate(decoys):
+                yield Record(f"0/decoy{block}", "s0", {"name": decoy}, 0.0)
+            for window in range(3):
+                for block, product in enumerate(products):
+                    for n in range(per_window if window else 1):
+                        yield Record(
+                            f"{window}/{block}/{n:02d}",
+                            f"s{n % 4}",
+                            {"name": product},
+                            2.0 * window + 1.0,
+                        )
+
+        rates = {}
+        for per_window in (5, 50):
+            resolver = make_resolver({})
+            results = resolver.run(stream(per_window))
+            assert [r.n_records for r in results] == [
+                4, 2 * per_window, 2 * per_window
+            ]
+            assert resolver.n_entities == 4
+            rates[per_window] = [r.match_rate for r in results]
+        assert rates[5] == rates[50] == [0.0, 0.5, 0.5]
+
     def test_re_resolve_preserves_partition_and_counts(self):
         world = DriftWorld(DIFF_CONFIG)
         resolver = make_resolver(world.accuracies_at(0.0))
