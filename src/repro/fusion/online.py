@@ -78,6 +78,11 @@ class OnlineTrace:
 class OnlineFusion:
     """Probe-one-source-at-a-time Bayesian fusion.
 
+    Worth it when reading a source costs something: with every claim
+    already in memory the early stop saves nothing and can finalise a
+    value the unread claims would outvote, so the live projection
+    (:func:`repro.linkage.projection.fuse_entity`) votes them all.
+
     Parameters
     ----------
     accuracies:

@@ -11,8 +11,8 @@ ingest, a window for streaming), ``rebuild`` from a batch clustering,
 and read it back in ``canonical`` order. :mod:`repro.serve` adds
 durability, generations, resilience and overload policy around it;
 :mod:`repro.streaming` adds windows, the decayed accuracy tracker,
-monitors and checkpoints. Neither builds a linker, a claim set or a
-fuser itself.
+monitors and checkpoints. Neither builds a linker or fuses a value
+itself: every live value is :func:`fuse_entity`'s full weighted vote.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 from repro.core.unionfind import UnionFind
-from repro.fusion.base import Claim, ClaimSet
-from repro.fusion.online import OnlineFusion
+from repro.fusion.online import claim_posterior, vote_count
 from repro.linkage.blocking.base import KeyFunction
 from repro.linkage.comparison import RecordComparator
 from repro.linkage.incremental import BatchStats, IncrementalLinker
@@ -38,6 +37,8 @@ __all__ = [
 
 #: Accuracy assumed for sources the caller gave no estimate for.
 DEFAULT_SOURCE_ACCURACY = 0.8
+#: The vote model's ``n`` (wrong values per item), ``repro.fusion``'s default.
+N_FALSE_VALUES = 10
 
 
 def entity_id_for(member_ids) -> str:
@@ -59,10 +60,14 @@ def fuse_entity(
     provenance).
 
     The single per-entity fusion, shared by the live projection and
-    :func:`repro.streaming.batch_reference_snapshot`: members in
-    record-id order, one claim per ``(source, attribute)`` (empty
-    values skipped), :class:`~repro.fusion.online.OnlineFusion` under
-    the per-source accuracies ``accuracy_of`` supplies.
+    :func:`repro.streaming.batch_reference_snapshot`: batch fusion at
+    known accuracies. Members in record-id order, one claim per
+    ``(source, attribute)`` (empty values skipped), each adding its
+    source's :func:`~repro.fusion.online.vote_count` (``accuracy_of``,
+    asked once per source) to its value's score; the winner is the best
+    ``(score, value)``, as in :func:`repro.fusion.base.sweep`, and its
+    confidence its :func:`~repro.fusion.online.claim_posterior` over
+    the full tally — every claim is in hand, so nothing stops early.
 
     ``pick`` selects which of a source's claims represents it:
     ``"first"`` (lowest record id — the serving layer's rule, and the
@@ -70,43 +75,37 @@ def fuse_entity(
     tracking wants: on a continuous stream record ids embed event
     time, so a source's newest statement supersedes its older ones).
     """
+    ordered = sorted(members, key=lambda record: record.record_id)
+    return _fuse_sorted(ordered, accuracy_of, pick)
+
+
+def _fuse_sorted(members, accuracy_of, pick) -> tuple[dict, dict, dict]:
+    """:func:`fuse_entity` of members already in record-id order."""
     if pick not in ("first", "latest"):
         raise ConfigurationError("pick must be 'first' or 'latest'")
-    members = sorted(members, key=lambda record: record.record_id)
-    claims: list[Claim] = []
+    votes: dict[str, float] = {}
+    tallies: dict[str, dict[str, float]] = {}
     claimed: set[tuple[str, str]] = set()
-    ordered = members if pick == "first" else reversed(members)
-    for record in ordered:
-        for attribute in sorted(record.attributes):
-            value = record.attributes[attribute]
-            key = (record.source_id, attribute)
-            if key in claimed or not value:
+    for record in members if pick == "first" else reversed(members):
+        source = record.source_id
+        if source not in votes:
+            votes[source] = vote_count(accuracy_of(source), N_FALSE_VALUES)
+        for attribute, value in record.attributes.items():
+            if not value or (source, attribute) in claimed:
                 continue
-            claimed.add(key)
-            claims.append(Claim(record.source_id, attribute, value))
-    if not claims:
-        return {}, {}, {}
-    accuracies = {
-        record.source_id: accuracy_of(record.source_id)
-        for record in members
-    }
-    fusion = OnlineFusion(accuracies)
-    result, _ = fusion.run(ClaimSet(claims))
-    attributes = {
-        item: result.chosen[item] for item in sorted(result.chosen)
-    }
-    confidence = {
-        item: result.confidence.get(item, 0.0)
-        for item in sorted(result.chosen)
-    }
-    provenance = {
-        item: sorted(
+            claimed.add((source, attribute))
+            tally = tallies.setdefault(attribute, {})
+            tally[value] = tally.get(value, 0.0) + votes[source]
+    attributes, confidence, provenance = {}, {}, {}
+    for attribute, tally in sorted(tallies.items()):
+        _, winner = max(zip(tally.values(), tally))  # best (score, value)
+        attributes[attribute] = winner
+        confidence[attribute] = claim_posterior(tally, winner, N_FALSE_VALUES)
+        provenance[attribute] = [
             record.record_id
             for record in members
-            if record.attributes.get(item) == chosen
-        )
-        for item, chosen in attributes.items()
-    }
+            if record.attributes.get(attribute) == winner
+        ]
     return attributes, confidence, provenance
 
 
@@ -160,7 +159,7 @@ class EntityProjection:
         """(Re)fuse and table the entity made of ``member_ids``."""
         members = sorted(member_ids)
         entity_id = entity_id_for(members)
-        attributes, confidence, provenance = fuse_entity(
+        attributes, confidence, provenance = _fuse_sorted(
             [self.linker.record(member) for member in members],
             self._accuracy_of,
             self._pick,

@@ -6,8 +6,9 @@ through an event-time :class:`~repro.streaming.windows.TumblingWindower`;
 every window close folds the window's records (in canonical order)
 into an :class:`~repro.linkage.projection.EntityProjection` (the
 incremental core shared with the serving layer: link, absorb, re-fuse
-every touched cluster), feeds the per-window signals to the drift
-monitors, and — when configured — checkpoints the whole state durably.
+every touched cluster by the full accuracy-weighted vote), feeds the
+per-window signals to the drift monitors, and — when configured —
+checkpoints the whole state durably.
 A record id that is already linked or buffered is a redelivery: it is
 dropped and counted (``duplicate_records``), like a late record.
 

@@ -40,7 +40,8 @@ from repro.text.tokens import (
 #: name. This is the registry :func:`repro.obs.observe_text_caches`
 #: reads to publish hit/miss gauges; anything added here shows up in
 #: run reports. ``repro.linkage.comparison`` registers its value-level
-#: similarity memo (``"value_similarity"``) here when it is imported.
+#: memos (``"value_similarity"``, ``"value_payload"``) here when it is
+#: imported.
 MEMO_CACHES = {
     "normalize_value": normalize_value,
     "word_tokens": word_token_tuple,

@@ -303,6 +303,36 @@ class TestMemoIsInvisible:
         assert memo.cache_info().misses == misses_before + len(early)
         assert memo.cache_info().currsize <= VALUE_SIMILARITY_CACHE_MAXSIZE
 
+    def test_payload_tier_prepares_a_value_once_per_spec(self):
+        from repro.linkage.comparison import VALUE_PAYLOAD_CACHE_MAXSIZE
+        from repro.text import jaccard_similarity
+
+        clear_memo_caches()
+        memo = MEMO_CACHES["value_payload"]
+        assert memo.cache_info().maxsize == VALUE_PAYLOAD_CACHE_MAXSIZE
+        comparator = default_product_comparator()
+        attributes = {"name": "Canon PowerShot 512", "weight": "1.2 kg"}
+        first = comparator.prepare(Record("a", "s1", attributes))
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        again = comparator.prepare(Record("b", "s2", attributes))
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+        # Records publishing a value share its one payload object.
+        assert all(
+            one is other for one, other in zip(first.payloads, again.payloads)
+        )
+        # Another similarity's payload of the same value is another entry.
+        tokens = RecordComparator([FieldComparator("name", jaccard_similarity)])
+        assert tokens.prepare(Record("c", "s3", attributes)).payloads == (
+            frozenset({"canon", "powershot", "512"}),
+        )
+        assert memo.cache_info().misses == 3
+        clear_memo_caches()
+        assert memo.cache_info().currsize == 0
+        cold = comparator.prepare(Record("a", "s1", attributes))
+        assert cold == first
+
     def test_unknown_similarity_callables_are_never_memoized(self):
         calls = []
 

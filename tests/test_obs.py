@@ -280,6 +280,7 @@ class TestInstrumentHelpers:
             "word_tokens",
             "jaro_winkler",
             "value_similarity",
+            "value_payload",
         }
 
     def test_run_report_shows_both_similarity_tiers(self):

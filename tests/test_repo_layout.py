@@ -53,6 +53,31 @@ def test_the_ledger_is_the_only_recorded_performance():
     assert recorded == ["BENCH_supervision.json"]
 
 
+def test_the_anytime_algorithm_stays_in_fusion():
+    """The live layers hold every claim they fuse, so none of them
+    names the probe-and-stop algorithm; and the vote model both it and
+    the live vote use is still defined in one place."""
+    source = ROOT / "src" / "repro"
+    live = [
+        path
+        for layer in ("linkage", "serve", "streaming")
+        for path in sorted((source / layer).rglob("*.py"))
+    ]
+    assert live
+    assert [
+        str(path.relative_to(source))
+        for path in live
+        if "OnlineFusion" in path.read_text(encoding="utf-8")
+    ] == []
+    for name in ("vote_count", "claim_posterior"):
+        assert [
+            str(path.relative_to(source))
+            for path in sorted(source.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ] == ["fusion/online.py"]
+
+
 def _defined_names(path: Path) -> set[str]:
     names: set[str] = set()
     for node in ast.parse(path.read_text(encoding="utf-8")).body:

@@ -28,6 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
+from repro.fusion import AccuVote
+from repro.fusion.base import Claim, ClaimSet, sweep
+from repro.fusion.online import claim_posterior, vote_count
 from repro.linkage import (
     StandardBlocker,
     ThresholdClassifier,
@@ -37,6 +40,7 @@ from repro.linkage.blocking import first_token_key
 from repro.obs import ManualClock, Tracer, observe_stream_window
 from repro.quality import estimation_rmse
 from repro.recovery import RunStore
+from repro.synth import ClaimWorldConfig, generate_claims
 from repro.streaming import (
     CONFLICT_ATTRIBUTES,
     AccuracyShiftMonitor,
@@ -761,6 +765,171 @@ class TestFuseEntity:
         assert static_entity["members"] == drift_entity["members"]
         assert static_entity["attributes"]["color"] == "red"
         assert drift_entity["attributes"]["color"] == "blue"
+
+
+def represented_claims(members, pick):
+    """The claims an entity votes with, in vote order: record-id order
+    (reversed for ``"latest"``), the first non-empty value each
+    ``(source, attribute)`` meets."""
+    ordered = sorted(members, key=lambda r: r.record_id)
+    claims = {}
+    for r in ordered if pick == "first" else reversed(ordered):
+        for attribute, value in r.attributes.items():
+            if value:
+                claims.setdefault((r.source_id, attribute), value)
+    return [Claim(s, a, value) for (s, a), value in claims.items()]
+
+
+def naive_vote(claims, accuracies):
+    """The full accuracy-weighted vote, as plainly as it can be said."""
+    tallies = {}
+    for claim in claims:
+        tally = tallies.setdefault(claim.item_id, {})
+        weight = vote_count(accuracies[claim.source_id], 10)
+        tally[claim.value] = tally.get(claim.value, 0.0) + weight
+    winners = {
+        item: max(tally, key=lambda value: (tally[value], value))
+        for item, tally in tallies.items()
+    }
+    return winners, tallies
+
+
+member_sets = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                name: st.sampled_from(["", "A", "B", "C"])
+                for name in ("color", "size")
+            },
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+).map(
+    lambda rows: [
+        Record(f"r{index:02d}", f"s{source}", attributes, float(index))
+        for index, (source, attributes) in enumerate(rows)
+    ]
+)
+
+
+class TestLiveFusionIsTheFullVote:
+    """Every claim an entity holds votes; nothing stops early."""
+
+    @pytest.mark.parametrize(
+        "votes, confidence", [("AABBB", 0.9755), ("AAABBBB", 0.9756)]
+    )
+    def test_the_majority_wins_at_equal_accuracy(self, votes, confidence):
+        """Two probes of agreeing sources used to finalise ``A`` at
+        0.9938 with three (four) ``B`` claims unread."""
+        members = [
+            record(f"s{n}/0", f"s{n}", "acme unit", 0.0, color=value)
+            for n, value in enumerate(votes)
+        ]
+        fused, confidences, provenance = fuse_entity(members, lambda s: 0.8)
+        assert fused["color"] == "B"
+        assert provenance["color"] == [
+            m.record_id for m in members if m.attributes["color"] == "B"
+        ]
+        weight = vote_count(0.8, 10)
+        tally = {
+            "A": votes.count("A") * weight, "B": votes.count("B") * weight
+        }
+        assert confidences["color"] == pytest.approx(confidence, abs=5e-5)
+        assert confidences["color"] == pytest.approx(
+            claim_posterior(tally, "B", 10), abs=1e-12
+        )
+
+    @given(
+        members=member_sets,
+        pick=st.sampled_from(["first", "latest"]),
+        accuracy=st.lists(
+            st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+            min_size=6,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_winners_are_the_batch_rule_at_known_accuracies(
+        self, members, pick, accuracy, data
+    ):
+        accuracies = {f"s{n}": a for n, a in enumerate(accuracy)}
+        asked = []
+
+        def accuracy_of(source):
+            asked.append(source)
+            return accuracies[source]
+
+        fused, confidence, provenance = fuse_entity(members, accuracy_of, pick)
+        assert sorted(asked) == sorted({m.source_id for m in members})
+
+        claims = represented_claims(members, pick)
+        winners, tallies = naive_vote(claims, accuracies)
+        assert fused == winners
+        assert list(fused) == sorted(fused)
+        for attribute, winner in fused.items():
+            assert confidence[attribute] == claim_posterior(
+                tallies[attribute], winner, 10
+            )
+            assert provenance[attribute] == sorted(
+                m.record_id
+                for m in members
+                if m.attributes.get(attribute) == winner
+            )
+        shuffled = data.draw(st.permutations(members))
+        assert fuse_entity(shuffled, accuracy_of, pick) == (
+            fused, confidence, provenance
+        )
+        if not claims:
+            return
+        votes = {s: vote_count(a, 10) for s, a in accuracies.items()}
+
+        def plain_tally(item_claims):
+            scores = {}
+            for claim in item_claims:
+                scores[claim.value] = (
+                    scores.get(claim.value, 0.0) + votes[claim.source_id]
+                )
+            return scores
+
+        assert sweep(ClaimSet(claims), plain_tally)[0] == fused
+        # AccuVote ranks the softmax of the same tally, which can round
+        # two scores an ulp apart into one probability.
+        near_tie = any(
+            0.0 < abs(a - b) < 1e-9
+            for tally in tallies.values()
+            for a, b in itertools.combinations(tally.values(), 2)
+        )
+        batch = AccuVote(known_accuracies=accuracies).fuse(ClaimSet(claims))
+        assert near_tie or batch.chosen == fused
+
+    def test_accuracy_against_planted_truth(self):
+        """Seven sources, eight wrong values, every source trusted at
+        0.8: the full vote misses 3 items of 1,500; stopping at the
+        second agreeing probe missed 8 (0.9947). The ledger's
+        ``quality`` compares the live table with a batch run of this
+        same function and cannot see the difference."""
+        world = generate_claims(
+            ClaimWorldConfig(
+                n_items=1500,
+                n_independent=7,
+                coverage=1.0,
+                n_false_values=8,
+                seed=5,
+            )
+        )
+        correct = 0
+        for item in world.claims.items():
+            members = [
+                Record(f"{c.source_id}/{item}", c.source_id, {"v": c.value})
+                for c in world.claims.claims_for(item)
+            ]
+            fused, _, _ = fuse_entity(members, lambda source: 0.8)
+            correct += fused["v"] == world.truth[item]
+        assert correct / 1500 == 0.998
 
 
 class TestStreamingResolver:
