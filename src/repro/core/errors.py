@@ -9,8 +9,34 @@ when they need to.
 from __future__ import annotations
 
 
+def _restore(cls, args, state, cause):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    if cause is not None:
+        error.__cause__ = cause
+    return error
+
+
+def reduce_by_state(error: BaseException):
+    """``__reduce__`` for an exception whose ``__init__`` takes something
+    other than its message: rebuild from ``args`` and the instance's
+    attributes instead of calling ``__init__`` again. ``__cause__``
+    rides along, so an error names its cause on either side of a pipe.
+    """
+    return _restore, (
+        type(error), error.args, error.__dict__, error.__cause__,
+    )
+
+
 class ReproError(Exception):
-    """Base class for all errors raised by the repro library."""
+    """Base class for all errors raised by the repro library.
+
+    Every subclass survives ``pickle`` with its type, message, public
+    attributes and cause, whatever its constructor's signature — a
+    worker process raises a named error and the parent receives it.
+    """
+
+    __reduce__ = reduce_by_state
 
 
 class ConfigurationError(ReproError, ValueError):

@@ -99,7 +99,9 @@ class PipelineConfig:
             raise ConfigurationError(
                 "execution='sharded' requires the threshold classifier"
             )
-        if self.shard_backend not in {"process", "inline"}:
+        from repro.dist.runtime import SHARD_BACKENDS
+
+        if self.shard_backend not in SHARD_BACKENDS:
             raise ConfigurationError(
                 f"unknown shard backend {self.shard_backend!r}"
             )

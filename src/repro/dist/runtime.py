@@ -52,7 +52,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -73,6 +72,7 @@ from repro.linkage.resolver import (
 from repro.obs import NULL_TRACER, Tracer
 from repro.recovery import CheckpointMismatchError, RunStore, config_fingerprint
 from repro.resilience import DeadLetterLog
+from repro.supervision.supervisor import SupervisionPolicy, Supervisor
 
 __all__ = [
     "SHARD_BACKENDS",
@@ -237,18 +237,22 @@ class _ShardTask:
     durable: bool
 
 
-def _run_shard(task: _ShardTask) -> ShardResult:
-    """Execute one shard's matching inside a worker process.
+def _run_shard(task: _ShardTask, incarnation: int = 1) -> ShardResult:
+    """Execute one shard's matching inside a worker.
 
     Runs the serial resilient engine over the shard's pre-sorted pairs,
     checkpointing into the shard's own store namespace, and returns a
     picklable :class:`ShardResult` (the worker-collection protocol: raw
     counters travel back and fold into the coordinator's tracer).
+    ``incarnation`` is which launch of the shard this is; the fault
+    injector is told, so chaos specs can target a restart.
     """
     tracer = Tracer()
     injector = getattr(task.resilience, "fault_injector", None)
-    if injector is not None and hasattr(injector, "bind_shard"):
+    if hasattr(injector, "bind_shard"):
         injector.bind_shard(task.shard)
+    if hasattr(injector, "bind_incarnation"):
+        injector.bind_incarnation(incarnation)
     checkpoint = None
     if task.store_root is not None:
         checkpoint = RunStore(task.store_root, durable=task.durable).sub(
@@ -376,13 +380,11 @@ def _execute_shards(
     resilience,
     binding: _StoreBinding,
     signatures: Sequence[str],
-    tracer,
     supervisor=None,
 ) -> list[ShardResult]:
     """Run (or resume) every shard and persist per-shard results."""
-    n_shards = len(buckets)
-    results: list[ShardResult | None] = [None] * n_shards
-    tasks: list[_ShardTask | None] = [None] * n_shards
+    results: dict[int, ShardResult] = {}
+    pending: dict[int, _ShardTask] = {}
     for shard, pairs in enumerate(buckets):
         if binding.base_view is not None:
             prior = binding.base_view.load(f"shard.{shard}.result")
@@ -396,7 +398,7 @@ def _execute_shards(
                 )
                 continue
         needed = sorted({record_id for pair in pairs for record_id in pair})
-        tasks[shard] = _ShardTask(
+        pending[shard] = _ShardTask(
             shard=shard,
             pairs=tuple(pairs),
             records={record_id: by_id[record_id] for record_id in needed},
@@ -424,37 +426,14 @@ def _execute_shards(
                 sha256=meta["sha256"],
             )
 
-    pending = [shard for shard in range(n_shards) if tasks[shard] is not None]
-    if supervisor is not None and pending:
-        # Self-healing path: the supervisor owns launch, liveness
-        # monitoring, and restart-from-checkpoint for every pending
-        # shard; resumed shards above never re-execute.
-        executed = supervisor.execute(
-            {shard: tasks[shard] for shard in pending},
-            persist,
-            backend=backend,
-            binding=binding,
-        )
-        for shard, result in executed.items():
-            results[shard] = result
-    elif backend == "inline" or len(pending) <= 1:
-        # Sequential, in shard order — a kill mid-shard leaves every
-        # earlier shard's result persisted and the current shard's
-        # engine chunks checkpointed, which is what single-shard
-        # resume relies on.
-        for shard in pending:
-            result = _run_shard(tasks[shard])
-            results[shard] = result
-            persist(shard, result)
-    else:
-        max_workers = max(1, min(len(pending), os.cpu_count() or 1))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [(shard, pool.submit(_run_shard, tasks[shard])) for shard in pending]
-            for shard, future in futures:
-                result = future.result()
-                results[shard] = result
-                persist(shard, result)
-    return [result for result in results if result is not None]
+    if supervisor is None:
+        # Unsupervised is the same loop with no restart to spend; with
+        # nobody to restart it, a lone shard is not worth a fork.
+        supervisor = Supervisor(SupervisionPolicy(max_restarts=0))
+        if len(pending) <= 1:
+            backend = "inline"
+    results.update(supervisor.execute(pending, persist, backend=backend))
+    return [results[shard] for shard in sorted(results)]
 
 
 def _merge_dead_letters(shards: Sequence[ShardResult]) -> DeadLetterLog:
@@ -551,7 +530,6 @@ def sharded_resolve(
             resilience=resilience,
             binding=binding,
             signatures=signatures,
-            tracer=tracer,
             supervisor=supervisor,
         )
         _emit_shard_metrics(tracer, shards, plan.n_shards, spanning)

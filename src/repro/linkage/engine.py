@@ -10,7 +10,7 @@ naive per-pair path bit for bit.
   (vectorized, a chunk per call).
 * **Chunk runner** — where a chunk is scored: inline, or by a
   :class:`_PoolRunner` keeping several chunks in flight on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.
+  :class:`~repro.resilience.workers.WorkerPool`.
 * **The loop** —
   :class:`~repro.resilience.executor.ResilientChunkExecutor`, alone:
   chunks are awaited, validated, checkpointed, dead-lettered and
@@ -27,9 +27,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter, OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
@@ -50,6 +47,7 @@ from repro.resilience import (
     ResilienceConfig,
 )
 from repro.resilience.executor import ResilientChunkExecutor
+from repro.resilience.workers import WorkerPool
 
 __all__ = [
     "EngineRun",
@@ -381,12 +379,11 @@ def _worker_init(scorer: _ChunkScorer) -> None:
     _WORKER["scorer"] = scorer
 
 
-def _score_chunk(task: tuple) -> tuple:
+def _score_chunk(pairs: list[IdPair], threshold, records) -> tuple:
     """The worker-side function: score one chunk with the pool's
     scorer — or, when the chunk's records came with it, with one of the
     same kind over those alone, so worker residency stays bounded by
     chunk size however long the stream runs."""
-    pairs, threshold, records = task
     scorer = _WORKER["scorer"]
     if records is not None:
         scorer = type(scorer)(scorer.comparator, records, None, scorer.measure)
@@ -394,7 +391,7 @@ def _score_chunk(task: tuple) -> tuple:
 
 
 class _PoolRunner:
-    """Scores chunks on a worker pool, several in flight, self-healing.
+    """Scores chunks on a worker pool, several in flight, in order.
 
     :meth:`feed` passes the chunks through to the executor while
     holding a window on them: the chunk the executor has plus up to
@@ -408,28 +405,27 @@ class _PoolRunner:
     pool start, unless ``ship_from`` names the mapping each chunk's
     records are read from to travel with it.
 
-    A timed-out future cannot reclaim its worker and a dead worker
-    breaks the whole pool: either way the pool is dropped and the chunk
-    being awaited is charged the failure (whichever chunk a dead worker
-    was running; retries and bisection still corner the culprit). The
-    next submission starts a fresh pool, and other chunks that were in
-    flight are resubmitted when their turn comes, at no charge to them.
+    The pool is the mechanism; this class only orders and charges. A
+    chunk that outlasts its timeout loses its worker and is charged a
+    :class:`~repro.resilience.ChunkTimeoutError`; one whose worker died
+    is charged the pool's :class:`~repro.resilience.WorkerDied` when
+    its turn comes. Every other chunk in flight keeps its worker and
+    its answer, and retries and bisection corner the culprit.
     """
 
     def __init__(self, scorer, n_workers: int, threshold, ship_from) -> None:
-        self._scorer = scorer
-        self._n_workers = n_workers
+        self._pool = WorkerPool(n_workers, _worker_init, (scorer,))
         self._threshold = threshold
         self._ship_from = ship_from
-        self._pool: ProcessPoolExecutor | None = None
-        # [chunk, its future or None]; the head is the executor's chunk.
+        self._lookahead = n_workers
+        # [chunk, its job or None]; the head is the executor's chunk.
         self._window: deque[list] = deque()
 
     def feed(self, chunks: Iterable[list[IdPair]]) -> Iterator[list[IdPair]]:
         source = iter(chunks)
         window = self._window
         while True:
-            for chunk in islice(source, 1 + self._n_workers - len(window)):
+            for chunk in islice(source, 1 + self._lookahead - len(window)):
                 window.append([chunk, None])
             if not window:
                 return
@@ -443,46 +439,24 @@ class _PoolRunner:
             for slot in window:
                 if slot[1] is None:
                     slot[1] = self._submit(slot[0])
-            future, window[0][1] = window[0][1], None
+            job, window[0][1] = window[0][1], None
         else:
-            future = self._submit(pairs)  # part of a bisected chunk
+            job = self._submit(pairs)  # part of a bisected chunk
         try:
-            return future.result(timeout=timeout)
-        except FuturesTimeout:
-            self.close()
+            return self._pool.result(job, timeout)
+        except TimeoutError:
             raise ChunkTimeoutError(timeout) from None
-        except BrokenProcessPool:
-            self.close()
-            raise
 
-    def _submit(self, pairs: list[IdPair]):
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._n_workers,
-                initializer=_worker_init,
-                initargs=(self._scorer,),
-            )
+    def _submit(self, pairs: list[IdPair]) -> int:
         records = None
         if self._ship_from is not None:
             records = _chunk_records(self._ship_from, pairs)
-        task = (pairs, self._threshold, records)
-        return self._pool.submit(_score_chunk, task)
+        return self._pool.submit(_score_chunk, pairs, self._threshold, records)
 
     def close(self) -> None:
-        """Kill the pool's workers and forget what was in flight on it.
-
-        ``shutdown`` alone never stops a worker that is still running:
-        a hung one would outlive the run and block interpreter exit. At
-        the end of a run too — an aborted one leaves chunks in flight
-        that nobody wants — and idle workers have nothing to lose.
-        """
-        pool, self._pool = self._pool, None
-        for slot in self._window:
-            slot[1] = None
-        if pool is not None:
-            for process in list(pool._processes.values()):
-                process.kill()
-            pool.shutdown(wait=True, cancel_futures=True)
+        """End of the run, clean or aborted: chunks still in flight are
+        chunks nobody wants, so their workers are killed, not awaited."""
+        self._pool.close()
 
 
 class ParallelComparisonEngine:

@@ -244,10 +244,15 @@ def resolve(
     sharded path composes with everything except ``memory_budget``.
 
     ``supervisor`` (a :class:`repro.supervision.Supervisor`, sharded
-    execution only) adds self-healing: shard workers that die or hang
-    are restarted from their own checkpoints under the supervisor's
-    restart budget, with output still byte-identical to an unfaulted
-    run.
+    execution only) is the restart budget of the loop every sharded
+    run's shards go through: shard workers that die or hang are
+    relaunched — from their own checkpoints when the run has a store,
+    from their first chunk otherwise — with output still
+    byte-identical to an unfaulted run. ``None`` is a budget of zero:
+    a dead worker raises
+    :class:`~repro.supervision.SupervisionExhaustedError` at once.
+    Either way an exception a shard raises reaches the caller as
+    itself.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     if supervisor is not None and execution != "sharded":

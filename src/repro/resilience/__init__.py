@@ -19,6 +19,10 @@ the stack degrade gracefully instead of aborting:
   gauges into :mod:`repro.obs`.
 - :class:`DeadLetterLog` — quarantined work carried on run results and
   serialized to JSON for CI artifacts.
+- :class:`WorkerPool` / :class:`WorkerDied` — the one place a worker
+  process is created, watched, killed and reaped
+  (:mod:`repro.resilience.workers`); the engine's chunk look-ahead and
+  the supervisor's shard loop both submit to it.
 - :mod:`repro.resilience.testing` — the deterministic fault-injection
   harness (:class:`~repro.resilience.testing.FaultInjector`) for
   chaos-testing this library and systems built on it.
@@ -43,6 +47,7 @@ from repro.resilience.policy import (
     ResilienceError,
     RetryPolicy,
 )
+from repro.resilience.workers import WorkerDied, WorkerPool
 
 __all__ = [
     "ChunkExecutionError",
@@ -61,4 +66,6 @@ __all__ = [
     "ResilientChunkExecutor",
     "ResilientOutcome",
     "RetryPolicy",
+    "WorkerDied",
+    "WorkerPool",
 ]

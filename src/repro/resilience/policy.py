@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
-from repro.core.errors import ConfigurationError, ReproError
+from repro.core.errors import ConfigurationError, ReproError, reduce_by_state
 
 __all__ = [
     "ChunkExecutionError",
@@ -141,8 +141,9 @@ class InjectedWorkerDeath(BaseException):
     bisect / quarantine machinery must *not* absorb it — a dead worker
     is not a failed chunk. Only a supervisor
     (:class:`repro.supervision.Supervisor`) handles it, by restarting
-    the worker; in a real worker process the supervised wrapper
-    converts it into a hard exit with status 137.
+    the worker; in a real worker process the pool's worker loop
+    (:mod:`repro.resilience.workers`) turns it into a hard exit with
+    status 137.
     """
 
     def __init__(self, shard: int | None, incarnation: int) -> None:
@@ -152,6 +153,8 @@ class InjectedWorkerDeath(BaseException):
         )
         self.shard = shard
         self.incarnation = incarnation
+
+    __reduce__ = reduce_by_state
 
 
 def _unit_fraction(text: str) -> float:

@@ -5,9 +5,9 @@ The resilience layer (:mod:`repro.resilience`) recovers from failures
 recovers from failures *of* workers and of the serving layer around
 them:
 
-- :class:`Supervisor` / :class:`SupervisionPolicy` — watch sharded
-  pipeline workers via exit codes and monotonic heartbeat tokens,
-  restart the dead and the hung from their own checkpoints under a
+- :class:`Supervisor` / :class:`SupervisionPolicy` — the one loop
+  sharded pipeline shards run through: watch each worker's pipe and
+  monotonic heartbeat tokens, restart the dead and the hung under a
   bounded backoff budget, escalate with
   :class:`SupervisionExhaustedError` when the budget runs out. The
   healed run's output is byte-identical to an unfaulted run.

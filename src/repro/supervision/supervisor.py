@@ -5,20 +5,27 @@ work *resumable*: workers checkpoint engine chunks into their own
 ``dist.shard.{k}.engine`` namespace and completed shards persist their
 results, so an operator who notices a dead worker can re-run the job
 and lose nothing. The :class:`Supervisor` removes the operator from
-that sentence. It watches each shard worker two ways —
+that sentence. Shards run as jobs on the one
+:class:`~repro.resilience.workers.WorkerPool` (its ``n_workers=0``
+form for the inline backend) — the mechanism: launch, pipe, kill,
+reap. The supervisor is the policy over it, watching each shard two
+ways —
 
-- **exit codes**: a worker that exits non-zero (or exits zero without
-  having published its result) died;
-- **heartbeat tokens**: a live process whose
+- **the pipe**: a job that ends in
+  :class:`~repro.resilience.workers.WorkerDied` (an exit, a SIGKILL,
+  an injected death) died;
+- **heartbeat tokens**: a live worker whose
   ``(incarnation, seq)`` heartbeat token (see
   :mod:`repro.supervision.heartbeat`) is unchanged across
-  ``stale_polls`` consecutive polls is hung, and gets killed;
+  ``stale_polls`` consecutive silent polls is hung, and gets killed;
 
-— and restarts the victim from its own checkpoint namespace under a
-bounded, backoff-governed restart budget. Because restarted workers
-replay completed chunks from the ledger and the engine is
-deterministic, a supervised run's final output is **byte-identical**
-to an unfaulted run. When a shard dies more than
+— and restarts the victim under a bounded, backoff-governed restart
+budget. An *exception* from a shard is its result, re-raised at once:
+only deaths and hangs are restarted. Because the engine is
+deterministic, and a restarted worker replays completed chunks from
+its checkpoint namespace (or, with no store, re-runs the shard from
+its first chunk), a supervised run's final output is
+**byte-identical** to an unfaulted run. When a shard dies more than
 ``SupervisionPolicy.max_restarts`` times the supervisor stops healing
 and escalates with :class:`SupervisionExhaustedError` — a crash loop
 is a bug report, not something to retry forever.
@@ -30,15 +37,18 @@ and mirrored into ``supervision.*`` counters on the tracer.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.errors import ConfigurationError, ReproError
 from repro.obs import NULL_TRACER
-from repro.resilience.policy import InjectedWorkerDeath, RetryPolicy
+from repro.resilience.policy import RetryPolicy
+from repro.resilience.workers import WorkerDied, WorkerPool
 from repro.supervision.heartbeat import (
     HeartbeatEmitter,
     progress_token,
@@ -109,13 +119,14 @@ class SupervisionPolicy:
     ``max_restarts`` is the per-shard restart budget (0 = never
     restart, escalate on the first death). ``backoff`` paces restarts
     so a crash-looping shard doesn't spin the host. ``poll_interval``
-    is the monitoring cadence for process workers; ``stale_polls``
+    is how long one poll waits for a worker to answer; ``stale_polls``
     (optional) turns on heartbeat supervision: a worker whose token is
-    unchanged for that many consecutive polls is declared hung and
-    killed. ``heartbeat_dir`` pins where heartbeat files live (a temp
-    dir otherwise). ``sleep`` is the injectable restart-backoff sleep
-    (inline backend and tests); real process polling always uses real
-    time.
+    unchanged for that many consecutive polls in which no worker
+    answered is declared hung and killed. Workers beat when either
+    ``stale_polls`` or ``heartbeat_dir`` is set; ``heartbeat_dir`` pins
+    where the files live (a temp dir otherwise). ``sleep`` is the
+    injectable restart-backoff sleep (tests pace restarts without
+    waiting); polling always uses real time.
     """
 
     max_restarts: int = 2
@@ -151,40 +162,13 @@ class SupervisionPolicy:
             )
 
 
-def _supervised_worker(
-    task, incarnation: int, store_root: str, durable: bool, result_key: str
-) -> None:
-    """Process-worker entry point (module-level: must be picklable).
-
-    Publishes the shard result into the run store under ``result_key``
-    *before* exiting zero — the supervisor treats "exited zero, no
-    result" as a death, so the exit code alone never vouches for work
-    that didn't land. An :class:`InjectedWorkerDeath` escaping the
-    engine becomes a real non-zero exit, exactly like a SIGKILL.
-    """
-    from repro.dist.runtime import _run_shard
-    from repro.recovery import RunStore
-    from repro.resilience.testing import KILL_EXIT_CODE
-
-    injector = getattr(task.resilience, "fault_injector", None)
-    if injector is not None and hasattr(injector, "bind_incarnation"):
-        injector.bind_incarnation(incarnation)
-    try:
-        result = _run_shard(task)
-    except InjectedWorkerDeath:
-        os._exit(KILL_EXIT_CODE)
-    RunStore(store_root, durable=durable).save(result_key, {"result": result})
-
-
 @dataclass
 class _Supervised:
-    """Coordinator-side state for one running shard worker."""
+    """Coordinator-side state for one launched shard."""
 
     shard: int
-    proc: "object"
     incarnation: int
-    heartbeat_path: str
-    result_key: str
+    heartbeat_path: str | None
     token: tuple[int, int] = (0, 0)
     stale: int = 0
 
@@ -192,10 +176,11 @@ class _Supervised:
 class Supervisor:
     """Run shard tasks to completion, restarting the ones that die.
 
-    Plugs into :func:`repro.dist.runtime.sharded_resolve` via its
-    ``supervisor=`` argument; the runtime hands over exactly the shard
-    tasks that could not be resumed from the store. ``events`` holds
-    the full decision timeline after (or during) a run.
+    Every sharded run goes through :meth:`execute` —
+    :func:`repro.dist.runtime.sharded_resolve` without a ``supervisor=``
+    uses one with a restart budget of zero. The runtime hands over
+    exactly the shard tasks that could not be resumed from the store.
+    ``events`` holds the full decision timeline after (or during) a run.
     """
 
     def __init__(self, policy: SupervisionPolicy | None = None, tracer=None):
@@ -213,243 +198,123 @@ class Supervisor:
         self.events.append(SupervisionEvent(kind, shard, incarnation, detail))
         self._tracer.counter(f"supervision.{kind}s").inc()
 
-    def _sleep(self, seconds: float) -> None:
-        if seconds <= 0:
-            return
-        sleep = self._policy.sleep if self._policy.sleep is not None else time.sleep
-        sleep(seconds)
+    def execute(self, tasks: dict, persist, *, backend: str) -> dict:
+        """Run ``tasks`` (shard → task) under the restart budget.
 
-    def _restart_delay(self, shard: int, restarts: int) -> float:
-        return self._policy.backoff.delay(restarts, salt=f"supervise.{shard}")
-
-    # --- inline backend ----------------------------------------------
-
-    def _execute_inline(self, tasks: dict, persist) -> dict:
-        """Deterministic single-process supervision (chaos tests).
-
-        ``flap`` faults surface here as :class:`InjectedWorkerDeath`
-        escaping the engine — a ``BaseException``, so it sails past the
-        resilient executor's recovery exactly as a SIGKILL would kill a
-        real worker mid-chunk.
+        Returns shard → result for every task: one shard at a time in
+        this process (``"inline"``) or one per core (``"process"``). A
+        shard whose worker died or hung is relaunched, after the
+        policy's backoff and ahead of shards not yet started, until
+        ``max_restarts`` are spent — then
+        :class:`SupervisionExhaustedError`; an exception a shard raised
+        is re-raised as itself. ``persist`` is the runtime's per-shard
+        checkpointing callback, invoked once per completed shard (so a
+        run killed *between* shards still resumes).
         """
         from repro.dist.runtime import _run_shard
 
-        results: dict = {}
-        for shard in sorted(tasks):
-            task = tasks[shard]
-            restarts = 0
-            self._event("start", shard, 1)
-            while True:
-                incarnation = restarts + 1
-                injector = getattr(task.resilience, "fault_injector", None)
-                if injector is not None and hasattr(
-                    injector, "bind_incarnation"
-                ):
-                    injector.bind_incarnation(incarnation)
-                try:
-                    result = _run_shard(task)
-                except InjectedWorkerDeath as death:
-                    self._event("death", shard, incarnation, str(death))
-                    if restarts >= self._policy.max_restarts:
-                        self._event("exhausted", shard, incarnation)
-                        raise SupervisionExhaustedError(
-                            shard, restarts, death
-                        ) from death
-                    restarts += 1
-                    self._sleep(self._restart_delay(shard, restarts))
-                    self._event("restart", shard, restarts + 1)
-                    continue
-                results[shard] = result
-                persist(shard, result)
-                if restarts:
-                    self._event("recovered", shard, incarnation)
-                break
-        return results
-
-    # --- process backend ---------------------------------------------
-
-    def _launch(
-        self, ctx, task, shard: int, incarnation: int, hb_dir: str, binding
-    ) -> _Supervised:
-        heartbeat_path = os.path.join(hb_dir, f"shard.{shard}.heartbeat")
-        result_key = f"{binding.prefix}.supervised.{shard}.result"
-        run_task = task
-        if task.resilience is not None:
-            emitter = HeartbeatEmitter(heartbeat_path, incarnation)
-            run_task = dataclasses.replace(
-                task,
-                resilience=dataclasses.replace(
-                    task.resilience, heartbeat=emitter
-                ),
-            )
-        proc = ctx.Process(
-            target=_supervised_worker,
-            args=(
-                run_task,
-                incarnation,
-                binding.store_root,
-                binding.durable,
-                result_key,
-            ),
-        )
-        proc.start()
-        return _Supervised(
-            shard=shard,
-            proc=proc,
-            incarnation=incarnation,
-            heartbeat_path=heartbeat_path,
-            result_key=result_key,
-        )
-
-    def _execute_process(self, tasks: dict, persist, binding) -> dict:
-        """Supervise real OS worker processes.
-
-        Needs the checkpoint store twice over: workers publish results
-        through it (exit codes can't carry a :class:`ShardResult`) and
-        restarts are only *cheap* because engine chunks resume from it.
-        """
-        import multiprocessing
-
-        from repro.recovery import RunStore
-
-        if binding.store_root is None:
-            raise ConfigurationError(
-                "process-backend supervision requires a checkpoint store "
-                "(pass checkpoint=... to the sharded run): workers publish "
-                "results and resume restarts through it"
-            )
-        # Forked workers where the platform has them (same launch
-        # method as the runtime's ProcessPoolExecutor, and each fork
-        # snapshots a pristine injector state from the coordinator);
-        # spawn elsewhere.
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            ctx = multiprocessing.get_context("spawn")
-        store = RunStore(binding.store_root, durable=binding.durable)
         policy = self._policy
+        n_workers = 0
+        if backend != "inline":
+            n_workers = min(len(tasks), os.cpu_count() or 1)
+        slots = max(1, n_workers)  # inline: one shard at a time
         results: dict = {}
-        restarts = {shard: 0 for shard in tasks}
-        queue = sorted(tasks)
-        waiting: list[tuple[float, int]] = []  # (ready_at, shard)
-        running: dict[int, _Supervised] = {}
-        max_workers = max(1, min(len(queue), os.cpu_count() or 1))
-        temp: tempfile.TemporaryDirectory | None = None
-        hb_dir = policy.heartbeat_dir
-        if hb_dir is None:
-            temp = tempfile.TemporaryDirectory(prefix="repro-supervise-")
-            hb_dir = temp.name
+        restarts = dict.fromkeys(tasks, 0)
+        queue = deque(sorted(tasks))
+        running: dict[int, _Supervised] = {}  # by pool job
 
-        def schedule_restart(
-            state: _Supervised, kind: str, detail: str
-        ) -> None:
+        def lost(state: _Supervised, kind: str, died: WorkerDied) -> None:
             shard = state.shard
-            self._event(kind, shard, state.incarnation, detail)
+            self._event(kind, shard, state.incarnation, str(died))
             if restarts[shard] >= policy.max_restarts:
                 self._event("exhausted", shard, state.incarnation)
-                for other in running.values():
-                    other.proc.kill()
-                    other.proc.join()
-                raise SupervisionExhaustedError(shard, restarts[shard])
+                cause = died.__cause__ or died
+                raise SupervisionExhaustedError(
+                    shard, restarts[shard], cause
+                ) from cause
             restarts[shard] += 1
-            delay = self._restart_delay(shard, restarts[shard])
-            waiting.append((time.monotonic() + delay, shard))
+            delay = policy.backoff.delay(
+                restarts[shard], salt=f"supervise.{shard}"
+            )
+            if delay > 0:
+                (policy.sleep or time.sleep)(delay)
+            queue.appendleft(shard)
 
-        def reap(state: _Supervised) -> None:
-            shard = state.shard
-            code = state.proc.exitcode
-            state.proc.join()
-            del running[shard]
-            if code == 0:
-                payload = store.load(state.result_key)
-                if payload is not None and "result" in payload:
-                    results[shard] = payload["result"]
-                    persist(shard, payload["result"])
-                    if restarts[shard]:
-                        self._event("recovered", shard, state.incarnation)
-                    return
-                schedule_restart(
-                    state, "death", "exited 0 without publishing a result"
+        with contextlib.ExitStack() as stack:
+            hb_dir = policy.heartbeat_dir
+            if hb_dir is None and policy.stale_polls is not None:
+                hb_dir = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-supervise-")
                 )
-                return
-            schedule_restart(state, "death", f"exit code {code}")
-
-        try:
-            while len(results) < len(tasks):
-                now = time.monotonic()
-                due = [entry for entry in waiting if entry[0] <= now]
-                for entry in due:
-                    waiting.remove(entry)
-                    queue.append(entry[1])
-                queue.sort()
-                while queue and len(running) < max_workers:
-                    shard = queue.pop(0)
+            # Closing the pool kills what is still running: the other
+            # shards of an exhausted or failed run are not awaited.
+            pool = stack.enter_context(
+                contextlib.closing(WorkerPool(n_workers))
+            )
+            while queue or running:
+                while queue and len(running) < slots:
+                    shard = queue.popleft()
                     incarnation = restarts[shard] + 1
-                    state = self._launch(
-                        ctx, tasks[shard], shard, incarnation, hb_dir, binding
+                    self._event(
+                        "start" if incarnation == 1 else "restart",
+                        shard,
+                        incarnation,
                     )
-                    running[shard] = state
-                    if incarnation == 1:
-                        self._event("start", shard, incarnation)
-                    else:
-                        self._event("restart", shard, incarnation)
-                if not running:
-                    if not waiting:  # pragma: no cover - defensive
-                        raise ConfigurationError(
-                            "supervisor stalled with no running or "
-                            "waiting shards"
-                        )
-                    time.sleep(
-                        max(
-                            policy.poll_interval / 4,
-                            min(entry[0] for entry in waiting) - now,
-                        )
+                    task, heartbeat_path = _with_heartbeat(
+                        tasks[shard], hb_dir, incarnation
                     )
+                    job = pool.submit(_run_shard, task, incarnation)
+                    running[job] = _Supervised(
+                        shard, incarnation, heartbeat_path
+                    )
+                answered = pool.poll(policy.poll_interval)
+                for job in answered:
+                    state = running.pop(job)
+                    try:
+                        result = pool.result(job)
+                    except WorkerDied as died:
+                        lost(state, "death", died)
+                        continue
+                    results[state.shard] = result
+                    persist(state.shard, result)
+                    if restarts[state.shard]:
+                        self._event(
+                            "recovered", state.shard, state.incarnation
+                        )
+                if answered or policy.stale_polls is None:
                     continue
-                time.sleep(policy.poll_interval)
-                for shard in sorted(running):
-                    state = running[shard]
-                    if state.proc.exitcode is not None:
-                        reap(state)
-                        continue
-                    if policy.stale_polls is None:
-                        continue
+                for job, state in sorted(running.items()):
+                    if state.heartbeat_path is None:
+                        continue  # no beats to go stale: the pipe only
                     token = progress_token(
                         read_heartbeat(state.heartbeat_path)
                     )
                     if token > state.token:
-                        state.token = token
-                        state.stale = 0
+                        state.token, state.stale = token, 0
                         continue
                     state.stale += 1
                     if state.stale >= policy.stale_polls:
-                        state.proc.kill()
-                        state.proc.join()
-                        del running[shard]
-                        schedule_restart(
+                        pool.kill(job)
+                        del running[job]
+                        lost(
                             state,
                             "hang",
-                            f"heartbeat token {state.token} unchanged "
-                            f"for {state.stale} polls",
+                            WorkerDied(
+                                f"heartbeat token {state.token} unchanged "
+                                f"for {state.stale} polls"
+                            ),
                         )
-        finally:
-            if temp is not None:
-                temp.cleanup()
         return results
 
-    # --- entry point --------------------------------------------------
 
-    def execute(self, tasks: dict, persist, *, backend: str, binding) -> dict:
-        """Run ``tasks`` (shard → task) under supervision.
-
-        Returns shard → result for every task; raises
-        :class:`SupervisionExhaustedError` when any shard exceeds the
-        restart budget. ``persist`` is the runtime's per-shard
-        checkpointing callback, invoked exactly once per completed
-        shard (so a run killed *between* shards still resumes).
-        """
-        if not tasks:
-            return {}
-        if backend == "inline":
-            return self._execute_inline(tasks, persist)
-        return self._execute_process(tasks, persist, binding)
+def _with_heartbeat(task, hb_dir: str | None, incarnation: int):
+    """``task`` beating into ``hb_dir`` (and the file it beats), when
+    there is a directory to beat into and an executor config to carry
+    the emitter; otherwise the task as it is."""
+    if hb_dir is None or task.resilience is None:
+        return task, None
+    path = os.path.join(hb_dir, f"shard.{task.shard}.heartbeat")
+    beating = dataclasses.replace(
+        task.resilience, heartbeat=HeartbeatEmitter(path, incarnation)
+    )
+    return dataclasses.replace(task, resilience=beating), path

@@ -20,6 +20,7 @@ import os
 import pickle
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -48,7 +49,9 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience.testing import KILL_EXIT_CODE, FaultSpec, kill
+from repro.resilience.workers import PARENT_POLL
 from repro.text import exact_similarity
+from tests.procs import assert_gone, needs_proc
 
 DRIVER = os.path.join(os.path.dirname(__file__), "recovery_driver.py")
 
@@ -832,46 +835,84 @@ class TestPipelineCheckpoint:
 # --- real process death (subprocess kill/resume) ---------------------
 
 
-def _run_driver(*args, expect=0):
+def _run_script(script, *args):
+    """Run ``script`` with ``src`` importable; its output is captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(
             None,
             [
-                os.path.join(os.path.dirname(DRIVER), "..", "src"),
+                os.path.abspath(
+                    os.path.join(os.path.dirname(DRIVER), "..", "src")
+                ),
                 env.get("PYTHONPATH", ""),
             ],
         )
     )
-    # Output goes to files, not pipes: a killed driver orphans its pool
-    # workers, which inherit the output fds — waiting for pipe EOF
-    # would hang until the workers notice the parent died. Waiting on
-    # the process itself returns the moment os._exit fires.
-    import tempfile
-
-    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile(
-        "w+"
-    ) as err:
-        process = subprocess.Popen(
-            [sys.executable, DRIVER, *args],
-            stdout=out,
-            stderr=err,
-            text=True,
-            env=env,
-        )
-        try:
-            returncode = process.wait(timeout=300)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            raise
-        out.seek(0)
-        err.seek(0)
-        stdout, stderr = out.read(), err.read()
-    assert returncode == expect, (
-        f"driver {args} exited {returncode}, expected {expect}\n"
-        f"stderr: {stderr}"
+    return subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
     )
-    return stdout
+
+
+def _run_driver(*args, expect=0):
+    done = _run_script(DRIVER, *args)
+    assert done.returncode == expect, (
+        f"driver {args} exited {done.returncode}, expected {expect}\n"
+        f"stderr: {done.stderr}"
+    )
+    return done.stdout
+
+
+# A coordinator that dies by ``os._exit(137)`` while both its process
+# workers are mid-shard (each shard is ~0.7 s of sleeping similarity;
+# the marker file appears once both have scored a pair).
+_SHARD_DRIVER = """
+import os, sys, time
+
+from repro.core import Record
+from repro.dist import sharded_resolve
+from repro.linkage import (
+    FieldComparator, RecordComparator, ThresholdClassifier,
+)
+
+MARK = __file__ + ".pids"
+
+
+def slow(left, right):
+    with open(MARK, "a") as handle:
+        handle.write(f"{os.getpid()}\\n")
+    time.sleep(0.02)
+    return 1.0 if left == right else 0.0
+
+
+if __name__ == "__main__":
+    import threading
+
+    def kill_when_busy():
+        while True:
+            time.sleep(0.01)
+            if os.path.exists(MARK):
+                with open(MARK) as handle:
+                    if len(set(handle.read().split())) == 2:
+                        print("both shards busy", flush=True)
+                        os._exit(137)
+
+    threading.Thread(target=kill_when_busy, daemon=True).start()
+    records = [
+        Record(f"r{i}", "s", {"name": f"item {i % 3}"}) for i in range(12)
+    ]
+    pairs = [(f"r{i}", f"r{j}") for i in range(12) for j in range(i + 1, 12)]
+    sharded_resolve(
+        records, None, RecordComparator([FieldComparator("name", slow)]),
+        ThresholdClassifier(0.5), candidate_pairs=pairs, n_shards=2,
+        backend="process",
+    )
+    print("survived", flush=True)
+"""
 
 
 def _payload(stdout):
@@ -899,7 +940,9 @@ class TestKillResume:
             "2",
             expect=KILL_EXIT_CODE,
         )
-        # The murdered run left chunks 0-1 durably checkpointed.
+        # The murdered run took its workers with it (they carry its
+        # command line) and left chunks 0-1 durably checkpointed.
+        assert_gone(PARENT_POLL + 2, cmdline=str(tmp_path / "killed"))
         store = RunStore(tmp_path / "killed")
         assert any("chunk" in key for key in store.keys())
         resumed = _run_driver(
@@ -909,6 +952,18 @@ class TestKillResume:
         assert json.loads(resumed)["counters"][
             "recovery.chunks_replayed"
         ] == 2
+
+    @needs_proc
+    def test_a_killed_coordinator_takes_its_shard_workers_with_it(
+        self, tmp_path
+    ):
+        driver = tmp_path / "shard_driver.py"
+        driver.write_text(textwrap.dedent(_SHARD_DRIVER))
+        done = _run_script(driver)
+        assert done.returncode == KILL_EXIT_CODE, done.stderr
+        assert "both shards busy" in done.stdout
+        assert "survived" not in done.stdout
+        assert_gone(PARENT_POLL + 2, cmdline=str(driver))
 
     def test_pipeline_kill_and_resume(self, tmp_path):
         baseline = _run_driver("pipeline", str(tmp_path / "base"))

@@ -130,3 +130,19 @@ def _unresolved_imports(script: Path) -> list[str]:
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
 def test_benchmark_scripts_import_only_what_is_there(script):
     assert _unresolved_imports(script) == []
+
+
+def test_one_module_creates_processes():
+    """Launch, liveness, kill and parent death are answered once: no
+    second pool, no raw process, no reach into an executor's private
+    worker table anywhere else under ``src/repro``."""
+    source = ROOT / "src" / "repro"
+    launch = re.compile(r"ProcessPoolExecutor\(|\.Process\(|os\.fork\(")
+    texts = {
+        str(path.relative_to(source)): path.read_text(encoding="utf-8")
+        for path in sorted(source.rglob("*.py"))
+    }
+    assert [name for name, text in texts.items() if launch.search(text)] == [
+        "resilience/workers.py"
+    ]
+    assert [name for name, text in texts.items() if "_processes" in text] == []

@@ -22,7 +22,9 @@ Four contracts anchor this file:
 
 import functools
 import json
+import os
 import threading
+import time
 
 import pytest
 
@@ -41,9 +43,11 @@ from repro.linkage.comparison import default_product_comparator
 from repro.linkage.engine import ParallelComparisonEngine
 from repro.obs import ManualClock, Tracer, observe_supervisor
 from repro.resilience import (
+    ChunkExecutionError,
     DeadLetterEntry,
     DeadLetterLog,
     DeadlineExceededError,
+    InjectedCrash,
     InjectedWorkerDeath,
     ResilienceConfig,
     RetryPolicy,
@@ -76,6 +80,7 @@ from repro.synth import (
 )
 from repro import FourVKnobs, build_corpus
 from repro.text import exact_similarity
+from tests.procs import assert_gone, needs_proc
 
 
 # --- shared workload ---------------------------------------------------
@@ -560,15 +565,16 @@ class TestSupervisorInline:
         assert counters["supervision.recovereds"] == 1
 
     def test_unsupervised_flap_is_fatal(self):
-        # The contrast case: without a supervisor the worker death is a
-        # BaseException the resilience layer must NOT absorb.
+        # The contrast case: the worker death is a BaseException the
+        # resilience layer must NOT absorb, and without a supervisor
+        # the one shard loop has no restart to spend on it.
         injector = FaultInjector(flap(chunk=0, max_fires=1))
         resilience = ResilienceConfig(
             retry=RetryPolicy(max_attempts=3, base_delay=0.0),
             failure="retry",
             fault_injector=injector,
         )
-        with pytest.raises(InjectedWorkerDeath):
+        with pytest.raises(SupervisionExhaustedError) as fatal:
             sharded_resolve(
                 list(_corpus()),
                 _blocker(),
@@ -578,6 +584,9 @@ class TestSupervisorInline:
                 backend="inline",
                 resilience=resilience,
             )
+        assert isinstance(fatal.value.__cause__, InjectedWorkerDeath)
+        assert fatal.value.restarts == 0
+        assert injector.fired() == 1  # three attempts allowed, one made
 
     def test_restart_budget_exhaustion_escalates(self):
         injector = FaultInjector(flap(chunk=0))  # dies every incarnation
@@ -657,17 +666,62 @@ class TestSupervisorInline:
                 supervisor=Supervisor(),
             )
 
-    def test_process_supervision_requires_a_checkpoint_store(self):
-        with pytest.raises(ConfigurationError):
-            sharded_resolve(
-                list(_corpus()),
-                _blocker(),
-                default_product_comparator(),
-                ThresholdClassifier(0.72),
-                n_shards=2,
-                backend="process",
-                supervisor=Supervisor(),
+
+class TestOneErrorSurface:
+    """Whichever backend ran the shard, supervised or not, a failing
+    chunk is the same named error — an exception is a result, not a
+    death — and a dead worker is a death that names itself."""
+
+    @staticmethod
+    def _run(spec, backend, supervisor):
+        return sharded_resolve(
+            list(_corpus()),
+            _blocker(),
+            default_product_comparator(),
+            ThresholdClassifier(0.72),
+            n_shards=3,
+            backend=backend,
+            resilience=ResilienceConfig(
+                failure="fail", fault_injector=FaultInjector(spec)
+            ),
+            supervisor=supervisor,
+        )
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    @pytest.mark.parametrize(
+        "backend", ["inline", pytest.param("process", marks=pytest.mark.slow)]
+    )
+    def test_a_failing_chunk_is_one_error_on_every_path(
+        self, backend, supervised
+    ):
+        supervisor = None
+        if supervised:
+            supervisor = Supervisor(
+                SupervisionPolicy(max_restarts=2, sleep=lambda s: None)
             )
+        with pytest.raises(ChunkExecutionError) as caught:
+            self._run(crash(chunk=0, shard=1), backend, supervisor)
+        error = caught.value
+        assert (error.chunk_id, error.kind, error.attempts) == ("0", "crash", 1)
+        assert str(error) == (
+            f"chunk 0 failed (crash) after 1 attempt(s) over "
+            f"{len(error.items)} item(s): injected crash: chunk 0 attempt 1"
+        )
+        assert isinstance(error.__cause__, InjectedCrash)
+        assert error.cause is error.__cause__
+        if supervised:
+            assert "start" in _kinds(supervisor)
+            assert not {"death", "restart"} & set(_kinds(supervisor))
+
+    @pytest.mark.slow
+    @needs_proc
+    def test_an_unsupervised_worker_death_names_shard_and_exit_code(self):
+        with pytest.raises(SupervisionExhaustedError) as fatal:
+            self._run(kill(chunk=0, shard=1), "process", None)
+        assert fatal.value.shard == 1 and fatal.value.restarts == 0
+        assert "shard 1 died 1 time(s)" in str(fatal.value)
+        assert "exit code 137" in str(fatal.value)
+        assert_gone(0.0, parent=os.getpid())
 
 
 class TestPipelineSupervision:
@@ -740,6 +794,19 @@ class TestSupervisorProcess:
             e.kind == "recovered" and e.shard == 1 for e in supervisor.events
         )
 
+    def test_process_supervision_heals_without_a_checkpoint_store(self):
+        # Results ride the worker's pipe, so no store is needed to
+        # carry them; the restarted shard re-runs from its first chunk.
+        injector = FaultInjector(kill(chunk=0, shard=1, incarnations=(1,)))
+        run, supervisor = _supervised_run(injector, backend="process")
+        assert_identical(run)
+        assert _kinds(supervisor, shard=1) == [
+            "start", "death", "restart", "recovered",
+        ]
+        assert [
+            e.detail for e in supervisor.events if e.kind == "death"
+        ] == ["exit code 137"]
+
     def test_frozen_heartbeat_is_declared_hung_and_killed(self, tmp_path):
         # The worker stays alive but stops making progress: a slow
         # fault parks it for 60s mid-shard. Token-based staleness (not
@@ -772,6 +839,31 @@ class TestSupervisorProcess:
         assert any(
             e.kind == "recovered" and e.shard == 0 for e in supervisor.events
         )
+
+
+    def test_a_shard_that_cannot_beat_is_never_declared_hung(self):
+        # No ResilienceConfig, so no emitter rides into the worker and
+        # its token never moves: only the pipe can say it died.
+        policy = SupervisionPolicy(
+            max_restarts=0, poll_interval=0.01, stale_polls=3
+        )
+        supervisor = Supervisor(policy)
+        run = sharded_resolve(
+            list(_corpus()),
+            _blocker(),
+            RecordComparator([FieldComparator("name", _sleepy_similarity)]),
+            ThresholdClassifier(0.72),
+            n_shards=3,
+            backend="process",
+            supervisor=supervisor,
+        )
+        assert len(run.shards) == 3
+        assert _kinds(supervisor) == ["start", "start", "start"]
+
+
+def _sleepy_similarity(left: str, right: str) -> float:
+    time.sleep(0.02)  # ~0.25 s a shard: many silent polls
+    return exact_similarity(left, right)
 
 
 # --- degraded-mode serving ---------------------------------------------
