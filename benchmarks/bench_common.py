@@ -44,15 +44,17 @@ __all__ = [
 #: Match threshold of the engine gates.
 THRESHOLD = 0.7
 
-#: Early-exit engine over naive per-pair scoring, as the E20 engine
-#: bench last recorded it (commit a92fcba, PR 13; the bench and its
-#: result file went in PR 20): 108,013 against 20,396 pairs/s over the
-#: 31,751 candidate pairs of ``corpus_pairs(60, 12)`` at ``THRESHOLD``,
-#: each side on empty similarity memos. The ``--quick`` corpus
-#: ``(20, 6)`` reads 4-5x, its values repeat less. A ratio, because
+#: Early-exit engine over naive per-pair scoring, as
+#: ``check_obs_overhead.py`` measured it on the commit that made every
+#: staged decision one plan per field-presence mask (parent 525cb01),
+#: on a 2-core Intel Xeon box under CPython 3.11: 213,174 against
+#: 23,111 pairs/s over the 31,751 candidate pairs of
+#: ``corpus_pairs(60, 12)`` at ``THRESHOLD``, best of 3, each side on
+#: empty similarity memos (5.1x at the parent). The ``--quick`` corpus
+#: ``(20, 6)`` reads 6-8x, its values repeat less. A ratio, because
 #: absolute pairs/s is the machine's; ``check_obs_overhead.py`` holds
 #: the measured one above a fraction of it.
-RECORDED_EARLY_EXIT_SPEEDUP = 5.3
+RECORDED_EARLY_EXIT_SPEEDUP = 9.2
 
 
 def emit(

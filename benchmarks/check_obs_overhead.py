@@ -18,9 +18,10 @@ machine with every timed run on empty similarity memos, against
 instrumentation cost would drag the measured ratio down on every
 machine alike; run-to-run noise would not, so the threshold is lenient
 (default: measured ratio must stay above half the recorded one — the
-recorded ratio is ~5×, 4-5× on the ``--quick`` corpus where values
+recorded ratio is ~9×, 6-8× on the ``--quick`` corpus where values
 repeat less, so even a 5% hot-path regression plus generous noise
-clears it, while per-pair tracer calls, which cost 2-3×, do not).
+clears it, while per-pair tracer calls, which cost 2-3×, and a staged
+decision grown to twice its recorded per-pair cost do not).
 
 Run:  PYTHONPATH=src python benchmarks/check_obs_overhead.py [--quick]
 """

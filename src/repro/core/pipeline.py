@@ -392,14 +392,9 @@ class BDIPipeline:
                     )
                     if config.classifier == "fellegi-sunter":
                         from repro.linkage import fit_fellegi_sunter
-                        from repro.linkage.resolver import (
-                            _canonical_pairs,
-                            _engine,
-                        )
+                        from repro.linkage.resolver import _engine
 
-                        candidates = blocker.block(
-                            records
-                        ).candidate_pairs()
+                        candidates = blocker.block(records).ordered_pairs()
                         pair_engine = _engine(
                             comparator,
                             config.execution,
@@ -410,7 +405,7 @@ class BDIPipeline:
                             config.representation,
                         )
                         vectors = pair_engine.compare_pairs(
-                            records, _canonical_pairs(candidates)
+                            records, candidates
                         )
                         classifier: object = fit_fellegi_sunter(
                             vectors,

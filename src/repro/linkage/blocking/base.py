@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import ConfigurationError
@@ -77,16 +78,23 @@ class BlockCollection:
         """Indices of the blocks containing ``record_id``."""
         return frozenset(self._blocks_of_record.get(record_id, frozenset()))
 
+    def _pair_stream(self) -> Iterator[tuple[str, str]]:
+        """The one pair loop: every ``(smaller id, larger id)`` pair of
+        two distinct records sharing a block, block by block (a pair
+        shared by two blocks comes twice; both views below dedup)."""
+        return chain.from_iterable(
+            combinations(sorted(set(block.record_ids)), 2)
+            for block in self._blocks
+        )
+
+    def ordered_pairs(self) -> list[tuple[str, str]]:
+        """Deduplicated candidate pairs as oriented id tuples, sorted: the
+        order every engine run scores them in."""
+        return sorted(set(self._pair_stream()))
+
     def candidate_pairs(self) -> set[frozenset[str]]:
         """Deduplicated unordered candidate pairs across all blocks."""
-        pairs: set[frozenset[str]] = set()
-        for block in self._blocks:
-            ids = block.record_ids
-            for i, left in enumerate(ids):
-                for right in ids[i + 1 :]:
-                    if left != right:
-                        pairs.add(frozenset((left, right)))
-        return pairs
+        return set(map(frozenset, self._pair_stream()))
 
     @property
     def n_comparisons(self) -> int:

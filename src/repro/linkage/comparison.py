@@ -292,6 +292,9 @@ class PreparedRecord:
 
     record_id: str
     payloads: tuple[Any, ...]
+    #: Bit ``i`` is set iff ``payloads[i]`` is not ``None``; a pair's
+    #: ``left.mask & right.mask`` selects its compiled decision plan.
+    mask: int
 
 
 @dataclass(frozen=True)
@@ -405,6 +408,26 @@ class BoundedComparison:
     vector: ComparisonVector | None = None
 
 
+class _DecisionPlan(NamedTuple):
+    """What :meth:`RecordComparator.decide` needs of one field-presence
+    mask. Each sum accumulates in declaration order, as
+    :meth:`RecordComparator.compare` does, so every float is the same."""
+
+    #: The missing fields' contribution (``weight * missing_penalty``).
+    missing: float
+    #: The exact denominator: present weights, plus missing ones under
+    #: a ``missing_penalty``.
+    total: float
+    #: The present fields' weight, all still to evaluate.
+    present: float
+    #: ``(index, weight, similarity)`` per present field, cheap first.
+    staged: tuple[tuple[int, float, Callable[[Any, Any], float]], ...]
+    #: ``(position, weight)`` per counted field in declaration order;
+    #: ``position`` indexes the staged similarities, and one past them
+    #: stands for ``missing_penalty``.
+    declared: tuple[tuple[int, float], ...]
+
+
 class RecordComparator:
     """Compares record pairs field by field.
 
@@ -437,13 +460,17 @@ class RecordComparator:
         self._missing_penalty = missing_penalty
         self._specs = tuple(_spec_for(field.similarity) for field in self._fields)
         # Field indices cheap-to-expensive: the staged evaluation order
-        # of score_bounded (ties broken by declaration order).
+        # of decide (ties broken by declaration order).
         self._staged_order = tuple(
             sorted(
                 range(len(self._fields)),
                 key=lambda index: (self._specs[index].cost, index),
             )
         )
+        # One decision plan per field-presence mask, compiled on first
+        # use (at most 2 ** len(fields) entries; two threads missing at
+        # once compile equal plans, and either one serves).
+        self._plans: dict[int, _DecisionPlan] = {}
 
     @property
     def fields(self) -> tuple[FieldComparator, ...]:
@@ -499,12 +526,12 @@ class RecordComparator:
         record does not change afterwards.
         """
         attributes = self._translate(record)
-        return PreparedRecord(
-            record_id=record.record_id,
-            payloads=tuple(
-                field.prepare(attributes) for field in self._fields
-            ),
-        )
+        payloads = tuple(field.prepare(attributes) for field in self._fields)
+        mask = 0
+        for index, payload in enumerate(payloads):
+            if payload is not None:
+                mask |= 1 << index
+        return PreparedRecord(record.record_id, payloads, mask)
 
     def compare_prepared(
         self, left: PreparedRecord, right: PreparedRecord
@@ -535,8 +562,94 @@ class RecordComparator:
             score=score,
         )
 
-    #: See the module-level :data:`BOUND_MARGIN`.
-    _BOUND_MARGIN = BOUND_MARGIN
+    def _plan(self, mask: int) -> _DecisionPlan:
+        """The decision plan of one field-presence mask, compiled once."""
+        plan = self._plans.get(mask)
+        if plan is not None:
+            return plan
+        penalty = self._missing_penalty
+        missing = total = present = 0.0
+        for index, field in enumerate(self._fields):
+            if mask >> index & 1:
+                total += field.weight
+                present += field.weight
+            elif penalty is not None:
+                missing += field.weight * penalty
+                total += field.weight
+        staged = tuple(
+            (index, self._fields[index].weight, self._specs[index].similarity)
+            for index in self._staged_order
+            if mask >> index & 1
+        )
+        positions = {index: k for k, (index, __, __) in enumerate(staged)}
+        declared = tuple(
+            (positions.get(index, len(staged)), field.weight)
+            for index, field in enumerate(self._fields)
+            if mask >> index & 1 or penalty is not None
+        )
+        plan = _DecisionPlan(missing, total, present, staged, declared)
+        self._plans[mask] = plan
+        return plan
+
+    def decide(
+        self,
+        left: PreparedRecord,
+        right: PreparedRecord,
+        threshold: float,
+        exact_scores: bool = True,
+    ) -> tuple[bool, float, bool, list[float]]:
+        """The one staged match decision: ``(is_match, score, exact,
+        similarities)`` for two prepared records.
+
+        Present fields are evaluated cheap-to-expensive (the plan of
+        ``left.mask & right.mask``) while tracking the best and worst
+        achievable final score; as soon as the pair provably cannot
+        reach ``threshold``, the expensive remaining fields are skipped
+        and ``score`` is that upper bound. ``is_match`` always equals
+        ``compare(left, right).score >= threshold`` (for similarities in
+        ``[0, 1]``, which the bound assumes).
+
+        With ``exact_scores=True`` (the default) a pair that cannot
+        lose is still evaluated fully, so every match carries its exact
+        score (what clustering-by-score consumers need); only
+        rejections exit early. With ``exact_scores=False`` an accept
+        exits early too, with the lower bound that proved it. ``exact``
+        says whether every present field was evaluated — then ``score``
+        is bit-identical to :meth:`compare`'s. ``similarities`` holds
+        the values evaluated, in staged order.
+        """
+        mask = left.mask & right.mask
+        plan = self._plans.get(mask) or self._plan(mask)
+        weighted, total, remaining, staged, declared = plan
+        payloads_left = left.payloads
+        payloads_right = right.payloads
+        reject_below = threshold - BOUND_MARGIN
+        accept_from = threshold + BOUND_MARGIN
+        similarities: list[float] = []
+        decided_match = False
+        for index, weight, similarity in staged:
+            value = similarity(payloads_left[index], payloads_right[index])
+            similarities.append(value)
+            weighted += weight * value
+            remaining -= weight
+            if decided_match:
+                continue  # completing the evaluation for exact scores
+            upper = (weighted + remaining) / total
+            if upper < reject_below:
+                return False, upper, False, similarities
+            lower = weighted / total
+            if lower >= accept_from:
+                if not exact_scores:
+                    return True, lower, False, similarities
+                decided_match = True
+        # Fully evaluated: re-sum in declaration order so the float is
+        # byte-identical to compare()'s.
+        values = (*similarities, self._missing_penalty)
+        weighted = 0.0
+        for position, weight in declared:
+            weighted += weight * values[position]
+        score = weighted / total if total else 0.0
+        return score >= threshold, score, True, similarities
 
     def score_bounded(
         self,
@@ -545,116 +658,36 @@ class RecordComparator:
         threshold: float,
         exact_scores: bool = True,
     ) -> BoundedComparison:
-        """Staged comparison with early exit against ``threshold``.
-
-        Fields are evaluated cheap-to-expensive while tracking the best
-        and worst achievable final score; as soon as the pair provably
-        cannot reach the threshold, the expensive remaining fields
-        (Monge-Elkan / Levenshtein) are skipped. Match decisions agree
-        exactly with ``compare(left, right).score >= threshold``.
-
-        With ``exact_scores=True`` (the default) a pair that *can't
-        lose* is still evaluated fully so matches carry exact scores
-        (what clustering-by-score consumers need); only rejections
-        exit early. With ``exact_scores=False`` both directions exit
-        early and ``score`` may be a bound — cheapest when only the
-        match/non-match decision matters.
+        """:meth:`decide`, reported: the same decision and score, plus
+        how many fields it evaluated and — when it evaluated them all —
+        the exact :class:`ComparisonVector` (``None`` after an early
+        exit). Accepts raw records too; they are prepared first.
         """
-        prepared_left = (
-            left if isinstance(left, PreparedRecord) else self.prepare(left)
+        if not isinstance(left, PreparedRecord):
+            left = self.prepare(left)
+        if not isinstance(right, PreparedRecord):
+            right = self.prepare(right)
+        is_match, score, exact, similarities = self.decide(
+            left, right, threshold, exact_scores
         )
-        prepared_right = (
-            right if isinstance(right, PreparedRecord) else self.prepare(right)
-        )
-        fields = self._fields
-        specs = self._specs
-        payloads_left = prepared_left.payloads
-        payloads_right = prepared_right.payloads
-
-        # Presence pass: field lookups are already done (payloads), so
-        # the exact denominator and the missing-field contribution are
-        # known before any similarity runs.
-        missing_weighted = 0.0
-        total_weight = 0.0
-        present: list[int] = []
-        remaining = 0.0
-        for index, field in enumerate(fields):
-            if payloads_left[index] is None or payloads_right[index] is None:
-                if self._missing_penalty is not None:
-                    missing_weighted += field.weight * self._missing_penalty
-                    total_weight += field.weight
-            else:
-                present.append(index)
-                total_weight += field.weight
-                remaining += field.weight
-
-        similarities: dict[int, float] = {}
-        if total_weight:
-            weighted = missing_weighted
-            decided_match = False
-            margin = self._BOUND_MARGIN
-            for index in self._staged_order:
-                if payloads_left[index] is None or payloads_right[index] is None:
-                    continue
-                similarity = specs[index].similarity(
-                    payloads_left[index], payloads_right[index]
-                )
-                similarities[index] = similarity
-                weighted += fields[index].weight * similarity
-                remaining -= fields[index].weight
-                if decided_match:
-                    continue  # completing the evaluation for exact scores
-                upper = (weighted + remaining) / total_weight
-                if upper < threshold - margin:
-                    return BoundedComparison(
-                        left_id=prepared_left.record_id,
-                        right_id=prepared_right.record_id,
-                        is_match=False,
-                        score=upper,
-                        exact=False,
-                        n_evaluated=len(similarities),
-                    )
-                lower = weighted / total_weight
-                if lower >= threshold + margin:
-                    if not exact_scores:
-                        return BoundedComparison(
-                            left_id=prepared_left.record_id,
-                            right_id=prepared_right.record_id,
-                            is_match=True,
-                            score=lower,
-                            exact=False,
-                            n_evaluated=len(similarities),
-                        )
-                    decided_match = True
-
-        # Fully evaluated: rebuild the exact vector in declaration
-        # order so the float summation is byte-identical to compare().
-        vector_similarities: list[float | None] = []
-        weighted = 0.0
-        exact_total = 0.0
-        for index, field in enumerate(fields):
-            similarity = similarities.get(index)
-            vector_similarities.append(similarity)
-            if similarity is None:
-                if self._missing_penalty is not None:
-                    weighted += field.weight * self._missing_penalty
-                    exact_total += field.weight
-                continue
-            weighted += field.weight * similarity
-            exact_total += field.weight
-        score = weighted / exact_total if exact_total else 0.0
-        vector = ComparisonVector(
-            left_id=prepared_left.record_id,
-            right_id=prepared_right.record_id,
-            similarities=tuple(vector_similarities),
-            score=score,
-        )
+        vector = None
+        if exact:
+            values: list[float | None] = [None] * len(self._fields)
+            staged = self._plan(left.mask & right.mask).staged
+            for (index, __, __), value in zip(staged, similarities):
+                values[index] = value
+            vector = ComparisonVector(
+                left_id=left.record_id,
+                right_id=right.record_id,
+                similarities=tuple(values),
+                score=score,
+            )
         return BoundedComparison(
-            left_id=prepared_left.record_id,
-            right_id=prepared_right.record_id,
-            is_match=score >= threshold,
+            left_id=left.record_id,
+            right_id=right.record_id,
+            is_match=is_match,
             score=score,
-            exact=True,
+            exact=exact,
             n_evaluated=len(similarities),
             vector=vector,
         )

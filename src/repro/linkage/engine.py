@@ -238,17 +238,15 @@ class _DictScorer(_ChunkScorer):
         else:
             matches: list[tuple[str, str, float]] = []
             n_early = 0
+            decide = comparator.decide
             for left, right in pairs:
-                bounded = comparator.score_bounded(
-                    prepared[left],
-                    prepared[right],
-                    threshold,
-                    exact_scores=True,
+                is_match, score, exact, __ = decide(
+                    prepared[left], prepared[right], threshold
                 )
-                if not bounded.exact:
+                if not exact:
                     n_early += 1
-                if bounded.is_match:
-                    matches.append((left, right, bounded.score))
+                if is_match:
+                    matches.append((left, right, score))
             head = (matches, n_early)
         # Each pair performs two cache lookups; every lookup that did
         # not prepare a record was a hit.

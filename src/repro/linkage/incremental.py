@@ -15,10 +15,11 @@ order-insensitive — which also makes the equivalence testable.
 Comparisons run over prepared records (one-time normalize/tokenize per
 record, cached across batches) and, under a plain
 :class:`~repro.linkage.classify.threshold.ThresholdClassifier`, through
-the staged early-exit scorer
-:meth:`~repro.linkage.comparison.RecordComparator.score_bounded` —
-match decisions are provably identical to the full ``compare`` path
-(asserted in tests), only cheaper.
+the staged early-exit decision
+:meth:`~repro.linkage.comparison.RecordComparator.decide` — the one the
+batch engine makes, from the same per-mask plan, with decisions
+provably identical to the full ``compare`` path (asserted in tests),
+only cheaper.
 
 An arriving record is decided once per *linked component*, not once per
 candidate: after it matches one member of a component, the component's
@@ -264,17 +265,17 @@ class IncrementalLinker:
     ) -> tuple[float, bool]:
         """Classify ``prepared`` against one candidate -> (score, match).
 
-        Routes through :meth:`RecordComparator.score_bounded` under a
-        plain threshold classifier (early exit, identical decisions);
-        any other classifier gets the full prepared vector. With
+        Routes through :meth:`RecordComparator.decide` under a plain
+        threshold classifier (early exit, identical decisions); any
+        other classifier gets the full prepared vector. With
         ``exact_scores=False`` rejected/accepted scores may be bounds.
         """
         other = self._prepared[other_id]
         if self._threshold is not None:
-            bounded = self._comparator.score_bounded(
-                prepared, other, self._threshold, exact_scores=exact_scores
+            is_match, score, __, __ = self._comparator.decide(
+                prepared, other, self._threshold, exact_scores
             )
-            return bounded.score, bounded.is_match
+            return score, is_match
         vector = self._comparator.compare_prepared(prepared, other)
         return vector.score, self._classifier.is_match(vector)
 

@@ -66,7 +66,7 @@ def order_candidates(
                         ordered.append(pair)
         return ordered
     if ordering == "random":
-        pairs = sorted(blocks.candidate_pairs(), key=sorted)
+        pairs = list(map(frozenset, blocks.ordered_pairs()))
         rng = _random.Random(seed)
         rng.shuffle(pairs)
         return pairs
@@ -128,9 +128,9 @@ def progressive_resolution_curve(
         left, right = prepared_for(left_id), prepared_for(right_id)
         if left is not None and right is not None:
             if threshold is not None:
-                is_match = comparator.score_bounded(
+                is_match = comparator.decide(
                     left, right, threshold, exact_scores=False
-                ).is_match
+                )[0]
             else:
                 is_match = classifier.is_match(
                     comparator.compare_prepared(left, right)

@@ -46,8 +46,10 @@ class MatchClassifier(Protocol):
 class LinkageResult:
     """Everything a linkage run produced.
 
-    ``n_candidates`` counts deduplicated candidate pairs (the number of
-    comparisons actually executed).
+    ``n_candidates`` counts the candidate pairs handed to the engine:
+    the blocker's deduplicated pairs, or the caller's ``candidate_pairs``
+    less their self-pairs. A caller's pair naming an id that is not
+    among the records is counted here but never compared.
     """
 
     clusters: list[list[str]]
@@ -86,15 +88,23 @@ def _cluster(clustering, match_pairs, scored_edges, all_ids, tracer):
 def _canonical_pairs(
     candidate_pairs: Iterable[Collection[str]],
 ) -> list[tuple[str, str]]:
-    """Candidate pairs as sorted id tuples in sorted order — the one
-    order every engine run (serial, process, streamed, sharded) scores
-    them in, so chunk boundaries (and so checkpoints) line up across
-    runs and execution modes. Orients every pair first and sorts the
-    tuples directly: one sort pass, no per-comparison key lists."""
-    return sorted(
-        (pair_ids[0], pair_ids[1])
-        for pair_ids in (sorted(pair) for pair in candidate_pairs)
-    )
+    """Caller-supplied candidate pairs as oriented id tuples in sorted
+    order — the one order every engine run (serial, process, streamed,
+    sharded) scores them in, so chunk boundaries (and so checkpoints)
+    line up across runs and execution modes. A self-pair (``("a",
+    "a")``, ``frozenset({"a"})``) is dropped, as blocking drops it;
+    duplicates are kept."""
+    ordered: list[tuple[str, str]] = []
+    for pair in candidate_pairs:
+        ids = sorted(pair)
+        if len(ids) == 2 and ids[0] != ids[1]:
+            ordered.append((ids[0], ids[1]))
+        elif not 1 <= len(ids) <= 2:
+            raise ConfigurationError(
+                f"a candidate pair names two record ids, got {pair!r}"
+            )
+    ordered.sort()
+    return ordered
 
 
 def _block_pairs(
@@ -104,10 +114,10 @@ def _block_pairs(
     with tracer.span(span_name, blocker=type(blocker).__name__) as span:
         blocks = blocker.block(records)
         observe_block_collection(tracer, blocks)
-        candidate_pairs = blocks.candidate_pairs()
+        ordered = blocks.ordered_pairs()
         span.set("n_blocks", len(blocks))
-        span.set("n_candidates", len(candidate_pairs))
-    return _canonical_pairs(candidate_pairs)
+        span.set("n_candidates", len(ordered))
+    return ordered
 
 
 def _spill_block_pairs(blocker: Blocker, records, store, budget, tracer):

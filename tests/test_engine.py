@@ -42,6 +42,12 @@ from repro.linkage import (
     resolve,
 )
 from repro.linkage.blocking import first_token_key
+from repro.linkage.comparison import (
+    BOUND_MARGIN,
+    BoundedComparison,
+    ComparisonVector,
+    similarity_spec,
+)
 from repro.synth import (
     CorpusConfig,
     WorldConfig,
@@ -56,8 +62,13 @@ from repro.resilience.testing import FaultInjector, crash
 from repro.text import (
     MEMO_CACHES,
     clear_memo_caches,
+    cosine_similarity,
     exact_similarity,
+    jaccard_similarity,
     jaro_winkler_similarity,
+    levenshtein_similarity,
+    measurement_similarity,
+    monge_elkan_similarity,
     product_name_similarity,
 )
 
@@ -238,6 +249,242 @@ class TestScoreBounded:
         full = comparator.compare(left, right)
         bounded = comparator.score_bounded(left, right, threshold)
         assert bounded.is_match == (full.score >= threshold)
+
+
+def reference_score_bounded(comparator, left, right, threshold, exact_scores):
+    """The staged scorer as it was before decisions were planned per
+    field-presence mask: a presence pass per pair, the staged loop over
+    the fields, a rebuild in declaration order. Kept as the reference
+    :meth:`RecordComparator.decide` and ``score_bounded`` must equal."""
+    fields = comparator.fields
+    penalty = comparator.missing_penalty
+    specs = [similarity_spec(field.similarity) for field in fields]
+    payloads_left, payloads_right = left.payloads, right.payloads
+    missing_weighted = total_weight = remaining = 0.0
+    for index, field in enumerate(fields):
+        if payloads_left[index] is None or payloads_right[index] is None:
+            if penalty is not None:
+                missing_weighted += field.weight * penalty
+                total_weight += field.weight
+        else:
+            total_weight += field.weight
+            remaining += field.weight
+    similarities = {}
+
+    def bounded(is_match, score):
+        return BoundedComparison(
+            left_id=left.record_id,
+            right_id=right.record_id,
+            is_match=is_match,
+            score=score,
+            exact=False,
+            n_evaluated=len(similarities),
+        )
+
+    if total_weight:
+        weighted = missing_weighted
+        decided_match = False
+        for index in comparator.staged_order:
+            if payloads_left[index] is None or payloads_right[index] is None:
+                continue
+            similarity = specs[index].similarity(
+                payloads_left[index], payloads_right[index]
+            )
+            similarities[index] = similarity
+            weighted += fields[index].weight * similarity
+            remaining -= fields[index].weight
+            if decided_match:
+                continue
+            upper = (weighted + remaining) / total_weight
+            if upper < threshold - BOUND_MARGIN:
+                return bounded(False, upper)
+            lower = weighted / total_weight
+            if lower >= threshold + BOUND_MARGIN:
+                if not exact_scores:
+                    return bounded(True, lower)
+                decided_match = True
+    vector_similarities = []
+    weighted = exact_total = 0.0
+    for index, field in enumerate(fields):
+        similarity = similarities.get(index)
+        vector_similarities.append(similarity)
+        if similarity is None:
+            if penalty is not None:
+                weighted += field.weight * penalty
+                exact_total += field.weight
+            continue
+        weighted += field.weight * similarity
+        exact_total += field.weight
+    score = weighted / exact_total if exact_total else 0.0
+    return BoundedComparison(
+        left_id=left.record_id,
+        right_id=right.record_id,
+        is_match=score >= threshold,
+        score=score,
+        exact=True,
+        n_evaluated=len(similarities),
+        vector=ComparisonVector(
+            left.record_id, right.record_id, tuple(vector_similarities), score
+        ),
+    )
+
+
+def _unregistered_similarity(left: str, right: str) -> float:
+    """A similarity the registry does not know (generic spec, never
+    memoized); module-level so a comparator using it pickles. In
+    ``[0, 1]``, as the staged bound requires of every similarity."""
+    union = set(left) | set(right)
+    return len(set(left) & set(right)) / len(union) if union else 1.0
+
+
+#: One similarity per cost rank the staged order distinguishes.
+_MIXED_COST_SIMILARITIES = (
+    exact_similarity,
+    measurement_similarity,
+    jaccard_similarity,
+    cosine_similarity,
+    jaro_winkler_similarity,
+    levenshtein_similarity,
+    _unregistered_similarity,
+    monge_elkan_similarity,
+    product_name_similarity,
+)
+
+#: Few values, so pairs agree often enough to reach both exits.
+_FIELD_VALUES = (
+    "canon pro 512",
+    "cannon pro 512",
+    "nikon d70",
+    "13.3 in",
+    "33.8 cm",
+    "1.2 kg",
+    "red",
+    "",
+)
+
+
+@st.composite
+def comparators_and_records(draw):
+    n_fields = draw(st.integers(1, 8))
+    fields = [
+        FieldComparator(
+            f"f{index}",
+            draw(st.sampled_from(_MIXED_COST_SIMILARITIES)),
+            weight=draw(st.floats(0.05, 5.0)),
+            normalize=draw(st.booleans()),
+        )
+        for index in range(n_fields)
+    ]
+    comparator = RecordComparator(
+        fields, missing_penalty=draw(st.sampled_from((None, 0.0, 0.5, 1.0)))
+    )
+    records = [
+        Record(
+            f"r{k}",
+            "s",
+            {
+                f"f{index}": value
+                for index in range(n_fields)
+                for value in [draw(st.sampled_from((None, *_FIELD_VALUES)))]
+                if value is not None
+            },
+        )
+        for k in range(draw(st.integers(2, 5)))
+    ]
+    return comparator, records
+
+
+class TestOneDecision:
+    """``decide`` is the one staged loop and ``score_bounded`` its report;
+    both equal the reference above exactly, for any field subset."""
+
+    @staticmethod
+    def _thresholds(exact_score, drawn):
+        return (
+            exact_score,
+            exact_score - BOUND_MARGIN,
+            exact_score + BOUND_MARGIN,
+            *drawn,
+        )
+
+    @given(
+        case=comparators_and_records(),
+        drawn=st.lists(st.floats(0.0, 1.0), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_decide_and_score_bounded_equal_the_reference(self, case, drawn):
+        comparator, records = case
+        for one, other in itertools.combinations(records, 2):
+            left, right = comparator.prepare(one), comparator.prepare(other)
+            exact_score = comparator.compare(one, other).score
+            for threshold in self._thresholds(exact_score, drawn):
+                for exact_scores in (True, False):
+                    reference = reference_score_bounded(
+                        comparator, left, right, threshold, exact_scores
+                    )
+                    report = comparator.score_bounded(
+                        left, right, threshold, exact_scores
+                    )
+                    is_match, score, exact, similarities = comparator.decide(
+                        left, right, threshold, exact_scores
+                    )
+                    assert report == reference
+                    assert report.score.hex() == reference.score.hex()
+                    assert (is_match, score.hex(), exact) == (
+                        reference.is_match,
+                        reference.score.hex(),
+                        reference.exact,
+                    )
+                    assert len(similarities) == reference.n_evaluated
+                    assert is_match == (exact_score >= threshold)
+
+    def test_every_mask_compiles_one_plan(self):
+        fields = [
+            FieldComparator(f"f{index}", similarity)
+            for index, similarity in enumerate(_MIXED_COST_SIMILARITIES[:4])
+        ]
+        comparator = RecordComparator(fields, missing_penalty=0.5)
+        records = [
+            comparator.prepare(
+                Record(
+                    f"r{mask}",
+                    "s",
+                    {f"f{i}": "red" for i in range(4) if mask >> i & 1},
+                )
+            )
+            for mask in range(16)
+        ]
+        assert [record.mask for record in records] == list(range(16))
+        for left, right in itertools.product(records, repeat=2):
+            comparator.decide(left, right, 0.5)
+        assert sorted(comparator._plans) == list(range(16))
+
+    def test_warm_plan_table_survives_pickling(self, corpus):
+        records, __, pairs = corpus
+        comparator = RecordComparator(
+            [
+                *default_product_comparator().fields,
+                FieldComparator("name", _unregistered_similarity, weight=0.7),
+            ],
+            missing_penalty=0.5,
+        )
+        prepared = prepare_records(comparator, records)
+        before = [
+            comparator.decide(prepared[left], prepared[right], 0.7)
+            for left, right in pairs[:400]
+        ]
+        assert comparator._plans
+        clone = pickle.loads(pickle.dumps(comparator))
+        assert clone._plans.keys() == comparator._plans.keys()
+        after = [
+            clone.decide(prepared[left], prepared[right], 0.7)
+            for left, right in pairs[:400]
+        ]
+        assert pickle.dumps(after) == pickle.dumps(before)
+
+    def test_a_prepared_record_always_has_a_mask(self):
+        with pytest.raises(TypeError, match="mask"):
+            PreparedRecord(record_id="a", payloads=("x",))
 
 
 class TestMemoIsInvisible:

@@ -128,6 +128,54 @@ class TestResolve:
         assert result.n_candidates == 1
         assert result.match_pairs == pairs
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            {frozenset(("a", "b")), frozenset(("a",))},
+            {("a", "a"), ("a", "b")},
+        ],
+        ids=["one-element-frozenset", "repeated-id-tuple"],
+    )
+    @pytest.mark.parametrize("entry", ["resolve", "sharded_resolve"])
+    def test_caller_self_pairs_are_dropped(self, pairs, entry):
+        """A self-pair is not a candidate: blocking never emits one, and
+        a caller's is dropped the same way — not scored, not counted,
+        never a one-element match."""
+        from repro.dist.runtime import sharded_resolve
+
+        records = [
+            Record("a", "s1", {"name": "canon pro 512"}),
+            Record("b", "s2", {"name": "canon pro 512"}),
+        ]
+        arguments = (
+            records,
+            None,
+            default_product_comparator(),
+            ThresholdClassifier(0.0),
+        )
+        if entry == "resolve":
+            result = resolve(*arguments, candidate_pairs=pairs)
+        else:
+            result = sharded_resolve(
+                *arguments, candidate_pairs=pairs, n_shards=2, backend="inline"
+            ).result
+        assert result.n_candidates == 1
+        assert result.match_pairs == {frozenset(("a", "b"))}
+        assert result.clusters == [["a", "b"]]
+
+    def test_malformed_caller_pair_is_refused_by_name(self):
+        from repro.core import ConfigurationError
+
+        records = [Record(rid, "s1", {"name": "x"}) for rid in "abc"]
+        with pytest.raises(ConfigurationError, match="two record ids"):
+            resolve(
+                records,
+                None,
+                default_product_comparator(),
+                ThresholdClassifier(0.5),
+                candidate_pairs=[("a", "b", "c")],
+            )
+
     def test_unknown_clustering(self, corpus):
         from repro.core import ConfigurationError
 

@@ -195,9 +195,9 @@ class _CountingComparator:
     def prepare(self, record):
         return self._inner.prepare(record)
 
-    def score_bounded(self, *args, **kwargs):
+    def decide(self, *args, **kwargs):
         self.scored += 1
-        return self._inner.score_bounded(*args, **kwargs)
+        return self._inner.decide(*args, **kwargs)
 
     def compare_prepared(self, left, right):
         self.scored += 1

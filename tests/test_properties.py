@@ -348,6 +348,32 @@ class TestCanonicalPairOrder:
             tuple(sorted(pair)) for pair in pairs
         )
 
+    @given(
+        st.lists(
+            st.lists(st.sampled_from("abcdefg"), max_size=6),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=80)
+    def test_block_pairs_are_deduped_once_for_both_views(self, blocks):
+        # Overlapping blocks and a record repeated inside one block (a
+        # repeated key): both views come from the one pair loop, and
+        # the ordered one is exactly the canonical order of the set.
+        from repro.linkage.resolver import _canonical_pairs
+
+        collection = BlockCollection(
+            Block(f"k{index}", tuple(ids)) for index, ids in enumerate(blocks)
+        )
+        naive = {
+            frozenset((left, right))
+            for ids in blocks
+            for left in ids
+            for right in ids
+            if left != right
+        }
+        assert collection.candidate_pairs() == naive
+        assert collection.ordered_pairs() == _canonical_pairs(naive)
+
 
 # --- fault-tolerance invariants --------------------------------------
 

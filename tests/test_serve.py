@@ -396,11 +396,11 @@ class TestResolutionService:
         class FlakyComparator(RecordComparator):
             calls = 0
 
-            def score_bounded(self, *args, **kwargs):
+            def decide(self, *args, **kwargs):
                 self.calls += 1
                 if self.calls == 6:  # d's third candidate, first attempt
                     raise RuntimeError("similarity backend hiccup")
-                return super().score_bounded(*args, **kwargs)
+                return super().decide(*args, **kwargs)
 
         fields = [FieldComparator("name", jaccard_similarity)]
         steady, hiccuping = RecordComparator(fields), FlakyComparator(fields)
