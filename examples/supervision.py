@@ -131,7 +131,6 @@ def degraded_serving(root):
             failure_threshold=2,
             reset_timeout=5.0,
             shed="dead_letter",
-            clock=clock,
         ),
         tracer=tracer,
         durable=False,

@@ -1,11 +1,13 @@
 """The resilient chunk executor: retry → bisect → quarantine.
 
-This is the recovery loop every fault-tolerant execution path shares.
-Work arrives as an ordered list of chunks (lists of items — id pairs
-for the comparison engine) plus a ``run_attempt(items, timeout)``
-callable supplied by the caller (a direct call for serial execution, a
-pool submission with a real future timeout for the process backend).
-The executor then guarantees:
+This is the recovery loop every fault-tolerant execution path shares;
+its two callers are the comparison engine (chunks of id pairs, on every
+backend and inside every shard) and the serving layer's ingest (one
+record id per chunk, indexed by its log position). Work arrives as
+chunks plus a ``run_attempt(items, timeout)`` callable supplied by the
+caller (a direct call for serial execution, a pool submission with a
+real future timeout for the process backend). The executor then
+guarantees:
 
 1. **Retry with backoff** — a crashed, timed-out, or garbage-returning
    attempt is retried up to ``RetryPolicy.max_attempts`` times, sleeping
@@ -21,6 +23,10 @@ The executor then guarantees:
    ``"skip"`` quarantines into the
    :class:`~repro.resilience.deadletter.DeadLetterLog` and the run
    completes with partial results.
+4. **One deadline** — checked before every attempt, so none starts
+   after it; an expired unit is quarantined whole (``kind="deadline"``,
+   the attempts it made) under ``"skip"``, else raises
+   :class:`~repro.resilience.policy.DeadlineExceededError`.
 
 Every attempt, retry, failure, bisection, and quarantine emits
 ``resilience.*`` counters, and a heartbeat gauge set
@@ -159,7 +165,24 @@ class ResilientChunkExecutor:
         the garbage-detection hook that turns silent corruption into a
         retryable failure.
         """
-        return self._execute(chunks, run_attempt, validate, None, len(chunks))
+        return self._execute(
+            enumerate(chunks), run_attempt, validate, None, len(chunks)
+        )
+
+    def run_chunk(
+        self,
+        index: int,
+        items: list,
+        run_attempt: RunAttempt,
+        validate: Validator | None = None,
+        deadline: float | None = None,
+    ) -> ResilientOutcome:
+        """Run one chunk as top-level chunk ``index`` (fault specs,
+        dead-letter ids and the heartbeat name it); ``deadline``
+        (seconds) replaces the config's for this call."""
+        return self._execute(
+            ((index, items),), run_attempt, validate, None, 1, deadline
+        )
 
     def run_stream(
         self,
@@ -179,15 +202,18 @@ class ResilientChunkExecutor:
         however long the stream runs. Checkpoint persist/replay still
         operates per top-level chunk, before the units are consumed.
         """
-        return self._execute(iter(chunks), run_attempt, validate, consume, None)
+        return self._execute(
+            enumerate(chunks), run_attempt, validate, consume, None
+        )
 
     def _execute(
         self,
-        chunks,
+        indexed_chunks,
         run_attempt: RunAttempt,
         validate: Validator | None,
         consume,
         n_chunks: int | None,
+        deadline: float | None = None,
     ) -> ResilientOutcome:
         tracer = self._tracer
         outcome = ResilientOutcome(
@@ -198,21 +224,18 @@ class ResilientChunkExecutor:
                 max_bytes=self._config.dead_letter_max_bytes,
             ),
         )
+        budget = self._config.deadline if deadline is None else deadline
         started = self._clock.now()
-        deadline_at = (
-            started + self._config.deadline
-            if self._config.deadline is not None
-            else None
-        )
+        run_deadline = None if budget is None else (started, budget)
         with tracer.span(
             "resilience.execute",
             scope=self._scope,
             failure_policy=self._config.failure,
         ) as span:
-            for index, chunk in enumerate(chunks):
+            for done, (index, chunk) in enumerate(indexed_chunks, 1):
                 items = list(chunk)
                 if n_chunks is None:
-                    outcome.n_chunks = index + 1
+                    outcome.n_chunks = done
                 n_units = len(outcome.results)
                 n_dead = len(outcome.dead_letters)
                 if not self._replay(index, items, outcome):
@@ -222,7 +245,7 @@ class ResilientChunkExecutor:
                         items,
                         run_attempt,
                         validate,
-                        deadline_at,
+                        run_deadline,
                         outcome,
                     )
                     if fully_ok:
@@ -234,7 +257,7 @@ class ResilientChunkExecutor:
                     for unit_items, value in outcome.results[n_units:]:
                         consume(unit_items, value)
                     del outcome.results[n_units:]
-                tracer.gauge("resilience.chunks_done").set(index + 1)
+                tracer.gauge("resilience.chunks_done").set(done)
             span.set("n_chunks", outcome.n_chunks)
             self._publish(span, outcome)
         return outcome
@@ -303,19 +326,24 @@ class ResilientChunkExecutor:
         items: list,
         run_attempt: RunAttempt,
         validate: Validator | None,
-        deadline_at: float | None,
+        deadline: tuple[float, float] | None,
         outcome: ResilientOutcome,
     ) -> bool:
         """Run one (sub-)chunk to success, bisection, or quarantine."""
         config = self._config
-        if deadline_at is not None and self._clock.now() >= deadline_at:
-            return self._expire(chunk_id, items, deadline_at, outcome)
         value, failure = self._attempt_loop(
-            chunk_id, top_index, items, run_attempt, validate, outcome
+            chunk_id, top_index, items, run_attempt, validate, deadline,
+            outcome,
         )
         if failure is None:
             outcome.results.append((items, value))
             return True
+        if failure.kind == "deadline":
+            # Expired: nothing more may start, so no bisection either.
+            if config.failure != "skip":
+                raise failure.error
+            self._quarantine(chunk_id, failure, items, outcome)
+            return False
         if config.failure == "fail":
             raise ChunkExecutionError(
                 chunk_id,
@@ -330,11 +358,11 @@ class ResilientChunkExecutor:
             mid = len(items) // 2
             left_ok = self._recover(
                 chunk_id + ".0", top_index, items[:mid],
-                run_attempt, validate, deadline_at, outcome,
+                run_attempt, validate, deadline, outcome,
             )
             right_ok = self._recover(
                 chunk_id + ".1", top_index, items[mid:],
-                run_attempt, validate, deadline_at, outcome,
+                run_attempt, validate, deadline, outcome,
             )
             return left_ok and right_ok
         if config.failure == "skip":
@@ -355,9 +383,11 @@ class ResilientChunkExecutor:
         items: list,
         run_attempt: RunAttempt,
         validate: Validator | None,
+        deadline: tuple[float, float] | None,
         outcome: ResilientOutcome,
     ) -> tuple[object, _Failure | None]:
-        """Try one chunk up to the policy's attempt budget."""
+        """Try one chunk up to the policy's attempt budget, starting no
+        attempt once the run's ``(started, budget)`` deadline passed."""
         config = self._config
         tracer = self._tracer
         injector = config.fault_injector
@@ -366,6 +396,12 @@ class ResilientChunkExecutor:
         )
         failure: _Failure | None = None
         for attempt in range(1, max_attempts + 1):
+            if deadline is not None:
+                started, budget = deadline
+                now = self._clock.now()
+                if now >= started + budget:
+                    error = DeadlineExceededError(budget, now - started)
+                    return None, _Failure("deadline", error, attempt - 1)
             # Heartbeat first, so a stall leaves the last dispatched
             # chunk/attempt/timestamp visible in the run report. The
             # sequence number increments on every attempt: a worker
@@ -413,24 +449,6 @@ class ResilientChunkExecutor:
                 tracer.counter("resilience.retries").inc()
                 outcome.n_retries += 1
         return None, failure
-
-    def _expire(
-        self,
-        chunk_id: str,
-        items: list,
-        deadline_at: float,
-        outcome: ResilientOutcome,
-    ) -> bool:
-        """Handle a chunk reached after the run deadline passed."""
-        started = deadline_at - self._config.deadline
-        elapsed = self._clock.now() - started
-        if self._config.failure == "skip":
-            error = DeadlineExceededError(self._config.deadline, elapsed)
-            self._quarantine(
-                chunk_id, _Failure("deadline", error, 0), items, outcome
-            )
-            return False
-        raise DeadlineExceededError(self._config.deadline, elapsed)
 
     def _quarantine(
         self,

@@ -33,9 +33,8 @@ pre-crash projection.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
@@ -45,11 +44,12 @@ from repro.linkage.projection import DEFAULT_SOURCE_ACCURACY, EntityProjection
 from repro.linkage.resolver import MatchClassifier, resolve
 from repro.obs import NULL_TRACER, SystemClock
 from repro.resilience import (
+    ChunkResultInvalid,
     DeadLetterEntry,
     DeadLetterLog,
     DeadlineExceededError,
     ResilienceConfig,
-    RetryPolicy,
+    ResilientChunkExecutor,
 )
 from repro.serve.cache import MISS, GenerationCache
 from repro.serve.store import EntityStore
@@ -82,8 +82,10 @@ class IngestResult:
 
     ``position`` is the record's durable log position (assigned before
     linking — it stands even if linking is quarantined). A quarantined
-    ingest has ``entity_id=None``; the record is reconciled by the next
-    refresh or restart replay. A *shed* ingest (degraded mode with
+    ingest (``failure="skip"``) has ``entity_id=None`` and one
+    ``scope="serve.ingest"`` dead letter, ``chunk_id`` = the position;
+    the record is reconciled by the next refresh or restart replay, and
+    its id refused until then. A *shed* ingest (degraded mode with
     ``shed="dead_letter"``) was never appended to the log at all —
     ``position`` is ``-1`` and the payload lives only in the
     dead-letter log, for replay once the service recovers.
@@ -100,6 +102,24 @@ class IngestResult:
     shed: bool = False
 
 
+def _last_rows(records: Iterable[Record]) -> list[Record]:
+    """The last row per record id, in log order: what restart replay
+    builds from a log that holds an id twice (written before re-ingests
+    of a quarantined id were refused)."""
+    latest: dict[str, Record] = {}
+    for record in records:
+        latest.pop(record.record_id, None)
+        latest[record.record_id] = record
+    return list(latest.values())
+
+
+def _validate_link(items: list, value) -> None:
+    if not isinstance(value, IngestResult):
+        raise ChunkResultInvalid(
+            f"linking {items[0]!r} returned {value!r:.80}"
+        )
+
+
 class _Generation(EntityProjection):
     """One consistent resolution state: the live projection (linker +
     entity table) plus the stamp readers and the cache see it under."""
@@ -108,6 +128,8 @@ class _Generation(EntityProjection):
         super().__init__(*args, **kwargs)
         self.number = number
         self.mutations = 0
+        #: Logged ids whose linking raised or was quarantined.
+        self.unlinked: set[str] = set()
 
     @property
     def version(self) -> tuple[int, int]:
@@ -134,10 +156,11 @@ class ResolutionService:
         Per-source accuracy estimates for fusion; unlisted sources get
         :data:`DEFAULT_SOURCE_ACCURACY`.
     resilience:
-        Optional :class:`ResilienceConfig` guarding the linking step of
-        every ingest (retry/skip with dead-lettering; the fault
-        injector hook fires *after* the durable log append, modelling
-        death mid-ingest).
+        The :class:`ResilienceConfig` every ingest links under, on the
+        engine's :class:`~repro.resilience.ResilientChunkExecutor`
+        (``None`` = ``failure="fail"``). It is the service's one source
+        of a clock (breaker, dead letters, deadlines) and of the
+        default deadline of :meth:`ingest` and :meth:`refresh`.
     cache_capacity:
         Read-path LRU size (entries), keyed by generation stamp.
     durable:
@@ -176,7 +199,13 @@ class ResolutionService:
         self._classifier = classifier
         self._refresh_blocker = refresh_blocker
         self._source_accuracies = dict(source_accuracies or {})
+        if resilience is None:
+            resilience = ResilienceConfig(failure="fail")
         self._resilience = resilience
+        self._clock = resilience.clock or SystemClock()
+        self._executor = ResilientChunkExecutor(
+            resilience, tracer=self._tracer, scope="serve.ingest"
+        )
         self._max_candidates = max_candidates_per_record
         self._store = EntityStore(
             root,
@@ -187,13 +216,9 @@ class ResolutionService:
         self._cache = GenerationCache(cache_capacity, tracer=self._tracer)
         self._lock = threading.RLock()
         self._dead_letters = DeadLetterLog(
-            path=resilience.dead_letter_path if resilience else None,
-            max_entries=(
-                resilience.dead_letter_max_entries if resilience else None
-            ),
-            max_bytes=(
-                resilience.dead_letter_max_bytes if resilience else None
-            ),
+            path=resilience.dead_letter_path,
+            max_entries=resilience.dead_letter_max_entries,
+            max_bytes=resilience.dead_letter_max_bytes,
         )
         if overload is not None and not isinstance(overload, OverloadPolicy):
             raise ConfigurationError(
@@ -210,13 +235,10 @@ class ResolutionService:
                 tracer=self._tracer,
                 name="serve",
             )
-            breaker_clock = overload.clock
-            if breaker_clock is None and resilience is not None:
-                breaker_clock = resilience.clock
             self._breaker = CircuitBreaker(
                 failure_threshold=overload.failure_threshold,
                 reset_timeout=overload.reset_timeout,
-                clock=breaker_clock,
+                clock=self._clock,
                 tracer=self._tracer,
                 name="serve.breaker",
                 on_state_change=self._on_breaker_state,
@@ -263,7 +285,8 @@ class ResolutionService:
                 )
             watermark = payload["watermark"]
             replay = generation.load(
-                self._store.records_from(0, watermark), payload["entities"]
+                _last_rows(self._store.records_from(0, watermark)),
+                payload["entities"],
             )
         replay.extend(self._store.records_from(watermark))
         for record in replay:
@@ -275,7 +298,7 @@ class ResolutionService:
     # --- internals ----------------------------------------------------
 
     def _link_record(
-        self, generation: _Generation, record: Record
+        self, generation: _Generation, record: Record, position: int = -1
     ) -> IngestResult:
         """Fold one record into ``generation`` (linker + projection).
 
@@ -296,31 +319,17 @@ class ResolutionService:
         self._tracer.counter("serve.ingest_matches").inc(stats.matches)
         return IngestResult(
             record_id=record.record_id,
-            position=-1,
+            position=position,
             entity_id=entity_id,
             comparisons=stats.comparisons,
             matched_entities=absorbed,
         )
-
-    def _now(self) -> float:
-        if self._overload is not None and self._overload.clock is not None:
-            return self._overload.clock.now()
-        if self._resilience is not None and self._resilience.clock is not None:
-            return self._resilience.clock.now()
-        return SystemClock().now()
 
     def _on_breaker_state(self, old: str, new: str) -> None:
         """Mirror breaker transitions into the degraded-mode gauge."""
         self._tracer.gauge("serve.degraded").set(
             1.0 if new == "open" else 0.0
         )
-
-    def _effective_deadline(self, deadline: float | None) -> float | None:
-        if deadline is not None:
-            return deadline
-        if self._overload is not None:
-            return self._overload.deadline
-        return None
 
     def _shed(self, record: Record) -> IngestResult:
         """Degraded mode: refuse (or dead-letter) one write.
@@ -348,7 +357,7 @@ class ResolutionService:
                     ),
                     attempts=0,
                     items=(record.record_id,),
-                    quarantined_at=self._now(),
+                    quarantined_at=self._clock.now(),
                 )
             )
             return IngestResult(
@@ -364,95 +373,34 @@ class ResolutionService:
             retry_after=retry_after,
         )
 
-    def _guarded_link(
+    def _link(
         self,
         generation: _Generation,
         record: Record,
         position: int,
-        deadline: float | None = None,
+        deadline: float | None,
     ) -> IngestResult:
-        """Run the linking step under the resilience policy.
-
-        The fault injector (if any) fires per attempt with the log
-        position as the chunk index — ``kill`` specs model process
-        death *after* the durable append, mid-ingest. Quarantined
-        records stay durable-but-unlinked singletons until the next
-        refresh or restart replays them.
-
-        ``deadline`` (seconds on the service clock) caps the whole
-        retry loop: once it expires, remaining attempts are abandoned —
-        quarantined as ``kind="deadline"`` under ``failure="skip"``,
-        raised as :class:`DeadlineExceededError` otherwise.
-        """
-        config = self._resilience
-        if config is None and deadline is None:
-            return self._link_record(generation, record)
-        failure = config.failure if config is not None else "fail"
-        retry = config.retry if config is not None else None
-        sleep = (
-            config.sleep
-            if config is not None and config.sleep is not None
-            else time.sleep
-        )
-        attempts = max(1, retry.max_attempts) if retry is not None else 1
-        injector = config.fault_injector if config is not None else None
-        started = self._now()
-        last_error: Exception | None = None
-        timed_out = False
-        attempt = 0
-        for attempt in range(1, attempts + 1):
-            if deadline is not None and self._now() - started > deadline:
-                timed_out = True
-                break
-            try:
-                if injector is not None:
-                    injector.on_attempt(
-                        position, [record.record_id], attempt
-                    )
-                return self._link_record(generation, record)
-            except Exception as error:  # noqa: BLE001 - policy boundary
-                last_error = error
-                if failure == "fail":
-                    raise
-                if attempt < attempts:
-                    sleep(
-                        retry.delay(
-                            attempt, salt=f"serve.ingest.{position}"
-                        )
-                    )
-        made = attempts
-        if timed_out:
-            made = attempt - 1
-            elapsed = self._now() - started
+        """Link one logged record as one chunk at its log position (a
+        ``kill`` fault there is death after the durable append)."""
+        try:
+            outcome = self._executor.run_chunk(
+                position,
+                [record.record_id],
+                lambda items, timeout: self._link_record(
+                    generation, record, position
+                ),
+                _validate_link,
+                deadline,
+            )
+        except DeadlineExceededError:
             self._tracer.counter("serve.deadline_exceeded").inc()
-            if failure != "skip":
-                raise DeadlineExceededError(deadline, elapsed)
-            kind = "deadline"
-            error_type = "DeadlineExceededError"
-            error_text = (
-                f"ingest deadline of {deadline}s exceeded after "
-                f"{elapsed:.3f}s"
-            )
-        else:
-            if failure == "retry":
-                assert last_error is not None
-                raise last_error
-            # failure == "skip": quarantine and keep serving.
-            kind = "crash"
-            error_type = type(last_error).__name__
-            error_text = str(last_error)
-        self._dead_letters.add(
-            DeadLetterEntry(
-                scope="serve.ingest",
-                chunk_id=str(position),
-                kind=kind,
-                error_type=error_type,
-                error=error_text,
-                attempts=made,
-                items=(record.record_id,),
-                quarantined_at=self._now(),
-            )
-        )
+            raise
+        if outcome.results:
+            return outcome.results[0][1]
+        # Already appended to the durable sink by the executor.
+        self._dead_letters.restore(outcome.dead_letters)
+        if outcome.dead_letters.by_kind("deadline"):
+            self._tracer.counter("serve.deadline_exceeded").inc()
         self._tracer.counter("serve.quarantined_ingests").inc()
         return IngestResult(
             record_id=record.record_id,
@@ -485,23 +433,31 @@ class ResolutionService:
 
         The record is fsynced to the log *before* linking: once this
         method has appended, the record survives any crash (the restart
-        replay relinks it). Linking runs under the resilience policy;
-        see :class:`IngestResult` for the quarantine outcome.
+        replay relinks it). Linking fails as an engine chunk does:
+        :class:`~repro.resilience.ChunkExecutionError` (chunk id = the
+        log position, cause = the linking error) under ``"fail"``,
+        :class:`~repro.resilience.PoisonPairError` when ``"retry"``
+        runs out, :class:`DeadlineExceededError` when ``deadline``
+        (seconds; default the config's) expires first; ``"skip"``
+        quarantines (see :class:`IngestResult`). A logged id raises
+        :class:`ConfigurationError`, linked or not.
 
         With an :class:`~repro.supervision.OverloadPolicy` configured,
         the write first passes the admission gate (raising
         :class:`~repro.supervision.Overloaded` when too many writes are
         already in flight) and then the circuit breaker: while the
         breaker is open the write is shed *before* the durable append
-        (see :meth:`_shed`). ``deadline`` (seconds, default from the
-        policy) caps this request's linking work.
+        (see :meth:`_shed`).
         """
         if self._gate is not None:
             self._gate.acquire()
         try:
             with self._lock:
                 generation = self._generation
-                if record.record_id in generation.linker:
+                if (
+                    record.record_id in generation.linker
+                    or record.record_id in generation.unlinked
+                ):
                     raise ConfigurationError(
                         f"record {record.record_id!r} already ingested"
                     )
@@ -509,30 +465,19 @@ class ResolutionService:
                     return self._shed(record)
                 position = self._store.append_record(record)
                 try:
-                    result = self._guarded_link(
-                        generation,
-                        record,
-                        position,
-                        deadline=self._effective_deadline(deadline),
-                    )
+                    result = self._link(generation, record, position, deadline)
                 except Exception:
+                    generation.unlinked.add(record.record_id)
                     if self._breaker is not None:
                         self._breaker.record_failure()
                     raise
-                if self._breaker is not None:
-                    if result.quarantined:
-                        self._breaker.record_failure()
-                    else:
-                        self._breaker.record_success()
                 if result.quarantined:
-                    return result
-                return IngestResult(
-                    record_id=result.record_id,
-                    position=position,
-                    entity_id=result.entity_id,
-                    comparisons=result.comparisons,
-                    matched_entities=result.matched_entities,
-                )
+                    generation.unlinked.add(record.record_id)
+                    if self._breaker is not None:
+                        self._breaker.record_failure()
+                elif self._breaker is not None:
+                    self._breaker.record_success()
+                return result
         finally:
             if self._gate is not None:
                 self._gate.release()
@@ -659,8 +604,8 @@ class ResolutionService:
         therefore always see either the old generation or the complete
         new one.
 
-        ``deadline`` (seconds, default from the overload policy)
-        propagates into the batch engine's per-chunk deadline checks —
+        ``deadline`` (seconds, default: the ``ResilienceConfig``'s, on
+        its clock) propagates into the batch engine's deadline checks —
         a refresh that can't finish in budget aborts with
         :class:`DeadlineExceededError` instead of monopolizing the
         host. A failed refresh counts against the circuit breaker (and
@@ -674,7 +619,9 @@ class ResolutionService:
                 "to re-resolve with)"
             )
         try:
-            number = self._refresh(self._effective_deadline(deadline))
+            number = self._refresh(
+                self._resilience.deadline if deadline is None else deadline
+            )
         except Exception as error:  # noqa: BLE001 - health boundary
             if self._breaker is not None:
                 self._breaker.record_failure()
@@ -690,19 +637,11 @@ class ResolutionService:
         with self._lock:
             watermark = self._store.log_length
             number = self._generation.number + 1
-        base_records = list(self._store.records_from(0, watermark))
+        base_records = _last_rows(self._store.records_from(0, watermark))
         engine_resilience = None
         if deadline is not None:
-            clock = None
-            if self._overload is not None:
-                clock = self._overload.clock
-            if clock is None and self._resilience is not None:
-                clock = self._resilience.clock
             engine_resilience = ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1, base_delay=0.0),
-                failure="fail",
-                deadline=deadline,
-                clock=clock,
+                failure="fail", deadline=deadline, clock=self._resilience.clock
             )
         result = resolve(
             base_records,

@@ -10,9 +10,10 @@ silently queued into collapse.
 
 :class:`OverloadPolicy` bundles the serving layer's whole overload
 posture: the admission limit, the circuit-breaker thresholds guarding
-ingest-side linking and refresh, what to do with writes shed in
-degraded mode (reject vs dead-letter), and an optional default
-per-request deadline.
+ingest-side linking and refresh, and what to do with writes shed in
+degraded mode (reject vs dead-letter). Deadlines and the clock are not
+overload settings: the service takes both from its
+:class:`~repro.resilience.ResilienceConfig`.
 """
 
 from __future__ import annotations
@@ -129,10 +130,9 @@ class OverloadPolicy:
     rejections. ``failure_threshold`` / ``reset_timeout`` parameterize
     the circuit breaker around ingest-side linking and refresh;
     ``shed`` picks the degraded-mode write fate (see
-    :data:`SHED_MODES`). ``deadline`` (seconds, optional) is the
-    default per-request budget applied when a caller passes none;
-    ``clock`` is injected into the breaker and deadline checks
-    (``None`` = real monotonic time).
+    :data:`SHED_MODES`). The breaker runs on the service's clock and
+    requests on its deadline, both from the service's
+    :class:`~repro.resilience.ResilienceConfig`.
     """
 
     max_pending_writes: int = 64
@@ -140,8 +140,6 @@ class OverloadPolicy:
     failure_threshold: int = 3
     reset_timeout: float = 5.0
     shed: str = "reject"
-    deadline: float | None = None
-    clock: object | None = None
 
     def __post_init__(self) -> None:
         if (
@@ -181,10 +179,4 @@ class OverloadPolicy:
             raise ConfigurationError(
                 f"unknown shed mode {self.shed!r}; "
                 f"expected one of {SHED_MODES}"
-            )
-        if self.deadline is not None and (
-            not isinstance(self.deadline, (int, float)) or self.deadline <= 0
-        ):
-            raise ConfigurationError(
-                f"deadline must be > 0, got {self.deadline!r}"
             )

@@ -34,6 +34,7 @@ from repro.linkage.blocking import first_token_key
 from repro.linkage.blocking.base import Blocker
 from repro.linkage.comparison import FieldComparator, RecordComparator
 from repro.obs import ManualClock, Tracer
+from repro.resilience import ResilienceConfig
 from repro.resilience.testing import FaultInjector, crash, kill
 from repro.resilience.testing import KILL_EXIT_CODE
 from repro.supervision import OverloadPolicy
@@ -368,6 +369,42 @@ class TestResolutionService:
         reopened.checkpoint()
         assert make_service(tmp_path / "faulted").snapshot() == clean.snapshot()
 
+    def test_reingest_of_a_quarantined_id_is_refused(
+        self, tmp_path, resilience_config
+    ):
+        """The quarantined row is still in the log, unlinked: a second
+        row for the id would make every later refresh fail."""
+        config = resilience_config(
+            failure="skip", max_attempts=2, injector=FaultInjector(crash(chunk=1))
+        )
+        service = make_service(tmp_path, resilience=config)
+        service.ingest(camera("a", "s1", "canon a560"))
+        assert service.ingest(camera("b", "s2", "canon a560")).quarantined
+        with pytest.raises(ConfigurationError, match="already ingested"):
+            service.ingest(camera("b", "s2", "canon a560"))
+        assert service.store.log_length == 2
+        reopened = make_service(tmp_path).snapshot()["entities"]
+        service.refresh()
+        assert service.snapshot()["entities"] == reopened
+        assert make_service(tmp_path).snapshot()["entities"] == reopened
+        assert service.get("ent:a").members == ("a", "b")
+
+    def test_a_log_holding_an_id_twice_refreshes_from_its_last_row(
+        self, tmp_path
+    ):
+        """A store that took such a re-ingest: refresh and reopen both
+        build from the id's last row, as restart replay always did."""
+        service = make_service(tmp_path)
+        service.ingest(camera("a", "s1", "canon a560"))
+        service.ingest(camera("b", "s2", "canon a560"))
+        service.store.append_record(camera("b", "s2", "canon a560", zoom="4x"))
+        replayed = make_service(tmp_path)
+        before = replayed.snapshot()["entities"]
+        assert replayed.get("ent:a").attributes["zoom"] == "4x"
+        assert replayed.refresh() == 1
+        assert replayed.snapshot()["entities"] == before
+        assert make_service(tmp_path).snapshot()["entities"] == before
+
     def test_retry_policy_recovers_transient_ingest_faults(
         self, tmp_path, resilience_config
     ):
@@ -659,12 +696,12 @@ class TestDegradedRefreshRace:
             refresh_blocker=blocker,
             tracer=tracer,
             durable=False,
+            resilience=ResilienceConfig(failure="fail", clock=clock),
             overload=OverloadPolicy(
                 max_pending_writes=8,
                 failure_threshold=1,
                 reset_timeout=1e9,
                 shed="dead_letter",
-                clock=clock,
             ),
         )
         for record in build_records(4):

@@ -39,7 +39,7 @@ from repro.linkage import (
 from repro.linkage.blocking import first_token_key
 from repro.obs import ManualClock, Tracer, observe_stream_window
 from repro.quality import estimation_rmse
-from repro.recovery import RunStore
+from repro.recovery import CheckpointMismatchError, RunStore
 from repro.synth import ClaimWorldConfig, generate_claims
 from repro.streaming import (
     CONFLICT_ATTRIBUTES,
@@ -1096,6 +1096,41 @@ class TestCheckpointResume:
         assert [event.to_json() for event in resumed.events] == [
             event.to_json() for event in baseline.events
         ]
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            dict(window=WindowConfig(size=5.0)),
+            dict(classifier=ThresholdClassifier(0.95)),
+            dict(window=WindowConfig(size=5.0),
+                 classifier=ThresholdClassifier(0.95)),
+        ],
+        ids=["window", "threshold", "both"],
+    )
+    def test_resume_under_another_configuration_is_refused(
+        self, tmp_path, changed
+    ):
+        world = DriftWorld(FLIP_CONFIG)
+
+        def resolver(
+            window=WindowConfig(size=2.0),
+            classifier=ThresholdClassifier(MATCH_THRESHOLD),
+        ):
+            return StreamingResolver(
+                key_functions=[first_token_key("name")],
+                comparator=default_product_comparator(),
+                classifier=classifier,
+                source_accuracies=world.accuracies_at(0.0),
+                window=window,
+                checkpoint_store=RunStore(tmp_path, durable=False),
+            )
+
+        first = resolver()
+        first.run(itertools.islice(world.stream(), 50_000), max_windows=3)
+        with pytest.raises(CheckpointMismatchError):
+            resolver(**changed).resume(iter(world.stream()))
+        # The configuration that wrote the checkpoint still resumes it.
+        assert resolver().resume(iter(world.stream())) == first.consumed
 
     def test_resume_skips_redelivered_records(self, tmp_path):
         """The same kill/resume over the stream with records re-emitted:

@@ -56,6 +56,8 @@ from repro.resilience.testing import (
     FaultInjector,
     crash,
     flap,
+    garbage,
+    hang,
     kill,
     slow,
 )
@@ -321,8 +323,6 @@ class TestPolicyValidation:
             OverloadPolicy(reset_timeout=0.0)
         with pytest.raises(ConfigurationError):
             OverloadPolicy(shed="explode")
-        with pytest.raises(ConfigurationError):
-            OverloadPolicy(deadline=0.0)
 
     def test_supervision_policy_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -886,7 +886,6 @@ class TestServeOverload:
             failure_threshold=2,
             reset_timeout=5.0,
             shed=shed,
-            clock=clock,
         )
         service = _service(
             tmp_path, tracer=tracer, resilience=resilience, overload=overload
@@ -969,7 +968,7 @@ class TestServeOverload:
             resilience=resilience,
             overload=OverloadPolicy(
                 failure_threshold=1, reset_timeout=5.0,
-                shed="dead_letter", clock=clock,
+                shed="dead_letter",
             ),
         )
         assert service.ingest(camera("q1", "s0", "nikon z6")).quarantined
@@ -1074,6 +1073,7 @@ class TestServeOverload:
                 max_attempts=5, base_delay=1.0, multiplier=1.0
             ),
             failure="skip",
+            deadline=2.5,
             clock=clock,
             sleep=clock.advance,
             fault_injector=injector,
@@ -1081,13 +1081,132 @@ class TestServeOverload:
         service = _service(
             tmp_path,
             resilience=resilience,
-            overload=OverloadPolicy(
-                failure_threshold=50, deadline=2.5, clock=clock
-            ),
+            overload=OverloadPolicy(failure_threshold=50),
         )
         result = service.ingest(camera("d1", "s0", "cam"))
         assert result.quarantined
         assert service.dead_letters.entries[-1].kind == "deadline"
+
+    def test_a_deadline_means_one_thing(self, tmp_path):
+        """The engine under the config's deadline, the service under the
+        config's and under a per-call one: every attempt runs on the
+        one executor, so all three stop at the same point."""
+
+        def crashing(deadline=None):
+            clock = ManualClock(start=0.0, tick=0.0)
+            return ResilienceConfig(
+                retry=RetryPolicy(
+                    max_attempts=5, base_delay=1.0, multiplier=1.0
+                ),
+                failure="skip",
+                deadline=deadline,
+                clock=clock,
+                sleep=clock.advance,
+                fault_injector=FaultInjector(crash()),
+            )
+
+        def row(config, dead_letters):
+            return (
+                len(config.fault_injector.history),
+                [(entry.kind, entry.attempts) for entry in dead_letters],
+                config.clock.now(),
+            )
+
+        engine_config = crashing(deadline=2.5)
+        engine = ParallelComparisonEngine(
+            default_product_comparator(), n_workers=1, resilience=engine_config
+        )
+        records = [camera(rid, "s0", "canon eos") for rid in "abc"]
+        engine.match_pairs(
+            records, [("a", "b"), ("a", "c")], ThresholdClassifier(0.72)
+        )
+        config_service = crashing(deadline=2.5)
+        service = _service(tmp_path / "config", resilience=config_service)
+        service.ingest(camera("d1", "s0", "cam"))
+        call_config = crashing()
+        per_call = _service(tmp_path / "call", resilience=call_config)
+        per_call.ingest(camera("d1", "s0", "cam"), deadline=2.5)
+        assert [
+            row(engine_config, engine.dead_letters),
+            row(config_service, service.dead_letters),
+            row(call_config, per_call.dead_letters),
+        ] == [(3, [("deadline", 3)], 3.0)] * 3
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["crash_once", "crash_always", "hang", "garbage_once", "deadline"],
+    )
+    @pytest.mark.parametrize("failure", ["fail", "retry", "skip"])
+    def test_ingest_fails_as_the_engine_does(self, tmp_path, failure, fault):
+        """``service.ingest`` at log position p and an engine one-pair
+        chunk at index p, under equal configs: the same raised type,
+        dead letter and final clock."""
+        position = 2
+
+        def config():
+            clock = ManualClock(start=0.0, tick=0.0)
+            spec, timeout, deadline = {
+                "crash_once": (crash(chunk=position, attempts=1), None, None),
+                "crash_always": (crash(chunk=position), None, None),
+                "hang": (hang(chunk=position), 1.5, None),
+                "garbage_once": (
+                    garbage(chunk=position, attempts=1), None, None
+                ),
+                "deadline": (crash(chunk=position), None, 2.5),
+            }[fault]
+            return ResilienceConfig(
+                retry=RetryPolicy(
+                    max_attempts=5, base_delay=1.0, multiplier=1.0
+                ),
+                failure=failure,
+                timeout=timeout,
+                deadline=deadline,
+                clock=clock,
+                sleep=clock.advance,
+                fault_injector=FaultInjector(spec),
+            )
+
+        def outcome(config, call, dead_letters):
+            raised = None
+            try:
+                call()
+            except Exception as error:  # noqa: BLE001 - compared below
+                raised = type(error)
+            assert config.fault_injector.history
+            letters = [
+                (e.kind, e.attempts, e.error_type, e.chunk_id)
+                for e in dead_letters()
+            ]
+            return raised, letters, config.clock.now()
+
+        engine_config = config()
+        engine = ParallelComparisonEngine(
+            default_product_comparator(),
+            chunk_size=1,
+            resilience=engine_config,
+        )
+        records = [
+            camera(f"r{i}", f"s{i}", "canon eos") for i in range(position + 2)
+        ]
+        pairs = [("r0", f"r{i}") for i in range(1, position + 2)]
+        engine_side = outcome(
+            engine_config,
+            lambda: engine.match_pairs(
+                records, pairs, ThresholdClassifier(0.72)
+            ),
+            lambda: engine.dead_letters or (),
+        )
+
+        service_config = config()
+        service = _service(tmp_path, resilience=service_config)
+        for i in range(position):
+            service.ingest(camera(f"h{i}", "s0", f"healthy {i}"))
+        service_side = outcome(
+            service_config,
+            lambda: service.ingest(camera("x", "s1", "canon eos")),
+            lambda: service.dead_letters,
+        )
+        assert service_side == engine_side
 
     def test_refresh_deadline_propagates_into_the_engine(self, tmp_path):
         tracer = Tracer()
@@ -1095,7 +1214,8 @@ class TestServeOverload:
         service = _service(
             tmp_path,
             tracer=tracer,
-            overload=OverloadPolicy(failure_threshold=50, clock=clock),
+            resilience=ResilienceConfig(failure="fail", clock=clock),
+            overload=OverloadPolicy(failure_threshold=50),
         )
         service.ingest(camera("a", "s0", "canon eos"))
         service.ingest(camera("b", "s1", "canon eos"))
@@ -1152,7 +1272,6 @@ class TestChaosAcceptance:
                 failure_threshold=2,
                 reset_timeout=4.0,
                 shed="dead_letter",
-                clock=clock,
             ),
         )
         service.ingest(camera("g1", "s0", "canon eos r5"))
