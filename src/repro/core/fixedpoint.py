@@ -47,12 +47,14 @@ def fixed_point(
     rounded to ``digits`` and any extra ``attributes``, and adds the
     iterations to ``counter``.
 
-    ``checkpoint`` (anything with ``load(key)`` / ``save(key, value)``)
-    receives the whole loop state after every step. A saved state is
-    resumed from, its iterations counted as skipped on the recovery
-    counter, only if it was signed with this call's ``signature()`` —
-    the caller's digest of its input and parameters, computed only when
-    there is a checkpoint.
+    ``checkpoint`` (anything with ``load(key, signature)`` /
+    ``save(key, value, signature)``, such as a
+    :class:`~repro.recovery.RunStore`) receives the whole loop state
+    after every step, signed with this call's ``signature()`` — the
+    caller's digest of its input and parameters, computed only when
+    there is a checkpoint. A state saved under another signature reads
+    as absent; one under this signature is resumed from, its
+    iterations counted as skipped on the recovery counter.
     """
     if max_iterations < 1:
         raise ConfigurationError(
@@ -63,8 +65,8 @@ def fixed_point(
     done = False
     if checkpoint is not None:
         signed = f"{_LAYOUT}:{signature()}"
-        saved = checkpoint.load("state")
-        if saved is not None and saved.get("signature") == signed:
+        saved = checkpoint.load("state", signed)
+        if saved is not None:
             state, done = saved["state"], saved["done"]
             deltas = list(saved["deltas"])
             tracer.counter("recovery.iterations_skipped").inc(len(deltas))
@@ -80,12 +82,8 @@ def fixed_point(
             if checkpoint is not None:
                 checkpoint.save(
                     "state",
-                    {
-                        "signature": signed,
-                        "state": state,
-                        "deltas": deltas,
-                        "done": done,
-                    },
+                    {"state": state, "deltas": deltas, "done": done},
+                    signed,
                 )
         open_span.set("iterations", len(deltas))
         open_span.set("converged", done)

@@ -190,16 +190,12 @@ class BDIPipeline:
         if checkpoint is None:
             return None
         from repro.recovery import (
-            RunStore,
+            as_store,
             config_fingerprint,
             dataset_fingerprint,
         )
 
-        store = (
-            checkpoint
-            if isinstance(checkpoint, RunStore)
-            else RunStore(checkpoint)
-        )
+        store = as_store(checkpoint)
         store.tracer = tracer
         store.bind_fingerprint(
             config_fingerprint(
@@ -343,20 +339,9 @@ class BDIPipeline:
             resumable=store is not None,
         ) as run_span:
             if budget is not None:
-                import tempfile
+                from repro.recovery import spill_store as open_spill_store
 
-                from repro.recovery import RunStore
-
-                if spill_dir is None:
-                    # The run's own spill directory goes with the run,
-                    # whether it returns or a stage raises.
-                    spill_dir = cleanup.enter_context(
-                        tempfile.TemporaryDirectory(prefix="repro-spill-")
-                    )
-                if hasattr(spill_dir, "save_stream"):
-                    spill_store = spill_dir
-                else:
-                    spill_store = RunStore(spill_dir, durable=False)
+                spill_store = open_spill_store(spill_dir, cleanup)
 
             # Schema alignment and identifier linkage read the same
             # attribute profiles: built on first use, so a resumed run

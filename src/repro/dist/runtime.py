@@ -23,21 +23,23 @@ The run proceeds in four coordinated steps:
 2. **Matching.** Each shard's pairs run through the existing resilient
    chunked :class:`~repro.linkage.engine.ParallelComparisonEngine`
    (dict or columnar) inside a worker. Workers checkpoint into their
-   own ``dist.shard.{k}.engine`` store namespace, so a killed worker
-   resumes alone from its chunk ledger.
+   own ``dist.shard.{k}.engine`` store namespace — the task carries
+   the namespace itself, which pickles as its location — so a killed
+   worker resumes alone from its chunk ledger.
 3. **Reconciliation.** Per-shard match results merge back: match pairs
    union, scored edges k-way merge (each shard's edges are a sorted
    disjoint sublist of the serial edge order), and clusters reconcile
    with a union-find pass over each shard's local components — the
    transitive closure across shard boundaries is exactly the serial
    ``connected_components`` output.
-4. **Manifest.** With a checkpoint store, the coordinator records a
-   ``dist.layout`` artifact carrying the shard count and per-shard pair
-   fingerprints. Re-running against the store with a different
-   ``n_shards`` raises
-   :class:`~repro.recovery.CheckpointMismatchError`; re-running with
-   the same layout reuses completed shard results and replays only
-   unfinished shards from their engine chunk checkpoints.
+4. **Checkpoints.** With a checkpoint store, the coordinator binds
+   its ``dist`` namespace to the shard count, so re-running against
+   the store with a different ``n_shards`` raises
+   :class:`~repro.recovery.CheckpointMismatchError`. Each shard's
+   result is saved signed by its pair slice, the comparator and the
+   classifier, and recorded in the manifest's stage ledger (by the
+   coordinator only); re-running reuses the results signed alike and
+   replays only the other shards, from their engine chunk checkpoints.
 
 :func:`plan_shards` picks a default shard count from the
 :class:`~repro.dist.costmodel.ClusterCostModel` when the caller does
@@ -46,11 +48,9 @@ not pin one.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -70,7 +70,12 @@ from repro.linkage.resolver import (
     _cluster,
 )
 from repro.obs import NULL_TRACER, Tracer
-from repro.recovery import CheckpointMismatchError, RunStore, config_fingerprint
+from repro.recovery import (
+    RunStore,
+    as_store,
+    config_fingerprint,
+    content_signature,
+)
 from repro.resilience import DeadLetterLog
 from repro.supervision.supervisor import SupervisionPolicy, Supervisor
 
@@ -232,9 +237,7 @@ class _ShardTask:
     chunk_size: int
     representation: str
     resilience: "object | None"
-    store_root: str | None
-    store_prefix: str
-    durable: bool
+    checkpoint: "RunStore | None"
 
 
 def _run_shard(task: _ShardTask, incarnation: int = 1) -> ShardResult:
@@ -253,18 +256,13 @@ def _run_shard(task: _ShardTask, incarnation: int = 1) -> ShardResult:
         injector.bind_shard(task.shard)
     if hasattr(injector, "bind_incarnation"):
         injector.bind_incarnation(incarnation)
-    checkpoint = None
-    if task.store_root is not None:
-        checkpoint = RunStore(task.store_root, durable=task.durable).sub(
-            task.store_prefix
-        )
     engine = ParallelComparisonEngine(
         task.comparator,
         execution="serial",
         chunk_size=task.chunk_size,
         tracer=tracer,
         resilience=task.resilience,
-        checkpoint=checkpoint,
+        checkpoint=task.checkpoint,
         representation=task.representation,
     )
     started = time.perf_counter()
@@ -292,82 +290,6 @@ def _run_shard(task: _ShardTask, incarnation: int = 1) -> ShardResult:
     )
 
 
-@dataclass(frozen=True)
-class _StoreBinding:
-    """How the coordinator and its workers reach the checkpoint store."""
-
-    base_view: "object | None" = None
-    root_store: "object | None" = None
-    store_root: str | None = None
-    prefix: str = "dist"
-    durable: bool = True
-
-
-def _bind_store(checkpoint) -> _StoreBinding:
-    """Normalize ``checkpoint`` (path / RunStore / StoreView / None)."""
-    if checkpoint is None:
-        return _StoreBinding()
-    if isinstance(checkpoint, (str, os.PathLike)):
-        checkpoint = RunStore(checkpoint)
-    if isinstance(checkpoint, RunStore):
-        root_store = checkpoint
-    else:  # a StoreView — reach its backing store for the manifest.
-        root_store = getattr(checkpoint, "_store", None)
-    base_view = checkpoint.sub("dist")
-    prefix = getattr(base_view, "_prefix", "dist.").rstrip(".")
-    return _StoreBinding(
-        base_view=base_view,
-        root_store=root_store,
-        store_root=(
-            str(root_store.root) if root_store is not None else None
-        ),
-        prefix=prefix,
-        durable=getattr(root_store, "_durable", True),
-    )
-
-
-def _pair_signature(pairs: Sequence[tuple[str, str]]) -> str:
-    """Content fingerprint of one shard's canonical pair slice."""
-    return hashlib.sha256(repr(list(pairs)).encode("utf-8")).hexdigest()
-
-
-def _guard_layout(
-    binding: _StoreBinding, n_shards: int, signatures: Sequence[str]
-) -> None:
-    """Record — and defend — the manifest's shard layout.
-
-    A store that already holds a layout with a different shard count
-    cannot be resumed: shard slices would no longer line up with the
-    recorded per-shard checkpoints, so the run refuses loudly instead
-    of silently recomputing or (worse) mixing slices.
-    """
-    if binding.base_view is None:
-        return
-    offered = config_fingerprint("dist.layout", n_shards)
-    recorded = binding.base_view.load("layout")
-    if recorded is not None and recorded.get("n_shards") != n_shards:
-        raise CheckpointMismatchError(
-            recorded.get("fingerprint", "<unknown>"),
-            offered,
-            binding.store_root or "<store>",
-        )
-    meta = binding.base_view.save(
-        "layout",
-        {
-            "n_shards": n_shards,
-            "fingerprint": offered,
-            "shards": {
-                str(shard): signature
-                for shard, signature in enumerate(signatures)
-            },
-        },
-    )
-    if binding.root_store is not None:
-        binding.root_store.mark_stage(
-            "dist.layout", f"{binding.prefix}.layout", sha256=meta["sha256"]
-        )
-
-
 def _execute_shards(
     buckets: Sequence[Sequence[tuple[str, str]]],
     by_id: Mapping[str, Record],
@@ -378,7 +300,7 @@ def _execute_shards(
     chunk_size: int,
     representation: str,
     resilience,
-    binding: _StoreBinding,
+    store,
     signatures: Sequence[str],
     supervisor=None,
 ) -> list[ShardResult]:
@@ -386,16 +308,10 @@ def _execute_shards(
     results: dict[int, ShardResult] = {}
     pending: dict[int, _ShardTask] = {}
     for shard, pairs in enumerate(buckets):
-        if binding.base_view is not None:
-            prior = binding.base_view.load(f"shard.{shard}.result")
-            if (
-                prior is not None
-                and prior.get("signature") == signatures[shard]
-                and isinstance(prior.get("result"), ShardResult)
-            ):
-                results[shard] = replace(
-                    prior["result"], resumed=True, replayed_chunks=0
-                )
+        if store is not None:
+            prior = store.load(f"shard.{shard}.result", signatures[shard])
+            if prior is not None:
+                results[shard] = replace(prior, resumed=True, replayed_chunks=0)
                 continue
         needed = sorted({record_id for pair in pairs for record_id in pair})
         pending[shard] = _ShardTask(
@@ -407,24 +323,16 @@ def _execute_shards(
             chunk_size=chunk_size,
             representation=representation,
             resilience=resilience,
-            store_root=binding.store_root,
-            store_prefix=f"{binding.prefix}.shard.{shard}.engine",
-            durable=binding.durable,
+            checkpoint=(
+                store.sub(f"shard.{shard}.engine") if store is not None else None
+            ),
         )
 
     def persist(shard: int, result: ShardResult) -> None:
-        if binding.base_view is None:
+        if store is None:
             return
-        meta = binding.base_view.save(
-            f"shard.{shard}.result",
-            {"signature": signatures[shard], "result": result},
-        )
-        if binding.root_store is not None:
-            binding.root_store.mark_stage(
-                f"dist.shard.{shard}",
-                f"{binding.prefix}.shard.{shard}.result",
-                sha256=meta["sha256"],
-            )
+        meta = store.save(f"shard.{shard}.result", result, signatures[shard])
+        store.mark_stage(f"dist.shard.{shard}", meta["key"], meta["sha256"])
 
     if supervisor is None:
         # Unsupervised is the same loop with no restart to spend; with
@@ -516,9 +424,17 @@ def sharded_resolve(
         )
         plan = plan_shards(len(ordered), model=cost_model, n_shards=n_shards)
         buckets, spanning = _partition_pairs(ordered, plan.n_shards)
-        signatures = [_pair_signature(bucket) for bucket in buckets]
-        binding = _bind_store(checkpoint)
-        _guard_layout(binding, plan.n_shards, signatures)
+        store = as_store(checkpoint)
+        signatures: list[str] = []
+        if store is not None:
+            store = store.sub("dist")
+            store.bind_fingerprint(
+                config_fingerprint("dist.layout", plan.n_shards)
+            )
+            signed_by = config_fingerprint(comparator, classifier)
+            signatures = [
+                content_signature(bucket, signed_by) for bucket in buckets
+            ]
         shards = _execute_shards(
             buckets,
             by_id,
@@ -528,7 +444,7 @@ def sharded_resolve(
             chunk_size=chunk_size,
             representation=representation,
             resilience=resilience,
-            binding=binding,
+            store=store,
             signatures=signatures,
             supervisor=supervisor,
         )

@@ -47,6 +47,11 @@ class ThresholdClassifier:
         """The score at or above which a pair is a match."""
         return self._match_threshold
 
+    @property
+    def review_threshold(self) -> float | None:
+        """The lower edge of the clerical-review band, if any."""
+        return self._review_threshold
+
     def classify(self, vector: ComparisonVector) -> str:
         """Decide one pair."""
         if vector.score >= self._match_threshold:

@@ -483,6 +483,11 @@ class RecordComparator:
         return self._missing_penalty
 
     @property
+    def translate(self) -> Translator:
+        """The record → attribute-mapping translator."""
+        return self._translate
+
+    @property
     def staged_order(self) -> tuple[int, ...]:
         """Field indices cheap-to-expensive (the early-exit evaluation order)."""
         return self._staged_order

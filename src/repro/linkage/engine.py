@@ -40,6 +40,7 @@ from repro.linkage.comparison import (
     RecordComparator,
 )
 from repro.obs import NULL_TRACER, SCORE_BUCKETS
+from repro.recovery import as_store, config_fingerprint
 from repro.resilience import (
     ChunkResultInvalid,
     ChunkTimeoutError,
@@ -504,10 +505,13 @@ class ParallelComparisonEngine:
         ``ResilienceConfig(failure="fail")``: the same loop, one
         attempt per chunk, abort on the first failure.
     checkpoint:
-        A checkpoint store (a :class:`repro.recovery.RunStore`, a view
-        of one, or a directory path to open one at). Completed chunks
-        are durably saved as they finish, and a rerun of the same
-        workload against the same store resumes after the last one.
+        A checkpoint store (a :class:`repro.recovery.RunStore`, a
+        namespace of one, or a directory path to open one at).
+        Completed chunks are durably saved as they finish, signed by
+        their pairs, the comparator and the threshold; a rerun of the
+        same workload against the same store resumes after the last
+        one, and a chunk saved under another comparator or threshold
+        is recomputed.
     """
 
     def __init__(
@@ -545,11 +549,7 @@ class ParallelComparisonEngine:
         self.dead_letters: DeadLetterLog | None = None
         self._chunk_size = chunk_size
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        if isinstance(checkpoint, (str, os.PathLike)):
-            from repro.recovery import RunStore
-
-            checkpoint = RunStore(checkpoint)
-        self._checkpoint = checkpoint
+        self._checkpoint = as_store(checkpoint)
 
     def _chunks(self, pairs: list[IdPair]) -> list[list[IdPair]]:
         """The list feed: cut so that every worker gets work — serial
@@ -682,17 +682,21 @@ class ParallelComparisonEngine:
         # Score chunks and match chunks carry differently-shaped values,
         # so they checkpoint under distinct prefixes — a store reused
         # across both operations never replays one shape into the other.
+        # A chunk is signed by what decides its value: vectors by the
+        # comparator, matches by the comparator and the threshold.
         kind, validate = "match", _validate_match_result
         if threshold is None:
             kind, validate = "score", _validate_score_result
-        checkpoint = self._checkpoint
-        if checkpoint is not None:
-            checkpoint = checkpoint.sub(kind)
+        checkpoint, signature = None, ""
+        if self._checkpoint is not None:
+            checkpoint = self._checkpoint.sub(kind)
+            signature = config_fingerprint(self.comparator, threshold)
         executor = ResilientChunkExecutor(
             self.resilience or _CHECKPOINT_PASSTHROUGH,
             tracer=tracer,
             scope="engine.chunk",
             checkpoint=checkpoint,
+            signature=signature,
         )
         match_pairs: set[frozenset[str]] = set()
         scored_edges: list[tuple[str, str, float]] = []

@@ -9,7 +9,6 @@ cost counters the benchmarks report.
 from __future__ import annotations
 
 import contextlib
-import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Literal, Protocol, Sequence
@@ -30,6 +29,7 @@ from repro.linkage.engine import (
     Representation,
 )
 from repro.obs import BLOCK_SIZE_BUCKETS, NULL_TRACER, observe_block_collection
+from repro.recovery import spill_store
 
 __all__ = ["MatchClassifier", "LinkageResult", "resolve"]
 
@@ -218,16 +218,17 @@ def resolve(
     failures are quarantined into the result's ``dead_letters`` while
     linkage completes over the surviving pairs.
 
-    ``checkpoint`` (a :class:`repro.recovery.RunStore`, a view of
-    one, or a directory path, default off) makes the comparison stage crash-resumable: the
-    engine durably saves completed chunk results into the store, and a
-    rerun of the same workload against the same store resumes from the
-    last completed chunk.
+    ``checkpoint`` (a :class:`repro.recovery.RunStore`, a namespace of
+    one, or a directory path, default off) makes the comparison stage
+    crash-resumable: the engine durably saves completed chunk results
+    into the store, and a rerun of the same workload against the same
+    store resumes from the last completed chunk; chunks saved under
+    another comparator or threshold are recomputed.
 
     ``memory_budget`` (estimated bytes, default off) switches to the
     out-of-core path: blocking indexes and candidate pairs spill to
     sorted runs under ``spill_dir`` (a directory path, a
-    :class:`repro.recovery.RunStore`/view, or ``None`` for a temporary
+    :class:`repro.recovery.RunStore`, or ``None`` for a temporary
     directory) whenever tracked resident bytes would exceed the
     budget, and pairs stream through the engine chunk by chunk. Output
     is byte-identical to the unbounded run; the blocker must have a
@@ -312,7 +313,6 @@ def resolve(
         n_candidates = len(ordered)
     else:
         from repro.outofcore import MemoryBudget
-        from repro.recovery import RunStore
 
         budget = (
             memory_budget
@@ -327,14 +327,12 @@ def resolve(
                 ordered = _canonical_pairs(candidate_pairs)
                 feed = iter(ordered)
             else:
-                if spill_dir is None:
-                    spill_dir = cleanup.enter_context(
-                        tempfile.TemporaryDirectory(prefix="repro-spill-")
-                    )
-                if not hasattr(spill_dir, "save_stream"):
-                    spill_dir = RunStore(spill_dir, durable=False)
                 deduper = _spill_block_pairs(
-                    blocker, by_id.values(), spill_dir, budget, tracer
+                    blocker,
+                    by_id.values(),
+                    spill_store(spill_dir, cleanup),
+                    budget,
+                    tracer,
                 )
                 feed = deduper.stream()
             run = engine.match_pairs_stream(

@@ -12,6 +12,12 @@ Fields that steer *execution* but not *results* — injected clocks and
 sleeps, fault injectors, dead-letter file paths — are excluded, so a
 run killed by an injected ``kill`` fault resumes cleanly under the
 same config with the injector removed.
+
+A comparator and a threshold classifier render by what defines them
+(fields, similarities, weights, … ; the match and review thresholds).
+Any other object renders by its type, and a callable — a similarity,
+a key function, a ``translate`` — by its qualified name: two closures
+of one factory fingerprint alike.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import hashlib
 __all__ = [
     "claims_signature",
     "config_fingerprint",
+    "content_signature",
     "dataset_fingerprint",
 ]
 
@@ -72,6 +79,9 @@ def _canonical(value) -> str:
         return "[" + ",".join(_canonical(item) for item in value) + "]"
     if isinstance(value, (set, frozenset)):
         return "{" + ",".join(sorted(_canonical(v) for v in value)) + "}"
+    definition = _definition(value)
+    if definition is not None:
+        return f"{type(value).__qualname__}{_canonical(definition)}"
     if callable(value):
         name = getattr(
             value,
@@ -80,6 +90,26 @@ def _canonical(value) -> str:
         )
         return f"callable:{name}"
     return f"object:{type(value).__qualname__}"
+
+
+def _definition(value) -> dict | None:
+    """What defines a comparator or a threshold classifier; ``None``
+    for any other object."""
+    from repro.linkage.classify.threshold import ThresholdClassifier
+    from repro.linkage.comparison import RecordComparator
+
+    if isinstance(value, RecordComparator):
+        return {
+            "fields": value.fields,
+            "missing_penalty": value.missing_penalty,
+            "translate": value.translate,
+        }
+    if isinstance(value, ThresholdClassifier):
+        return {
+            "match_threshold": value.match_threshold,
+            "review_threshold": value.review_threshold,
+        }
+    return None
 
 
 def config_fingerprint(*parts) -> str:
@@ -94,6 +124,13 @@ def config_fingerprint(*parts) -> str:
         digest.update(_canonical(part).encode("utf-8"))
         digest.update(b"\x1e")
     return digest.hexdigest()
+
+
+def content_signature(items, signed_by: str = "") -> str:
+    """SHA-256 hex digest over ``signed_by`` and the ``repr`` of
+    ``items``: the signature of an artifact computed from exactly these
+    items under the configuration ``signed_by`` fingerprints."""
+    return hashlib.sha256(f"{signed_by}\x1e{items!r}".encode("utf-8")).hexdigest()
 
 
 def claims_signature(claims) -> str:

@@ -17,25 +17,40 @@ guarantees:
    checksum, or unpickling check is treated as *not checkpointed* (and
    counted on ``recovery.corrupt``), never raised: the worst outcome
    of a damaged checkpoint is recomputation.
-4. **Fingerprint-guarded resume** — the manifest records the run's
-   config fingerprint (:mod:`repro.recovery.fingerprint`); binding a
-   different fingerprint raises :class:`CheckpointMismatchError`
-   rather than silently mixing artifacts of two different runs.
+
+Whether a saved artifact belongs to the computation now running is
+decided here, by one of two rules:
+
+4. **Signed artifacts recompute** — :meth:`RunStore.save` stamps an
+   artifact with the ``signature`` of what determined it (its input
+   and the configuration that computed it); a :meth:`RunStore.load`
+   under another signature reads it as absent, counted on
+   ``recovery.signature_mismatch``. A stale checkpoint costs time,
+   never correctness.
+5. **Bound namespaces raise** — :meth:`RunStore.bind_fingerprint`
+   claims a store, or any namespace of one, for one run
+   configuration (:mod:`repro.recovery.fingerprint`); binding another
+   raises :class:`CheckpointMismatchError` rather than silently mixing
+   artifacts of two different runs.
 
 Keys are dotted paths (``"stage.schema"``, ``"linkage.chunk.3"``);
 :meth:`RunStore.sub` scopes a key prefix so each execution layer
 (engine chunks, solver state, pipeline stages) checkpoints into its
-own namespace of the same store. Save/load/skip traffic is emitted as
-``recovery.*`` counters through the attached tracer.
+own namespace of the same store. A namespace is a store of its own
+and pickles as its location, so a worker process reopens it. Save,
+load and skip traffic is emitted as ``recovery.*`` counters through
+the attached tracer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pickle
 import struct
+import tempfile
 from pathlib import Path
 
 from repro.core.errors import ReproError
@@ -45,7 +60,8 @@ __all__ = [
     "CheckpointMismatchError",
     "RecoveryError",
     "RunStore",
-    "StoreView",
+    "as_store",
+    "spill_store",
 ]
 
 _MAGIC = b"REPRO-CKPT-1\n"
@@ -63,8 +79,8 @@ class CheckpointMismatchError(RecoveryError):
     """The store holds checkpoints of a *different* run.
 
     Raised when the fingerprint bound at resume time disagrees with
-    the one recorded in the manifest — resuming would silently mix
-    artifacts computed under another config or dataset.
+    the one the store (or namespace) is bound to — resuming would
+    silently mix artifacts computed under another config or dataset.
     """
 
     def __init__(self, recorded: str, offered: str, root: str) -> None:
@@ -89,13 +105,20 @@ def _atomic_write(path: Path, data: bytes, durable: bool) -> None:
     os.replace(tmp, path)
 
 
-def _artifact_name(key: str) -> str:
-    """A filesystem-safe, collision-free filename for ``key``."""
+def _artifact_stem(key: str) -> str:
+    """A filesystem-safe, collision-free file stem for ``key``."""
     safe = "".join(
         ch if ch.isalnum() or ch in "._-" else "-" for ch in key
     )[:80]
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:10]
-    return f"{safe}-{digest}.ckpt"
+    return f"{safe}-{digest}"
+
+
+def _reopen(root: str, prefix: str, durable: bool) -> "RunStore":
+    """Unpickle a store: its location, opened afresh."""
+    store = RunStore(root, durable=durable)
+    store._prefix = prefix
+    return store
 
 
 class RunStore:
@@ -133,10 +156,24 @@ class RunStore:
         self._artifacts = self._root / _ARTIFACT_DIR
         self._artifacts.mkdir(parents=True, exist_ok=True)
         self._durable = durable
+        self._prefix = ""
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._manifest = self._load_manifest(run_id)
         if fingerprint is not None:
             self.bind_fingerprint(fingerprint)
+
+    def __reduce__(self):
+        # The location travels, not the open state: a worker reopens it.
+        return _reopen, (str(self._root), self._prefix, self._durable)
+
+    def sub(self, prefix: str) -> "RunStore":
+        """This store under ``prefix.``: the same directory, manifest
+        and (until reassigned) tracer, with every key namespaced."""
+        view = object.__new__(type(self))
+        view.__dict__.update(
+            self.__dict__, _prefix=self._prefix + prefix.rstrip(".") + "."
+        )
+        return view
 
     # --- manifest ----------------------------------------------------
 
@@ -155,7 +192,6 @@ class RunStore:
         return {
             "version": 1,
             "run_id": run_id,
-            "fingerprint": None,
             "seq": 0,
             "stages": [],
             "completed": False,
@@ -169,7 +205,7 @@ class RunStore:
 
     @property
     def manifest(self) -> dict:
-        """A deep copy of the manifest (run id, fingerprint, ledger)."""
+        """A deep copy of the manifest (run id, stage ledger)."""
         return json.loads(json.dumps(self._manifest))
 
     @property
@@ -180,11 +216,6 @@ class RunStore:
     @property
     def run_id(self) -> str:
         return self._manifest["run_id"]
-
-    @property
-    def fingerprint(self) -> str | None:
-        """The bound config fingerprint, if any."""
-        return self._manifest["fingerprint"]
 
     @property
     def completed(self) -> bool:
@@ -198,22 +229,6 @@ class RunStore:
     @tracer.setter
     def tracer(self, tracer) -> None:
         self._tracer = tracer if tracer is not None else NULL_TRACER
-
-    def bind_fingerprint(self, fingerprint: str) -> None:
-        """Claim this store for runs with ``fingerprint``.
-
-        A fresh store adopts it; a store already bound to the same
-        fingerprint is a valid resume; any other fingerprint raises
-        :class:`CheckpointMismatchError`.
-        """
-        recorded = self._manifest["fingerprint"]
-        if recorded is None:
-            self._manifest["fingerprint"] = fingerprint
-            self._flush_manifest()
-        elif recorded != fingerprint:
-            raise CheckpointMismatchError(
-                recorded, fingerprint, str(self._root)
-            )
 
     def mark_stage(self, stage: str, key: str, sha256: str | None = None) -> None:
         """Append (or refresh) one stage-ledger entry in the manifest."""
@@ -245,21 +260,57 @@ class RunStore:
         self._manifest["completed"] = True
         self._flush_manifest()
 
+    # --- the two staleness rules -------------------------------------
+
+    def _binding_path(self) -> Path:
+        return self._artifacts / f"{_artifact_stem(self._prefix)}.bound"
+
+    @property
+    def fingerprint(self) -> str | None:
+        """The fingerprint this namespace is bound to, if any."""
+        try:
+            return self._binding_path().read_text(encoding="utf-8")
+        except OSError:
+            return None
+
+    def bind_fingerprint(self, fingerprint: str) -> None:
+        """Claim this namespace for runs with ``fingerprint``.
+
+        A fresh namespace adopts it; one already bound to the same
+        fingerprint is a valid resume; any other fingerprint raises
+        :class:`CheckpointMismatchError`. The binding is a file of the
+        namespace's own, written once by whoever binds first — never
+        the manifest, which a worker process must not rewrite.
+        """
+        recorded = self.fingerprint
+        if recorded is None:
+            _atomic_write(
+                self._binding_path(), fingerprint.encode("utf-8"), self._durable
+            )
+        elif recorded != fingerprint:
+            where = str(self._root)
+            if self._prefix:
+                where += f" [{self._prefix[:-1]}]"
+            raise CheckpointMismatchError(recorded, fingerprint, where)
+
     # --- artifacts ---------------------------------------------------
 
     def _path_for(self, key: str) -> Path:
-        return self._artifacts / _artifact_name(key)
+        return self._artifacts / f"{_artifact_stem(self._prefix + key)}.ckpt"
 
-    def save(self, key: str, value) -> dict:
+    def save(self, key: str, value, signature: str | None = None) -> dict:
         """Durably checkpoint ``value`` under ``key``.
 
-        Returns the artifact metadata (``key``/``sha256``/``size``).
-        The write is atomic: a concurrent or crashed save never
-        exposes a partial artifact under the final name.
+        ``signature`` stamps the artifact with what determined it; see
+        :meth:`load`. Returns the artifact metadata (``key``/``sha256``/
+        ``size``). The write is atomic: a concurrent or crashed save
+        never exposes a partial artifact under the final name.
         """
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         sha = hashlib.sha256(payload).hexdigest()
-        meta = {"key": key, "sha256": sha, "size": len(payload)}
+        meta = {"key": self._prefix + key, "sha256": sha, "size": len(payload)}
+        if signature is not None:
+            meta["signature"] = signature
         header = json.dumps(meta, sort_keys=True).encode("utf-8")
         _atomic_write(
             self._path_for(key),
@@ -270,21 +321,33 @@ class RunStore:
         self._tracer.counter("recovery.save_bytes").inc(len(payload))
         return meta
 
-    def load(self, key: str):
+    def load(self, key: str, signature: str | None = None):
         """The checkpointed value, or ``None`` when absent or damaged.
 
         Every failure mode — missing file, bad magic, torn payload,
         checksum mismatch, unpicklable bytes — is treated as "not
         checkpointed": the caller recomputes, the run never crashes on
         a bad checkpoint. (``None`` is therefore not a storable value.)
+        A signed load (``signature`` given) also reads an artifact
+        saved under any other signature, or none, as absent.
         """
-        path = self._path_for(key)
         try:
-            raw = path.read_bytes()
+            raw = self._path_for(key).read_bytes()
         except OSError:
             self._tracer.counter("recovery.misses").inc()
             return None
-        value = self._decode(raw, key)
+        decoded = self._decode(raw, self._prefix + key)
+        if (
+            decoded is not None
+            and signature is not None
+            and decoded[0].get("signature") != signature
+        ):
+            self._tracer.counter("recovery.signature_mismatch").inc()
+            return None
+        value = None
+        if decoded is not None:
+            with contextlib.suppress(Exception):
+                value = pickle.loads(decoded[1])
         if value is None:
             self._tracer.counter("recovery.corrupt").inc()
             return None
@@ -292,21 +355,23 @@ class RunStore:
         return value
 
     @staticmethod
-    def _decode(raw: bytes, key: str):
+    def _decode(raw: bytes, key: str) -> tuple[dict, bytes] | None:
+        """The header and verified payload of an artifact for ``key``."""
         if not raw.startswith(_MAGIC):
             return None
         try:
             header, payload = raw[len(_MAGIC):].split(b"\n", 1)
             meta = json.loads(header)
-            if meta.get("key") != key:
-                return None
-            if len(payload) != meta["size"]:
-                return None
-            if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
-                return None
-            return pickle.loads(payload)
-        except Exception:  # noqa: BLE001 — any damage means "absent"
+        except ValueError:
             return None
+        if (
+            not isinstance(meta, dict)
+            or meta.get("key") != key
+            or len(payload) != meta.get("size")
+            or hashlib.sha256(payload).hexdigest() != meta.get("sha256")
+        ):
+            return None
+        return meta, payload
 
     # --- streaming artifacts -----------------------------------------
     #
@@ -328,6 +393,7 @@ class RunStore:
         ``frames``).
         """
         path = self._path_for(key)
+        key = self._prefix + key
         tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
         digest = hashlib.sha256()
         frames = 0
@@ -377,6 +443,7 @@ class RunStore:
         indistinguishable from a complete, shorter stream.
         """
         path = self._path_for(key)
+        key = self._prefix + key
         try:
             with open(path, "rb") as handle:
                 if handle.read(len(_STREAM_MAGIC)) != _STREAM_MAGIC:
@@ -443,7 +510,7 @@ class RunStore:
             pass
 
     def keys(self) -> tuple[str, ...]:
-        """Keys of every intact artifact on disk, sorted."""
+        """Keys of every intact artifact in this namespace, sorted."""
         found = []
         for path in self._artifacts.glob("*.ckpt"):
             try:
@@ -458,67 +525,36 @@ class RunStore:
                     if head != _STREAM_MAGIC:
                         handle.seek(len(_MAGIC))
                     header = handle.readline()
-                meta = json.loads(header)
-                found.append(meta["key"])
+                key = json.loads(header)["key"]
             except Exception:  # noqa: BLE001 — skip damaged files
                 continue
+            if key.startswith(self._prefix):
+                found.append(key[len(self._prefix):])
         return tuple(sorted(found))
 
-    def sub(self, prefix: str) -> "StoreView":
-        """A view of this store under ``prefix.`` (namespaced keys)."""
-        return StoreView(self, prefix)
-
     def __repr__(self) -> str:
+        prefix = f", prefix={self._prefix!r}" if self._prefix else ""
         return (
             f"RunStore({str(self._root)!r}, run_id={self.run_id!r}, "
-            f"stages={len(self._manifest['stages'])})"
+            f"stages={len(self._manifest['stages'])}{prefix})"
         )
 
 
-class StoreView:
-    """A key-prefixed view of a :class:`RunStore`.
+def as_store(location, durable: bool = True):
+    """``location`` as a checkpoint store: a directory path opens a
+    :class:`RunStore` there; a store (or ``None``) is returned as is."""
+    if isinstance(location, (str, os.PathLike)):
+        return RunStore(location, durable=durable)
+    return location
 
-    Carries the same save/load/delete/keys surface, so execution
-    layers take "a checkpoint store" without caring whether it is the
-    root store or a namespace of one.
-    """
 
-    def __init__(self, store: RunStore, prefix: str) -> None:
-        self._store = store
-        self._prefix = prefix.rstrip(".") + "."
-
-    @property
-    def tracer(self):
-        return self._store.tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._store.tracer = tracer
-
-    def save(self, key: str, value) -> dict:
-        return self._store.save(self._prefix + key, value)
-
-    def load(self, key: str):
-        return self._store.load(self._prefix + key)
-
-    def save_stream(self, key: str, items) -> dict:
-        return self._store.save_stream(self._prefix + key, items)
-
-    def load_stream(self, key: str):
-        return self._store.load_stream(self._prefix + key)
-
-    def delete(self, key: str) -> None:
-        self._store.delete(self._prefix + key)
-
-    def keys(self) -> tuple[str, ...]:
-        return tuple(
-            key[len(self._prefix):]
-            for key in self._store.keys()
-            if key.startswith(self._prefix)
+def spill_store(spill_dir, cleanup: contextlib.ExitStack):
+    """The store an out-of-core run spills into: ``spill_dir`` as a
+    non-durable store, or — for ``None`` — one over a temporary
+    directory that ``cleanup`` removes, whether the run returns or a
+    stage raises."""
+    if spill_dir is None:
+        spill_dir = cleanup.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-spill-")
         )
-
-    def sub(self, prefix: str) -> "StoreView":
-        return StoreView(self._store, self._prefix + prefix)
-
-    def __repr__(self) -> str:
-        return f"StoreView({self._store!r}, prefix={self._prefix!r})"
+    return as_store(spill_dir, durable=False)

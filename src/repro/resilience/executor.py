@@ -45,13 +45,13 @@ published cross-process before every attempt.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.obs import NULL_TRACER
 from repro.obs.clock import SystemClock
+from repro.recovery.fingerprint import content_signature
 from repro.resilience.deadletter import DeadLetterEntry, DeadLetterLog
 from repro.resilience.policy import (
     ChunkExecutionError,
@@ -120,13 +120,16 @@ class ResilientChunkExecutor:
         attributes (``"engine.chunk"``).
     checkpoint:
         An optional checkpoint store (a
-        :class:`repro.recovery.RunStore` or a view of one). When set,
-        each completed top-level chunk — its result units, its
+        :class:`repro.recovery.RunStore` or a namespace of one). When
+        set, each completed top-level chunk — its result units, its
         dead-letter entries, whether it was fully clean — is durably
         saved under ``chunk.{index}``, and a later run over the same
-        chunk list replays saved chunks instead of recomputing them. A
-        per-chunk content signature guards against replaying another
-        workload's chunks.
+        chunk list replays saved chunks instead of recomputing them.
+    signature:
+        What besides its items determines a chunk's value (for the
+        engine: a fingerprint of its comparator and threshold). Each
+        chunk is saved signed by both, so a chunk of another workload
+        or configuration is recomputed, never replayed.
     """
 
     def __init__(
@@ -135,6 +138,7 @@ class ResilientChunkExecutor:
         tracer=None,
         scope: str = "engine.chunk",
         checkpoint=None,
+        signature: str = "",
     ) -> None:
         self._config = config
         self._clock = config.clock or SystemClock()
@@ -142,6 +146,7 @@ class ResilientChunkExecutor:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._scope = scope
         self._checkpoint = checkpoint
+        self._signed_by = signature
         self._heartbeat_seq = 0
         # Route the store's recovery.* counters into this run's tracer
         # unless the caller already bound one.
@@ -238,7 +243,10 @@ class ResilientChunkExecutor:
                     outcome.n_chunks = done
                 n_units = len(outcome.results)
                 n_dead = len(outcome.dead_letters)
-                if not self._replay(index, items, outcome):
+                signed = None
+                if self._checkpoint is not None:
+                    signed = content_signature(items, self._signed_by)
+                if not self._replay(index, signed, outcome):
                     fully_ok = self._recover(
                         str(index),
                         index,
@@ -251,7 +259,7 @@ class ResilientChunkExecutor:
                     if fully_ok:
                         outcome.completed_chunks += 1
                     self._persist(
-                        index, items, outcome, n_units, n_dead, fully_ok
+                        index, signed, outcome, n_units, n_dead, fully_ok
                     )
                 if consume is not None:
                     for unit_items, value in outcome.results[n_units:]:
@@ -264,25 +272,19 @@ class ResilientChunkExecutor:
 
     # --- checkpointing -----------------------------------------------
 
-    @staticmethod
-    def _signature(items: list) -> str:
-        """Content signature tying a checkpoint to its exact workload."""
-        return hashlib.sha256(repr(items).encode("utf-8")).hexdigest()
+    def _replay(self, index: int, signed: str | None, outcome) -> bool:
+        """Restore chunk ``index`` from the checkpoint store, if saved
+        under the signature ``signed``.
 
-    def _replay(self, index: int, items: list, outcome) -> bool:
-        """Restore chunk ``index`` from the checkpoint store, if saved.
-
-        A signature mismatch (different items at this position) or a
-        corrupt artifact falls through to recomputation — a stale or
-        damaged checkpoint can cost time, never correctness.
+        Another signature (other items at this position, another
+        comparator or threshold) or a corrupt artifact reads as absent
+        and the chunk is recomputed — a stale or damaged checkpoint can
+        cost time, never correctness.
         """
         if self._checkpoint is None:
             return False
-        saved = self._checkpoint.load(f"chunk.{index}")
+        saved = self._checkpoint.load(f"chunk.{index}", signed)
         if saved is None:
-            return False
-        if saved.get("signature") != self._signature(items):
-            self._tracer.counter("recovery.signature_mismatch").inc()
             return False
         outcome.results.extend(saved["units"])
         # Replayed dead letters were already persisted by the killed
@@ -298,7 +300,7 @@ class ResilientChunkExecutor:
     def _persist(
         self,
         index: int,
-        items: list,
+        signed: str | None,
         outcome,
         n_units: int,
         n_dead: int,
@@ -310,11 +312,11 @@ class ResilientChunkExecutor:
         self._checkpoint.save(
             f"chunk.{index}",
             {
-                "signature": self._signature(items),
                 "units": outcome.results[n_units:],
                 "dead": list(outcome.dead_letters.entries[n_dead:]),
                 "fully_ok": fully_ok,
             },
+            signed,
         )
 
     # --- recovery ----------------------------------------------------

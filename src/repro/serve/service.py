@@ -43,6 +43,7 @@ from repro.linkage.comparison import RecordComparator
 from repro.linkage.projection import DEFAULT_SOURCE_ACCURACY, EntityProjection
 from repro.linkage.resolver import MatchClassifier, resolve
 from repro.obs import NULL_TRACER, SystemClock
+from repro.recovery import config_fingerprint
 from repro.resilience import (
     ChunkResultInvalid,
     DeadLetterEntry,
@@ -148,7 +149,15 @@ class ResolutionService:
         its watermark replayed.
     key_functions, comparator, classifier:
         The incremental linkage machinery (identical semantics to the
-        batch pipeline's blocking/comparison/classification).
+        batch pipeline's blocking/comparison/classification). With
+        ``max_candidates_per_record`` they are the deployment's linkage
+        configuration, which the store is bound to: reopening a root
+        under another one raises
+        :class:`~repro.recovery.CheckpointMismatchError` instead of
+        serving the other deployment's entities. Everything else —
+        accuracies (runtime pushes), the refresh blocker (future
+        refreshes only), resilience, overload, cache, durability,
+        tracer — may change across a restart.
     refresh_blocker:
         Batch blocker used by :meth:`refresh`; required only if
         refreshes are requested.
@@ -189,7 +198,6 @@ class ResolutionService:
         cache_capacity: int = 1024,
         max_candidates_per_record: int = 1000,
         tracer=None,
-        fingerprint: str | None = None,
         durable: bool = True,
         overload: OverloadPolicy | None = None,
     ) -> None:
@@ -207,11 +215,15 @@ class ResolutionService:
             resilience, tracer=self._tracer, scope="serve.ingest"
         )
         self._max_candidates = max_candidates_per_record
-        self._store = EntityStore(
-            root,
-            fingerprint=fingerprint,
-            tracer=self._tracer,
-            durable=durable,
+        self._store = EntityStore(root, tracer=self._tracer, durable=durable)
+        self._store.run_store.bind_fingerprint(
+            config_fingerprint(
+                "serve",
+                self._key_functions,
+                comparator,
+                classifier,
+                max_candidates_per_record,
+            )
         )
         self._cache = GenerationCache(cache_capacity, tracer=self._tracer)
         self._lock = threading.RLock()

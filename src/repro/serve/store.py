@@ -16,7 +16,9 @@ projection layer's disk state. It owns two things:
    :class:`repro.recovery.RunStore` artifact, stamped with the log
    *watermark* it covers. A tiny ``current`` pointer artifact names the
    live generation; because :meth:`RunStore.save` is atomic
-   write-rename, publishing a generation is a single atomic swap.
+   write-rename, publishing a generation is a single atomic swap, after
+   which the superseded generations' artifacts are deleted — only the
+   one ``current`` names is ever loaded.
 
 Recovery contract: a restart loads the current generation artifact
 (byte-identical to what was saved — checksums reject damage) and
@@ -66,12 +68,6 @@ class EntityStore:
         Directory to create/open. A fresh directory is an empty store;
         an existing one reopens the log and generation artifacts left
         by a previous process (crashed or not).
-    fingerprint:
-        Optional config fingerprint bound to the underlying
-        :class:`RunStore` — reopening under a different service
-        configuration raises
-        :class:`~repro.recovery.CheckpointMismatchError` instead of
-        silently mixing two deployments' state.
     tracer:
         An :class:`repro.obs.Tracer` for ``serve.*`` and ``recovery.*``
         counters (default no-op).
@@ -84,7 +80,6 @@ class EntityStore:
     def __init__(
         self,
         root: str | os.PathLike,
-        fingerprint: str | None = None,
         tracer=None,
         durable: bool = True,
     ) -> None:
@@ -93,11 +88,7 @@ class EntityStore:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._durable = durable
         self._run_store = RunStore(
-            self._root,
-            run_id="serve",
-            fingerprint=fingerprint,
-            tracer=self._tracer,
-            durable=durable,
+            self._root, run_id="serve", tracer=self._tracer, durable=durable
         )
         self._view = self._run_store.sub("serve")
         self._log_path = self._root / _LOG_NAME
@@ -152,7 +143,7 @@ class EntityStore:
 
     @property
     def run_store(self) -> RunStore:
-        """The underlying checkpoint store (manifest, artifacts)."""
+        """The underlying checkpoint store (artifacts, binding)."""
         return self._run_store
 
     def append_record(self, record: Record) -> int:
@@ -214,30 +205,24 @@ class EntityStore:
 
         ``entities`` maps entity id to a plain dict with ``members``,
         ``attributes``, ``provenance``, and ``confidence``; the payload
-        is saved as one atomic, checksummed artifact and recorded in
-        the manifest's stage ledger. The generation is not live until
-        :meth:`publish_generation`.
+        is saved as one atomic, checksummed artifact. The generation is
+        not live until :meth:`publish_generation`.
         """
         payload = {
             "generation": generation,
             "watermark": watermark,
             "entities": entities,
         }
-        meta = self._view.save(f"generation.{generation}", payload)
-        self._run_store.mark_stage(
-            f"serve.generation.{generation}",
-            meta["key"],
-            meta["sha256"],
-        )
-        return meta
+        return self._view.save(f"generation.{generation}", payload)
 
     def publish_generation(self, generation: int) -> None:
         """Atomically point ``current`` at ``generation``.
 
         The pointer artifact is written via atomic write-rename, so a
         crash during publish leaves either the old or the new pointer —
-        never a torn one. Refuses to publish a generation whose
-        artifact is absent or damaged.
+        never a torn one. Once it names ``generation``, every other
+        generation's artifact is deleted. Refuses to publish a
+        generation whose artifact is absent or damaged.
         """
         if self.load_generation(generation) is None:
             raise ConfigurationError(
@@ -245,6 +230,10 @@ class EntityStore:
                 "save it before publishing"
             )
         self._view.save(_CURRENT_KEY, {"generation": generation})
+        live = f"generation.{generation}"
+        for key in self._view.keys():
+            if key.startswith("generation.") and key != live:
+                self._view.delete(key)
         self._tracer.counter("serve.generation_swaps").inc()
 
     def current_generation(self) -> int | None:

@@ -41,9 +41,9 @@ consumed-record count) into the :class:`~repro.recovery.store.RunStore`.
 :meth:`StreamingResolver.resume` restores it with *zero comparisons*
 (the projection's ``load``, as a serving restart does) and replays the
 open window from the deterministic stream — a killed consumer restarted on
-the same stream converges byte-identically to an unkilled one; a resume
-under another configuration raises
-:class:`~repro.recovery.CheckpointMismatchError`.
+the same stream converges byte-identically to an unkilled one; a
+store written under another configuration raises
+:class:`~repro.recovery.CheckpointMismatchError` when attached.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
 from repro.linkage.blocking.base import Blocker, KeyFunction
-from repro.linkage.classify.threshold import plain_threshold
 from repro.linkage.comparison import RecordComparator
 from repro.linkage.projection import (
     DEFAULT_SOURCE_ACCURACY,
@@ -66,7 +65,7 @@ from repro.linkage.projection import (
 from repro.linkage.resolver import MatchClassifier, resolve
 from repro.obs import NULL_TRACER, SystemClock
 from repro.obs.instruments import observe_stream_window
-from repro.recovery import CheckpointMismatchError, config_fingerprint
+from repro.recovery import config_fingerprint
 from repro.streaming.fusion import (
     DEFAULT_PRIOR_STRENGTH,
     DecayedAccuracyTracker,
@@ -196,11 +195,13 @@ class StreamingResolver:
         ``callback(event, resolver)`` invoked per monitor event — wire
         it to :meth:`re_resolve` or a serving deployment's ``refresh``.
     checkpoint_store:
-        A :class:`~repro.recovery.store.RunStore` (or view); when set,
-        every window close saves a durable checkpoint and
-        :meth:`resume` can restore it — under the same window, decay,
-        prior strength, tracked attributes, accuracies, candidate cap
-        and match threshold only.
+        A :class:`~repro.recovery.store.RunStore` (or a namespace of
+        one); when set, every window close saves a durable checkpoint
+        and :meth:`resume` can restore it. The store is bound to this
+        resolver's window, decay, prior strength, tracked attributes,
+        accuracies, candidate cap, comparator and classifier: opening
+        one bound to any other raises
+        :class:`~repro.recovery.CheckpointMismatchError`.
     """
 
     def __init__(
@@ -268,12 +269,15 @@ class StreamingResolver:
         self._monitors = tuple(monitors)
         self._on_drift = on_drift
         self._store = checkpoint_store
-        # ``config_fingerprint`` renders a classifier by type name only.
-        self._fingerprint = config_fingerprint(
-            "streaming", self._windower.config, decay, prior_strength,
-            self._tracked, self._accuracies, default_accuracy,
-            max_candidates_per_record, plain_threshold(classifier),
-        )
+        if checkpoint_store is not None:
+            checkpoint_store.bind_fingerprint(
+                config_fingerprint(
+                    "streaming", self._windower.config, decay,
+                    prior_strength, self._tracked, self._accuracies,
+                    default_accuracy, max_candidates_per_record,
+                    comparator, classifier,
+                )
+            )
         self._events: list[MonitorEvent] = []
         self._arrivals: dict[str, float] = {}
         self._consumed = 0
@@ -369,7 +373,6 @@ class StreamingResolver:
         self._store.save(
             CHECKPOINT_KEY,
             {
-                "fingerprint": self._fingerprint,
                 "consumed": self._consumed,
                 "next_window": self._windower.next_window,
                 "watermark": self._windower.watermark,
@@ -525,8 +528,8 @@ class StreamingResolver:
         again. The iterator is left positioned at the first unseen
         record — pass it straight to :meth:`process` to continue.
         Returns the number of records replayed (0 with no checkpoint).
-        A checkpoint saved under another configuration raises
-        :class:`~repro.recovery.CheckpointMismatchError`.
+        (A store holding another configuration's checkpoint was
+        already refused when this resolver was constructed.)
         """
         if self._store is None:
             raise ConfigurationError(
@@ -539,14 +542,6 @@ class StreamingResolver:
         payload = self._store.load(CHECKPOINT_KEY)
         if payload is None:
             return 0
-        # A checkpoint saved without a fingerprint cannot be checked.
-        recorded = payload.get("fingerprint")
-        if recorded is not None and recorded != self._fingerprint:
-            raise CheckpointMismatchError(
-                recorded,
-                self._fingerprint,
-                str(getattr(self._store, "root", self._store)),
-            )
         next_window = int(payload["next_window"])
         # A redelivered id was dropped as a duplicate; only its first
         # delivery replays.

@@ -179,11 +179,11 @@ class _KillAfterSaves:
         self._kill_after = kill_after
         self._saves = 0
 
-    def load(self, key):
-        return self._store.load(key)
+    def load(self, key, signature=None):
+        return self._store.load(key, signature)
 
-    def save(self, key, value):
-        meta = self._store.save(key, value)
+    def save(self, key, value, signature=None):
+        meta = self._store.save(key, value, signature)
         self._saves += 1
         if self._saves >= self._kill_after:
             os._exit(137)

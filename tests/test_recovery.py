@@ -27,14 +27,19 @@ import pytest
 from repro.core import ConfigurationError, Dataset, Record, Source
 from repro.core.pipeline import BDIPipeline, PipelineConfig
 from repro.fusion import AccuCopy, AccuVote, Claim, ClaimSet, TruthFinder
+from repro.dist import sharded_resolve
 from repro.linkage import (
     FieldComparator,
     ParallelComparisonEngine,
     RecordComparator,
+    StandardBlocker,
     ThresholdClassifier,
+    default_product_comparator,
     fit_fellegi_sunter,
+    resolve,
 )
-from repro.obs import Tracer
+from repro.linkage.blocking import first_token_key
+from repro.obs import ManualClock, Tracer
 from repro.recovery import (
     CheckpointMismatchError,
     RunStore,
@@ -48,8 +53,15 @@ from repro.resilience import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.resilience.testing import KILL_EXIT_CODE, FaultSpec, kill
+from repro.resilience.testing import (
+    KILL_EXIT_CODE,
+    FaultInjector,
+    FaultSpec,
+    crash,
+    kill,
+)
 from repro.resilience.workers import PARENT_POLL
+from repro.streaming import StreamingResolver, WindowConfig
 from repro.text import exact_similarity
 from tests.procs import assert_gone, needs_proc
 
@@ -524,6 +536,76 @@ class TestEngineCheckpoint:
         assert _counters(tracer)["recovery.chunks_replayed"] == 2
 
 
+def _products():
+    """12 records, four products in three sources, and all 66 pairs."""
+    records = [
+        Record(
+            f"s{i % 3}r{i}",
+            f"s{i % 3}",
+            {"name": f"canon powershot a{560 + i // 3}", "brand": "canon"},
+        )
+        for i in range(12)
+    ]
+    return records, _pairs(records)
+
+
+def _engine_matches(threshold, checkpoint=None):
+    records, pairs = _products()
+    run = ParallelComparisonEngine(
+        default_product_comparator(),
+        n_workers=2,
+        chunk_size=16,
+        checkpoint=checkpoint,
+    ).match_pairs(records, pairs, ThresholdClassifier(threshold))
+    return sorted(map(sorted, run.match_pairs)), run.scored_edges
+
+
+def _resolved_clusters(threshold, checkpoint=None):
+    records, pairs = _products()
+    result = resolve(
+        records,
+        None,
+        default_product_comparator(),
+        ThresholdClassifier(threshold),
+        candidate_pairs=pairs,
+        checkpoint=checkpoint,
+    )
+    return sorted(map(sorted, result.clusters))
+
+
+def _sharded_clusters(threshold, checkpoint=None):
+    records, pairs = _products()
+    run = sharded_resolve(
+        records,
+        None,
+        default_product_comparator(),
+        ThresholdClassifier(threshold),
+        candidate_pairs=pairs,
+        n_shards=2,
+        backend="inline",
+        checkpoint=checkpoint,
+    )
+    return sorted(map(sorted, run.result.clusters))
+
+
+class TestAnotherThresholdRecomputes:
+    """A store written under one threshold, resumed under another:
+    every linkage checkpoint is signed by its comparator and threshold,
+    so the resume recomputes to the fresh run's answer instead of
+    replaying the first run's matches."""
+
+    @pytest.mark.parametrize(
+        "run", [_engine_matches, _resolved_clusters, _sharded_clusters]
+    )
+    def test_resume_under_another_threshold_recomputes(self, tmp_path, run):
+        strict = run(0.99, checkpoint=str(tmp_path))
+        loose = run(0.5)
+        assert strict != loose
+        assert run(0.5, checkpoint=str(tmp_path)) == loose
+        # ... and the first run's own configuration still replays.
+        assert run(0.99, checkpoint=str(tmp_path)) == strict
+
+
 # --- in-process solver resume ----------------------------------------
 
 
@@ -545,11 +627,11 @@ class _StopAfterSaves:
     def __init__(self, store, n):
         self._store, self._n, self._saves = store, n, 0
 
-    def load(self, key):
-        return self._store.load(key)
+    def load(self, key, signature=None):
+        return self._store.load(key, signature)
 
-    def save(self, key, value):
-        meta = self._store.save(key, value)
+    def save(self, key, value, signature=None):
+        meta = self._store.save(key, value, signature)
         self._saves += 1
         if self._saves >= self._n:
             raise self.Stop()
@@ -830,6 +912,263 @@ class TestPipelineCheckpoint:
         # Same fingerprint → valid resume, no CheckpointMismatchError.
         result = BDIPipeline(clean).run(dataset, checkpoint=str(tmp_path))
         assert result.entity_table
+
+
+# --- one staleness table ---------------------------------------------
+#
+# Every kind of checkpoint is written once, then reopened under one
+# change. DESIGN.md's recovery table decides each cell: a change to what
+# a namespace is bound by raises CheckpointMismatchError, a change to
+# what an artifact is signed by recomputes — to the answer a fresh run
+# under the change gives — and any other change replays. The writing
+# run is untraced and every reopening run traced, so each replay cell
+# also shows that a tracer is nonsemantic.
+#
+# A row is ``run(root, change, tracer) -> (answer, replayed, recomputed)``
+# counting units of its checkpoint (chunks, shards, iterations, stages,
+# records).
+
+REPLAY, RECOMPUTE, RAISE = "replay", "recompute", "raise"
+
+
+def _chaos(change, tmp, injected_chunk=0):
+    """The resilience every row runs under: an injected crash that one
+    retry absorbs, a manual clock and a dead-letter sink — all three
+    nonsemantic."""
+    injector = FaultInjector(crash(chunk=injected_chunk, attempts=1))
+    return ResilienceConfig(
+        retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+        failure="retry",
+        fault_injector=None if change == "injector" else injector,
+        clock=ManualClock(start=100.0 if change == "clock" else 0.0),
+        dead_letter_path=str(
+            tmp / ("other.jsonl" if change == "dead_letter_path" else "dead.jsonl")
+        ),
+    )
+
+
+def _weighted_comparator(change):
+    return RecordComparator(
+        fields=[
+            FieldComparator(
+                "name",
+                exact_similarity,
+                weight=3.0 if change == "weight" else 2.0,
+            ),
+            FieldComparator("brand", exact_similarity, weight=1.0),
+        ]
+    )
+
+
+def _engine_row(root, change, tracer):
+    records, pairs = _records(), _pairs(_records())
+    if change == "pairs":
+        pairs = pairs[7:] + pairs[:7]  # every chunk index, other pairs
+    run = ParallelComparisonEngine(
+        _weighted_comparator(change),
+        execution="process" if change == "execution" else "serial",
+        n_workers=2 if change == "n_workers" else 1,
+        chunk_size=7,
+        tracer=tracer,
+        resilience=_chaos(change, root.parent),
+        checkpoint=str(root),
+        representation="columnar" if change == "representation" else "dict",
+    ).match_pairs(
+        records, pairs, ThresholdClassifier(0.6 if change == "threshold" else 0.9)
+    )
+    answer = (sorted(map(sorted, run.match_pairs)), run.scored_edges)
+    return answer, run.replayed_chunks, run.n_chunks - run.replayed_chunks
+
+
+def _shard_row(root, change, tracer):
+    records, pairs = _records(), _pairs(_records())
+    if change == "pairs":
+        pairs = pairs[1:]
+    run = sharded_resolve(
+        records,
+        None,
+        _weighted_comparator(change),
+        ThresholdClassifier(0.6 if change == "threshold" else 0.9),
+        candidate_pairs=pairs,
+        n_shards=3 if change == "n_shards" else 2,
+        backend="process" if change == "execution" else "inline",
+        chunk_size=7,
+        tracer=tracer,
+        resilience=_chaos(change, root.parent),
+        checkpoint=str(root),
+        representation="columnar" if change == "representation" else "dict",
+    )
+    answer = (
+        sorted(map(sorted, run.result.clusters)),
+        run.result.scored_edges,
+    )
+    return answer, run.n_resumed, run.n_shards - run.n_resumed
+
+
+def _solver_row(root, change, tracer):
+    claims = _claims()
+    if change == "claims":
+        claims.add(Claim("src9", "item0", "truth"))
+    result = TruthFinder(
+        dampening=0.5 if change == "parameters" else 0.3,
+        tracer=tracer,
+        checkpoint=RunStore(root),
+    ).fuse(claims)
+    resumed = 0
+    if tracer is not None:
+        resumed = _solver_span(tracer, "fusion.truthfinder")["resumed_at"]
+    answer = (result.chosen, result.confidence, result.iterations)
+    return answer, resumed, result.iterations - resumed
+
+
+def _pipeline_row(root, change, tracer):
+    dataset = _dataset()
+    if change == "records":
+        dataset = Dataset(
+            list(dataset.sources)
+            + [Source("src9", [Record("s9r0", "src9", {"title": "gizmo"})])]
+        )
+    config = PipelineConfig(
+        fusion="truthfinder",
+        match_threshold=0.6 if change == "threshold" else 0.7,
+        resilience=_chaos(change, root.parent),
+        representation="columnar" if change == "representation" else "dict",
+    )
+    result = BDIPipeline(config).run(
+        dataset, tracer=tracer, checkpoint=str(root)
+    )
+    skipped = _counters(tracer).get("recovery.stages_skipped", 0) if tracer else 0
+    answer = (result.entity_table, sorted(map(sorted, result.clusters)))
+    return answer, skipped, len(PIPELINE_STAGES) - skipped
+
+
+def _stream():
+    return [
+        Record(
+            f"s{i % 3}r{i}",
+            f"s{i % 3}",
+            {"name": f"canon a{560 + i // 6} {i % 2}", "brand": "canon"},
+            timestamp=i / 4,
+        )
+        for i in range(40)
+    ]
+
+
+def _stream_row(root, change, tracer):
+    resolver = StreamingResolver(
+        key_functions=[first_token_key("name")],
+        comparator=default_product_comparator()
+        if change != "weight"
+        else _weighted_comparator(change),
+        classifier=ThresholdClassifier(0.6 if change == "threshold" else 0.8),
+        window=WindowConfig(size=3.0 if change == "window" else 2.0),
+        checkpoint_store=RunStore(root, durable=False),
+        tracer=tracer,
+        clock=ManualClock(start=100.0 if change == "clock" else 0.0),
+    )
+    stream = iter(_stream())
+    replayed = resolver.resume(stream)
+    for __ in resolver.process(stream):
+        pass
+    return resolver.snapshot()["entities"], replayed, 0
+
+
+def _serve_row(root, change, tracer):
+    from repro.serve import ResolutionService
+    from tests.serve_driver import build_records
+
+    service = ResolutionService(
+        root,
+        key_functions=[first_token_key("name")],
+        comparator=_weighted_comparator(change)
+        if change == "weight"
+        else default_product_comparator(),
+        classifier=ThresholdClassifier(0.5 if change == "threshold" else 0.72),
+        refresh_blocker=None
+        if change == "refresh_blocker"
+        else StandardBlocker(first_token_key("name")),
+        resilience=_chaos(change, root.parent, injected_chunk=1),
+        tracer=tracer,
+        durable=False,
+    )
+    if service.store.log_length == 0:
+        for record in build_records(12):
+            service.ingest(record)
+        service.checkpoint()
+    relinked = (
+        tracer.metrics.counter("serve.replayed_records").value if tracer else 0
+    )
+    answer = service.snapshot()["entities"]
+    return answer, service.store.log_length - relinked, relinked
+
+
+_ROWS = {
+    "engine chunk": _engine_row,
+    "shard result and layout": _shard_row,
+    "solver state": _solver_row,
+    "pipeline stage": _pipeline_row,
+    "stream checkpoint": _stream_row,
+    "served generation": _serve_row,
+}
+
+_NONSEMANTIC = ("injector", "clock", "dead_letter_path")
+
+STALENESS_TABLE = [
+    *(("engine chunk", change, RECOMPUTE) for change in ("pairs", "threshold", "weight")),
+    *(
+        ("engine chunk", change, REPLAY)
+        for change in _NONSEMANTIC + ("representation", "execution", "n_workers")
+    ),
+    *(
+        ("shard result and layout", change, RECOMPUTE)
+        for change in ("pairs", "threshold", "weight")
+    ),
+    ("shard result and layout", "n_shards", RAISE),
+    *(
+        ("shard result and layout", change, REPLAY)
+        for change in _NONSEMANTIC + ("representation", "execution")
+    ),
+    ("solver state", "claims", RECOMPUTE),
+    ("solver state", "parameters", RECOMPUTE),
+    ("solver state", "tracer", REPLAY),
+    *(("pipeline stage", change, RAISE) for change in ("records", "threshold")),
+    *(("pipeline stage", change, REPLAY) for change in _NONSEMANTIC),
+    # A named limit: PipelineConfig's execution fields are still
+    # fingerprinted (ROADMAP item 2).
+    ("pipeline stage", "representation", RAISE),
+    *(
+        ("stream checkpoint", change, RAISE)
+        for change in ("window", "threshold", "weight")
+    ),
+    ("stream checkpoint", "clock", REPLAY),
+    *(("served generation", change, RAISE) for change in ("threshold", "weight")),
+    *(
+        ("served generation", change, REPLAY)
+        for change in _NONSEMANTIC + ("refresh_blocker",)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "row, change, expected",
+    STALENESS_TABLE,
+    ids=[f"{row}-{change}" for row, change, __ in STALENESS_TABLE],
+)
+def test_staleness_table(tmp_path, row, change, expected):
+    run = _ROWS[row]
+    store = tmp_path / "store"
+    run(store, "none", None)
+    if expected == RAISE:
+        with pytest.raises(CheckpointMismatchError):
+            run(store, change, Tracer())
+        return
+    answer, replayed, recomputed = run(store, change, Tracer())
+    fresh, __, __ = run(tmp_path / "fresh", change, Tracer())
+    assert answer == fresh
+    if expected == REPLAY:
+        assert replayed > 0 and recomputed == 0
+    else:
+        assert recomputed > 0
 
 
 # --- real process death (subprocess kill/resume) ---------------------

@@ -146,3 +146,26 @@ def test_one_module_creates_processes():
         "resilience/workers.py"
     ]
     assert [name for name, text in texts.items() if "_processes" in text] == []
+
+
+def test_one_module_decides_staleness():
+    """Whether a saved artifact belongs to the run now resuming is
+    decided under ``repro.recovery`` alone: nothing else raises the
+    mismatch, keys a payload by a signature or a fingerprint to compare
+    it, or rebuilds a store from another store's private parts."""
+    source = ROOT / "src" / "repro"
+    texts = {
+        str(path.relative_to(source)): path.read_text(encoding="utf-8")
+        for path in sorted(source.rglob("*.py"))
+    }
+    assert [
+        name for name, text in texts.items() if "CheckpointMismatchError(" in text
+    ] == ["recovery/store.py"]
+    payload_key = re.compile(r"""["'](signature|fingerprint)["']""")
+    assert [
+        name
+        for name, text in texts.items()
+        if not name.startswith("recovery/") and payload_key.search(text)
+    ] == []
+    private = re.compile(r"""getattr\([^)]*["']_(store|prefix|durable)["']""")
+    assert [name for name, text in texts.items() if private.search(text)] == []

@@ -278,6 +278,22 @@ class TestResolutionService:
         assert service.store.current_generation() == 1
         assert tracer.metrics.counter("serve.generation_swaps").value == 1
 
+    def test_refreshes_keep_one_generation_on_disk(self, tmp_path):
+        """Only the generation ``current`` names is ever loaded: each
+        publish deletes the ones it supersedes and writes no ledger."""
+        service = make_service(tmp_path)
+        for record in build_records(30):
+            service.ingest(record)
+        for __ in range(5):
+            service.refresh()
+            service.checkpoint()
+        run_store = service.store.run_store
+        assert [
+            key for key in run_store.keys() if ".generation." in key
+        ] == ["serve.generation.5"]
+        assert run_store.completed_stages() == ()
+        assert make_service(tmp_path).snapshot() == service.snapshot()
+
     def test_refresh_requires_blocker(self, tmp_path):
         service = ResolutionService(
             tmp_path,
@@ -528,23 +544,19 @@ class TestResolutionService:
     def test_fingerprint_guards_store_identity(self, tmp_path):
         from repro.recovery import CheckpointMismatchError
 
-        ResolutionService(
-            tmp_path,
-            key_functions=[first_token_key("name")],
-            comparator=default_product_comparator(),
-            classifier=ThresholdClassifier(0.72),
-            fingerprint="a" * 64,
-            durable=False,
-        )
-        with pytest.raises(CheckpointMismatchError):
-            ResolutionService(
+        def service(threshold):
+            return ResolutionService(
                 tmp_path,
                 key_functions=[first_token_key("name")],
                 comparator=default_product_comparator(),
-                classifier=ThresholdClassifier(0.72),
-                fingerprint="b" * 64,
+                classifier=ThresholdClassifier(threshold),
                 durable=False,
             )
+
+        service(0.72).ingest(camera("a", "s", "canon a560"))
+        with pytest.raises(CheckpointMismatchError):
+            service(0.5)
+        assert service(0.72).get("ent:a").members == ("a",)
 
 
 class TestServeTraffic:

@@ -1132,6 +1132,29 @@ class TestCheckpointResume:
         # The configuration that wrote the checkpoint still resumes it.
         assert resolver().resume(iter(world.stream())) == first.consumed
 
+    def test_resume_under_another_comparator_is_refused(self, tmp_path):
+        from repro.linkage import FieldComparator, RecordComparator
+        from repro.text import jaccard_similarity
+
+        world = DriftWorld(FLIP_CONFIG)
+
+        def resolver(comparator):
+            return StreamingResolver(
+                key_functions=[first_token_key("name")],
+                comparator=comparator,
+                classifier=ThresholdClassifier(MATCH_THRESHOLD),
+                source_accuracies=world.accuracies_at(0.0),
+                window=WindowConfig(size=2.0),
+                checkpoint_store=RunStore(tmp_path, durable=False),
+            )
+
+        first = resolver(default_product_comparator())
+        first.run(itertools.islice(world.stream(), 50_000), max_windows=3)
+        with pytest.raises(CheckpointMismatchError):
+            resolver(RecordComparator([FieldComparator("name", jaccard_similarity)]))
+        resumed = resolver(default_product_comparator())
+        assert resumed.resume(iter(world.stream())) == first.consumed
+
     def test_resume_skips_redelivered_records(self, tmp_path):
         """The same kill/resume over the stream with records re-emitted:
         killed or not, it ends on the clean stream's entities, having
