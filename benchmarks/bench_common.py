@@ -1,10 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper figures and the engine gates.
 
-Every ``bench_eXX_*.py`` file regenerates one table/figure from the
-evaluation index in DESIGN.md: it computes the experiment's rows,
-prints them as an aligned table (the "figure"), and times one
-representative kernel through pytest-benchmark. Corpora are cached
-per-process so the harness doesn't regenerate identical worlds.
+Every ``bench_eXX_*.py`` file regenerates one figure from the
+evaluation index in DESIGN.md: its ``figure()`` computes the
+experiment's rows, asserts the expected shape and returns the rows as
+an aligned table (:func:`table`), which ``figures.py`` writes into
+EXPERIMENTS.md. Corpora are cached per-process so a run of every
+figure doesn't regenerate identical worlds.
 
 The engine gates (``check_obs_overhead.py``,
 ``check_recovery_overhead.py``) share their corpus, threshold and the
@@ -36,9 +37,8 @@ __all__ = [
     "THRESHOLD",
     "corpus_pairs",
     "early_exit_speedup",
-    "emit",
     "linkage_corpus",
-    "render_table",
+    "table",
 ]
 
 #: Match threshold of the engine gates.
@@ -57,20 +57,14 @@ THRESHOLD = 0.7
 RECORDED_EARLY_EXIT_SPEEDUP = 9.2
 
 
-def emit(
-    capsys, title: str, headers, rows, note: str = "", float_digits: int = 3
-) -> None:
-    """Print an experiment table to the real terminal.
-
-    ``capsys.disabled()`` bypasses pytest capture so the table is
-    visible in normal runs and in the tee'd bench log.
-    """
-    table = render_table(headers, rows, title=title, float_digits=float_digits)
-    with capsys.disabled():
-        print()
-        print(table)
-        if note:
-            print(note)
+def table(
+    title: str, headers, rows, note: str = "", float_digits: int = 3
+) -> str:
+    """An experiment's figure: the aligned table, then its note."""
+    rendered = render_table(
+        headers, rows, title=title, float_digits=float_digits
+    )
+    return f"{rendered}\n{note}" if note else rendered
 
 
 @lru_cache(maxsize=None)
@@ -105,13 +99,7 @@ def corpus_pairs(n_entities: int, n_sources: int):
     dataset = linkage_corpus(n_entities=n_entities, n_sources=n_sources)
     records = list(dataset.records())
     by_id = {record.record_id: record for record in records}
-    candidates = TokenBlocker(max_block_size=60).block(
-        records
-    ).candidate_pairs()
-    pairs = [
-        (ids[0], ids[1])
-        for ids in (sorted(pair) for pair in sorted(candidates, key=sorted))
-    ]
+    pairs = TokenBlocker(max_block_size=60).block(records).ordered_pairs()
     return records, by_id, pairs
 
 

@@ -8,12 +8,9 @@ which in turn dominates querying unaligned source schemas.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.schema import (
     answer_with_pschema,
@@ -92,7 +89,7 @@ def run_domain(category: str, dialect_noise: float):
     return {key: [v / n for v in vals] for key, vals in sums.items()}
 
 
-def bench_e01_probabilistic_mediated_schema(benchmark, capsys):
+def figure() -> str:
     rows = []
     for category in QUERIES:
         for noise in (0.5, 0.8):
@@ -106,14 +103,12 @@ def bench_e01_probabilistic_mediated_schema(benchmark, capsys):
                     averaged["prob"][2],
                 ]
             )
-    dataset = corpus("camera", 0.8)
-    benchmark(
-        lambda: build_probabilistic_mediated_schema(
-            dataset, certain_threshold=0.8, uncertain_threshold=0.42
-        )
+    averages = [sum(r[i] for r in rows) / len(rows) for i in (2, 3, 4)]
+    assert averages[1] >= averages[0], "mediated schema must beat raw sources"
+    assert averages[2] >= averages[1] - 0.02, (
+        "p-mediated must not lose to deterministic"
     )
-    emit(
-        capsys,
+    return table(
         "E1: query-answering F1 — no alignment vs deterministic vs "
         "probabilistic mediated schema",
         ["domain", "dialect-noise", "F1 none", "F1 mediated", "F1 p-mediated"],
@@ -122,9 +117,4 @@ def bench_e01_probabilistic_mediated_schema(benchmark, capsys):
             "Expected shape (Das Sarma et al.): p-mediated ≥ mediated ≥ "
             "no alignment, gap widening with heterogeneity."
         ),
-    )
-    averages = [sum(r[i] for r in rows) / len(rows) for i in (2, 3, 4)]
-    assert averages[1] >= averages[0], "mediated schema must beat raw sources"
-    assert averages[2] >= averages[1] - 0.02, (
-        "p-mediated must not lose to deterministic"
     )

@@ -9,11 +9,7 @@ heterogeneity levels.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit, linkage_corpus
+from bench_common import table
 
 from repro.quality import correspondence_quality
 from repro.schema import (
@@ -52,7 +48,7 @@ def corpus(dialect_noise: float):
     )
 
 
-def bench_e02_attribute_matchers(benchmark, capsys):
+def figure() -> str:
     rows = []
     best_f1 = {}
     for noise in (0.4, 0.8):
@@ -75,19 +71,13 @@ def bench_e02_attribute_matchers(benchmark, capsys):
                 ]
             )
             best_f1.setdefault(noise, {})[name] = quality.f1
-    dataset = corpus(0.8)
-    profiles = profile_attributes(dataset)
-    benchmark(
-        lambda: score_all_pairs(profiles, MATCHERS["hybrid"], min_score=0.3)
-    )
-    emit(
-        capsys,
+    for noise, scores in best_f1.items():
+        assert scores["hybrid"] >= max(
+            scores["name"], scores["instance"]
+        ) - 0.02, f"hybrid should dominate at noise={noise}"
+    return table(
         "E2: attribute correspondence quality by matcher family",
         ["dialect-noise", "matcher", "P", "R", "F1", "selected"],
         rows,
         note="Expected shape: hybrid F1 ≥ max(name, instance) per noise level.",
     )
-    for noise, scores in best_f1.items():
-        assert scores["hybrid"] >= max(
-            scores["name"], scores["instance"]
-        ) - 0.02, f"hybrid should dominate at noise={noise}"

@@ -9,11 +9,7 @@ at the lowest RR (its cost is what meta-blocking, E4, removes).
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit, linkage_corpus
+from bench_common import linkage_corpus, table
 
 from repro.linkage import (
     CanopyBlocker,
@@ -69,7 +65,7 @@ def name_key_blockers():
     ]
 
 
-def bench_e03_blocking_tradeoff(benchmark, capsys):
+def figure() -> str:
     dataset = linkage_corpus(n_entities=70, n_sources=14, typo_rate=0.06)
     records = list(dataset.records())
     truth = dataset.ground_truth
@@ -88,20 +84,6 @@ def bench_e03_blocking_tradeoff(benchmark, capsys):
             ]
         )
         by_name[name] = quality
-    benchmark(
-        lambda: TokenBlocker(max_block_size=60).block(records)
-    )
-    emit(
-        capsys,
-        "E3: blocking PC / PQ / RR per scheme "
-        f"({len(records)} records, {len(truth.matching_pairs())} true pairs)",
-        ["blocker", "PC", "PQ", "RR", "candidates"],
-        rows,
-        note=(
-            "Expected shape: token blocking PC→1 at lowest RR; window "
-            "growth raises PC and lowers RR; composite ≥ its parts."
-        ),
-    )
     assert by_name["token(max=60)"].pairs_completeness > 0.95
     assert (
         by_name["snh(w=25)"].pairs_completeness
@@ -110,4 +92,14 @@ def bench_e03_blocking_tradeoff(benchmark, capsys):
     assert (
         by_name["composite(brand+soundex)"].pairs_completeness
         >= by_name["standard(brand)"].pairs_completeness
+    )
+    return table(
+        "E3: blocking PC / PQ / RR per scheme "
+        f"({len(records)} records, {len(truth.matching_pairs())} true pairs)",
+        ["blocker", "PC", "PQ", "RR", "candidates"],
+        rows,
+        note=(
+            "Expected shape: token blocking PC→1 at lowest RR; window "
+            "growth raises PC and lowers RR; composite ≥ its parts."
+        ),
     )

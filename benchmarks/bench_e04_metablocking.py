@@ -9,17 +9,13 @@ functions.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit, linkage_corpus
+from bench_common import linkage_corpus, table
 
 from repro.linkage import TokenBlocker, meta_block
 from repro.quality import blocking_quality
 
 
-def bench_e04_metablocking(benchmark, capsys):
+def figure() -> str:
     dataset = linkage_corpus(n_entities=70, n_sources=14, typo_rate=0.06)
     records = list(dataset.records())
     truth = dataset.ground_truth
@@ -60,9 +56,12 @@ def bench_e04_metablocking(benchmark, capsys):
                 ]
             )
             results[(weight, pruning)] = quality
-    benchmark(lambda: meta_block(blocks, weight="cbs", pruning="wep"))
-    emit(
-        capsys,
+    wep = results[("cbs", "wep")]
+    assert wep.pairs_completeness > base.pairs_completeness - 0.05
+    assert wep.candidate_pairs < base.candidate_pairs * 0.5
+    cep = results[("cbs", "cep")]
+    assert cep.candidate_pairs < base.candidate_pairs * 0.1
+    return table(
         "E4: meta-blocking — PC retained vs candidates kept",
         ["pruning", "weights", "PC", "candidates", "kept-fraction"],
         rows,
@@ -71,8 +70,3 @@ def bench_e04_metablocking(benchmark, capsys):
             "unpruned at ~5-20% of candidates; CEP prunes hardest."
         ),
     )
-    wep = results[("cbs", "wep")]
-    assert wep.pairs_completeness > base.pairs_completeness - 0.05
-    assert wep.candidate_pairs < base.candidate_pairs * 0.5
-    cep = results[("cbs", "cep")]
-    assert cep.candidate_pairs < base.candidate_pairs * 0.1

@@ -9,11 +9,7 @@ report simulated makespan, speedup, and skew per reducer count.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.dist import ClusterCostModel, partition_blocks
 from repro.linkage import StandardBlocker
@@ -50,7 +46,7 @@ def skewed_blocks():
     return blocker.block(records)
 
 
-def bench_e05_parallel_linkage(benchmark, capsys):
+def figure() -> str:
     blocks = skewed_blocks()
     model = ClusterCostModel(
         comparison_cost=1.0, task_overhead=2.0, startup=50.0
@@ -72,9 +68,10 @@ def bench_e05_parallel_linkage(benchmark, capsys):
                 ]
             )
             speedups[(strategy, n_reducers)] = cost.speedup
-    benchmark(lambda: partition_blocks(blocks, "blocksplit", 32))
-    emit(
-        capsys,
+    assert speedups[("naive", 64)] < 0.5 * speedups[("blocksplit", 64)]
+    assert speedups[("blocksplit", 16)] > 10
+    assert speedups[("pairrange", 16)] > 10
+    return table(
         "E5: distributed ER — makespan/speedup/skew by partitioning "
         f"strategy ({blocks.n_comparisons} comparisons, "
         f"{len(blocks)} blocks)",
@@ -85,6 +82,3 @@ def bench_e05_parallel_linkage(benchmark, capsys):
             "BlockSplit/PairRange near-linear to high reducer counts."
         ),
     )
-    assert speedups[("naive", 64)] < 0.5 * speedups[("blocksplit", 64)]
-    assert speedups[("blocksplit", 16)] > 10
-    assert speedups[("pairrange", 16)] > 10

@@ -9,11 +9,7 @@ widens with the evolution rate; at rate 0 decay behaves like static
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.linkage import TemporalField, TemporalMatcher, link_temporal_stream
 from repro.quality import pairwise_cluster_quality
@@ -65,23 +61,17 @@ def run_rate(rate: float):
     return static_f1, decayed_f1
 
 
-def bench_e07_temporal_linkage(benchmark, capsys):
+def figure() -> str:
     rows = []
     gaps = []
     for rate in EVOLUTION_RATES:
         static_f1, decayed_f1 = run_rate(rate)
         rows.append([rate, static_f1, decayed_f1, decayed_f1 - static_f1])
         gaps.append(decayed_f1 - static_f1)
-    dataset = generate_temporal_dataset(
-        TemporalStreamConfig(n_entities=40, evolution_rate=0.3, seed=9)
-    )
-    records = list(dataset.records())
-    decayed = TemporalMatcher(
-        matcher_fields(), disagreement_decay=0.8, agreement_decay=0.05
-    )
-    benchmark(lambda: link_temporal_stream(records, decayed))
-    emit(
-        capsys,
+    assert abs(gaps[0]) < 0.08, "at zero evolution decay ≈ static"
+    assert all(gap > -0.03 for gap in gaps)
+    assert max(gaps[2:]) > gaps[0] + 0.05, "gap must widen with evolution"
+    return table(
         "E7: static vs decayed temporal matching across evolution rates",
         ["evolution rate", "F1 static", "F1 decay", "gap"],
         rows,
@@ -90,6 +80,3 @@ def bench_e07_temporal_linkage(benchmark, capsys):
             "widening with the evolution rate; ~equal at rate 0."
         ),
     )
-    assert abs(gaps[0]) < 0.08, "at zero evolution decay ≈ static"
-    assert all(gap > -0.03 for gap in gaps)
-    assert max(gaps[2:]) > gaps[0] + 0.05, "gap must widen with evolution"

@@ -9,12 +9,7 @@ of sources.
 
 from __future__ import annotations
 
-import sys
-from functools import lru_cache
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.fusion import AccuCopy, AccuVote, TruthFinder, VotingFuser
 from repro.quality import fusion_accuracy
@@ -24,7 +19,6 @@ COPIER_COUNTS = (0, 3, 6, 9, 12)
 N_INDEPENDENT = 8
 
 
-@lru_cache(maxsize=None)
 def world(n_copiers: int):
     return generate_claims(
         ClaimWorldConfig(
@@ -50,7 +44,7 @@ def fusers():
     ]
 
 
-def bench_e08_fusion_methods(benchmark, capsys):
+def figure() -> str:
     rows = []
     by_method: dict[str, list[float]] = {}
     for n_copiers in COPIER_COUNTS:
@@ -63,10 +57,14 @@ def bench_e08_fusion_methods(benchmark, capsys):
             row.append(accuracy)
             by_method.setdefault(fuser.name, []).append(accuracy)
         rows.append(row)
-    planted = world(9)
-    benchmark(lambda: AccuCopy(n_false_values=3).fuse(planted.claims))
-    emit(
-        capsys,
+    assert by_method["accucopy"][0] >= by_method["vote"][0] - 0.02
+    # Under heavy copying AccuCopy dominates by a wide margin.
+    assert by_method["accucopy"][-1] > by_method["vote"][-1] + 0.2
+    assert by_method["accucopy"][-1] > by_method["accuvote"][-1] + 0.2
+    assert min(by_method["accucopy"]) > 0.8
+    # Copy-unaware methods degrade monotonically-ish with copier share.
+    assert by_method["vote"][-1] < by_method["vote"][0] - 0.2
+    return table(
         "E8: fusion accuracy vs copier share "
         "(copiers replicate a 0.35-accuracy parent at copy rate 0.95)",
         ["copiers/sources", "vote", "truthfinder", "accuvote", "accucopy"],
@@ -77,10 +75,3 @@ def bench_e08_fusion_methods(benchmark, capsys):
             "methods collapse while AccuCopy stays high."
         ),
     )
-    assert by_method["accucopy"][0] >= by_method["vote"][0] - 0.02
-    # Under heavy copying AccuCopy dominates by a wide margin.
-    assert by_method["accucopy"][-1] > by_method["vote"][-1] + 0.2
-    assert by_method["accucopy"][-1] > by_method["accuvote"][-1] + 0.2
-    assert min(by_method["accucopy"]) > 0.8
-    # Copy-unaware methods degrade monotonically-ish with copier share.
-    assert by_method["vote"][-1] < by_method["vote"][0] - 0.2

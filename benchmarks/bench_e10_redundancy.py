@@ -8,11 +8,7 @@ extracts more from mixed-quality source pools than voting does.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.fusion import AccuVote, VotingFuser
 from repro.quality import fusion_accuracy
@@ -45,7 +41,7 @@ def run(regime: tuple[float, float], n_sources: int, seed: int):
     return vote, accu
 
 
-def bench_e10_redundancy(benchmark, capsys):
+def figure() -> str:
     rows = []
     curves: dict[str, list[float]] = {}
     for regime_name, regime in REGIMES.items():
@@ -59,26 +55,6 @@ def bench_e10_redundancy(benchmark, capsys):
             accu = sum(accus) / len(accus)
             rows.append([regime_name, n_sources, vote, accu])
             curves.setdefault(regime_name, []).append(accu)
-    benchmark(
-        lambda: AccuVote(n_false_values=4).fuse(
-            generate_claims(
-                ClaimWorldConfig(
-                    n_items=250, n_independent=9, seed=41
-                )
-            ).claims
-        )
-    )
-    emit(
-        capsys,
-        "E10: fusion accuracy vs #independent sources per accuracy regime",
-        ["regime", "sources", "vote", "accuvote"],
-        rows,
-        note=(
-            "Expected shape: accuracy climbs with redundancy in every "
-            "regime; the climb is steepest from 1→5 sources; accuvote ≥ "
-            "vote throughout."
-        ),
-    )
     for regime_name, curve in curves.items():
         assert curve[-1] > curve[0], f"redundancy must help in {regime_name}"
     # accuvote ≥ vote on average.
@@ -88,3 +64,13 @@ def bench_e10_redundancy(benchmark, capsys):
     # Diminishing returns: first doubling gains more than the last.
     low_curve = curves["low (0.4-0.7)"]
     assert (low_curve[2] - low_curve[0]) > (low_curve[4] - low_curve[2])
+    return table(
+        "E10: fusion accuracy vs #independent sources per accuracy regime",
+        ["regime", "sources", "vote", "accuvote"],
+        rows,
+        note=(
+            "Expected shape: accuracy climbs with redundancy in every "
+            "regime; the climb is steepest from 1→5 sources; accuvote ≥ "
+            "vote throughout."
+        ),
+    )

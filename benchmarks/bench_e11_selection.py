@@ -9,12 +9,9 @@ stopping. Random and coverage orderings trail the greedy curve.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.fusion import VotingFuser
 from repro.selection import (
@@ -49,7 +46,7 @@ def accuracy_at(order, k):
     )
 
 
-def bench_e11_source_selection(benchmark, capsys):
+def figure() -> str:
     planted = world()
     selector = GreedySourceSelector(VotingFuser(), cost_weight=COST_WEIGHT)
     selection = selector.select(planted.claims)
@@ -69,13 +66,14 @@ def bench_e11_source_selection(benchmark, capsys):
                 profits[k - 1],
             ]
         )
-    benchmark(
-        lambda: GreedySourceSelector(
-            VotingFuser(), max_sources=6
-        ).select(planted.claims)
-    )
-    emit(
-        capsys,
+    # Greedy beats random early.
+    assert rows[2][1] > rows[2][2], "greedy must beat random at k=4"
+    # Profit peaks strictly before integrating everything.
+    peak = max(range(len(profits)), key=profits.__getitem__)
+    assert peak < len(profits) - 1, "profit must peak before all sources"
+    # Accuracy saturates: last 8 sources add almost nothing for greedy.
+    assert accuracy_at(greedy_order, 20) - accuracy_at(greedy_order, 12) < 0.05
+    return table(
         "E11: fusion accuracy and profit vs sources integrated "
         "(20 sources, long-tail accuracy, integration cost "
         f"{COST_WEIGHT}/source)",
@@ -87,10 +85,3 @@ def bench_e11_source_selection(benchmark, capsys):
             "small k."
         ),
     )
-    # Greedy beats random early.
-    assert rows[2][1] > rows[2][2], "greedy must beat random at k=4"
-    # Profit peaks strictly before integrating everything.
-    peak = max(range(len(profits)), key=profits.__getitem__)
-    assert peak < len(profits) - 1, "profit must peak before all sources"
-    # Accuracy saturates: last 8 sources add almost nothing for greedy.
-    assert accuracy_at(greedy_order, 20) - accuracy_at(greedy_order, 12) < 0.05

@@ -8,12 +8,9 @@ and the fraction of terminated items climbs steeply.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.fusion import AccuVote, OnlineFusion
 from repro.quality import fusion_accuracy
@@ -33,7 +30,7 @@ def world():
     )
 
 
-def bench_e12_online_fusion(benchmark, capsys):
+def figure() -> str:
     planted = world()
     online = OnlineFusion(planted.accuracies, n_false_values=5)
     result, trace = online.run(planted.claims)
@@ -58,11 +55,13 @@ def bench_e12_online_fusion(benchmark, capsys):
                 trace.terminated[probed - 1],
             ]
         )
-    benchmark(lambda: OnlineFusion(
-        planted.accuracies, n_false_values=5
-    ).run(planted.claims))
-    emit(
-        capsys,
+    final_accuracy = rows[-1][2]
+    assert abs(final_accuracy - batch_accuracy) < 0.02
+    halfway_accuracy = rows[len(rows) // 2][2]
+    assert halfway_accuracy > batch_accuracy - 0.05
+    assert list(trace.terminated) == sorted(trace.terminated)
+    assert trace.terminated[-1] > 0.9
+    return table(
         "E12: online fusion — anytime accuracy and termination vs probes "
         f"(batch accuracy with all 14 sources: {batch_accuracy:.3f})",
         ["probed", "source", "true accuracy", "expected correctness", "terminated"],
@@ -73,9 +72,3 @@ def bench_e12_online_fusion(benchmark, capsys):
             "rises monotonically."
         ),
     )
-    final_accuracy = rows[-1][2]
-    assert abs(final_accuracy - batch_accuracy) < 0.02
-    halfway_accuracy = rows[len(rows) // 2][2]
-    assert halfway_accuracy > batch_accuracy - 0.05
-    assert list(trace.terminated) == sorted(trace.terminated)
-    assert trace.terminated[-1] > 0.9

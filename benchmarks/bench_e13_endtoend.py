@@ -9,12 +9,9 @@ fusion.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro import BDIPipeline, FourVKnobs, PipelineConfig, build_corpus
 from repro.synth import scaled
@@ -37,7 +34,7 @@ def run_knobs(dial: str, value: float):
     return corpus, report
 
 
-def bench_e13_end_to_end(benchmark, capsys):
+def figure() -> str:
     rows = []
     reports: dict[tuple[str, float], object] = {}
     for dial, values in SWEEPS.items():
@@ -54,11 +51,17 @@ def bench_e13_end_to_end(benchmark, capsys):
                 ]
             )
             reports[(dial, value)] = report
-    small = build_corpus(scaled(BASE, volume=0.05))
-    pipeline = BDIPipeline(PipelineConfig(fusion="accuvote"))
-    benchmark(lambda: pipeline.run(small.dataset))
-    emit(
-        capsys,
+    assert (
+        reports[("veracity", 0.0)].fusion_accuracy
+        > reports[("veracity", 0.8)].fusion_accuracy
+    ), "dirtier corpora must fuse worse"
+    assert (
+        reports[("variety", 0.1)].schema_f1
+        > reports[("variety", 0.9)].schema_f1
+    ), "more heterogeneity must erode schema alignment"
+    for report in reports.values():
+        assert report.linkage_pairwise_f1 > 0.8, "linkage must stay robust"
+    return table(
         "E13: end-to-end pipeline quality, one 4-V dial at a time "
         f"(baseline volume={BASE.volume}, variety={BASE.variety}, "
         f"veracity={BASE.veracity})",
@@ -70,13 +73,3 @@ def bench_e13_end_to_end(benchmark, capsys):
             "redundancy) across all dials."
         ),
     )
-    assert (
-        reports[("veracity", 0.0)].fusion_accuracy
-        > reports[("veracity", 0.8)].fusion_accuracy
-    ), "dirtier corpora must fuse worse"
-    assert (
-        reports[("variety", 0.1)].schema_f1
-        > reports[("variety", 0.9)].schema_f1
-    ), "more heterogeneity must erode schema alignment"
-    for report in reports.values():
-        assert report.linkage_pairwise_f1 > 0.8, "linkage must stay robust"

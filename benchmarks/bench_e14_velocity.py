@@ -9,12 +9,9 @@ comparison counts of both paths per snapshot.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.linkage import (
     ThresholdClassifier,
@@ -74,7 +71,7 @@ def snapshots():
     )
 
 
-def bench_e14_velocity(benchmark, capsys):
+def figure() -> str:
     snaps = snapshots()
     maintainer = SnapshotMaintainer(
         [all_value_tokens],
@@ -116,9 +113,14 @@ def bench_e14_velocity(benchmark, capsys):
         )
         if index > 0:
             speedups.append(speedup)
-    benchmark(lambda: diff_datasets(snaps[0], snaps[1]))
-    emit(
-        capsys,
+    assert min(speedups) > 1.5, "incremental must beat recompute after build"
+    total_incremental = sum(row[4] for row in rows[1:])
+    total_full = sum(row[5] for row in rows[1:])
+    assert total_full / total_incremental > 2.5
+    for row in rows:
+        assert abs(row[7] - row[8]) < 0.12, "quality must track recompute"
+    assert all(row[2] < 1.0 for row in rows[1:]), "churn must be visible"
+    return table(
         "E14: incremental maintenance vs full recompute across snapshots",
         [
             "snap", "records", "survival", "new", "incr cmp", "full cmp",
@@ -132,10 +134,3 @@ def bench_e14_velocity(benchmark, capsys):
             "change constantly)."
         ),
     )
-    assert min(speedups) > 1.5, "incremental must beat recompute after build"
-    total_incremental = sum(row[4] for row in rows[1:])
-    total_full = sum(row[5] for row in rows[1:])
-    assert total_full / total_incremental > 2.5
-    for row in rows:
-        assert abs(row[7] - row[8]) < 0.12, "quality must track recompute"
-    assert all(row[2] < 1.0 for row in rows[1:]), "churn must be visible"

@@ -12,11 +12,7 @@ badly-tuned thresholds outright.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit, linkage_corpus
+from bench_common import linkage_corpus, table
 
 from repro.linkage import (
     RuleBasedClassifier,
@@ -30,7 +26,7 @@ from repro.linkage import (
 from repro.quality import pairwise_cluster_quality
 
 
-def bench_e15_classifier_ablation(benchmark, capsys):
+def figure() -> str:
     dataset = linkage_corpus(n_entities=60, n_sources=12)
     records = list(dataset.records())
     truth = dataset.ground_truth
@@ -38,11 +34,12 @@ def bench_e15_classifier_ablation(benchmark, capsys):
     blocker = TokenBlocker(max_block_size=60)
 
     # Fit Fellegi-Sunter unsupervised on the candidate vectors.
-    candidates = blocker.block(records).candidate_pairs()
+    blocks = blocker.block(records)
+    candidates = blocks.candidate_pairs()
     by_id = {record.record_id: record for record in records}
     vectors = [
         comparator.compare(by_id[a], by_id[b])
-        for a, b in (sorted(pair) for pair in sorted(candidates, key=sorted))
+        for a, b in blocks.ordered_pairs()
     ]
     fs_model = fit_fellegi_sunter(vectors, agreement_threshold=0.8)
 
@@ -76,9 +73,11 @@ def bench_e15_classifier_ablation(benchmark, capsys):
             [name, quality.precision, quality.recall, quality.f1]
         )
         f1_by_name[name] = quality.f1
-    benchmark(lambda: fit_fellegi_sunter(vectors, agreement_threshold=0.8))
-    emit(
-        capsys,
+    tuned = f1_by_name["threshold(0.72) [tuned]"]
+    fs = f1_by_name["fellegi-sunter (EM, unsupervised)"]
+    assert fs > tuned - 0.08, "unsupervised FS must approach the tuned threshold"
+    assert fs > f1_by_name["threshold(0.90) [too strict]"]
+    return table(
         "E15 (ablation): match classifier comparison on one comparator "
         f"({len(candidates)} candidate pairs)",
         ["classifier", "P", "R", "F1"],
@@ -89,7 +88,3 @@ def bench_e15_classifier_ablation(benchmark, capsys):
             "narrow rules pay in recall or precision."
         ),
     )
-    tuned = f1_by_name["threshold(0.72) [tuned]"]
-    fs = f1_by_name["fellegi-sunter (EM, unsupervised)"]
-    assert fs > tuned - 0.08, "unsupervised FS must approach the tuned threshold"
-    assert fs > f1_by_name["threshold(0.90) [too strict]"]

@@ -11,11 +11,8 @@ per-item median cannot.
 from __future__ import annotations
 
 import statistics
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.fusion import CRHNumericFuser
 from repro.synth import NumericClaimWorldConfig, generate_numeric_claims
@@ -62,7 +59,7 @@ def run_setting(outlier_sources: int, outlier_rate: float):
     return means, weight_gap
 
 
-def bench_e16_numeric_fusion(benchmark, capsys):
+def figure() -> str:
     rows = []
     crh_vs_median = []
     for outlier_sources, outlier_rate in OUTLIER_SETTINGS:
@@ -77,14 +74,14 @@ def bench_e16_numeric_fusion(benchmark, capsys):
             ]
         )
         crh_vs_median.append(means["median"] - means["crh"])
-    planted = generate_numeric_claims(
-        NumericClaimWorldConfig(
-            n_items=150, n_sources=12, outlier_sources=4, seed=1
-        )
+    mean_col = [row[1] for row in rows]
+    crh_col = [row[3] for row in rows]
+    assert all(c <= m for c, m in zip(crh_col[1:], mean_col[1:]))
+    assert crh_vs_median[-1] > crh_vs_median[0], (
+        "CRH's edge over the median must grow with contamination"
     )
-    benchmark(lambda: CRHNumericFuser().fuse_values(planted.claims))
-    emit(
-        capsys,
+    assert rows[-1][4] > 0, "honest sources must out-weigh outliers"
+    return table(
         "E16 (extension): numeric truth discovery — MAE of mean / median "
         "/ CRH under growing outlier contamination",
         ["outliers@rate", "MAE mean", "MAE median", "MAE CRH", "weight gap"],
@@ -96,10 +93,3 @@ def bench_e16_numeric_fusion(benchmark, capsys):
             "contamination; honest sources out-weigh outlier sources."
         ),
     )
-    mean_col = [row[1] for row in rows]
-    crh_col = [row[3] for row in rows]
-    assert all(c <= m for c, m in zip(crh_col[1:], mean_col[1:]))
-    assert crh_vs_median[-1] > crh_vs_median[0], (
-        "CRH's edge over the median must grow with contamination"
-    )
-    assert rows[-1][4] > 0, "honest sources must out-weigh outliers"

@@ -9,11 +9,7 @@ MinHash-LSH blocker as a scalable candidate generator.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit, linkage_corpus
+from bench_common import linkage_corpus, table
 
 from repro.linkage import (
     MinHashBlocker,
@@ -25,7 +21,7 @@ from repro.linkage import (
 from repro.quality import blocking_quality
 
 
-def bench_e17_progressive_er(benchmark, capsys):
+def figure() -> str:
     dataset = linkage_corpus(n_entities=60, n_sources=12)
     records = list(dataset.records())
     truth = dataset.ground_truth
@@ -61,14 +57,13 @@ def bench_e17_progressive_er(benchmark, capsys):
     lsh_quality = blocking_quality(
         lsh_blocks.candidate_pairs(), truth, len(records)
     )
-    benchmark(
-        lambda: progressive_resolution_curve(
-            records, blocks, comparator, classifier,
-            ordering="similarity", checkpoints=[checkpoints[1]],
-        )
-    )
-    emit(
-        capsys,
+    # At the ~20% checkpoint, similarity-first ≫ random.
+    twenty = 2
+    assert rows[twenty][1] > 0.9, "similarity-first nearly done at 20%"
+    assert rows[twenty][1] > 2.0 * rows[twenty][3], "and ≫ random"
+    assert rows[-1][1] == rows[-1][2] == rows[-1][3] == 1.0
+    assert lsh_quality.pairs_completeness > 0.9
+    return table(
         "E17 (extension): fraction of matches found vs comparison budget "
         f"per candidate ordering ({total} candidates, {final} matches)",
         ["budget", "similarity-first", "block-size-first", "random"],
@@ -81,9 +76,3 @@ def bench_e17_progressive_er(benchmark, capsys):
             f"({lsh_quality.candidate_pairs} candidates)."
         ),
     )
-    # At the ~20% checkpoint, similarity-first ≫ random.
-    twenty = 2
-    assert rows[twenty][1] > 0.9, "similarity-first nearly done at 20%"
-    assert rows[twenty][1] > 2.0 * rows[twenty][3], "and ≫ random"
-    assert rows[-1][1] == rows[-1][2] == rows[-1][3] == 1.0
-    assert lsh_quality.pairs_completeness > 0.9

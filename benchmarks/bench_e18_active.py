@@ -10,12 +10,9 @@ label noise.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit, linkage_corpus
+from bench_common import linkage_corpus, table
 
 from repro.linkage import (
     ActiveThresholdLearner,
@@ -39,10 +36,7 @@ def vectors_and_truth():
     candidates = TokenBlocker(max_block_size=50).block(records)
     vectors = tuple(
         comparator.compare(by_id[a], by_id[b])
-        for a, b in (
-            sorted(pair)
-            for pair in sorted(candidates.candidate_pairs(), key=sorted)
-        )
+        for a, b in candidates.ordered_pairs()
     )
     return vectors, dataset.ground_truth
 
@@ -62,7 +56,7 @@ def curve(strategy: str, noise: float):
     return averaged
 
 
-def bench_e18_active_learning(benchmark, capsys):
+def figure() -> str:
     rows = []
     curves = {}
     for noise in (0.0, 0.1):
@@ -73,25 +67,6 @@ def bench_e18_active_learning(benchmark, capsys):
                 [f"{strategy} @ noise {noise}"]
                 + [f1_curve[i] for i in range(ROUNDS)]
             )
-    vectors, truth = vectors_and_truth()
-    oracle = noisy_oracle(truth.are_match, noise_rate=0.05, seed=1)
-
-    def kernel():
-        learner = ActiveThresholdLearner(list(vectors), batch_size=BATCH)
-        learner.run_round(oracle)
-
-    benchmark(kernel)
-    emit(
-        capsys,
-        "E18 (extension): pair-F1 vs labeling rounds "
-        f"({BATCH} oracle queries per round, {len(vectors)} candidates)",
-        ["strategy"] + [f"{(i + 1) * BATCH} labels" for i in range(ROUNDS)],
-        rows,
-        note=(
-            "Expected shape: uncertainty sampling dominates random at "
-            "small budgets and stays stable under 10% label noise."
-        ),
-    )
     for noise in (0.0, 0.1):
         uncertainty = curves[("uncertainty", noise)]
         rand = curves[("random", noise)]
@@ -99,3 +74,14 @@ def bench_e18_active_learning(benchmark, capsys):
             f"uncertainty must lead early at noise {noise}"
         )
         assert uncertainty[-1] > 0.85, "must converge to good F1"
+    return table(
+        "E18 (extension): pair-F1 vs labeling rounds "
+        f"({BATCH} oracle queries per round, "
+        f"{len(vectors_and_truth()[0])} candidates)",
+        ["strategy"] + [f"{(i + 1) * BATCH} labels" for i in range(ROUNDS)],
+        rows,
+        note=(
+            "Expected shape: uncertainty sampling dominates random at "
+            "small budgets and stays stable under 10% label noise."
+        ),
+    )

@@ -11,11 +11,7 @@ synthetic substrate reproduces those statistics.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit
+from bench_common import table
 
 from repro.quality import attribute_tail_statistics
 from repro.synth import (
@@ -47,7 +43,7 @@ def corpus(n_sources: int, max_custom: int):
     )
 
 
-def bench_e19_attribute_long_tail(benchmark, capsys):
+def figure() -> str:
     rows = []
     stats_by_setting = {}
     for n_sources, max_custom in ((20, 0), (20, 6), (60, 6), (100, 6)):
@@ -64,10 +60,19 @@ def bench_e19_attribute_long_tail(benchmark, capsys):
                 stats.top_attribute_source_fraction,
             ]
         )
-    dataset = corpus(60, 6)
-    benchmark(lambda: attribute_tail_statistics(dataset))
-    emit(
-        capsys,
+    big = stats_by_setting[(100, 6)]
+    assert big.fraction_in_at_most_10pct > 0.7, "the tail must dominate"
+    assert big.top_attribute_source_fraction < 0.5, (
+        "even the most popular attribute is a minority taste"
+    )
+    without = stats_by_setting[(20, 0)]
+    with_custom = stats_by_setting[(20, 6)]
+    assert with_custom.n_attribute_names > without.n_attribute_names
+    assert (
+        with_custom.fraction_in_one_source
+        > without.fraction_in_one_source
+    ), "custom attributes must deepen the tail"
+    return table(
         "E19: the attribute long tail across corpus scales",
         [
             "sources", "max custom", "distinct names", "share in 1 source",
@@ -82,15 +87,3 @@ def bench_e19_attribute_long_tail(benchmark, capsys):
             "deepen it further."
         ),
     )
-    big = stats_by_setting[(100, 6)]
-    assert big.fraction_in_at_most_10pct > 0.7, "the tail must dominate"
-    assert big.top_attribute_source_fraction < 0.5, (
-        "even the most popular attribute is a minority taste"
-    )
-    without = stats_by_setting[(20, 0)]
-    with_custom = stats_by_setting[(20, 6)]
-    assert with_custom.n_attribute_names > without.n_attribute_names
-    assert (
-        with_custom.fraction_in_one_source
-        > without.fraction_in_one_source
-    ), "custom attributes must deepen the tail"

@@ -20,22 +20,20 @@ are cheap to state and easy to quietly break:
 
 ``BENCH_supervision.json`` at the repo root records both numbers.
 
-Run standalone with::
+Run with::
 
-    PYTHONPATH=src python benchmarks/bench_e25_supervision.py --no-bench
+    PYTHONPATH=src python benchmarks/bench_e25_supervision.py
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from bench_common import emit, linkage_corpus, render_table
+from bench_common import linkage_corpus, table
 
 from repro.dist import sharded_resolve
 from repro.linkage import (
@@ -277,67 +275,8 @@ NOTE = (
 )
 
 
-def bench_e25_supervision(benchmark, capsys):
-    n_entities, n_sources = 30, 6
-    records = _corpus(n_entities, n_sources)
-    results = _run_phases(records, n_probes=60)
-    _sanity(results)
-
-    # The benchmark kernel: the degraded read path against a tripped
-    # breaker — the latency the gate budgets.
-    tracer = Tracer()
-    with tempfile.TemporaryDirectory() as root:
-        injector = FaultInjector(crash(chunk=100), crash(chunk=101))
-        service = ResolutionService(
-            root,
-            key_functions=[_name_key()],
-            comparator=default_product_comparator(),
-            classifier=ThresholdClassifier(THRESHOLD),
-            refresh_blocker=_blocker(),
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1, base_delay=0.0),
-                failure="skip",
-                fault_injector=injector,
-            ),
-            overload=OverloadPolicy(failure_threshold=2, reset_timeout=600.0),
-            tracer=tracer,
-            durable=False,
-        )
-        for record in records[:100]:
-            service.ingest(record)
-        for record in records[100:102]:
-            service.ingest(record)
-        assert service.health()["status"] == "degraded"
-        probes = records[102:150]
-
-        def kernel():
-            found = 0
-            for probe in probes:
-                if service.match(probe) is not None:
-                    found += 1
-            return found
-
-        benchmark(kernel)
-
-    _write_json(results, n_entities, n_sources)
-    emit(
-        capsys,
-        "E25: supervision — recovery time and degraded-mode reads "
-        f"({n_entities} entities x {n_sources} sources)",
-        HEADERS,
-        _rows(results),
-        note=NOTE,
-    )
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--no-bench",
-        action="store_true",
-        help="table-only mode (this entry point never runs the "
-        "pytest-benchmark kernel anyway)",
-    )
     parser.add_argument(
         "--quick",
         action="store_true",
@@ -368,15 +307,15 @@ def main(argv=None):
         print(f"results -> {path}")
 
     print(
-        render_table(
-            HEADERS,
-            _rows(results),
-            title="E25: supervision — recovery and degraded reads "
+        table(
+            "E25: supervision — recovery and degraded reads "
             f"({n_entities} entities x {n_sources} sources, "
             f"{n_probes} probes)",
+            HEADERS,
+            _rows(results),
+            note=NOTE,
         )
     )
-    print(NOTE)
 
 
 if __name__ == "__main__":

@@ -29,10 +29,7 @@ Run:  PYTHONPATH=src python benchmarks/check_obs_overhead.py [--quick]
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
 from bench_common import (
     RECORDED_EARLY_EXIT_SPEEDUP,
     corpus_pairs,

@@ -24,12 +24,9 @@ Run:  PYTHONPATH=src python benchmarks/check_recovery_overhead.py [--quick]
 from __future__ import annotations
 
 import argparse
-import sys
 import tempfile
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
 from bench_common import THRESHOLD, corpus_pairs
 
 from repro.linkage import (

@@ -17,10 +17,7 @@ Run:  PYTHONPATH=src python benchmarks/check_supervision_degraded.py [--quick]
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
 from bench_e25_supervision import (
     DEGRADED_FLOOR_MS,
     DEGRADED_RATIO_BUDGET,

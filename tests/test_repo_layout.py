@@ -17,12 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
 CI = ROOT / ".github" / "workflows" / "ci.yml"
-DOCS = [
-    CI,
-    ROOT / "README.md",
-    ROOT / "EXPERIMENTS.md",
-    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
-]
+SKILL = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+DOCS = [CI, ROOT / "README.md", ROOT / "EXPERIMENTS.md", SKILL]
 SCRIPT_PATH = re.compile(
     r"\b(?:benchmarks|examples)/[\w/]+\.py\b|\btests/\w+_driver\.py\b"
 )
@@ -130,6 +126,34 @@ def _unresolved_imports(script: Path) -> list[str]:
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
 def test_benchmark_scripts_import_only_what_is_there(script):
     assert _unresolved_imports(script) == []
+
+
+def test_benchmarks_have_no_second_harness():
+    """A figure is a function that returns its table and performance is
+    the ledger: no script takes a timing fixture or captured output,
+    edits ``sys.path`` (a script's own directory is already on it), or
+    is documented as run through a timing plugin."""
+    fixtures = [
+        f"{script.name}:{node.name}({arg.arg})"
+        for script in SCRIPTS
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        for arg in node.args.args
+        if arg.arg in ("benchmark", "capsys")
+    ]
+    assert fixtures == []
+    assert [
+        script.name
+        for script in SCRIPTS
+        if "sys.path.insert" in script.read_text(encoding="utf-8")
+    ] == []
+    plugin = re.compile(r"pytest-benchmark|--benchmark-")
+    documents = [ROOT / "pyproject.toml", CI, ROOT / "README.md", SKILL]
+    assert [
+        path.name
+        for path in documents
+        if plugin.search(path.read_text(encoding="utf-8"))
+    ] == []
 
 
 def test_one_module_creates_processes():
