@@ -524,7 +524,7 @@ class BDIPipeline:
             # 4. Fusion. Fusers are built lazily so only the selected
             #    algorithm is constructed (and wired to the solver's
             #    iteration checkpoint when resumable; a solver signs its
-            #    claims by sorting them in memory, so not when spilled).
+            #    claims by hashing them in memory, so not when spilled).
             with tracer.span(
                 "pipeline.fusion", algorithm=config.fusion, **streaming
             ) as span:

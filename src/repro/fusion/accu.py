@@ -27,6 +27,7 @@ from repro.fusion.base import (
     Fuser,
     FusionResult,
     ItemScorer,
+    ordered_sum,
     reweigh,
     softmax,
     sweep,
@@ -97,20 +98,15 @@ class AccuVote(Fuser):
         )
 
     def item_scorer(self, accuracy: Mapping[str, float]) -> ItemScorer:
-        """The AccuVote rule under ``accuracy``: one item's claims to
-        P(value true | claims) per claimed value — the softmax of each
-        value's summed supporter vote counts."""
-        votes = {
-            source: vote_count(a, self._n) for source, a in accuracy.items()
-        }
+        """The AccuVote rule under ``accuracy`` (every source, in
+        first-seen order): one item's values and supporters to
+        P(value true | claims) per value — the softmax of each value's
+        summed supporter vote counts."""
+        votes = [vote_count(a, self._n) for a in accuracy.values()]
+        vote = votes.__getitem__
 
-        def score_item(item_claims):
-            scores: dict[str, float] = {}
-            for claim in item_claims:
-                scores[claim.value] = (
-                    scores.get(claim.value, 0) + votes[claim.source_id]
-                )
-            return softmax(scores)
+        def score_item(values, supporters):
+            return softmax([ordered_sum(map(vote, who)) for who in supporters])
 
         return score_item
 

@@ -33,6 +33,7 @@ from repro.fusion.base import (
     Fuser,
     FusionResult,
     ItemScorer,
+    ordered_sum,
     reweigh,
     softmax,
     sweep,
@@ -117,44 +118,48 @@ class AccuCopy(Fuser):
         accuracy: Mapping[str, float],
         copy_probability: Mapping[tuple[str, str], float],
     ) -> ItemScorer:
-        """The AccuCopy rule under ``accuracy`` and the detected copying:
-        AccuVote's softmax with each value's supporters visited in
-        descending accuracy and each vote scaled by its independence
-        of the supporters already counted."""
-        votes = {
-            source: vote_count(a, self._n) for source, a in accuracy.items()
-        }
+        """The AccuCopy rule under ``accuracy`` (every source, in
+        first-seen order) and the detected copying: AccuVote's softmax
+        with each value's supporters visited in descending accuracy and
+        each vote scaled by its independence of the supporters already
+        counted."""
+        sources = list(accuracy)
+        weights = list(accuracy.values())
+        votes = [vote_count(a, self._n) for a in weights]
         # Nothing here depends on the item. Supporters are visited in one
         # ranking of the sources, and a vote is discounted only by the
         # sources ranked ahead of it whose factor is not exactly 1.0
         # (multiplying by 1.0 changes no bit), kept in ranking order —
-        # the order they are counted in whatever the item.
+        # the order they are counted in whatever the item. Both are
+        # lists indexed by source position.
         c = self._detector.copy_rate
-        ranking = sorted(accuracy, key=lambda s: (-accuracy[s], s))
-        rank = {source: position for position, source in enumerate(ranking)}
-        discounts: dict[str, list[tuple[str, float]]] = {}
-        for position, source in enumerate(ranking):
-            for earlier in ranking[:position]:
+        ranking = sorted(
+            range(len(sources)), key=lambda p: (-weights[p], sources[p])
+        )
+        rank = [0] * len(sources)
+        discounts: list[list[tuple[int, float]]] = [[] for __ in sources]
+        for place, p in enumerate(ranking):
+            rank[p] = place
+            source = sources[p]
+            for q in ranking[:place]:
+                earlier = sources[q]
                 key = (min(source, earlier), max(source, earlier))
                 factor = 1.0 - c * copy_probability.get(key, 0.0)
                 if factor != 1.0:
-                    discounts.setdefault(source, []).append((earlier, factor))
+                    discounts[p].append((q, factor))
 
-        def score_item(item_claims):
-            supporters: dict[str, list[str]] = {}
-            for claim in item_claims:
-                supporters.setdefault(claim.value, []).append(claim.source_id)
-            scores: dict[str, float] = {}
-            for value, sources in supporters.items():
-                sources.sort(key=rank.__getitem__)
-                score = 0.0
-                for source in sources:
-                    independence = 1.0
-                    for earlier, factor in discounts.get(source, ()):
-                        if earlier in sources:
-                            independence *= factor
-                    score += independence * votes[source]
-                scores[value] = score
+        def vote(p, counted):
+            independence = 1.0
+            for q, factor in discounts[p]:
+                if q in counted:
+                    independence *= factor
+            return independence * votes[p]
+
+        def score_item(values, supporters):
+            scores = []
+            for who in supporters:
+                counted = sorted(who, key=rank.__getitem__)
+                scores.append(ordered_sum([vote(p, counted) for p in counted]))
             return softmax(scores)
 
         return score_item

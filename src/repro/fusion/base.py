@@ -8,7 +8,9 @@ fusion algorithm consumes one and produces a :class:`FusionResult`.
 The truth-discovery fusers share one pass over the claims: a fuser is
 the rule scoring one item's claimed values under the current source
 weights, and :func:`sweep` turns that rule into every item's winner and
-every source's mean score.
+every source's mean score. The pass reads the claims as a value table
+(:attr:`ClaimIndex.value_table`): plain lists indexed by source
+position, built once per claim set.
 """
 
 from __future__ import annotations
@@ -16,11 +18,27 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import DataModelError, EmptyInputError
 
 __all__ = ["Claim", "ClaimSet", "FusionResult", "Fuser"]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added strictly left to right, starting from ``0``: the
+    one float addition order of fusion. Builtin ``sum`` compensates its
+    rounding since Python 3.12, so its low bits would depend on the
+    interpreter; this is what it computed before."""
+    return reduce(add, values, 0)
+
+
+#: One item of the value table: its id, its distinct values in
+#: first-seen order and, per value, the positions of the sources
+#: claiming it, in claim order.
+Group = tuple[str, list[str], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -37,33 +55,82 @@ class Claim:
 
 
 class ClaimIndex:
-    """Who claims what, as sets: the half of copy detection that does
-    not depend on what is believed true.
+    """What fusion reads of a :class:`ClaimSet` beyond its claims, each
+    part built on first use and valid while that set holds ``n_claims``
+    claims (claims are only ever added).
 
-    ``items[source]`` is the set of items the source claims and
-    ``keys[source]`` the set of its ``(item, value)`` claim keys, one
-    tuple object per distinct key shared by every source claiming it.
-    Built in one pass over a :class:`ClaimSet` and valid while that set
-    holds ``n_claims`` claims (claims are only ever added).
+    Who claims what, as sets — the half of copy detection that does not
+    depend on what is believed true: ``items[source]`` is the set of
+    items the source claims and ``keys[source]`` the set of its
+    ``(item, value)`` claim keys, one tuple object per distinct key
+    shared by every source claiming it. What every sweep reads:
+    :attr:`value_table`.
     """
 
-    __slots__ = ("n_claims", "items", "keys", "_overlaps")
-
-    def __init__(self, by_source: Mapping[str, Sequence[Claim]]) -> None:
-        interned: dict[tuple[str, str], tuple[str, str]] = {}
+    def __init__(
+        self,
+        by_item: Mapping[str, Sequence[Claim]],
+        by_source: Mapping[str, Sequence[Claim]],
+    ) -> None:
+        self._by_item = by_item
+        self._by_source = by_source
         self.n_claims = sum(map(len, by_source.values()))
-        self.items = {
+        self._overlaps: dict[tuple[str, str], tuple[int, int]] = {}
+
+    @cached_property
+    def items(self) -> dict[str, set[str]]:
+        return {
             source: {claim.item_id for claim in claims}
-            for source, claims in by_source.items()
+            for source, claims in self._by_source.items()
         }
-        self.keys = {
+
+    @cached_property
+    def keys(self) -> dict[str, set[tuple[str, str]]]:
+        interned: dict[tuple[str, str], tuple[str, str]] = {}
+        return {
             source: {
                 interned.setdefault(key, key)
                 for key in [(claim.item_id, claim.value) for claim in claims]
             }
-            for source, claims in by_source.items()
+            for source, claims in self._by_source.items()
         }
-        self._overlaps: dict[tuple[str, str], tuple[int, int]] = {}
+
+    @cached_property
+    def value_table(self) -> tuple[list[Group], list[list[int]]]:
+        """``(groups, slots)``, in one pass over the claims by item and
+        one by source.
+
+        ``groups`` holds every item in first-seen order as a
+        :data:`Group`; a source's *position* is its first-seen rank.
+        Numbering the values of every group one after another gives each
+        ``(item, value)`` a flat *slot*, and ``slots[position]`` lists
+        the slots of that source's claims in its own claim order — so a
+        sweep's scores, concatenated in group order, are one list each
+        source's mean reads by index.
+        """
+        position = {source: p for p, source in enumerate(self._by_source)}
+        groups: list[Group] = []
+        slot_of: dict[str, dict[str, int]] = {}
+        n_slots = 0
+        for item, claims in self._by_item.items():
+            local: dict[str, int] = {}
+            supporters: list[list[int]] = []
+            for claim in claims:
+                k = local.get(claim.value)
+                if k is None:
+                    k = local[claim.value] = len(supporters)
+                    supporters.append([])
+                supporters[k].append(position[claim.source_id])
+            groups.append((item, list(local), supporters))
+            for value in local:
+                local[value] += n_slots
+            slot_of[item] = local
+            n_slots += len(supporters)
+        slots = [
+            [slot_of[claim.item_id][claim.value] for claim in claims]
+            for claims in self._by_source.values()
+        ]
+        return groups, slots
 
     def overlap(self, source_a: str, source_b: str) -> tuple[int, int]:
         """``(shared, agree)``: how many items both sources claim, and on
@@ -89,8 +156,9 @@ class ClaimSet:
     single-truth assumption of the classical fusion setting).
     """
 
-    #: The :class:`ClaimIndex` of :meth:`index`, once asked for. A class
-    #: default and never pickled, so a state written without it loads.
+    #: The :class:`ClaimIndex` of :meth:`index` — copy detection's sets
+    #: and the sweep's value table — once asked for. A class default and
+    #: never pickled, so a state written without it loads.
     _index: ClaimIndex | None = None
 
     def __init__(self, claims: Iterable[Claim] = ()) -> None:
@@ -165,11 +233,12 @@ class ClaimSet:
         )
 
     def index(self) -> ClaimIndex:
-        """The per-source item and claim-key sets copy detection reads,
-        built on first use and rebuilt when claims were added since."""
+        """The per-source item and claim-key sets copy detection reads
+        and the value table the sweep reads, each built on first use;
+        all rebuilt when claims were added since."""
         index = self._index
         if index is None or index.n_claims != len(self._claims):
-            index = self._index = ClaimIndex(self._by_source)
+            index = self._index = ClaimIndex(self._by_item, self._by_source)
         return index
 
     def __getstate__(self) -> dict:
@@ -189,27 +258,30 @@ class ClaimSet:
         if not self._claims:
             raise EmptyInputError("claim set is empty")
 
-    def groups(self) -> Iterable[tuple[str, Sequence[Claim]]]:
-        """``(item_id, claims in claim order)`` in item first-seen order."""
-        return self._by_item.items()
+    def groups(self) -> list[Group]:
+        """``(item, values, supporters)`` per item in first-seen order:
+        the value table's groups (:attr:`ClaimIndex.value_table`), the
+        table's own lists — read them, never change them."""
+        return self.index().value_table[0]
 
     def source_means(
-        self,
-        scored: Iterable[tuple[Sequence[Claim], Mapping[str, float]]],
+        self, scored: Iterable[tuple[list[list[int]], Sequence[float]]]
     ) -> dict[str, float]:
         """Each source's mean score over the values it claimed.
 
-        ``scored`` yields every group of :meth:`groups` with its
-        ``{value: score}``. A source's scores are looked up and summed
-        in its own claim order, which fixes the float addition order.
+        ``scored`` yields ``(supporters, scores)`` for every group of
+        :meth:`groups`, in order, one score per value. Concatenated, the
+        scores are indexed by slot, and a source's are summed over its
+        slots in its own claim order, which fixes the float addition
+        order.
         """
-        scores = {claims[0].item_id: by_value for claims, by_value in scored}
+        flat: list[float] = []
+        for __, scores in scored:
+            flat += scores
+        slots = self.index().value_table[1]
         return {
-            source: sum(
-                scores[claim.item_id][claim.value] for claim in claims
-            )
-            / len(claims)
-            for source, claims in self._by_source.items()
+            source: ordered_sum(map(flat.__getitem__, own)) / len(own)
+            for source, own in zip(self._by_source, slots)
         }
 
     def __len__(self) -> int:
@@ -278,29 +350,32 @@ class Fuser:
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         """Fuse a claim source: whatever answers ``require_nonempty()``,
-        ``sources()``, ``groups()`` and ``source_means(scored)`` the way
-        :class:`ClaimSet` does — the set itself, or a
-        :class:`repro.outofcore.SpillableClaimGroups` holding the same
-        claims on disk. A fuser that reads nothing else (voting,
-        AccuVote, TruthFinder) gives identical output on either; one
-        that reads across items (AccuCopy's copy detector, through
-        :meth:`ClaimSet.index`) needs the :class:`ClaimSet` and refuses
-        anything else by name.
+        ``sources()``, ``groups()`` (one :data:`Group` per item) and
+        ``source_means(scored)`` the way :class:`ClaimSet` does — the
+        set itself, or a :class:`repro.outofcore.SpillableClaimGroups`
+        holding the same claims on disk. A fuser that reads nothing
+        else (voting, AccuVote, TruthFinder) gives identical output on
+        either; one that reads across items (AccuCopy's copy detector,
+        through :meth:`ClaimSet.index`) needs the :class:`ClaimSet` and
+        refuses anything else by name.
         """
         raise NotImplementedError
 
 
-def softmax(scores: Mapping[str, float]) -> dict[str, float]:
+def softmax(scores: Sequence[float]) -> list[float]:
     """Normalise log-scores into probabilities, peak subtracted first."""
-    peak = max(scores.values())
-    exps = [math.exp(score - peak) for score in scores.values()]
-    total = sum(exps)
-    return {value: weight / total for value, weight in zip(scores, exps)}
+    peak = max(scores)
+    exps = [math.exp(score - peak) for score in scores]
+    total = ordered_sum(exps)
+    return [weight / total for weight in exps]
 
 
-#: One item's claims, in claim order, to the score of each claimed
-#: value, in first-seen order: the rule that distinguishes a fuser.
-ItemScorer = Callable[[Sequence[Claim]], Mapping[str, float]]
+#: One item's values and each value's supporters (a :data:`Group`'s
+#: last two fields) to one score per value: the rule that distinguishes
+#: a fuser. A fuser's ``item_scorer(weights)`` builds it from weights
+#: keyed by every source in first-seen order, so a weight's rank in the
+#: mapping is the source position a supporter names.
+ItemScorer = Callable[[Sequence[str], Sequence[Sequence[int]]], list[float]]
 
 
 def sweep(
@@ -316,12 +391,10 @@ def sweep(
     confidence: dict[str, float] = {}
 
     def scored():
-        for item, item_claims in claims.groups():
-            scores = score_item(item_claims)
-            best = max(scores, key=lambda value: (scores[value], value))
-            chosen[item] = best
-            confidence[item] = scores[best]
-            yield item_claims, scores
+        for item, values, supporters in claims.groups():
+            scores = score_item(values, supporters)
+            confidence[item], chosen[item] = max(zip(scores, values))
+            yield supporters, scores
 
     return chosen, confidence, claims.source_means(scored())
 

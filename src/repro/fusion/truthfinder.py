@@ -28,6 +28,7 @@ from repro.fusion.base import (
     Fuser,
     FusionResult,
     ItemScorer,
+    ordered_sum,
     reweigh,
     sweep,
 )
@@ -111,36 +112,32 @@ class TruthFinder(Fuser):
         )
 
     def item_scorer(self, trust: Mapping[str, float]) -> ItemScorer:
-        """The TruthFinder rule under ``trust``: one item's claims to
-        the confidence of each claimed value — the logistic of its
-        supporters' summed trust scores plus what similar co-claimed
-        values imply."""
-        tau = {
-            source: -math.log(max(1e-9, 1.0 - t))
-            for source, t in trust.items()
-        }
+        """The TruthFinder rule under ``trust`` (every source, in
+        first-seen order): one item's values and supporters to the
+        confidence of each value — the logistic of its supporters'
+        summed trust scores plus what similar co-claimed values imply."""
+        tau = [-math.log(max(1e-9, 1.0 - t)) for t in trust.values()]
+        trust_of = tau.__getitem__
+        weight, similarity = self._implication_weight, self._similarity
+        implies = weight > 0 and similarity is not None
 
-        def score_item(item_claims):
-            raw: dict[str, float] = {}
-            for claim in item_claims:
-                raw[claim.value] = (
-                    raw.get(claim.value, 0) + tau[claim.source_id]
-                )
-            if self._implication_weight > 0 and self._similarity is not None:
-                raw = {
-                    value: score
-                    + self._implication_weight
-                    * sum(
-                        self._similarity(value, other) * raw[other]
-                        for other in raw
+        def score_item(values, supporters):
+            raw = [ordered_sum(map(trust_of, who)) for who in supporters]
+            if implies:
+                raw = [
+                    score
+                    + weight
+                    * ordered_sum(
+                        similarity(value, other) * other_score
+                        for other, other_score in zip(values, raw)
                         if other != value
                     )
-                    for value, score in raw.items()
-                }
-            return {
-                value: 1.0 / (1.0 + math.exp(-self._dampening * score))
-                for value, score in raw.items()
-            }
+                    for value, score in zip(values, raw)
+                ]
+            return [
+                1.0 / (1.0 + math.exp(-self._dampening * score))
+                for score in raw
+            ]
 
         return score_item
 

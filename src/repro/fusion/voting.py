@@ -26,14 +26,9 @@ class VotingFuser(Fuser):
         claims.require_nonempty()
         chosen: dict[str, str] = {}
         confidence: dict[str, float] = {}
-        for item, item_claims in claims.groups():
-            counts: dict[str, int] = {}
-            for claim in item_claims:
-                counts[claim.value] = counts.get(claim.value, 0) + 1
-            best_value = max(
-                counts,
-                key=lambda value: (counts[value], -list(counts).index(value)),
-            )
-            chosen[item] = best_value
-            confidence[item] = counts[best_value] / len(item_claims)
+        for item, values, supporters in claims.groups():
+            counts = [len(who) for who in supporters]
+            best = counts.index(max(counts))
+            chosen[item] = values[best]
+            confidence[item] = counts[best] / sum(counts)
         return FusionResult(chosen=chosen, confidence=confidence)

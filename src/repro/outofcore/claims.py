@@ -3,7 +3,7 @@
 :class:`SpillableClaimGroups` accumulates claims out of core and
 streams them back grouped by item, in item first-seen order with each
 item's claims in claim order and at most one claim per
-``(source, item)`` (first wins) — exactly the view a
+``(source, item)`` (first wins) — exactly the value-table groups a
 :class:`~repro.fusion.base.ClaimSet` built by the in-memory pipeline
 presents to the fusers. It answers the same four questions a fuser asks
 of its claims (``require_nonempty``, ``sources``, ``groups``,
@@ -17,12 +17,11 @@ float addition order is part of the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.errors import EmptyInputError
 from repro.fusion.accu import AccuVote
-from repro.fusion.base import Claim, FusionResult
+from repro.fusion.base import FusionResult, Group
 from repro.fusion.voting import VotingFuser
 from repro.outofcore.budget import MemoryBudget
 from repro.outofcore.spill import ExternalSorter, entry_nbytes
@@ -35,11 +34,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _SpilledClaim(Claim):
-    """A claim streamed back from disk, with its arrival position."""
+class _Supporters(list):
+    """One value's supporters as source positions in claim order, with
+    their claims' arrival seqs in ``seqs``: what ``source_means`` puts
+    the scores back into claim order by."""
 
-    seq: int
+    __slots__ = ("seqs",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seqs: list[int] = []
 
 
 class ClaimStreamSummary:
@@ -118,48 +122,57 @@ class SpillableClaimGroups:
             n_sources=len(self._source_seq),
         )
 
-    def groups(self) -> Iterator[tuple[str, list[_SpilledClaim]]]:
-        """``(item_id, claims)`` groups, re-iterable.
+    def groups(self) -> Iterator[Group]:
+        """``(item, values, supporters)`` groups, re-iterable.
 
-        Groups arrive in item first-seen order; within a group claims
-        are in claim order with ``(source, item)`` duplicates dropped
-        (first wins). Each call starts a fresh merge over the runs.
+        Groups arrive in item first-seen order, values in first-seen
+        order and each value's supporters in claim order, with
+        ``(source, item)`` duplicates dropped (first wins). A source's
+        position is its first-seen rank, as in the
+        :class:`~repro.fusion.base.ClaimSet` — a source's first claim is
+        never a duplicate. Each call starts a fresh merge over the runs.
         """
-        current: list[_SpilledClaim] = []
-        seen_sources: set[str] = set()
+        position = self._source_seq
+        item = None
         for __, seq, item_id, source_id, value in self._sorter.sorted_stream():
-            if current and item_id != current[0].item_id:
-                yield current[0].item_id, current
-                current = []
-                seen_sources = set()
-            if source_id in seen_sources:
+            if item_id != item:
+                if item is not None:
+                    yield item, list(local), supporters
+                item, local, supporters, seen = item_id, {}, [], set()
+            if source_id in seen:
                 continue
-            seen_sources.add(source_id)
-            current.append(_SpilledClaim(source_id, item_id, value, seq))
-        if current:
-            yield current[0].item_id, current
+            seen.add(source_id)
+            k = local.get(value)
+            if k is None:
+                k = local[value] = len(supporters)
+                supporters.append(_Supporters())
+            supporters[k].append(position[source_id])
+            supporters[k].seqs.append(seq)
+        if item is not None:
+            yield item, list(local), supporters
 
     def source_means(
-        self,
-        scored: Iterable[tuple[Sequence[_SpilledClaim], Mapping[str, float]]],
+        self, scored: Iterable[tuple[list[_Supporters], Sequence[float]]]
     ) -> dict[str, float]:
         """Each source's mean score over the values it claimed.
 
-        ``scored`` yields every group of :meth:`groups` with its
-        ``{value: score}``. In memory a source's scores are summed in
-        claim order, and float addition order changes the low bits; the
-        stream arrives grouped by *item*, so the per-claim scores are
-        spilled keyed by claim seq and merged back into claim order
-        before summing.
+        ``scored`` yields ``(supporters, scores)`` for every group of
+        :meth:`groups`, one score per value. In memory a source's scores
+        are summed in claim order, and float addition order changes the
+        low bits; the stream arrives grouped by *item*, so the per-claim
+        scores are spilled keyed by claim seq and merged back into claim
+        order before summing.
         """
+        sources = self.sources()
         store, budget = self.scratch
         contributions = ExternalSorter(store, budget, name="scores")
-        for claims, scores in scored:
-            for claim in claims:
-                contributions.add(
-                    (claim.seq, claim.source_id, scores[claim.value]),
-                    entry_nbytes(claim.source_id, 0, 0.0),
-                )
+        for supporters, scores in scored:
+            for who, score in zip(supporters, scores):
+                for p, seq in zip(who, who.seqs):
+                    contributions.add(
+                        (seq, sources[p], score),
+                        entry_nbytes(sources[p], 0, 0.0),
+                    )
         sums: dict[str, float] = {}
         counts: dict[str, int] = {}
         for __, source_id, score in contributions.sorted_stream():

@@ -134,17 +134,16 @@ def content_signature(items, signed_by: str = "") -> str:
 
 
 def claims_signature(claims) -> str:
-    """SHA-256 hex digest over a :class:`~repro.fusion.base.ClaimSet`.
+    """SHA-256 hex digest over a :class:`~repro.fusion.base.ClaimSet`,
+    its claims in insertion order.
 
-    Order-independent (claims are sorted), so two claim sets with the
-    same content produce the same signature regardless of insertion
-    order. Used by the iterative solvers to tie per-iteration
-    checkpoints to their exact input.
+    Used by the iterative solvers to tie per-iteration checkpoints to
+    their exact input, and every solver's answer depends on claim order
+    (float addition order, ties, the order of ``chosen``): the same
+    claims in another order sign differently.
     """
     digest = hashlib.sha256()
-    for claim in sorted(
-        claims, key=lambda c: (c.source_id, c.item_id, c.value)
-    ):
+    for claim in claims:
         digest.update(claim.source_id.encode("utf-8"))
         digest.update(b"\x1f")
         digest.update(claim.item_id.encode("utf-8"))

@@ -1,0 +1,222 @@
+"""The naive references the fast paths are checked against: the
+simplest code that states each rule, kept here and nowhere else.
+
+Fusion — the claim walk every fuser ran before the value table. A sweep
+visits each item's ``Claim`` objects, scores its values into a
+``{value: score}`` dict, and looks each source's claims up in an
+``{item: {value: score}}`` table for its mean; voting counts values in a
+dict. :func:`naive_fusion` puts that sweep, the three item rules and
+voting in place of the library's, so any fuser's own ``fuse`` runs on
+the reference. Every float sum here is a plain loop from ``0``, left to
+right: the one addition order the library promises on every Python.
+
+Copy detection — the walk over every shared item of a source pair, and
+the independence discount as the model states it.
+"""
+
+import contextlib
+import math
+from unittest import mock
+
+from repro.fusion import (
+    AccuCopy,
+    AccuVote,
+    TruthFinder,
+    VotingFuser,
+    accu,
+    accucopy,
+    copydetect,
+    truthfinder,
+)
+from repro.fusion.base import FusionResult
+from repro.fusion.online import vote_count
+
+# --- fusion: the claim walk -------------------------------------------
+
+
+def left_to_right(values):
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def naive_softmax(scores):
+    peak = max(scores.values())
+    exps = {value: math.exp(score - peak) for value, score in scores.items()}
+    total = left_to_right(exps.values())
+    return {value: weight / total for value, weight in exps.items()}
+
+
+def naive_sweep(claims, score_item):
+    """Each item's winner by ``(score, value)`` and its score, and each
+    source's mean score looked up claim by claim in its claim order."""
+    chosen, confidence, table = {}, {}, {}
+    for item in claims.items():
+        scores = table[item] = score_item(claims.claims_for(item))
+        best = max(scores, key=lambda value: (scores[value], value))
+        chosen[item] = best
+        confidence[item] = scores[best]
+    means = {}
+    for source in claims.sources():
+        own = claims.claims_by(source)
+        means[source] = left_to_right(
+            table[claim.item_id][claim.value] for claim in own
+        ) / len(own)
+    return chosen, confidence, means
+
+
+def naive_accuvote_scorer(fuser, accuracy):
+    votes = {s: vote_count(a, fuser._n) for s, a in accuracy.items()}
+
+    def score_item(item_claims):
+        scores = {}
+        for claim in item_claims:
+            scores[claim.value] = (
+                scores.get(claim.value, 0) + votes[claim.source_id]
+            )
+        return naive_softmax(scores)
+
+    return score_item
+
+
+def naive_truthfinder_scorer(fuser, trust):
+    tau = {s: -math.log(max(1e-9, 1.0 - t)) for s, t in trust.items()}
+
+    def score_item(item_claims):
+        raw = {}
+        for claim in item_claims:
+            raw[claim.value] = raw.get(claim.value, 0) + tau[claim.source_id]
+        if fuser._implication_weight > 0 and fuser._similarity is not None:
+            raw = {
+                value: score
+                + fuser._implication_weight
+                * left_to_right(
+                    fuser._similarity(value, other) * raw[other]
+                    for other in raw
+                    if other != value
+                )
+                for value, score in raw.items()
+            }
+        return {
+            value: 1.0 / (1.0 + math.exp(-fuser._dampening * score))
+            for value, score in raw.items()
+        }
+
+    return score_item
+
+
+def naive_item_scorer(accuracy, copy_probability, copy_rate, n_false_values):
+    """The discount as the model states it: every vote scaled by
+    ``1 - c * P`` for every supporter counted before it."""
+    votes = {s: vote_count(a, n_false_values) for s, a in accuracy.items()}
+
+    def score_item(item_claims):
+        supporters = {}
+        for claim in item_claims:
+            supporters.setdefault(claim.value, []).append(claim.source_id)
+        scores = {}
+        for value, sources in supporters.items():
+            sources.sort(key=lambda s: (-accuracy[s], s))
+            score = 0.0
+            counted = []
+            for source in sources:
+                independence = 1.0
+                for earlier in counted:
+                    key = (min(source, earlier), max(source, earlier))
+                    independence *= 1.0 - copy_rate * copy_probability.get(
+                        key, 0.0
+                    )
+                score += independence * votes[source]
+                counted.append(source)
+            scores[value] = score
+        return naive_softmax(scores)
+
+    return score_item
+
+
+def naive_accucopy_scorer(fuser, accuracy, copy_probability):
+    return naive_item_scorer(
+        accuracy, copy_probability, fuser._detector.copy_rate, fuser._n
+    )
+
+
+def naive_vote(fuser, claims):
+    """Each item's most-claimed value, the first claimed on a tie."""
+    claims.require_nonempty()
+    chosen, confidence = {}, {}
+    for item in claims.items():
+        item_claims = claims.claims_for(item)
+        counts = {}
+        for claim in item_claims:
+            counts[claim.value] = counts.get(claim.value, 0) + 1
+        best = max(
+            counts,
+            key=lambda value: (counts[value], -list(counts).index(value)),
+        )
+        chosen[item] = best
+        confidence[item] = counts[best] / len(item_claims)
+    return FusionResult(chosen=chosen, confidence=confidence)
+
+
+@contextlib.contextmanager
+def naive_fusion():
+    """Every fuser on the claim walk: the library's ``sweep``, item
+    rules and vote replaced by the ones above (reads a ``ClaimSet``)."""
+    with contextlib.ExitStack() as stack:
+        for owner, attribute, naive in (
+            (accu, "sweep", naive_sweep),
+            (truthfinder, "sweep", naive_sweep),
+            (accucopy, "sweep", naive_sweep),
+            (AccuVote, "item_scorer", naive_accuvote_scorer),
+            (TruthFinder, "item_scorer", naive_truthfinder_scorer),
+            (AccuCopy, "item_scorer", naive_accucopy_scorer),
+            (VotingFuser, "fuse", naive_vote),
+        ):
+            stack.enter_context(mock.patch.object(owner, attribute, naive))
+        yield
+
+
+# --- copy detection: the per-pair walk ----------------------------------
+
+
+def naive_outcome_counts(claims, source_a, source_b, truths):
+    """(agree-true, agree-false, disagree) by walking the shared items."""
+    agree_true = agree_false = disagree = 0
+    for item in claims.shared_items(source_a, source_b):
+        value_a = claims.value_of(source_a, item)
+        value_b = claims.value_of(source_b, item)
+        if value_a != value_b:
+            disagree += 1
+        elif truths.get(item) == value_a:
+            agree_true += 1
+        else:
+            agree_false += 1
+    return agree_true, agree_false, disagree
+
+
+def naive_outcome_counter(claims, truths, sources):
+    return lambda a, b: naive_outcome_counts(claims, a, b, truths)
+
+
+def naive_detector():
+    """The detector's likelihood code over the walked counts."""
+    return mock.patch.object(
+        copydetect, "_outcome_counter", naive_outcome_counter
+    )
+
+
+def naive_detect(detector, claims, truths, accuracies):
+    """Every source pair in first-seen order, one walk each (call it
+    under :func:`naive_detector`)."""
+    sources = claims.sources()
+    probabilities = {}
+    for i, source_a in enumerate(sources):
+        for source_b in sources[i + 1 :]:
+            key = (min(source_a, source_b), max(source_a, source_b))
+            probability = detector.pair_probability(
+                claims, source_a, source_b, truths, accuracies
+            )
+            if probability > 0.0:
+                probabilities[key] = probability
+    return probabilities

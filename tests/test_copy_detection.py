@@ -3,9 +3,9 @@
 ``CopyDetector`` counts a pair's outcomes by set algebra over the claim
 index and ``AccuCopy.item_scorer`` discounts through a few per-source
 partner factors. The walk they replaced — every shared item of every
-source pair, every earlier supporter of every vote — lives here as the
-oracle, and the fast path must equal it to the last float and in dict
-order (``json.dumps``, never ``approx``).
+source pair, every earlier supporter of every vote — is the oracle
+(``tests/oracle.py``), and the fast path must equal it to the last float
+and in dict order (``json.dumps``, never ``approx``).
 """
 
 import json
@@ -21,84 +21,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fusion import AccuCopy, Claim, ClaimSet, CopyDetector, copydetect
-from repro.fusion.base import softmax
-from repro.fusion.online import vote_count
+from repro.fusion import (
+    AccuCopy,
+    Claim,
+    ClaimSet,
+    CopyDetector,
+    TruthFinder,
+    copydetect,
+)
 from repro.synth import ClaimWorldConfig, generate_claims
+from tests.oracle import (
+    naive_detect,
+    naive_detector,
+    naive_item_scorer,
+    naive_outcome_counts,
+)
 from tests.test_fusion import result_digest
 
-# --- the naive reference ----------------------------------------------
 
-
-def naive_outcome_counts(claims, source_a, source_b, truths):
-    """(agree-true, agree-false, disagree) by walking the shared items."""
-    agree_true = agree_false = disagree = 0
-    for item in claims.shared_items(source_a, source_b):
-        value_a = claims.value_of(source_a, item)
-        value_b = claims.value_of(source_b, item)
-        if value_a != value_b:
-            disagree += 1
-        elif truths.get(item) == value_a:
-            agree_true += 1
-        else:
-            agree_false += 1
-    return agree_true, agree_false, disagree
-
-
-def naive_outcome_counter(claims, truths, sources):
-    return lambda a, b: naive_outcome_counts(claims, a, b, truths)
-
-
-def naive_detector():
-    """The detector's likelihood code over the walked counts."""
-    return mock.patch.object(
-        copydetect, "_outcome_counter", naive_outcome_counter
-    )
-
-
-def naive_detect(detector, claims, truths, accuracies):
-    """Every source pair in first-seen order, one walk each (call it
-    under :func:`naive_detector`)."""
-    sources = claims.sources()
-    probabilities = {}
-    for i, source_a in enumerate(sources):
-        for source_b in sources[i + 1 :]:
-            key = (min(source_a, source_b), max(source_a, source_b))
-            probability = detector.pair_probability(
-                claims, source_a, source_b, truths, accuracies
-            )
-            if probability > 0.0:
-                probabilities[key] = probability
-    return probabilities
-
-
-def naive_item_scorer(accuracy, copy_probability, copy_rate, n_false_values):
-    """The discount as the model states it: every vote scaled by
-    ``1 - c * P`` for every supporter counted before it."""
-    votes = {s: vote_count(a, n_false_values) for s, a in accuracy.items()}
-
-    def score_item(item_claims):
-        supporters = {}
-        for claim in item_claims:
-            supporters.setdefault(claim.value, []).append(claim.source_id)
-        scores = {}
-        for value, sources in supporters.items():
-            sources.sort(key=lambda s: (-accuracy[s], s))
-            score = 0.0
-            counted = []
-            for source in sources:
-                independence = 1.0
-                for earlier in counted:
-                    key = (min(source, earlier), max(source, earlier))
-                    independence *= 1.0 - copy_rate * copy_probability.get(
-                        key, 0.0
-                    )
-                score += independence * votes[source]
-                counted.append(source)
-            scores[value] = score
-        return softmax(scores)
-
-    return score_item
+def scored_per_item(score, claims):
+    """``[(value, score), ...]`` per item of ``claims`` under a fast
+    ``score(values, supporters)``, built from weights keyed by every
+    source in first-seen order."""
+    return [
+        list(zip(values, score(values, supporters)))
+        for __, values, supporters in claims.groups()
+    ]
 
 
 # --- differential sweep -----------------------------------------------
@@ -189,12 +137,16 @@ class TestAgainstTheNaiveReference:
         fuser = AccuCopy(
             n_false_values=3, detector=CopyDetector(copy_rate=copy_rate)
         )
+        # A source without claims supports nothing: it cannot move a score.
+        accuracy = {source: accuracy[source] for source in claims.sources()}
         score = fuser.item_scorer(accuracy, copying)
         naive = naive_item_scorer(accuracy, copying, copy_rate, 3)
-        for __, item_claims in claims.groups():
-            assert json.dumps(list(score(item_claims).items())) == json.dumps(
-                list(naive(item_claims).items())
-            )
+        assert json.dumps(scored_per_item(score, claims)) == json.dumps(
+            [
+                list(naive(claims.claims_for(item)).items())
+                for item in claims.items()
+            ]
+        )
 
     def test_discount_keeps_the_counted_order(self):
         """Float products do not reassociate: with every pair of eight
@@ -215,9 +167,9 @@ class TestAgainstTheNaiveReference:
             }
             score = AccuCopy(n_false_values=3).item_scorer(accuracy, copying)
             naive = naive_item_scorer(accuracy, copying, 0.8, 3)
-            assert json.dumps(score(item_claims)) == json.dumps(
-                naive(item_claims)
-            )
+            assert json.dumps(
+                scored_per_item(score, ClaimSet(item_claims))
+            ) == json.dumps([list(naive(item_claims).items())])
 
     @given(world=worlds())
     @settings(max_examples=60, deadline=None)
@@ -315,45 +267,53 @@ def _parent_shaped_state(claims):
     return state
 
 
+#: Each part of the claim index, by its attribute, and a fuser that
+#: reads it: AccuCopy's detector reads the sets (and its sweeps the
+#: table), TruthFinder's sweeps the value table alone.
+INDEX_PARTS = {
+    "sets": ("keys", lambda: AccuCopy(n_false_values=4)),
+    "value table": ("value_table", TruthFinder),
+}
+
+
+@pytest.mark.parametrize("part", list(INDEX_PARTS))
 class TestIndexLifetime:
-    def test_pickle_carries_no_index(self, wide_world):
+    def test_pickle_carries_no_index(self, wide_world, part):
+        built, make = INDEX_PARTS[part]
         claims = ClaimSet(wide_world)
         cold = pickle.dumps(claims)
-        digest = result_digest(AccuCopy(n_false_values=4).fuse(claims))
-        assert claims.__dict__["_index"] is not None
+        digest = result_digest(make().fuse(claims))
+        assert built in vars(claims.__dict__["_index"])
         assert sorted(claims.__getstate__()) == sorted(
             _parent_shaped_state(claims)
         )
         assert pickle.dumps(claims) == cold
         loaded = pickle.loads(pickle.dumps(claims))
         assert "_index" not in loaded.__dict__
-        assert result_digest(AccuCopy(n_false_values=4).fuse(loaded)) == digest
+        assert result_digest(make().fuse(loaded)) == digest
 
-    def test_state_written_before_the_index_loads(self, wide_world):
+    def test_state_written_before_the_index_loads(self, wide_world, part):
         # What unpickling does with a state and no ``__setstate__``.
+        make = INDEX_PARTS[part][1]
         old = ClaimSet.__new__(ClaimSet)
         old.__dict__.update(_parent_shaped_state(wide_world))
-        assert result_digest(
-            AccuCopy(n_false_values=4).fuse(old)
-        ) == result_digest(AccuCopy(n_false_values=4).fuse(wide_world))
+        assert result_digest(make().fuse(old)) == result_digest(
+            make().fuse(wide_world)
+        )
 
-    def test_a_claim_added_after_detect_is_seen(self):
+    def test_a_claim_added_after_a_fuse_is_seen(self, part):
+        make = INDEX_PARTS[part][1]
         rows = [
             (f"s{s}", f"i{i}", "lie" if s < 2 and i < 5 else f"v{s % 2}")
             for s in range(4)
             for i in range(6)
         ]
-        truths = {f"i{i}": "v0" for i in range(7)}
-        accuracy = dict.fromkeys(["s0", "s1", "s2", "s3"], 0.7)
-        detector = CopyDetector(min_overlap=2)
         grown = ClaimSet(Claim(*row) for row in rows)
-        before = detector.detect(grown, truths, accuracy)
+        before = result_digest(make().fuse(grown))
         late = [("s0", "i6", "lie"), ("s1", "i6", "lie"), ("s4", "i0", "lie")]
         for row in late:
             grown.add(Claim(*row))
         fresh = ClaimSet(Claim(*row) for row in rows + late)
-        after = detector.detect(grown, truths, accuracy)
-        assert list(after.items()) == list(
-            detector.detect(fresh, truths, accuracy).items()
-        )
+        after = result_digest(make().fuse(grown))
+        assert after == result_digest(make().fuse(fresh))
         assert after != before

@@ -559,6 +559,19 @@ class TestConflictEdges:
             GOLDEN_FUSERS[fuser]().fuse(claims)
 
 
+@pytest.mark.parametrize("source", ["memory", "spilled"])
+def test_sweep_adds_left_to_right(tmp_path, source):
+    """A source's mean adds its scores in claim order, one by one: ten
+    scores of 0.1 make 0.9999999999999999. Compensated summation (the
+    builtin ``sum`` since Python 3.12) makes 1.0, and the mean 0.1."""
+    from repro.fusion.base import sweep
+
+    rows = [("s", f"i{k}", "v") for k in range(10)]
+    claims = _claim_source(tmp_path, rows, source)
+    __, __, means = sweep(claims, lambda values, supporters: [0.1])
+    assert means == {"s": 0.09999999999999999}
+
+
 # --- structure: one loop ----------------------------------------------
 
 

@@ -806,7 +806,7 @@ class TestKillAndResume:
         assert resumed.entity_table == base.entity_table
 
     def test_streamed_truthfinder_resumes_by_stage(self, tmp_path):
-        # TruthFinder's solver checkpoint signs its claims by sorting
+        # TruthFinder's solver checkpoint signs its claims by hashing
         # them in memory, so a spilled run gets none: killed between two
         # fusion iterations it resumes from the stage ledger and redoes
         # the fusion — to the same bytes, and without ever asking the

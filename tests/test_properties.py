@@ -156,10 +156,50 @@ class TestFusionInvariants:
         fuser = AccuVote(n_false_values=4, max_iterations=10)
         result = fuser.fuse(claims)
         score_item = fuser.item_scorer(result.source_accuracy)
-        for item in claims.items():
-            posteriors = score_item(claims.claims_for(item))
-            assert tuple(posteriors) == claims.values_for(item)
-            assert sum(posteriors.values()) == pytest.approx(1.0)
+        for item, values, supporters in claims.groups():
+            posteriors = score_item(values, supporters)
+            assert tuple(values) == claims.values_for(item)
+            assert len(posteriors) == len(values)
+            assert math.fsum(posteriors) == pytest.approx(1.0)
+
+    @given(
+        claims=claim_sets(),
+        seed=st.integers(min_value=0, max_value=999),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fusers_equal_the_claim_walk(
+        self, tmp_path_factory, claims, seed
+    ):
+        # The oracle is the claim walk every fuser ran before the value
+        # table: each golden configuration, over any claims in any
+        # arrival order, in memory and spilled, must return its whole
+        # result — dict order and the last bit of every float.
+        import json
+
+        from repro.outofcore import MemoryBudget, SpillableClaimGroups
+        from repro.recovery import RunStore
+        from tests.oracle import naive_fusion
+        from tests.test_fusion import GOLDEN_FUSERS, result_document
+
+        arrival = list(claims)
+        random.Random(seed).shuffle(arrival)
+        in_memory = ClaimSet(arrival)
+        spilled = SpillableClaimGroups(
+            RunStore(tmp_path_factory.mktemp("claims"), durable=False),
+            MemoryBudget(300),
+        )
+        for claim in arrival:
+            spilled.add(claim.source_id, claim.item_id, claim.value)
+
+        def document(result):
+            return json.dumps(result_document(result))
+
+        for name, make in GOLDEN_FUSERS.items():
+            with naive_fusion():
+                expected = document(make().fuse(in_memory))
+            assert document(make().fuse(in_memory)) == expected, name
+            if name != "accucopy":
+                assert document(make().fuse(spilled)) == expected, name
 
     @given(
         claims=claim_sets(),

@@ -224,14 +224,45 @@ class TestFingerprints:
             dataset("y")
         )
 
-    def test_claims_signature_order_insensitive(self):
-        forward, backward = ClaimSet(), ClaimSet()
-        claims = [Claim("s1", "i1", "a"), Claim("s2", "i1", "b")]
-        for claim in claims:
-            forward.add(claim)
-        for claim in reversed(claims):
-            backward.add(claim)
-        assert claims_signature(forward) == claims_signature(backward)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda store: AccuVote(n_false_values=4, checkpoint=store),
+            lambda store: TruthFinder(checkpoint=store),
+            lambda store: AccuCopy(n_false_values=4, checkpoint=store),
+        ],
+        ids=["accuvote", "truthfinder", "accucopy"],
+    )
+    def test_reordered_claims_recompute(self, tmp_path, make):
+        # Every solver's answer depends on claim order (float addition
+        # order, ties, the order of ``chosen``), so the same claims in
+        # another order are another input: the run over them recomputes
+        # instead of resuming the first order's state.
+        import random
+
+        from repro.synth import ClaimWorldConfig, generate_claims
+        from tests.test_fusion import result_digest
+
+        planted = generate_claims(
+            ClaimWorldConfig(
+                n_items=150,
+                n_independent=8,
+                n_copiers=4,
+                coverage=0.7,
+                n_false_values=4,
+                seed=29,
+            )
+        )
+        order_a = list(planted.claims)
+        order_b = order_a[:]
+        random.Random(29).shuffle(order_b)
+        forward, backward = ClaimSet(order_a), ClaimSet(order_b)
+        assert claims_signature(forward) != claims_signature(backward)
+        store = RunStore(tmp_path)
+        make(store).fuse(forward)
+        resumed = make(store).fuse(backward)
+        fresh = make(None).fuse(ClaimSet(order_b))
+        assert result_digest(resumed) == result_digest(fresh)
 
     def test_bind_fingerprint_guard(self, tmp_path):
         store = RunStore(tmp_path)

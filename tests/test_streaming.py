@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
 from repro.fusion import AccuVote
-from repro.fusion.base import Claim, ClaimSet, sweep
+from repro.fusion.base import Claim, ClaimSet, ordered_sum, sweep
 from repro.fusion.online import claim_posterior, vote_count
 from repro.linkage import (
     StandardBlocker,
@@ -885,17 +885,13 @@ class TestLiveFusionIsTheFullVote:
         )
         if not claims:
             return
-        votes = {s: vote_count(a, 10) for s, a in accuracies.items()}
+        claim_set = ClaimSet(claims)
+        votes = [vote_count(accuracies[s], 10) for s in claim_set.sources()]
 
-        def plain_tally(item_claims):
-            scores = {}
-            for claim in item_claims:
-                scores[claim.value] = (
-                    scores.get(claim.value, 0.0) + votes[claim.source_id]
-                )
-            return scores
+        def plain_tally(values, supporters):
+            return [ordered_sum(votes[p] for p in who) for who in supporters]
 
-        assert sweep(ClaimSet(claims), plain_tally)[0] == fused
+        assert sweep(claim_set, plain_tally)[0] == fused
         # AccuVote ranks the softmax of the same tally, which can round
         # two scores an ulp apart into one probability.
         near_tie = any(
