@@ -10,7 +10,9 @@ the rule scoring one item's claimed values under the current source
 weights, and :func:`sweep` turns that rule into every item's winner and
 every source's mean score. The pass reads the claims as a value table
 (:attr:`ClaimIndex.value_table`): plain lists indexed by source
-position, built once per claim set.
+position, built once per claim set, in which items claimed alike share
+one numbered *supporter pattern* — scored once by a rule that reads no
+values.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import accumulate, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.core.errors import DataModelError, EmptyInputError
 
@@ -36,9 +39,14 @@ def ordered_sum(values: Iterable[float]) -> float:
 
 
 #: One item of the value table: its id, its distinct values in
-#: first-seen order and, per value, the positions of the sources
-#: claiming it, in claim order.
-Group = tuple[str, list[str], list[list[int]]]
+#: first-seen order, per value the positions of the sources claiming it
+#: in claim order, and the number of that supporter pattern. Groups with
+#: one number have equal supporters.
+Group = tuple[str, list[str], Sequence[Sequence[int]], int]
+
+#: An item's supporters as a tuple of tuples: what items claimed alike
+#: share in a :class:`ClaimSet`'s value table.
+Pattern = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -96,20 +104,27 @@ class ClaimIndex:
         }
 
     @cached_property
-    def value_table(self) -> tuple[list[Group], list[list[int]]]:
-        """``(groups, slots)``, in one pass over the claims by item and
-        one by source.
+    def value_table(
+        self,
+    ) -> tuple[list[Group], list[Pattern], list[list[int]]]:
+        """``(groups, patterns, slots)``, in one pass over the claims by
+        item and one by source.
 
         ``groups`` holds every item in first-seen order as a
         :data:`Group`; a source's *position* is its first-seen rank.
-        Numbering the values of every group one after another gives each
-        ``(item, value)`` a flat *slot*, and ``slots[position]`` lists
-        the slots of that source's claims in its own claim order — so a
-        sweep's scores, concatenated in group order, are one list each
-        source's mean reads by index.
+        ``patterns`` holds each distinct :data:`Pattern` once, numbered
+        in first-seen order, and every group of a pattern shares that
+        tuple as its supporters. Numbering the values of every pattern
+        one after another gives each ``(pattern, value index)`` a flat
+        *slot*, and ``slots[position]`` lists the slots of that source's
+        claims in its own claim order — so a sweep's scores, one list
+        per pattern, concatenated, are one list each source's mean reads
+        by index.
         """
         position = {source: p for p, source in enumerate(self._by_source)}
         groups: list[Group] = []
+        patterns: list[Pattern] = []
+        numbered: dict[Pattern, tuple[int, int]] = {}
         slot_of: dict[str, dict[str, int]] = {}
         n_slots = 0
         for item, claims in self._by_item.items():
@@ -121,16 +136,39 @@ class ClaimIndex:
                     k = local[claim.value] = len(supporters)
                     supporters.append([])
                 supporters[k].append(position[claim.source_id])
-            groups.append((item, list(local), supporters))
+            pattern = tuple(map(tuple, supporters))
+            number, first = numbered.setdefault(
+                pattern, (len(patterns), n_slots)
+            )
+            if number == len(patterns):
+                patterns.append(pattern)
+                n_slots += len(pattern)
+            groups.append((item, list(local), patterns[number], number))
             for value in local:
-                local[value] += n_slots
+                local[value] += first
             slot_of[item] = local
-            n_slots += len(supporters)
         slots = [
             [slot_of[claim.item_id][claim.value] for claim in claims]
             for claims in self._by_source.values()
         ]
-        return groups, slots
+        return groups, patterns, slots
+
+    @cached_property
+    def group_slots(self) -> list[list[int]]:
+        """:attr:`value_table`'s ``slots``, numbered per group instead of
+        per pattern — every group's values one after another — for a
+        sweep whose rule reads values and so scores each group alone."""
+        groups, patterns, slots = self.value_table
+        starts = [0, *accumulate(map(len, patterns))]
+        shift: dict[str, int] = {}
+        n_slots = 0
+        for item, values, __, number in groups:
+            shift[item] = n_slots - starts[number]
+            n_slots += len(values)
+        return [
+            [shift[claim.item_id] + slot for claim, slot in zip(claims, own)]
+            for claims, own in zip(self._by_source.values(), slots)
+        ]
 
     def overlap(self, source_a: str, source_b: str) -> tuple[int, int]:
         """``(shared, agree)``: how many items both sources claim, and on
@@ -259,30 +297,54 @@ class ClaimSet:
             raise EmptyInputError("claim set is empty")
 
     def groups(self) -> list[Group]:
-        """``(item, values, supporters)`` per item in first-seen order:
-        the value table's groups (:attr:`ClaimIndex.value_table`), the
-        table's own lists — read them, never change them."""
+        """``(item, values, supporters, pattern)`` per item in first-seen
+        order: the value table's groups (:attr:`ClaimIndex.value_table`),
+        the table's own lists — read them, never change them."""
         return self.index().value_table[0]
 
-    def source_means(
-        self, scored: Iterable[tuple[list[list[int]], Sequence[float]]]
-    ) -> dict[str, float]:
-        """Each source's mean score over the values it claimed.
+    def sweep(
+        self, score_item: ItemScorer, reads_values: bool = False
+    ) -> tuple[dict[str, str], dict[str, float], dict[str, float]]:
+        """:func:`sweep` over this set, from its value table.
 
-        ``scored`` yields ``(supporters, scores)`` for every group of
-        :meth:`groups`, in order, one score per value. Concatenated, the
-        scores are indexed by slot, and a source's are summed over its
-        slots in its own claim order, which fixes the float addition
-        order.
+        Each supporter pattern is scored once — each group, when the
+        rule reads values — and every item takes its scores, in item
+        first-seen order. Concatenated in scoring order, the scores are
+        indexed by slot, and a source's are summed over its slots in its
+        own claim order, which fixes the float addition order. Only the
+        concatenation is kept: a list per pattern held for the whole
+        sweep is enough new container objects to bring the cyclic
+        collector round several times per sweep.
         """
+        index = self.index()
+        groups, patterns, slots = index.value_table
+        if reads_values:
+            units = ((values, who) for __, values, who, __ in groups)
+            unit_of = range(len(groups))
+            slots = index.group_slots
+        else:
+            units = zip(repeat(None), patterns)
+            unit_of = [group[3] for group in groups]
         flat: list[float] = []
-        for __, scores in scored:
-            flat += scores
-        slots = self.index().value_table[1]
-        return {
+        starts = [0]
+        for values, who in units:
+            flat += score_item(values, who)
+            starts.append(len(flat))
+        chosen: dict[str, str] = {}
+        confidence: dict[str, float] = {}
+        for (item, values, __, __), unit in zip(groups, unit_of):
+            first = starts[unit]
+            if len(values) == 1:
+                chosen[item], confidence[item] = values[0], flat[first]
+            else:
+                confidence[item], chosen[item] = max(
+                    zip(flat[first : starts[unit + 1]], values)
+                )
+        means = {
             source: ordered_sum(map(flat.__getitem__, own)) / len(own)
             for source, own in zip(self._by_source, slots)
         }
+        return chosen, confidence, means
 
     def __len__(self) -> int:
         return len(self._claims)
@@ -351,7 +413,7 @@ class Fuser:
     def fuse(self, claims: ClaimSet) -> FusionResult:
         """Fuse a claim source: whatever answers ``require_nonempty()``,
         ``sources()``, ``groups()`` (one :data:`Group` per item) and
-        ``source_means(scored)`` the way :class:`ClaimSet` does — the
+        ``sweep(score_item, reads_values)`` as :class:`ClaimSet` does — the
         set itself, or a :class:`repro.outofcore.SpillableClaimGroups`
         holding the same claims on disk. A fuser that reads nothing
         else (voting, AccuVote, TruthFinder) gives identical output on
@@ -371,32 +433,31 @@ def softmax(scores: Sequence[float]) -> list[float]:
 
 
 #: One item's values and each value's supporters (a :data:`Group`'s
-#: last two fields) to one score per value: the rule that distinguishes
+#: middle two fields) to one score per value: the rule that distinguishes
 #: a fuser. A fuser's ``item_scorer(weights)`` builds it from weights
 #: keyed by every source in first-seen order, so a weight's rank in the
-#: mapping is the source position a supporter names.
-ItemScorer = Callable[[Sequence[str], Sequence[Sequence[int]]], list[float]]
+#: mapping is the source position a supporter names. Unless the sweep is
+#: told the rule reads values, it may be asked once per supporter
+#: pattern and handed ``None`` for them.
+ItemScorer = Callable[
+    [Optional[Sequence[str]], Sequence[Sequence[int]]], list[float]
+]
 
 
 def sweep(
-    claims, score_item: ItemScorer
+    claims, score_item: ItemScorer, reads_values: bool = False
 ) -> tuple[dict[str, str], dict[str, float], dict[str, float]]:
     """One pass of ``score_item`` over every item of a claim source.
 
     Returns ``(chosen, confidence, means)``: each item's best-scored
     value (ties to the larger value string) and its score, and each
-    source's mean score over the values it claimed.
+    source's mean score over the values it claimed. A rule that reads
+    nothing of an item but its supporters scores equal supporters
+    equally, so the claim source may score each supporter pattern once;
+    ``reads_values`` says the rule reads the values too (TruthFinder's
+    implication), and then every item is scored alone.
     """
-    chosen: dict[str, str] = {}
-    confidence: dict[str, float] = {}
-
-    def scored():
-        for item, values, supporters in claims.groups():
-            scores = score_item(values, supporters)
-            confidence[item], chosen[item] = max(zip(scores, values))
-            yield supporters, scores
-
-    return chosen, confidence, claims.source_means(scored())
+    return claims.sweep(score_item, reads_values)
 
 
 def reweigh(

@@ -115,7 +115,9 @@ class TruthFinder(Fuser):
         """The TruthFinder rule under ``trust`` (every source, in
         first-seen order): one item's values and supporters to the
         confidence of each value — the logistic of its supporters'
-        summed trust scores plus what similar co-claimed values imply."""
+        summed trust scores plus what similar co-claimed values imply.
+        With implication the rule reads the values, and :meth:`fuse`
+        has the sweep score each item alone."""
         tau = [-math.log(max(1e-9, 1.0 - t)) for t in trust.values()]
         trust_of = tau.__getitem__
         weight, similarity = self._implication_weight, self._similarity
@@ -143,10 +145,13 @@ class TruthFinder(Fuser):
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         claims.require_nonempty()
+        reads_values = self._implication_weight > 0
 
         def step(result):
             trust = result.source_accuracy
-            chosen, confidence, means = sweep(claims, self.item_scorer(trust))
+            chosen, confidence, means = sweep(
+                claims, self.item_scorer(trust), reads_values=reads_values
+            )
             trust, change = reweigh(trust, means, 0.0, _MAX_TRUST)
             done = change < self._tolerance
             return FusionResult(chosen, confidence, trust), change, done

@@ -26,7 +26,7 @@ class VotingFuser(Fuser):
         claims.require_nonempty()
         chosen: dict[str, str] = {}
         confidence: dict[str, float] = {}
-        for item, values, supporters in claims.groups():
+        for item, values, supporters, __ in claims.groups():
             counts = [len(who) for who in supporters]
             best = counts.index(max(counts))
             chosen[item] = values[best]

@@ -7,21 +7,23 @@ item's claims in claim order and at most one claim per
 :class:`~repro.fusion.base.ClaimSet` built by the in-memory pipeline
 presents to the fusers. It answers the same four questions a fuser asks
 of its claims (``require_nonempty``, ``sources``, ``groups``,
-``source_means``), so every fuser that reads nothing but one item's
-claims at a time — voting, AccuVote, TruthFinder — runs on it unchanged
-and reproduces its in-memory output **bit for bit**. The one thing the
-spilled side adds is in :meth:`SpillableClaimGroups.source_means`:
-per-claim scores are re-sorted into claim order before summing, because
-float addition order is part of the contract.
+``sweep``), so every fuser that reads nothing but one item's claims at a
+time — voting, AccuVote, TruthFinder — runs on it unchanged and
+reproduces its in-memory output **bit for bit**. The one thing the
+spilled side adds is in :meth:`SpillableClaimGroups.sweep`: per-claim
+scores are re-sorted into claim order before summing, because float
+addition order is part of the contract. It does not look for repeated
+supporter patterns: each group is scored once as it streams, and only
+item and source ids stay resident.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from repro.core.errors import EmptyInputError
 from repro.fusion.accu import AccuVote
-from repro.fusion.base import FusionResult, Group
+from repro.fusion.base import FusionResult, Group, ItemScorer
 from repro.fusion.voting import VotingFuser
 from repro.outofcore.budget import MemoryBudget
 from repro.outofcore.spill import ExternalSorter, entry_nbytes
@@ -36,8 +38,8 @@ __all__ = [
 
 class _Supporters(list):
     """One value's supporters as source positions in claim order, with
-    their claims' arrival seqs in ``seqs``: what ``source_means`` puts
-    the scores back into claim order by."""
+    their claims' arrival seqs in ``seqs``: what ``sweep`` puts the
+    scores back into claim order by."""
 
     __slots__ = ("seqs",)
 
@@ -80,8 +82,8 @@ class SpillableClaimGroups:
     claims are dropped at stream time, first claim wins, as the
     in-memory pipeline asks its ClaimSet before adding.
 
-    ``scratch`` is the ``(store, budget)`` that :meth:`source_means`
-    spills its per-claim scores to — the claims' own unless rebound.
+    ``scratch`` is the ``(store, budget)`` that :meth:`sweep` spills
+    its per-claim scores to — the claims' own unless rebound.
     """
 
     def __init__(self, store, budget: MemoryBudget) -> None:
@@ -123,22 +125,27 @@ class SpillableClaimGroups:
         )
 
     def groups(self) -> Iterator[Group]:
-        """``(item, values, supporters)`` groups, re-iterable.
+        """``(item, values, supporters, pattern)`` groups, re-iterable.
 
         Groups arrive in item first-seen order, values in first-seen
         order and each value's supporters in claim order, with
         ``(source, item)`` duplicates dropped (first wins). A source's
         position is its first-seen rank, as in the
         :class:`~repro.fusion.base.ClaimSet` — a source's first claim is
-        never a duplicate. Each call starts a fresh merge over the runs.
+        never a duplicate. The stream never compares two groups, so each
+        is its own pattern, numbered by its item's first-seen rank. Each
+        call starts a fresh merge over the runs.
         """
         position = self._source_seq
         item = None
-        for __, seq, item_id, source_id, value in self._sorter.sorted_stream():
+        for number, seq, item_id, source_id, value in (
+            self._sorter.sorted_stream()
+        ):
             if item_id != item:
                 if item is not None:
-                    yield item, list(local), supporters
-                item, local, supporters, seen = item_id, {}, [], set()
+                    yield item, list(local), supporters, pattern
+                item, pattern = item_id, number
+                local, supporters, seen = {}, [], set()
             if source_id in seen:
                 continue
             seen.add(source_id)
@@ -149,24 +156,28 @@ class SpillableClaimGroups:
             supporters[k].append(position[source_id])
             supporters[k].seqs.append(seq)
         if item is not None:
-            yield item, list(local), supporters
+            yield item, list(local), supporters, pattern
 
-    def source_means(
-        self, scored: Iterable[tuple[list[_Supporters], Sequence[float]]]
-    ) -> dict[str, float]:
-        """Each source's mean score over the values it claimed.
+    def sweep(
+        self, score_item: ItemScorer, reads_values: bool = False
+    ) -> tuple[dict[str, str], dict[str, float], dict[str, float]]:
+        """:func:`~repro.fusion.base.sweep` over the stream.
 
-        ``scored`` yields ``(supporters, scores)`` for every group of
-        :meth:`groups`, one score per value. In memory a source's scores
-        are summed in claim order, and float addition order changes the
-        low bits; the stream arrives grouped by *item*, so the per-claim
-        scores are spilled keyed by claim seq and merged back into claim
-        order before summing.
+        Each group is scored alone as it arrives, whatever
+        ``reads_values`` says, and its winner taken. In memory a
+        source's scores are summed in claim order, and float addition
+        order changes the low bits; the stream arrives grouped by
+        *item*, so the per-claim scores are spilled keyed by claim seq
+        and merged back into claim order before summing.
         """
         sources = self.sources()
         store, budget = self.scratch
         contributions = ExternalSorter(store, budget, name="scores")
-        for supporters, scores in scored:
+        chosen: dict[str, str] = {}
+        confidence: dict[str, float] = {}
+        for item, values, supporters, __ in self.groups():
+            scores = score_item(values, supporters)
+            confidence[item], chosen[item] = max(zip(scores, values))
             for who, score in zip(supporters, scores):
                 for p, seq in zip(who, who.seqs):
                     contributions.add(
@@ -179,7 +190,8 @@ class SpillableClaimGroups:
             sums[source_id] = sums.get(source_id, 0) + score
             counts[source_id] = counts.get(source_id, 0) + 1
         contributions.discard()
-        return {source: sums[source] / counts[source] for source in sums}
+        means = {source: sums[source] / counts[source] for source in sums}
+        return chosen, confidence, means
 
     def require_nonempty(self) -> None:
         """Raise :class:`EmptyInputError` when there are no claims."""

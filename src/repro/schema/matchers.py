@@ -39,12 +39,16 @@ _MARGIN = 1e-9
 
 class NameScores(dict):
     """``names[a, b]``: the max of character-level (Jaro-Winkler) and
-    token-level (Monge-Elkan) similarity of two normalized names, computed
-    once per *ordered* pair — greedy Jaro matching is not proven
-    symmetric. One instance lives for one ``score_all_pairs`` call."""
+    token-level (Monge-Elkan) similarity of two normalized names. Both
+    are symmetric to the last bit (DESIGN.md entry 25), so each
+    unordered pair is computed once and kept under ``(min, max)``, which
+    the other order reads. One instance lives for one
+    ``score_all_pairs`` call; its size is the pairs evaluated."""
 
     def __missing__(self, key: tuple[str, str]) -> float:
         a, b = key
+        if b < a:
+            return self[b, a]
         self[key] = score = (
             max(jaro_winkler_similarity(a, b), monge_elkan_similarity(a, b))
             if a and b
@@ -103,7 +107,7 @@ class NameMatcher(AttributeMatcher):
 
     def candidate_pairs(self, profiles, min_score, names, weight=1.0):
         """Pairs with ``weight * name score >= min_score``, decided once
-        per distinct ordered pair of names, not per pair of attributes."""
+        per distinct pair of names, not per pair of attributes."""
         holders: dict[str, list[int]] = defaultdict(list)
         for index, profile in enumerate(profiles):
             holders[profile.normalized_name].append(index)

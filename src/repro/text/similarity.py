@@ -42,12 +42,13 @@ __all__ = [
 
 #: Bound on the token tier — the Jaro-Winkler memo every token-level
 #: consumer (Monge-Elkan, product names, the schema name matcher, plain
-#: string fields) shares. Redundant sources re-publish the same tokens:
-#: the ledger's ``stream_steady`` makes 478,515 token comparisons over
-#: 196 distinct ordered pairs, ``batch_wide`` sees 28,408 distinct
-#: pairs. Sized on ``batch_wide``, the workload it is tight for: 8,192
-#: entries cost +6.4 % peak RSS at a 76 % hit rate, 32,768 (every pair
-#: resident) cost +13 % and were rejected. Observable via
+#: string fields) shares, one entry per unordered token pair. Redundant
+#: sources re-publish the same tokens: one ledger run meets 96 distinct
+#: pairs (``stream_steady``), 4,992 (``batch_wide``, 61 % of its lookups
+#: hits), 6,344 (``batch_link``) and 6,863 (``serve_mixed``), so every
+#: pair stays resident. Sized while keys were ordered and three of those
+#: overflowed it: 8,192 entries cost +6.4 % peak RSS, 32,768 cost +13 %
+#: and were rejected. Observable via
 #: :func:`repro.obs.observe_text_caches`, like
 #: :data:`repro.text.normalize.NORMALIZE_CACHE_MAXSIZE`.
 TOKEN_SIMILARITY_CACHE_MAXSIZE = 8192
@@ -164,11 +165,14 @@ def jaro_similarity(a: str, b: str) -> float:
 
 @lru_cache(maxsize=TOKEN_SIMILARITY_CACHE_MAXSIZE)
 def _jaro_winkler_memo(a: str, b: str, prefix_weight: float) -> float:
-    """The token tier: Jaro-Winkler of one *ordered* argument triple.
+    """The token tier: Jaro-Winkler of one *unordered* token pair, asked
+    with ``a <= b``.
 
-    Greedy Jaro matching runs from ``a``'s side and nothing here proves
-    it symmetric, so ``(a, b)`` and ``(b, a)`` are separate entries — a
-    canonicalised key would answer one order with the other's float.
+    Jaro-Winkler is symmetric to the last bit — greedy Jaro matching
+    pairs the same positions whichever string it scans, and the Winkler
+    prefix is shared (DESIGN.md entry 25) — so
+    :func:`jaro_winkler_similarity` orders the pair by value and both
+    argument orders read one entry.
     """
     jaro = jaro_similarity(a, b)
     prefix = 0
@@ -182,7 +186,7 @@ def _jaro_winkler_memo(a: str, b: str, prefix_weight: float) -> float:
 def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
     """Jaro similarity boosted for a shared prefix of up to 4 characters.
 
-    Memoized per ordered ``(a, b, prefix_weight)`` (see
+    Memoized per unordered ``{a, b}`` and ``prefix_weight`` (see
     :data:`TOKEN_SIMILARITY_CACHE_MAXSIZE`); the argument check runs on
     every call.
     """
@@ -190,6 +194,8 @@ def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float
         raise ValueError(
             f"prefix_weight must be in [0, 0.25], got {prefix_weight}"
         )
+    if b < a:
+        a, b = b, a
     return _jaro_winkler_memo(a, b, prefix_weight)
 
 
@@ -283,19 +289,20 @@ def monge_elkan_tokens(
 
     Identical arithmetic to :func:`monge_elkan_similarity`; callers that
     have already tokenized (e.g. prepared records) skip re-tokenizing.
+    Jaro-Winkler is symmetric, so one |A|×|B| grid serves both
+    directions: its row maxima score ``a`` against ``b``, its column
+    maxima ``b`` against ``a``.
     """
     if not tokens_a and not tokens_b:
         return 1.0
     if not tokens_a or not tokens_b:
         return 0.0
-
-    def directed(xs: Sequence[str], ys: Sequence[str]) -> float:
-        return (
-            sum(max(jaro_winkler_similarity(x, y) for y in ys) for x in xs)
-            / len(xs)
-        )
-
-    return (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0
+    grid = [
+        [jaro_winkler_similarity(x, y) for y in tokens_b] for x in tokens_a
+    ]
+    forward = sum(map(max, grid)) / len(tokens_a)
+    backward = sum(map(max, zip(*grid))) / len(tokens_b)
+    return (forward + backward) / 2.0
 
 
 def monge_elkan_similarity(a: str, b: str) -> float:
@@ -385,13 +392,18 @@ def product_name_similarity_tokens(
         return base
     if not numbers_a or not numbers_b:
         return base * 0.7
-    matched = 0
-    for token_a in numbers_a:
-        if any(
-            jaro_winkler_similarity(token_a, token_b) >= 0.8
-            for token_b in numbers_b
-        ):
-            matched += 1
+
+    def partnered(xs, ys) -> int:
+        return sum(
+            any(jaro_winkler_similarity(x, y) >= 0.8 for y in ys) for x in xs
+        )
+
+    # Counted from both sides, the smaller count kept, so the score does
+    # not depend on which name is the left argument: "123 124" finds two
+    # partners in "123", and "123" one in "123 124".
+    matched = min(
+        partnered(numbers_a, numbers_b), partnered(numbers_b, numbers_a)
+    )
     overlap = matched / max(len(numbers_a), len(numbers_b))
     return base * (0.25 + 0.75 * overlap)
 

@@ -12,6 +12,10 @@ right: the one addition order the library promises on every Python.
 
 Copy detection — the walk over every shared item of a source pair, and
 the independence discount as the model states it.
+
+Text — the textbook window scan Jaro used before it was rewritten over
+``str.find``, and Jaro-Winkler on top of it, uncached and taking its
+arguments in the order given.
 """
 
 import contextlib
@@ -48,9 +52,10 @@ def naive_softmax(scores):
     return {value: weight / total for value, weight in exps.items()}
 
 
-def naive_sweep(claims, score_item):
+def naive_sweep(claims, score_item, reads_values=False):
     """Each item's winner by ``(score, value)`` and its score, and each
-    source's mean score looked up claim by claim in its claim order."""
+    source's mean score looked up claim by claim in its claim order.
+    Every item is walked alone, whether or not its rule reads values."""
     chosen, confidence, table = {}, {}, {}
     for item in claims.items():
         scores = table[item] = score_item(claims.claims_for(item))
@@ -220,3 +225,51 @@ def naive_detect(detector, claims, truths, accuracies):
             if probability > 0.0:
                 probabilities[key] = probability
     return probabilities
+
+
+# --- text: the window scan ---------------------------------------------
+
+
+def reference_jaro(a: str, b: str) -> float:
+    """The textbook window scan ``jaro_similarity`` used before it was
+    rewritten over ``str.find`` — kept verbatim as the oracle."""
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    window = max(len(a), len(b)) // 2 - 1
+    window = max(window, 0)
+    a_flags = [False] * len(a)
+    b_flags = [False] * len(b)
+    matches = 0
+    for i, ca in enumerate(a):
+        low = max(0, i - window)
+        high = min(len(b), i + window + 1)
+        for j in range(low, high):
+            if not b_flags[j] and b[j] == ca:
+                a_flags[i] = True
+                b_flags[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    a_matched = [c for c, flag in zip(a, a_flags) if flag]
+    b_matched = [c for c, flag in zip(b, b_flags) if flag]
+    transpositions = (
+        sum(ca != cb for ca, cb in zip(a_matched, b_matched)) // 2
+    )
+    return (
+        matches / len(a)
+        + matches / len(b)
+        + (matches - transpositions) / matches
+    ) / 3.0
+
+
+def reference_jaro_winkler(a: str, b: str, prefix_weight: float = 0.1) -> float:
+    jaro = reference_jaro(a, b)
+    prefix = 0
+    for ca, cb in zip(a[:4], b[:4]):
+        if ca != cb:
+            break
+        prefix += 1
+    return jaro + prefix * prefix_weight * (1.0 - jaro)

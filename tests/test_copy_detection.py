@@ -45,7 +45,7 @@ def scored_per_item(score, claims):
     source in first-seen order."""
     return [
         list(zip(values, score(values, supporters)))
-        for __, values, supporters in claims.groups()
+        for __, values, supporters, __ in claims.groups()
     ]
 
 

@@ -572,6 +572,28 @@ def test_sweep_adds_left_to_right(tmp_path, source):
     assert means == {"s": 0.09999999999999999}
 
 
+@pytest.mark.parametrize("source", ["memory", "spilled"])
+def test_implication_is_scored_per_item(tmp_path, source):
+    """``i`` and ``j`` have one supporter pattern, ``s1`` against ``s2``,
+    but values that imply each other to different degrees (ranks 1 and
+    2, 1 and 5): a rule that reads values may not share its scores
+    across the pattern."""
+    from tests.oracle import naive_fusion
+
+    rows = [
+        ("s1", "i", "i/v1"),
+        ("s2", "i", "i/v2"),
+        ("s1", "j", "j/v1"),
+        ("s2", "j", "j/v5"),
+    ]
+    make = GOLDEN_FUSERS["truthfinder-implication"]
+    with naive_fusion():
+        expected = result_document(make().fuse(claim_set(rows)))
+    result = make().fuse(_claim_source(tmp_path, rows, source))
+    assert result_document(result) == expected
+    assert result.confidence["i"] != result.confidence["j"]
+
+
 # --- structure: one loop ----------------------------------------------
 
 

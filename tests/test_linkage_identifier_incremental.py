@@ -155,6 +155,28 @@ class TestIncrementalLinker:
         assert stats.matches == 2
         assert linker.clusters() == [["a", "b", "c"]]
 
+    def test_a_pair_links_whichever_record_arrives_first(self):
+        # "canon 123 124" has two model numbers with a partner in
+        # "canon 123", which has one: counted from the left name only,
+        # the pair scored 0.970 as (a, b) and 0.606 as (b, a), so batch
+        # (smaller id first) linked it and the linker (new record first)
+        # only when b arrived first.
+        a = Record("a", "s1", {"name": "canon 123 124"})
+        b = Record("b", "s2", {"name": "canon 123"})
+        batch = resolve(
+            [a, b],
+            TokenBlocker(),
+            default_product_comparator(),
+            ThresholdClassifier(0.72),
+        )
+        for arrival in ([a, b], [b, a]):
+            linker = self._make()
+            for record in arrival:
+                linker.add_batch([record])
+            assert sorted(map(sorted, linker.clusters())) == sorted(
+                map(sorted, batch.clusters)
+            )
+
     def test_incremental_equals_batch_exactly(self, corpus):
         # With identical candidate generation (all-value-token keys vs
         # TokenBlocker) and a deterministic classifier, incremental

@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import GroundTruth, Record
@@ -156,7 +156,7 @@ class TestFusionInvariants:
         fuser = AccuVote(n_false_values=4, max_iterations=10)
         result = fuser.fuse(claims)
         score_item = fuser.item_scorer(result.source_accuracy)
-        for item, values, supporters in claims.groups():
+        for item, values, supporters, __ in claims.groups():
             posteriors = score_item(values, supporters)
             assert tuple(values) == claims.values_for(item)
             assert len(posteriors) == len(values)
@@ -294,6 +294,21 @@ class TestTextInvariants:
         )
 
 
+#: Product-like names from a few brand words, model numbers a digit
+#: apart and measurements, or short text over a few characters: where
+#: model-number partners and greedy window matching have choices.
+NAMES = st.one_of(
+    st.lists(
+        st.sampled_from(
+            ["canon", "cannon", "pro", "123", "124", "132", "x1", "1x",
+             "12.5", "cm", "in", "kg", "5"]
+        ),
+        max_size=5,
+    ).map(" ".join),
+    st.text(alphabet="ab1 .", max_size=10),
+)
+
+
 class TestSimilarityInvariants:
     """Metric axioms every string-similarity measure must satisfy for
     arbitrary inputs: symmetry, identity, and the [0, 1] range."""
@@ -320,6 +335,23 @@ class TestSimilarityInvariants:
     def test_symmetric(self, a, b):
         for measure in self._measures():
             assert measure(a, b) == measure(b, a)
+
+    @given(a=NAMES, b=NAMES)
+    @example("canon 123 124", "canon 123")
+    @settings(max_examples=150, deadline=None)
+    def test_every_registered_similarity_is_bitwise_symmetric(self, a, b):
+        # What lets the token tier and NameScores key a pair by value
+        # order, and keeps a linkage decision from depending on which
+        # record is the left argument: raw strings and prepared payloads.
+        from repro.linkage.comparison import _SIMILARITY_SPECS
+
+        for function, spec in _SIMILARITY_SPECS.items():
+            name = function.__name__
+            assert function(a, b) == function(b, a), name
+            left, right = spec.prepare(a), spec.prepare(b)
+            assert spec.similarity(left, right) == spec.similarity(
+                right, left
+            ), name
 
     @given(a=st.text(min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 """Unit and property-based tests for the similarity toolbox."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.text import (
 )
 
 from repro.text.similarity import TOKEN_SIMILARITY_CACHE_MAXSIZE
+from tests.oracle import reference_jaro, reference_jaro_winkler
 
 short_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12
@@ -30,51 +33,6 @@ short_text = st.text(
 repetitive_text = st.one_of(
     st.text(alphabet="ab", max_size=12), st.text(alphabet="abc", max_size=12)
 )
-
-
-def reference_jaro(a: str, b: str) -> float:
-    """The textbook window scan ``jaro_similarity`` used before it was
-    rewritten over ``str.find`` — kept verbatim as the oracle."""
-    if a == b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    window = max(len(a), len(b)) // 2 - 1
-    window = max(window, 0)
-    a_flags = [False] * len(a)
-    b_flags = [False] * len(b)
-    matches = 0
-    for i, ca in enumerate(a):
-        low = max(0, i - window)
-        high = min(len(b), i + window + 1)
-        for j in range(low, high):
-            if not b_flags[j] and b[j] == ca:
-                a_flags[i] = True
-                b_flags[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    a_matched = [c for c, flag in zip(a, a_flags) if flag]
-    b_matched = [c for c, flag in zip(b, b_flags) if flag]
-    transpositions = (
-        sum(ca != cb for ca, cb in zip(a_matched, b_matched)) // 2
-    )
-    return (
-        matches / len(a)
-        + matches / len(b)
-        + (matches - transpositions) / matches
-    ) / 3.0
-
-
-def reference_jaro_winkler(a: str, b: str, prefix_weight: float = 0.1) -> float:
-    jaro = reference_jaro(a, b)
-    prefix = 0
-    for ca, cb in zip(a[:4], b[:4]):
-        if ca != cb:
-            break
-        prefix += 1
-    return jaro + prefix * prefix_weight * (1.0 - jaro)
 
 
 class TestLevenshtein:
@@ -183,18 +141,64 @@ class TestJaro:
             jaro_winkler_similarity("a", "b", prefix_weight=0.5)
 
 
+def strings_up_to(alphabet: str, longest: int) -> list[str]:
+    """Every string over ``alphabet`` of at most ``longest`` letters."""
+    return [
+        "".join(letters)
+        for length in range(longest + 1)
+        for letters in itertools.product(alphabet, repeat=length)
+    ]
+
+
+def asymmetric_pairs(alphabet: str, longest: int) -> tuple[int, list]:
+    """How many unordered pairs of distinct strings over ``alphabet`` up
+    to ``longest`` letters there are, and those where ``jaro_similarity``
+    differs between the two argument orders or the Jaro-Winkler memo
+    answers either order other than the window scan of that order."""
+    strings = strings_up_to(alphabet, longest)
+    found = []
+    try:
+        for i, a in enumerate(strings):
+            for b in strings[i + 1 :]:
+                if not (
+                    jaro_similarity(a, b) == jaro_similarity(b, a)
+                    and jaro_winkler_similarity(a, b)
+                    == reference_jaro_winkler(a, b)
+                    and jaro_winkler_similarity(b, a)
+                    == reference_jaro_winkler(b, a)
+                ):
+                    found.append((a, b))
+    finally:
+        MEMO_CACHES["jaro_winkler"].cache_clear()
+    return len(strings) * (len(strings) - 1) // 2, found
+
+
+class TestJaroIsSymmetric:
+    """The evidence beside the proof in DESIGN.md entry 25: over a few
+    letters, where greedy window matching has the most choices, every
+    pair up to a length gives one float in either order."""
+
+    def test_every_pair_over_three_letters_up_to_five(self):
+        assert asymmetric_pairs("abc", 5) == (66_066, [])
+
+    @pytest.mark.slow
+    def test_every_pair_over_two_letters_to_eight_and_four_to_four(self):
+        assert asymmetric_pairs("ab", 8) == (130_305, [])
+        assert asymmetric_pairs("abcd", 4) == (57_970, [])
+
+
 class TestTokenTierMemo:
-    def test_argument_orders_are_separate_entries(self):
-        # Greedy matching runs from ``a``'s side; nothing here proves it
-        # symmetric, so the memo never answers one order with the other.
+    def test_both_argument_orders_share_one_entry(self):
+        # Jaro-Winkler is symmetric to the last bit, so the tier keys a
+        # pair by value order and one order is a hit on the other's entry.
         a, b = "abaa", "aaba"
         memo = MEMO_CACHES["jaro_winkler"]
         memo.cache_clear()
         forward = jaro_winkler_similarity(a, b)
         backward = jaro_winkler_similarity(b, a)
         info = memo.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
-        assert forward == reference_jaro_winkler(a, b)
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert forward == backward == reference_jaro_winkler(a, b)
         assert backward == reference_jaro_winkler(b, a)
 
     def test_eviction_keeps_the_bound_and_the_results(self):
