@@ -15,50 +15,49 @@ Quickstart
 >>> result = BDIPipeline().run(corpus.dataset)
 >>> report = BDIPipeline().evaluate(corpus.dataset, result)
 
+Every package exposes its names through one table (:mod:`repro._lazy`):
+``import repro`` loads nothing else, and reading a name loads only the
+submodule that defines it.
+
 Subpackages
 -----------
 
 - :mod:`repro.core` — records, sources, datasets, ground truth, pipeline
 - :mod:`repro.text` — normalization, tokenizers, similarity toolbox
 - :mod:`repro.synth` — synthetic worlds, sources, claims, evolution
+- :mod:`repro.io` — JSONL datasets, CSV claims, record streams
 - :mod:`repro.schema` — attribute matching, mediated & probabilistic schemas
 - :mod:`repro.linkage` — blocking, meta-blocking, classifiers, clustering
-- :mod:`repro.dist` — sharded runtime, skew-aware partitioning, cost model
-- :mod:`repro.obs` — tracing spans, metrics registry, run reports
+- :mod:`repro.columnar` — numpy record blocks and batch scoring kernels
 - :mod:`repro.fusion` — voting, TruthFinder, AccuVote, AccuCopy, online
 - :mod:`repro.selection` — source profiling, less-is-more selection
 - :mod:`repro.velocity` — snapshots, diffing, incremental maintenance
 - :mod:`repro.quality` — evaluation metrics and report rendering
+- :mod:`repro.obs` — tracing spans, metrics registry, run reports
+- :mod:`repro.resilience` — retries, quarantine, the worker pool
+- :mod:`repro.recovery` — checkpoint store, fingerprints, resumable runs
+- :mod:`repro.outofcore` — memory budget, spilling, external sort
+- :mod:`repro.dist` — sharded runtime, skew-aware partitioning, cost model
+- :mod:`repro.supervision` — worker supervision, breaker, admission
+- :mod:`repro.serve` — the durable online resolution service
+- :mod:`repro.streaming` — windowed, drift-aware continuous resolution
 """
 
-from repro.core import (
-    Dataset,
-    GroundTruth,
-    Record,
-    ReproError,
-    Source,
-)
-from repro.core.pipeline import (
-    BDIPipeline,
-    PipelineConfig,
-    PipelineReport,
-    PipelineResult,
-)
-from repro.synth import FourVKnobs, build_corpus
+from repro import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BDIPipeline",
-    "Dataset",
-    "FourVKnobs",
-    "GroundTruth",
-    "PipelineConfig",
-    "PipelineReport",
-    "PipelineResult",
-    "Record",
-    "ReproError",
-    "Source",
-    "build_corpus",
-    "__version__",
-]
+_lazy.export(
+    globals(),
+    {
+        "core.dataset": "Dataset",
+        "core.errors": "ReproError",
+        "core.ground_truth": "GroundTruth",
+        "core.pipeline": (
+            "BDIPipeline PipelineConfig PipelineReport PipelineResult"
+        ),
+        "core.record": "Record",
+        "core.source": "Source",
+        "synth.corpus": "FourVKnobs build_corpus",
+    },
+)

@@ -14,27 +14,16 @@ bit-identical to the scalar engine; select it end to end with
 :class:`~repro.core.pipeline.PipelineConfig`.
 """
 
-from repro.columnar.block import ColumnarBlock, build_block, column_kind
-from repro.columnar.kernels import (
-    match_block,
-    match_id_pairs,
-    match_positions,
-    score_block,
-    score_id_pairs,
-    score_positions,
-)
-from repro.columnar.serialize import block_from_bytes, block_to_bytes
+from repro import _lazy
 
-__all__ = [
-    "ColumnarBlock",
-    "block_from_bytes",
-    "block_to_bytes",
-    "build_block",
-    "column_kind",
-    "match_block",
-    "match_id_pairs",
-    "match_positions",
-    "score_block",
-    "score_id_pairs",
-    "score_positions",
-]
+_lazy.export(
+    globals(),
+    {
+        "block": "ColumnarBlock build_block column_kind",
+        "kernels": (
+            "match_block match_id_pairs match_positions score_block "
+            "score_id_pairs score_positions"
+        ),
+        "serialize": "block_from_bytes block_to_bytes",
+    },
+)

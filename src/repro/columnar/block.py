@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.core.record import Record
 from repro.linkage.comparison import RecordComparator
+from repro.outofcore.budget import OBJECT_OVERHEAD, str_nbytes
 from repro.text.similarity import (
     cosine_similarity,
     dice_similarity,
@@ -51,26 +52,16 @@ from repro.text.similarity import (
 
 __all__ = ["ColumnarBlock", "build_block"]
 
-# Deterministic per-object size estimates, aligned with the
-# len()-based philosophy of repro.outofcore.budget (imported lazily
-# there to avoid a package import cycle; the constants match).
-_OBJECT_OVERHEAD = 56
-_STR_OVERHEAD = 49
-
-
-def _str_nbytes(text: str) -> int:
-    return _STR_OVERHEAD + len(text)
-
 
 def _payload_nbytes(payload: Any) -> int:
     """Deterministic size estimate of one interned scalar payload."""
     if isinstance(payload, str):
-        return _str_nbytes(payload)
+        return str_nbytes(payload)
     if isinstance(payload, (tuple, frozenset, list, set)):
-        return _OBJECT_OVERHEAD + sum(
+        return OBJECT_OVERHEAD + sum(
             _payload_nbytes(item) for item in payload
         )
-    return _OBJECT_OVERHEAD
+    return OBJECT_OVERHEAD
 
 
 class _Interner:
@@ -232,7 +223,7 @@ class _MeasurementColumn:
             + self.values.nbytes
             + self.unit_ids.nbytes
             + self.text_ids.nbytes
-        ) + sum(_str_nbytes(text) for text in self.texts)
+        ) + sum(str_nbytes(text) for text in self.texts)
 
 
 class _ScalarColumn:
@@ -305,8 +296,8 @@ class ColumnarBlock:
         same len()-based estimates as :mod:`repro.outofcore.budget`, so
         the number is identical on every platform and run.
         """
-        total = _OBJECT_OVERHEAD + sum(
-            _str_nbytes(record_id) for record_id in self.record_ids
+        total = OBJECT_OVERHEAD + sum(
+            str_nbytes(record_id) for record_id in self.record_ids
         )
         for column in self.columns:
             total += column.nbytes

@@ -1,31 +1,18 @@
 """Core data model: records, sources, datasets, ground truth, pipeline."""
 
-from repro.core.dataset import Dataset
-from repro.core.errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DataModelError,
-    EmptyInputError,
-    GroundTruthError,
-    ReproError,
-    UnknownRecordError,
-    UnknownSourceError,
-)
-from repro.core.ground_truth import GroundTruth
-from repro.core.record import Record
-from repro.core.source import Source
+from repro import _lazy
 
-__all__ = [
-    "ConfigurationError",
-    "ConvergenceError",
-    "DataModelError",
-    "Dataset",
-    "EmptyInputError",
-    "GroundTruth",
-    "GroundTruthError",
-    "Record",
-    "ReproError",
-    "Source",
-    "UnknownRecordError",
-    "UnknownSourceError",
-]
+_lazy.export(
+    globals(),
+    {
+        "dataset": "Dataset",
+        "errors": (
+            "ConfigurationError ConvergenceError DataModelError "
+            "EmptyInputError GroundTruthError ReproError "
+            "UnknownRecordError UnknownSourceError"
+        ),
+        "ground_truth": "GroundTruth",
+        "record": "Record",
+        "source": "Source",
+    },
+)

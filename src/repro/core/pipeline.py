@@ -14,11 +14,61 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
+import repro.fusion
 from repro.core.dataset import Dataset
 from repro.core.errors import ConfigurationError, GroundTruthError
+from repro.fusion import (
+    Claim,
+    ClaimSet,
+    CRHNumericFuser,
+    FusionResult,
+    parse_numeric_claims,
+)
+from repro.linkage import (
+    ThresholdClassifier,
+    TokenBlocker,
+    connected_components,
+    default_product_comparator,
+    detect_identifier_attributes,
+    fit_fellegi_sunter,
+    link_by_identifier,
+    resolve,
+)
+from repro.linkage.resolver import _engine
+from repro.obs import (
+    NULL_TRACER,
+    Tracer,
+    observe_supervisor,
+    observe_text_caches,
+)
+from repro.outofcore import MemoryBudget
+from repro.quality import (
+    attribute_cluster_quality,
+    bcubed_quality,
+    clusters_to_pairs,
+    pairwise_cluster_quality,
+)
+from repro.recovery import (
+    as_store,
+    config_fingerprint,
+    dataset_fingerprint,
+    spill_store as open_spill_store,
+)
 from repro.resilience import ResilienceConfig
+from repro.schema import build_mediated_schema, profile_attributes
+from repro.text import canonical_value, parse_measurement
 
 __all__ = ["PipelineConfig", "PipelineResult", "PipelineReport", "BDIPipeline"]
+
+#: ``PipelineConfig.fusion`` → the :mod:`repro.fusion` class it runs.
+#: A pipeline loads the one it is configured with when it is built, so
+#: :meth:`BDIPipeline.run` imports nothing.
+FUSERS = {
+    "vote": "VotingFuser",
+    "truthfinder": "TruthFinder",
+    "accuvote": "AccuVote",
+    "accucopy": "AccuCopy",
+}
 
 
 @dataclass(frozen=True)
@@ -85,7 +135,7 @@ class PipelineConfig:
     supervision: "object | None" = None
 
     def __post_init__(self) -> None:
-        if self.fusion not in {"vote", "truthfinder", "accuvote", "accucopy"}:
+        if self.fusion not in FUSERS:
             raise ConfigurationError(f"unknown fusion {self.fusion!r}")
         if self.classifier not in {"threshold", "fellegi-sunter"}:
             raise ConfigurationError(
@@ -99,12 +149,15 @@ class PipelineConfig:
             raise ConfigurationError(
                 "execution='sharded' requires the threshold classifier"
             )
-        from repro.dist.runtime import SHARD_BACKENDS
+        if self.execution == "sharded":
+            # The sharded runtime is loaded by the config that selects
+            # it, so only such a config checks its backend.
+            from repro.dist.runtime import SHARD_BACKENDS
 
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise ConfigurationError(
-                f"unknown shard backend {self.shard_backend!r}"
-            )
+            if self.shard_backend not in SHARD_BACKENDS:
+                raise ConfigurationError(
+                    f"unknown shard backend {self.shard_backend!r}"
+                )
         if self.n_shards is not None and self.n_shards < 1:
             raise ConfigurationError("n_shards must be >= 1")
         if self.representation not in {"dict", "columnar"}:
@@ -171,6 +224,7 @@ class BDIPipeline:
 
     def __init__(self, config: PipelineConfig | None = None) -> None:
         self._config = config or PipelineConfig()
+        self._fuser = getattr(repro.fusion, FUSERS[self._config.fusion])
 
     @property
     def config(self) -> PipelineConfig:
@@ -189,12 +243,6 @@ class BDIPipeline:
         """
         if checkpoint is None:
             return None
-        from repro.recovery import (
-            as_store,
-            config_fingerprint,
-            dataset_fingerprint,
-        )
-
         store = as_store(checkpoint)
         store.tracer = tracer
         store.bind_fingerprint(
@@ -276,28 +324,6 @@ class BDIPipeline:
         AccuCopy's copy detector indexes every source's claims in memory
         to compare source pairs across items.
         """
-        from repro.fusion import (
-            AccuCopy,
-            AccuVote,
-            Claim,
-            ClaimSet,
-            TruthFinder,
-            VotingFuser,
-        )
-        from repro.linkage import (
-            ThresholdClassifier,
-            TokenBlocker,
-            connected_components,
-            default_product_comparator,
-            detect_identifier_attributes,
-            link_by_identifier,
-            resolve,
-        )
-        from repro.obs import NULL_TRACER, observe_text_caches
-        from repro.quality import clusters_to_pairs
-        from repro.schema import build_mediated_schema, profile_attributes
-        from repro.text import canonical_value
-
         tracer = tracer if tracer is not None else NULL_TRACER
         config = self._config
         records = list(dataset.records())
@@ -323,7 +349,7 @@ class BDIPipeline:
                 raise ConfigurationError(
                     "numeric_fusion is not supported with memory_budget"
                 )
-            from repro.outofcore import MemoryBudget, SpillableClaimGroups
+            from repro.outofcore import SpillableClaimGroups
 
             budget = MemoryBudget(memory_budget, tracer=tracer)
 
@@ -339,8 +365,6 @@ class BDIPipeline:
             resumable=store is not None,
         ) as run_span:
             if budget is not None:
-                from repro.recovery import spill_store as open_spill_store
-
                 spill_store = open_spill_store(spill_dir, cleanup)
 
             # Schema alignment and identifier linkage read the same
@@ -376,9 +400,6 @@ class BDIPipeline:
                         max_block_size=config.max_block_size
                     )
                     if config.classifier == "fellegi-sunter":
-                        from repro.linkage import fit_fellegi_sunter
-                        from repro.linkage.resolver import _engine
-
                         candidates = blocker.block(records).ordered_pairs()
                         pair_engine = _engine(
                             comparator,
@@ -405,7 +426,6 @@ class BDIPipeline:
                         )
                     supervisor = None
                     if config.supervision is not None:
-                        from repro.obs import observe_supervisor
                         from repro.supervision import Supervisor
 
                         supervisor = Supervisor(
@@ -521,33 +541,22 @@ class BDIPipeline:
                 span.set("n_claims", len(claim_set))
                 span.set("n_items", len(claim_set.items()))
 
-            # 4. Fusion. Fusers are built lazily so only the selected
-            #    algorithm is constructed (and wired to the solver's
-            #    iteration checkpoint when resumable; a solver signs its
-            #    claims by hashing them in memory, so not when spilled).
+            # 4. Fusion, by the fuser the config selects: a solver is
+            #    wired to the tracer and to its iteration checkpoint when
+            #    resumable (a solver signs its claims by hashing them in
+            #    memory, so not when spilled).
             with tracer.span(
                 "pipeline.fusion", algorithm=config.fusion, **streaming
             ) as span:
 
                 def compute_fusion():
                     solver = sub("fusion.solver") if budget is None else None
-                    fusers = {
-                        "vote": lambda: VotingFuser(),
-                        "truthfinder": lambda: TruthFinder(
-                            tracer=tracer, checkpoint=solver
-                        ),
-                        "accuvote": lambda: AccuVote(
-                            n_false_values=config.n_false_values,
-                            tracer=tracer,
-                            checkpoint=solver,
-                        ),
-                        "accucopy": lambda: AccuCopy(
-                            n_false_values=config.n_false_values,
-                            tracer=tracer,
-                            checkpoint=solver,
-                        ),
-                    }
-                    fusion = fusers[config.fusion]().fuse(claim_set)
+                    options = {}
+                    if config.fusion != "vote":
+                        options = {"tracer": tracer, "checkpoint": solver}
+                    if config.fusion in {"accuvote", "accucopy"}:
+                        options["n_false_values"] = config.n_false_values
+                    fusion = self._fuser(**options).fuse(claim_set)
                     if config.numeric_fusion:
                         fusion = self._refuse_numeric_items(
                             claim_set, fusion
@@ -608,8 +617,6 @@ class BDIPipeline:
         structured :class:`repro.obs.RunReport` artifact — the
         one-call form benchmarks and CI use.
         """
-        from repro.obs import Tracer
-
         tracer = Tracer(clock=clock)
         result = self.run(dataset, tracer=tracer)
         return result, tracer.report(name="pipeline")
@@ -622,12 +629,6 @@ class BDIPipeline:
         measurements with a unit; its chosen value is replaced by the
         CRH truth rendered in the item's majority base unit.
         """
-        from collections import Counter
-
-        from repro.fusion import CRHNumericFuser
-        from repro.fusion.numeric import parse_numeric_claims
-        from repro.text import parse_measurement
-
         numeric_items: dict[str, Counter] = {}
         for item in claim_set.items():
             claims = claim_set.claims_for(item)
@@ -653,7 +654,6 @@ class BDIPipeline:
         if not numeric_claims:
             return fusion
         truths, __, __ = CRHNumericFuser().fuse_values(numeric_claims)
-        from repro.fusion import FusionResult
 
         chosen = dict(fusion.chosen)
         confidence = dict(fusion.confidence)
@@ -679,7 +679,6 @@ class BDIPipeline:
         """
         if fused == true_canonical:
             return True
-        from repro.text import parse_measurement
 
         fused_m = parse_measurement(fused.replace(",", "."))
         true_m = parse_measurement(true_canonical.replace(",", "."))
@@ -696,13 +695,6 @@ class BDIPipeline:
         self, dataset: Dataset, result: PipelineResult
     ) -> PipelineReport:
         """Score a run's stages against the dataset's ground truth."""
-        from repro.quality import (
-            attribute_cluster_quality,
-            bcubed_quality,
-            pairwise_cluster_quality,
-        )
-        from repro.text import canonical_value
-
         truth = dataset.ground_truth
         if truth is None:
             raise GroundTruthError("evaluation requires ground truth")

@@ -3,41 +3,20 @@
 the skew-aware partitioning strategies and the cluster cost model that
 price them (the load-balancing study of experiment E05)."""
 
-from repro.dist.costmodel import ClusterCostModel, PartitionCost
-from repro.dist.partition import (
-    MatchTask,
-    block_split_partition,
-    naive_partition,
-    pair_range_partition,
-    partition_blocks,
-    shard_of_key,
-    stable_key_hash,
-    task_pairs,
-)
-from repro.dist.runtime import (
-    SHARD_BACKENDS,
-    ShardPlan,
-    ShardResult,
-    ShardedResolveRun,
-    plan_shards,
-    sharded_resolve,
-)
+from repro import _lazy
 
-__all__ = [
-    "ClusterCostModel",
-    "MatchTask",
-    "PartitionCost",
-    "SHARD_BACKENDS",
-    "ShardPlan",
-    "ShardResult",
-    "ShardedResolveRun",
-    "block_split_partition",
-    "naive_partition",
-    "pair_range_partition",
-    "partition_blocks",
-    "plan_shards",
-    "shard_of_key",
-    "sharded_resolve",
-    "stable_key_hash",
-    "task_pairs",
-]
+_lazy.export(
+    globals(),
+    {
+        "costmodel": "ClusterCostModel PartitionCost",
+        "partition": (
+            "MatchTask block_split_partition naive_partition "
+            "pair_range_partition partition_blocks shard_of_key "
+            "stable_key_hash task_pairs"
+        ),
+        "runtime": (
+            "SHARD_BACKENDS ShardPlan ShardResult ShardedResolveRun "
+            "plan_shards sharded_resolve"
+        ),
+    },
+)

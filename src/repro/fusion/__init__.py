@@ -1,33 +1,17 @@
 """Data fusion: voting, truth discovery, copy detection, online fusion."""
 
-from repro.fusion.accu import AccuVote
-from repro.fusion.accucopy import AccuCopy
-from repro.fusion.base import Claim, ClaimSet, Fuser, FusionResult
-from repro.fusion.copydetect import CopyDetector
-from repro.fusion.numeric import CRHNumericFuser, parse_numeric_claims
-from repro.fusion.online import (
-    OnlineFusion,
-    OnlineTrace,
-    claim_posterior,
-    vote_count,
-)
-from repro.fusion.truthfinder import TruthFinder
-from repro.fusion.voting import VotingFuser
+from repro import _lazy
 
-__all__ = [
-    "AccuCopy",
-    "AccuVote",
-    "Claim",
-    "ClaimSet",
-    "CRHNumericFuser",
-    "CopyDetector",
-    "Fuser",
-    "FusionResult",
-    "OnlineFusion",
-    "OnlineTrace",
-    "claim_posterior",
-    "parse_numeric_claims",
-    "TruthFinder",
-    "VotingFuser",
-    "vote_count",
-]
+_lazy.export(
+    globals(),
+    {
+        "accu": "AccuVote",
+        "accucopy": "AccuCopy",
+        "base": "Claim ClaimSet Fuser FusionResult",
+        "copydetect": "CopyDetector",
+        "numeric": "CRHNumericFuser parse_numeric_claims",
+        "online": "OnlineFusion OnlineTrace claim_posterior vote_count",
+        "truthfinder": "TruthFinder",
+        "voting": "VotingFuser",
+    },
+)

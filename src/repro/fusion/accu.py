@@ -33,6 +33,7 @@ from repro.fusion.base import (
     sweep,
 )
 from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
+from repro.recovery import claims_signature, config_fingerprint
 
 __all__ = ["AccuVote"]
 
@@ -86,8 +87,6 @@ class AccuVote(Fuser):
         self._checkpoint = checkpoint
 
     def _state_signature(self, claims: ClaimSet) -> str:
-        from repro.recovery import claims_signature, config_fingerprint
-
         return config_fingerprint(
             claims_signature(claims),
             self._n,

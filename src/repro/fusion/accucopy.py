@@ -41,6 +41,7 @@ from repro.fusion.base import (
 from repro.fusion.copydetect import CopyDetector
 from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
 from repro.fusion.voting import VotingFuser
+from repro.recovery import claims_signature, config_fingerprint
 
 __all__ = ["AccuCopy"]
 
@@ -102,8 +103,6 @@ class AccuCopy(Fuser):
         self._checkpoint = checkpoint
 
     def _state_signature(self, claims: ClaimSet) -> str:
-        from repro.recovery import claims_signature, config_fingerprint
-
         return config_fingerprint(
             claims_signature(claims),
             self._n,

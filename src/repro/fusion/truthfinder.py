@@ -32,6 +32,7 @@ from repro.fusion.base import (
     reweigh,
     sweep,
 )
+from repro.recovery import claims_signature, config_fingerprint
 
 __all__ = ["TruthFinder"]
 
@@ -100,8 +101,6 @@ class TruthFinder(Fuser):
         self._checkpoint = checkpoint
 
     def _state_signature(self, claims: ClaimSet) -> str:
-        from repro.recovery import claims_signature, config_fingerprint
-
         return config_fingerprint(
             claims_signature(claims),
             self._initial_trust,

@@ -1,23 +1,15 @@
 """Persistence: JSONL datasets, CSV claim/truth files, record streams."""
 
-from repro.io.claims_csv import load_claims, load_truth, save_claims, save_truth
-from repro.io.jsonl import load_dataset, save_dataset
-from repro.io.stream import (
-    GeneratorRecordStream,
-    JsonlRecordStream,
-    RecordStream,
-    open_record_stream,
-)
+from repro import _lazy
 
-__all__ = [
-    "GeneratorRecordStream",
-    "JsonlRecordStream",
-    "RecordStream",
-    "load_claims",
-    "load_dataset",
-    "load_truth",
-    "open_record_stream",
-    "save_claims",
-    "save_dataset",
-    "save_truth",
-]
+_lazy.export(
+    globals(),
+    {
+        "claims_csv": "load_claims load_truth save_claims save_truth",
+        "jsonl": "load_dataset save_dataset",
+        "stream": (
+            "GeneratorRecordStream JsonlRecordStream RecordStream "
+            "open_record_stream"
+        ),
+    },
+)

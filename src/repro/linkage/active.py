@@ -15,6 +15,7 @@ An optional oracle noise rate models imperfect crowd answers.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -168,8 +169,6 @@ class ActiveThresholdLearner:
                 max(0.0, extreme + margin if labels[0] == 0.0 else extreme - margin),
             )
             return
-        import math
-
         weight, bias = 8.0, -8.0 * self._threshold  # warm start
         learning_rate = 2.0
         for __ in range(300):

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
+from repro.outofcore.spill import SpillableBlockIndex
 
 __all__ = [
     "Block",
@@ -191,8 +192,6 @@ class KeyBlocker(Blocker):
 
     def stream_blocks(self, records: Iterable[Record], spill) -> Iterator[Block]:
         """Out-of-core :meth:`block`: identical blocks, bounded memory."""
-        from repro.outofcore.spill import SpillableBlockIndex
-
         index = SpillableBlockIndex(spill.scoped(self.name), spill.budget)
         for record in records:
             for key in self.record_keys(record):

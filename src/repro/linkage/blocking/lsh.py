@@ -11,6 +11,7 @@ S-curve whose threshold ``(1/bands)^(1/rows)`` the constructor reports.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Sequence
 
 from repro.core.errors import ConfigurationError
@@ -71,8 +72,6 @@ class MinHashBlocker(KeyBlocker):
         self._bands = bands
         self._rows = n_hashes // bands
         self._text_function = text_function or (lambda r: r.text())
-        import random
-
         rng = random.Random(seed)
         self._a = [
             rng.randrange(1, _MERSENNE_PRIME) for __ in range(n_hashes)

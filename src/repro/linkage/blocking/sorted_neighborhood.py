@@ -21,6 +21,7 @@ from repro.linkage.blocking.base import (
     KeyFunction,
     keys_of,
 )
+from repro.outofcore.spill import ExternalSorter, entry_nbytes
 
 __all__ = ["SortedNeighborhoodBlocker"]
 
@@ -82,8 +83,6 @@ class SortedNeighborhoodBlocker(Blocker):
         window of size ``window`` — identical windows (keys and
         contents) to sorting the full list in memory.
         """
-        from repro.outofcore.spill import ExternalSorter, entry_nbytes
-
         sorter = ExternalSorter(spill.scoped(self.name), spill.budget)
         for record in records:
             keys = keys_of(self._key_function, record)

@@ -1,27 +1,12 @@
 """Match classifiers: threshold, rule-based, Fellegi-Sunter (EM)."""
 
-from repro.linkage.classify.fellegi_sunter import (
-    FellegiSunterModel,
-    fit_fellegi_sunter,
-)
-from repro.linkage.classify.rules import (
-    MatchRule,
-    RuleBasedClassifier,
-    rule_for,
-)
-from repro.linkage.classify.threshold import (
-    MatchDecision,
-    ThresholdClassifier,
-    plain_threshold,
-)
+from repro import _lazy
 
-__all__ = [
-    "FellegiSunterModel",
-    "MatchDecision",
-    "MatchRule",
-    "RuleBasedClassifier",
-    "ThresholdClassifier",
-    "fit_fellegi_sunter",
-    "plain_threshold",
-    "rule_for",
-]
+_lazy.export(
+    globals(),
+    {
+        "fellegi_sunter": "FellegiSunterModel fit_fellegi_sunter",
+        "rules": "MatchRule RuleBasedClassifier rule_for",
+        "threshold": "MatchDecision ThresholdClassifier plain_threshold",
+    },
+)

@@ -25,6 +25,7 @@ from repro.core.errors import ConfigurationError, EmptyInputError
 from repro.core.fixedpoint import fixed_point
 from repro.linkage.classify.threshold import MatchDecision
 from repro.linkage.comparison import ComparisonVector
+from repro.recovery import config_fingerprint
 
 __all__ = ["FellegiSunterModel", "fit_fellegi_sunter"]
 
@@ -197,8 +198,6 @@ def fit_fellegi_sunter(
         return (new_m, new_u, new_prevalence), delta, delta < tolerance
 
     def signature() -> str:
-        from repro.recovery import config_fingerprint
-
         return config_fingerprint(
             sorted(patterns.items()),
             agreement_threshold,

@@ -40,6 +40,11 @@ from repro.linkage.comparison import (
     RecordComparator,
 )
 from repro.obs import NULL_TRACER, SCORE_BUCKETS
+from repro.outofcore.budget import (
+    PREPARED_RECORD_FACTOR,
+    columnar_block_nbytes,
+    record_nbytes,
+)
 from repro.recovery import as_store, config_fingerprint
 from repro.resilience import (
     ChunkResultInvalid,
@@ -276,11 +281,6 @@ class _DictScorer(_ChunkScorer):
         if budget is not None or self.measure:
             # The estimate walks every attribute of the record, so an
             # untraced unbounded run skips it.
-            from repro.outofcore.budget import (
-                PREPARED_RECORD_FACTOR,
-                record_nbytes,
-            )
-
             cost = PREPARED_RECORD_FACTOR * record_nbytes(record)
         if budget is not None:
             while self._cache and budget.would_exceed(cost):
@@ -338,7 +338,6 @@ class _ColumnarScorer(_ChunkScorer):
 
     def score(self, pairs: list[IdPair], threshold: float | None) -> tuple:
         from repro.columnar import build_block, match_id_pairs, score_id_pairs
-        from repro.outofcore.budget import columnar_block_nbytes
 
         block = self._block
         budget = self._budget

@@ -40,7 +40,7 @@ from repro.core.unionfind import UnionFind
 from repro.linkage.blocking.base import Blocker, KeyFunction, usable_keys
 from repro.linkage.classify.threshold import plain_threshold
 from repro.linkage.comparison import PreparedRecord, RecordComparator
-from repro.linkage.resolver import MatchClassifier
+from repro.linkage.resolver import MatchClassifier, resolve
 
 __all__ = ["BatchStats", "IncrementalLinker", "ProbeResult"]
 
@@ -370,8 +370,6 @@ class IncrementalLinker:
         comparator/classifier, clustering by connected components —
         what a from-scratch run would compute.
         """
-        from repro.linkage.resolver import resolve
-
         result = resolve(
             list(self._records.values()),
             blocker,

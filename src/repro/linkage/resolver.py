@@ -29,6 +29,11 @@ from repro.linkage.engine import (
     Representation,
 )
 from repro.obs import BLOCK_SIZE_BUCKETS, NULL_TRACER, observe_block_collection
+from repro.outofcore import (
+    ExternalPairDeduper,
+    MemoryBudget,
+    SpillSession,
+)
 from repro.recovery import spill_store
 
 __all__ = ["MatchClassifier", "LinkageResult", "resolve"]
@@ -126,8 +131,6 @@ def _spill_block_pairs(blocker: Blocker, records, store, budget, tracer):
     whose ``stream()`` is the canonical pair order and whose ``n_pairs``
     is known once that stream is drained. Reports what
     :func:`_block_pairs` reports, counted block by block."""
-    from repro.outofcore import ExternalPairDeduper, SpillSession
-
     if not blocker.supports_streaming:
         raise ConfigurationError(
             f"{type(blocker).__name__} has no streaming path; "
@@ -312,8 +315,6 @@ def resolve(
         run = engine.match_pairs(by_id, ordered, classifier)
         n_candidates = len(ordered)
     else:
-        from repro.outofcore import MemoryBudget
-
         budget = (
             memory_budget
             if isinstance(memory_budget, MemoryBudget)

@@ -20,47 +20,22 @@ so instrumentation is strictly opt-in::
     print(tracer.report(name="pipeline").render())
 """
 
-from repro.obs.clock import Clock, ManualClock, SystemClock
-from repro.obs.instruments import (
-    BLOCK_SIZE_BUCKETS,
-    STREAM_LAG_BUCKETS,
-    observe_block_collection,
-    observe_candidate_pruning,
-    observe_stream_window,
-    observe_supervisor,
-    observe_text_caches,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    SCORE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.report import RunReport
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro import _lazy
 
-__all__ = [
-    "BLOCK_SIZE_BUCKETS",
-    "Clock",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "ManualClock",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "RunReport",
-    "SCORE_BUCKETS",
-    "STREAM_LAG_BUCKETS",
-    "Span",
-    "SystemClock",
-    "Tracer",
-    "observe_block_collection",
-    "observe_candidate_pruning",
-    "observe_stream_window",
-    "observe_supervisor",
-    "observe_text_caches",
-]
+_lazy.export(
+    globals(),
+    {
+        "clock": "Clock ManualClock SystemClock",
+        "instruments": (
+            "BLOCK_SIZE_BUCKETS STREAM_LAG_BUCKETS "
+            "observe_block_collection observe_candidate_pruning "
+            "observe_stream_window observe_supervisor observe_text_caches"
+        ),
+        "metrics": (
+            "DEFAULT_BUCKETS SCORE_BUCKETS Counter Gauge Histogram "
+            "MetricsRegistry"
+        ),
+        "report": "RunReport",
+        "tracer": "NULL_TRACER NullTracer Span Tracer",
+    },
+)

@@ -9,6 +9,8 @@ re-deriving the same counters and histograms from a
 
 from __future__ import annotations
 
+from repro.text import MEMO_CACHES
+
 __all__ = [
     "BLOCK_SIZE_BUCKETS",
     "STREAM_LAG_BUCKETS",
@@ -113,8 +115,6 @@ def observe_text_caches(tracer) -> None:
     path) and emits ``text.<name>.cache_{hits,misses,size,maxsize}``
     plus a derived ``text.<name>.cache_hit_ratio`` gauge.
     """
-    from repro.text import MEMO_CACHES
-
     for name, cached_function in MEMO_CACHES.items():
         info = cached_function.cache_info()
         base = f"text.{name}"

@@ -29,40 +29,23 @@ Building blocks:
   sorted neighbourhood's own external sort.
 """
 
-from repro.outofcore.budget import (
-    MemoryBudget,
-    columnar_block_nbytes,
-    pair_nbytes,
-    record_nbytes,
-    str_nbytes,
-)
-from repro.outofcore.claims import (
-    ClaimStreamSummary,
-    SpillableClaimGroups,
-    stream_accuvote,
-    stream_voting,
-)
-from repro.outofcore.records import IndexedRecordStore
-from repro.outofcore.spill import (
-    ExternalPairDeduper,
-    ExternalSorter,
-    SpillableBlockIndex,
-    SpillSession,
-)
+from repro import _lazy
 
-__all__ = [
-    "ClaimStreamSummary",
-    "ExternalPairDeduper",
-    "ExternalSorter",
-    "IndexedRecordStore",
-    "MemoryBudget",
-    "SpillSession",
-    "columnar_block_nbytes",
-    "SpillableBlockIndex",
-    "SpillableClaimGroups",
-    "pair_nbytes",
-    "record_nbytes",
-    "str_nbytes",
-    "stream_accuvote",
-    "stream_voting",
-]
+_lazy.export(
+    globals(),
+    {
+        "budget": (
+            "MemoryBudget columnar_block_nbytes pair_nbytes record_nbytes "
+            "str_nbytes"
+        ),
+        "claims": (
+            "ClaimStreamSummary SpillableClaimGroups stream_accuvote "
+            "stream_voting"
+        ),
+        "records": "IndexedRecordStore",
+        "spill": (
+            "ExternalPairDeduper ExternalSorter SpillableBlockIndex "
+            "SpillSession"
+        ),
+    },
+)

@@ -18,6 +18,7 @@ on-disk run layout) never vary across interpreter builds.
 from __future__ import annotations
 
 from repro.core.errors import ConfigurationError
+from repro.obs import NULL_TRACER
 
 __all__ = [
     "MemoryBudget",
@@ -83,8 +84,6 @@ class MemoryBudget:
     """
 
     def __init__(self, limit_bytes: int, tracer=None) -> None:
-        from repro.obs import NULL_TRACER
-
         limit_bytes = int(limit_bytes)
         if limit_bytes < 1:
             raise ConfigurationError(

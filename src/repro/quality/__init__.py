@@ -1,53 +1,25 @@
 """Evaluation metrics for every pipeline stage, plus report rendering."""
 
-from repro.quality.blocking import BlockingQuality, blocking_quality, total_pairs
-from repro.quality.corpus_stats import (
-    AttributeTailStatistics,
-    attribute_tail_statistics,
-)
-from repro.quality.clusters import (
-    BCubedQuality,
-    bcubed_quality,
-    clusters_to_pairs,
-    pairwise_cluster_quality,
-)
-from repro.quality.fusion import (
-    CopyDetectionQuality,
-    accuracy_estimation_error,
-    copy_detection_quality,
-    estimation_rmse,
-    fusion_accuracy,
-)
-from repro.quality.matching import PairQuality, as_pair_set, pair_quality
-from repro.quality.report import format_cell, render_kv, render_table
-from repro.quality.schema import (
-    attribute_cluster_quality,
-    correspondence_quality,
-    true_attribute_pairs,
-)
+from repro import _lazy
 
-__all__ = [
-    "AttributeTailStatistics",
-    "BCubedQuality",
-    "BlockingQuality",
-    "CopyDetectionQuality",
-    "PairQuality",
-    "accuracy_estimation_error",
-    "as_pair_set",
-    "attribute_tail_statistics",
-    "attribute_cluster_quality",
-    "bcubed_quality",
-    "blocking_quality",
-    "clusters_to_pairs",
-    "copy_detection_quality",
-    "correspondence_quality",
-    "estimation_rmse",
-    "format_cell",
-    "fusion_accuracy",
-    "pair_quality",
-    "pairwise_cluster_quality",
-    "render_kv",
-    "render_table",
-    "total_pairs",
-    "true_attribute_pairs",
-]
+_lazy.export(
+    globals(),
+    {
+        "blocking": "BlockingQuality blocking_quality total_pairs",
+        "clusters": (
+            "BCubedQuality bcubed_quality clusters_to_pairs "
+            "pairwise_cluster_quality"
+        ),
+        "corpus_stats": "AttributeTailStatistics attribute_tail_statistics",
+        "fusion": (
+            "CopyDetectionQuality accuracy_estimation_error "
+            "copy_detection_quality estimation_rmse fusion_accuracy"
+        ),
+        "matching": "PairQuality as_pair_set pair_quality",
+        "report": "format_cell render_kv render_table",
+        "schema": (
+            "attribute_cluster_quality correspondence_quality "
+            "true_attribute_pairs"
+        ),
+    },
+)

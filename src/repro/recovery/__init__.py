@@ -7,28 +7,18 @@ another computation read as absent, a namespace bound to another
 fingerprint refuses to resume. See DESIGN.md.
 """
 
-from repro.recovery.fingerprint import (
-    claims_signature,
-    config_fingerprint,
-    content_signature,
-    dataset_fingerprint,
-)
-from repro.recovery.store import (
-    CheckpointMismatchError,
-    RecoveryError,
-    RunStore,
-    as_store,
-    spill_store,
-)
+from repro import _lazy
 
-__all__ = [
-    "CheckpointMismatchError",
-    "RecoveryError",
-    "RunStore",
-    "as_store",
-    "claims_signature",
-    "config_fingerprint",
-    "content_signature",
-    "dataset_fingerprint",
-    "spill_store",
-]
+_lazy.export(
+    globals(),
+    {
+        "fingerprint": (
+            "claims_signature config_fingerprint content_signature "
+            "dataset_fingerprint"
+        ),
+        "store": (
+            "CheckpointMismatchError RecoveryError RunStore as_store "
+            "spill_store"
+        ),
+    },
+)

@@ -28,44 +28,19 @@ the stack degrade gracefully instead of aborting:
   chaos-testing this library and systems built on it.
 """
 
-from repro.resilience.deadletter import DeadLetterEntry, DeadLetterLog
-from repro.resilience.executor import (
-    ResilientChunkExecutor,
-    ResilientOutcome,
-)
-from repro.resilience.policy import (
-    ChunkExecutionError,
-    ChunkResultInvalid,
-    ChunkTimeoutError,
-    DeadlineExceededError,
-    FailurePolicy,
-    InjectedCrash,
-    InjectedHang,
-    InjectedWorkerDeath,
-    PoisonPairError,
-    ResilienceConfig,
-    ResilienceError,
-    RetryPolicy,
-)
-from repro.resilience.workers import WorkerDied, WorkerPool
+from repro import _lazy
 
-__all__ = [
-    "ChunkExecutionError",
-    "ChunkResultInvalid",
-    "ChunkTimeoutError",
-    "DeadLetterEntry",
-    "DeadLetterLog",
-    "DeadlineExceededError",
-    "FailurePolicy",
-    "InjectedCrash",
-    "InjectedHang",
-    "InjectedWorkerDeath",
-    "PoisonPairError",
-    "ResilienceConfig",
-    "ResilienceError",
-    "ResilientChunkExecutor",
-    "ResilientOutcome",
-    "RetryPolicy",
-    "WorkerDied",
-    "WorkerPool",
-]
+_lazy.export(
+    globals(),
+    {
+        "deadletter": "DeadLetterEntry DeadLetterLog",
+        "executor": "ResilientChunkExecutor ResilientOutcome",
+        "policy": (
+            "ChunkExecutionError ChunkResultInvalid ChunkTimeoutError "
+            "DeadlineExceededError FailurePolicy InjectedCrash "
+            "InjectedHang InjectedWorkerDeath PoisonPairError "
+            "ResilienceConfig ResilienceError RetryPolicy"
+        ),
+        "workers": "WorkerDied WorkerPool",
+    },
+)

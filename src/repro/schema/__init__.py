@@ -1,75 +1,23 @@
 """Schema alignment: profiling, matching, mediated and probabilistic schemas."""
 
-from repro.schema.attribute_stats import (
-    AttributeProfile,
-    SourceAttribute,
-    profile_attributes,
-)
-from repro.schema.clustering import (
-    cluster_attributes,
-    cluster_attributes_robust,
-)
-from repro.schema.correspondence import (
-    Correspondence,
-    score_all_pairs,
-    select_correspondences,
-)
-from repro.schema.matchers import (
-    AttributeMatcher,
-    HybridMatcher,
-    InstanceMatcher,
-    NameMatcher,
-)
-from repro.schema.mediated import (
-    MediatedAttribute,
-    MediatedSchema,
-    build_mediated_schema,
-)
-from repro.schema.probabilistic import (
-    CandidateSchema,
-    ProbabilisticMediatedSchema,
-    build_probabilistic_mediated_schema,
-)
-from repro.schema.transforms import (
-    ScaleTransform,
-    discover_scale_transform,
-    known_unit_ratios,
-)
-from repro.schema.query import (
-    Cell,
-    answer_with_pschema,
-    answer_with_schema,
-    answer_without_alignment,
-    cell_quality,
-    true_answer_cells,
-)
+from repro import _lazy
 
-__all__ = [
-    "AttributeMatcher",
-    "AttributeProfile",
-    "CandidateSchema",
-    "Cell",
-    "Correspondence",
-    "HybridMatcher",
-    "InstanceMatcher",
-    "MediatedAttribute",
-    "MediatedSchema",
-    "NameMatcher",
-    "ProbabilisticMediatedSchema",
-    "ScaleTransform",
-    "SourceAttribute",
-    "answer_with_pschema",
-    "answer_with_schema",
-    "answer_without_alignment",
-    "build_mediated_schema",
-    "build_probabilistic_mediated_schema",
-    "cell_quality",
-    "cluster_attributes",
-    "cluster_attributes_robust",
-    "discover_scale_transform",
-    "known_unit_ratios",
-    "profile_attributes",
-    "score_all_pairs",
-    "select_correspondences",
-    "true_answer_cells",
-]
+_lazy.export(
+    globals(),
+    {
+        "attribute_stats": "AttributeProfile SourceAttribute profile_attributes",
+        "clustering": "cluster_attributes cluster_attributes_robust",
+        "correspondence": "Correspondence score_all_pairs select_correspondences",
+        "matchers": "AttributeMatcher HybridMatcher InstanceMatcher NameMatcher",
+        "mediated": "MediatedAttribute MediatedSchema build_mediated_schema",
+        "probabilistic": (
+            "CandidateSchema ProbabilisticMediatedSchema "
+            "build_probabilistic_mediated_schema"
+        ),
+        "query": (
+            "Cell answer_with_pschema answer_with_schema "
+            "answer_without_alignment cell_quality true_answer_cells"
+        ),
+        "transforms": "ScaleTransform discover_scale_transform known_unit_ratios",
+    },
+)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,7 +29,11 @@ from repro.core.dataset import Dataset
 from repro.core.errors import ConfigurationError
 from repro.core.unionfind import UnionFind
 from repro.schema.attribute_stats import SourceAttribute, profile_attributes
-from repro.schema.correspondence import Correspondence, score_all_pairs
+from repro.schema.correspondence import (
+    Correspondence,
+    score_all_pairs,
+    select_correspondences,
+)
 from repro.schema.matchers import AttributeMatcher, HybridMatcher
 from repro.schema.mediated import (
     MediatedAttribute,
@@ -217,8 +222,6 @@ def _schema_from_assignment(
     merged: dict[int, list[SourceAttribute]] = {}
     for index, cluster in enumerate(clusters):
         merged.setdefault(uf.find(index), []).extend(cluster)
-    from collections import Counter
-
     used: Counter[str] = Counter()
     mediated: list[MediatedAttribute] = []
     for members in sorted(merged.values(), key=lambda m: sorted(m)[0]):
@@ -258,8 +261,6 @@ def build_probabilistic_mediated_schema(
         profiles, matcher, min_score=uncertain_threshold, tracer=tracer
     )
     if one_to_one:
-        from repro.schema.correspondence import select_correspondences
-
         scored = select_correspondences(
             scored, threshold=uncertain_threshold, one_to_one=True
         )

@@ -1,22 +1,15 @@
 """Source selection: profiling, marginal gain, greedy less-is-more."""
 
-from repro.selection.gain import expected_accuracy, marginal_gain, true_accuracy
-from repro.selection.greedy import (
-    GreedySourceSelector,
-    SelectionResult,
-    SelectionStep,
-    baseline_order,
-)
-from repro.selection.profiles import SourceStats, profile_sources
+from repro import _lazy
 
-__all__ = [
-    "GreedySourceSelector",
-    "SelectionResult",
-    "SelectionStep",
-    "SourceStats",
-    "baseline_order",
-    "expected_accuracy",
-    "marginal_gain",
-    "profile_sources",
-    "true_accuracy",
-]
+_lazy.export(
+    globals(),
+    {
+        "gain": "expected_accuracy marginal_gain true_accuracy",
+        "greedy": (
+            "GreedySourceSelector SelectionResult SelectionStep "
+            "baseline_order"
+        ),
+        "profiles": "SourceStats profile_sources",
+    },
+)

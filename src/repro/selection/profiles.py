@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.fusion.base import ClaimSet
+from repro.fusion.voting import VotingFuser
 
 __all__ = ["SourceStats", "profile_sources"]
 
@@ -40,8 +41,6 @@ def profile_sources(
     """
     n_items = len(claims.items())
     if reference_truth is None:
-        from repro.fusion.voting import VotingFuser
-
         reference_truth = VotingFuser().fuse(claims).chosen
     stats: dict[str, SourceStats] = {}
     for source in claims.sources():

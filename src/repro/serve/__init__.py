@@ -28,32 +28,15 @@ queries, cache hits/misses, generation swaps, quarantined ingests, …)
 on any attached :class:`repro.obs.Tracer`.
 """
 
-from repro.linkage.projection import entity_id_for
-from repro.serve.cache import MISS, GenerationCache
-from repro.serve.service import (
-    IngestResult,
-    ResolutionService,
-    ResolvedEntity,
-)
-from repro.serve.store import EntityStore, record_to_row
-from repro.serve.traffic import (
-    TrafficConfig,
-    TrafficResult,
-    percentile,
-    run_traffic,
-)
+from repro import _lazy
 
-__all__ = [
-    "EntityStore",
-    "GenerationCache",
-    "IngestResult",
-    "MISS",
-    "ResolutionService",
-    "ResolvedEntity",
-    "TrafficConfig",
-    "TrafficResult",
-    "entity_id_for",
-    "percentile",
-    "record_to_row",
-    "run_traffic",
-]
+_lazy.export(
+    globals(),
+    {
+        ".linkage.projection": "entity_id_for",
+        "cache": "MISS GenerationCache",
+        "service": "IngestResult ResolutionService ResolvedEntity",
+        "store": "EntityStore record_to_row",
+        "traffic": "TrafficConfig TrafficResult percentile run_traffic",
+    },
+)

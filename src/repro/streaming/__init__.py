@@ -14,40 +14,21 @@ every window boundary is byte-identical to a from-scratch batch
 resolve-and-fuse over the records of all closed windows.
 """
 
-from repro.streaming.drift import (
-    CONFLICT_ATTRIBUTES,
-    DriftStreamConfig,
-    DriftWorld,
-    projection_accuracy,
-)
-from repro.streaming.fusion import DecayedAccuracyTracker
-from repro.streaming.monitors import (
-    AccuracyShiftMonitor,
-    MatchRateMonitor,
-    MonitorEvent,
-)
-from repro.streaming.runtime import (
-    StreamingResolver,
-    WindowResult,
-    batch_reference_snapshot,
-    fuse_entity,
-)
-from repro.streaming.windows import TumblingWindower, Window, WindowConfig
+from repro import _lazy
 
-__all__ = [
-    "AccuracyShiftMonitor",
-    "CONFLICT_ATTRIBUTES",
-    "DecayedAccuracyTracker",
-    "DriftStreamConfig",
-    "DriftWorld",
-    "MatchRateMonitor",
-    "MonitorEvent",
-    "StreamingResolver",
-    "TumblingWindower",
-    "Window",
-    "WindowConfig",
-    "WindowResult",
-    "batch_reference_snapshot",
-    "fuse_entity",
-    "projection_accuracy",
-]
+_lazy.export(
+    globals(),
+    {
+        "drift": (
+            "CONFLICT_ATTRIBUTES DriftStreamConfig DriftWorld "
+            "projection_accuracy"
+        ),
+        "fusion": "DecayedAccuracyTracker",
+        "monitors": "AccuracyShiftMonitor MatchRateMonitor MonitorEvent",
+        "runtime": (
+            "StreamingResolver WindowResult batch_reference_snapshot "
+            "fuse_entity"
+        ),
+        "windows": "TumblingWindower Window WindowConfig",
+    },
+)

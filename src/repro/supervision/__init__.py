@@ -27,39 +27,17 @@ last published generation while writes shed); the sharded runtime
 composes the supervisor via its ``supervisor=`` argument.
 """
 
-from repro.supervision.admission import (
-    SHED_MODES,
-    AdmissionGate,
-    Overloaded,
-    OverloadPolicy,
-)
-from repro.supervision.breaker import BREAKER_STATES, CircuitBreaker
-from repro.supervision.heartbeat import (
-    HeartbeatEmitter,
-    progress_token,
-    read_heartbeat,
-)
-from repro.supervision.supervisor import (
-    SUPERVISION_EVENT_KINDS,
-    SupervisionEvent,
-    SupervisionExhaustedError,
-    SupervisionPolicy,
-    Supervisor,
-)
+from repro import _lazy
 
-__all__ = [
-    "AdmissionGate",
-    "BREAKER_STATES",
-    "CircuitBreaker",
-    "HeartbeatEmitter",
-    "Overloaded",
-    "OverloadPolicy",
-    "SHED_MODES",
-    "SUPERVISION_EVENT_KINDS",
-    "SupervisionEvent",
-    "SupervisionExhaustedError",
-    "SupervisionPolicy",
-    "Supervisor",
-    "progress_token",
-    "read_heartbeat",
-]
+_lazy.export(
+    globals(),
+    {
+        "admission": "SHED_MODES AdmissionGate Overloaded OverloadPolicy",
+        "breaker": "BREAKER_STATES CircuitBreaker",
+        "heartbeat": "HeartbeatEmitter progress_token read_heartbeat",
+        "supervisor": (
+            "SUPERVISION_EVENT_KINDS SupervisionEvent "
+            "SupervisionExhaustedError SupervisionPolicy Supervisor"
+        ),
+    },
+)

@@ -1,62 +1,23 @@
 """Synthetic-world substrate: worlds, sources, claims, copiers, time."""
 
-from repro.synth.claims import (
-    ClaimWorldConfig,
-    NumericClaimWorldConfig,
-    PlantedClaims,
-    PlantedNumericClaims,
-    generate_claims,
-    generate_numeric_claims,
-)
-from repro.synth.copiers import CopierConfig, add_copier_sources
-from repro.synth.corpus import BuiltCorpus, FourVKnobs, build_corpus, scaled
-from repro.synth.evolution import (
-    EvolvingWorldConfig,
-    TemporalStreamConfig,
-    evolve_world,
-    generate_temporal_dataset,
-    stream_temporal_observations,
-    stream_temporal_records,
-    stream_world_snapshots,
-)
-from repro.synth.sources import CorpusConfig, SourceProfile, generate_dataset
-from repro.synth.vocab import (
-    AttributeSpec,
-    CategoryVocabulary,
-    builtin_catalog,
-    category,
-)
-from repro.synth.world import Entity, World, WorldConfig, generate_world
+from repro import _lazy
 
-__all__ = [
-    "AttributeSpec",
-    "BuiltCorpus",
-    "CategoryVocabulary",
-    "ClaimWorldConfig",
-    "NumericClaimWorldConfig",
-    "PlantedNumericClaims",
-    "CopierConfig",
-    "CorpusConfig",
-    "Entity",
-    "EvolvingWorldConfig",
-    "FourVKnobs",
-    "PlantedClaims",
-    "SourceProfile",
-    "TemporalStreamConfig",
-    "World",
-    "WorldConfig",
-    "add_copier_sources",
-    "build_corpus",
-    "builtin_catalog",
-    "category",
-    "evolve_world",
-    "generate_claims",
-    "generate_numeric_claims",
-    "generate_dataset",
-    "generate_temporal_dataset",
-    "generate_world",
-    "scaled",
-    "stream_temporal_observations",
-    "stream_temporal_records",
-    "stream_world_snapshots",
-]
+_lazy.export(
+    globals(),
+    {
+        "claims": (
+            "ClaimWorldConfig NumericClaimWorldConfig PlantedClaims "
+            "PlantedNumericClaims generate_claims generate_numeric_claims"
+        ),
+        "copiers": "CopierConfig add_copier_sources",
+        "corpus": "BuiltCorpus FourVKnobs build_corpus scaled",
+        "evolution": (
+            "EvolvingWorldConfig TemporalStreamConfig evolve_world "
+            "generate_temporal_dataset stream_temporal_observations "
+            "stream_temporal_records stream_world_snapshots"
+        ),
+        "sources": "CorpusConfig SourceProfile generate_dataset",
+        "vocab": "AttributeSpec CategoryVocabulary builtin_catalog category",
+        "world": "Entity World WorldConfig generate_world",
+    },
+)

@@ -1,18 +1,11 @@
 """Velocity substrate: corpus snapshots, diffing, incremental maintenance."""
 
-from repro.velocity.incremental_pipeline import SnapshotCost, SnapshotMaintainer
-from repro.velocity.snapshots import (
-    SnapshotConfig,
-    SnapshotDiff,
-    diff_datasets,
-    render_snapshots,
-)
+from repro import _lazy
 
-__all__ = [
-    "SnapshotConfig",
-    "SnapshotCost",
-    "SnapshotDiff",
-    "SnapshotMaintainer",
-    "diff_datasets",
-    "render_snapshots",
-]
+_lazy.export(
+    globals(),
+    {
+        "incremental_pipeline": "SnapshotCost SnapshotMaintainer",
+        "snapshots": "SnapshotConfig SnapshotDiff diff_datasets render_snapshots",
+    },
+)

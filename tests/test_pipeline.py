@@ -203,7 +203,7 @@ class TestProfilesOncePerRun:
 
     @pytest.fixture
     def profiled(self, monkeypatch):
-        import repro.schema
+        import repro.core.pipeline
         import repro.schema.mediated
 
         calls = []
@@ -212,8 +212,10 @@ class TestProfilesOncePerRun:
             calls.append(dataset)
             return profile(dataset, sources)
 
-        profile = repro.schema.profile_attributes
-        monkeypatch.setattr(repro.schema, "profile_attributes", counting)
+        profile = repro.schema.mediated.profile_attributes
+        monkeypatch.setattr(
+            repro.core.pipeline, "profile_attributes", counting
+        )
         monkeypatch.setattr(
             repro.schema.mediated, "profile_attributes", counting
         )
