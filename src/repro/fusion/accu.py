@@ -17,6 +17,7 @@ until the accuracy vector stabilizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Mapping
 
@@ -27,7 +28,6 @@ from repro.fusion.base import (
     Fuser,
     FusionResult,
     ItemScorer,
-    ordered_sum,
     reweigh,
     softmax,
     sweep,
@@ -105,7 +105,7 @@ class AccuVote(Fuser):
         vote = votes.__getitem__
 
         def score_item(values, supporters):
-            return softmax([ordered_sum(map(vote, who)) for who in supporters])
+            return softmax([math.fsum(map(vote, who)) for who in supporters])
 
         return score_item
 

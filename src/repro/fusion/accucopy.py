@@ -23,6 +23,7 @@ of the original experiments — are detected regardless of cabal size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Mapping
 
@@ -33,7 +34,6 @@ from repro.fusion.base import (
     Fuser,
     FusionResult,
     ItemScorer,
-    ordered_sum,
     reweigh,
     softmax,
     sweep,
@@ -125,20 +125,19 @@ class AccuCopy(Fuser):
         sources = list(accuracy)
         weights = list(accuracy.values())
         votes = [vote_count(a, self._n) for a in weights]
-        # Nothing here depends on the item. Supporters are visited in one
-        # ranking of the sources, and a vote is discounted only by the
-        # sources ranked ahead of it whose factor is not exactly 1.0
-        # (multiplying by 1.0 changes no bit), kept in ranking order —
-        # the order they are counted in whatever the item. Both are
-        # lists indexed by source position.
+        # Nothing here depends on the item. A vote is discounted only by
+        # the sources ranked ahead of it whose factor is not exactly 1.0
+        # (multiplying by 1.0 changes no bit), kept in ranking order:
+        # float products are order-sensitive, so the factors multiply in
+        # the order the model counts supporters whatever the item. The
+        # votes are then summed exactly, in any order. Lists are indexed
+        # by source position.
         c = self._detector.copy_rate
         ranking = sorted(
             range(len(sources)), key=lambda p: (-weights[p], sources[p])
         )
-        rank = [0] * len(sources)
         discounts: list[list[tuple[int, float]]] = [[] for __ in sources]
         for place, p in enumerate(ranking):
-            rank[p] = place
             source = sources[p]
             for q in ranking[:place]:
                 earlier = sources[q]
@@ -155,11 +154,9 @@ class AccuCopy(Fuser):
             return independence * votes[p]
 
         def score_item(values, supporters):
-            scores = []
-            for who in supporters:
-                counted = sorted(who, key=rank.__getitem__)
-                scores.append(ordered_sum([vote(p, counted) for p in counted]))
-            return softmax(scores)
+            return softmax(
+                [math.fsum([vote(p, who) for p in who]) for who in supporters]
+            )
 
         return score_item
 

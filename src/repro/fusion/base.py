@@ -13,6 +13,11 @@ every source's mean score. The pass reads the claims as a value table
 position, built once per claim set, in which items claimed alike share
 one numbered *supporter pattern* — scored once by a rule that reads no
 values.
+
+Every float sum in fusion is :func:`math.fsum`: correctly rounded, so a
+sum depends on neither the order its terms arrive in nor the Python
+version, and no fused number depends on claim order beyond the tie rules
+that name it.
 """
 
 from __future__ import annotations
@@ -20,22 +25,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, repeat
-from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.core.errors import DataModelError, EmptyInputError
 
 __all__ = ["Claim", "ClaimSet", "FusionResult", "Fuser"]
-
-
-def ordered_sum(values: Iterable[float]) -> float:
-    """``values`` added strictly left to right, starting from ``0``: the
-    one float addition order of fusion. Builtin ``sum`` compensates its
-    rounding since Python 3.12, so its low bits would depend on the
-    interpreter; this is what it computed before."""
-    return reduce(add, values, 0)
 
 
 #: One item of the value table: its id, its distinct values in
@@ -310,11 +306,11 @@ class ClaimSet:
         Each supporter pattern is scored once — each group, when the
         rule reads values — and every item takes its scores, in item
         first-seen order. Concatenated in scoring order, the scores are
-        indexed by slot, and a source's are summed over its slots in its
-        own claim order, which fixes the float addition order. Only the
-        concatenation is kept: a list per pattern held for the whole
-        sweep is enough new container objects to bring the cyclic
-        collector round several times per sweep.
+        indexed by slot, and a source's mean is the exact sum of its
+        slots' scores over their count. Only the concatenation is kept:
+        a list per pattern held for the whole sweep is enough new
+        container objects to bring the cyclic collector round several
+        times per sweep.
         """
         index = self.index()
         groups, patterns, slots = index.value_table
@@ -341,7 +337,7 @@ class ClaimSet:
                     zip(flat[first : starts[unit + 1]], values)
                 )
         means = {
-            source: ordered_sum(map(flat.__getitem__, own)) / len(own)
+            source: math.fsum(map(flat.__getitem__, own)) / len(own)
             for source, own in zip(self._by_source, slots)
         }
         return chosen, confidence, means
@@ -428,7 +424,7 @@ def softmax(scores: Sequence[float]) -> list[float]:
     """Normalise log-scores into probabilities, peak subtracted first."""
     peak = max(scores)
     exps = [math.exp(score - peak) for score in scores]
-    total = ordered_sum(exps)
+    total = math.fsum(exps)
     return [weight / total for weight in exps]
 
 

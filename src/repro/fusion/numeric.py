@@ -59,7 +59,7 @@ def _weighted_median(
     values: list[float], weights: list[float]
 ) -> float:
     order = sorted(range(len(values)), key=values.__getitem__)
-    total = sum(weights)
+    total = math.fsum(weights)
     if total <= 0:
         return values[order[len(order) // 2]]
     running = 0.0
@@ -101,23 +101,25 @@ class CRHNumericFuser:
         """Fuse (source, item) → value claims.
 
         Returns ``(truths, source_weights, iterations)`` with weights
-        normalized to mean 1.
+        normalized to mean 1. Sources are taken in first-seen claim order
+        and every sum is exact, so the result depends on neither the
+        hash seed nor the order of ``claims``' entries per item.
         """
         if not claims:
             raise EmptyInputError("no numeric claims to fuse")
         by_item: dict[str, list[tuple[str, float]]] = {}
-        sources: set[str] = set()
+        sources: dict[str, None] = {}
         for (source, item), value in claims.items():
             by_item.setdefault(item, []).append((source, value))
-            sources.add(source)
+            sources.setdefault(source)
 
         # Per-item scale for loss normalization: the claim spread (std),
         # floored to keep perfectly agreeing items well-defined.
         scale: dict[str, float] = {}
         for item, entries in by_item.items():
             values = [v for __, v in entries]
-            mean = sum(values) / len(values)
-            variance = sum((v - mean) ** 2 for v in values) / len(values)
+            mean = math.fsum(values) / len(values)
+            variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
             scale[item] = max(math.sqrt(variance), 1e-9)
 
         weights = {source: 1.0 for source in sources}
@@ -130,12 +132,12 @@ class CRHNumericFuser:
                 if self.loss == "absolute":
                     truths[item] = _weighted_median(values, entry_weights)
                 else:
-                    total = sum(entry_weights)
+                    total = math.fsum(entry_weights)
                     truths[item] = (
-                        sum(w * v for w, v in zip(entry_weights, values))
+                        math.fsum(w * v for w, v in zip(entry_weights, values))
                         / total
                         if total > 0
-                        else sum(values) / len(values)
+                        else math.fsum(values) / len(values)
                     )
             losses = {source: 0.0 for source in sources}
             for item, entries in by_item.items():
@@ -144,7 +146,7 @@ class CRHNumericFuser:
                     if self.loss == "squared":
                         deviation = deviation**2
                     losses[source] += deviation
-            total_loss = sum(losses.values())
+            total_loss = math.fsum(losses.values())
             if total_loss <= 0:
                 new_weights = {source: 1.0 for source in sources}
             else:
@@ -154,7 +156,7 @@ class CRHNumericFuser:
                     )
                     for source in sources
                 }
-                mean_weight = sum(new_weights.values()) / len(new_weights)
+                mean_weight = math.fsum(new_weights.values()) / len(sources)
                 if mean_weight > 0:
                     new_weights = {
                         s: w / mean_weight for s, w in new_weights.items()

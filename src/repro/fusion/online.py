@@ -50,14 +50,15 @@ def claim_posterior(
 
     The ``n + 1`` possible values all start at vote count 0; values
     nobody claimed yet keep that count, so early posteriors stay
-    honest instead of jumping to 1.0 after one probe.
+    honest instead of jumping to 1.0 after one probe. The normaliser is
+    one exact sum, so the posterior is the same on every Python.
     """
     if not scores:
         return 0.0
     peak = max(0.0, max(scores.values()))
     exps = {v: math.exp(s - peak) for v, s in scores.items()}
     unclaimed = max(0, n_false_values + 1 - len(scores))
-    total = sum(exps.values()) + unclaimed * math.exp(-peak)
+    total = math.fsum([*exps.values(), unclaimed * math.exp(-peak)])
     return exps.get(value, 0.0) / total if total else 0.0
 
 
@@ -136,7 +137,7 @@ class OnlineFusion:
         correctness_trace: list[float] = []
 
         remaining_weight = {
-            item: sum(
+            item: math.fsum(
                 self._vote_count(source)
                 for source in order
                 if claims.value_of(source, item) is not None

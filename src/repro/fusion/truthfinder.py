@@ -28,7 +28,6 @@ from repro.fusion.base import (
     Fuser,
     FusionResult,
     ItemScorer,
-    ordered_sum,
     reweigh,
     sweep,
 )
@@ -123,12 +122,12 @@ class TruthFinder(Fuser):
         implies = weight > 0 and similarity is not None
 
         def score_item(values, supporters):
-            raw = [ordered_sum(map(trust_of, who)) for who in supporters]
+            raw = [math.fsum(map(trust_of, who)) for who in supporters]
             if implies:
                 raw = [
                     score
                     + weight
-                    * ordered_sum(
+                    * math.fsum(
                         similarity(value, other) * other_score
                         for other, other_score in zip(values, raw)
                         if other != value

@@ -19,8 +19,7 @@ Building blocks:
   sort, and candidate-pair deduplication.
 * :class:`SpillableClaimGroups` — bounded grouped claims, a claim
   source the item-local fusers (voting, AccuVote, TruthFinder) run on
-  unchanged; :func:`stream_voting` / :func:`stream_accuvote` are those
-  fusers called on it.
+  unchanged; :func:`stream_accuvote` is AccuVote called on it.
 * :class:`IndexedRecordStore` — random-access record lookup over a
   ``records.jsonl`` file through a budget-tracked LRU cache.
 * :class:`SpillSession` — bundles the spill store and budget handed to
@@ -38,10 +37,7 @@ _lazy.export(
             "MemoryBudget columnar_block_nbytes pair_nbytes record_nbytes "
             "str_nbytes"
         ),
-        "claims": (
-            "ClaimStreamSummary SpillableClaimGroups stream_accuvote "
-            "stream_voting"
-        ),
+        "claims": "ClaimStreamSummary SpillableClaimGroups stream_accuvote",
         "records": "IndexedRecordStore",
         "spill": (
             "ExternalPairDeduper ExternalSorter SpillableBlockIndex "

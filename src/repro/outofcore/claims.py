@@ -9,12 +9,12 @@ presents to the fusers. It answers the same four questions a fuser asks
 of its claims (``require_nonempty``, ``sources``, ``groups``,
 ``sweep``), so every fuser that reads nothing but one item's claims at a
 time — voting, AccuVote, TruthFinder — runs on it unchanged and
-reproduces its in-memory output **bit for bit**. The one thing the
-spilled side adds is in :meth:`SpillableClaimGroups.sweep`: per-claim
-scores are re-sorted into claim order before summing, because float
-addition order is part of the contract. It does not look for repeated
-supporter patterns: each group is scored once as it streams, and only
-item and source ids stay resident.
+reproduces its in-memory output **bit for bit**. Fusion's sums are
+exact, so :meth:`SpillableClaimGroups.sweep` adds each source's scores
+in stream order into one exact accumulator per source and spills
+nothing of its own. It does not look for repeated supporter patterns:
+each group is scored once as it streams, and only item and source ids
+and the per-source accumulators stay resident.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Iterator
 from repro.core.errors import EmptyInputError
 from repro.fusion.accu import AccuVote
 from repro.fusion.base import FusionResult, Group, ItemScorer
-from repro.fusion.voting import VotingFuser
 from repro.outofcore.budget import MemoryBudget
 from repro.outofcore.spill import ExternalSorter, entry_nbytes
 
@@ -32,20 +31,7 @@ __all__ = [
     "ClaimStreamSummary",
     "SpillableClaimGroups",
     "stream_accuvote",
-    "stream_voting",
 ]
-
-
-class _Supporters(list):
-    """One value's supporters as source positions in claim order, with
-    their claims' arrival seqs in ``seqs``: what ``sweep`` puts the
-    scores back into claim order by."""
-
-    __slots__ = ("seqs",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.seqs: list[int] = []
 
 
 class ClaimStreamSummary:
@@ -81,14 +67,10 @@ class SpillableClaimGroups:
     ClaimSet iteration semantics exactly. Duplicate ``(source, item)``
     claims are dropped at stream time, first claim wins, as the
     in-memory pipeline asks its ClaimSet before adding.
-
-    ``scratch`` is the ``(store, budget)`` that :meth:`sweep` spills
-    its per-claim scores to — the claims' own unless rebound.
     """
 
     def __init__(self, store, budget: MemoryBudget) -> None:
         self._sorter = ExternalSorter(store, budget, name="claims")
-        self.scratch = (store, budget)
         self._item_seq: dict[str, int] = {}
         self._source_seq: dict[str, int] = {}
         self._n_added = 0
@@ -138,7 +120,7 @@ class SpillableClaimGroups:
         """
         position = self._source_seq
         item = None
-        for number, seq, item_id, source_id, value in (
+        for number, __, item_id, source_id, value in (
             self._sorter.sorted_stream()
         ):
             if item_id != item:
@@ -152,9 +134,8 @@ class SpillableClaimGroups:
             k = local.get(value)
             if k is None:
                 k = local[value] = len(supporters)
-                supporters.append(_Supporters())
+                supporters.append([])
             supporters[k].append(position[source_id])
-            supporters[k].seqs.append(seq)
         if item is not None:
             yield item, list(local), supporters, pattern
 
@@ -164,33 +145,30 @@ class SpillableClaimGroups:
         """:func:`~repro.fusion.base.sweep` over the stream.
 
         Each group is scored alone as it arrives, whatever
-        ``reads_values`` says, and its winner taken. In memory a
-        source's scores are summed in claim order, and float addition
-        order changes the low bits; the stream arrives grouped by
-        *item*, so the per-claim scores are spilled keyed by claim seq
-        and merged back into claim order before summing.
+        ``reads_values`` says, and its winner taken. A source's scores
+        are added as they stream, each as an exact integer multiple of
+        2**-1074 (the smallest float), and the total is rounded once,
+        then divided by the count: what ``math.fsum`` and the division
+        give in memory, bit for bit.
         """
         sources = self.sources()
-        store, budget = self.scratch
-        contributions = ExternalSorter(store, budget, name="scores")
+        totals = [0] * len(sources)
+        counts = [0] * len(sources)
         chosen: dict[str, str] = {}
         confidence: dict[str, float] = {}
         for item, values, supporters, __ in self.groups():
             scores = score_item(values, supporters)
             confidence[item], chosen[item] = max(zip(scores, values))
             for who, score in zip(supporters, scores):
-                for p, seq in zip(who, who.seqs):
-                    contributions.add(
-                        (seq, sources[p], score),
-                        entry_nbytes(sources[p], 0, 0.0),
-                    )
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for __, source_id, score in contributions.sorted_stream():
-            sums[source_id] = sums.get(source_id, 0) + score
-            counts[source_id] = counts.get(source_id, 0) + 1
-        contributions.discard()
-        means = {source: sums[source] / counts[source] for source in sums}
+                n, d = score.as_integer_ratio()
+                exact = n << (1075 - d.bit_length())
+                for p in who:
+                    totals[p] += exact
+                    counts[p] += 1
+        means = {
+            source: totals[p] / (1 << 1074) / counts[p]
+            for p, source in enumerate(sources)
+        }
         return chosen, confidence, means
 
     def require_nonempty(self) -> None:
@@ -203,16 +181,10 @@ class SpillableClaimGroups:
         self._sorter.release()
 
 
-def stream_voting(groups: SpillableClaimGroups) -> FusionResult:
-    """Majority voting over a claim stream: ``VotingFuser`` itself."""
-    return VotingFuser().fuse(groups)
-
-
 def stream_accuvote(
     groups: SpillableClaimGroups, store, budget: MemoryBudget, **params
 ) -> FusionResult:
-    """AccuVote over a claim stream: ``AccuVote(**params)`` itself, its
-    per-iteration score round-trip spilling to ``store`` under
-    ``budget``."""
-    groups.scratch = (store, budget)
+    """AccuVote over a claim stream: ``AccuVote(**params).fuse(groups)``.
+    ``store`` and ``budget`` are unused: the sweep spills nothing of its
+    own."""
     return AccuVote(**params).fuse(groups)

@@ -7,8 +7,8 @@ visits each item's ``Claim`` objects, scores its values into a
 ``{item: {value: score}}`` table for its mean; voting counts values in a
 dict. :func:`naive_fusion` puts that sweep, the three item rules and
 voting in place of the library's, so any fuser's own ``fuse`` runs on
-the reference. Every float sum here is a plain loop from ``0``, left to
-right: the one addition order the library promises on every Python.
+the reference. Every float sum here is ``math.fsum`` over a list of the
+terms, as in the library: exact, so no order of adding is promised.
 
 Copy detection — the walk over every shared item of a source pair, and
 the independence discount as the model states it.
@@ -38,17 +38,10 @@ from repro.fusion.online import vote_count
 # --- fusion: the claim walk -------------------------------------------
 
 
-def left_to_right(values):
-    total = 0
-    for value in values:
-        total += value
-    return total
-
-
 def naive_softmax(scores):
     peak = max(scores.values())
     exps = {value: math.exp(score - peak) for value, score in scores.items()}
-    total = left_to_right(exps.values())
+    total = math.fsum(exps.values())
     return {value: weight / total for value, weight in exps.items()}
 
 
@@ -65,7 +58,7 @@ def naive_sweep(claims, score_item, reads_values=False):
     means = {}
     for source in claims.sources():
         own = claims.claims_by(source)
-        means[source] = left_to_right(
+        means[source] = math.fsum(
             table[claim.item_id][claim.value] for claim in own
         ) / len(own)
     return chosen, confidence, means
@@ -75,12 +68,12 @@ def naive_accuvote_scorer(fuser, accuracy):
     votes = {s: vote_count(a, fuser._n) for s, a in accuracy.items()}
 
     def score_item(item_claims):
-        scores = {}
+        tally = {}
         for claim in item_claims:
-            scores[claim.value] = (
-                scores.get(claim.value, 0) + votes[claim.source_id]
-            )
-        return naive_softmax(scores)
+            tally.setdefault(claim.value, []).append(votes[claim.source_id])
+        return naive_softmax(
+            {value: math.fsum(own) for value, own in tally.items()}
+        )
 
     return score_item
 
@@ -89,14 +82,15 @@ def naive_truthfinder_scorer(fuser, trust):
     tau = {s: -math.log(max(1e-9, 1.0 - t)) for s, t in trust.items()}
 
     def score_item(item_claims):
-        raw = {}
+        tally = {}
         for claim in item_claims:
-            raw[claim.value] = raw.get(claim.value, 0) + tau[claim.source_id]
+            tally.setdefault(claim.value, []).append(tau[claim.source_id])
+        raw = {value: math.fsum(own) for value, own in tally.items()}
         if fuser._implication_weight > 0 and fuser._similarity is not None:
             raw = {
                 value: score
                 + fuser._implication_weight
-                * left_to_right(
+                * math.fsum(
                     fuser._similarity(value, other) * raw[other]
                     for other in raw
                     if other != value
@@ -123,18 +117,16 @@ def naive_item_scorer(accuracy, copy_probability, copy_rate, n_false_values):
         scores = {}
         for value, sources in supporters.items():
             sources.sort(key=lambda s: (-accuracy[s], s))
-            score = 0.0
-            counted = []
-            for source in sources:
+            discounted = []
+            for place, source in enumerate(sources):
                 independence = 1.0
-                for earlier in counted:
+                for earlier in sources[:place]:
                     key = (min(source, earlier), max(source, earlier))
                     independence *= 1.0 - copy_rate * copy_probability.get(
                         key, 0.0
                     )
-                score += independence * votes[source]
-                counted.append(source)
-            scores[value] = score
+                discounted.append(independence * votes[source])
+            scores[value] = math.fsum(discounted)
         return naive_softmax(scores)
 
     return score_item

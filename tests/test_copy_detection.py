@@ -150,8 +150,10 @@ class TestAgainstTheNaiveReference:
 
     def test_discount_keeps_the_counted_order(self):
         """Float products do not reassociate: with every pair of eight
-        co-supporters dependent, the factors must apply in the order the
-        supporters were counted."""
+        co-supporters dependent, each vote's factors must apply in the
+        order the supporters were counted. That product order is the
+        only order left in the rule: the discounted votes are summed
+        exactly, so the supporters' claim order moves no bit."""
         for seed in range(60):
             rng = random.Random(seed)
             sources = [f"s{k}" for k in range(8)]
@@ -167,9 +169,17 @@ class TestAgainstTheNaiveReference:
             }
             score = AccuCopy(n_false_values=3).item_scorer(accuracy, copying)
             naive = naive_item_scorer(accuracy, copying, 0.8, 3)
+            expected = json.dumps([list(naive(item_claims).items())])
             assert json.dumps(
                 scored_per_item(score, ClaimSet(item_claims))
-            ) == json.dumps([list(naive(item_claims).items())])
+            ) == expected
+            # The same supporters claiming in another order.
+            reordered = [*rng.sample(item_claims[:-1], 8), item_claims[-1]]
+            in_order = {c.source_id: accuracy[c.source_id] for c in reordered}
+            score = AccuCopy(n_false_values=3).item_scorer(in_order, copying)
+            assert json.dumps(
+                scored_per_item(score, ClaimSet(reordered))
+            ) == expected
 
     @given(world=worlds())
     @settings(max_examples=60, deadline=None)

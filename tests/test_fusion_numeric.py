@@ -1,6 +1,11 @@
 """Tests for CRH numeric truth discovery."""
 
+import os
 import statistics
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +124,40 @@ class TestCRH:
         a = CRHNumericFuser().fuse_values(outlier_world.claims)
         b = CRHNumericFuser().fuse_values(outlier_world.claims)
         assert a == b
+
+    def test_independent_of_the_hash_seed(self):
+        """Sources are taken in claim order, not a set's hash order, and
+        every sum is exact: two processes with different string hashing
+        return the same truths, weights and dict order, to the bit."""
+        script = textwrap.dedent(
+            """
+            from repro.fusion import CRHNumericFuser
+            from repro.synth import (
+                NumericClaimWorldConfig, generate_numeric_claims
+            )
+            world = generate_numeric_claims(NumericClaimWorldConfig(
+                n_items=100, n_sources=12, outlier_sources=4,
+                outlier_rate=0.4, seed=2,
+            ))
+            for loss in ("absolute", "squared"):
+                fuser = CRHNumericFuser(loss=loss)
+                print(repr(fuser.fuse_values(world.claims)))
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+                env={**env, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
 
 
 class TestNumericGenerator:

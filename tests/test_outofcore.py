@@ -43,7 +43,6 @@ from repro.outofcore import (
     SpillableClaimGroups,
     pair_nbytes,
     stream_accuvote,
-    stream_voting,
 )
 from repro.recovery import RunStore
 from repro.resilience import ResilienceConfig, RetryPolicy
@@ -570,7 +569,7 @@ class TestStreamingFusion:
         claims = self._claims()
         base = VotingFuser().fuse(ClaimSet(Claim(*c) for c in claims))
         groups, __, budget = _grouped(tmp_path, claims)
-        result = stream_voting(groups)
+        result = VotingFuser().fuse(groups)
         assert dict(result.chosen) == dict(base.chosen)
         assert dict(result.confidence) == dict(base.confidence)
         assert budget.spill_count > 0
@@ -613,14 +612,16 @@ class TestStreamingFusion:
             claim_set.add(Claim(source, item, value))
         base = VotingFuser().fuse(claim_set)
         groups, __, ___ = _grouped(tmp_path, claims)
-        result = stream_voting(groups)
+        result = VotingFuser().fuse(groups)
         assert dict(result.chosen) == dict(base.chosen)
         assert dict(result.confidence) == dict(base.confidence)
 
     def test_empty_claims_raise(self, tmp_path):
+        from repro.fusion import VotingFuser
+
         groups, store, budget = _grouped(tmp_path, [])
         with pytest.raises(EmptyInputError):
-            stream_voting(groups)
+            VotingFuser().fuse(groups)
         with pytest.raises(EmptyInputError):
             stream_accuvote(groups, store.sub("accu"), budget)
 

@@ -267,6 +267,83 @@ class TestFusionInvariants:
             assert budget.spill_count > 0
 
 
+def interleaved(claims, rng):
+    """``claims`` re-dealt across items at random, each item's own claims
+    still in their order: item and source first-seen order move, and
+    what any one item saw does not."""
+    queues = {}
+    for claim in claims:
+        queues.setdefault(claim.item_id, []).append(claim)
+    dealt = [claim.item_id for claim in claims]
+    rng.shuffle(dealt)
+    return [queues[item].pop(0) for item in dealt]
+
+
+class TestClaimOrderIsNotAnInput:
+    @given(
+        claims=claim_sets(),
+        seed=st.integers(min_value=0, max_value=999),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fused_numbers_do_not_depend_on_claim_order(
+        self, tmp_path_factory, claims, seed
+    ):
+        # Every fusion sum is exact, so nothing fused depends on the
+        # order claims arrive in (compared as mappings: dict order
+        # follows arrival). Two parts:
+        # - claims re-interleaved across items, each item's claims in
+        #   their order: every fuser, in memory and spilled;
+        # - any permutation: AccuVote and TruthFinder ± implication.
+        #   Vote and AccuCopy are left out, and only for Vote's
+        #   documented tie rule — the first value in claim order wins a
+        #   tied count — which AccuCopy inherits by bootstrapping its
+        #   truths from Vote.
+        from repro.outofcore import MemoryBudget, SpillableClaimGroups
+        from repro.recovery import RunStore
+        from tests.test_fusion import GOLDEN_FUSERS
+
+        def spill(arrival):
+            spilled = SpillableClaimGroups(
+                RunStore(tmp_path_factory.mktemp("claims"), durable=False),
+                MemoryBudget(300),
+            )
+            for claim in arrival:
+                spilled.add(claim.source_id, claim.item_id, claim.value)
+            return spilled
+
+        def exact(floats):
+            return {key: value.hex() for key, value in floats.items()}
+
+        def fused(name, arrival):
+            """The result as mappings, the same in memory and spilled."""
+            make = GOLDEN_FUSERS[name]
+            sources = [ClaimSet(arrival)]
+            if name != "accucopy":
+                sources.append(spill(arrival))
+            results = [make().fuse(source) for source in sources]
+            documents = [
+                (
+                    dict(result.chosen),
+                    exact(result.confidence),
+                    exact(result.source_accuracy),
+                    exact(result.copy_probability),
+                    result.iterations,
+                )
+                for result in results
+            ]
+            assert all(d == documents[0] for d in documents), name
+            return documents[0]
+
+        rng = random.Random(seed)
+        arrival = list(claims)
+        permuted = rng.sample(arrival, len(arrival))
+        for name in GOLDEN_FUSERS:
+            expected = fused(name, arrival)
+            assert fused(name, interleaved(arrival, rng)) == expected, name
+            if name not in ("vote", "accucopy"):
+                assert fused(name, permuted) == expected, name
+
+
 class TestTextInvariants:
     @given(st.text(max_size=30))
     @settings(max_examples=50)

@@ -193,3 +193,64 @@ def test_one_module_decides_staleness():
     ] == []
     private = re.compile(r"""getattr\([^)]*["']_(store|prefix|durable)["']""")
     assert [name for name, text in texts.items() if private.search(text)] == []
+
+
+#: The builtin ``sum`` calls ``repro.fusion`` keeps, by module and
+#: enclosing function: each adds integers, where every order is exact.
+INTEGER_SUMS = {
+    ("base.py", "ClaimIndex.__init__"): 1,  # n_claims
+    ("base.py", "FusionResult.accuracy_against"): 1,  # the correct count
+    ("copydetect.py", "CopyDetector._dependence"): 1,  # sum(counts)
+    ("copydetect.py", "CopyDetector.direction"): 1,  # sum(counts)
+    ("voting.py", "VotingFuser.fuse"): 1,  # the count total
+}
+
+
+def _builtin_sums(path: Path) -> dict[tuple[str, str], int]:
+    """``{(module file, enclosing function): calls of builtin sum}``."""
+    calls: dict[tuple[str, str], int] = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "sum"
+            ):
+                key = (path.name, scope)
+                calls[key] = calls.get(key, 0) + 1
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return calls
+
+
+def test_fusion_sums_are_exact():
+    """Every float sum in fusion is ``math.fsum``, whose result does not
+    depend on the order of its terms or on the Python version (builtin
+    ``sum`` compensates since 3.12, and adds in whatever order it is
+    handed). No fixed addition order may come back: no ``ordered_sum``
+    and no ``functools.reduce`` under ``repro.fusion`` or
+    ``repro.outofcore``, and builtin ``sum`` only on the integer sums
+    named in :data:`INTEGER_SUMS`."""
+    source = ROOT / "src" / "repro"
+    ordered = {"ordered_sum", "reduce"}
+    for package in ("fusion", "outofcore"):
+        for path in sorted((source / package).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            named = {
+                getattr(node, field)
+                for node in ast.walk(tree)
+                for field in ("id", "attr", "name")
+                if isinstance(getattr(node, field, None), str)
+            }
+            assert not named & ordered, path.relative_to(source)
+    sums: dict[tuple[str, str], int] = {}
+    for path in sorted((source / "fusion").glob("*.py")):
+        sums.update(_builtin_sums(path))
+    assert sums == INTEGER_SUMS

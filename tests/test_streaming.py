@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
 from repro.fusion import AccuVote
-from repro.fusion.base import Claim, ClaimSet, ordered_sum, sweep
+from repro.fusion.base import Claim, ClaimSet, sweep
 from repro.fusion.online import claim_posterior, vote_count
 from repro.linkage import (
     StandardBlocker,
@@ -889,7 +889,7 @@ class TestLiveFusionIsTheFullVote:
         votes = [vote_count(accuracies[s], 10) for s in claim_set.sources()]
 
         def plain_tally(values, supporters):
-            return [ordered_sum(votes[p] for p in who) for who in supporters]
+            return [math.fsum(votes[p] for p in who) for who in supporters]
 
         assert sweep(claim_set, plain_tally)[0] == fused
         # AccuVote ranks the softmax of the same tally, which can round
