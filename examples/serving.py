@@ -150,10 +150,14 @@ def main() -> None:
         before = service.snapshot()
         generation = service.refresh()
         assert service.snapshot()["entities"] == before["entities"]
+        # Batch and live clusterings agree, so every entity is kept as
+        # the live table holds it: the refresh fuses none.
+        refused = tracer.metrics.counter("serve.refresh_refused").value
+        assert refused == 0, refused
         print(
             f"refresh:    generation {generation} published "
             "(batch == incremental, swap atomic, cache invalidated "
-            "by construction)"
+            f"by construction, {refused:g} entities re-fused)"
         )
 
         # 4. Murder a resumed deployment mid-ingest.

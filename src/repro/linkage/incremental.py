@@ -13,7 +13,9 @@ exactly when the classifier is deterministic, because union-find is
 order-insensitive — which also makes the equivalence testable.
 
 Comparisons run over prepared records (one-time normalize/tokenize per
-record, cached across batches) and, under a plain
+record, cached across batches; a record indexed without a comparison —
+``resurrect``, ``update`` — is prepared the first time it is compared)
+and, under a plain
 :class:`~repro.linkage.classify.threshold.ThresholdClassifier`, through
 the staged early-exit decision
 :meth:`~repro.linkage.comparison.RecordComparator.decide` — the one the
@@ -198,14 +200,14 @@ class IncrementalLinker:
 
         The record's past union-find merges still stand (same page,
         same entity); only its index entries are restored, with the new
-        content. No comparisons are spent.
+        content. No comparisons are spent, and the record is prepared
+        only when a later record is first compared with it.
         """
         if record.record_id in self._records:
             raise ConfigurationError(
                 f"record {record.record_id!r} is already indexed"
             )
         self._records[record.record_id] = record
-        self._prepared[record.record_id] = self._comparator.prepare(record)
         self._uf.add(record.record_id)
         for key in self._keys_of(record):
             self._index.setdefault(key, []).append(record.record_id)
@@ -215,7 +217,8 @@ class IncrementalLinker:
 
         Used for pages whose content changed but whose identity did not
         (the overwhelmingly common case in re-crawls); the blocking
-        index follows the new content, no comparisons are spent.
+        index follows the new content, no comparisons are spent, and
+        the new content is prepared when it is next compared.
         """
         old = self._records.get(record.record_id)
         if old is None:
@@ -228,7 +231,7 @@ class IncrementalLinker:
         for key in new_keys - old_keys:
             self._index.setdefault(key, []).append(record.record_id)
         self._records[record.record_id] = record
-        self._prepared[record.record_id] = self._comparator.prepare(record)
+        self._prepared.pop(record.record_id, None)
 
     def merge(self, record_id: str, other_id: str) -> None:
         """Record an externally decided match (no comparisons spent).
@@ -269,8 +272,13 @@ class IncrementalLinker:
         threshold classifier (early exit, identical decisions); any
         other classifier gets the full prepared vector. With
         ``exact_scores=False`` rejected/accepted scores may be bounds.
+        The candidate is prepared here the first time it is compared.
         """
-        other = self._prepared[other_id]
+        other = self._prepared.get(other_id)
+        if other is None:
+            other = self._prepared[other_id] = self._comparator.prepare(
+                self._records[other_id]
+            )
         if self._threshold is not None:
             is_match, score, __, __ = self._comparator.decide(
                 prepared, other, self._threshold, exact_scores

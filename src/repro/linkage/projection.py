@@ -8,7 +8,10 @@ table it implies — and its five moves are everything the two live
 consumers do to that table: ``fold`` new records in (one for a serve
 ingest, a window for streaming), ``rebuild`` from a batch clustering,
 ``load`` a saved table, ``refuse_all`` after the accuracy view moved,
-and read it back in ``canonical`` order. :mod:`repro.serve` adds
+and read it back in ``canonical`` order. An entry is canonical when it
+is tabled and never mutated after, so reading the table back sorts ids
+and copies nothing, and a rebuild keeps every entry whose membership
+did not move. :mod:`repro.serve` adds
 durability, generations, resilience and overload policy around it;
 :mod:`repro.streaming` adds windows, the decayed accuracy tracker,
 monitors and checkpoints. Neither builds a linker or fuses a value
@@ -145,15 +148,28 @@ class EntityProjection:
         ``records`` indexed and ``clusters`` merged — no comparisons —
         under an empty entity table."""
         self.linker = IncrementalLinker(*self._linker_args)
-        #: entity_id -> {"members", "attributes", "confidence", "provenance"}
+        #: entity_id -> {"members", "attributes", "confidence",
+        #: "provenance"}, canonical (sorted members, attributes and
+        #: provenance) and read-only: a change tables a new entry.
         self.entities: dict[str, dict] = {}
         #: record_id -> entity_id
         self.entity_of: dict[str, str] = {}
+        #: Ids of the entries :meth:`load` adopted and nothing re-fused
+        #: since: they may hold another accuracy view than this one's.
+        self._adopted: set[str] = set()
         for record in records:
             self.linker.resurrect(record)
         for cluster in clusters:
             for left, right in zip(cluster, cluster[1:]):
                 self.linker.merge(left, right)
+
+    def _table(self, entity_id: str, entry: dict) -> None:
+        """Make ``entry`` the table's entity ``entity_id``."""
+        self.entities[entity_id] = entry
+        # Only after the entry is replaced: see :meth:`rebuild`.
+        self._adopted.discard(entity_id)
+        for member in entry["members"]:
+            self.entity_of[member] = entity_id
 
     def _project(self, member_ids) -> str:
         """(Re)fuse and table the entity made of ``member_ids``."""
@@ -164,14 +180,15 @@ class EntityProjection:
             self._accuracy_of,
             self._pick,
         )
-        self.entities[entity_id] = {
-            "members": members,
-            "attributes": attributes,
-            "confidence": confidence,
-            "provenance": provenance,
-        }
-        for member in members:
-            self.entity_of[member] = entity_id
+        self._table(
+            entity_id,
+            {
+                "members": members,
+                "attributes": attributes,
+                "confidence": confidence,
+                "provenance": provenance,
+            },
+        )
         return entity_id
 
     def fold(
@@ -209,13 +226,41 @@ class EntityProjection:
         return stats, tuple(projected), tuple(absorbed_rep)
 
     def rebuild(
-        self, records: Iterable[Record], clusters: Sequence[Sequence[str]]
-    ) -> None:
+        self,
+        records: Iterable[Record],
+        clusters: Sequence[Sequence[str]],
+        previous: EntityProjection | None = None,
+    ) -> int:
         """Replace the state with a batch clustering of ``records``
-        (zero comparisons), fused under the current accuracy view."""
+        (zero comparisons), fused under the current accuracy view.
+
+        ``previous`` is the projection this one replaces, with the same
+        record contents and accuracy view: its entry for a cluster with
+        exactly the same members is tabled as it is, not re-fused, unless
+        :meth:`load` adopted that entry (it may hold another process's
+        accuracy view). ``previous`` may take writes meanwhile; each
+        entry is read whole. Returns the number of entities fused.
+        """
         self._preload(records, clusters)
+        fused = 0
         for cluster in clusters:
-            self._project(cluster)
+            members = sorted(cluster)
+            entity_id = entity_id_for(members)
+            if previous is not None:
+                # Adoption is read before the entry and cleared after a
+                # new one replaces it, so an adopted entry is never kept.
+                adopted = entity_id in previous._adopted
+                entry = previous.entities.get(entity_id)
+                if (
+                    not adopted
+                    and entry is not None
+                    and entry["members"] == members
+                ):
+                    self._table(entity_id, entry)
+                    continue
+            self._project(members)
+            fused += 1
+        return fused
 
     def load(
         self, records: Iterable[Record], entities: Mapping[str, dict]
@@ -225,7 +270,8 @@ class EntityProjection:
         and values fused under drifting accuracies keep them. Of
         ``records`` only those some saved entity contains are indexed;
         the rest are returned, in order, for the caller to replay. The
-        table's entries are adopted, not copied."""
+        table's entries are adopted, not copied: ``entities`` is a
+        :meth:`canonical` table, and its entries are read-only."""
         records = list(records)
         clusters = [entity["members"] for entity in entities.values()]
         covered = {member for cluster in clusters for member in cluster}
@@ -233,6 +279,7 @@ class EntityProjection:
             [r for r in records if r.record_id in covered], clusters
         )
         self.entities.update(entities)
+        self._adopted.update(entities)
         for entity_id, cluster in zip(entities, clusters):
             self.entity_of.update(dict.fromkeys(cluster, entity_id))
         return [r for r in records if r.record_id not in covered]
@@ -243,22 +290,9 @@ class EntityProjection:
             self._project(entity["members"])
 
     def canonical(self) -> dict:
-        """The table in canonical order — what is saved and compared."""
-        return {
-            entity_id: {
-                "members": sorted(entity["members"]),
-                "attributes": {
-                    attr: entity["attributes"][attr]
-                    for attr in sorted(entity["attributes"])
-                },
-                "confidence": {
-                    attr: entity["confidence"][attr]
-                    for attr in sorted(entity["confidence"])
-                },
-                "provenance": {
-                    attr: sorted(entity["provenance"][attr])
-                    for attr in sorted(entity["provenance"])
-                },
-            }
-            for entity_id, entity in sorted(self.entities.items())
-        }
+        """The table in sorted id order — what is saved and compared.
+
+        A view, not a copy: the entries are the table's own, already
+        canonical, and read-only like every entry of the table.
+        """
+        return dict(sorted(self.entities.items()))

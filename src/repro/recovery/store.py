@@ -354,6 +354,16 @@ class RunStore:
         self._tracer.counter("recovery.loads").inc()
         return value
 
+    def intact(self, key: str) -> bool:
+        """Whether an artifact for ``key`` passes every check
+        :meth:`load` makes before unpickling it: magic, header, key,
+        size and sha256. Nothing is unpickled."""
+        try:
+            raw = self._path_for(key).read_bytes()
+        except OSError:
+            return False
+        return self._decode(raw, self._prefix + key) is not None
+
     @staticmethod
     def _decode(raw: bytes, key: str) -> tuple[dict, bytes] | None:
         """The header and verified payload of an artifact for ``key``."""

@@ -569,7 +569,9 @@ class ResolutionService:
 
         Taken under the lock, so it is internally consistent (one
         generation); used by the equivalence and crash tests to compare
-        whole services.
+        whole services. The entity entries are shared with the live
+        table and are read-only; a later write tables new entries, so a
+        snapshot keeps what it saw.
         """
         with self._lock:
             generation = self._generation
@@ -648,7 +650,8 @@ class ResolutionService:
     def _refresh(self, deadline: float | None) -> int:
         with self._lock:
             watermark = self._store.log_length
-            number = self._generation.number + 1
+            live = self._generation
+            view = self._source_accuracies
         base_records = _last_rows(self._store.records_from(0, watermark))
         engine_resilience = None
         if deadline is not None:
@@ -663,8 +666,8 @@ class ResolutionService:
             clustering="components",
             resilience=engine_resilience,
         )
-        fresh = self._new_generation(number)
-        fresh.rebuild(base_records, result.clusters)
+        fresh = self._new_generation(live.number + 1)
+        refused = fresh.rebuild(base_records, result.clusters, live)
         with self._lock:
             caught_up = 0
             for record in self._store.records_from(watermark):
@@ -674,6 +677,12 @@ class ResolutionService:
                 self._tracer.counter("serve.replayed_records").inc(
                     caught_up
                 )
+            if self._source_accuracies is not view:
+                # Accuracies were pushed since the rebuild began: what
+                # it fused or kept may hold the view they replaced.
+                fresh.refuse_all()
+                refused += len(fresh.entities)
+            self._tracer.counter("serve.refresh_refused").inc(refused)
             self._store.save_generation(
                 fresh.number,
                 self._store.log_length,

@@ -222,9 +222,11 @@ class EntityStore:
         crash during publish leaves either the old or the new pointer —
         never a torn one. Once it names ``generation``, every other
         generation's artifact is deleted. Refuses to publish a
-        generation whose artifact is absent or damaged.
+        generation whose artifact is absent or damaged — checked as
+        :meth:`~repro.recovery.RunStore.load` checks it, without
+        unpickling it.
         """
-        if self.load_generation(generation) is None:
+        if not self._view.intact(f"generation.{generation}"):
             raise ConfigurationError(
                 f"generation {generation} has no intact artifact; "
                 "save it before publishing"

@@ -334,7 +334,12 @@ class StreamingResolver:
         return self._projection.entity_of.get(record_id)
 
     def snapshot(self) -> dict:
-        """Canonical JSON-able projection state (differential anchor)."""
+        """Canonical JSON-able projection state (differential anchor).
+
+        The entity entries are shared with the live table and are
+        read-only; a later window tables new entries, so a snapshot
+        keeps what it saw.
+        """
         return {
             "windows_closed": self._windower.next_window,
             "consumed": self._consumed,

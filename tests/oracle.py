@@ -16,6 +16,9 @@ the independence discount as the model states it.
 Text — the textbook window scan Jaro used before it was rewritten over
 ``str.find``, and Jaro-Winkler on top of it, uncached and taking its
 arguments in the order given.
+
+The live entity table — the deep re-sort ``EntityProjection.canonical``
+made of every entry before entries were canonical when tabled.
 """
 
 import contextlib
@@ -265,3 +268,30 @@ def reference_jaro_winkler(a: str, b: str, prefix_weight: float = 0.1) -> float:
             break
         prefix += 1
     return jaro + prefix * prefix_weight * (1.0 - jaro)
+
+
+# --- the live entity table: the deep re-sort ----------------------------
+
+
+def reference_canonical(entities):
+    """An entity table in canonical order, every entry rebuilt sorted:
+    members, attributes, confidence and provenance keys, and each
+    provenance list."""
+    return {
+        entity_id: {
+            "members": sorted(entity["members"]),
+            "attributes": {
+                attr: entity["attributes"][attr]
+                for attr in sorted(entity["attributes"])
+            },
+            "confidence": {
+                attr: entity["confidence"][attr]
+                for attr in sorted(entity["confidence"])
+            },
+            "provenance": {
+                attr: sorted(entity["provenance"][attr])
+                for attr in sorted(entity["provenance"])
+            },
+        }
+        for entity_id, entity in sorted(entities.items())
+    }

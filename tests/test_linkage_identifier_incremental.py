@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
+from tests.oracle import reference_canonical
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +290,12 @@ class TestEntityProjection:
             comparisons += stats.comparisons
             assert set(projected) <= set(split.entities)
         table = one.canonical()
+        # A view: the table's own entries, already canonical — in key
+        # order too, which is what a save pickles and a digest hashes.
+        assert json.dumps(table) == json.dumps(
+            reference_canonical(one.entities)
+        )
+        assert all(table[eid] is entry for eid, entry in one.entities.items())
         assert split.canonical() == table
         assert comparisons == one_by_one
         assert sorted(one.entity_of) == sorted(r.record_id for r in records)
@@ -301,13 +309,19 @@ class TestEntityProjection:
             ThresholdClassifier(0.72),
             clustering="components",
         ).clusters
-        rebuilt.rebuild(records, clusters)
+        assert rebuilt.rebuild(records, clusters) == len(clusters)
         assert rebuilt.canonical() == table
+        assert json.dumps(rebuilt.canonical()) == json.dumps(
+            reference_canonical(rebuilt.entities)
+        )
 
         loaded = self._make(counting)
         # Records no saved entity contains come back for replay.
         assert loaded.load([*records, extra], one.canonical()) == [extra]
         assert loaded.canonical() == table
+        assert all(
+            loaded.entities[eid] is entry for eid, entry in table.items()
+        )
         assert extra.record_id not in loaded.linker
         assert counting.scored == 0
 
@@ -320,6 +334,67 @@ class TestEntityProjection:
             assert stats.comparisons == expected.comparisons == counting.scored
             assert sorted(stats.match_pairs) == sorted(expected.match_pairs)
             assert projection.canonical() == one.canonical()
+
+
+class _PrepareCounter(_CountingComparator):
+    """Counts ``prepare`` calls per record id as well."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.prepared = Counter()
+
+    def prepare(self, record):
+        self.prepared[record.record_id] += 1
+        return super().prepare(record)
+
+
+def test_resurrected_records_are_prepared_when_first_compared(pool):
+    """A preload prepares nothing; ``probe`` and ``add_batch`` then
+    answer as over eagerly prepared records, preparing each indexed
+    record they compare once."""
+    indexed, probes, batch = pool[:-4], pool[-4:-2], pool[-2:]
+
+    def linker(comparator):
+        return IncrementalLinker(
+            [all_value_tokens],
+            comparator,
+            ThresholdClassifier(0.72),
+            max_candidates_per_record=10_000,
+        )
+
+    eager = linker(default_product_comparator())
+    eager.add_batch(indexed)
+    counting = _PrepareCounter(default_product_comparator())
+    lazy = linker(counting)
+    for record in indexed:
+        lazy.resurrect(record)
+    for cluster in eager.clusters():
+        for left, right in zip(cluster, cluster[1:]):
+            lazy.merge(left, right)
+    assert lazy.clusters() == eager.clusters()
+    assert not counting.prepared
+
+    touched = set()
+    for record in probes:
+        touched.update(lazy.candidates(record))
+        assert lazy.probe(record) == eager.probe(record)
+        assert lazy.probe(record) == eager.probe(record)
+    assert touched
+    assert {rid for rid in counting.prepared if rid in lazy} == touched
+    for record in batch:
+        touched.update(lazy.candidates(record))
+    assert lazy.add_batch(batch) == eager.add_batch(batch)
+    assert lazy.clusters() == eager.clusters()
+    indexed_ids = {record.record_id for record in indexed}
+    prepared = {
+        rid: n for rid, n in counting.prepared.items() if rid in indexed_ids
+    }
+    assert set(prepared) <= touched
+    assert set(prepared.values()) == {1}
+    # A probe record is prepared per probe; a batch record once, as it lands.
+    assert [counting.prepared[r.record_id] for r in probes + batch] == [
+        2, 2, 1, 1
+    ]
 
 
 class _DelegatingClassifier:

@@ -15,11 +15,13 @@ Three contracts anchor this file:
    generation across a refresh swap.
 """
 
+import copy
 import json
 import os
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.linkage import (
     StandardBlocker,
     ThresholdClassifier,
     default_product_comparator,
+    projection,
 )
 from repro.linkage.blocking import first_token_key
 from repro.linkage.blocking.base import Blocker
@@ -124,6 +127,14 @@ class TestEntityStore:
         store = EntityStore(tmp_path, durable=False)
         with pytest.raises(ConfigurationError):
             store.publish_generation(7)
+        # A damaged artifact is refused too, by its checksum.
+        store.save_generation(8, 0, {"ent:a": {"members": ["a"]}})
+        (artifact,) = (tmp_path / "artifacts").glob("serve.generation.8-*")
+        raw = artifact.read_bytes()
+        artifact.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
+        with pytest.raises(ConfigurationError):
+            store.publish_generation(8)
+        assert store.current_generation() is None
 
     def test_generation_bytes_canonical(self, tmp_path):
         left = EntityStore(tmp_path / "a", durable=False)
@@ -557,6 +568,158 @@ class TestResolutionService:
         with pytest.raises(CheckpointMismatchError):
             service(0.5)
         assert service(0.72).get("ent:a").members == ("a",)
+
+
+def _fusions():
+    """Count entity fusions while the block runs."""
+    return mock.patch.object(
+        projection, "_fuse_sorted", wraps=projection._fuse_sorted
+    )
+
+
+def _disputed(tag):
+    """Two sources naming one camera with different colours."""
+    return [
+        camera(f"a/{tag}", "a", f"canon a{tag}", color="white"),
+        camera(f"b/{tag}", "b", f"canon a{tag}", color="black"),
+    ]
+
+
+WHITE = {"a": 0.9, "b": 0.6}
+BLACK = {"a": 0.6, "b": 0.9}
+
+
+class TestLiveTable:
+    """The table is served as it is kept: a snapshot shares its entries,
+    and a refresh re-fuses only the entities it may not keep."""
+
+    def test_snapshot_keeps_what_it_saw(self, tmp_path):
+        records = build_records(15)
+        service = make_service(tmp_path)
+        for record in records[:9]:
+            service.ingest(record)
+        snapshot = service.snapshot()
+        copied = copy.deepcopy(snapshot)
+        for record in records[9:12]:
+            service.ingest(record)
+        service.match(records[0])
+        service.refresh()
+        service.set_source_accuracies({"s0": 0.95, "s1": 0.7, "s2": 0.55})
+        service.checkpoint()
+        reopened = make_service(tmp_path)
+        for record in records[12:]:
+            reopened.ingest(record)
+        reopened.refresh()
+        assert snapshot == copied
+
+    def test_refresh_keeps_an_unmoved_table(self, tmp_path):
+        tracer = Tracer()
+        service = make_service(tmp_path, tracer=tracer)
+        for record in build_records(12):
+            service.ingest(record)
+        before = service.snapshot()["entities"]
+        with _fusions() as fused:
+            service.refresh()
+        assert fused.call_count == 0
+        assert tracer.metrics.counter("serve.refresh_refused").value == 0
+        after = service.snapshot()["entities"]
+        assert after == before
+        assert all(after[eid] is entry for eid, entry in before.items())
+
+    def test_refresh_refuses_what_a_restart_adopted(self, tmp_path):
+        records = _disputed(1) + _disputed(2)
+        service = make_service(tmp_path / "live", accuracies=WHITE)
+        for record in records:
+            service.ingest(record)
+        service.checkpoint()
+        tracer = Tracer()
+        restarted = make_service(
+            tmp_path / "live", tracer=tracer, accuracies=BLACK
+        )
+        # Adopted as saved: fused under the other process's accuracies.
+        assert restarted.get("ent:a/1").attributes["color"] == "white"
+        with _fusions() as fused:
+            restarted.refresh()
+        assert fused.call_count == 2
+        assert tracer.metrics.counter("serve.refresh_refused").value == 2
+        assert restarted.get("ent:a/1").attributes["color"] == "black"
+        reference = make_service(tmp_path / "reference", accuracies=BLACK)
+        for record in records:
+            reference.ingest(record)
+        assert (
+            restarted.snapshot()["entities"]
+            == reference.snapshot()["entities"]
+        )
+
+    def test_an_accuracy_push_during_a_refresh_is_kept(self, tmp_path):
+        service = make_service(tmp_path, accuracies=WHITE)
+        for record in _disputed(1):
+            service.ingest(record)
+        assert service.get("ent:a/1").attributes["color"] == "white"
+        rebuild = projection.EntityProjection.rebuild
+
+        def rebuild_then_push(self, *args, **kwargs):
+            fused = rebuild(self, *args, **kwargs)
+            service.set_source_accuracies(BLACK)
+            return fused
+
+        with mock.patch.object(
+            projection.EntityProjection, "rebuild", rebuild_then_push
+        ):
+            service.refresh()
+        assert service.get("ent:a/1").attributes["color"] == "black"
+        assert make_service(tmp_path, accuracies=BLACK).snapshot() == (
+            service.snapshot()
+        )
+
+    def test_refreshes_racing_ingests_keep_only_current_entries(
+        self, tmp_path
+    ):
+        """Rebuilds read the live table while ingests rewrite it, after
+        a restart under other accuracies: whatever interleaving, every
+        entry left after a refresh is fused under the current view."""
+        saved = [record for tag in range(1, 11) for record in _disputed(tag)]
+        records = saved + build_records(30)
+        service = make_service(tmp_path / "live", accuracies=WHITE)
+        for record in saved:
+            service.ingest(record)
+        service.checkpoint()
+        restarted = make_service(tmp_path / "live", accuracies=BLACK)
+        errors: list[Exception] = []
+
+        def ingest(share):
+            try:
+                for record in share:
+                    restarted.ingest(record)
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        ingesters = [
+            threading.Thread(target=ingest, args=(records[20 + i :: 3],))
+            for i in range(3)
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in ingesters:
+                thread.start()
+            refreshes = 0
+            while refreshes < 2 or any(t.is_alive() for t in ingesters):
+                restarted.refresh()
+                refreshes += 1
+            for thread in ingesters:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors, errors[:1]
+        reference = make_service(tmp_path / "reference", accuracies=BLACK)
+        for record in records:
+            reference.ingest(record)
+        assert (
+            restarted.snapshot()["entities"]
+            == reference.snapshot()["entities"]
+        )
 
 
 class TestServeTraffic:
