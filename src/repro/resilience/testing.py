@@ -217,7 +217,7 @@ def kill(
     Unlike ``crash`` this is unrecoverable in-process — the run ends
     instantly with exit status :data:`KILL_EXIT_CODE` and must be
     resumed from its checkpoints in a fresh process. Use only inside a
-    sacrificial subprocess (see ``tests/recovery_driver.py``) or a
+    sacrificial subprocess (see ``tests/kill_driver.py``) or a
     supervised worker.
     """
     return FaultSpec(

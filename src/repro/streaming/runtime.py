@@ -95,7 +95,6 @@ def batch_reference_snapshot(
     comparator: RecordComparator,
     classifier: MatchClassifier,
     source_accuracies: Mapping[str, float] | None = None,
-    default_accuracy: float = DEFAULT_SOURCE_ACCURACY,
 ) -> dict:
     """What a from-scratch batch run says about ``records``.
 
@@ -108,7 +107,7 @@ def batch_reference_snapshot(
     accuracies = dict(source_accuracies or {})
 
     def accuracy_of(source_id: str) -> float:
-        return accuracies.get(source_id, default_accuracy)
+        return accuracies.get(source_id, DEFAULT_SOURCE_ACCURACY)
 
     result = resolve(
         list(records),
@@ -176,8 +175,9 @@ class StreamingResolver:
         pipeline and the serving layer.
     source_accuracies:
         Prior per-source accuracies; unlisted sources get
-        ``default_accuracy``. In static mode these are the fusion
-        weights outright; in drift mode they seed the decayed tracker.
+        :data:`DEFAULT_SOURCE_ACCURACY`. In static mode these are the
+        fusion weights outright; in drift mode they seed the decayed
+        tracker.
     decay:
         ``None`` — static fusion (batch-identical, the differential
         anchor). A float in ``(0, 1]`` — drift mode: entities fuse
@@ -187,12 +187,10 @@ class StreamingResolver:
         Attributes whose claims feed the accuracy tracker (``None`` =
         all). Benchmarks pass the conflict attributes only, so the
         always-correct identity attribute does not dilute estimates.
-    monitors:
-        Drift monitors observed at every window close. ``None`` installs
-        the defaults (:class:`AccuracyShiftMonitor` +
-        :class:`MatchRateMonitor`); pass ``()`` to disable.
     on_drift:
-        ``callback(event, resolver)`` invoked per monitor event — wire
+        ``callback(event, resolver)`` invoked per event of the drift
+        monitors (an :class:`AccuracyShiftMonitor` and a
+        :class:`MatchRateMonitor`, observed at every window close) — wire
         it to :meth:`re_resolve` or a serving deployment's ``refresh``.
     checkpoint_store:
         A :class:`~repro.recovery.store.RunStore` (or a namespace of
@@ -210,12 +208,10 @@ class StreamingResolver:
         comparator: RecordComparator,
         classifier: MatchClassifier,
         source_accuracies: Mapping[str, float] | None = None,
-        default_accuracy: float = DEFAULT_SOURCE_ACCURACY,
         window: WindowConfig | None = None,
         decay: float | None = None,
         prior_strength: float = DEFAULT_PRIOR_STRENGTH,
         tracked_attributes: Sequence[str] | None = None,
-        monitors: Sequence | None = None,
         on_drift: Callable[[MonitorEvent, "StreamingResolver"], None] | None = None,
         checkpoint_store=None,
         max_candidates_per_record: int = 1000,
@@ -229,7 +225,6 @@ class StreamingResolver:
         self._comparator = comparator
         self._classifier = classifier
         self._accuracies = dict(source_accuracies or {})
-        self._default_accuracy = default_accuracy
         self._decay = decay
         self._tracked = (
             frozenset(tracked_attributes)
@@ -255,26 +250,26 @@ class StreamingResolver:
             self._accuracies,
             decay=decay if decay is not None else 1.0,
             prior_strength=prior_strength,
-            default_prior=default_accuracy,
+            default_prior=DEFAULT_SOURCE_ACCURACY,
         )
-        if monitors is None:
-            monitors = (
-                AccuracyShiftMonitor(
-                    tracer=self._tracer,
-                    baselines=self._accuracies,
-                    default_baseline=default_accuracy,
-                ),
-                MatchRateMonitor(tracer=self._tracer),
-            )
-        self._monitors = tuple(monitors)
+        self._monitors = (
+            AccuracyShiftMonitor(
+                tracer=self._tracer,
+                baselines=self._accuracies,
+                default_baseline=DEFAULT_SOURCE_ACCURACY,
+            ),
+            MatchRateMonitor(tracer=self._tracer),
+        )
         self._on_drift = on_drift
         self._store = checkpoint_store
         if checkpoint_store is not None:
+            # The default accuracy keeps its place, so a checkpoint
+            # written when it was an option still binds.
             checkpoint_store.bind_fingerprint(
                 config_fingerprint(
                     "streaming", self._windower.config, decay,
                     prior_strength, self._tracked, self._accuracies,
-                    default_accuracy, max_candidates_per_record,
+                    DEFAULT_SOURCE_ACCURACY, max_candidates_per_record,
                     comparator, classifier,
                 )
             )
@@ -352,7 +347,7 @@ class StreamingResolver:
 
     def _accuracy_of(self, source_id: str) -> float:
         if self._decay is None:
-            return self._accuracies.get(source_id, self._default_accuracy)
+            return self._accuracies.get(source_id, DEFAULT_SOURCE_ACCURACY)
         return self._tracker.accuracy(source_id)
 
     def _observe_claims(self, window: Window) -> None:

@@ -19,6 +19,10 @@ arguments in the order given.
 
 The live entity table — the deep re-sort ``EntityProjection.canonical``
 made of every entry before entries were canonical when tabled.
+
+Linkage — the staged scorer as it was before decisions were planned per
+field-presence mask, and the incremental linker that compares every
+candidate.
 """
 
 import contextlib
@@ -37,6 +41,13 @@ from repro.fusion import (
 )
 from repro.fusion.base import FusionResult
 from repro.fusion.online import vote_count
+from repro.linkage import BatchStats, IncrementalLinker, ProbeResult
+from repro.linkage.comparison import (
+    BOUND_MARGIN,
+    BoundedComparison,
+    ComparisonVector,
+    similarity_spec,
+)
 
 # --- fusion: the claim walk -------------------------------------------
 
@@ -295,3 +306,121 @@ def reference_canonical(entities):
         }
         for entity_id, entity in sorted(entities.items())
     }
+
+
+# --- linkage: the staged scorer and the compare-all linker --------------
+
+
+def reference_score_bounded(comparator, left, right, threshold, exact_scores):
+    """The staged scorer as it was before decisions were planned per
+    field-presence mask: a presence pass per pair, the staged loop over
+    the fields, a rebuild in declaration order. Kept as the reference
+    :meth:`RecordComparator.decide` and ``score_bounded`` must equal."""
+    fields = comparator.fields
+    penalty = comparator.missing_penalty
+    specs = [similarity_spec(field.similarity) for field in fields]
+    payloads_left, payloads_right = left.payloads, right.payloads
+    missing_weighted = total_weight = remaining = 0.0
+    for index, field in enumerate(fields):
+        if payloads_left[index] is None or payloads_right[index] is None:
+            if penalty is not None:
+                missing_weighted += field.weight * penalty
+                total_weight += field.weight
+        else:
+            total_weight += field.weight
+            remaining += field.weight
+    similarities = {}
+
+    def bounded(is_match, score):
+        return BoundedComparison(
+            left_id=left.record_id,
+            right_id=right.record_id,
+            is_match=is_match,
+            score=score,
+            exact=False,
+            n_evaluated=len(similarities),
+        )
+
+    if total_weight:
+        weighted = missing_weighted
+        decided_match = False
+        for index in comparator.staged_order:
+            if payloads_left[index] is None or payloads_right[index] is None:
+                continue
+            similarity = specs[index].similarity(
+                payloads_left[index], payloads_right[index]
+            )
+            similarities[index] = similarity
+            weighted += fields[index].weight * similarity
+            remaining -= fields[index].weight
+            if decided_match:
+                continue
+            upper = (weighted + remaining) / total_weight
+            if upper < threshold - BOUND_MARGIN:
+                return bounded(False, upper)
+            lower = weighted / total_weight
+            if lower >= threshold + BOUND_MARGIN:
+                if not exact_scores:
+                    return bounded(True, lower)
+                decided_match = True
+    vector_similarities = []
+    weighted = exact_total = 0.0
+    for index, field in enumerate(fields):
+        similarity = similarities.get(index)
+        vector_similarities.append(similarity)
+        if similarity is None:
+            if penalty is not None:
+                weighted += field.weight * penalty
+                exact_total += field.weight
+            continue
+        weighted += field.weight * similarity
+        exact_total += field.weight
+    score = weighted / exact_total if exact_total else 0.0
+    return BoundedComparison(
+        left_id=left.record_id,
+        right_id=right.record_id,
+        is_match=score >= threshold,
+        score=score,
+        exact=True,
+        n_evaluated=len(similarities),
+        vector=ComparisonVector(
+            left.record_id, right.record_id, tuple(vector_similarities), score
+        ),
+    )
+
+
+class CompareAllLinker(IncrementalLinker):
+    """The reference the write path is held to: every candidate is
+    compared (plain ``compare`` over the raw records — no prepared
+    payloads, no early exit, nothing skipped), every accepted pair is
+    reported and unioned. Quadratic in entity size; kept for tests."""
+
+    def _matches(self, record):
+        candidate_ids = self.candidates(record)
+        scored = []
+        for other_id in candidate_ids:
+            vector = self._comparator.compare(record, self.record(other_id))
+            if self._classifier.is_match(vector):
+                scored.append((other_id, vector.score))
+        return candidate_ids, scored
+
+    def probe(self, record):
+        candidate_ids, scored = self._matches(record)
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        return ProbeResult(
+            tuple(scored), len(candidate_ids), len(candidate_ids)
+        )
+
+    def add_batch(self, batch):
+        candidates, match_pairs = 0, []
+        for record in batch:
+            candidate_ids, scored = self._matches(record)
+            candidates += len(candidate_ids)
+            self.resurrect(record)  # index it; refuses a repeated id
+            for other_id, _ in scored:
+                match_pairs.append((record.record_id, other_id))
+                self.merge(record.record_id, other_id)
+        return BatchStats(
+            len(batch), candidates, candidates, len(match_pairs),
+            tuple(match_pairs),
+        )

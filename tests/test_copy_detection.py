@@ -9,12 +9,8 @@ and in dict order (``json.dumps``, never ``approx``).
 """
 
 import json
-import os
 import pickle
 import random
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -36,6 +32,7 @@ from tests.oracle import (
     naive_item_scorer,
     naive_outcome_counts,
 )
+from tests.procs import run_python
 from tests.test_fusion import result_digest
 
 
@@ -243,17 +240,8 @@ class TestHotPath:
         assert len(calls) == result.iterations > 1
 
     def test_fusion_imports_no_numpy(self):
-        src = Path(__file__).parent.parent / "src"
-        finished = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, repro.fusion; print('numpy' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
+        finished = run_python(
+            "-c", "import sys, repro.fusion; print('numpy' in sys.modules)"
         )
         assert finished.returncode == 0, finished.stderr
         assert finished.stdout.strip() == "False"

@@ -18,8 +18,8 @@ fault bound to shard *s* never fires on any other shard (or in an
 unsharded engine, which never binds a shard id).
 
 Mid-run process-kill + single-shard resume lives in
-``tests/test_properties.py`` (property-based, via
-``tests/dist_driver.py``). That the shards divide the work is held
+``tests/test_kill_resume.py`` (property-based, via the ``sharded``
+scenario of ``tests/kill_driver.py``). That the shards divide the work is held
 here by pair counts (``TestPartitioning``); what the division is worth
 in seconds is the ledger's ``dist.sharded2_speedup`` on ``batch_link``.
 """

@@ -11,11 +11,7 @@ sets to serial execution on a seeded corpus.
 import functools
 import itertools
 import math
-import os
 import pickle
-import subprocess
-import sys
-import textwrap
 import time
 
 import pytest
@@ -42,12 +38,7 @@ from repro.linkage import (
     resolve,
 )
 from repro.linkage.blocking import first_token_key
-from repro.linkage.comparison import (
-    BOUND_MARGIN,
-    BoundedComparison,
-    ComparisonVector,
-    similarity_spec,
-)
+from repro.linkage.comparison import BOUND_MARGIN
 from repro.synth import (
     CorpusConfig,
     WorldConfig,
@@ -71,6 +62,7 @@ from repro.text import (
     monge_elkan_similarity,
     product_name_similarity,
 )
+from tests.oracle import reference_score_bounded
 
 
 @pytest.fixture(scope="module")
@@ -249,84 +241,6 @@ class TestScoreBounded:
         full = comparator.compare(left, right)
         bounded = comparator.score_bounded(left, right, threshold)
         assert bounded.is_match == (full.score >= threshold)
-
-
-def reference_score_bounded(comparator, left, right, threshold, exact_scores):
-    """The staged scorer as it was before decisions were planned per
-    field-presence mask: a presence pass per pair, the staged loop over
-    the fields, a rebuild in declaration order. Kept as the reference
-    :meth:`RecordComparator.decide` and ``score_bounded`` must equal."""
-    fields = comparator.fields
-    penalty = comparator.missing_penalty
-    specs = [similarity_spec(field.similarity) for field in fields]
-    payloads_left, payloads_right = left.payloads, right.payloads
-    missing_weighted = total_weight = remaining = 0.0
-    for index, field in enumerate(fields):
-        if payloads_left[index] is None or payloads_right[index] is None:
-            if penalty is not None:
-                missing_weighted += field.weight * penalty
-                total_weight += field.weight
-        else:
-            total_weight += field.weight
-            remaining += field.weight
-    similarities = {}
-
-    def bounded(is_match, score):
-        return BoundedComparison(
-            left_id=left.record_id,
-            right_id=right.record_id,
-            is_match=is_match,
-            score=score,
-            exact=False,
-            n_evaluated=len(similarities),
-        )
-
-    if total_weight:
-        weighted = missing_weighted
-        decided_match = False
-        for index in comparator.staged_order:
-            if payloads_left[index] is None or payloads_right[index] is None:
-                continue
-            similarity = specs[index].similarity(
-                payloads_left[index], payloads_right[index]
-            )
-            similarities[index] = similarity
-            weighted += fields[index].weight * similarity
-            remaining -= fields[index].weight
-            if decided_match:
-                continue
-            upper = (weighted + remaining) / total_weight
-            if upper < threshold - BOUND_MARGIN:
-                return bounded(False, upper)
-            lower = weighted / total_weight
-            if lower >= threshold + BOUND_MARGIN:
-                if not exact_scores:
-                    return bounded(True, lower)
-                decided_match = True
-    vector_similarities = []
-    weighted = exact_total = 0.0
-    for index, field in enumerate(fields):
-        similarity = similarities.get(index)
-        vector_similarities.append(similarity)
-        if similarity is None:
-            if penalty is not None:
-                weighted += field.weight * penalty
-                exact_total += field.weight
-            continue
-        weighted += field.weight * similarity
-        exact_total += field.weight
-    score = weighted / exact_total if exact_total else 0.0
-    return BoundedComparison(
-        left_id=left.record_id,
-        right_id=right.record_id,
-        is_match=score >= threshold,
-        score=score,
-        exact=True,
-        n_evaluated=len(similarities),
-        vector=ComparisonVector(
-            left.record_id, right.record_id, tuple(vector_similarities), score
-        ),
-    )
 
 
 def _unregistered_similarity(left: str, right: str) -> float:
@@ -1057,78 +971,3 @@ class TestChunksInFlight:
         assert scored == sorted(
             f"item {i}|item {i + 1}" for i in range(3, 6)
         )
-
-
-_HANG_DRIVER = """
-import os, sys, time
-
-from repro.core import Record
-from repro.linkage import (
-    FieldComparator, ParallelComparisonEngine, RecordComparator,
-    ThresholdClassifier,
-)
-from repro.resilience import ResilienceConfig, RetryPolicy
-
-
-def hanging(left, right):
-    if "hang" in (left, right):
-        time.sleep(60.0)
-    return 1.0 if left == right else 0.0
-
-
-def children():
-    me = str(os.getpid())
-    found = []
-    for entry in os.listdir("/proc"):
-        if entry.isdigit():
-            try:
-                with open(f"/proc/{entry}/stat") as handle:
-                    fields = handle.read().rsplit(")", 1)[1].split()
-            except OSError:
-                continue
-            if fields[1] == me and fields[0] != "Z":
-                found.append(entry)
-    return found
-
-
-if __name__ == "__main__":
-    records = [
-        Record("p0", "s0", {"name": "hang"}),
-        Record("p1", "s1", {"name": "alpha"}),
-        Record("p2", "s0", {"name": "alpha"}),
-    ]
-    engine = ParallelComparisonEngine(
-        RecordComparator(fields=[FieldComparator("name", hanging)]),
-        execution="process", n_workers=2, chunk_size=2,
-        resilience=ResilienceConfig(
-            retry=RetryPolicy(max_attempts=1), failure="skip", timeout=0.5
-        ),
-    )
-    run = engine.match_pairs(
-        records, [("p0", "p1"), ("p1", "p2"), ("p0", "p2")],
-        ThresholdClassifier(0.9),
-    )
-    print(sorted(run.quarantined_pairs), children(), time.time(), flush=True)
-"""
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_timed_out_worker_is_killed_not_leaked(tmp_path):
-    """A worker hung inside a chunk must not outlive the recycled pool:
-    the interpreter used to exit only when the hang did (never, for a
-    real one)."""
-    driver = tmp_path / "hang_driver.py"
-    driver.write_text(textwrap.dedent(_HANG_DRIVER))
-    source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(source))
-    done = subprocess.run(
-        [sys.executable, str(driver)],
-        env=env, capture_output=True, text=True, timeout=50,
-    )
-    exited = time.time()
-    assert done.returncode == 0, done.stderr
-    quarantined, leaked, returned = done.stdout.rsplit("]", 2)
-    assert quarantined.count("p0") == 2
-    assert leaked.strip(" [") == ""
-    assert exited - float(returned) < 10.0

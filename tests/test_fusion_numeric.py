@@ -1,17 +1,14 @@
 """Tests for CRH numeric truth discovery."""
 
-import os
 import statistics
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
 from repro.core import ConfigurationError, EmptyInputError
 from repro.fusion import Claim, ClaimSet, CRHNumericFuser, parse_numeric_claims
 from repro.synth import NumericClaimWorldConfig, generate_numeric_claims
+from tests.procs import run_python
 
 
 def mae(estimates, truth):
@@ -144,19 +141,11 @@ class TestCRH:
                 print(repr(fuser.fuse_values(world.claims)))
             """
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        outputs = [
-            subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                timeout=120,
-                check=True,
-                env={**env, "PYTHONHASHSEED": seed},
-            ).stdout
-            for seed in ("1", "2")
-        ]
+        outputs = []
+        for seed in ("1", "2"):
+            finished = run_python("-c", script, env={"PYTHONHASHSEED": seed})
+            assert finished.returncode == 0, finished.stderr
+            outputs.append(finished.stdout)
         assert outputs[0] == outputs[1]
 
 

@@ -16,28 +16,17 @@ it:
 
 import importlib
 import json
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import repro
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from tests.procs import run_python
 
 
 def _run(script: str, *args: str) -> str:
     """Run ``script`` in a fresh interpreter on ``src``; its stdout."""
-    finished = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
+    finished = run_python("-c", script, *args)
     assert finished.returncode == 0, finished.stderr[-2000:]
     return finished.stdout
 

@@ -1,9 +1,6 @@
 """Tests for identifier-based and incremental linkage."""
 
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
@@ -12,9 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
 from repro.linkage import (
-    BatchStats,
     IncrementalLinker,
-    ProbeResult,
     ThresholdClassifier,
     TokenBlocker,
     default_product_comparator,
@@ -35,7 +30,8 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
-from tests.oracle import reference_canonical
+from tests.oracle import CompareAllLinker, reference_canonical
+from tests.procs import run_python
 
 
 @pytest.fixture(scope="module")
@@ -566,41 +562,6 @@ class TestIncrementalChurn:
         assert sorted(map(sorted, linker.clusters())) == [["a", "b"]]
 
 
-class CompareAllLinker(IncrementalLinker):
-    """The reference the write path is held to: every candidate is
-    compared (plain ``compare`` over the raw records — no prepared
-    payloads, no early exit, nothing skipped), every accepted pair is
-    reported and unioned. Quadratic in entity size; kept for tests."""
-
-    def _matches(self, record):
-        candidate_ids = self.candidates(record)
-        scored = []
-        for other_id in candidate_ids:
-            vector = self._comparator.compare(record, self.record(other_id))
-            if self._classifier.is_match(vector):
-                scored.append((other_id, vector.score))
-        return candidate_ids, scored
-
-    def probe(self, record):
-        candidate_ids, scored = self._matches(record)
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return ProbeResult(tuple(scored), len(candidate_ids), len(candidate_ids))
-
-    def add_batch(self, batch):
-        candidates, match_pairs = 0, []
-        for record in batch:
-            candidate_ids, scored = self._matches(record)
-            candidates += len(candidate_ids)
-            self.resurrect(record)  # index it; refuses a repeated id
-            for other_id, _ in scored:
-                match_pairs.append((record.record_id, other_id))
-                self.merge(record.record_id, other_id)
-        return BatchStats(
-            len(batch), candidates, candidates, len(match_pairs),
-            tuple(match_pairs),
-        )
-
-
 def _chain_pool():
     """Three chains of overlapping names: neighbours match (Jaccard
     0.6 against a 0.5 threshold), names two apart do not (0.33) — so
@@ -789,19 +750,10 @@ stats = linker.add_batch(list(dataset.records()))
 print(json.dumps([stats.batch_size, stats.candidates, stats.comparisons,
                   stats.match_pairs, linker.clusters()]))
 """
-        source_root = os.path.join(os.path.dirname(__file__), "..", "src")
         outputs = []
         for hash_seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [source_root, env.get("PYTHONPATH", "")])
-            )
-            process = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=120,
+            process = run_python(
+                "-c", script, env={"PYTHONHASHSEED": hash_seed}
             )
             assert process.returncode == 0, process.stderr
             outputs.append(process.stdout)

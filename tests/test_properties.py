@@ -739,124 +739,3 @@ class TestRecoveryInvariants:
     @settings(max_examples=5, deadline=None)
     def test_resume_equals_single_run_process(self, plan):
         self._check_resume_equals_single_run(plan, "process")
-
-
-class TestShardedKillResumeInvariants:
-    """Sharded resume idempotence, with a *real* process kill.
-
-    For any corpus, shard count, and chunk size: kill one shard's
-    worker mid-matching (``tests/dist_driver.py`` dies hard with
-    ``os._exit``), resume against the same checkpoint store, and the
-    merged output is byte-identical to a serial run that never died —
-    with exactly the killed shard replaying chunks and exactly the
-    shards that finished before it reused from their result artifacts.
-    """
-
-    @staticmethod
-    def _run_driver(*args, expect=0):
-        import json
-        import os
-        import subprocess
-        import sys
-        import tempfile
-
-        driver = os.path.join(os.path.dirname(__file__), "dist_driver.py")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(
-                None,
-                [
-                    os.path.join(os.path.dirname(driver), "..", "src"),
-                    env.get("PYTHONPATH", ""),
-                ],
-            )
-        )
-        # Files, not pipes: a killed driver may orphan inherited fds,
-        # and waiting on pipe EOF would hang (see test_recovery.py).
-        with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile(
-            "w+"
-        ) as err:
-            process = subprocess.Popen(
-                [sys.executable, driver, *args],
-                stdout=out,
-                stderr=err,
-                text=True,
-                env=env,
-            )
-            try:
-                returncode = process.wait(timeout=300)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                raise
-            out.seek(0)
-            err.seek(0)
-            stdout, stderr = out.read(), err.read()
-        assert returncode == expect, (
-            f"driver exited {returncode}, expected {expect}\n{stderr}"
-        )
-        return json.loads(stdout) if expect == 0 and stdout.strip() else None
-
-    @pytest.mark.slow
-    @given(
-        n_entities=st.integers(min_value=16, max_value=28),
-        seed=st.integers(min_value=0, max_value=40),
-        n_shards=st.integers(min_value=2, max_value=4),
-        chunk_size=st.sampled_from([32, 64]),
-    )
-    @settings(max_examples=3, deadline=None)
-    def test_kill_one_shard_resume_only_that_shard(
-        self, n_entities, seed, n_shards, chunk_size
-    ):
-        import tempfile
-
-        from hypothesis import assume
-
-        from tests.dist_driver import choose_kill, make_corpus, run_serial
-
-        records, blocker, __, __ = make_corpus(n_entities, seed)
-        kill = choose_kill(records, blocker, n_shards, chunk_size)
-        assume(kill is not None)
-        kill_shard, kill_chunk, n_chunks = kill
-        serial = run_serial(n_entities, seed)
-        with tempfile.TemporaryDirectory() as root:
-            common = [
-                "sharded",
-                root,
-                "--entities", str(n_entities),
-                "--seed", str(seed),
-                "--shards", str(n_shards),
-                "--chunk-size", str(chunk_size),
-            ]
-            self._run_driver(
-                *common,
-                "--kill-shard", str(kill_shard),
-                "--kill-chunk", str(kill_chunk),
-                expect=137,
-            )
-            document = self._run_driver(*common)
-        shards = document.pop("shards")
-        counters = document.pop("counters")
-        assert document == serial
-        by_shard = {entry["shard"]: entry for entry in shards}
-        assert set(by_shard) == set(range(n_shards))
-        for shard, entry in by_shard.items():
-            assert entry["completed_chunks"] == entry["n_chunks"]
-            if shard == kill_shard:
-                # The killed shard alone replays its checkpointed
-                # chunks — at least the ones completed before death.
-                assert not entry["resumed"]
-                assert entry["replayed_chunks"] >= kill_chunk > 0
-                assert entry["replayed_chunks"] < entry["n_chunks"]
-            elif shard < kill_shard:
-                # Inline backend runs shards in order: earlier shards
-                # finished and persisted, so resume reuses them whole.
-                assert entry["resumed"]
-                assert entry["replayed_chunks"] == 0
-            else:
-                # Later shards never started before the kill.
-                assert not entry["resumed"]
-                assert entry["replayed_chunks"] == 0
-        assert counters.get("dist.shard.resumed", 0) == kill_shard
-        assert counters.get("dist.shard.replayed_chunks", 0) == by_shard[
-            kill_shard
-        ]["replayed_chunks"]

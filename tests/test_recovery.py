@@ -1,6 +1,6 @@
 """Tests for durable checkpointing and crash-resumable runs.
 
-Three layers of proof, from the store up:
+Two layers of proof, from the store up:
 
 1. **Store semantics** — atomic artifacts, checksums, corruption
    treated as absence, the fingerprint guard, the stage ledger.
@@ -8,19 +8,13 @@ Three layers of proof, from the store up:
    resume, and full pipeline stage skipping all reproduce an
    uninterrupted run exactly, with the ``recovery.*`` counters
    accounting for every skip.
-3. **Real process death** (``slow``) — ``tests/recovery_driver.py`` is
-   launched as a subprocess, murdered via the ``kill`` fault
-   (``os._exit(137)``, no unwinding) at a deterministic chunk or
-   iteration boundary, and relaunched; the resumed run's JSON output
-   must equal a never-killed run's byte for byte.
+
+Real process death is ``tests/test_kill_resume.py``.
 """
 
 import json
 import os
 import pickle
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
@@ -60,12 +54,8 @@ from repro.resilience.testing import (
     crash,
     kill,
 )
-from repro.resilience.workers import PARENT_POLL
 from repro.streaming import StreamingResolver, WindowConfig
 from repro.text import exact_similarity
-from tests.procs import assert_gone, needs_proc
-
-DRIVER = os.path.join(os.path.dirname(__file__), "recovery_driver.py")
 
 
 def _counters(tracer):
@@ -1106,7 +1096,7 @@ def _stream_row(root, change, tracer):
 
 def _serve_row(root, change, tracer):
     from repro.serve import ResolutionService
-    from tests.serve_driver import build_records
+    from tests.kill_driver import build_records
 
     service = ResolutionService(
         root,
@@ -1200,171 +1190,3 @@ def test_staleness_table(tmp_path, row, change, expected):
         assert replayed > 0 and recomputed == 0
     else:
         assert recomputed > 0
-
-
-# --- real process death (subprocess kill/resume) ---------------------
-
-
-def _run_script(script, *args):
-    """Run ``script`` with ``src`` importable; its output is captured."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(
-            None,
-            [
-                os.path.abspath(
-                    os.path.join(os.path.dirname(DRIVER), "..", "src")
-                ),
-                env.get("PYTHONPATH", ""),
-            ],
-        )
-    )
-    return subprocess.run(
-        [sys.executable, str(script), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-
-
-def _run_driver(*args, expect=0):
-    done = _run_script(DRIVER, *args)
-    assert done.returncode == expect, (
-        f"driver {args} exited {done.returncode}, expected {expect}\n"
-        f"stderr: {done.stderr}"
-    )
-    return done.stdout
-
-
-# A coordinator that dies by ``os._exit(137)`` while both its process
-# workers are mid-shard (each shard is ~0.7 s of sleeping similarity;
-# the marker file appears once both have scored a pair).
-_SHARD_DRIVER = """
-import os, sys, time
-
-from repro.core import Record
-from repro.dist import sharded_resolve
-from repro.linkage import (
-    FieldComparator, RecordComparator, ThresholdClassifier,
-)
-
-MARK = __file__ + ".pids"
-
-
-def slow(left, right):
-    with open(MARK, "a") as handle:
-        handle.write(f"{os.getpid()}\\n")
-    time.sleep(0.02)
-    return 1.0 if left == right else 0.0
-
-
-if __name__ == "__main__":
-    import threading
-
-    def kill_when_busy():
-        while True:
-            time.sleep(0.01)
-            if os.path.exists(MARK):
-                with open(MARK) as handle:
-                    if len(set(handle.read().split())) == 2:
-                        print("both shards busy", flush=True)
-                        os._exit(137)
-
-    threading.Thread(target=kill_when_busy, daemon=True).start()
-    records = [
-        Record(f"r{i}", "s", {"name": f"item {i % 3}"}) for i in range(12)
-    ]
-    pairs = [(f"r{i}", f"r{j}") for i in range(12) for j in range(i + 1, 12)]
-    sharded_resolve(
-        records, None, RecordComparator([FieldComparator("name", slow)]),
-        ThresholdClassifier(0.5), candidate_pairs=pairs, n_shards=2,
-        backend="process",
-    )
-    print("survived", flush=True)
-"""
-
-
-def _payload(stdout):
-    document = json.loads(stdout)
-    document.pop("counters")
-    return document
-
-
-@pytest.mark.slow
-class TestKillResume:
-    """The acceptance contract: murder a real run, resume it, and the
-    output is indistinguishable from a run that never died."""
-
-    @pytest.mark.parametrize("execution", ["serial", "process"])
-    def test_engine_kill_and_resume(self, tmp_path, execution):
-        baseline = _run_driver(
-            "engine", str(tmp_path / "base"), "--execution", execution
-        )
-        _run_driver(
-            "engine",
-            str(tmp_path / "killed"),
-            "--execution",
-            execution,
-            "--kill-chunk",
-            "2",
-            expect=KILL_EXIT_CODE,
-        )
-        # The murdered run took its workers with it (they carry its
-        # command line) and left chunks 0-1 durably checkpointed.
-        assert_gone(PARENT_POLL + 2, cmdline=str(tmp_path / "killed"))
-        store = RunStore(tmp_path / "killed")
-        assert any("chunk" in key for key in store.keys())
-        resumed = _run_driver(
-            "engine", str(tmp_path / "killed"), "--execution", execution
-        )
-        assert _payload(resumed) == _payload(baseline)
-        assert json.loads(resumed)["counters"][
-            "recovery.chunks_replayed"
-        ] == 2
-
-    @needs_proc
-    def test_a_killed_coordinator_takes_its_shard_workers_with_it(
-        self, tmp_path
-    ):
-        driver = tmp_path / "shard_driver.py"
-        driver.write_text(textwrap.dedent(_SHARD_DRIVER))
-        done = _run_script(driver)
-        assert done.returncode == KILL_EXIT_CODE, done.stderr
-        assert "both shards busy" in done.stdout
-        assert "survived" not in done.stdout
-        assert_gone(PARENT_POLL + 2, cmdline=str(driver))
-
-    def test_pipeline_kill_and_resume(self, tmp_path):
-        baseline = _run_driver("pipeline", str(tmp_path / "base"))
-        _run_driver(
-            "pipeline",
-            str(tmp_path / "killed"),
-            "--kill-chunk",
-            "2",
-            expect=KILL_EXIT_CODE,
-        )
-        store = RunStore(tmp_path / "killed")
-        assert "schema" in store.completed_stages()
-        assert not store.completed
-        resumed = _run_driver("pipeline", str(tmp_path / "killed"))
-        assert _payload(resumed) == _payload(baseline)
-        counters = json.loads(resumed)["counters"]
-        assert counters["recovery.stages_skipped"] >= 1
-        assert counters["recovery.chunks_replayed"] == 2
-        assert RunStore(tmp_path / "killed").completed
-
-    def test_solver_kill_and_resume(self, tmp_path):
-        baseline = _run_driver("solver", str(tmp_path / "base"))
-        _run_driver(
-            "solver",
-            str(tmp_path / "killed"),
-            "--kill-iter",
-            "5",
-            expect=KILL_EXIT_CODE,
-        )
-        resumed = _run_driver("solver", str(tmp_path / "killed"))
-        assert _payload(resumed) == _payload(baseline)
-        assert json.loads(resumed)["counters"][
-            "recovery.iterations_skipped"
-        ] == 5

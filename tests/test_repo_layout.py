@@ -18,7 +18,13 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
 CI = ROOT / ".github" / "workflows" / "ci.yml"
 SKILL = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
-DOCS = [CI, ROOT / "README.md", ROOT / "EXPERIMENTS.md", SKILL]
+DOCS = [
+    CI,
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
+    SKILL,
+]
 SCRIPT_PATH = re.compile(
     r"\b(?:benchmarks|examples)/[\w/]+\.py\b|\btests/\w+_driver\.py\b"
 )
@@ -170,6 +176,34 @@ def test_one_module_creates_processes():
         "resilience/workers.py"
     ]
     assert [name for name, text in texts.items() if "_processes" in text] == []
+
+
+def test_one_way_to_kill_a_run_from_a_test():
+    """Every interpreter a test starts comes from one launcher
+    (``tests/procs.py``), and every run a test kills is a scenario of one
+    driver (``tests/kill_driver.py``): no second driver script, no
+    second ``subprocess`` caller, no second place a process dies."""
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    texts = {path.name: path.read_text(encoding="utf-8") for path in tests}
+    assert [name for name in texts if name.endswith("_driver.py")] == [
+        "kill_driver.py"
+    ]
+
+    def imports_subprocess(text):
+        return any(
+            isinstance(node, ast.Import)
+            and any(alias.name == "subprocess" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "subprocess"
+            for node in ast.walk(ast.parse(text))
+        )
+
+    assert [
+        name for name, text in texts.items() if imports_subprocess(text)
+    ] == ["procs.py"]
+    death = re.compile(r"os\._exit\(")
+    assert [name for name, text in texts.items() if death.search(text)] == [
+        "kill_driver.py"
+    ]
 
 
 def test_one_module_decides_staleness():

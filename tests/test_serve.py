@@ -6,8 +6,8 @@ Three contracts anchor this file:
 1. **Durability** — an acknowledged ingest survives process death; a
    restarted service reconstructs the exact pre-crash projection
    (byte-identical store artifacts for completed generations). The
-   real-kill version lives in ``TestServeKillRestart`` (``slow``,
-   subprocess via ``tests/serve_driver.py``).
+   real-kill version is ``tests/test_kill_resume.py``'s ``serve``
+   scenario.
 2. **Equivalence** — the incremental ingest path and the batch refresh
    path resolve to the same entities, so a refresh is invisible to
    correct readers.
@@ -16,9 +16,6 @@ Three contracts anchor this file:
 """
 
 import copy
-import json
-import os
-import subprocess
 import sys
 import threading
 from unittest import mock
@@ -38,8 +35,7 @@ from repro.linkage.blocking.base import Blocker
 from repro.linkage.comparison import FieldComparator, RecordComparator
 from repro.obs import ManualClock, Tracer
 from repro.resilience import ResilienceConfig
-from repro.resilience.testing import FaultInjector, crash, kill
-from repro.resilience.testing import KILL_EXIT_CODE
+from repro.resilience.testing import FaultInjector, crash
 from repro.supervision import OverloadPolicy
 from repro.text.similarity import jaccard_similarity
 from repro.serve import (
@@ -50,9 +46,7 @@ from repro.serve import (
     TrafficConfig,
     run_traffic,
 )
-from tests.serve_driver import build_records
-
-DRIVER = os.path.join(os.path.dirname(__file__), "serve_driver.py")
+from tests.kill_driver import build_records
 
 
 def make_service(root, tracer=None, resilience=None, accuracies=None):
@@ -747,92 +741,6 @@ class TestServeTraffic:
             TrafficConfig(n_ops=0)
         with pytest.raises(ConfigurationError):
             TrafficConfig(ingest_fraction=0.8, get_fraction=0.5)
-
-
-def _run_driver(*args, expect=0):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(
-            None,
-            [
-                os.path.join(os.path.dirname(DRIVER), "..", "src"),
-                env.get("PYTHONPATH", ""),
-            ],
-        )
-    )
-    process = subprocess.run(
-        [sys.executable, DRIVER, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert process.returncode == expect, (
-        f"driver {args} exited {process.returncode}, expected {expect}\n"
-        f"stderr: {process.stderr}"
-    )
-    return process.stdout
-
-
-@pytest.mark.slow
-class TestServeKillRestart:
-    """The acceptance contract: murder the serving process mid-ingest,
-    restart it, and it serves exactly what an unkilled deployment
-    serves — byte-identical artifacts for completed generations."""
-
-    def test_kill_mid_ingest_restart_serves_same_entities(self, tmp_path):
-        # The doomed run: refresh (durable generation 1) after 12
-        # ingests, die at log position 18 — after the durable append,
-        # before linking.
-        _run_driver(
-            str(tmp_path / "killed"),
-            "--n",
-            "24",
-            "--refresh-at",
-            "12",
-            "--kill-at",
-            "18",
-            expect=KILL_EXIT_CODE,
-        )
-        # The reference deployment ingests exactly the records the
-        # doomed run acknowledged (positions 0..18), never dying.
-        reference = json.loads(
-            _run_driver(
-                str(tmp_path / "reference"),
-                "--n",
-                "19",
-                "--refresh-at",
-                "12",
-            )
-        )
-        restarted = json.loads(
-            _run_driver(str(tmp_path / "killed"), "--report")
-        )
-        assert restarted["log_length"] == 19
-        assert restarted["generation"] == 1
-        assert restarted["snapshot"] == reference["snapshot"]
-        # Completed generations are byte-identical across deployments.
-        assert restarted["generation_sha"] == reference["generation_sha"]
-        assert restarted["generation_sha"] is not None
-
-    def test_kill_before_any_generation(self, tmp_path):
-        _run_driver(
-            str(tmp_path / "killed"),
-            "--n",
-            "10",
-            "--kill-at",
-            "6",
-            expect=KILL_EXIT_CODE,
-        )
-        reference = json.loads(
-            _run_driver(str(tmp_path / "reference"), "--n", "7")
-        )
-        restarted = json.loads(
-            _run_driver(str(tmp_path / "killed"), "--report")
-        )
-        assert restarted["snapshot"]["entities"] == (
-            reference["snapshot"]["entities"]
-        )
 
 
 class _FlakyRefreshBlocker(Blocker):

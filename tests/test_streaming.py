@@ -18,10 +18,6 @@ The load-bearing suites:
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +52,7 @@ from repro.streaming import (
     projection_accuracy,
 )
 from repro.text import clear_memo_caches
+from tests.procs import run_python
 
 MATCH_THRESHOLD = 0.72
 
@@ -1430,66 +1427,9 @@ print("numpy" in sys.modules)
 
 class TestLivePathStaysOffNumpy:
     def test_streaming_and_serve_never_import_numpy(self):
-        src = Path(__file__).parent.parent / "src"
-        finished = subprocess.run(
-            [sys.executable, "-c", NUMPY_FREE_SCRIPT],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        finished = run_python("-c", NUMPY_FREE_SCRIPT)
         assert finished.returncode == 0, finished.stderr
         assert finished.stdout.strip() == "False"
-
-
-# ---------------------------------------------------------------------
-# Kill/restart: the chaos acceptance test (subprocess, os._exit(137))
-
-
-DRIVER = Path(__file__).parent / "streaming_driver.py"
-
-
-def run_driver(root, *extra):
-    return subprocess.run(
-        [sys.executable, str(DRIVER), str(root), *extra],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-
-
-@pytest.mark.slow
-class TestKillRestart:
-
-    def test_killed_consumer_resumes_byte_identical(self, tmp_path):
-        """Kill -9 mid-open-window; the restarted consumer converges
-        byte-identically to one that never died."""
-        clean = run_driver(tmp_path / "clean", "--windows", "10")
-        assert clean.returncode == 0, clean.stderr
-
-        chaos_root = tmp_path / "chaos"
-        killed = run_driver(
-            chaos_root, "--windows", "10", "--kill-after-record", "250"
-        )
-        assert killed.returncode == 137, killed.stderr
-        assert killed.stdout == ""
-
-        resumed = run_driver(chaos_root, "--windows", "10")
-        assert resumed.returncode == 0, resumed.stderr
-        assert resumed.stdout == clean.stdout
-
-    def test_double_kill_still_converges(self, tmp_path):
-        clean = run_driver(tmp_path / "clean", "--windows", "8")
-        assert clean.returncode == 0, clean.stderr
-        chaos_root = tmp_path / "chaos"
-        for kill_at in ("120", "260"):
-            killed = run_driver(
-                chaos_root, "--windows", "8", "--kill-after-record", kill_at
-            )
-            assert killed.returncode == 137, killed.stderr
-        resumed = run_driver(chaos_root, "--windows", "8")
-        assert resumed.returncode == 0, resumed.stderr
-        assert resumed.stdout == clean.stdout
 
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ Each test holds one of the pool's invariants: a worker's exception is
 a result, a closed pipe is a death, only the dead worker's job is lost,
 a timeout costs one worker, and nothing is left behind after ``close``.
 That no worker outlives its *parent* is held where parents really die:
-``tests/test_recovery.py::TestKillResume``.
+``tests/test_kill_resume.py``.
 """
 
 import gc
@@ -26,15 +26,12 @@ from repro.resilience import (
     WorkerDied,
     WorkerPool,
 )
+from tests.kill_driver import die
 from tests.procs import assert_gone, live_processes, needs_proc
 
 
 def _square(n):
     return n * n
-
-
-def _exit_with(code):
-    os._exit(code)
 
 
 def _pid_after(seconds):
@@ -70,7 +67,7 @@ class TestWorkerProcesses:
     def test_a_dead_worker_costs_its_own_job_only(self):
         pool = WorkerPool(2)
         try:
-            doomed = pool.submit(_exit_with, 3)
+            doomed = pool.submit(die, 3)
             neighbour = pool.submit(_pid_after, 0.2)
             with pytest.raises(WorkerDied, match="exit code 3"):
                 pool.result(doomed)
