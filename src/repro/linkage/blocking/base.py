@@ -138,7 +138,11 @@ class Blocker:
         blocks :meth:`block` would produce over the same records, in
         the same order. The base raises so callers can detect (via
         :attr:`supports_streaming`) and refuse rather than silently
-        materialize.
+        materialize. Two blockers keep the base for good:
+        :class:`~repro.linkage.blocking.canopy.CanopyBlocker`, whose
+        seed pool needs every record's token set in memory at once, and
+        :class:`~repro.linkage.blocking.composite.CompositeBlocker`,
+        since no caller composes blockers under a memory budget.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no out-of-core streaming path"

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.obs import NULL_TRACER
 from repro.obs.clock import SystemClock
@@ -157,23 +157,6 @@ class ResilientChunkExecutor:
         ):
             checkpoint.tracer = self._tracer
 
-    def run(
-        self,
-        chunks: Sequence[list],
-        run_attempt: RunAttempt,
-        validate: Validator | None = None,
-    ) -> ResilientOutcome:
-        """Execute every chunk, recovering per the configured policy.
-
-        ``validate(items, value)`` (optional) must raise
-        :class:`ChunkResultInvalid` when a result's shape is wrong —
-        the garbage-detection hook that turns silent corruption into a
-        retryable failure.
-        """
-        return self._execute(
-            enumerate(chunks), run_attempt, validate, None, len(chunks)
-        )
-
     def run_chunk(
         self,
         index: int,
@@ -186,7 +169,7 @@ class ResilientChunkExecutor:
         dead-letter ids and the heartbeat name it); ``deadline``
         (seconds) replaces the config's for this call."""
         return self._execute(
-            ((index, items),), run_attempt, validate, None, 1, deadline
+            ((index, items),), run_attempt, validate, None, deadline
         )
 
     def run_stream(
@@ -196,20 +179,22 @@ class ResilientChunkExecutor:
         validate: Validator | None = None,
         consume=None,
     ) -> ResilientOutcome:
-        """Like :meth:`run` over a lazily produced chunk sequence.
+        """Execute every chunk, recovering per the configured policy.
 
         ``chunks`` may be any iterable — its length is never taken, so
         a generator feeding chunks straight out of a spill merge works;
-        the outcome's ``n_chunks`` is counted as chunks arrive. When
-        ``consume(items, value)`` is given, each completed result unit
-        is handed to it in input order and *not* retained on the
-        outcome, keeping resident memory bounded by one chunk's results
-        however long the stream runs. Checkpoint persist/replay still
-        operates per top-level chunk, before the units are consumed.
+        the outcome's ``n_chunks`` is counted as chunks arrive.
+        ``validate(items, value)`` (optional) must raise
+        :class:`ChunkResultInvalid` when a result's shape is wrong —
+        the garbage-detection hook that turns silent corruption into a
+        retryable failure. When ``consume(items, value)`` is given,
+        each completed result unit is handed to it in input order and
+        *not* retained on the outcome, keeping resident memory bounded
+        by one chunk's results however long the stream runs. Checkpoint
+        persist/replay still operates per top-level chunk, before the
+        units are consumed.
         """
-        return self._execute(
-            enumerate(chunks), run_attempt, validate, consume, None
-        )
+        return self._execute(enumerate(chunks), run_attempt, validate, consume)
 
     def _execute(
         self,
@@ -217,12 +202,10 @@ class ResilientChunkExecutor:
         run_attempt: RunAttempt,
         validate: Validator | None,
         consume,
-        n_chunks: int | None,
         deadline: float | None = None,
     ) -> ResilientOutcome:
         tracer = self._tracer
         outcome = ResilientOutcome(
-            n_chunks=n_chunks or 0,
             dead_letters=DeadLetterLog(
                 path=self._config.dead_letter_path,
                 max_entries=self._config.dead_letter_max_entries,
@@ -239,8 +222,7 @@ class ResilientChunkExecutor:
         ) as span:
             for done, (index, chunk) in enumerate(indexed_chunks, 1):
                 items = list(chunk)
-                if n_chunks is None:
-                    outcome.n_chunks = done
+                outcome.n_chunks = done
                 n_units = len(outcome.results)
                 n_dead = len(outcome.dead_letters)
                 signed = None

@@ -58,6 +58,9 @@ from repro.supervision import AdmissionGate, CircuitBreaker, Overloaded, Overloa
 
 __all__ = ["IngestResult", "ResolutionService", "ResolvedEntity"]
 
+# Read-path LRU size (entries), keyed by generation stamp.
+CACHE_CAPACITY = 1024
+
 
 @dataclass(frozen=True)
 class ResolvedEntity:
@@ -170,8 +173,6 @@ class ResolutionService:
         (``None`` = ``failure="fail"``). It is the service's one source
         of a clock (breaker, dead letters, deadlines) and of the
         default deadline of :meth:`ingest` and :meth:`refresh`.
-    cache_capacity:
-        Read-path LRU size (entries), keyed by generation stamp.
     durable:
         ``False`` skips fsyncs (benchmarks); atomicity is kept.
     overload:
@@ -195,7 +196,6 @@ class ResolutionService:
         refresh_blocker: Blocker | None = None,
         source_accuracies: Mapping[str, float] | None = None,
         resilience: ResilienceConfig | None = None,
-        cache_capacity: int = 1024,
         max_candidates_per_record: int = 1000,
         tracer=None,
         durable: bool = True,
@@ -225,7 +225,7 @@ class ResolutionService:
                 max_candidates_per_record,
             )
         )
-        self._cache = GenerationCache(cache_capacity, tracer=self._tracer)
+        self._cache = GenerationCache(CACHE_CAPACITY, tracer=self._tracer)
         self._lock = threading.RLock()
         self._dead_letters = DeadLetterLog(
             path=resilience.dead_letter_path,

@@ -21,8 +21,9 @@ The live entity table — the deep re-sort ``EntityProjection.canonical``
 made of every entry before entries were canonical when tabled.
 
 Linkage — the staged scorer as it was before decisions were planned per
-field-presence mask, and the incremental linker that compares every
-candidate.
+field-presence mask, the incremental linker that compares every
+candidate, and the per-pair ``resolve`` every way of running it is held
+to (``tests/test_lattice.py``).
 """
 
 import contextlib
@@ -42,6 +43,9 @@ from repro.fusion import (
 from repro.fusion.base import FusionResult
 from repro.fusion.online import vote_count
 from repro.linkage import BatchStats, IncrementalLinker, ProbeResult
+from repro.linkage import LinkageResult
+from repro.linkage.clustering import center_clustering, connected_components
+from repro.linkage.clustering import merge_center_clustering
 from repro.linkage.comparison import (
     BOUND_MARGIN,
     BoundedComparison,
@@ -424,3 +428,37 @@ class CompareAllLinker(IncrementalLinker):
             len(batch), candidates, candidates, len(match_pairs),
             tuple(match_pairs),
         )
+
+
+def reference_resolve(
+    records, blocker, comparator, classifier, clustering,
+    candidate_pairs=None, excluded=(),
+):
+    """``resolve`` as one loop: the blocker's sorted unique pairs, or
+    the caller's as ``resolve`` documents them (oriented, sorted, no
+    self-pairs); ``compare`` on each raw pair — no engine, no prepared
+    records, no early exit; and the library's clustering over the pairs
+    ``classifier`` accepts. ``excluded`` pairs (quarantined by a fault)
+    count as candidates but are never compared."""
+    by_id = {record.record_id: record for record in records}
+    if candidate_pairs is None:
+        pairs = blocker.block(records).ordered_pairs()
+    else:
+        pairs = sorted(
+            tuple(sorted(pair))
+            for pair in candidate_pairs
+            if len(set(pair)) == 2
+        )
+    edges = []
+    for left, right in (pair for pair in pairs if pair not in excluded):
+        vector = comparator.compare(by_id[left], by_id[right])
+        if classifier.is_match(vector):
+            edges.append((left, right, vector.score))
+    matches = {frozenset(edge[:2]) for edge in edges}
+    ids = sorted(by_id)
+    clusters = {
+        "components": lambda: connected_components(matches, ids),
+        "center": lambda: center_clustering(edges, ids),
+        "merge-center": lambda: merge_center_clustering(edges, ids),
+    }[clustering]()
+    return LinkageResult(clusters, matches, len(pairs), edges)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConfigurationError, Record
+from repro.core import ConfigurationError
 from repro.core.errors import EmptyInputError
 from repro.core.pipeline import BDIPipeline, PipelineConfig
 from repro.io import load_dataset, open_record_stream, save_dataset
@@ -53,6 +53,7 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
+from tests.test_lattice import random_records
 
 COMPARATOR = default_product_comparator()
 CLASSIFIER = ThresholdClassifier(0.6)
@@ -867,25 +868,6 @@ class TestKillAndResume:
 
 
 # --- Hypothesis: random corpus × budget × chunk size -----------------
-
-short_word = st.text(
-    alphabet=st.characters(min_codepoint=97, max_codepoint=122),
-    min_size=1,
-    max_size=8,
-)
-
-
-@st.composite
-def random_records(draw):
-    n = draw(st.integers(min_value=2, max_value=30))
-    records = []
-    for index in range(n):
-        n_tokens = draw(st.integers(min_value=1, max_value=4))
-        name = " ".join(draw(short_word) for __ in range(n_tokens))
-        records.append(
-            Record(f"r{index:03d}", f"s{index % 3}", {"name": name})
-        )
-    return records
 
 
 class TestProperties:

@@ -288,3 +288,33 @@ def test_fusion_sums_are_exact():
     for path in sorted((source / "fusion").glob("*.py")):
         sums.update(_builtin_sums(path))
     assert sums == INTEGER_SUMS
+
+
+def test_every_run_option_is_a_lattice_dimension():
+    """However ``resolve`` or the pipeline can be run, the lattice
+    (``tests/test_lattice.py``) runs it that way: every keyword of
+    ``resolve`` and ``BDIPipeline.run`` and every ``PipelineConfig``
+    field is drawn by a cell field, or is exempt with its reason. A
+    keyword added without a dimension fails here."""
+    import inspect
+
+    from repro.core.pipeline import BDIPipeline, PipelineConfig
+    from repro.linkage import resolve
+    from tests import test_lattice as lattice
+
+    keywords = {
+        "resolve": set(inspect.signature(resolve).parameters),
+        "PipelineConfig": set(PipelineConfig.__dataclass_fields__),
+        "run": set(inspect.signature(BDIPipeline.run).parameters) - {"self"},
+    }
+    drawn = {
+        "resolve": lattice.RESOLVE_DIMENSIONS,
+        "PipelineConfig": lattice.PIPELINE_DIMENSIONS,
+        "run": lattice.RUN_DIMENSIONS,
+    }
+    fields = set(lattice.Cell.__dataclass_fields__)
+    for surface, names in keywords.items():
+        exempt = lattice.EXEMPT[surface]
+        assert names == set(drawn[surface]) | set(exempt), surface
+        assert not set(drawn[surface]) & set(exempt) and all(exempt.values())
+        assert set(drawn[surface].values()) <= fields
