@@ -8,7 +8,7 @@ and incremental cluster maintenance.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Generic, Hashable, Iterable, TypeVar
+from typing import Generic, Hashable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
@@ -47,6 +47,27 @@ class UnionFind(Generic[T]):
         while parent[item] != root:  # path compression
             parent[item], item = root, parent[item]
         return root
+
+    def roots(self, items: Sequence[T]) -> list[T]:
+        """``[find(item) for item in items]``, in one call.
+
+        Every item's parent is read; when each distinct parent is a
+        root, those parents are the roots. Otherwise only the items
+        below a root's child go through :meth:`find` (and its path
+        compression). Unlike :meth:`find`, an item never added raises
+        ``KeyError`` instead of being added: asking for the roots of
+        known items leaves every set as it was.
+        """
+        parent = self._parent
+        parents = list(map(parent.__getitem__, items))
+        for candidate in set(parents):
+            if parent[candidate] != candidate:
+                find = self.find
+                return [
+                    root if parent[root] == root else find(item)
+                    for item, root in zip(items, parents)
+                ]
+        return parents
 
     def union(self, a: T, b: T) -> T:
         """Merge the sets of ``a`` and ``b``; returns the new root."""

@@ -438,7 +438,9 @@ class RecordComparator:
     translate:
         Optional record → attribute-mapping translator applied before
         field lookup (e.g. ``schema.translate``). Defaults to the raw
-        attribute mapping.
+        attribute mapping. :meth:`compare` looks each field's names up
+        with ``get``; :meth:`prepare` reads the mapping's ``items()``
+        once, so the two must agree.
     missing_penalty:
         Score contribution assumed for fields missing on either side,
         in ``[0, 1]``; the default ``None`` simply excludes missing
@@ -466,6 +468,22 @@ class RecordComparator:
                 range(len(self._fields)),
                 key=lambda index: (self._specs[index].cost, index),
             )
+        )
+        # Attribute name -> ((field index, rank), ...), where rank 0 is
+        # the field's own name and its aliases follow in order. One name
+        # may serve several fields (``"model"`` names a product and is
+        # an identifier alias of the default comparator).
+        by_name: dict[str, list[tuple[int, int]]] = {}
+        for index, field in enumerate(self._fields):
+            names = dict.fromkeys((field.attribute, *field.aliases))
+            for rank, name in enumerate(names):
+                by_name.setdefault(name, []).append((index, rank))
+        self._fields_by_name = {
+            name: tuple(found) for name, found in by_name.items()
+        }
+        self._preparers = tuple(
+            (spec.prepare, field.normalize)
+            for spec, field in zip(self._specs, self._fields)
         )
         # One decision plan per field-presence mask, compiled on first
         # use (at most 2 ** len(fields) entries; two threads missing at
@@ -529,13 +547,32 @@ class RecordComparator:
         The returned :class:`PreparedRecord` is only valid with *this*
         comparator (payloads line up with its fields) and assumes the
         record does not change afterwards.
+
+        Each field takes what :meth:`FieldComparator.prepare` would:
+        the value of its first present name, own name before aliases.
+        All fields are resolved in one pass over the translated
+        attributes, each attribute read once.
         """
-        attributes = self._translate(record)
-        payloads = tuple(field.prepare(attributes) for field in self._fields)
-        mask = 0
-        for index, payload in enumerate(payloads):
-            if payload is not None:
-                mask |= 1 << index
+        by_name = self._fields_by_name
+        values: list[str | None] = [None] * len(self._fields)
+        ranks = [len(by_name)] * len(self._fields)  # past any real rank
+        mask = 0  # a present value never prepares to None
+        for name, value in self._translate(record).items():
+            found = by_name.get(name)
+            if found is None or value is None:
+                continue
+            for index, rank in found:
+                if rank < ranks[index]:
+                    ranks[index] = rank
+                    values[index] = value
+                    mask |= 1 << index
+        payloads = tuple(
+            [
+                None if value is None
+                else _payload_memo(prepare, normalize, value)
+                for value, (prepare, normalize) in zip(values, self._preparers)
+            ]
+        )
         return PreparedRecord(record.record_id, payloads, mask)
 
     def compare_prepared(

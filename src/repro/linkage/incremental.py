@@ -28,7 +28,11 @@ candidate: after it matches one member of a component, the component's
 other candidates are skipped — they are already connected, so a second
 union could not move a cluster. The partition, ``match_pairs``' first
 match into each entity and everything folded from them equal what
-comparing every candidate gives; rejections are never skipped.
+comparing every candidate gives; rejections are never skipped. A skipped
+candidate costs no more than reading its root: one key's candidates are
+a slice of its bucket, all their roots come from one
+:meth:`~repro.core.unionfind.UnionFind.roots` call, and the record's
+fields are resolved in one pass over its attributes.
 """
 
 from __future__ import annotations
@@ -123,15 +127,18 @@ class IncrementalLinker:
         self._max_candidates = max_candidates_per_record
         self._records: dict[str, Record] = {}
         self._prepared: dict[str, PreparedRecord] = {}
+        # key -> the ids indexed under it, each once, in arrival order
         self._index: dict[str, list[str]] = {}
         self._uf: UnionFind[str] = UnionFind()
         self._threshold = plain_threshold(classifier)
 
     def _keys_of(self, record: Record) -> list[str]:
-        """The record's blocking keys, in key-function order. A set has
-        no order of its own (iterating it follows ``PYTHONHASHSEED``,
-        and with it the candidate order and what a binding cap keeps),
-        so a set-returning function's keys are sorted."""
+        """The record's distinct blocking keys, in key-function order,
+        each where it was first seen: a key emitted twice indexes the
+        record once. A set has no order of its own (iterating it follows
+        ``PYTHONHASHSEED``, and with it the candidate order and what a
+        binding cap keeps), so a set-returning function's keys are
+        sorted."""
         keys: list[str] = []
         for function in self._key_functions:
             raw = function(record)
@@ -139,7 +146,7 @@ class IncrementalLinker:
             keys.extend(
                 sorted(found) if isinstance(raw, (set, frozenset)) else found
             )
-        return keys
+        return list(dict.fromkeys(keys)) if len(keys) > 1 else keys
 
     @property
     def n_records(self) -> int:
@@ -257,10 +264,15 @@ class IncrementalLinker:
         return tuple(self._candidates_under(self._keys_of(record)))
 
     def _candidates_under(self, keys: Sequence[str]) -> list[str]:
-        """The capped candidate list of a record with these keys."""
+        """The capped candidate list of a record with these keys. A
+        bucket holds each id once, so one key's candidates are a slice
+        of its bucket; several keys dedup across their buckets."""
+        index = self._index
+        if len(keys) == 1:
+            return index.get(keys[0], [])[: self._max_candidates]
         candidate_ids: dict[str, None] = {}
         for key in keys:
-            candidate_ids.update(dict.fromkeys(self._index.get(key, ())))
+            candidate_ids.update(dict.fromkeys(index.get(key, ())))
         return list(candidate_ids)[: self._max_candidates]
 
     def _decide(
@@ -321,7 +333,8 @@ class IncrementalLinker:
 
         Each record is decided once per linked component: a candidate
         whose union-find root the record has already matched is skipped
-        (the cap truncated the candidates first, as ever). The record's
+        (the cap truncated the candidates first, as ever), and once every
+        candidate's component is matched the rest go unread. The record's
         own unions wait until its last decision, so the roots hold still
         while it is decided and a comparator that raises half-way leaves
         no merge behind for a retry to trip over.
@@ -337,7 +350,6 @@ class IncrementalLinker:
         candidates_total = 0
         comparisons = 0
         match_pairs: list[tuple[str, str]] = []
-        find = self._uf.find
         for record in batch:
             record_id = record.record_id
             keys = self._keys_of(record)
@@ -348,8 +360,9 @@ class IncrementalLinker:
             self._prepared[record_id] = prepared
             self._uf.add(record_id)
             matched: dict[str, str] = {}  # root -> first candidate matched
-            for other_id in candidate_ids:
-                root = find(other_id)
+            roots = self._uf.roots(candidate_ids)
+            components = len(set(roots))
+            for other_id, root in zip(candidate_ids, roots):
                 if root in matched:
                     continue
                 comparisons += 1
@@ -358,6 +371,8 @@ class IncrementalLinker:
                 )
                 if is_match:
                     matched[root] = other_id
+                    if len(matched) == components:
+                        break
             for other_id in matched.values():
                 match_pairs.append((record_id, other_id))
                 self._uf.union(record_id, other_id)

@@ -20,10 +20,12 @@ arguments in the order given.
 The live entity table — the deep re-sort ``EntityProjection.canonical``
 made of every entry before entries were canonical when tabled.
 
-Linkage — the staged scorer as it was before decisions were planned per
-field-presence mask, the incremental linker that compares every
-candidate, and the per-pair ``resolve`` every way of running it is held
-to (``tests/test_lattice.py``).
+Linkage — ``prepare`` as each field looked its own names up before the
+attribute table, the staged scorer as it was before decisions were
+planned per field-presence mask, the incremental linker that gathers
+every key's bucket and compares every candidate, and the per-pair
+``resolve`` every way of running it is held to
+(``tests/test_lattice.py``).
 """
 
 import contextlib
@@ -50,6 +52,7 @@ from repro.linkage.comparison import (
     BOUND_MARGIN,
     BoundedComparison,
     ComparisonVector,
+    PreparedRecord,
     similarity_spec,
 )
 
@@ -393,11 +396,31 @@ def reference_score_bounded(comparator, left, right, threshold, exact_scores):
     )
 
 
+def reference_prepare(comparator, record):
+    """``RecordComparator.prepare`` field by field: each field looks up
+    its own name, then its aliases, with ``get``
+    (``FieldComparator.prepare``)."""
+    attributes = comparator.translate(record)
+    payloads = tuple(field.prepare(attributes) for field in comparator.fields)
+    mask = 0
+    for index, payload in enumerate(payloads):
+        if payload is not None:
+            mask |= 1 << index
+    return PreparedRecord(record.record_id, payloads, mask)
+
+
 class CompareAllLinker(IncrementalLinker):
-    """The reference the write path is held to: every candidate is
-    compared (plain ``compare`` over the raw records — no prepared
-    payloads, no early exit, nothing skipped), every accepted pair is
-    reported and unioned. Quadratic in entity size; kept for tests."""
+    """The reference the write path is held to: every key's bucket is
+    gathered, every candidate is compared (plain ``compare`` over the
+    raw records — no prepared payloads, no early exit, nothing skipped),
+    every accepted pair is reported and unioned. Quadratic in entity
+    size; kept for tests."""
+
+    def _candidates_under(self, keys):
+        candidate_ids = {}
+        for key in keys:
+            candidate_ids.update(dict.fromkeys(self._index.get(key, ())))
+        return list(candidate_ids)[: self._max_candidates]
 
     def _matches(self, record):
         candidate_ids = self.candidates(record)

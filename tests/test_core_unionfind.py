@@ -1,5 +1,6 @@
 """Unit and property tests for the union-find structure."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -81,3 +82,42 @@ class TestProperties:
         for a, b in reversed(unions):
             backward.union(b, a)
         assert forward.groups() == backward.groups()
+
+
+class TestRoots:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=20),
+                st.integers(min_value=0, max_value=20),
+            ),
+            max_size=40,
+        ),
+        st.lists(st.integers(min_value=0, max_value=20), max_size=30),
+    )
+    def test_roots_are_find_and_move_no_set(self, unions, items):
+        uf, twin = UnionFind(range(21)), UnionFind(range(21))
+        for a, b in unions:
+            uf.union(a, b)
+            twin.union(a, b)
+        items = [*items, *range(21)]  # every depth the unions made
+        assert uf.roots(items) == [twin.find(item) for item in items]
+        assert uf.groups() == twin.groups()
+        assert len(uf) == 21
+
+    def test_deep_items_reach_their_root(self):
+        uf = UnionFind()
+        uf.union("a", "b")
+        uf.union("c", "d")
+        uf.union("e", "f")
+        uf.union("a", "c")
+        uf.union("e", "a")  # "d" now sits two parents below the root
+        assert uf.roots("abcdef") == [uf.find("a")] * 6
+
+    def test_an_unknown_item_raises_instead_of_being_added(self):
+        uf = UnionFind(["a"])
+        with pytest.raises(KeyError):
+            uf.roots(["a", "ghost"])
+        assert "ghost" not in uf
+        assert uf.find("ghost") == "ghost"  # find adds it
+        assert "ghost" in uf

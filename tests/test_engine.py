@@ -8,6 +8,7 @@ multiprocess backend must produce identical vectors and final cluster
 sets to serial execution on a seeded corpus.
 """
 
+import collections.abc
 import functools
 import itertools
 import math
@@ -62,7 +63,7 @@ from repro.text import (
     monge_elkan_similarity,
     product_name_similarity,
 )
-from tests.oracle import reference_score_bounded
+from tests.oracle import reference_prepare, reference_score_bounded
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,110 @@ class TestPreparedRecords:
         left = Record("a", "s1", {"name": "canon pro 512", "brand": "canon"})
         right = Record("b", "s2", {"name": "cannon pro 512", "brand": "canon"})
         assert clone.compare(left, right) == comparator.compare(left, right)
+
+
+def _attribute_table_comparators():
+    """The default comparator (``"model"`` serves two of its fields) and
+    one whose names overlap on purpose: a field listing its own name as
+    an alias, two fields naming each other, one not normalizing."""
+    return [
+        default_product_comparator(),
+        RecordComparator(
+            [
+                FieldComparator(
+                    "a", exact_similarity, aliases=("b", "a", "c")
+                ),
+                FieldComparator(
+                    "b", jaccard_similarity, normalize=False, aliases=("a",)
+                ),
+                FieldComparator("c", levenshtein_similarity, aliases=("b",)),
+            ]
+        ),
+    ]
+
+
+_ATTRIBUTE_VALUES = st.sampled_from(
+    ["", " ", "Canon PowerShot 512", "canon pro 3", "1.2 kg", "15.6 in",
+     "Red", "AB-1234", "model x"]
+)
+
+
+class _CountingMapping(collections.abc.Mapping):
+    """A mapping that counts every read of a value."""
+
+    def __init__(self, data):
+        self._data = data
+        self.reads = collections.Counter()
+
+    def __getitem__(self, name):
+        self.reads[name] += 1
+        return self._data[name]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+class TestAttributeTable:
+    """``prepare`` resolves every field in one pass over the attributes;
+    it must take what each field's own look-up takes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_prepare_equals_field_by_field(self, data):
+        comparator = data.draw(
+            st.sampled_from(_attribute_table_comparators())
+        )
+        names = sorted(
+            {
+                name
+                for field in comparator.fields
+                for name in (field.attribute, *field.aliases)
+            }
+            | {"model", "price", "unrelated"}
+        )
+        attributes = data.draw(
+            st.dictionaries(
+                st.sampled_from(names),
+                st.none() | _ATTRIBUTE_VALUES,
+                max_size=len(names),
+            )
+        )
+        record = Record(
+            "r", "s",
+            {name: value for name, value in attributes.items() if value},
+        )
+        assert comparator.prepare(record) == reference_prepare(
+            comparator, record
+        )
+        # A translator may hand over any mapping, ``None`` values too.
+        translated = RecordComparator(
+            comparator.fields, translate=lambda __: attributes
+        )
+        assert translated.prepare(record) == reference_prepare(
+            translated, record
+        )
+
+    def test_prepare_reads_each_attribute_once(self):
+        attributes = _CountingMapping(
+            {
+                "title": "Canon PowerShot 512",
+                "model": "PS-512",
+                "brand": "canon",
+                "colour": "red",
+                "price": "199",
+            }
+        )
+        comparator = default_product_comparator(
+            translate=lambda __: attributes
+        )
+        record = Record("r", "s", {"x": "y"})
+        prepared = comparator.prepare(record)
+        assert attributes.reads == dict.fromkeys(attributes._data, 1)
+        assert prepared == reference_prepare(comparator, record)
+        assert bin(prepared.mask).count("1") == 4
 
 
 class TestScoreBounded:

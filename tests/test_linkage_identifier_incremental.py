@@ -457,6 +457,54 @@ class TestIncrementalChurn:
             assert len(set(bucket)) == len(bucket), f"duplicates in {key!r}"
             assert set(bucket) <= alive
 
+    @pytest.mark.parametrize(
+        "key_functions",
+        [
+            [token_set_key("name")],
+            [first_token_key("name"), first_token_key("name")],
+        ],
+        ids=["one function, a token twice", "two functions, one key"],
+    )
+    def test_a_repeated_key_buckets_the_record_once(self, key_functions):
+        linker = IncrementalLinker(
+            key_functions,
+            default_product_comparator(),
+            ThresholdClassifier(0.72),
+        )
+
+        def assert_bucketed_once():
+            for key, bucket in linker._index.items():
+                assert len(set(bucket)) == len(bucket), f"duplicates in {key!r}"
+
+        twice = Record("a", "s1", {"name": "canon canon 5d"})
+        assert linker._keys_of(twice)[0] == "canon"
+        assert len(set(linker._keys_of(twice))) == len(linker._keys_of(twice))
+        linker.add_batch([twice])
+        assert linker._index["canon"] == ["a"]
+        arriving = Record("b", "s2", {"name": "canon canon 5d"})
+        assert linker.candidates(arriving) == ("a",)
+        probed = linker.probe(arriving)
+        assert (probed.candidates, probed.best) == (1, "a")
+        stats = linker.add_batch([arriving])
+        assert (stats.candidates, stats.match_pairs) == (1, (("b", "a"),))
+        assert linker._index["canon"] == ["a", "b"]
+        assert_bucketed_once()
+        linker.remove("a")
+        assert linker._index["canon"] == ["b"]
+        linker.resurrect(twice)
+        assert linker._index["canon"] == ["b", "a"]
+        assert_bucketed_once()
+        linker.update(Record("a", "s1", {"name": "canon canon 5d mark"}))
+        linker.update(Record("b", "s2", {"name": "canon 5d canon"}))
+        assert sorted(linker._index["canon"]) == ["a", "b"]
+        assert_bucketed_once()
+        assert linker.candidates(Record("c", "s3", {"name": "canon"})) == (
+            "b", "a",
+        )
+        linker.remove("a")
+        linker.remove("b")
+        assert linker._index == {}
+
     def test_remove_resurrect_update_keeps_clusters(self):
         linker = self._make()
         matched = [
