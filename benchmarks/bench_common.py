@@ -30,7 +30,6 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
-from repro.text import clear_memo_caches
 
 __all__ = [
     "RECORDED_EARLY_EXIT_SPEEDUP",
@@ -45,16 +44,18 @@ __all__ = [
 THRESHOLD = 0.7
 
 #: Early-exit engine over naive per-pair scoring, as
-#: ``check_obs_overhead.py`` measured it on the commit that made every
-#: staged decision one plan per field-presence mask (parent 525cb01),
-#: on a 2-core Intel Xeon box under CPython 3.11: 213,174 against
-#: 23,111 pairs/s over the 31,751 candidate pairs of
-#: ``corpus_pairs(60, 12)`` at ``THRESHOLD``, best of 3, each side on
-#: empty similarity memos (5.1x at the parent). The ``--quick`` corpus
-#: ``(20, 6)`` reads 6-8x, its values repeat less. A ratio, because
-#: absolute pairs/s is the machine's; ``check_obs_overhead.py`` holds
-#: the measured one above a fraction of it.
-RECORDED_EARLY_EXIT_SPEEDUP = 9.2
+#: ``check_obs_overhead.py`` measured it once similarity memos became
+#: a comparator's own (naive scoring calls the plain, unmemoized
+#: functions), on a 2-core Intel Xeon box under CPython 3.11: the
+#: median of eight runs (14.4-20.2x; 9.2x while both sides shared
+#: process-wide memos) over the 31,751 candidate pairs of
+#: ``corpus_pairs(60, 12)`` at ``THRESHOLD``, best of 3, each side on a
+#: new comparator; one run at the median read 179,749 against 11,077
+#: pairs/s. The ``--quick`` corpus ``(20, 6)`` reads 11-23x over eleven
+#: runs. A ratio, because absolute pairs/s is the machine's;
+#: ``check_obs_overhead.py`` holds the measured one above a fraction of
+#: it.
+RECORDED_EARLY_EXIT_SPEEDUP = 16.2
 
 
 def table(
@@ -111,14 +112,14 @@ def early_exit_speedup(by_id, pairs, repeats: int) -> dict:
     ``NULL_TRACER`` check in the one chunk loop), so a path that is
     meant to be free when off must leave this ratio where
     :data:`RECORDED_EARLY_EXIT_SPEEDUP` put it. Every timed run starts
-    on empty memos; the two sides must agree on the match pairs.
+    on a new comparator, so on empty memos; the two sides must agree on
+    the match pairs.
     """
-    comparator = default_product_comparator()
     classifier = ThresholdClassifier(THRESHOLD)
 
     naive_best = float("inf")
     for __ in range(repeats):
-        clear_memo_caches()
+        comparator = default_product_comparator()
         start = time.perf_counter()
         naive_matches = {
             frozenset(pair)
@@ -131,7 +132,6 @@ def early_exit_speedup(by_id, pairs, repeats: int) -> dict:
     early_best = float("inf")
     for __ in range(repeats):
         engine = ParallelComparisonEngine(default_product_comparator())
-        clear_memo_caches()
         start = time.perf_counter()
         run = engine.match_pairs(by_id, pairs, classifier)
         early_best = min(early_best, time.perf_counter() - start)

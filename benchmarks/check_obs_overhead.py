@@ -13,15 +13,15 @@ the one place its prepared+early-exit throughput is timed.
 Absolute pairs/sec is machine-dependent (CI runners ≠ the box that
 wrote the baseline), so the gate compares the *relative* speedup of
 the early-exit path over the naive path, measured fresh on this
-machine with every timed run on empty similarity memos, against
+machine with each timed run on a new comparator, against
 ``bench_common.RECORDED_EARLY_EXIT_SPEEDUP``. A genuine per-pair
 instrumentation cost would drag the measured ratio down on every
 machine alike; run-to-run noise would not, so the threshold is lenient
 (default: measured ratio must stay above half the recorded one — the
-recorded ratio is ~9×, 6-8× on the ``--quick`` corpus where values
-repeat less, so even a 5% hot-path regression plus generous noise
-clears it, while per-pair tracer calls, which cost 2-3×, and a staged
-decision grown to twice its recorded per-pair cost do not).
+recorded ratio is ~16×, 11-23× on the ``--quick`` corpus, so even a 5%
+hot-path regression plus generous noise clears it, while per-pair
+tracer calls, which cost 2-3×, and a staged decision grown to twice
+its recorded per-pair cost do not).
 
 Run:  PYTHONPATH=src python benchmarks/check_obs_overhead.py [--quick]
 """

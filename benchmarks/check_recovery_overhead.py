@@ -35,7 +35,6 @@ from repro.linkage import (
     default_product_comparator,
 )
 from repro.recovery import RunStore
-from repro.text import clear_memo_caches
 
 #: Budget for one checkpointed chunk, in milliseconds. Recorded on the
 #: 2-core box this repo is grown on: 3.1-5.5 ms per chunk over the quick
@@ -54,14 +53,13 @@ def _engine(checkpoint=None):
 
 
 def measure_chunk_cost(by_id, pairs, repeats: int) -> dict:
-    """Checkpointed minus plain wall time per chunk, best-of-N, fresh
-    store and empty memos each run."""
+    """Checkpointed minus plain wall time per chunk, best-of-N, a fresh
+    store and a new comparator each run."""
     classifier = ThresholdClassifier(THRESHOLD)
 
     plain_best = float("inf")
     for __ in range(repeats):
         engine = _engine()
-        clear_memo_caches()
         start = time.perf_counter()
         plain = engine.match_pairs(by_id, pairs, classifier)
         plain_best = min(plain_best, time.perf_counter() - start)
@@ -70,7 +68,6 @@ def measure_chunk_cost(by_id, pairs, repeats: int) -> dict:
     for __ in range(repeats):
         with tempfile.TemporaryDirectory() as root:
             engine = _engine(checkpoint=RunStore(root))
-            clear_memo_caches()
             start = time.perf_counter()
             checkpointed = engine.match_pairs(by_id, pairs, classifier)
             enabled_best = min(enabled_best, time.perf_counter() - start)

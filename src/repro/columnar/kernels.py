@@ -18,8 +18,8 @@ pairs that survive a vectorized early-exit mask:
    early exit.
 3. **Residual pass** — survivors evaluate their remaining fields
    (Jaro-Winkler, Monge-Elkan, unparsed measurements) through the
-   comparator's own payload similarities — and so through the same
-   bounded token- and value-level memos as the scalar path — then
+   comparator's own payload similarities — and so through its bounded
+   token and value memos, as the scalar path does — then
    rebuild the exact score in field-declaration order.
 
 Because the cheap kernels perform the *same IEEE-754 operation
@@ -40,12 +40,7 @@ from repro.columnar.block import (
     KIND_SCALAR,
     ColumnarBlock,
 )
-from repro.linkage.comparison import (
-    BOUND_MARGIN,
-    ComparisonVector,
-    measurement_text_similarity,
-    similarity_spec,
-)
+from repro.linkage.comparison import BOUND_MARGIN, ComparisonVector
 
 __all__ = [
     "match_block",
@@ -301,22 +296,20 @@ def _field_evaluator(block: ColumnarBlock, field_index: int):
 
     Ids are interned payload ids (scalar fields) or text ids
     (unparsed measurements). The similarity is the one the scalar path
-    calls, so expensive ones are served from the shared value-level
-    memo exactly as there.
+    calls, so expensive ones are served from the block comparator's
+    memos exactly as there.
     """
     column = block.columns[field_index]
+    similarity = block.comparator.similarities[field_index]
     if column.kind == KIND_MEASUREMENT:
         texts = column.texts
 
         def evaluate(id_left: int, id_right: int) -> float:
             # At least one side is unparsed here: the text fallback.
-            return measurement_text_similarity(texts[id_left], texts[id_right])
+            return similarity((None, texts[id_left]), (None, texts[id_right]))
 
     else:
         payloads = column.payloads
-        similarity = similarity_spec(
-            block.comparator.fields[field_index].similarity
-        ).similarity
 
         def evaluate(id_left: int, id_right: int) -> float:
             return similarity(payloads[id_left], payloads[id_right])

@@ -393,9 +393,11 @@ class BDIPipeline:
             with tracer.span(
                 "pipeline.record_linkage", classifier=config.classifier
             ) as span:
+                # Outside the stage: the run report reads its memos even
+                # when a resumed run restores the stage.
+                comparator = default_product_comparator()
 
                 def compute_linkage():
-                    comparator = default_product_comparator()
                     blocker = TokenBlocker(
                         max_block_size=config.max_block_size
                     )
@@ -590,7 +592,7 @@ class BDIPipeline:
 
             tracer.counter("pipeline.records").inc(len(records))
             run_span.set("n_clusters", len(clusters))
-            observe_text_caches(tracer)
+            observe_text_caches(tracer, comparator)
             if budget is not None:
                 budget.publish()
                 run_span.set("peak_tracked_bytes", budget.peak)

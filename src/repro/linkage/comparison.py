@@ -20,7 +20,6 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
-from repro.text import MEMO_CACHES
 from repro.text.normalize import normalize_value, parse_measurement
 from repro.text.similarity import (
     cosine_similarity,
@@ -42,8 +41,7 @@ from repro.text.tokens import word_token_tuple
 
 __all__ = [
     "BOUND_MARGIN",
-    "VALUE_SIMILARITY_CACHE_MAXSIZE",
-    "VALUE_PAYLOAD_CACHE_MAXSIZE",
+    "MEMO_MAXSIZE",
     "FieldComparator",
     "ComparisonVector",
     "PreparedRecord",
@@ -51,7 +49,6 @@ __all__ = [
     "RecordComparator",
     "default_product_comparator",
     "similarity_spec",
-    "measurement_text_similarity",
 ]
 
 #: Safety margin keeping early exits sound under float rounding: bounds
@@ -86,68 +83,41 @@ class _SimilaritySpec(NamedTuple):
     similarity: Callable[[Any, Any], float]
 
 
-#: Bound on the value tier — one memo of ``similarity(left, right)``
-#: over whole prepared payloads, shared by every expensive registered
-#: similarity (see :data:`_VALUE_MEMO_MIN_COST`). Redundant sources
-#: re-publish the same values, so a pair loop meets few distinct value
-#: pairs: the ledger's workloads see 25 (``stream_steady``, over 706
-#: comparisons), 815 (``batch_wide``), 2,481 (``batch_link``) and 5,394
-#: (``serve_mixed``) distinct ordered pairs. All fit, with headroom; on
-#: ``serve_mixed``, the largest, the tier costs +0.7 MB (+0.9 %) peak
-#: RSS. Observable via :func:`repro.obs.observe_text_caches` as
-#: ``text.value_similarity.*``.
-VALUE_SIMILARITY_CACHE_MAXSIZE = 8192
+#: Bound on each of a comparator's three memos (see
+#: :attr:`RecordComparator.memos`). Redundant sources re-publish the
+#: same values and tokens, so a run meets few distinct keys; the
+#: ledger's largest, ``serve_mixed``, meets 6,863 token pairs (DESIGN.md
+#: entry 2 has every workload's counts). The bound keeps what a
+#: long-lived service or a ``memory_budget`` run holds constant.
+MEMO_MAXSIZE = 8192
 
-#: Cost rank from which a registered payload similarity is memoized:
-#: everything above the Jaro family (rank 4). String-payload
-#: Jaro-Winkler is already memoized one layer down, per token pair
-#: (:data:`repro.text.similarity.TOKEN_SIMILARITY_CACHE_MAXSIZE`), so
-#: nothing is cached twice; below it a similarity costs about what the
-#: lookup would. Every registered payload at these ranks is hashable (a
-#: string, or a tuple of token tuple and frozenset).
+#: Cost rank from which a registered payload similarity goes through
+#: the value memo: everything above the Jaro family (rank 4), whose
+#: string payloads the token memo already serves, so nothing is cached
+#: twice; below it a similarity costs about what the lookup would.
+#: Every registered payload at these ranks is hashable (a string, or a
+#: tuple of token tuple and frozenset).
 _VALUE_MEMO_MIN_COST = 5
 
 
-@lru_cache(maxsize=VALUE_SIMILARITY_CACHE_MAXSIZE)
-def _value_memo(
+def _call(
     similarity: Callable[[Any, Any], float], left: Any, right: Any
 ) -> float:
-    """The value tier: ``similarity(left, right)``, once per ordered pair.
-
-    Only ever reached with the library's own payload similarities, which
-    are pure. Like the token tier underneath, the key keeps the argument
-    order.
-    """
+    """What the value memo keeps: ``similarity(left, right)`` per
+    ordered pair. Only the library's own payload similarities, which are
+    pure, are ever memoized."""
     return similarity(left, right)
 
 
-MEMO_CACHES["value_similarity"] = _value_memo
-
-#: Bound on the payload tier — one memo of a raw value's prepared
-#: payload, beside the value tier. A record is prepared at ingest, on
-#: every ``match``, at a rebuild and at a restart, and redundant
-#: sources re-publish values: the ledger's calls meet 126
-#: (``stream_steady``), 493 (``batch_wide``), 1,931 (``batch_link``)
-#: and 2,491 (``serve_mixed``) distinct keys and find 91, 44, 73 and
-#: 93 % of their lookups here. Observable as ``text.value_payload.*``.
-VALUE_PAYLOAD_CACHE_MAXSIZE = 8192
-
-
-@lru_cache(maxsize=VALUE_PAYLOAD_CACHE_MAXSIZE)
-def _payload_memo(
+def _prepare_value(
     prepare: Callable[[str], Any], normalize: bool, value: str
 ) -> Any:
-    """The payload tier: ``prepare`` of the (normalized) ``value``, once.
-
-    Every record publishing the value shares the one payload object. No
-    registered similarity mutates a payload (the ``Counter`` of the
-    cosine spec included), and an unknown callable only ever gets its
-    string passed through.
-    """
+    """What the payload memo keeps: ``prepare`` of the (normalized)
+    ``value``. Every record publishing the value shares the one payload
+    object; no registered similarity mutates a payload (the ``Counter``
+    of the cosine spec included), and an unknown callable only ever gets
+    its string passed through."""
     return prepare(normalize_value(value) if normalize else value)
-
-
-MEMO_CACHES["value_payload"] = _payload_memo
 
 
 def _identity_payload(value: str) -> str:
@@ -168,21 +138,16 @@ def _prepare_measurement(value: str) -> tuple[Any, str]:
     return (base, value)
 
 
-def measurement_text_similarity(text_a: str, text_b: str) -> float:
-    """Measurement similarity when a side does not parse: normalized
-    Levenshtein over the two raw texts, through the value tier."""
-    return _value_memo(
-        levenshtein_similarity, text_a.lower().strip(), text_b.lower().strip()
-    )
-
-
 def _measurement_payload_similarity(
-    a: tuple[Any, str], b: tuple[Any, str]
+    text_similarity: Callable[[str, str], float],
+    a: tuple[Any, str],
+    b: tuple[Any, str],
 ) -> float:
     base_a, text_a = a
     base_b, text_b = b
     if base_a is None or base_b is None:
-        return measurement_text_similarity(text_a, text_b)
+        # A side does not parse: normalized Levenshtein over the texts.
+        return text_similarity(text_a.lower().strip(), text_b.lower().strip())
     if base_a.unit != base_b.unit:
         return 0.0
     return numeric_similarity(base_a.value, base_b.value, tolerance=0.05)
@@ -198,27 +163,33 @@ def _prepare_product_name(value: str) -> tuple[tuple[str, ...], frozenset[str]]:
 
 
 def _product_name_payload_similarity(
+    inner: Callable[[str, str], float],
     a: tuple[tuple[str, ...], frozenset[str]],
     b: tuple[tuple[str, ...], frozenset[str]],
 ) -> float:
-    return product_name_similarity_tokens(a[0], a[1], b[0], b[1])
+    return product_name_similarity_tokens(a[0], a[1], b[0], b[1], inner)
 
 
 def _monge_elkan_payload_similarity(
+    inner: Callable[[str, str], float],
     a: tuple[tuple[str, ...], frozenset[str]],
     b: tuple[tuple[str, ...], frozenset[str]],
 ) -> float:
-    return monge_elkan_tokens(a[0], b[0])
+    return monge_elkan_tokens(a[0], b[0], inner)
 
 
 #: Specs for the similarity functions the library ships. Costs are
 #: relative ranks, cheap → expensive; they drive evaluation order and
-#: decide, by the one rule below the table, which payload similarities
-#: go through the value tier.
+#: decide (:data:`_VALUE_MEMO_MIN_COST`) which payload similarities a
+#: comparator serves from its value memo. A payload similarity that
+#: scores texts or tokens takes that scorer first, so a comparator can
+#: bind its memoized one positionally (cheaper to call than a keyword).
 _SIMILARITY_SPECS: dict[Callable[..., float], _SimilaritySpec] = {
     exact_similarity: _SimilaritySpec(0, _identity_payload, exact_similarity),
     measurement_similarity: _SimilaritySpec(
-        1, _prepare_measurement, _measurement_payload_similarity
+        1,
+        _prepare_measurement,
+        partial(_measurement_payload_similarity, levenshtein_similarity),
     ),
     jaccard_similarity: _SimilaritySpec(
         2, _prepare_token_set, jaccard_similarity
@@ -238,21 +209,16 @@ _SIMILARITY_SPECS: dict[Callable[..., float], _SimilaritySpec] = {
         5, _identity_payload, levenshtein_similarity
     ),
     monge_elkan_similarity: _SimilaritySpec(
-        9, _prepare_product_name, _monge_elkan_payload_similarity
+        9,
+        _prepare_product_name,
+        partial(_monge_elkan_payload_similarity, jaro_winkler_similarity),
     ),
     product_name_similarity: _SimilaritySpec(
-        10, _prepare_product_name, _product_name_payload_similarity
+        10,
+        _prepare_product_name,
+        partial(_product_name_payload_similarity, jaro_winkler_similarity),
     ),
 }
-_SIMILARITY_SPECS.update(
-    {
-        function: spec._replace(
-            similarity=partial(_value_memo, spec.similarity)
-        )
-        for function, spec in _SIMILARITY_SPECS.items()
-        if spec.cost >= _VALUE_MEMO_MIN_COST
-    }
-)
 
 #: Cost rank assumed for similarity callables not in the registry. They
 #: are never memoized, whatever this rank: their purity is unknown.
@@ -269,10 +235,9 @@ def _spec_for(similarity: Callable[..., float]) -> _SimilaritySpec:
 def similarity_spec(similarity: Callable[..., float]) -> _SimilaritySpec:
     """The ``(cost, prepare, similarity)`` spec for a similarity callable.
 
-    Public accessor for consumers outside the pair loop (the columnar
-    block builder keys its column kinds off the same registry the
-    prepared fast path uses, so the two representations can never
-    disagree about what a field's payload is).
+    Public accessor for consumers outside the pair loop. Its
+    ``similarity`` is the plain payload similarity; a comparator's own,
+    through its memos, are :attr:`RecordComparator.similarities`.
     """
     return _spec_for(similarity)
 
@@ -353,7 +318,7 @@ class FieldComparator:
         value = self._lookup(attributes)
         if value is None:
             return None
-        return _payload_memo(
+        return _prepare_value(
             _spec_for(self.similarity).prepare, self.normalize, value
         )
 
@@ -445,6 +410,9 @@ class RecordComparator:
         Score contribution assumed for fields missing on either side,
         in ``[0, 1]``; the default ``None`` simply excludes missing
         fields from the weighted average.
+
+    A comparator scores equal values once through bounded memos of its
+    own (:attr:`memos`), which live exactly as long as it does.
     """
 
     def __init__(
@@ -489,6 +457,70 @@ class RecordComparator:
         # use (at most 2 ** len(fields) entries; two threads missing at
         # once compile equal plans, and either one serves).
         self._plans: dict[int, _DecisionPlan] = {}
+        self._bind_memos()
+
+    def _bind_memos(self) -> None:
+        """Build this comparator's three memos and bind its fields'
+        payload similarities and :meth:`prepare` to them.
+
+        The payload memo keeps a raw value's prepared payload; the value
+        memo, an expensive registered similarity of two payloads (one
+        ordered pair each); the token memo, Jaro-Winkler of one
+        *unordered* token pair — it is symmetric to the last bit
+        (DESIGN.md entry 25), so both argument orders read one entry.
+        Unknown similarity callables are never memoized: their purity
+        is unknown.
+        """
+        memo = lru_cache(maxsize=MEMO_MAXSIZE)
+        tokens = memo(jaro_winkler_similarity)
+        value = memo(_call)
+        self._memos = {
+            "jaro_winkler": tokens,
+            "value_similarity": value,
+            "value_payload": memo(_prepare_value),
+        }
+
+        def jaro_winkler(a: str, b: str) -> float:
+            return tokens(a, b) if a <= b else tokens(b, a)
+
+        bound = {
+            jaro_winkler_similarity: jaro_winkler,
+            measurement_similarity: partial(
+                _measurement_payload_similarity,
+                partial(value, levenshtein_similarity),
+            ),
+            monge_elkan_similarity: partial(
+                _monge_elkan_payload_similarity, jaro_winkler
+            ),
+            product_name_similarity: partial(
+                _product_name_payload_similarity, jaro_winkler
+            ),
+        }
+        similarities = []
+        for field, spec in zip(self._fields, self._specs):
+            similarity = spec.similarity
+            if field.similarity in _SIMILARITY_SPECS:
+                similarity = bound.get(field.similarity, similarity)
+                if spec.cost >= _VALUE_MEMO_MIN_COST:
+                    similarity = partial(value, similarity)
+            similarities.append(similarity)
+        self._similarities = tuple(similarities)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The memos and what is bound to them stay behind; the plan
+        # table travels as its masks and is recompiled on arrival.
+        state = self.__dict__.copy()
+        del state["_memos"], state["_similarities"]
+        state["_plans"] = list(self._plans)
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        masks = state.pop("_plans")
+        self.__dict__.update(state)
+        self._plans = {}
+        self._bind_memos()
+        for mask in masks:
+            self._plan(mask)
 
     @property
     def fields(self) -> tuple[FieldComparator, ...]:
@@ -504,6 +536,18 @@ class RecordComparator:
     def translate(self) -> Translator:
         """The record → attribute-mapping translator."""
         return self._translate
+
+    @property
+    def memos(self) -> dict[str, Any]:
+        """This comparator's memos by report name, each an ``lru_cache``
+        wrapper (``cache_info()`` gives its hits, misses and size)."""
+        return dict(self._memos)
+
+    @property
+    def similarities(self) -> tuple[Callable[[Any, Any], float], ...]:
+        """Each field's payload similarity, through this comparator's
+        memos: what :meth:`decide` calls."""
+        return self._similarities
 
     @property
     def staged_order(self) -> tuple[int, ...]:
@@ -554,6 +598,7 @@ class RecordComparator:
         attributes, each attribute read once.
         """
         by_name = self._fields_by_name
+        payload_memo = self._memos["value_payload"]
         values: list[str | None] = [None] * len(self._fields)
         ranks = [len(by_name)] * len(self._fields)  # past any real rank
         mask = 0  # a present value never prepares to None
@@ -569,7 +614,7 @@ class RecordComparator:
         payloads = tuple(
             [
                 None if value is None
-                else _payload_memo(prepare, normalize, value)
+                else payload_memo(prepare, normalize, value)
                 for value, (prepare, normalize) in zip(values, self._preparers)
             ]
         )
@@ -583,8 +628,8 @@ class RecordComparator:
         similarities: list[float | None] = []
         weighted = 0.0
         total_weight = 0.0
-        for field, spec, payload_left, payload_right in zip(
-            self._fields, self._specs, left.payloads, right.payloads
+        for field, similarity_of, payload_left, payload_right in zip(
+            self._fields, self._similarities, left.payloads, right.payloads
         ):
             if payload_left is None or payload_right is None:
                 similarities.append(None)
@@ -592,7 +637,7 @@ class RecordComparator:
                     weighted += field.weight * self._missing_penalty
                     total_weight += field.weight
                 continue
-            similarity = spec.similarity(payload_left, payload_right)
+            similarity = similarity_of(payload_left, payload_right)
             similarities.append(similarity)
             weighted += field.weight * similarity
             total_weight += field.weight
@@ -619,7 +664,7 @@ class RecordComparator:
                 missing += field.weight * penalty
                 total += field.weight
         staged = tuple(
-            (index, self._fields[index].weight, self._specs[index].similarity)
+            (index, self._fields[index].weight, self._similarities[index])
             for index in self._staged_order
             if mask >> index & 1
         )

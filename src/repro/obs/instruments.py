@@ -3,13 +3,11 @@
 These keep the wiring in one place: consumers (the resolver, the
 pipeline, the distributed driver) call one function instead of
 re-deriving the same counters and histograms from a
-:class:`~repro.linkage.blocking.base.BlockCollection` or the text-layer
+:class:`~repro.linkage.blocking.base.BlockCollection` or a comparator's
 ``lru_cache`` statistics.
 """
 
 from __future__ import annotations
-
-from repro.text import MEMO_CACHES
 
 __all__ = [
     "BLOCK_SIZE_BUCKETS",
@@ -107,15 +105,16 @@ def observe_supervisor(
     )
 
 
-def observe_text_caches(tracer) -> None:
-    """Publish the text-layer memo-cache statistics as gauges.
+def observe_text_caches(tracer, comparator) -> None:
+    """Publish one comparator's memo statistics as gauges.
 
-    Reads every cache registered in :data:`repro.text.MEMO_CACHES`
-    (the bounded ``lru_cache`` wrappers on the normalize/tokenize hot
-    path) and emits ``text.<name>.cache_{hits,misses,size,maxsize}``
-    plus a derived ``text.<name>.cache_hit_ratio`` gauge.
+    Reads each of ``comparator.memos`` (its bounded ``lru_cache``
+    memos, which live as long as it does, so the gauges count the work
+    of the run that built it) and emits
+    ``text.<name>.cache_{hits,misses,size,maxsize}`` plus a derived
+    ``text.<name>.cache_hit_ratio`` gauge.
     """
-    for name, cached_function in MEMO_CACHES.items():
+    for name, cached_function in comparator.memos.items():
         info = cached_function.cache_info()
         base = f"text.{name}"
         tracer.gauge(f"{base}.cache_hits").set(info.hits)

@@ -29,9 +29,9 @@ __all__ = [
 
 #: Hard bound on the value-normalization memo cache. Long-running
 #: corpora stream unboundedly many distinct values; an unbounded cache
-#: would grow with them, so the memo is explicitly capped (LRU) and its
-#: hit/miss ratio is observable via
-#: :func:`repro.obs.observe_text_caches`.
+#: would grow with them, so the memo is explicitly capped (LRU). It is
+#: process-wide and so in no run's report: schema profiling, token
+#: blocking and :func:`canonical_value` re-normalize the same values.
 NORMALIZE_CACHE_MAXSIZE = 16384
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")

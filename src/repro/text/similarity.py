@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.text.normalize import parse_measurement
 from repro.text.tokens import word_tokens
 
 __all__ = [
-    "TOKEN_SIMILARITY_CACHE_MAXSIZE",
     "levenshtein_distance",
     "damerau_levenshtein_distance",
     "levenshtein_similarity",
@@ -39,20 +37,6 @@ __all__ = [
     "product_name_similarity",
     "product_name_similarity_tokens",
 ]
-
-#: Bound on the token tier — the Jaro-Winkler memo every token-level
-#: consumer (Monge-Elkan, product names, the schema name matcher, plain
-#: string fields) shares, one entry per unordered token pair. Redundant
-#: sources re-publish the same tokens: one ledger run meets 96 distinct
-#: pairs (``stream_steady``), 4,992 (``batch_wide``, 61 % of its lookups
-#: hits), 6,344 (``batch_link``) and 6,863 (``serve_mixed``), so every
-#: pair stays resident. Sized while keys were ordered and three of those
-#: overflowed it: 8,192 entries cost +6.4 % peak RSS, 32,768 cost +13 %
-#: and were rejected. Observable via
-#: :func:`repro.obs.observe_text_caches`, like
-#: :data:`repro.text.normalize.NORMALIZE_CACHE_MAXSIZE`.
-TOKEN_SIMILARITY_CACHE_MAXSIZE = 8192
-
 
 def levenshtein_distance(a: str, b: str) -> int:
     """Minimum number of single-character edits transforming ``a`` → ``b``."""
@@ -163,17 +147,12 @@ def jaro_similarity(a: str, b: str) -> float:
     ) / 3.0
 
 
-@lru_cache(maxsize=TOKEN_SIMILARITY_CACHE_MAXSIZE)
-def _jaro_winkler_memo(a: str, b: str, prefix_weight: float) -> float:
-    """The token tier: Jaro-Winkler of one *unordered* token pair, asked
-    with ``a <= b``.
-
-    Jaro-Winkler is symmetric to the last bit — greedy Jaro matching
-    pairs the same positions whichever string it scans, and the Winkler
-    prefix is shared (DESIGN.md entry 25) — so
-    :func:`jaro_winkler_similarity` orders the pair by value and both
-    argument orders read one entry.
-    """
+def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
+    """Jaro similarity boosted for a shared prefix of up to 4 characters."""
+    if not 0.0 <= prefix_weight <= 0.25:
+        raise ValueError(
+            f"prefix_weight must be in [0, 0.25], got {prefix_weight}"
+        )
     jaro = jaro_similarity(a, b)
     prefix = 0
     for ca, cb in zip(a[:4], b[:4]):
@@ -181,22 +160,6 @@ def _jaro_winkler_memo(a: str, b: str, prefix_weight: float) -> float:
             break
         prefix += 1
     return jaro + prefix * prefix_weight * (1.0 - jaro)
-
-
-def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
-    """Jaro similarity boosted for a shared prefix of up to 4 characters.
-
-    Memoized per unordered ``{a, b}`` and ``prefix_weight`` (see
-    :data:`TOKEN_SIMILARITY_CACHE_MAXSIZE`); the argument check runs on
-    every call.
-    """
-    if not 0.0 <= prefix_weight <= 0.25:
-        raise ValueError(
-            f"prefix_weight must be in [0, 0.25], got {prefix_weight}"
-        )
-    if b < a:
-        a, b = b, a
-    return _jaro_winkler_memo(a, b, prefix_weight)
 
 
 def _as_set(value: str | Iterable[str]) -> set[str]:
@@ -283,23 +246,24 @@ def cosine_similarity(
 
 
 def monge_elkan_tokens(
-    tokens_a: Sequence[str], tokens_b: Sequence[str]
+    tokens_a: Sequence[str],
+    tokens_b: Sequence[str],
+    inner: Callable[[str, str], float] = jaro_winkler_similarity,
 ) -> float:
     """Monge-Elkan over pre-tokenized inputs (the prepared fast path).
 
     Identical arithmetic to :func:`monge_elkan_similarity`; callers that
     have already tokenized (e.g. prepared records) skip re-tokenizing.
-    Jaro-Winkler is symmetric, so one |A|×|B| grid serves both
-    directions: its row maxima score ``a`` against ``b``, its column
-    maxima ``b`` against ``a``.
+    ``inner`` scores one token pair (a comparator passes its memoized
+    Jaro-Winkler). Jaro-Winkler is symmetric, so one |A|×|B| grid
+    serves both directions: its row maxima score ``a`` against ``b``,
+    its column maxima ``b`` against ``a``.
     """
     if not tokens_a and not tokens_b:
         return 1.0
     if not tokens_a or not tokens_b:
         return 0.0
-    grid = [
-        [jaro_winkler_similarity(x, y) for y in tokens_b] for x in tokens_a
-    ]
+    grid = [[inner(x, y) for y in tokens_b] for x in tokens_a]
     forward = sum(map(max, grid)) / len(tokens_a)
     backward = sum(map(max, zip(*grid))) / len(tokens_b)
     return (forward + backward) / 2.0
@@ -380,14 +344,16 @@ def product_name_similarity_tokens(
     numbers_a: frozenset[str] | set[str],
     tokens_b: Sequence[str],
     numbers_b: frozenset[str] | set[str],
+    inner: Callable[[str, str], float] = jaro_winkler_similarity,
 ) -> float:
     """Model-number-aware name similarity over pre-tokenized inputs.
 
     Identical arithmetic to :func:`product_name_similarity`; ``numbers_*``
     must be the numeric-token subsets of ``tokens_*`` (see
     :func:`repro.linkage.engine.prepare_records`, which caches both).
+    ``inner`` scores one token pair, as in :func:`monge_elkan_tokens`.
     """
-    base = monge_elkan_tokens(tokens_a, tokens_b)
+    base = monge_elkan_tokens(tokens_a, tokens_b, inner)
     if not numbers_a and not numbers_b:
         return base
     if not numbers_a or not numbers_b:
@@ -395,7 +361,7 @@ def product_name_similarity_tokens(
 
     def partnered(xs, ys) -> int:
         return sum(
-            any(jaro_winkler_similarity(x, y) >= 0.8 for y in ys) for x in xs
+            any(inner(x, y) >= 0.8 for y in ys) for x in xs
         )
 
     # Counted from both sides, the smaller count kept, so the score does

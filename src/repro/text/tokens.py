@@ -25,9 +25,9 @@ __all__ = [
 
 _WORD = re.compile(r"[a-z0-9]+")
 
-#: Hard bound on the tokenization memo cache — capped for the same
-#: reason as :data:`repro.text.normalize.NORMALIZE_CACHE_MAXSIZE`, and
-#: likewise observable via :func:`repro.obs.observe_text_caches`.
+#: Hard bound on the tokenization memo cache — capped, and left out of
+#: run reports, for the same reasons as
+#: :data:`repro.text.normalize.NORMALIZE_CACHE_MAXSIZE`.
 TOKEN_CACHE_MAXSIZE = 16384
 
 

@@ -38,12 +38,7 @@ from repro.dist import (
     sharded_resolve,
 )
 from repro.dist.runtime import _partition_pairs
-from repro.linkage import (
-    FieldComparator,
-    RecordComparator,
-    ThresholdClassifier,
-    resolve,
-)
+from repro.linkage import ThresholdClassifier, resolve
 from repro.linkage.blocking.base import Blocker
 from repro.linkage.blocking.keys import first_token_key
 from repro.linkage.blocking.standard import StandardBlocker
@@ -54,7 +49,6 @@ from repro.obs import Tracer
 from repro.recovery import CheckpointMismatchError, RunStore
 from repro.resilience import ChunkExecutionError
 from repro.resilience.testing import crash
-from repro.text import exact_similarity
 from repro.synth import (
     CorpusConfig,
     WorldConfig,
@@ -81,15 +75,6 @@ from tests.test_resilience import (
 #                 singletons, and a record matching nothing — the
 #                 cases where per-shard clustering alone would be
 #                 wrong without boundary reconciliation.
-
-
-def _exact_comparator():
-    return RecordComparator(
-        fields=[
-            FieldComparator("name", exact_similarity, weight=2.0),
-            FieldComparator("brand", exact_similarity, weight=1.0),
-        ]
-    )
 
 
 def _uniform_corpus():
@@ -123,7 +108,7 @@ def _skewed_corpus():
                     {"name": f"gadget{i} rev", "brand": f"b{i}"},
                 )
             )
-    return tuple(records), _exact_comparator(), ThresholdClassifier(0.9)
+    return tuple(records), _chaos_comparator(), ThresholdClassifier(0.9)
 
 
 def _adversarial_corpus():
@@ -148,7 +133,7 @@ def _adversarial_corpus():
         Record("zz9", "s0", {"name": "omega item", "brand": "y"}),
         Record("zz10", "s1", {"name": "omega item", "brand": "y"}),
     ]
-    return tuple(records), _exact_comparator(), ThresholdClassifier(0.9)
+    return tuple(records), _chaos_comparator(), ThresholdClassifier(0.9)
 
 
 CORPORA = {

@@ -39,7 +39,7 @@ from repro.linkage import (
     resolve,
 )
 from repro.linkage.blocking import first_token_key
-from repro.linkage.comparison import BOUND_MARGIN
+from repro.linkage.comparison import BOUND_MARGIN, MEMO_MAXSIZE
 from repro.synth import (
     CorpusConfig,
     WorldConfig,
@@ -52,8 +52,6 @@ from repro.recovery import RunStore
 from repro.resilience import ChunkExecutionError, ResilienceConfig
 from repro.resilience.testing import FaultInjector, crash
 from repro.text import (
-    MEMO_CACHES,
-    clear_memo_caches,
     cosine_similarity,
     exact_similarity,
     jaccard_similarity,
@@ -507,8 +505,9 @@ class TestOneDecision:
 
 
 class TestMemoIsInvisible:
-    """The similarity memos may change when a float is computed, never
-    which float: clearing them mid-run must not move a byte."""
+    """A comparator's memos may change when a float is computed, never
+    which float: a new comparator (empty memos) per chunk must not move
+    a byte."""
 
     CHUNK = 97
 
@@ -527,10 +526,9 @@ class TestMemoIsInvisible:
         cold_edges = []
         for start in range(0, len(pairs), self.CHUNK):
             chunk = pairs[start : start + self.CHUNK]
-            clear_memo_caches()
-            cold_vectors.extend(engine.compare_pairs(by_id, chunk))
-            clear_memo_caches()
-            run = engine.match_pairs(by_id, chunk, classifier)
+            cold = ParallelComparisonEngine(default_product_comparator())
+            cold_vectors.extend(cold.compare_pairs(by_id, chunk))
+            run = cold.match_pairs(by_id, chunk, classifier)
             cold_matches |= run.match_pairs
             cold_edges.extend(run.scored_edges)
         assert pickle.dumps(cold_vectors) == pickle.dumps(warm_vectors)
@@ -543,14 +541,11 @@ class TestMemoIsInvisible:
             assert vector == comparator.compare(by_id[left], by_id[right])
 
     def test_value_tier_eviction_keeps_the_bound_and_the_results(self):
-        from repro.linkage.comparison import VALUE_SIMILARITY_CACHE_MAXSIZE
-
-        memo = MEMO_CACHES["value_similarity"]
-        memo.cache_clear()
-        assert memo.cache_info().maxsize == VALUE_SIMILARITY_CACHE_MAXSIZE
         comparator = RecordComparator(
             [FieldComparator("name", product_name_similarity)]
         )
+        memo = comparator.memos["value_similarity"]
+        assert memo.cache_info().maxsize == MEMO_MAXSIZE
 
         def prepared(index, name):
             return comparator.prepare(Record(f"r{index}", "s", {"name": name}))
@@ -558,7 +553,7 @@ class TestMemoIsInvisible:
         probe = prepared(0, "canon powershot 512")
         early = [prepared(k, f"cannon powershot {k}") for k in range(1, 40)]
         first_pass = [comparator.compare_prepared(probe, e) for e in early]
-        for k in range(VALUE_SIMILARITY_CACHE_MAXSIZE + 50):
+        for k in range(MEMO_MAXSIZE + 50):
             comparator.compare_prepared(probe, prepared(k, f"filler {k}"))
         info = memo.cache_info()
         assert info.currsize == info.maxsize
@@ -567,37 +562,34 @@ class TestMemoIsInvisible:
             comparator.compare_prepared(probe, e) for e in early
         ] == first_pass
         assert memo.cache_info().misses == misses_before + len(early)
-        assert memo.cache_info().currsize <= VALUE_SIMILARITY_CACHE_MAXSIZE
+        assert memo.cache_info().currsize <= MEMO_MAXSIZE
 
     def test_payload_tier_prepares_a_value_once_per_spec(self):
-        from repro.linkage.comparison import VALUE_PAYLOAD_CACHE_MAXSIZE
-        from repro.text import jaccard_similarity
-
-        clear_memo_caches()
-        memo = MEMO_CACHES["value_payload"]
-        assert memo.cache_info().maxsize == VALUE_PAYLOAD_CACHE_MAXSIZE
-        comparator = default_product_comparator()
+        comparator = RecordComparator(
+            [
+                *default_product_comparator().fields,
+                FieldComparator("name", jaccard_similarity),
+            ]
+        )
+        memo = comparator.memos["value_payload"]
+        assert memo.cache_info().maxsize == MEMO_MAXSIZE
         attributes = {"name": "Canon PowerShot 512", "weight": "1.2 kg"}
         first = comparator.prepare(Record("a", "s1", attributes))
+        # Another similarity's payload of the same value is another entry.
+        assert first.payloads[-1] == frozenset({"canon", "powershot", "512"})
         info = memo.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
         again = comparator.prepare(Record("b", "s2", attributes))
         info = memo.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+        assert (info.hits, info.misses, info.currsize) == (3, 3, 3)
         # Records publishing a value share its one payload object.
         assert all(
             one is other for one, other in zip(first.payloads, again.payloads)
         )
-        # Another similarity's payload of the same value is another entry.
-        tokens = RecordComparator([FieldComparator("name", jaccard_similarity)])
-        assert tokens.prepare(Record("c", "s3", attributes)).payloads == (
-            frozenset({"canon", "powershot", "512"}),
-        )
-        assert memo.cache_info().misses == 3
-        clear_memo_caches()
-        assert memo.cache_info().currsize == 0
-        cold = comparator.prepare(Record("a", "s1", attributes))
-        assert cold == first
+        # A pickled comparator arrives with empty memos, same payloads.
+        clone = pickle.loads(pickle.dumps(comparator))
+        assert clone.memos["value_payload"].cache_info().currsize == 0
+        assert clone.prepare(Record("a", "s1", attributes)) == first
 
     def test_unknown_similarity_callables_are_never_memoized(self):
         calls = []
@@ -609,14 +601,12 @@ class TestMemoIsInvisible:
         comparator = RecordComparator([FieldComparator("name", impure)])
         left = comparator.prepare(Record("a", "s", {"name": "x"}))
         right = comparator.prepare(Record("b", "s", {"name": "y"}))
-        memo = MEMO_CACHES["value_similarity"]
-        before = memo.cache_info()
         for __ in range(3):
             comparator.compare_prepared(left, right)
             comparator.score_bounded(left, right, 0.4)
         assert len(calls) == 6
-        after = memo.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        for name in ("jaro_winkler", "value_similarity"):
+            assert comparator.memos[name].cache_info().currsize == 0
 
 
 class TestProcessBackend:

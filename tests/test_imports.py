@@ -78,9 +78,23 @@ def test_entry_point_loads_only_its_subpackages(statement):
     } - {"_lazy"} == LOADS[statement]
 
 
-def test_import_repro_loads_no_subpackage():
-    loaded = json.loads(_run(LOADED_SCRIPT, "import repro"))
-    assert loaded == ["repro", "repro._lazy"]
+ADDED_SCRIPT = """
+import importlib, json, sys
+repro = lambda: {m for m in sys.modules if m.split(".")[0] == "repro"}
+for name in json.loads(sys.argv[1]):
+    before = repro()
+    importlib.import_module(name)
+    print(name, *sorted(repro() - before))
+"""
+
+
+def test_import_of_any_package_loads_its_table_only():
+    """``import repro.<pkg>``, after its parent's, adds that package
+    alone; ``import repro`` adds ``repro`` and ``repro._lazy``."""
+    added = _run(ADDED_SCRIPT, json.dumps(PACKAGES)).splitlines()
+    assert added == ["repro repro repro._lazy"] + [
+        f"{name} {name}" for name in PACKAGES[1:]
+    ]
 
 
 # --- no timed call imports anything -----------------------------------

@@ -17,7 +17,9 @@ from repro.core.record import Record
 from repro.linkage import (
     ParallelComparisonEngine,
     ThresholdClassifier,
+    TokenBlocker,
     default_product_comparator,
+    resolve,
 )
 from repro.obs import (
     NULL_TRACER,
@@ -264,29 +266,16 @@ class TestInstrumentHelpers:
         assert counters["metablocking.pairs_pruned"] == 60
 
     def test_observe_text_caches_reports_ratio(self):
-        from repro.text import MEMO_CACHES, normalize_value
-
-        normalize_value.cache_clear()
-        normalize_value("Some Value")
-        normalize_value("Some Value")  # hit
+        comparator = default_product_comparator()
+        for record_id in "ab":  # a miss, then a hit
+            comparator.prepare(Record(record_id, "s", {"name": "Some Value"}))
         tracer = Tracer(clock=ManualClock())
-        observe_text_caches(tracer)
+        observe_text_caches(tracer, comparator)
         gauges = tracer.metrics.snapshot()["gauges"]
-        assert gauges["text.normalize_value.cache_hits"] >= 1
-        assert gauges["text.normalize_value.cache_misses"] >= 1
-        assert 0.0 < gauges["text.normalize_value.cache_hit_ratio"] <= 1.0
-        assert set(MEMO_CACHES) == {
-            "normalize_value",
-            "word_tokens",
-            "jaro_winkler",
-            "value_similarity",
-            "value_payload",
-        }
+        assert gauges["text.value_payload.cache_hit_ratio"] == 0.5
+        assert {name.split(".")[1] for name in gauges} == set(comparator.memos)
 
     def test_run_report_shows_both_similarity_tiers(self):
-        from repro.text import clear_memo_caches
-
-        clear_memo_caches()
         comparator = default_product_comparator()
         left = comparator.prepare(
             Record("a", "s1", {"name": "canon pro 512", "brand": "canon"})
@@ -297,20 +286,44 @@ class TestInstrumentHelpers:
         first = comparator.compare_prepared(left, right)
         assert comparator.compare_prepared(left, right) == first
         tracer = Tracer(clock=ManualClock())
-        observe_text_caches(tracer)
+        observe_text_caches(tracer, comparator)
         gauges = tracer.report().metrics["gauges"]
-        # One name pair: missed once, served from the value tier once.
+        # One name pair: missed once, served from the value memo once.
         assert gauges["text.value_similarity.cache_misses"] == 1
         assert gauges["text.value_similarity.cache_hits"] == 1
         assert gauges["text.value_similarity.cache_size"] == 1
         # Its token pairs, plus the brand pair, went through the token
-        # tier on the miss; the repeat never reached it for the name.
+        # memo on the miss; the repeat never reached it for the name.
         assert gauges["text.jaro_winkler.cache_misses"] > 1
         assert gauges["text.jaro_winkler.cache_hits"] >= 1
         assert (
             gauges["text.jaro_winkler.cache_size"]
             == gauges["text.jaro_winkler.cache_misses"]
         )
+
+    def test_a_run_report_counts_only_its_own_work(self, dataset):
+        def text_gauges():
+            tracer = Tracer()
+            BDIPipeline(PipelineConfig()).run(dataset, tracer=tracer)
+            gauges = tracer.metrics.snapshot()["gauges"].items()
+            return {k: v for k, v in gauges if k.startswith("text.")}
+
+        first = text_gauges()
+        assert first["text.jaro_winkler.cache_misses"] > 0
+        assert text_gauges() == first
+        # A run that reuses a comparator adds no memo entry.
+        comparator = default_product_comparator()
+        sizes = []
+        for __ in range(2):
+            resolve(
+                list(dataset.records()),
+                TokenBlocker(),
+                comparator,
+                ThresholdClassifier(0.7),
+            )
+            memos = comparator.memos.values()
+            sizes.append([memo.cache_info().currsize for memo in memos])
+        assert sizes[0] == sizes[1] and min(sizes[0]) > 0
 
 
 class TestEngineEdgeCases:
@@ -411,7 +424,7 @@ class TestPipelineInstrumented:
         assert counters["blocking.blocks_built"] > 0
         assert counters["pipeline.records"] > 0
         gauges = report.metrics["gauges"]
-        assert "text.normalize_value.cache_hit_ratio" in gauges
+        assert "text.value_payload.cache_hit_ratio" in gauges
         clone = RunReport.from_json(report.to_json())
         assert clone.to_dict() == report.to_dict()
 

@@ -56,6 +56,7 @@ from repro.resilience.testing import (
 )
 from repro.streaming import StreamingResolver, WindowConfig
 from repro.text import exact_similarity
+from tests.test_resilience import _comparator, _pairs, _records
 
 
 def _counters(tracer):
@@ -407,33 +408,6 @@ class TestConfigValidation:
 
 
 # --- in-process engine resume ----------------------------------------
-
-
-def _records():
-    return [
-        Record(
-            f"r{i}", f"s{i % 2}", {"name": f"item {i // 2}", "brand": "acme"}
-        )
-        for i in range(8)
-    ]
-
-
-def _pairs(records):
-    ids = [record.record_id for record in records]
-    return [
-        (ids[i], ids[j])
-        for i in range(len(ids))
-        for j in range(i + 1, len(ids))
-    ]
-
-
-def _comparator():
-    return RecordComparator(
-        fields=[
-            FieldComparator("name", exact_similarity, weight=2.0),
-            FieldComparator("brand", exact_similarity, weight=1.0),
-        ]
-    )
 
 
 CLASSIFIER = ThresholdClassifier(0.9)

@@ -318,3 +318,34 @@ def test_every_run_option_is_a_lattice_dimension():
         assert names == set(drawn[surface]) | set(exempt), surface
         assert not set(drawn[surface]) & set(exempt) and all(exempt.values())
         assert set(drawn[surface].values()) <= fields
+
+
+
+def test_memos_belong_to_what_uses_them():
+    """A comparator builds its own similarity memos: under ``src/repro``
+    no ``lru_cache`` or ``functools.cache`` is applied at module or
+    class level but the two string memos, and the old process-wide
+    registry is named nowhere."""
+
+    def memoized(body):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from memoized(node.body)
+            elif {"lru_cache", "cache"} & {
+                getattr(child, "id", getattr(child, "attr", None))
+                for part in getattr(node, "decorator_list", [node])
+                for child in ast.walk(part)
+            }:
+                yield getattr(node, "name", ast.unparse(node))
+
+    source = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in source]
+    found = {name for tree in trees for name in memoized(tree.body)}
+    assert found == {"normalize_value", "word_token_tuple"}
+    gone = re.compile(r"\bMEMO_CACHES\b|\bclear_memo_caches\b")
+    assert [
+        path
+        for root in (ROOT / "src", ROOT / "tests", BENCHMARKS, SKILL.parent)
+        for path in sorted(root.rglob("*.[mp][dy]"))
+        if gone.search(path.read_text(encoding="utf-8"))
+    ] == []

@@ -51,7 +51,6 @@ from repro.streaming import (
     fuse_entity,
     projection_accuracy,
 )
-from repro.text import clear_memo_caches
 from tests.procs import run_python
 
 MATCH_THRESHOLD = 0.72
@@ -451,7 +450,7 @@ class Redelivery:
                 yield again
 
 
-def differential_run(n_windows, clear_memos=False, wrap=iter):
+def differential_run(n_windows, wrap=iter):
     world = DriftWorld(DIFF_CONFIG)
     accuracies = world.accuracies_at(0.0)
     resolver = make_resolver(accuracies, window=WindowConfig(size=1.0))
@@ -485,25 +484,17 @@ def differential_run(n_windows, clear_memos=False, wrap=iter):
         )
         if len(boundary_pairs) >= n_windows:
             break
-        if clear_memos:
-            clear_memo_caches()
     return resolver, boundary_pairs
 
 
-def run_differential(n_windows, clear_memos=False):
-    return differential_run(n_windows, clear_memos)[1]
+def run_differential(n_windows):
+    return differential_run(n_windows)[1]
 
 
 class TestDriftFreeDifferential:
 
     def test_streaming_matches_batch_at_every_window_boundary(self):
         for index, (streamed, batch) in enumerate(run_differential(6)):
-            assert streamed == batch, f"diverged at window {index}"
-
-    def test_same_bytes_with_memo_caches_cleared_between_windows(self):
-        cold = run_differential(6, clear_memos=True)
-        assert cold == run_differential(6)
-        for index, (streamed, batch) in enumerate(cold):
             assert streamed == batch, f"diverged at window {index}"
 
     def test_redelivered_records_change_nothing(self):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.linkage import FieldComparator, RecordComparator
+from repro.linkage.comparison import MEMO_MAXSIZE
 from repro.text import (
-    MEMO_CACHES,
     cosine_similarity,
     damerau_levenshtein_distance,
     dice_similarity,
@@ -22,8 +23,6 @@ from repro.text import (
     numeric_similarity,
     overlap_coefficient,
 )
-
-from repro.text.similarity import TOKEN_SIMILARITY_CACHE_MAXSIZE
 from tests.oracle import reference_jaro, reference_jaro_winkler
 
 short_text = st.text(
@@ -132,13 +131,10 @@ class TestJaro:
     @given(repetitive_text, repetitive_text)
     def test_winkler_matches_the_oracle_cold_and_warm(self, a, b):
         expected = reference_jaro_winkler(a, b)
-        assert jaro_winkler_similarity(a, b) == expected  # maybe a miss
-        assert jaro_winkler_similarity(a, b) == expected  # surely a hit
-
-    def test_winkler_checks_the_weight_on_a_memo_hit(self):
-        jaro_winkler_similarity("a", "b")
-        with pytest.raises(ValueError):
-            jaro_winkler_similarity("a", "b", prefix_weight=0.5)
+        memoized, __ = token_memo()
+        assert jaro_winkler_similarity(a, b) == expected
+        assert memoized(a, b) == expected  # a miss
+        assert memoized(a, b) == expected  # a hit
 
 
 def strings_up_to(alphabet: str, longest: int) -> list[str]:
@@ -157,19 +153,16 @@ def asymmetric_pairs(alphabet: str, longest: int) -> tuple[int, list]:
     answers either order other than the window scan of that order."""
     strings = strings_up_to(alphabet, longest)
     found = []
-    try:
-        for i, a in enumerate(strings):
-            for b in strings[i + 1 :]:
-                if not (
-                    jaro_similarity(a, b) == jaro_similarity(b, a)
-                    and jaro_winkler_similarity(a, b)
-                    == reference_jaro_winkler(a, b)
-                    and jaro_winkler_similarity(b, a)
-                    == reference_jaro_winkler(b, a)
-                ):
-                    found.append((a, b))
-    finally:
-        MEMO_CACHES["jaro_winkler"].cache_clear()
+    for i, a in enumerate(strings):
+        for b in strings[i + 1 :]:
+            if not (
+                jaro_similarity(a, b) == jaro_similarity(b, a)
+                and jaro_winkler_similarity(a, b)
+                == reference_jaro_winkler(a, b)
+                and jaro_winkler_similarity(b, a)
+                == reference_jaro_winkler(b, a)
+            ):
+                found.append((a, b))
     return len(strings) * (len(strings) - 1) // 2, found
 
 
@@ -187,37 +180,41 @@ class TestJaroIsSymmetric:
         assert asymmetric_pairs("abcd", 4) == (57_970, [])
 
 
+def token_memo():
+    """A comparator's Jaro-Winkler and its memo (the token tier)."""
+    comparator = RecordComparator(
+        [FieldComparator("b", jaro_winkler_similarity)]
+    )
+    return comparator.similarities[0], comparator.memos["jaro_winkler"]
+
+
 class TestTokenTierMemo:
     def test_both_argument_orders_share_one_entry(self):
-        # Jaro-Winkler is symmetric to the last bit, so the tier keys a
+        # Jaro-Winkler is symmetric to the last bit, so the memo keys a
         # pair by value order and one order is a hit on the other's entry.
         a, b = "abaa", "aaba"
-        memo = MEMO_CACHES["jaro_winkler"]
-        memo.cache_clear()
-        forward = jaro_winkler_similarity(a, b)
-        backward = jaro_winkler_similarity(b, a)
+        similarity, memo = token_memo()
+        forward = similarity(a, b)
+        backward = similarity(b, a)
         info = memo.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         assert forward == backward == reference_jaro_winkler(a, b)
         assert backward == reference_jaro_winkler(b, a)
 
     def test_eviction_keeps_the_bound_and_the_results(self):
-        memo = MEMO_CACHES["jaro_winkler"]
-        memo.cache_clear()
-        assert memo.cache_info().maxsize == TOKEN_SIMILARITY_CACHE_MAXSIZE
+        similarity, memo = token_memo()
+        assert memo.cache_info().maxsize == MEMO_MAXSIZE
         early = [("token0", f"tokne{k}") for k in range(50)]
-        first_pass = [jaro_winkler_similarity(a, b) for a, b in early]
-        for k in range(TOKEN_SIMILARITY_CACHE_MAXSIZE + 100):
-            jaro_winkler_similarity("filler", f"filler{k}")
+        first_pass = [similarity(a, b) for a, b in early]
+        for k in range(MEMO_MAXSIZE + 100):
+            similarity("filler", f"filler{k}")
         info = memo.cache_info()
         assert info.currsize == info.maxsize
         misses_before = info.misses
-        assert [
-            jaro_winkler_similarity(a, b) for a, b in early
-        ] == first_pass
+        assert [similarity(a, b) for a, b in early] == first_pass
         # The early pairs really were evicted and recomputed.
         assert memo.cache_info().misses == misses_before + len(early)
-        assert memo.cache_info().currsize <= TOKEN_SIMILARITY_CACHE_MAXSIZE
+        assert memo.cache_info().currsize <= MEMO_MAXSIZE
 
 
 class TestTokenSimilarities:
