@@ -23,4 +23,6 @@ class StandardBlocker(KeyBlocker):
         self._key_function = key_function
 
     def record_keys(self, record: Record) -> list[str]:
-        return keys_of(self._key_function, record)
+        """The key function's usable keys, each once, in first-seen order
+        (``token_set_key`` on ``"canon canon 5d"`` names ``canon`` twice)."""
+        return list(dict.fromkeys(keys_of(self._key_function, record)))

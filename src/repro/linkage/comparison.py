@@ -391,6 +391,12 @@ class _DecisionPlan(NamedTuple):
     #: ``position`` indexes the staged similarities, and one past them
     #: stands for ``missing_penalty``.
     declared: tuple[tuple[int, float], ...]
+    #: ``(index, upper)`` when the first staged field is an exact
+    #: comparison, else ``None``: ``upper`` is the bound the staged loop
+    #: computes after that field scores 0.0, with the same float
+    #: operations, so a pair whose payloads differ there is rejected
+    #: (when ``upper`` is below the threshold) without entering the loop.
+    veto: tuple[int, float] | None
 
 
 class RecordComparator:
@@ -674,7 +680,14 @@ class RecordComparator:
             for index, field in enumerate(self._fields)
             if mask >> index & 1 or penalty is not None
         )
-        plan = _DecisionPlan(missing, total, present, staged, declared)
+        veto = None
+        first = staged[0] if staged else None
+        if first and self._fields[first[0]].similarity is exact_similarity:
+            index, weight, __ = first
+            # The loop's first step, operation for operation, at 0.0.
+            upper = (missing + weight * 0.0 + (present - weight)) / total
+            veto = (index, upper)
+        plan = _DecisionPlan(missing, total, present, staged, declared, veto)
         self._plans[mask] = plan
         return plan
 
@@ -692,7 +705,10 @@ class RecordComparator:
         ``left.mask & right.mask``) while tracking the best and worst
         achievable final score; as soon as the pair provably cannot
         reach ``threshold``, the expensive remaining fields are skipped
-        and ``score`` is that upper bound. ``is_match`` always equals
+        and ``score`` is that upper bound. A plan whose first staged
+        field is exact (:attr:`_DecisionPlan.veto`) settles a pair that
+        differs there by one string comparison, returning exactly what
+        the loop would after that field. ``is_match`` always equals
         ``compare(left, right).score >= threshold`` (for similarities in
         ``[0, 1]``, which the bound assumes).
 
@@ -707,10 +723,17 @@ class RecordComparator:
         """
         mask = left.mask & right.mask
         plan = self._plans.get(mask) or self._plan(mask)
-        weighted, total, remaining, staged, declared = plan
+        weighted, total, remaining, staged, declared, veto = plan
         payloads_left = left.payloads
         payloads_right = right.payloads
         reject_below = threshold - BOUND_MARGIN
+        if veto is not None:
+            index, upper = veto
+            if (
+                upper < reject_below
+                and payloads_left[index] != payloads_right[index]
+            ):
+                return False, upper, False, [0.0]
         accept_from = threshold + BOUND_MARGIN
         similarities: list[float] = []
         decided_match = False

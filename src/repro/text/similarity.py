@@ -39,7 +39,15 @@ __all__ = [
 ]
 
 def levenshtein_distance(a: str, b: str) -> int:
-    """Minimum number of single-character edits transforming ``a`` → ``b``."""
+    """Minimum number of single-character edits transforming ``a`` → ``b``.
+
+    Hyyrö's bit-vector form of the textbook dynamic program (Myers
+    1999; Hyyrö 2001): one column of the DP table is two bit vectors of
+    vertical +1/−1 deltas over the shorter string, and each character
+    of the longer one advances the column in a few integer operations.
+    Python ints are unbounded, so no word size limits the length. The
+    distances are the DP's, integer for integer.
+    """
     if a == b:
         return 0
     if not a:
@@ -48,20 +56,32 @@ def levenshtein_distance(a: str, b: str) -> int:
         return len(a)
     if len(a) > len(b):
         a, b = b, a
-    previous = list(range(len(a) + 1))
-    for j, cb in enumerate(b, start=1):
-        current = [j]
-        for i, ca in enumerate(a, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(
-                    previous[i] + 1,      # deletion
-                    current[i - 1] + 1,   # insertion
-                    previous[i - 1] + cost,  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
+    # Bit i of match[c] is set iff a[i] == c.
+    match: dict[str, int] = {}
+    bit = 1
+    for character in a:
+        match[character] = match.get(character, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    plus, minus = full, 0  # D[i][0] - D[i-1][0] = +1 for every row i
+    distance = len(a)
+    for character in b:
+        equal = match.get(character, 0)
+        vertical = equal | minus
+        horizontal = (((equal & plus) + plus) ^ plus) | equal
+        horizontal_plus = minus | ~(horizontal | plus)
+        horizontal_minus = plus & horizontal
+        if horizontal_plus & last:
+            distance += 1
+        elif horizontal_minus & last:
+            distance -= 1
+        # Row 0 is D[0][j] = j: its horizontal delta is always +1.
+        horizontal_plus = horizontal_plus << 1 | 1
+        horizontal_minus <<= 1
+        plus = (horizontal_minus | ~(vertical | horizontal_plus)) & full
+        minus = horizontal_plus & vertical
+    return distance
 
 
 def damerau_levenshtein_distance(a: str, b: str) -> int:

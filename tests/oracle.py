@@ -15,7 +15,8 @@ the independence discount as the model states it.
 
 Text — the textbook window scan Jaro used before it was rewritten over
 ``str.find``, and Jaro-Winkler on top of it, uncached and taking its
-arguments in the order given.
+arguments in the order given; the row-by-row dynamic program Levenshtein
+distance was before it went bit-parallel.
 
 The live entity table — the deep re-sort ``EntityProjection.canonical``
 made of every entry before entries were canonical when tabled.
@@ -286,6 +287,33 @@ def reference_jaro_winkler(a: str, b: str, prefix_weight: float = 0.1) -> float:
             break
         prefix += 1
     return jaro + prefix * prefix_weight * (1.0 - jaro)
+
+
+def reference_levenshtein(a: str, b: str) -> int:
+    """The textbook dynamic program ``levenshtein_distance`` ran before
+    it went bit-parallel — kept verbatim as the oracle."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) > len(b):
+        a, b = b, a
+    previous = list(range(len(a) + 1))
+    for j, cb in enumerate(b, start=1):
+        current = [j]
+        for i, ca in enumerate(a, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(
+                min(
+                    previous[i] + 1,      # deletion
+                    current[i - 1] + 1,   # insertion
+                    previous[i - 1] + cost,  # substitution
+                )
+            )
+        previous = current
+    return previous[-1]
 
 
 # --- the live entity table: the deep re-sort ----------------------------

@@ -16,7 +16,7 @@ import pickle
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
@@ -454,6 +454,163 @@ class TestOneDecision:
                     )
                     assert len(similarities) == reference.n_evaluated
                     assert is_match == (exact_score >= threshold)
+
+    @staticmethod
+    def _decide_watched(comparator, left, right, threshold, exact_scores):
+        """``decide``'s result, and whether its veto settled the pair: the
+        first staged similarity of the pair's compiled plan is swapped
+        for a counting wrapper, so a call that never reaches it ended
+        before the staged loop."""
+        mask = left.mask & right.mask
+        plan = comparator._plan(mask)
+        if not plan.staged:
+            return comparator.decide(left, right, threshold, exact_scores), False
+        (index, weight, similarity), *rest = plan.staged
+        calls = []
+
+        def counted(one, other):
+            calls.append(None)
+            return similarity(one, other)
+
+        comparator._plans[mask] = plan._replace(
+            staged=((index, weight, counted), *rest)
+        )
+        try:
+            result = comparator.decide(left, right, threshold, exact_scores)
+        finally:
+            comparator._plans[mask] = plan
+        return result, not calls
+
+    def test_the_reference_strategy_reaches_the_veto(self):
+        # The unedited reference test above draws pairs ``decide``
+        # settles by its veto, so that test holds the veto too.
+        vetoed = []
+
+        @given(
+            case=comparators_and_records(),
+            drawn=st.lists(st.floats(0.0, 1.0), max_size=3),
+        )
+        @settings(
+            max_examples=150, deadline=None, database=None, derandomize=True
+        )
+        def count(case, drawn):
+            comparator, records = case
+            for one, other in itertools.combinations(records, 2):
+                left, right = comparator.prepare(one), comparator.prepare(other)
+                exact_score = comparator.compare(one, other).score
+                for threshold in self._thresholds(exact_score, drawn):
+                    (is_match, score, __, __), fired = self._decide_watched(
+                        comparator, left, right, threshold, True
+                    )
+                    if fired:
+                        event("veto fires")
+                        vetoed.append(threshold)
+                        reference = reference_score_bounded(
+                            comparator, left, right, threshold, True
+                        )
+                        assert (is_match, score.hex()) == (
+                            reference.is_match,
+                            reference.score.hex(),
+                        )
+
+        count()
+        assert len(vetoed) >= 10
+
+    @pytest.mark.parametrize("missing_penalty", (None, 0.5))
+    @pytest.mark.parametrize("normalize", (True, False))
+    def test_the_veto_at_its_edges(self, missing_penalty, normalize):
+        fields = [
+            FieldComparator(attribute, similarity, weight, normalize)
+            for attribute, similarity, weight in (
+                ("name", jaro_winkler_similarity, 3.0),
+                ("id", exact_similarity, 4.0),
+                ("color", exact_similarity, 0.5),
+                ("size", measurement_similarity, 1.0),
+            )
+        ]
+        comparator = RecordComparator(fields, missing_penalty=missing_penalty)
+
+        def prepared(record_id, **attributes):
+            return comparator.prepare(Record(record_id, "s", attributes))
+
+        # (left, right, index the veto reads, whether the payloads differ)
+        cases = [
+            # The identifier is first staged and differs.
+            (
+                prepared("a", name="canon pro", id="X1", size="13 in"),
+                prepared("b", name="canon pro", id="X2", size="13 in"),
+                1,
+                True,
+            ),
+            # It differs by case alone: only unnormalized payloads differ.
+            (
+                prepared("a", name="canon", id="X1 ", color="red"),
+                prepared("b", name="canon", id="x1", color="red"),
+                1,
+                not normalize,
+            ),
+            # One side lacks it: the colour is first staged, and differs.
+            (
+                prepared("a", name="canon", color="red", size="13 in"),
+                prepared("b", name="canon", id="X1", color="blue"),
+                2,
+                True,
+            ),
+            # It agrees; the colour differs but is not first staged.
+            (
+                prepared("a", name="canon", id="X1", color="red"),
+                prepared("b", name="canon", id="X1", color="blue"),
+                1,
+                False,
+            ),
+        ]
+        for left, right, index, differ in cases:
+            veto = comparator._plan(left.mask & right.mask).veto
+            assert veto is not None and veto[0] == index
+            edge = veto[1] + BOUND_MARGIN
+            thresholds = (
+                edge,
+                math.nextafter(edge, -math.inf),
+                math.nextafter(edge, math.inf),
+                veto[1],
+                0.0,
+                1.0,
+            )
+            fired = []
+            for threshold in thresholds:
+                for exact_scores in (True, False):
+                    reference = reference_score_bounded(
+                        comparator, left, right, threshold, exact_scores
+                    )
+                    report = comparator.score_bounded(
+                        left, right, threshold, exact_scores
+                    )
+                    decision, vetoed = self._decide_watched(
+                        comparator, left, right, threshold, exact_scores
+                    )
+                    is_match, score, exact, similarities = decision
+                    if exact_scores:
+                        fired.append(vetoed)
+                    else:
+                        assert vetoed == fired[-1]
+                    expected = (
+                        reference.is_match,
+                        reference.score.hex(),
+                        reference.exact,
+                        reference.n_evaluated,
+                    )
+                    assert (
+                        report.is_match,
+                        report.score.hex(),
+                        report.exact,
+                        report.n_evaluated,
+                    ) == expected
+                    assert (
+                        is_match, score.hex(), exact, len(similarities)
+                    ) == expected
+            # At or below the edge it never fires; above it, iff the
+            # payloads differ.
+            assert fired == [False, False, differ, False, False, differ]
 
     def test_every_mask_compiles_one_plan(self):
         fields = [

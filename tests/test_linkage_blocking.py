@@ -25,6 +25,8 @@ from repro.linkage.blocking import (
     soundex_key,
     token_set_key,
 )
+from repro.outofcore import MemoryBudget, SpillSession
+from repro.recovery import RunStore
 
 
 def record(rid, name, **attrs):
@@ -104,6 +106,28 @@ class TestStandardBlocker:
         blocks = StandardBlocker(token_set_key("name")).block(records)
         # 'powershot' token rescues the typo'd pair.
         assert frozenset(("r1", "r3")) in blocks.candidate_pairs()
+
+    @pytest.mark.parametrize("streamed", (False, True))
+    def test_a_repeated_key_enters_the_record_once(self, tmp_path, streamed):
+        # token_set_key names "canon" twice for "canon canon 5d".
+        blocker = StandardBlocker(token_set_key("name"))
+
+        def blocks_of(records, name):
+            if not streamed:
+                return blocker.block(records)
+            store = RunStore(tmp_path / name, durable=False)
+            spill = SpillSession(store, MemoryBudget(1_000_000))
+            return BlockCollection(blocker.stream_blocks(records, spill))
+
+        both = blocks_of(
+            [record("a", "canon canon 5d"), record("b", "canon eos")], "both"
+        )
+        assert both.blocks == (Block("canon", ("a", "b")),)
+        assert both.n_comparisons == len(both.ordered_pairs()) == 1
+        assert both.ordered_pairs() == [("a", "b")]
+        alone = blocks_of([record("a", "canon canon 5d")], "alone")
+        assert alone.blocks == ()
+        assert alone.n_comparisons == len(alone.ordered_pairs()) == 0
 
 
 class TestSortedNeighborhood:

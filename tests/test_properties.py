@@ -499,15 +499,24 @@ class TestCanonicalPairOrder:
 
     @given(
         st.lists(
-            st.lists(st.sampled_from("abcdefg"), max_size=6),
+            st.lists(
+                st.sampled_from(
+                    (*"abcdefg", "r9", "r10", "r100", "é", "z\u00e9", "日本")
+                ),
+                max_size=6,
+            ),
             max_size=8,
         )
     )
+    @example([])
+    @example([["r9", "r10"], ["r10", "r100", "r9"]])
     @settings(max_examples=80)
     def test_block_pairs_are_deduped_once_for_both_views(self, blocks):
         # Overlapping blocks and a record repeated inside one block (a
-        # repeated key): both views come from the one pair loop, and
-        # the ordered one is exactly the canonical order of the set.
+        # repeated key): each pair is kept once, the unordered view
+        # equals the naive set, and the ordered one is exactly its
+        # canonical order.
+        # Ids order as strings ("r10" < "r9"), past ASCII too.
         from repro.linkage.resolver import _canonical_pairs
 
         collection = BlockCollection(

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.linkage import FieldComparator, RecordComparator
@@ -23,7 +23,11 @@ from repro.text import (
     numeric_similarity,
     overlap_coefficient,
 )
-from tests.oracle import reference_jaro, reference_jaro_winkler
+from tests.oracle import (
+    reference_jaro,
+    reference_jaro_winkler,
+    reference_levenshtein,
+)
 
 short_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12
@@ -31,6 +35,15 @@ short_text = st.text(
 # Few letters, many repeats: where greedy window matching has choices.
 repetitive_text = st.one_of(
     st.text(alphabet="ab", max_size=12), st.text(alphabet="abc", max_size=12)
+)
+# Every length from 0 to 200, across a 64-bit word; half the characters
+# repeat two letters, the rest reach past ASCII into the astral planes.
+edit_text = st.integers(0, 200).flatmap(
+    lambda length: st.text(
+        alphabet=st.one_of(st.sampled_from("ab"), st.characters()),
+        min_size=length,
+        max_size=length,
+    )
 )
 
 
@@ -63,6 +76,14 @@ class TestLevenshtein:
         assert levenshtein_distance(a, c) <= (
             levenshtein_distance(a, b) + levenshtein_distance(b, c)
         )
+
+    @given(edit_text, edit_text)
+    @example("", "")
+    @example("a" * 64, "a" * 65)
+    @example("\U0001F600" * 70, "x\U0001F600" * 35)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_dynamic_program(self, a, b):
+        assert levenshtein_distance(a, b) == reference_levenshtein(a, b)
 
 
 class TestDamerau:
