@@ -18,19 +18,20 @@ until the accuracy vector stabilizes.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Mapping
 
 from repro.core.errors import ConfigurationError
 from repro.core.fixedpoint import fixed_point
 from repro.fusion.base import (
+    SCORED_STATE,
     ClaimSet,
     Fuser,
     FusionResult,
     ItemScorer,
+    choose,
     reweigh,
+    score,
     softmax,
-    sweep,
 )
 from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
 from repro.recovery import claims_signature, config_fingerprint
@@ -88,6 +89,7 @@ class AccuVote(Fuser):
 
     def _state_signature(self, claims: ClaimSet) -> str:
         return config_fingerprint(
+            SCORED_STATE,
             claims_signature(claims),
             self._n,
             self._initial_accuracy,
@@ -113,26 +115,23 @@ class AccuVote(Fuser):
         claims.require_nonempty()
         known = self._known
 
-        def step(result):
-            accuracy = result.source_accuracy
-            chosen, confidence, means = sweep(
-                claims, self.item_scorer(accuracy)
-            )
+        def step(state):
+            accuracy, __ = state
+            scores, means = score(claims, self.item_scorer(accuracy))
             if known is not None:
-                return FusionResult(chosen, confidence, accuracy), 0.0, True
+                return (accuracy, scores), 0.0, True
             accuracy, change = reweigh(
                 accuracy, means, _ACCURACY_FLOOR, _ACCURACY_CEIL
             )
-            done = change < self._tolerance
-            return FusionResult(chosen, confidence, accuracy), change, done
+            return (accuracy, scores), change, change < self._tolerance
 
         accuracy = {
             source: (known or {}).get(source, self._initial_accuracy)
             for source in claims.sources()
         }
-        result, iterations = fixed_point(
+        (accuracy, scores), iterations = fixed_point(
             step,
-            FusionResult({}, source_accuracy=accuracy),
+            (accuracy, None),
             max_iterations=self._max_iterations,
             span="fusion.accuvote",
             counter="fusion.accuvote.iterations",
@@ -140,4 +139,5 @@ class AccuVote(Fuser):
             checkpoint=self._checkpoint,
             signature=lambda: self._state_signature(claims),
         )
-        return replace(result, iterations=iterations)
+        chosen, confidence = choose(claims, scores)
+        return FusionResult(chosen, confidence, accuracy, iterations)

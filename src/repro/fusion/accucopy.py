@@ -34,9 +34,10 @@ from repro.fusion.base import (
     Fuser,
     FusionResult,
     ItemScorer,
+    choose,
     reweigh,
+    score,
     softmax,
-    sweep,
 )
 from repro.fusion.copydetect import CopyDetector
 from repro.fusion.online import _ACCURACY_CEIL, _ACCURACY_FLOOR, vote_count
@@ -168,9 +169,8 @@ class AccuCopy(Fuser):
         def step(result):
             accuracy = result.source_accuracy
             copying = self._detector.detect(claims, result.chosen, accuracy)
-            chosen, confidence, means = sweep(
-                claims, self.item_scorer(accuracy, copying)
-            )
+            scores, means = score(claims, self.item_scorer(accuracy, copying))
+            chosen, confidence = choose(claims, scores)
             accuracy, change = reweigh(
                 accuracy, means, _ACCURACY_FLOOR, _ACCURACY_CEIL
             )

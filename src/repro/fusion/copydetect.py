@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from itertools import repeat
+from typing import Callable, Mapping, Sequence
 
 from repro.core.errors import ConfigurationError
-from repro.fusion.base import ClaimSet
+from repro.fusion.base import _SET, ClaimSet
 
 __all__ = ["CopyDetector"]
 
@@ -32,29 +33,40 @@ _EPSILON = 1e-12
 
 
 def _outcome_counter(
-    claims: ClaimSet, truths: Mapping[str, str], sources: Iterable[str]
+    claims: ClaimSet, truths: Mapping[str, str], sources: Sequence[str]
 ) -> Callable[[str, str], tuple[int, int, int]]:
     """``counts(a, b)``: the (agree-true, agree-false, disagree) counts
     of two of ``sources`` over the items both claim.
 
-    A pair's shared items and agreements do not depend on ``truths`` and
-    come memoised from the claim index; what a round adds is each
-    source's *false* claim keys — one set difference against the
-    believed-true keys — and per pair the size of their intersection,
-    the shared false values that are the only strong evidence of
-    copying. The other two counts follow by subtraction.
+    What a pair shares does not depend on ``truths``: ``shared`` and
+    ``agree`` are the popcounts of the ``&`` of the two sources' item
+    and claim-key masks in the claim index (a source with no claims has
+    none). What a round adds is one mask of the believed-true keys, and
+    per pair the popcount of the agreements it covers — the agreements
+    on a value believed true. The other two counts follow by
+    subtraction. The mask is set in one pass: for a single pair, over
+    the first source's claims (two sources agree only on keys each
+    claims); otherwise over ``truths``, at each truth's key number (a
+    truth no source claims sets a bit above every key).
     """
-    index = claims.index()
-    believed = set(truths.items())
-    false_keys = {
-        source: index.keys.get(source, frozenset()) - believed
-        for source in sources
-    }
+    items, keys, key_number = claims.index().bitsets
+    above = len(key_number)
+    believed = bytearray(b"0") * (above + 1)
+    if len(sources) == 2:
+        for claim in claims.claims_by(sources[0]):
+            if truths.get(claim.item_id) == claim.value:
+                believed[key_number[claim.item_id, claim.value]] = _SET
+    else:
+        for key in map(key_number.get, truths.items(), repeat(above)):
+            believed[key] = _SET
+    true_keys = int(believed[::-1], 2)
 
     def counts(source_a: str, source_b: str) -> tuple[int, int, int]:
-        shared, agree = index.overlap(source_a, source_b)
-        agree_false = len(false_keys[source_a] & false_keys[source_b])
-        return agree - agree_false, agree_false, shared - agree
+        shared = (items.get(source_a, 0) & items.get(source_b, 0)).bit_count()
+        agreed = keys.get(source_a, 0) & keys.get(source_b, 0)
+        agree = agreed.bit_count()
+        agree_true = (agreed & true_keys).bit_count()
+        return agree_true, agree - agree_true, shared - agree
 
     return counts
 

@@ -18,18 +18,19 @@ claims likely-true values*. TruthFinder iterates that fixed point:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, Mapping
 
 from repro.core.errors import ConfigurationError
 from repro.core.fixedpoint import fixed_point
 from repro.fusion.base import (
+    SCORED_STATE,
     ClaimSet,
     Fuser,
     FusionResult,
     ItemScorer,
+    choose,
     reweigh,
-    sweep,
+    score,
 )
 from repro.recovery import claims_signature, config_fingerprint
 
@@ -101,6 +102,7 @@ class TruthFinder(Fuser):
 
     def _state_signature(self, claims: ClaimSet) -> str:
         return config_fingerprint(
+            SCORED_STATE,
             claims_signature(claims),
             self._initial_trust,
             self._dampening,
@@ -145,19 +147,18 @@ class TruthFinder(Fuser):
         claims.require_nonempty()
         reads_values = self._implication_weight > 0
 
-        def step(result):
-            trust = result.source_accuracy
-            chosen, confidence, means = sweep(
+        def step(state):
+            trust, __ = state
+            scores, means = score(
                 claims, self.item_scorer(trust), reads_values=reads_values
             )
             trust, change = reweigh(trust, means, 0.0, _MAX_TRUST)
-            done = change < self._tolerance
-            return FusionResult(chosen, confidence, trust), change, done
+            return (trust, scores), change, change < self._tolerance
 
         trust = dict.fromkeys(claims.sources(), self._initial_trust)
-        result, iterations = fixed_point(
+        (trust, scores), iterations = fixed_point(
             step,
-            FusionResult({}, source_accuracy=trust),
+            (trust, None),
             max_iterations=self._max_iterations,
             span="fusion.truthfinder",
             counter="fusion.truthfinder.iterations",
@@ -165,4 +166,5 @@ class TruthFinder(Fuser):
             checkpoint=self._checkpoint,
             signature=lambda: self._state_signature(claims),
         )
-        return replace(result, iterations=iterations)
+        chosen, confidence = choose(claims, scores)
+        return FusionResult(chosen, confidence, trust, iterations)

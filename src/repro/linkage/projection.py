@@ -68,7 +68,7 @@ def fuse_entity(
     ``(source, attribute)`` (empty values skipped), each adding its
     source's :func:`~repro.fusion.online.vote_count` (``accuracy_of``,
     asked once per source) to its value's score; the winner is the best
-    ``(score, value)``, as in :func:`repro.fusion.base.sweep`, and its
+    ``(score, value)``, as in :func:`repro.fusion.base.choose`, and its
     confidence its :func:`~repro.fusion.online.claim_posterior` over
     the full tally — every claim is in hand, so nothing stops early.
 

@@ -5,16 +5,17 @@ streams them back grouped by item, in item first-seen order with each
 item's claims in claim order and at most one claim per
 ``(source, item)`` (first wins) — exactly the value-table groups a
 :class:`~repro.fusion.base.ClaimSet` built by the in-memory pipeline
-presents to the fusers. It answers the same four questions a fuser asks
+presents to the fusers. It answers the same questions a fuser asks
 of its claims (``require_nonempty``, ``sources``, ``groups``,
-``sweep``), so every fuser that reads nothing but one item's claims at a
-time — voting, AccuVote, TruthFinder — runs on it unchanged and
-reproduces its in-memory output **bit for bit**. Fusion's sums are
-exact, so :meth:`SpillableClaimGroups.sweep` adds each source's scores
-in stream order into one exact accumulator per source and spills
+``score``, ``choose``), so every fuser that reads nothing but one
+item's claims at a time — voting, AccuVote, TruthFinder — runs on it
+unchanged and reproduces its in-memory output **bit for bit**. Fusion's
+sums are exact, so :meth:`SpillableClaimGroups.score` adds each source's
+scores in stream order into one exact accumulator per source and spills
 nothing of its own. It does not look for repeated supporter patterns:
-each group is scored once as it streams, and only item and source ids
-and the per-source accumulators stay resident.
+each group is scored once as it streams and its winner taken there —
+the stream keeps no scores to choose from later — and only item and
+source ids, the winners and the per-source accumulators stay resident.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 
 from repro.core.errors import EmptyInputError
 from repro.fusion.accu import AccuVote
-from repro.fusion.base import FusionResult, Group, ItemScorer
+from repro.fusion.base import FusionResult, Group, ItemScorer, Scores
 from repro.outofcore.budget import MemoryBudget
 from repro.outofcore.spill import ExternalSorter, entry_nbytes
 
@@ -139,17 +140,18 @@ class SpillableClaimGroups:
         if item is not None:
             yield item, list(local), supporters, pattern
 
-    def sweep(
+    def score(
         self, score_item: ItemScorer, reads_values: bool = False
-    ) -> tuple[dict[str, str], dict[str, float], dict[str, float]]:
-        """:func:`~repro.fusion.base.sweep` over the stream.
+    ) -> tuple[Scores, dict[str, float]]:
+        """:func:`~repro.fusion.base.score` over the stream.
 
         Each group is scored alone as it arrives, whatever
-        ``reads_values`` says, and its winner taken. A source's scores
-        are added as they stream, each as an exact integer multiple of
-        2**-1074 (the smallest float), and the total is rounded once,
-        then divided by the count: what ``math.fsum`` and the division
-        give in memory, bit for bit.
+        ``reads_values`` says, and its winner taken: the round's
+        :data:`~repro.fusion.base.Scores` are ``(chosen, confidence)``.
+        A source's scores are added as they stream, each as an exact
+        integer multiple of 2**-1074 (the smallest float), and the total
+        is rounded once, then divided by the count: what ``math.fsum``
+        and the division give in memory, bit for bit.
         """
         sources = self.sources()
         totals = [0] * len(sources)
@@ -169,7 +171,14 @@ class SpillableClaimGroups:
             source: totals[p] / (1 << 1074) / counts[p]
             for p, source in enumerate(sources)
         }
-        return chosen, confidence, means
+        return (chosen, confidence), means
+
+    def choose(
+        self, scores: Scores
+    ) -> tuple[dict[str, str], dict[str, float]]:
+        """:func:`~repro.fusion.base.choose`: the winners :meth:`score`
+        took as the groups streamed."""
+        return scores
 
     def require_nonempty(self) -> None:
         """Raise :class:`EmptyInputError` when there are no claims."""

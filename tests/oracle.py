@@ -4,10 +4,11 @@ simplest code that states each rule, kept here and nowhere else.
 Fusion — the claim walk every fuser ran before the value table. A sweep
 visits each item's ``Claim`` objects, scores its values into a
 ``{value: score}`` dict, and looks each source's claims up in an
-``{item: {value: score}}`` table for its mean; voting counts values in a
-dict. :func:`naive_fusion` puts that sweep, the three item rules and
-voting in place of the library's, so any fuser's own ``fuse`` runs on
-the reference. Every float sum here is ``math.fsum`` over a list of the
+``{item: {value: score}}`` table for its mean (:func:`naive_score`);
+each item's winner is picked from its own dict (:func:`naive_choose`);
+voting counts values in a dict. :func:`naive_fusion` puts that sweep,
+the three item rules and voting in place of the library's, so any
+fuser's own ``fuse`` runs on the reference. Every float sum here is ``math.fsum`` over a list of the
 terms, as in the library: exact, so no order of adding is promised.
 
 Copy detection — the walk over every shared item of a source pair, and
@@ -67,23 +68,30 @@ def naive_softmax(scores):
     return {value: weight / total for value, weight in exps.items()}
 
 
-def naive_sweep(claims, score_item, reads_values=False):
-    """Each item's winner by ``(score, value)`` and its score, and each
-    source's mean score looked up claim by claim in its claim order.
-    Every item is walked alone, whether or not its rule reads values."""
-    chosen, confidence, table = {}, {}, {}
-    for item in claims.items():
-        scores = table[item] = score_item(claims.claims_for(item))
-        best = max(scores, key=lambda value: (scores[value], value))
-        chosen[item] = best
-        confidence[item] = scores[best]
+def naive_score(claims, score_item, reads_values=False):
+    """Each item's ``{value: score}`` and each source's mean score looked
+    up claim by claim in its claim order. Every item is walked alone,
+    whether or not its rule reads values."""
+    table = {
+        item: score_item(claims.claims_for(item)) for item in claims.items()
+    }
     means = {}
     for source in claims.sources():
         own = claims.claims_by(source)
         means[source] = math.fsum(
             table[claim.item_id][claim.value] for claim in own
         ) / len(own)
-    return chosen, confidence, means
+    return table, means
+
+
+def naive_choose(claims, table):
+    """Each item's winner by ``(score, value)`` and its score."""
+    chosen, confidence = {}, {}
+    for item, scores in table.items():
+        best = max(scores, key=lambda value: (scores[value], value))
+        chosen[item] = best
+        confidence[item] = scores[best]
+    return chosen, confidence
 
 
 def naive_accuvote_scorer(fuser, accuracy):
@@ -180,13 +188,14 @@ def naive_vote(fuser, claims):
 
 @contextlib.contextmanager
 def naive_fusion():
-    """Every fuser on the claim walk: the library's ``sweep``, item
-    rules and vote replaced by the ones above (reads a ``ClaimSet``)."""
+    """Every fuser on the claim walk: the library's ``score`` and
+    ``choose``, item rules and vote replaced by the ones above (reads a
+    ``ClaimSet``)."""
+    modules = (accu, truthfinder, accucopy)
     with contextlib.ExitStack() as stack:
         for owner, attribute, naive in (
-            (accu, "sweep", naive_sweep),
-            (truthfinder, "sweep", naive_sweep),
-            (accucopy, "sweep", naive_sweep),
+            *((module, "score", naive_score) for module in modules),
+            *((module, "choose", naive_choose) for module in modules),
             (AccuVote, "item_scorer", naive_accuvote_scorer),
             (TruthFinder, "item_scorer", naive_truthfinder_scorer),
             (AccuCopy, "item_scorer", naive_accucopy_scorer),

@@ -266,10 +266,11 @@ def _parent_shaped_state(claims):
 
 
 #: Each part of the claim index, by its attribute, and a fuser that
-#: reads it: AccuCopy's detector reads the sets (and its sweeps the
-#: table), TruthFinder's sweeps the value table alone.
+#: reads it: AccuCopy's detector reads the per-source sets, held as
+#: bitmasks (and its sweeps the table), TruthFinder's sweeps the value
+#: table alone.
 INDEX_PARTS = {
-    "sets": ("keys", lambda: AccuCopy(n_false_values=4)),
+    "sets": ("bitsets", lambda: AccuCopy(n_false_values=4)),
     "value table": ("value_table", TruthFinder),
 }
 
@@ -315,3 +316,50 @@ class TestIndexLifetime:
         after = result_digest(make().fuse(grown))
         assert after == result_digest(make().fuse(fresh))
         assert after != before
+
+
+class TestBitsets:
+    def test_a_source_without_claims_counts_nothing(self):
+        claims = ClaimSet(
+            Claim(s, f"i{i}", "v" if i % 3 else "w")
+            for s in ("s0", "s1")
+            for i in range(8)
+        )
+        truths = {f"i{i}": "v" for i in range(8)}
+        accuracy = {"s0": 0.7, "s1": 0.9}
+        counts = copydetect._outcome_counter(
+            claims, truths, ["ghost", "s0", "s1"]
+        )
+        for pair in [("ghost", "s0"), ("s1", "ghost"), ("ghost", "ghost")]:
+            alone = copydetect._outcome_counter(claims, truths, pair)
+            assert counts(*pair) == alone(*pair) == (0, 0, 0)
+            assert counts(*pair) == naive_outcome_counts(claims, *pair, truths)
+        for detector in (CopyDetector(), CopyDetector(min_overlap=0)):
+            assert detector.pair_probability(
+                claims, "ghost", "s0", truths, accuracy
+            ) == detector._dependence((0, 0, 0), 0.8, 0.7)
+            assert detector.direction(
+                claims, "s1", "ghost", truths, accuracy
+            ) == 0.0
+        assert counts("s0", "s1") == (5, 3, 0)
+
+    def test_an_added_claim_is_in_the_rebuilt_masks(self):
+        rows = [("s0", "i0", "v"), ("s1", "i0", "v"), ("s1", "i1", "w")]
+        claims = ClaimSet(Claim(*row) for row in rows)
+        truths = {"i0": "v", "i1": "w"}
+        pair = ("s0", "s1")
+        assert copydetect._outcome_counter(claims, truths, pair)(*pair) == (
+            1,
+            0,
+            0,
+        )
+        claims.add(Claim("s0", "i1", "w"))
+        claims.add(Claim("s2", "i1", "x"))
+        sources = ("s0", "s1", "s2")
+        counts = copydetect._outcome_counter(claims, truths, sources)
+        for a in sources:
+            for b in sources:
+                alone = copydetect._outcome_counter(claims, truths, (a, b))
+                expected = naive_outcome_counts(claims, a, b, truths)
+                assert counts(a, b) == alone(a, b) == expected
+        assert counts("s0", "s1") == (2, 0, 0)

@@ -580,11 +580,11 @@ def test_sweep_sums_exactly(tmp_path, source):
     count: ten scores of 0.1 make 1.0 and the mean exactly 0.1, where
     adding them one by one makes 0.9999999999999999 and a mean an ulp
     low — on every Python, in memory and spilled."""
-    from repro.fusion.base import sweep
+    from repro.fusion.base import score
 
     rows = [("s", f"i{k}", "v") for k in range(10)]
     claims = _claim_source(tmp_path, rows, source)
-    __, __, means = sweep(claims, lambda values, supporters: [0.1])
+    __, means = score(claims, lambda values, supporters: [0.1])
     assert means == {"s": 0.1}
 
 

@@ -781,6 +781,57 @@ class TestSolverResume:
         assert _solver_span(tracer, "fusion.truthfinder")["resumed_at"] == 0
 
 
+def _resumable_world(n_copiers):
+    from repro.synth import ClaimWorldConfig, generate_claims
+
+    return generate_claims(
+        ClaimWorldConfig(
+            n_items=40,
+            n_independent=5,
+            n_copiers=n_copiers,
+            n_false_values=3,
+            seed=5,
+        )
+    ).claims
+
+
+#: Each resumable fuser, built around a checkpoint, and the copiers of
+#: the world it runs on (AccuCopy needs some to take more than a round).
+RESUMABLE = {
+    "accuvote": (lambda checkpoint: AccuVote(checkpoint=checkpoint), 0),
+    "truthfinder": (lambda checkpoint: TruthFinder(checkpoint=checkpoint), 0),
+    "accucopy": (lambda checkpoint: AccuCopy(checkpoint=checkpoint), 3),
+}
+
+
+def _exact_document(result):
+    """Every field of a FusionResult, floats as ``float.hex``."""
+    return [
+        list(result.chosen.items()),
+        [(item, c.hex()) for item, c in result.confidence.items()],
+        [(source, a.hex()) for source, a in result.source_accuracy.items()],
+        result.iterations,
+        [(*pair, p.hex()) for pair, p in result.copy_probability.items()],
+    ]
+
+
+@pytest.mark.parametrize("name", list(RESUMABLE))
+def test_resume_after_every_save_ends_identically(tmp_path, name):
+    """Stopped after any save — the last, converged one included — a
+    resumed run ends with the uninterrupted run's whole result: the
+    saved state holds everything the winners are picked from."""
+    make, n_copiers = RESUMABLE[name]
+    claims = _resumable_world(n_copiers)
+    baseline = _exact_document(make(None).fuse(claims))
+    iterations = baseline[3]
+    assert iterations > 1
+    for k in range(1, iterations + 1):
+        store = RunStore(tmp_path / str(k))
+        with pytest.raises(_StopAfterSaves.Stop):
+            make(_StopAfterSaves(store, k)).fuse(claims)
+        assert _exact_document(make(store).fuse(claims)) == baseline, k
+
+
 # --- pipeline stage ledger -------------------------------------------
 
 

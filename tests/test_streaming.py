@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Record
 from repro.fusion import AccuVote
-from repro.fusion.base import Claim, ClaimSet, sweep
+from repro.fusion.base import Claim, ClaimSet, choose, score
 from repro.fusion.online import claim_posterior, vote_count
 from repro.linkage import (
     StandardBlocker,
@@ -879,7 +879,8 @@ class TestLiveFusionIsTheFullVote:
         def plain_tally(values, supporters):
             return [math.fsum(votes[p] for p in who) for who in supporters]
 
-        assert sweep(claim_set, plain_tally)[0] == fused
+        scores, __ = score(claim_set, plain_tally)
+        assert choose(claim_set, scores)[0] == fused
         # AccuVote ranks the softmax of the same tally, which can round
         # two scores an ulp apart into one probability.
         near_tie = any(
