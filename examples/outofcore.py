@@ -15,7 +15,8 @@ the whole surface:
    spillable index, dedups candidate pairs with an external merge
    sort, and feeds the comparison engine chunk by chunk.
 3. The full ``BDIPipeline.run(memory_budget=...)`` does the same end
-   to end, including streamed claim grouping and AccuVote fusion.
+   to end, including streamed claim grouping, AccuVote fusion and CRH
+   numeric fusion of the measurement items over the spilled groups.
 4. Every output is asserted equal to the unbounded in-memory run, and
    the budget's spill statistics (peak tracked bytes, spill count,
    spilled bytes) are printed and optionally written as a JSON
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core.pipeline import BDIPipeline, PipelineConfig
+from repro.fusion import CRHNumericFuser
 from repro.io import save_dataset
 from repro.linkage import (
     ThresholdClassifier,
@@ -107,8 +109,10 @@ def main(argv=None):
               f"({resolve_stats['spill_bytes']} B)")
 
         # 3. The full pipeline under the same budget.
-        config = PipelineConfig(fusion="accuvote")
+        config = PipelineConfig(fusion="accuvote", numeric_fusion=True)
         base = BDIPipeline(config).run(dataset)
+        n_numeric = len(CRHNumericFuser().fuse(base.claims).chosen)
+        assert n_numeric > 0
         tracer = Tracer()
         result = BDIPipeline(config).run(
             dataset, tracer=tracer,
@@ -123,8 +127,9 @@ def main(argv=None):
         assert gauges["outofcore.spill_count"] > 0
         print(f"pipeline: {len(result.clusters)} entities, "
               f"{result.claims.n_claims} claims fused over "
-              f"{result.fusion.iterations} AccuVote iterations — "
-              "identical to the in-memory run")
+              f"{result.fusion.iterations} AccuVote iterations, "
+              f"{n_numeric} measurement items fused by CRH — identical "
+              "to the in-memory run")
         pipeline_stats = {
             "peak_tracked_bytes": gauges["outofcore.peak_tracked_bytes"],
             "spill_count": gauges["outofcore.spill_count"],

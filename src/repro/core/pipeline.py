@@ -12,18 +12,12 @@ from __future__ import annotations
 import contextlib
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import repro.fusion
 from repro.core.dataset import Dataset
 from repro.core.errors import ConfigurationError, GroundTruthError
-from repro.fusion import (
-    Claim,
-    ClaimSet,
-    CRHNumericFuser,
-    FusionResult,
-    parse_numeric_claims,
-)
+from repro.fusion import Claim, ClaimSet, CRHNumericFuser
 from repro.linkage import (
     ThresholdClassifier,
     TokenBlocker,
@@ -85,7 +79,9 @@ class PipelineConfig:
     redundancy-as-a-friend shortcut). ``numeric_fusion`` re-fuses data
     items whose claims are predominantly measurements through CRH
     numeric truth discovery — loss-aware aggregation instead of exact
-    string voting. ``execution`` selects the pair-comparison backend
+    string voting (:meth:`repro.fusion.CRHNumericFuser.fuse`, in memory
+    and under ``memory_budget`` alike). ``execution`` selects the
+    pair-comparison backend
     (``"serial"`` or ``"process"``, see :mod:`repro.linkage.engine`)
     with ``n_workers`` processes when multiprocess; match output is
     identical either way. ``representation`` selects the engine's
@@ -319,8 +315,9 @@ class BDIPipeline:
         :attr:`PipelineResult.claims` then carries a
         :class:`repro.outofcore.ClaimStreamSummary` instead of the full
         claim set. Requires the ``threshold`` classifier and refuses
-        ``accucopy`` fusion: voting, AccuVote and TruthFinder read one
-        item's claims at a time and run on the spilled groups unchanged,
+        ``accucopy`` fusion: voting, AccuVote, TruthFinder and the CRH
+        of ``numeric_fusion`` read one item's claims at a time and run
+        on the spilled groups unchanged,
         AccuCopy's copy detector indexes every source's claims in memory
         to compare source pairs across items.
         """
@@ -345,10 +342,6 @@ class BDIPipeline:
                 from repro.fusion.accucopy import SPILLED_CLAIMS_REFUSED
 
                 raise ConfigurationError(SPILLED_CLAIMS_REFUSED)
-            if config.numeric_fusion:
-                raise ConfigurationError(
-                    "numeric_fusion is not supported with memory_budget"
-                )
             from repro.outofcore import SpillableClaimGroups
 
             budget = MemoryBudget(memory_budget, tracer=tracer)
@@ -560,8 +553,9 @@ class BDIPipeline:
                         options["n_false_values"] = config.n_false_values
                     fusion = self._fuser(**options).fuse(claim_set)
                     if config.numeric_fusion:
-                        fusion = self._refuse_numeric_items(
-                            claim_set, fusion
+                        numeric = CRHNumericFuser().fuse(claim_set).chosen
+                        fusion = replace(
+                            fusion, chosen={**fusion.chosen, **numeric}
                         )
                     return fusion
 
@@ -622,53 +616,6 @@ class BDIPipeline:
         tracer = Tracer(clock=clock)
         result = self.run(dataset, tracer=tracer)
         return result, tracer.report(name="pipeline")
-
-    @staticmethod
-    def _refuse_numeric_items(claim_set, fusion):
-        """Re-fuse measurement-dominated items with CRH.
-
-        An item qualifies when ≥ 2/3 of its claims parse as
-        measurements with a unit; its chosen value is replaced by the
-        CRH truth rendered in the item's majority base unit.
-        """
-        numeric_items: dict[str, Counter] = {}
-        for item in claim_set.items():
-            claims = claim_set.claims_for(item)
-            units: Counter[str] = Counter()
-            parsed = 0
-            for claim in claims:
-                measurement = parse_measurement(
-                    claim.value.replace(",", ".")
-                )
-                if measurement is not None and measurement.unit:
-                    parsed += 1
-                    units[measurement.in_base_unit().unit] += 1
-            if claims and parsed / len(claims) >= 2 / 3 and units:
-                numeric_items[item] = units
-        if not numeric_items:
-            return fusion
-        keep = set(numeric_items)
-        numeric_claims = {
-            key: value
-            for key, value in parse_numeric_claims(claim_set).items()
-            if key[1] in keep
-        }
-        if not numeric_claims:
-            return fusion
-        truths, __, __ = CRHNumericFuser().fuse_values(numeric_claims)
-
-        chosen = dict(fusion.chosen)
-        confidence = dict(fusion.confidence)
-        for item, value in truths.items():
-            unit = numeric_items[item].most_common(1)[0][0]
-            chosen[item] = f"{value:.4g} {unit}"
-        return FusionResult(
-            chosen=chosen,
-            confidence=confidence,
-            source_accuracy=fusion.source_accuracy,
-            iterations=fusion.iterations,
-            copy_probability=fusion.copy_probability,
-        )
 
     @staticmethod
     def _values_agree(fused: str, true_canonical: str) -> bool:

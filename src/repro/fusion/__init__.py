@@ -9,7 +9,7 @@ _lazy.export(
         "accucopy": "AccuCopy",
         "base": "Claim ClaimSet Fuser FusionResult",
         "copydetect": "CopyDetector",
-        "numeric": "CRHNumericFuser parse_numeric_claims",
+        "numeric": "CRHNumericFuser",
         "online": "OnlineFusion OnlineTrace claim_posterior vote_count",
         "truthfinder": "TruthFinder",
         "voting": "VotingFuser",

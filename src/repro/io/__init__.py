@@ -7,9 +7,6 @@ _lazy.export(
     {
         "claims_csv": "load_claims load_truth save_claims save_truth",
         "jsonl": "load_dataset save_dataset",
-        "stream": (
-            "GeneratorRecordStream JsonlRecordStream RecordStream "
-            "open_record_stream"
-        ),
+        "stream": "GeneratorRecordStream RecordStream",
     },
 )

@@ -1,25 +1,18 @@
-"""Streaming dataset input: records without materializing a corpus.
-
-The JSONL dataset format (see :mod:`repro.io.jsonl`) is line-oriented
-precisely so a corpus larger than memory can be consumed one record at
-a time. This module provides the single-pass side of that bargain:
+"""Record streams: records without materializing a corpus.
 
 * :class:`RecordStream` — the protocol the out-of-core layer consumes:
   anything that can be iterated over for :class:`~repro.core.record.Record`
   objects, repeatedly (each ``__iter__`` starts a fresh pass).
-* :class:`JsonlRecordStream` — the streaming reader over a
-  ``<stem>.records.jsonl`` file. Nothing is retained between records,
-  so the resident footprint is one row regardless of corpus size.
-
-Random access (record id → record) is the job of
-:class:`repro.outofcore.IndexedRecordStore`, which builds on the same
-file format.
+* :class:`GeneratorRecordStream` — that protocol over a generator
+  factory.
+* :func:`record_from_row` — one row of a ``<stem>.records.jsonl`` file
+  (:mod:`repro.io.jsonl`) as a record; the format is line-oriented, so
+  :class:`repro.outofcore.IndexedRecordStore` (random access by record
+  id) and the serve layer's entity store read it one line at a time.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Callable, Iterator, Protocol, runtime_checkable
 
 from repro.core.errors import DataModelError
@@ -27,9 +20,7 @@ from repro.core.record import Record
 
 __all__ = [
     "GeneratorRecordStream",
-    "JsonlRecordStream",
     "RecordStream",
-    "open_record_stream",
     "record_from_row",
 ]
 
@@ -54,46 +45,6 @@ class RecordStream(Protocol):
     """
 
     def __iter__(self) -> Iterator[Record]: ...
-
-
-class JsonlRecordStream:
-    """Stream records out of a ``.records.jsonl`` file, one at a time.
-
-    Each iteration opens the file afresh, yields one record per line,
-    and closes the handle when the pass ends (or the consumer abandons
-    the iterator) — no full-dataset materialization, no leaked file
-    handles.
-    """
-
-    def __init__(self, records_path: str | Path) -> None:
-        self._path = Path(records_path)
-        if not self._path.exists():
-            raise DataModelError(
-                f"records file not found: {self._path}"
-            )
-
-    @property
-    def path(self) -> Path:
-        """The underlying ``.records.jsonl`` file."""
-        return self._path
-
-    def __iter__(self) -> Iterator[Record]:
-        with self._path.open(encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as error:
-                    raise DataModelError(
-                        f"{self._path.name}:{line_number}: invalid JSON "
-                        f"({error})"
-                    ) from error
-                yield record_from_row(row)
-
-    def __repr__(self) -> str:
-        return f"JsonlRecordStream({str(self._path)!r})"
 
 
 class GeneratorRecordStream:
@@ -127,11 +78,3 @@ class GeneratorRecordStream:
         name = getattr(self._factory, "__name__", repr(self._factory))
         return f"GeneratorRecordStream({name})"
 
-
-def open_record_stream(stem: str | Path) -> JsonlRecordStream:
-    """The record stream of a dataset saved under ``stem``.
-
-    Accepts the same stem :func:`repro.io.save_dataset` wrote to, and
-    reuses its ``<stem>.records.jsonl`` file.
-    """
-    return JsonlRecordStream(Path(stem).with_suffix(".records.jsonl"))

@@ -37,7 +37,6 @@ _lazy.export(
             "ProgressivePoint order_candidates progressive_resolution_curve"
         ),
         "resolver": "LinkageResult MatchClassifier resolve",
-        "swoosh": "SwooshResult r_swoosh union_merge",
         "temporal": "TemporalField TemporalMatcher link_temporal_stream",
     },
 )

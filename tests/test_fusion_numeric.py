@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from repro.core import ConfigurationError, EmptyInputError
-from repro.fusion import Claim, ClaimSet, CRHNumericFuser, parse_numeric_claims
+from repro.fusion import Claim, ClaimSet, CRHNumericFuser
 from repro.synth import NumericClaimWorldConfig, generate_numeric_claims
 from tests.procs import run_python
 
@@ -28,25 +28,38 @@ def outlier_world():
     )
 
 
+def fused(*claims):
+    """What ``CRHNumericFuser().fuse`` chooses over ``(source, value)``
+    claims on one item ``"i"``."""
+    result = CRHNumericFuser().fuse(
+        ClaimSet(Claim(source, "i", value) for source, value in claims)
+    )
+    return dict(result.chosen)
+
+
 class TestParseNumericClaims:
+    """How ``fuse`` reads a claimed value: a number with an optional
+    unit, in its dimension's base unit, decimal commas accepted."""
+
     def test_plain_floats(self):
-        claims = ClaimSet([Claim("s", "i", "12.5")])
-        assert parse_numeric_claims(claims) == {("s", "i"): 12.5}
+        # A bare number is read in the item's unit: the weighted median
+        # of 10, 12.5 and 30 g.
+        assert fused(("s1", "10 g"), ("s2", "30 g"), ("s3", "12.5")) == {
+            "i": "12.5 g"
+        }
 
     def test_measurements_convert_units(self):
-        claims = ClaimSet(
-            [Claim("s1", "i", "2 in"), Claim("s2", "i", "5.08 cm")]
-        )
-        numeric = parse_numeric_claims(claims)
-        assert numeric[("s1", "i")] == pytest.approx(numeric[("s2", "i")])
+        assert fused(("s1", "2 in"), ("s2", "5.08 cm")) == {"i": "5.08 cm"}
 
     def test_decimal_comma(self):
-        claims = ClaimSet([Claim("s", "i", "2,5")])
-        assert parse_numeric_claims(claims)[("s", "i")] == 2.5
+        assert fused(("s", "2,5 g")) == {"i": "2.5 g"}
 
     def test_unparseable_skipped(self):
-        claims = ClaimSet([Claim("s", "i", "black")])
-        assert parse_numeric_claims(claims) == {}
+        assert fused(("s", "black")) == {}
+        claims = [(f"s{k}", "5 g") for k in range(3)] + [("s3", "black")]
+        assert fused(*claims) == {"i": "5 g"}
+        # Fewer than 2/3 of the claims carry a unit: not a numeric item.
+        assert fused(("s1", "5 g"), ("s2", "black")) == {}
 
 
 class TestCRH:
@@ -59,6 +72,8 @@ class TestCRH:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             CRHNumericFuser().fuse_values({})
+        with pytest.raises(EmptyInputError):
+            CRHNumericFuser().fuse(ClaimSet())
 
     def test_unanimous_claims_recovered_exactly(self):
         claims = {(f"s{k}", "i"): 7.0 for k in range(5)}
@@ -108,14 +123,18 @@ class TestCRH:
     def test_claimset_adapter(self):
         claims = ClaimSet(
             [
-                Claim("s1", "i", "10.0"),
-                Claim("s2", "i", "10.2"),
-                Claim("s3", "i", "400"),
+                Claim("s1", "i", "10.0 g"),
+                Claim("s2", "i", "0.0102 kg"),
+                Claim("s3", "i", "400 g"),
+                Claim("s1", "j", "black"),
             ]
         )
         result = CRHNumericFuser().fuse(claims)
-        assert float(result.chosen["i"]) == pytest.approx(10.1, abs=0.2)
-        assert set(result.source_accuracy) == {"s1", "s2", "s3"}
+        value, unit = result.chosen["i"].split()
+        assert float(value) == pytest.approx(10.1, abs=0.2) and unit == "g"
+        assert list(result.chosen) == ["i"]
+        assert list(result.source_accuracy) == ["s1", "s2", "s3"]
+        assert all(0 < a < 1 for a in result.source_accuracy.values())
 
     def test_deterministic(self, outlier_world):
         a = CRHNumericFuser().fuse_values(outlier_world.claims)

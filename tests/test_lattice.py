@@ -221,8 +221,6 @@ REFUSALS = (
      None, "memory_budget requires the threshold classifier"),
     ("memory_budget", lambda c: c.memory_budget and c.fusion == "accucopy",
      None, SPILLED_CLAIMS_REFUSED),
-    ("numeric_fusion", lambda c: c.memory_budget and c.numeric_fusion,
-     None, "numeric_fusion is not supported with memory_budget"),
 )
 
 
@@ -515,9 +513,13 @@ MUST_ABORT = (
     Cell(fusion="accuvote", classifier="fellegi-sunter", n_workers=2,
          checkpoint="abort"),
 )
+#: A pipeline spilled under a tight budget whose numeric fusion changes
+#: items AccuVote alone chooses (:class:`TestLattice` checks it does).
+NUMERIC_SPILLED = Cell(fusion="accuvote", numeric_fusion=True,
+                       memory_budget="tight", tracer=True)
 #: The cells that always run: the aborts, a columnar chunk's block split
-#: by a tight budget, a poison pair over three shards, a spilled and a
-#: sharded pipeline, and every refusal.
+#: by a tight budget, a poison pair over three shards, spilled and
+#: sharded pipelines, and every refusal.
 EXAMPLES = (
     *MUST_ABORT,
     Cell(representation="columnar", memory_budget="tight", tracer=True),
@@ -534,6 +536,7 @@ EXAMPLES = (
     Cell(fusion="vote", classifier="fellegi-sunter", memory_budget="roomy"),
     Cell(fusion="accucopy", memory_budget="roomy"),
     Cell(fusion="vote", numeric_fusion=True, memory_budget="roomy"),
+    NUMERIC_SPILLED,
 )
 
 
@@ -559,6 +562,13 @@ class TestLattice:
     @given(cells(pipeline=True))
     def test_pipeline_equals_the_plain_run(self, cell):
         run_cell(cell, must_abort=cell in MUST_ABORT)
+
+    def test_numeric_example_changes_an_item(self):
+        cell = NUMERIC_SPILLED
+        semantic = [getattr(cell, name) for name in SEMANTIC]
+        numeric = plain_pipeline(cell.corpus, *semantic)["chosen"]
+        semantic[SEMANTIC.index("numeric_fusion")] = False
+        assert numeric != plain_pipeline(cell.corpus, *semantic)["chosen"]
 
     @pytest.mark.slow
     @settings(LATTICE, max_examples=12)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import ConfigurationError
 from repro.core.errors import EmptyInputError
 from repro.core.pipeline import BDIPipeline, PipelineConfig
-from repro.io import load_dataset, open_record_stream, save_dataset
+from repro.io import load_dataset, save_dataset
 from repro.linkage import (
     CanopyBlocker,
     MinHashBlocker,
@@ -53,7 +53,7 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
-from tests.test_lattice import random_records
+from tests.test_lattice import answer, random_records
 
 COMPARATOR = default_product_comparator()
 CLASSIFIER = ThresholdClassifier(0.6)
@@ -227,18 +227,6 @@ class TestIndexedRecordStore:
         store = IndexedRecordStore(stem.with_suffix(".records.jsonl"))
         with pytest.raises(KeyError):
             store["nope"]
-
-
-class TestRecordStream:
-    def test_stream_matches_load_dataset(self, tmp_path):
-        dataset = _dataset()
-        stem = tmp_path / "corpus"
-        save_dataset(dataset, stem)
-        stream = open_record_stream(stem)
-        loaded = list(load_dataset(stem).records())
-        assert list(stream) == loaded
-        # Re-iterable: a second pass starts fresh.
-        assert list(stream) == loaded
 
 
 # --- streaming blockers ----------------------------------------------
@@ -644,17 +632,9 @@ class TestStreamingPipeline:
             memory_budget=30_000,
             spill_dir=tmp_path,
         )
-        assert streamed.clusters == base.clusters
-        assert dict(streamed.fusion.chosen) == dict(base.fusion.chosen)
-        assert dict(streamed.fusion.confidence) == dict(
-            base.fusion.confidence
-        )
-        assert dict(streamed.fusion.source_accuracy) == dict(
-            base.fusion.source_accuracy
-        )
-        assert streamed.fusion.iterations == base.fusion.iterations
-        assert streamed.entity_table == base.entity_table
-        assert streamed.claims.n_items == len(base.claims.items())
+        assert answer(streamed) == answer(base)
+        # The lattice bounds a run's peak by the budget plus one pair;
+        # here the published gauge stays under the budget itself.
         gauges = tracer.report().metrics.get("gauges", {})
         assert gauges["outofcore.peak_tracked_bytes"] <= 30_000
         assert gauges["outofcore.spill_count"] > 0
@@ -674,7 +654,6 @@ class TestStreamingPipeline:
         for config in [
             PipelineConfig(classifier="fellegi-sunter"),
             PipelineConfig(fusion="accucopy"),
-            PipelineConfig(fusion="vote", numeric_fusion=True),
         ]:
             with pytest.raises(ConfigurationError) as excinfo:
                 BDIPipeline(config).run(

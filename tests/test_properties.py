@@ -267,6 +267,46 @@ class TestFusionInvariants:
             assert budget.spill_count > 0
 
 
+#: Claimed measurements: units that convert into one another, a decimal
+#: comma, a bare number and a value that is no number at all.
+MEASUREMENTS = ("10 g", "10,5 g", "0.0105 kg", "12 g", "12", "40 g",
+                "1 in", "2,54 cm", "black")
+
+
+@st.composite
+def measurement_claim_sets(draw):
+    """:func:`claim_sets`, each claim one of :data:`MEASUREMENTS`."""
+    n_sources = draw(st.integers(min_value=1, max_value=5))
+    n_items = draw(st.integers(min_value=1, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=999)))
+    claims = ClaimSet()
+    for s in range(n_sources):
+        for i in range(n_items):
+            if rng.random() < 0.8:
+                claims.add(Claim(f"s{s}", f"i{i}", rng.choice(MEASUREMENTS)))
+    if len(claims) == 0:
+        claims.add(Claim("s0", "i0", MEASUREMENTS[0]))
+    return claims
+
+
+def spilled_claims(tmp_path_factory, arrival):
+    """``arrival``'s claims as spilled groups, under a budget they exceed."""
+    from repro.outofcore import MemoryBudget, SpillableClaimGroups
+    from repro.recovery import RunStore
+
+    spilled = SpillableClaimGroups(
+        RunStore(tmp_path_factory.mktemp("claims"), durable=False),
+        MemoryBudget(300),
+    )
+    for claim in arrival:
+        spilled.add(claim.source_id, claim.item_id, claim.value)
+    return spilled
+
+
+def exact(floats):
+    return {key: value.hex() for key, value in floats.items()}
+
+
 def interleaved(claims, rng):
     """``claims`` re-dealt across items at random, each item's own claims
     still in their order: item and source first-seen order move, and
@@ -298,28 +338,14 @@ class TestClaimOrderIsNotAnInput:
         #   documented tie rule — the first value in claim order wins a
         #   tied count — which AccuCopy inherits by bootstrapping its
         #   truths from Vote.
-        from repro.outofcore import MemoryBudget, SpillableClaimGroups
-        from repro.recovery import RunStore
         from tests.test_fusion import GOLDEN_FUSERS
-
-        def spill(arrival):
-            spilled = SpillableClaimGroups(
-                RunStore(tmp_path_factory.mktemp("claims"), durable=False),
-                MemoryBudget(300),
-            )
-            for claim in arrival:
-                spilled.add(claim.source_id, claim.item_id, claim.value)
-            return spilled
-
-        def exact(floats):
-            return {key: value.hex() for key, value in floats.items()}
 
         def fused(name, arrival):
             """The result as mappings, the same in memory and spilled."""
             make = GOLDEN_FUSERS[name]
             sources = [ClaimSet(arrival)]
             if name != "accucopy":
-                sources.append(spill(arrival))
+                sources.append(spilled_claims(tmp_path_factory, arrival))
             results = [make().fuse(source) for source in sources]
             documents = [
                 (
@@ -342,6 +368,42 @@ class TestClaimOrderIsNotAnInput:
             assert fused(name, interleaved(arrival, rng)) == expected, name
             if name not in ("vote", "accucopy"):
                 assert fused(name, permuted) == expected, name
+
+    @given(
+        claims=measurement_claim_sets(),
+        seed=st.integers(min_value=0, max_value=999),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_crh_does_not_depend_on_claim_order(
+        self, tmp_path_factory, claims, seed
+    ):
+        # CRH reads the same groups as every other fuser, and its sums,
+        # weighted median included, are exact: any permutation of the
+        # claims, in memory and spilled, fuses to the same truths,
+        # weights and iterations.
+        from repro.fusion import CRHNumericFuser
+
+        def fused(loss, arrival):
+            documents = []
+            for source in (
+                ClaimSet(arrival),
+                spilled_claims(tmp_path_factory, arrival),
+            ):
+                result = CRHNumericFuser(loss=loss).fuse(source)
+                documents.append(
+                    (
+                        dict(result.chosen),
+                        exact(result.source_accuracy),
+                        result.iterations,
+                    )
+                )
+            assert documents[0] == documents[1], loss
+            return documents[0]
+
+        arrival = list(claims)
+        permuted = random.Random(seed).sample(arrival, len(arrival))
+        for loss in ("absolute", "squared"):
+            assert fused(loss, permuted) == fused(loss, arrival), loss
 
 
 class TestTextInvariants:
