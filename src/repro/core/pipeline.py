@@ -39,7 +39,6 @@ from repro.outofcore import MemoryBudget
 from repro.quality import (
     attribute_cluster_quality,
     bcubed_quality,
-    clusters_to_pairs,
     pairwise_cluster_quality,
 )
 from repro.recovery import (
@@ -213,6 +212,24 @@ class PipelineReport:
     fusion_accuracy: float
     n_clusters: int
     n_items: int
+
+
+def _merge_partitions(partitions, all_ids) -> list[list[str]]:
+    """The finest partition of ``all_ids`` that each of ``partitions``
+    refines. Each cluster joins its members to its first one, so the
+    cost is linear in the members, not in their pairs; the result
+    equals the closure of every within-cluster pair because
+    :meth:`repro.core.unionfind.UnionFind.groups` sorts its output, so
+    the order of unions does not show."""
+    return connected_components(
+        (
+            (cluster[0], member)
+            for partition in partitions
+            for cluster in partition
+            for member in cluster[1:]
+        ),
+        all_ids,
+    )
 
 
 class BDIPipeline:
@@ -462,15 +479,9 @@ class BDIPipeline:
                             identifier_clusters = link_by_identifier(
                                 records, detections
                             )
-                            pairs = clusters_to_pairs(
-                                clusters
-                            ) | clusters_to_pairs(identifier_clusters)
-                            clusters = connected_components(
-                                pairs,
-                                [
-                                    record.record_id
-                                    for record in records
-                                ],
+                            clusters = _merge_partitions(
+                                (clusters, identifier_clusters),
+                                [record.record_id for record in records],
                             )
                             id_span.set(
                                 "n_identifiers", len(detections)
@@ -504,29 +515,34 @@ class BDIPipeline:
             with tracer.span("pipeline.claims", **streaming) as span:
 
                 def compute_claims():
-                    claims = (
-                        ClaimSet()
-                        if budget is None
-                        else SpillableClaimGroups(
+                    if budget is None:
+                        claims = ClaimSet()
+
+                        def add(source_id, item_id, value):
+                            # A source's first claim on an item wins.
+                            if claims.value_of(source_id, item_id) is None:
+                                claims.add(Claim(source_id, item_id, value))
+
+                    else:
+                        # The spilled groups drop a source's later claims
+                        # on an item as they stream out.
+                        claims = SpillableClaimGroups(
                             spill_store.sub("claims"), budget
                         )
-                    )
+                        add = claims.add
+                    # One canonical form per distinct raw value: the
+                    # records it is drawn from are already resident.
+                    canonical: dict[str, str] = {}
                     for record in records:
                         source_id = record.source_id
                         cluster_id = cluster_of[record.record_id]
                         translated = schema.translate(record)
                         for attribute, value in translated.items():
-                            item_id = f"{cluster_id}::{attribute}"
-                            # A source's first claim on an item wins;
-                            # the spilled groups drop the later ones as
-                            # they stream out.
-                            if budget is not None:
-                                claims.add(
-                                    source_id, item_id, canonical_value(value)
-                                )
-                            elif claims.value_of(source_id, item_id) is None:
-                                value = canonical_value(value)
-                                claims.add(Claim(source_id, item_id, value))
+                            form = canonical.get(value)
+                            if form is None:
+                                form = canonical_value(value)
+                                canonical[value] = form
+                            add(source_id, f"{cluster_id}::{attribute}", form)
                     return claims
 
                 # Spilled groups are rebuilt, not replayed: a ledger

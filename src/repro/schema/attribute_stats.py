@@ -20,7 +20,7 @@ from repro.text.normalize import (
     normalize_value,
     parse_measurement,
 )
-from repro.text.tokens import word_tokens
+from repro.text.tokens import word_token_tuple, word_tokens
 
 __all__ = ["AttributeProfile", "profile_attributes", "SourceAttribute"]
 
@@ -96,7 +96,7 @@ class AttributeProfile:
         magnitudes = [abs(v) for v in self.numeric_values if v != 0]
         if not magnitudes:
             return None
-        return sum(math.log10(m) for m in magnitudes) / len(magnitudes)
+        return math.fsum(math.log10(m) for m in magnitudes) / len(magnitudes)
 
     @cached_property
     def features(self) -> tuple[frozenset, set, float, float | None]:
@@ -113,16 +113,34 @@ class AttributeProfile:
 
     def observe(self, raw_value: str) -> None:
         """Fold one raw value into the profile."""
+        self._fold(_facets(raw_value))
+
+    def _fold(self, facets: _Facets) -> None:
+        """Fold one occurrence of a value, given its :func:`_facets`."""
         self.__dict__.pop("features", None)
         self.n_records += 1
-        normalized = normalize_value(raw_value)
+        normalized, tokens, magnitudes = facets
         self.values[normalized] += 1
-        self.value_tokens.update(word_tokens(normalized))
-        measurement = parse_measurement(normalized.replace(",", "."))
-        if measurement is not None:
-            base = measurement.in_base_unit()
-            self.numeric_values.append(base.value)
-            self.raw_numeric_values.append(measurement.value)
+        self.value_tokens.update(tokens)
+        if magnitudes is not None:
+            self.numeric_values.append(magnitudes[0])
+            self.raw_numeric_values.append(magnitudes[1])
+
+
+#: What profiling reads of one raw value: its normalized form, that
+#: form's word tokens, and — when it is a measurement — its magnitude
+#: in the dimension's base unit and as published.
+_Facets = tuple[str, tuple[str, ...], "tuple[float, float] | None"]
+
+
+def _facets(raw_value: str) -> _Facets:
+    """Normalize, tokenize and parse ``raw_value`` once."""
+    normalized = normalize_value(raw_value)
+    measurement = parse_measurement(normalized.replace(",", "."))
+    magnitudes = None
+    if measurement is not None:
+        magnitudes = (measurement.in_base_unit().value, measurement.value)
+    return normalized, word_token_tuple(normalized), magnitudes
 
 
 def profile_attributes(
@@ -131,9 +149,14 @@ def profile_attributes(
     """Build profiles for every (source, attribute) in ``dataset``.
 
     ``sources`` optionally restricts profiling to a subset of sources.
+    Each distinct raw value is normalized, tokenized and parsed once
+    per call (redundant sources publish the same values many times);
+    every occurrence is then folded in, in corpus order, so each
+    profile equals one :meth:`AttributeProfile.observe` per occurrence.
     """
     keep = set(sources) if sources is not None else None
     profiles: dict[SourceAttribute, AttributeProfile] = {}
+    facets_of: dict[str, _Facets] = {}
     for source in dataset.sources:
         if keep is not None and source.source_id not in keep:
             continue
@@ -150,5 +173,8 @@ def profile_attributes(
                         name_tokens=tuple(word_tokens(normalized)),
                     )
                     profiles[key] = profile
-                profile.observe(value)
+                facets = facets_of.get(value)
+                if facets is None:
+                    facets = facets_of[value] = _facets(value)
+                profile._fold(facets)
     return profiles

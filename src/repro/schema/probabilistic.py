@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -64,7 +65,7 @@ class ProbabilisticMediatedSchema:
             raise ConfigurationError(
                 "a probabilistic schema needs at least one candidate"
             )
-        total = sum(c.probability for c in candidates)
+        total = math.fsum(c.probability for c in candidates)
         if total <= 0:
             raise ConfigurationError("candidate probabilities must sum > 0")
         self._candidates = tuple(

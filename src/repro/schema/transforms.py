@@ -11,6 +11,7 @@ and snaps it to the known unit-conversion table when one fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.errors import EmptyInputError
@@ -70,7 +71,7 @@ def _trimmed_mean(values: list[float], trim: float = 0.1) -> float:
     ordered = sorted(values)
     cut = int(len(ordered) * trim)
     kept = ordered[cut : len(ordered) - cut] or ordered
-    return sum(kept) / len(kept)
+    return math.fsum(kept) / len(kept)
 
 
 def discover_scale_transform(

@@ -30,8 +30,10 @@ __all__ = [
 #: Hard bound on the value-normalization memo cache. Long-running
 #: corpora stream unboundedly many distinct values; an unbounded cache
 #: would grow with them, so the memo is explicitly capped (LRU). It is
-#: process-wide and so in no run's report: schema profiling, token
-#: blocking and :func:`canonical_value` re-normalize the same values.
+#: process-wide and so in no run's report. Schema profiling and the
+#: pipeline's claims normalize each distinct value once per call by
+#: themselves; the repeat callers it still serves are the blockers' keys
+#: and the comparator's value preparation.
 NORMALIZE_CACHE_MAXSIZE = 16384
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")

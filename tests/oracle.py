@@ -27,7 +27,12 @@ attribute table, the staged scorer as it was before decisions were
 planned per field-presence mask, the incremental linker that gathers
 every key's bucket and compares every candidate, and the per-pair
 ``resolve`` every way of running it is held to
-(``tests/test_lattice.py``).
+(``tests/test_lattice.py``); the identifier merge as the closure of
+every within-cluster pair of both clusterings.
+
+Schema — profiling as one normalize, tokenize and parse per value
+occurrence, and record translation as one mediated-attribute lookup per
+record attribute.
 """
 
 import contextlib
@@ -56,6 +61,14 @@ from repro.linkage.comparison import (
     ComparisonVector,
     PreparedRecord,
     similarity_spec,
+)
+from repro.quality import clusters_to_pairs
+from repro.schema import AttributeProfile
+from repro.text import (
+    normalize_attribute_name,
+    normalize_value,
+    parse_measurement,
+    word_tokens,
 )
 
 # --- fusion: the claim walk -------------------------------------------
@@ -522,3 +535,61 @@ def reference_resolve(
         "merge-center": lambda: merge_center_clustering(edges, ids),
     }[clustering]()
     return LinkageResult(clusters, matches, len(pairs), edges)
+
+
+def reference_merge_partitions(partitions, ids):
+    """Identifier linkage's merge as the pipeline first ran it: every
+    within-cluster pair of every partition, closed transitively."""
+    pairs = set()
+    for partition in partitions:
+        pairs |= clusters_to_pairs(partition)
+    return connected_components(pairs, ids)
+
+
+# --- schema -------------------------------------------------------------
+
+
+def reference_observe(profile, raw_value):
+    """``AttributeProfile.observe`` as one pass over one occurrence."""
+    profile.n_records += 1
+    normalized = normalize_value(raw_value)
+    profile.values[normalized] += 1
+    profile.value_tokens.update(word_tokens(normalized))
+    measurement = parse_measurement(normalized.replace(",", "."))
+    if measurement is not None:
+        profile.numeric_values.append(measurement.in_base_unit().value)
+        profile.raw_numeric_values.append(measurement.value)
+
+
+def reference_profile_attributes(dataset):
+    """``profile_attributes``: one observation per value occurrence, in
+    source, record and attribute order."""
+    profiles = {}
+    for source in dataset.sources:
+        for record in source:
+            for attribute, value in record.attributes.items():
+                key = (source.source_id, attribute)
+                if key not in profiles:
+                    normalized = normalize_attribute_name(attribute)
+                    profiles[key] = AttributeProfile(
+                        source_id=source.source_id,
+                        attribute=attribute,
+                        normalized_name=normalized,
+                        name_tokens=tuple(word_tokens(normalized)),
+                    )
+                reference_observe(profiles[key], value)
+    return profiles
+
+
+def reference_translate(schema, record):
+    """``MediatedSchema.translate`` with one lookup per attribute: the
+    mediated name, else the normalized source name; first one wins."""
+    translated = {}
+    for attribute, value in record.attributes.items():
+        mediated = schema.mediated_for(record.source_id, attribute)
+        if mediated is not None:
+            key = mediated.name
+        else:
+            key = normalize_attribute_name(attribute)
+        translated.setdefault(key, value)
+    return translated

@@ -1,10 +1,24 @@
 """Tests for the end-to-end BDI pipeline and corpus builder."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import BDIPipeline, FourVKnobs, PipelineConfig, build_corpus
 from repro.core import ConfigurationError
-from repro.synth import CopierConfig, add_copier_sources, scaled
+from repro.core.pipeline import _merge_partitions
+from repro.synth import (
+    CopierConfig,
+    CorpusConfig,
+    WorldConfig,
+    add_copier_sources,
+    generate_dataset,
+    generate_world,
+    scaled,
+)
+from tests.oracle import reference_merge_partitions
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +252,103 @@ class TestProfilesOncePerRun:
         resumed = pipeline.run(corpus.dataset, checkpoint=tmp_path)
         assert len(profiled) == 1  # every stage replayed: nothing asks
         assert resumed.entity_table == first.entity_table
+
+
+@st.composite
+def partitions(draw, ids):
+    """A partition of a random subset of ``ids`` plus ids of its own."""
+    members = draw(st.lists(st.sampled_from(ids), unique=True))
+    members += [f"x{i}" for i in range(draw(st.integers(0, 3)))]
+    labels = [draw(st.integers(0, 4)) for __ in members]
+    return [
+        [m for m, label in zip(members, labels) if label == cluster]
+        for cluster in sorted(set(labels))
+    ]
+
+
+class TestIdentifierMergeIsAUnion:
+    """Identifier clusters join the similarity clusters member by
+    member; the result is the closure of every within-cluster pair."""
+
+    IDS = [f"r{i}" for i in range(12)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(partitions(IDS), partitions(IDS), st.lists(st.sampled_from(IDS)))
+    def test_equals_the_pair_closure(self, left, right, ids):
+        for pair in ((left, right), (left, left), (left, [])):
+            assert _merge_partitions(pair, ids) == (
+                reference_merge_partitions(pair, ids)
+            )
+
+
+class TestEachDistinctValuePreparedOnce:
+    """One run prepares each distinct raw value once: the claims' canonical
+    form, the identifier normalization and the profile's measurement
+    parse are not repeated per occurrence."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        # batch_link's shape at a tenth of its size.
+        world = generate_world(
+            WorldConfig(
+                ("camera", "notebook"), entities_per_category=30, seed=3000
+            )
+        )
+        return generate_dataset(
+            world,
+            CorpusConfig(
+                n_sources=6, max_source_size=50, seed=3001,
+                source_size_zipf=0.5, dialect_noise=0.6, typo_rate=0.05,
+            ),
+        )
+
+    def test_work_per_distinct_value(self, dataset, monkeypatch):
+        import repro.core.pipeline
+        import repro.linkage.identifier
+        import repro.schema.attribute_stats
+
+        calls = {"canonical": Counter(), "identifier": Counter(), "parse": 0}
+        linking = []
+
+        def counting(module, name, count):
+            inner = getattr(module, name)
+
+            def wrapper(value, *args):
+                count(value)
+                return inner(value, *args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        def canonical(value):
+            calls["canonical"][value] += 1
+
+        def parsed(__):
+            calls["parse"] += 1
+
+        def normalized(value):
+            if linking:  # detection scores profiles, it links nothing
+                calls["identifier"][value] += 1
+
+        def link(*args, **kwargs):
+            linking.append(True)
+            try:
+                return link_by_identifier(*args, **kwargs)
+            finally:
+                linking.clear()
+
+        link_by_identifier = repro.core.pipeline.link_by_identifier
+        monkeypatch.setattr(repro.core.pipeline, "link_by_identifier", link)
+        counting(repro.core.pipeline, "canonical_value", canonical)
+        counting(repro.linkage.identifier, "normalize_identifier", normalized)
+        counting(repro.schema.attribute_stats, "parse_measurement", parsed)
+        BDIPipeline(PipelineConfig()).run(dataset)
+
+        raw = [
+            value
+            for record in dataset.records()
+            for value in record.attributes.values()
+        ]
+        assert len(raw) > 2 * len(set(raw))  # the corpus is redundant
+        assert 0 < calls["parse"] <= len(set(raw))
+        for counted in (calls["canonical"], calls["identifier"]):
+            assert counted and max(counted.values()) == 1

@@ -229,19 +229,22 @@ def test_one_module_decides_staleness():
     assert [name for name, text in texts.items() if private.search(text)] == []
 
 
-#: The builtin ``sum`` calls ``repro.fusion`` keeps, by module and
-#: enclosing function: each adds integers, where every order is exact.
+#: The builtin ``sum`` calls ``repro.fusion`` and ``repro.schema`` keep,
+#: by module and enclosing function: each adds integers, where every
+#: order is exact.
 INTEGER_SUMS = {
-    ("base.py", "ClaimIndex.__init__"): 1,  # n_claims
-    ("base.py", "FusionResult.accuracy_against"): 1,  # the correct count
-    ("copydetect.py", "CopyDetector._dependence"): 1,  # sum(counts)
-    ("copydetect.py", "CopyDetector.direction"): 1,  # sum(counts)
-    ("voting.py", "VotingFuser.fuse"): 1,  # the count total
+    ("fusion/base.py", "ClaimIndex.__init__"): 1,  # n_claims
+    ("fusion/base.py", "FusionResult.accuracy_against"): 1,  # correct count
+    ("fusion/copydetect.py", "CopyDetector._dependence"): 1,  # sum(counts)
+    ("fusion/copydetect.py", "CopyDetector.direction"): 1,  # sum(counts)
+    ("fusion/voting.py", "VotingFuser.fuse"): 1,  # the count total
+    ("schema/correspondence.py", "score_all_pairs"): 1,  # math.comb pairs
 }
 
 
 def _builtin_sums(path: Path) -> dict[tuple[str, str], int]:
-    """``{(module file, enclosing function): calls of builtin sum}``."""
+    """``{(package/module file, enclosing function): calls of builtin
+    sum}``."""
     calls: dict[tuple[str, str], int] = {}
 
     def visit(node, scope):
@@ -256,7 +259,7 @@ def _builtin_sums(path: Path) -> dict[tuple[str, str], int]:
                 and isinstance(child.func, ast.Name)
                 and child.func.id == "sum"
             ):
-                key = (path.name, scope)
+                key = (f"{path.parent.name}/{path.name}", scope)
                 calls[key] = calls.get(key, 0) + 1
             visit(child, inner)
 
@@ -265,13 +268,14 @@ def _builtin_sums(path: Path) -> dict[tuple[str, str], int]:
 
 
 def test_fusion_sums_are_exact():
-    """Every float sum in fusion is ``math.fsum``, whose result does not
-    depend on the order of its terms or on the Python version (builtin
-    ``sum`` compensates since 3.12, and adds in whatever order it is
-    handed). No fixed addition order may come back: no ``ordered_sum``
-    and no ``functools.reduce`` under ``repro.fusion`` or
-    ``repro.outofcore``, and builtin ``sum`` only on the integer sums
-    named in :data:`INTEGER_SUMS`."""
+    """Every float sum in fusion and schema alignment is ``math.fsum``,
+    whose result does not depend on the order of its terms or on the
+    Python version (builtin ``sum`` compensates since 3.12, and adds in
+    whatever order it is handed). No fixed addition order may come
+    back: no ``ordered_sum`` and no ``functools.reduce`` under
+    ``repro.fusion`` or ``repro.outofcore``, and builtin ``sum`` under
+    ``repro.fusion`` and ``repro.schema`` only on the integer sums named
+    in :data:`INTEGER_SUMS`."""
     source = ROOT / "src" / "repro"
     ordered = {"ordered_sum", "reduce"}
     for package in ("fusion", "outofcore"):
@@ -285,8 +289,9 @@ def test_fusion_sums_are_exact():
             }
             assert not named & ordered, path.relative_to(source)
     sums: dict[tuple[str, str], int] = {}
-    for path in sorted((source / "fusion").glob("*.py")):
-        sums.update(_builtin_sums(path))
+    for package in ("fusion", "schema"):
+        for path in sorted((source / package).glob("*.py")):
+            sums.update(_builtin_sums(path))
     assert sums == INTEGER_SUMS
 
 

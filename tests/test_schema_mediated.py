@@ -1,8 +1,10 @@
 """Tests for correspondences, clustering, and mediated schemas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import ConfigurationError
+from repro.core import ConfigurationError, Dataset, Record, Source
 from repro.obs import Tracer
 from repro.schema import (
     Correspondence,
@@ -21,6 +23,7 @@ from repro.synth import (
     generate_world,
 )
 from repro.quality import attribute_cluster_quality
+from tests.oracle import reference_profile_attributes, reference_translate
 from tests.test_schema_matchers import (
     BENCHMARK_CORPORA,
     all_pairs_oracle,
@@ -105,6 +108,93 @@ class TestClustering:
         clusters = cluster_attributes_robust(edges, min_cohesion=0.5)
         sizes = sorted(len(c) for c in clusters)
         assert sizes == [3, 3]
+
+
+#: Raw values a redundant corpus repeats: case and spacing variants,
+#: decimal commas, units known and unknown, bare and signed numbers,
+#: accents, text that only looks numeric, and shared prefixes.
+RAW_VALUES = (
+    "Black", "black", " BLACK ", "5.5 in", "5,5 in", "13,97 CM", "13.97 cm",
+    "2 kg", "2000g", '15"', "42", "-3", "0", "-0", "0,5", "12 parsecs",
+    "Crème", "Café Noir", "ÉCRAN 15", "écran 15", "x-100 pro", "", "  ",
+    "2.5.1", "1,000", "4 GB", "4gb", "5.5 cm", "Black Edition", "4 GB RAM",
+)
+ATTRIBUTE_NAMES = (
+    "Color", "colour", "Screen-Size", "screen size", "Weight", "Prix",
+)
+
+
+@st.composite
+def redundant_corpora(draw):
+    """Small datasets drawing most values from :data:`RAW_VALUES`, so
+    the same raw value recurs within and across sources."""
+    values = st.one_of(
+        st.sampled_from(RAW_VALUES),
+        st.sampled_from(RAW_VALUES),
+        st.text(alphabet="0123456789,. abcéÉkgmin-", max_size=8),
+    )
+    sources = []
+    for s in range(draw(st.integers(1, 4))):
+        attributes = st.dictionaries(st.sampled_from(ATTRIBUTE_NAMES), values)
+        records = [
+            Record(f"s{s}r{r}", f"s{s}", draw(attributes))
+            for r in range(draw(st.integers(0, 6)))
+        ]
+        sources.append(Source(f"s{s}", records))
+    return Dataset(sources)
+
+
+def profile_fields(profile):
+    """Every field of a profile, in the order and bytes it holds them."""
+    return (
+        profile.source_id,
+        profile.attribute,
+        profile.normalized_name,
+        profile.name_tokens,
+        list(profile.values.items()),
+        list(profile.value_tokens),
+        profile.n_records,
+        repr(profile.numeric_values),
+        repr(profile.raw_numeric_values),
+        list(profile.features[0]),
+        repr(profile.features[1:]),
+    )
+
+
+class TestPreparedOncePerValue:
+    """Profiling and translation prepare each distinct raw value or
+    source attribute once; what they return is the per-occurrence
+    loop's, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(redundant_corpora())
+    def test_profiles_equal_one_observe_per_occurrence(self, dataset):
+        profiles = profile_attributes(dataset)
+        expected = reference_profile_attributes(dataset)
+        assert list(profiles) == list(expected)
+        for key, profile in profiles.items():
+            assert profile_fields(profile) == profile_fields(expected[key])
+
+    @settings(max_examples=60, deadline=None)
+    @given(redundant_corpora(), st.data())
+    def test_translate_equals_the_lookup_per_attribute(self, dataset, data):
+        keys = list(profile_attributes(dataset))
+        names = ("color", "weight", "screen size", "prix (2)")
+        slots = [data.draw(st.integers(-1, len(names) - 1)) for __ in keys]
+        schema = MediatedSchema(
+            [
+                MediatedAttribute(
+                    name,
+                    tuple(k for k, slot in zip(keys, slots) if slot == index),
+                )
+                for index, name in enumerate(names)
+            ]
+        )
+        for __ in range(2):  # cold, then with every key resolved
+            for record in dataset.records():
+                translated = schema.translate(record)
+                expected = reference_translate(schema, record)
+                assert list(translated.items()) == list(expected.items())
 
 
 class TestMediatedSchema:
