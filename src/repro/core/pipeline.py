@@ -530,8 +530,9 @@ class BDIPipeline:
                             spill_store.sub("claims"), budget
                         )
                         add = claims.add
-                    # One canonical form per distinct raw value: the
-                    # records it is drawn from are already resident.
+                    # One canonical form per distinct raw value, kept for
+                    # the stage. The budget does not count these forms:
+                    # one string per distinct value of ``records``.
                     canonical: dict[str, str] = {}
                     for record in records:
                         source_id = record.source_id

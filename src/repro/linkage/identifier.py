@@ -111,22 +111,18 @@ def link_by_identifier(
     Only values of detected identifier attributes participate. Values
     shared within a single source are honored too (duplicate listings
     exist). ``min_cluster_sources`` can require identifier clusters to
-    span several sources before they are trusted. Each distinct value
-    is normalized once per call.
+    span several sources before they are trusted.
     """
     identifier_attributes = {
         (detection.source_id, detection.attribute)
         for detection in detections
     }
-    normalized_of: dict[str, str] = {}
     by_value: dict[str, list[Record]] = {}
     for record in records:
         for attribute, value in record.attributes.items():
             if (record.source_id, attribute) not in identifier_attributes:
                 continue
-            normalized = normalized_of.get(value)
-            if normalized is None:
-                normalized = normalized_of[value] = normalize_identifier(value)
+            normalized = normalize_identifier(value)
             if len(normalized) < 4:
                 continue
             by_value.setdefault(normalized, []).append(record)

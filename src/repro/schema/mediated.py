@@ -50,8 +50,6 @@ class MediatedSchema:
     def __init__(self, attributes: Sequence[MediatedAttribute]) -> None:
         self._attributes = tuple(attributes)
         self._of_source_attribute: dict[SourceAttribute, MediatedAttribute] = {}
-        # translate's key per source attribute, filled as records ask.
-        self._key_of: dict[SourceAttribute, str] = {}
         self._by_name = {mediated.name: mediated for mediated in attributes}
         for mediated in self._attributes:
             for member in mediated.members:
@@ -101,21 +99,17 @@ class MediatedSchema:
         Attributes without a mediated assignment are kept under their
         normalized source name (pay-as-you-go: nothing is dropped).
         When several source attributes map to one mediated attribute,
-        the first (in attribute order) wins. Each source attribute's key
-        is resolved once per schema.
+        the first (in attribute order) wins.
         """
-        key_of = self._key_of
+        of_source_attribute = self._of_source_attribute
         translated: dict[str, str] = {}
         for attribute, value in record.attributes.items():
-            source_attribute = (record.source_id, attribute)
-            key = key_of.get(source_attribute)
-            if key is None:
-                mediated = self._of_source_attribute.get(source_attribute)
-                key = key_of[source_attribute] = (
-                    mediated.name
-                    if mediated is not None
-                    else normalize_attribute_name(attribute)
-                )
+            mediated = of_source_attribute.get((record.source_id, attribute))
+            key = (
+                mediated.name
+                if mediated is not None
+                else normalize_attribute_name(attribute)
+            )
             translated.setdefault(key, value)
         return translated
 

@@ -283,8 +283,8 @@ class TestIdentifierMergeIsAUnion:
 
 class TestEachDistinctValuePreparedOnce:
     """One run prepares each distinct raw value once: the claims' canonical
-    form, the identifier normalization and the profile's measurement
-    parse are not repeated per occurrence."""
+    form and the profile's measurement parse are not repeated per
+    occurrence."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -304,11 +304,9 @@ class TestEachDistinctValuePreparedOnce:
 
     def test_work_per_distinct_value(self, dataset, monkeypatch):
         import repro.core.pipeline
-        import repro.linkage.identifier
         import repro.schema.attribute_stats
 
-        calls = {"canonical": Counter(), "identifier": Counter(), "parse": 0}
-        linking = []
+        calls = {"canonical": Counter(), "parse": 0}
 
         def counting(module, name, count):
             inner = getattr(module, name)
@@ -325,21 +323,7 @@ class TestEachDistinctValuePreparedOnce:
         def parsed(__):
             calls["parse"] += 1
 
-        def normalized(value):
-            if linking:  # detection scores profiles, it links nothing
-                calls["identifier"][value] += 1
-
-        def link(*args, **kwargs):
-            linking.append(True)
-            try:
-                return link_by_identifier(*args, **kwargs)
-            finally:
-                linking.clear()
-
-        link_by_identifier = repro.core.pipeline.link_by_identifier
-        monkeypatch.setattr(repro.core.pipeline, "link_by_identifier", link)
         counting(repro.core.pipeline, "canonical_value", canonical)
-        counting(repro.linkage.identifier, "normalize_identifier", normalized)
         counting(repro.schema.attribute_stats, "parse_measurement", parsed)
         BDIPipeline(PipelineConfig()).run(dataset)
 
@@ -350,5 +334,5 @@ class TestEachDistinctValuePreparedOnce:
         ]
         assert len(raw) > 2 * len(set(raw))  # the corpus is redundant
         assert 0 < calls["parse"] <= len(set(raw))
-        for counted in (calls["canonical"], calls["identifier"]):
-            assert counted and max(counted.values()) == 1
+        assert calls["canonical"]
+        assert max(calls["canonical"].values()) == 1
