@@ -30,9 +30,9 @@ from repro.text.similarity import (
     jaro_winkler_similarity,
     levenshtein_similarity,
     measurement_similarity,
+    model_number_factor,
     monge_elkan_similarity,
     monge_elkan_tokens,
-    numeric_similarity,
     overlap_coefficient,
     product_name_similarity,
     product_name_similarity_tokens,
@@ -71,24 +71,29 @@ def _raw_attributes(record: Record) -> Mapping[str, str]:
 # (normalizing, tokenizing, parsing measurements) can be hoisted out of
 # the pair loop. Each known similarity gets a spec: a relative cost
 # rank (drives the staged early-exit evaluation order), a per-value
-# ``prepare`` producing an immutable payload, and a payload-level
+# ``prepare`` producing an immutable payload, a payload-level
 # ``similarity`` that is arithmetic-identical to the string-level
-# function. Unknown similarity callables fall back to a generic spec
-# that passes the (cached-normalized) strings straight through.
+# function, and optionally a payload-level ``bound``: a float no smaller
+# than that similarity (``None`` when it knows nothing), cheaper than
+# it. Unknown similarity callables fall back to a generic spec that
+# passes the (cached-normalized) strings straight through.
 
 
 class _SimilaritySpec(NamedTuple):
     cost: int
     prepare: Callable[[str], Any]
     similarity: Callable[[Any, Any], float]
+    bound: Callable[[Any, Any], float | None] | None = None
 
 
 #: Bound on each of a comparator's three memos (see
-#: :attr:`RecordComparator.memos`). Redundant sources re-publish the
-#: same values and tokens, so a run meets few distinct keys; the
-#: ledger's largest, ``serve_mixed``, meets 6,863 token pairs (DESIGN.md
-#: entry 2 has every workload's counts). The bound keeps what a
-#: long-lived service or a ``memory_budget`` run holds constant.
+#: :attr:`RecordComparator.memos`); the value memo holds the product
+#: name's model-number bounds beside its similarities. Redundant
+#: sources re-publish the same values and tokens, so a run meets few
+#: distinct keys; the ledger's largest, ``serve_mixed``, meets 6,863
+#: token pairs (DESIGN.md entry 2 has every workload's counts). The
+#: bound keeps what a long-lived service or a ``memory_budget`` run
+#: holds constant.
 MEMO_MAXSIZE = 8192
 
 #: Cost rank from which a registered payload similarity goes through
@@ -104,8 +109,8 @@ def _call(
     similarity: Callable[[Any, Any], float], left: Any, right: Any
 ) -> float:
     """What the value memo keeps: ``similarity(left, right)`` per
-    ordered pair. Only the library's own payload similarities, which are
-    pure, are ever memoized."""
+    ordered pair. Only the library's own payload similarities and
+    bounds, which are pure, are ever memoized."""
     return similarity(left, right)
 
 
@@ -150,7 +155,20 @@ def _measurement_payload_similarity(
         return text_similarity(text_a.lower().strip(), text_b.lower().strip())
     if base_a.unit != base_b.unit:
         return 0.0
-    return numeric_similarity(base_a.value, base_b.value, tolerance=0.05)
+    # numeric_similarity(value_a, value_b, tolerance=0.05), operation
+    # for operation (max() keeps its first argument unless the second
+    # is greater); the columnar measurement kernel mirrors the same.
+    value_a = base_a.value
+    value_b = base_b.value
+    if value_a == value_b:
+        return 1.0
+    scale_a = abs(value_a)
+    scale_b = abs(value_b)
+    scale = scale_b if scale_b > scale_a else scale_a
+    if scale == 0.0:
+        return 1.0
+    similarity = 1.0 - abs(value_a - value_b) / scale / 0.05
+    return similarity if similarity > 0.0 else 0.0
 
 
 def _prepare_product_name(value: str) -> tuple[tuple[str, ...], frozenset[str]]:
@@ -168,6 +186,16 @@ def _product_name_payload_similarity(
     b: tuple[tuple[str, ...], frozenset[str]],
 ) -> float:
     return product_name_similarity_tokens(a[0], a[1], b[0], b[1], inner)
+
+
+def _product_name_payload_bound(
+    inner: Callable[[str, str], float],
+    a: tuple[tuple[str, ...], frozenset[str]],
+    b: tuple[tuple[str, ...], frozenset[str]],
+) -> float | None:
+    """The name score's model-number factor: its Monge-Elkan base is at
+    most 1, so the score is at most this, for no token grid."""
+    return model_number_factor(a[1], b[1], inner)
 
 
 def _monge_elkan_payload_similarity(
@@ -217,6 +245,7 @@ _SIMILARITY_SPECS: dict[Callable[..., float], _SimilaritySpec] = {
         10,
         _prepare_product_name,
         partial(_product_name_payload_similarity, jaro_winkler_similarity),
+        partial(_product_name_payload_bound, jaro_winkler_similarity),
     ),
 }
 
@@ -358,8 +387,8 @@ class BoundedComparison:
 
     When the staged evaluation proved the decision before computing
     every field, ``exact`` is ``False`` and ``score`` is the bound that
-    proved it (an upper bound for rejections, a lower bound for
-    early accepts); ``vector`` is then ``None``. When every present
+    proved it (see :meth:`RecordComparator.decide` for which bound);
+    ``vector`` is then ``None``. When every present
     field was evaluated, ``score`` and ``vector`` are byte-identical to
     :meth:`RecordComparator.compare` output.
     """
@@ -385,8 +414,17 @@ class _DecisionPlan(NamedTuple):
     total: float
     #: The present fields' weight, all still to evaluate.
     present: float
-    #: ``(index, weight, similarity)`` per present field, cheap first.
-    staged: tuple[tuple[int, float, Callable[[Any, Any], float]], ...]
+    #: ``(index, weight, similarity, bound)`` per present field, cheap
+    #: first; ``bound`` is the field's memoized payload bound, or ``None``.
+    staged: tuple[
+        tuple[
+            int,
+            float,
+            Callable[[Any, Any], float],
+            Callable[[Any, Any], float | None] | None,
+        ],
+        ...,
+    ]
     #: ``(position, weight)`` per counted field in declaration order;
     #: ``position`` indexes the staged similarities, and one past them
     #: stands for ``missing_penalty``.
@@ -467,12 +505,12 @@ class RecordComparator:
 
     def _bind_memos(self) -> None:
         """Build this comparator's three memos and bind its fields'
-        payload similarities and :meth:`prepare` to them.
+        payload similarities and bounds and :meth:`prepare` to them.
 
         The payload memo keeps a raw value's prepared payload; the value
-        memo, an expensive registered similarity of two payloads (one
-        ordered pair each); the token memo, Jaro-Winkler of one
-        *unordered* token pair — it is symmetric to the last bit
+        memo, an expensive registered similarity or bound of two
+        payloads (one ordered pair each); the token memo, Jaro-Winkler
+        of one *unordered* token pair — it is symmetric to the last bit
         (DESIGN.md entry 25), so both argument orders read one entry.
         Unknown similarity callables are never memoized: their purity
         is unknown.
@@ -502,21 +540,34 @@ class RecordComparator:
                 _product_name_payload_similarity, jaro_winkler
             ),
         }
+        bounds = {
+            product_name_similarity: partial(
+                _product_name_payload_bound, jaro_winkler
+            ),
+        }
         similarities = []
+        field_bounds = []
         for field, spec in zip(self._fields, self._specs):
             similarity = spec.similarity
+            field_bound = spec.bound
             if field.similarity in _SIMILARITY_SPECS:
                 similarity = bound.get(field.similarity, similarity)
                 if spec.cost >= _VALUE_MEMO_MIN_COST:
                     similarity = partial(value, similarity)
+                if field_bound is not None:
+                    field_bound = partial(
+                        value, bounds.get(field.similarity, field_bound)
+                    )
             similarities.append(similarity)
+            field_bounds.append(field_bound)
         self._similarities = tuple(similarities)
+        self._bounds = tuple(field_bounds)
 
     def __getstate__(self) -> dict[str, Any]:
         # The memos and what is bound to them stay behind; the plan
         # table travels as its masks and is recompiled on arrival.
         state = self.__dict__.copy()
-        del state["_memos"], state["_similarities"]
+        del state["_memos"], state["_similarities"], state["_bounds"]
         state["_plans"] = list(self._plans)
         return state
 
@@ -670,11 +721,16 @@ class RecordComparator:
                 missing += field.weight * penalty
                 total += field.weight
         staged = tuple(
-            (index, self._fields[index].weight, self._similarities[index])
+            (
+                index,
+                self._fields[index].weight,
+                self._similarities[index],
+                self._bounds[index],
+            )
             for index in self._staged_order
             if mask >> index & 1
         )
-        positions = {index: k for k, (index, __, __) in enumerate(staged)}
+        positions = {index: k for k, (index, *__) in enumerate(staged)}
         declared = tuple(
             (positions.get(index, len(staged)), field.weight)
             for index, field in enumerate(self._fields)
@@ -683,7 +739,7 @@ class RecordComparator:
         veto = None
         first = staged[0] if staged else None
         if first and self._fields[first[0]].similarity is exact_similarity:
-            index, weight, __ = first
+            index, weight, *__ = first
             # The loop's first step, operation for operation, at 0.0.
             upper = (missing + weight * 0.0 + (present - weight)) / total
             veto = (index, upper)
@@ -712,6 +768,19 @@ class RecordComparator:
         ``compare(left, right).score >= threshold`` (for similarities in
         ``[0, 1]``, which the bound assumes).
 
+        A rejected pair's ``score`` is the upper bound that rejected it,
+        and ``similarities`` holds the fields evaluated before it. A
+        field with a payload bound (the product name's model-number
+        factor, :func:`~repro.text.similarity.model_number_factor`) is
+        bounded before it is scored, while no match is decided: the
+        pair is rejected when ``(weighted + weight * cap + (remaining -
+        weight)) / total`` is below ``threshold - BOUND_MARGIN``, and
+        that is its score. The cap is at least the field's similarity
+        and float products and sums are monotone, so the loop would
+        have rejected the pair at that field too: decisions, exact
+        scores and which pairs exit early are the same as without the
+        bound; only a rejected pair's bound and evaluated count differ.
+
         With ``exact_scores=True`` (the default) a pair that cannot
         lose is still evaluated fully, so every match carries its exact
         score (what clustering-by-score consumers need); only
@@ -737,8 +806,18 @@ class RecordComparator:
         accept_from = threshold + BOUND_MARGIN
         similarities: list[float] = []
         decided_match = False
-        for index, weight, similarity in staged:
-            value = similarity(payloads_left[index], payloads_right[index])
+        for index, weight, similarity, bound in staged:
+            payload_left = payloads_left[index]
+            payload_right = payloads_right[index]
+            if bound is not None and not decided_match:
+                cap = bound(payload_left, payload_right)
+                if cap is not None:
+                    upper = (
+                        weighted + weight * cap + (remaining - weight)
+                    ) / total
+                    if upper < reject_below:
+                        return False, upper, False, similarities
+            value = similarity(payload_left, payload_right)
             similarities.append(value)
             weighted += weight * value
             remaining -= weight
@@ -784,7 +863,7 @@ class RecordComparator:
         if exact:
             values: list[float | None] = [None] * len(self._fields)
             staged = self._plan(left.mask & right.mask).staged
-            for (index, __, __), value in zip(staged, similarities):
+            for (index, *__), value in zip(staged, similarities):
                 values[index] = value
             vector = ComparisonVector(
                 left_id=left.record_id,

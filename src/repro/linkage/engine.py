@@ -457,6 +457,20 @@ class _PoolRunner:
         self._pool.close()
 
 
+def _known_pairs(
+    pairs: Iterable[Sequence[str]], by_id: Mapping[str, Record]
+) -> Iterator[IdPair]:
+    """The pairs whose ids are both in ``by_id``, in order; the others
+    are dropped, as naive loops do. A caller's 2-tuple is yielded as
+    the same object, so a run scores the caller's pairs without copying
+    them; any other two-item shape (a list, a tuple subclass) becomes
+    a tuple."""
+    for pair in pairs:
+        a, b = pair
+        if a in by_id and b in by_id:
+            yield pair if type(pair) is tuple else (a, b)
+
+
 class ParallelComparisonEngine:
     """Executes pair comparisons with prepared records, early exit, and
     an optional multiprocess backend.
@@ -650,14 +664,11 @@ class ParallelComparisonEngine:
         by_id = records
         if not isinstance(records, Mapping):
             by_id = {record.record_id: record for record in records}
-        if stream:  # pairs naming unknown ids are dropped, as naive loops do
-            chunks = self._stream_chunks(
-                (a, b) for a, b in pairs if a in by_id and b in by_id
-            )
+        known = _known_pairs(pairs, by_id)
+        if stream:
+            chunks = self._stream_chunks(known)
         else:
-            chunks = self._chunks(
-                [(a, b) for a, b in pairs if a in by_id and b in by_id]
-            )
+            chunks = self._chunks(list(known))
         threshold = plain_threshold(classifier)
         columnar = self.representation == "columnar"
         Scorer = _ColumnarScorer if columnar else _DictScorer

@@ -44,7 +44,20 @@ class IdentifierDetection:
     score: float
 
 
-def _identifier_score(profile: AttributeProfile) -> float:
+def _value_shape(value: str) -> tuple[int, int, int]:
+    """One value's identifier shape facts, each 0 or 1: it carries a
+    digit; its normalized form has a plausible length (4–32); it is a
+    single token."""
+    return (
+        1 if _HAS_DIGIT.search(value) else 0,
+        1 if 4 <= len(normalize_identifier(value)) <= 32 else 0,
+        1 if len(value.split()) == 1 else 0,
+    )
+
+
+def _identifier_score(
+    profile: AttributeProfile, shapes: dict[str, tuple[int, int, int]]
+) -> float:
     """Heuristic identifier-ness of an attribute profile in [0, 1].
 
     Identifiers are near-unique within a source, carry digits, are
@@ -53,23 +66,27 @@ def _identifier_score(profile: AttributeProfile) -> float:
     digits), and have plausible lengths (4–32 characters). The signals
     multiply through uniqueness so a non-unique attribute can never
     score high. Attributes seen on very few records are not trusted.
+    ``shapes`` keeps each distinct value's :func:`_value_shape` across
+    the profiles of one detection.
     """
     if profile.n_records < 3:
         return 0.0
-    values = list(profile.values)
+    values = profile.values
     if not values:
         return 0.0
-    with_digits = sum(1 for v in values if _HAS_DIGIT.search(v))
-    digit_fraction = with_digits / len(values)
-    lengths = [len(normalize_identifier(v)) for v in values]
-    plausible = sum(1 for n in lengths if 4 <= n <= 32)
-    length_fraction = plausible / len(lengths)
-    single_token = sum(1 for v in values if len(v.split()) == 1)
-    single_token_fraction = single_token / len(values)
+    with_digits = plausible = single_token = 0
+    for value in values:
+        shape = shapes.get(value)
+        if shape is None:
+            shape = shapes[value] = _value_shape(value)
+        with_digits += shape[0]
+        plausible += shape[1]
+        single_token += shape[2]
+    n_values = len(values)
     shape = (
-        0.3 * digit_fraction
-        + 0.2 * length_fraction
-        + 0.5 * single_token_fraction
+        0.3 * (with_digits / n_values)
+        + 0.2 * (plausible / n_values)
+        + 0.5 * (single_token / n_values)
     )
     return profile.uniqueness * shape
 
@@ -82,11 +99,16 @@ def detect_identifier_attributes(
     """Detect each source's most identifier-like attributes.
 
     Returns up to ``per_source`` attributes per source scoring at least
-    ``min_score``, best first.
+    ``min_score``, best first. Each distinct value is shaped once per
+    call, however many profiles publish it.
     """
+    shapes: dict[str, tuple[int, int, int]] = {}
     by_source: dict[str, list[IdentifierDetection]] = {}
     for (source_id, attribute), profile in profiles.items():
-        score = _identifier_score(profile)
+        # The shape is at most 1, so no score exceeds the uniqueness.
+        if profile.uniqueness < min_score:
+            continue
+        score = _identifier_score(profile, shapes)
         if score >= min_score:
             by_source.setdefault(source_id, []).append(
                 IdentifierDetection(source_id, attribute, score)

@@ -36,6 +36,7 @@ __all__ = [
     "exact_similarity",
     "product_name_similarity",
     "product_name_similarity_tokens",
+    "model_number_factor",
 ]
 
 def levenshtein_distance(a: str, b: str) -> int:
@@ -359,6 +360,39 @@ def _numeric_tokens(text: str) -> set[str]:
     return _numeric_token_set(word_tokens(text))
 
 
+def model_number_factor(
+    numbers_a: frozenset[str] | set[str],
+    numbers_b: frozenset[str] | set[str],
+    inner: Callable[[str, str], float] = jaro_winkler_similarity,
+) -> float | None:
+    """The model-number factor :func:`product_name_similarity` multiplies
+    into its Monge-Elkan base: ``None`` when neither name carries a
+    number, 0.7 when one does, ``0.25 + 0.75 * overlap`` when both do.
+
+    The base is at most 1, so the factor alone bounds the name score
+    from above without the token grid (``RecordComparator.decide``
+    reads it so). Numbers soft-match when ``inner`` scores them ≥ 0.8.
+    """
+    if not numbers_a and not numbers_b:
+        return None
+    if not numbers_a or not numbers_b:
+        return 0.7
+
+    def partnered(xs, ys) -> int:
+        return sum(
+            any(inner(x, y) >= 0.8 for y in ys) for x in xs
+        )
+
+    # Counted from both sides, the smaller count kept, so the score does
+    # not depend on which name is the left argument: "123 124" finds two
+    # partners in "123", and "123" one in "123 124".
+    matched = min(
+        partnered(numbers_a, numbers_b), partnered(numbers_b, numbers_a)
+    )
+    overlap = matched / max(len(numbers_a), len(numbers_b))
+    return 0.25 + 0.75 * overlap
+
+
 def product_name_similarity_tokens(
     tokens_a: Sequence[str],
     numbers_a: frozenset[str] | set[str],
@@ -374,24 +408,8 @@ def product_name_similarity_tokens(
     ``inner`` scores one token pair, as in :func:`monge_elkan_tokens`.
     """
     base = monge_elkan_tokens(tokens_a, tokens_b, inner)
-    if not numbers_a and not numbers_b:
-        return base
-    if not numbers_a or not numbers_b:
-        return base * 0.7
-
-    def partnered(xs, ys) -> int:
-        return sum(
-            any(inner(x, y) >= 0.8 for y in ys) for x in xs
-        )
-
-    # Counted from both sides, the smaller count kept, so the score does
-    # not depend on which name is the left argument: "123 124" finds two
-    # partners in "123", and "123" one in "123 124".
-    matched = min(
-        partnered(numbers_a, numbers_b), partnered(numbers_b, numbers_a)
-    )
-    overlap = matched / max(len(numbers_a), len(numbers_b))
-    return base * (0.25 + 0.75 * overlap)
+    factor = model_number_factor(numbers_a, numbers_b, inner)
+    return base if factor is None else base * factor
 
 
 def product_name_similarity(a: str, b: str) -> float:

@@ -28,7 +28,8 @@ planned per field-presence mask, the incremental linker that gathers
 every key's bucket and compares every candidate, and the per-pair
 ``resolve`` every way of running it is held to
 (``tests/test_lattice.py``); the identifier merge as the closure of
-every within-cluster pair of both clusterings.
+every within-cluster pair of both clusterings; identifier detection as
+every profile shaping each of its values.
 
 Schema — profiling as one normalize, tokenize and parse per value
 occurrence, and record translation as one mediated-attribute lookup per
@@ -37,6 +38,7 @@ record attribute.
 
 import contextlib
 import math
+import re
 from unittest import mock
 
 from repro.fusion import (
@@ -52,7 +54,8 @@ from repro.fusion import (
 from repro.fusion.base import FusionResult
 from repro.fusion.online import vote_count
 from repro.linkage import BatchStats, IncrementalLinker, ProbeResult
-from repro.linkage import LinkageResult
+from repro.linkage import IdentifierDetection, LinkageResult
+from repro.linkage import normalize_identifier
 from repro.linkage.clustering import center_clustering, connected_components
 from repro.linkage.clustering import merge_center_clustering
 from repro.linkage.comparison import (
@@ -372,7 +375,14 @@ def reference_score_bounded(comparator, left, right, threshold, exact_scores):
     """The staged scorer as it was before decisions were planned per
     field-presence mask: a presence pass per pair, the staged loop over
     the fields, a rebuild in declaration order. Kept as the reference
-    :meth:`RecordComparator.decide` and ``score_bounded`` must equal."""
+    :meth:`RecordComparator.decide` and ``score_bounded`` must equal.
+
+    A field whose spec has a payload bound is bounded before it is
+    scored, as ``decide`` does, with the same float operations the loop
+    uses after a field scores ``cap``. A rejection there changes only
+    the rejected pair's reported bound and evaluated count, not what
+    is decided; checking it here keeps the equality tests asserting
+    every float ``decide`` returns, the rejected scores included."""
     fields = comparator.fields
     penalty = comparator.missing_penalty
     specs = [similarity_spec(field.similarity) for field in fields]
@@ -404,6 +414,17 @@ def reference_score_bounded(comparator, left, right, threshold, exact_scores):
         for index in comparator.staged_order:
             if payloads_left[index] is None or payloads_right[index] is None:
                 continue
+            bound = specs[index].bound
+            if bound is not None and not decided_match:
+                cap = bound(payloads_left[index], payloads_right[index])
+                if cap is not None:
+                    upper = (
+                        weighted
+                        + fields[index].weight * cap
+                        + (remaining - fields[index].weight)
+                    ) / total_weight
+                    if upper < threshold - BOUND_MARGIN:
+                        return bounded(False, upper)
             similarity = specs[index].similarity(
                 payloads_left[index], payloads_right[index]
             )
@@ -544,6 +565,48 @@ def reference_merge_partitions(partitions, ids):
     for partition in partitions:
         pairs |= clusters_to_pairs(partition)
     return connected_components(pairs, ids)
+
+
+def reference_identifier_score(profile):
+    """An attribute's identifier score, every value shaped afresh."""
+    if profile.n_records < 3:
+        return 0.0
+    values = list(profile.values)
+    if not values:
+        return 0.0
+    with_digits = sum(1 for v in values if re.search(r"\d", v))
+    digit_fraction = with_digits / len(values)
+    lengths = [len(normalize_identifier(v)) for v in values]
+    plausible = sum(1 for n in lengths if 4 <= n <= 32)
+    length_fraction = plausible / len(lengths)
+    single_token = sum(1 for v in values if len(v.split()) == 1)
+    single_token_fraction = single_token / len(values)
+    shape = (
+        0.3 * digit_fraction
+        + 0.2 * length_fraction
+        + 0.5 * single_token_fraction
+    )
+    return profile.uniqueness * shape
+
+
+def reference_detect_identifier_attributes(
+    profiles, min_score=0.8, per_source=1
+):
+    """``detect_identifier_attributes`` scoring every profile in full."""
+    by_source = {}
+    for (source_id, attribute), profile in profiles.items():
+        score = reference_identifier_score(profile)
+        if score >= min_score:
+            by_source.setdefault(source_id, []).append(
+                IdentifierDetection(source_id, attribute, score)
+            )
+    detections = []
+    for source_id in sorted(by_source):
+        ranked = sorted(
+            by_source[source_id], key=lambda d: (-d.score, d.attribute)
+        )
+        detections.extend(ranked[:per_source])
+    return detections
 
 
 # --- schema -------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.linkage import (
     progressive_resolution_curve,
     resolve,
 )
+from repro.linkage import engine as engine_module
 from repro.linkage.blocking import first_token_key
 from repro.linkage.comparison import BOUND_MARGIN, MEMO_MAXSIZE
 from repro.synth import (
@@ -51,6 +52,7 @@ from repro.outofcore import MemoryBudget
 from repro.recovery import RunStore
 from repro.resilience import ChunkExecutionError, ResilienceConfig
 from repro.resilience.testing import FaultInjector, crash
+from repro.text import similarity as similarity_module
 from repro.text import (
     cosine_similarity,
     exact_similarity,
@@ -465,7 +467,7 @@ class TestOneDecision:
         plan = comparator._plan(mask)
         if not plan.staged:
             return comparator.decide(left, right, threshold, exact_scores), False
-        (index, weight, similarity), *rest = plan.staged
+        (index, weight, similarity, bound), *rest = plan.staged
         calls = []
 
         def counted(one, other):
@@ -473,7 +475,7 @@ class TestOneDecision:
             return similarity(one, other)
 
         comparator._plans[mask] = plan._replace(
-            staged=((index, weight, counted), *rest)
+            staged=((index, weight, counted, bound), *rest)
         )
         try:
             result = comparator.decide(left, right, threshold, exact_scores)
@@ -764,6 +766,114 @@ class TestMemoIsInvisible:
         assert len(calls) == 6
         for name in ("jaro_winkler", "value_similarity"):
             assert comparator.memos[name].cache_info().currsize == 0
+
+
+class TestNameBound:
+    """The product name's model-number factor bounds its score before
+    the Monge-Elkan grid: a pair it rejects builds no grid, and a pair
+    it cannot reject is scored exactly as before."""
+
+    @staticmethod
+    def _counting_grids(monkeypatch):
+        grids = []
+        grid = similarity_module.monge_elkan_tokens
+
+        def counted(*args):
+            grids.append(args[:2])
+            return grid(*args)
+
+        monkeypatch.setattr(similarity_module, "monge_elkan_tokens", counted)
+        return grids
+
+    def test_disagreeing_model_numbers_build_no_grid(self, monkeypatch):
+        grids = self._counting_grids(monkeypatch)
+        comparator = default_product_comparator()
+        left = Record("a", "s1", {"name": "Canon Pro 512", "brand": "Canon"})
+        other = Record("b", "s2", {"name": "Canon Pro 3", "brand": "Canon"})
+        same = Record("c", "s2", {"name": "Cannon Pro 512", "brand": "Canon"})
+        rejected = comparator.score_bounded(left, other, 0.7)
+        # brand 1.0 at weight 1, name at most 0.25 at weight 3, of 4.
+        assert (rejected.is_match, rejected.exact) == (False, False)
+        assert rejected.score == (1.0 + 3.0 * 0.25 + 0.0) / 4.0
+        assert rejected.n_evaluated == 1
+        assert grids == []
+        assert comparator.compare(left, other).score < rejected.score
+        grids.clear()
+        matched = comparator.score_bounded(left, same, 0.7)
+        assert matched.exact and matched.is_match
+        assert matched.score.hex() == comparator.compare(
+            left, same
+        ).score.hex()
+        assert matched.vector == comparator.compare(left, same)
+        assert grids
+
+    def test_the_bound_goes_through_the_value_memo(self):
+        comparator = default_product_comparator()
+        left = comparator.prepare(
+            Record("a", "s1", {"name": "canon pro 512", "brand": "canon"})
+        )
+        right = comparator.prepare(
+            Record("b", "s2", {"name": "canon pro 3", "brand": "canon"})
+        )
+        memo = comparator.memos["value_similarity"]
+        for __ in range(3):
+            assert not comparator.decide(left, right, 0.7)[0]
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        # That entry is the bound: the name's similarity is another.
+        comparator.compare_prepared(left, right)
+        assert memo.cache_info().misses == 2
+
+
+class TestCallerPairs:
+    """The engine scores the caller's pair tuples as they are; other
+    two-item shapes and pairs naming unknown ids read as before."""
+
+    def test_shapes_and_unknown_ids_give_the_same_run(self, corpus):
+        __, by_id, pairs = corpus
+        classifier = ThresholdClassifier(0.72)
+        as_tuples = ParallelComparisonEngine(
+            default_product_comparator()
+        ).match_pairs(by_id, pairs, classifier)
+        mixed = [
+            list(pair) if k % 2 else pair for k, pair in enumerate(pairs)
+        ]
+        mixed[3:3] = [(pairs[0][0], "missing/0"), ["missing/1", pairs[1][1]]]
+        as_mixed = ParallelComparisonEngine(
+            default_product_comparator()
+        ).match_pairs(by_id, mixed, classifier)
+        assert as_mixed == as_tuples
+        assert pickle.dumps(as_mixed.scored_edges) == pickle.dumps(
+            as_tuples.scored_edges
+        )
+        vectors = ParallelComparisonEngine(
+            default_product_comparator()
+        ).compare_pairs(by_id, mixed)
+        assert vectors == [
+            default_product_comparator().compare(by_id[a], by_id[b])
+            for a, b in pairs
+        ]
+
+    def test_tuples_reach_the_scorer_as_the_same_objects(
+        self, corpus, monkeypatch
+    ):
+        __, by_id, pairs = corpus
+        seen = []
+        score = engine_module._DictScorer.score
+
+        def watched(self, chunk, threshold):
+            seen.extend(chunk)
+            return score(self, chunk, threshold)
+
+        monkeypatch.setattr(engine_module._DictScorer, "score", watched)
+        listed = [list(pair) for pair in pairs[:5]]
+        given_pairs = [*listed, *pairs[5:]]
+        ParallelComparisonEngine(default_product_comparator()).match_pairs(
+            by_id, given_pairs, ThresholdClassifier(0.72)
+        )
+        assert seen == [tuple(pair) for pair in given_pairs]
+        assert all(type(pair) is tuple for pair in seen)
+        assert all(one is other for one, other in zip(seen[5:], pairs[5:]))
 
 
 class TestProcessBackend:

@@ -22,7 +22,8 @@ from repro.linkage.blocking import first_token_key, token_set_key
 from repro.linkage.comparison import FieldComparator, RecordComparator
 from repro.linkage.projection import EntityProjection
 from repro.quality import pairwise_cluster_quality
-from repro.schema import profile_attributes
+from repro.linkage import identifier
+from repro.schema import AttributeProfile, profile_attributes
 from repro.text.similarity import jaccard_similarity
 from repro.synth import (
     CorpusConfig,
@@ -30,8 +31,19 @@ from repro.synth import (
     generate_dataset,
     generate_world,
 )
-from tests.oracle import CompareAllLinker, reference_canonical
+from tests.oracle import (
+    CompareAllLinker,
+    reference_canonical,
+    reference_detect_identifier_attributes,
+)
 from tests.procs import run_python
+
+
+#: Identifier-like and name-like values, some shared between profiles.
+_SHAPED_VALUES = (
+    "ab1234", "ab-1235", "x9", "canon pro 512", "nikon", "zz 77", "",
+    "q7 r8", "abcd", "9" * 33,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +86,66 @@ class TestDetection:
         profiles = profile_attributes(corpus)
         nothing = detect_identifier_attributes(profiles, min_score=1.01)
         assert nothing == []
+
+    @given(
+        attributes=st.lists(
+            st.tuples(
+                st.sampled_from(("s1", "s2", "s3")),
+                st.lists(st.sampled_from(_SHAPED_VALUES), max_size=6),
+                st.integers(0, 3),
+            ),
+            max_size=8,
+        ),
+        min_score=st.sampled_from((-0.5, 0.0, 0.3, 0.5, 0.8, 0.95, 1.0, 1.2)),
+        per_source=st.integers(1, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_detection_equals_the_reference(
+        self, attributes, min_score, per_source
+    ):
+        # Profiles of repeated values, with records over and under
+        # three, at thresholds around 0 and around every uniqueness.
+        profiles = {}
+        for k, (source_id, values, extra) in enumerate(attributes):
+            counts = Counter(values)
+            profiles[(source_id, f"a{k}")] = AttributeProfile(
+                source_id, f"a{k}", f"a{k}", (f"a{k}",),
+                values=counts, n_records=sum(counts.values()) + extra,
+            )
+        assert detect_identifier_attributes(
+            profiles, min_score, per_source
+        ) == reference_detect_identifier_attributes(
+            profiles, min_score, per_source
+        )
+
+    @pytest.mark.parametrize("min_score", (0.0, 0.8))
+    def test_each_distinct_value_is_normalized_once(
+        self, corpus, monkeypatch, min_score
+    ):
+        profiles = profile_attributes(corpus)
+        normalized = Counter()
+
+        def counted(value):
+            normalized[value] += 1
+            return normalize_identifier(value)
+
+        monkeypatch.setattr(identifier, "normalize_identifier", counted)
+        detections = detect_identifier_attributes(profiles, min_score)
+        assert detections == reference_detect_identifier_attributes(
+            profiles, min_score
+        )
+        shaped = {
+            value
+            for profile in profiles.values()
+            if profile.n_records >= 3
+            and profile.uniqueness >= min_score
+            for value in profile.values
+        }
+        assert set(normalized) == shaped
+        assert set(normalized.values()) == {1}
+        # Several sources publish the same values, so this is fewer
+        # calls than one per profile value.
+        assert sum(len(p.values) for p in profiles.values()) > len(shaped)
 
 
 class TestIdentifierLinkage:
