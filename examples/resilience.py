@@ -4,8 +4,8 @@ At web scale partial failure is the norm: one pathological record pair
 can crash or hang a worker and, without a recovery layer, take the
 whole linkage run down with it. This example injects exactly that
 failure deterministically — a *poison pair* that crashes every attempt
-it participates in — and shows the three :data:`FailurePolicy`
-contracts side by side:
+it participates in — and shows the three ``failure`` policies side
+by side:
 
 - ``"retry"`` — transient faults are retried with exponential backoff
   and the output is byte-identical to a fault-free run;

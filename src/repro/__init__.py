@@ -23,9 +23,9 @@ Subpackages
 -----------
 
 - :mod:`repro.core` — records, sources, datasets, ground truth, pipeline
-- :mod:`repro.text` — normalization, tokenizers, similarity toolbox
+- :mod:`repro.text` — normalization, tokenizers, similarity functions
 - :mod:`repro.synth` — synthetic worlds, sources, claims, evolution
-- :mod:`repro.io` — JSONL datasets, CSV claims, record streams
+- :mod:`repro.io` — the JSONL dataset format
 - :mod:`repro.schema` — attribute matching, mediated & probabilistic schemas
 - :mod:`repro.linkage` — blocking, meta-blocking, classifiers, clustering
 - :mod:`repro.columnar` — numpy record blocks and batch scoring kernels

@@ -3,8 +3,8 @@
 The third engine layer (after prepared records and staged early exit):
 :func:`build_block` packs a comparator's records into per-field
 contiguous numpy columns once, and the batch kernels
-(:func:`score_block`, :func:`match_block`) score whole pair sets per
-call — numpy set-intersection/Jaccard/dice/overlap/exact/numeric
+(:func:`score_positions`, :func:`match_positions`) score whole pair
+sets per call — numpy set-intersection/Jaccard/dice/overlap/exact/numeric
 kernels plus a vectorized early-exit mask, with the scalar similarity
 path reserved for the residual pairs that survive it. Output is
 bit-identical to the scalar engine; select it end to end with
@@ -21,9 +21,7 @@ _lazy.export(
     {
         "block": "ColumnarBlock build_block column_kind",
         "kernels": (
-            "match_block match_id_pairs match_positions score_block "
-            "score_id_pairs score_positions"
+            "match_id_pairs match_positions score_id_pairs score_positions"
         ),
-        "serialize": "block_from_bytes block_to_bytes",
     },
 )

@@ -25,9 +25,8 @@ representations cannot disagree about what a field's comparison input
 is; the batch kernels in :mod:`repro.columnar.kernels` then reproduce
 the scalar arithmetic bit for bit.
 
-A block is immutable once built, picklable (see
-:mod:`repro.columnar.serialize`), and carries a deterministic
-``nbytes`` estimate compatible with
+A block is immutable once built, picklable, and carries a
+deterministic ``nbytes`` estimate compatible with
 :class:`repro.outofcore.MemoryBudget` accounting.
 """
 

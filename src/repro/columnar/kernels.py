@@ -31,7 +31,7 @@ and comparison vector is **bit-identical** to the scalar engine.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,10 +43,8 @@ from repro.columnar.block import (
 from repro.linkage.comparison import BOUND_MARGIN, ComparisonVector
 
 __all__ = [
-    "match_block",
     "match_id_pairs",
     "match_positions",
-    "score_block",
     "score_id_pairs",
     "score_positions",
 ]
@@ -633,49 +631,3 @@ def score_id_pairs(
     left, right = _position_pairs(block, pairs)
     return score_positions(block, left, right)
 
-
-def _cross_positions(
-    block: ColumnarBlock,
-    left_ids: Iterable[str] | None,
-    right_ids: Iterable[str] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    every = np.arange(len(block), dtype=np.int64)
-    rows_l = every if left_ids is None else block.positions(left_ids)
-    rows_r = every if right_ids is None else block.positions(right_ids)
-    return (
-        np.repeat(rows_l, rows_r.shape[0]),
-        np.tile(rows_r, rows_l.shape[0]),
-    )
-
-
-def match_block(
-    block: ColumnarBlock,
-    threshold: float,
-    left_ids: Iterable[str] | None = None,
-    right_ids: Iterable[str] | None = None,
-) -> tuple[list[tuple[str, str, float]], int]:
-    """Match the ``left_ids`` × ``right_ids`` cross product.
-
-    Defaults compare the whole block against itself (including self
-    pairs — pass explicit id lists to restrict). One candidate against
-    the block is ``match_block(block, t, left_ids=[candidate_id])``.
-    Returns ``(matches, n_early)`` in row-major pair order.
-    """
-    left, right = _cross_positions(block, left_ids, right_ids)
-    matches, n_early, __ = match_positions(block, left, right, threshold)
-    return matches, n_early
-
-
-def score_block(
-    block: ColumnarBlock,
-    left_ids: Iterable[str] | None = None,
-    right_ids: Iterable[str] | None = None,
-) -> list[ComparisonVector]:
-    """Comparison vectors for the ``left_ids`` × ``right_ids`` product.
-
-    Defaults to block × block; one candidate against the block is
-    ``score_block(block, left_ids=[candidate_id])``.
-    """
-    left, right = _cross_positions(block, left_ids, right_ids)
-    vectors, __ = score_positions(block, left, right)
-    return vectors

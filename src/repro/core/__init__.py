@@ -7,9 +7,9 @@ _lazy.export(
     {
         "dataset": "Dataset",
         "errors": (
-            "ConfigurationError ConvergenceError DataModelError "
-            "EmptyInputError GroundTruthError ReproError "
-            "UnknownRecordError UnknownSourceError"
+            "ConfigurationError DataModelError EmptyInputError "
+            "GroundTruthError ReproError UnknownRecordError "
+            "UnknownSourceError"
         ),
         "ground_truth": "GroundTruth",
         "record": "Record",

@@ -71,16 +71,5 @@ class GroundTruthError(ReproError):
     """Ground truth is missing or inconsistent with the dataset."""
 
 
-class ConvergenceError(ReproError):
-    """An iterative algorithm failed to converge within its iteration cap."""
-
-    def __init__(self, algorithm: str, iterations: int) -> None:
-        super().__init__(
-            f"{algorithm} did not converge within {iterations} iterations"
-        )
-        self.algorithm = algorithm
-        self.iterations = iterations
-
-
 class EmptyInputError(ReproError):
     """An operation that requires data was invoked on an empty input."""

@@ -1,12 +1,10 @@
-"""Persistence: JSONL datasets, CSV claim/truth files, record streams."""
+"""Persistence: the JSONL dataset format."""
 
 from repro import _lazy
 
 _lazy.export(
     globals(),
     {
-        "claims_csv": "load_claims load_truth save_claims save_truth",
         "jsonl": "load_dataset save_dataset",
-        "stream": "GeneratorRecordStream RecordStream",
     },
 )

@@ -9,6 +9,9 @@ A dataset round-trips through two files:
 
 The format is deliberately boring: greppable, diffable, loadable from
 any language — what you want when handing a corpus to another tool.
+It is line-oriented, so :class:`repro.outofcore.IndexedRecordStore`
+(random access by record id) and the serve layer's entity store read
+the records file one line at a time through :func:`record_from_row`.
 """
 
 from __future__ import annotations
@@ -22,9 +25,19 @@ from repro.core.ground_truth import GroundTruth
 from repro.core.record import Record
 from repro.core.source import Source
 
-__all__ = ["save_dataset", "load_dataset"]
+__all__ = ["save_dataset", "load_dataset", "record_from_row"]
 
 _FORMAT_VERSION = 1
+
+
+def record_from_row(row: dict) -> Record:
+    """Build a :class:`Record` from one parsed ``records.jsonl`` row."""
+    return Record(
+        record_id=row["record_id"],
+        source_id=row["source_id"],
+        attributes=row["attributes"],
+        timestamp=row.get("timestamp"),
+    )
 
 
 def _paths(stem: str | Path) -> tuple[Path, Path]:
@@ -129,14 +142,7 @@ def load_dataset(stem: str | Path) -> Dataset:
             if source is None:
                 source = Source(row["source_id"])
                 sources[row["source_id"]] = source
-            source.add(
-                Record(
-                    record_id=row["record_id"],
-                    source_id=row["source_id"],
-                    attributes=row["attributes"],
-                    timestamp=row.get("timestamp"),
-                )
-            )
+            source.add(record_from_row(row))
 
     truth = None
     truth_meta = meta.get("ground_truth")

@@ -24,9 +24,7 @@ _lazy.export(
             "BoundedComparison ComparisonVector FieldComparator "
             "PreparedRecord RecordComparator default_product_comparator"
         ),
-        "engine": (
-            "EngineRun ParallelComparisonEngine Representation prepare_records"
-        ),
+        "engine": "EngineRun ParallelComparisonEngine Representation",
         "identifier": (
             "IdentifierDetection detect_identifier_attributes "
             "link_by_identifier normalize_identifier"

@@ -10,8 +10,8 @@ _lazy.export(
         "canopy": "CanopyBlocker",
         "composite": "CompositeBlocker",
         "keys": (
-            "NAME_ALIASES attribute_key compound_key first_token_key "
-            "normalized_attribute_key prefix_key soundex_key token_set_key"
+            "NAME_ALIASES first_token_key normalized_attribute_key "
+            "soundex_key token_set_key"
         ),
         "lsh": "MinHashBlocker",
         "qgram": "QGramBlocker",

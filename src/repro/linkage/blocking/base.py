@@ -156,8 +156,7 @@ class Blocker:
     def stream_blocks(self, records: Iterable[Record], spill) -> Iterator[Block]:
         """Stream blocks with bounded resident memory.
 
-        ``records`` is any (re-)iterable of records — a list or a
-        :class:`repro.io.RecordStream` — consumed in one pass;
+        ``records`` is any iterable of records, consumed in one pass;
         ``spill`` is a :class:`repro.outofcore.SpillSession` carrying
         the spill store and memory budget. Blockers with an
         out-of-core path override this and must yield **exactly** the

@@ -1,12 +1,11 @@
 """Reusable blocking-key functions.
 
-Key functions are tiny and composable; these cover the standard
-constructions: exact attribute value, normalized value, first/last
-tokens, value prefixes, and Soundex codes. Every factory accepts
-``aliases`` — fallback attribute names tried when the primary one is
-absent — because heterogeneous sources rarely agree on attribute
-naming (the record's title may be ``name``, ``title``, or ``model``
-depending on the source).
+Key functions are tiny; these cover the standard constructions:
+normalized value, first token, every token, and Soundex code. Every
+factory accepts ``aliases`` — fallback attribute names tried when the
+primary one is absent — because heterogeneous sources rarely agree on
+attribute naming (the record's title may be ``name``, ``title``, or
+``model`` depending on the source).
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ from repro.text.tokens import word_tokens
 
 __all__ = [
     "NAME_ALIASES",
-    "attribute_key",
     "normalized_attribute_key",
     "first_token_key",
-    "prefix_key",
     "soundex_key",
     "token_set_key",
-    "compound_key",
 ]
 
 #: The title-like attribute dialects of the built-in vocabularies.
@@ -47,17 +43,6 @@ def _lookup(
         if value is not None:
             return value
     return None
-
-
-def attribute_key(
-    attribute: str, aliases: Sequence[str] = ()
-) -> KeyFunction:
-    """Raw value of ``attribute`` (or the first present alias)."""
-
-    def key(record: Record) -> str | None:
-        return _lookup(record, attribute, aliases)
-
-    return key
 
 
 def normalized_attribute_key(
@@ -83,21 +68,6 @@ def first_token_key(
             return None
         tokens = word_tokens(value)
         return tokens[0] if tokens else None
-
-    return key
-
-
-def prefix_key(
-    attribute: str, length: int = 4, aliases: Sequence[str] = ()
-) -> KeyFunction:
-    """First ``length`` characters of the normalized value."""
-
-    def key(record: Record) -> str | None:
-        value = _lookup(record, attribute, aliases)
-        if value is None:
-            return None
-        normalized = normalize_value(value)
-        return normalized[:length] if normalized else None
 
     return key
 
@@ -130,17 +100,3 @@ def token_set_key(
 
     return key
 
-
-def compound_key(*functions: KeyFunction, separator: str = "|") -> KeyFunction:
-    """Concatenate several single-valued keys; None anywhere → no key."""
-
-    def key(record: Record) -> str | None:
-        parts: list[str] = []
-        for function in functions:
-            value = function(record)
-            if value is None or not isinstance(value, str) or not value:
-                return None
-            parts.append(value)
-        return separator.join(parts)
-
-    return key

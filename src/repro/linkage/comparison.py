@@ -254,21 +254,16 @@ _SIMILARITY_SPECS: dict[Callable[..., float], _SimilaritySpec] = {
 _UNKNOWN_COST = 8
 
 
-def _spec_for(similarity: Callable[..., float]) -> _SimilaritySpec:
+def similarity_spec(similarity: Callable[..., float]) -> _SimilaritySpec:
+    """The ``(cost, prepare, similarity)`` spec for a similarity callable.
+
+    Its ``similarity`` is the plain payload similarity; a comparator's
+    own, through its memos, are :attr:`RecordComparator.similarities`.
+    """
     spec = _SIMILARITY_SPECS.get(similarity)
     if spec is not None:
         return spec
     return _SimilaritySpec(_UNKNOWN_COST, _identity_payload, similarity)
-
-
-def similarity_spec(similarity: Callable[..., float]) -> _SimilaritySpec:
-    """The ``(cost, prepare, similarity)`` spec for a similarity callable.
-
-    Public accessor for consumers outside the pair loop. Its
-    ``similarity`` is the plain payload similarity; a comparator's own,
-    through its memos, are :attr:`RecordComparator.similarities`.
-    """
-    return _spec_for(similarity)
 
 
 @dataclass(frozen=True)
@@ -336,7 +331,7 @@ class FieldComparator:
     @property
     def cost(self) -> int:
         """Relative cost rank of this field's similarity (cheap → expensive)."""
-        return _spec_for(self.similarity).cost
+        return similarity_spec(self.similarity).cost
 
     def prepare(self, attributes: Mapping[str, str]) -> Any | None:
         """Hoist this field's per-value work out of the pair loop.
@@ -348,7 +343,7 @@ class FieldComparator:
         if value is None:
             return None
         return _prepare_value(
-            _spec_for(self.similarity).prepare, self.normalize, value
+            similarity_spec(self.similarity).prepare, self.normalize, value
         )
 
     def compare_payloads(self, left: Any | None, right: Any | None) -> float | None:
@@ -359,7 +354,7 @@ class FieldComparator:
         """
         if left is None or right is None:
             return None
-        return _spec_for(self.similarity).similarity(left, right)
+        return similarity_spec(self.similarity).similarity(left, right)
 
 
 @dataclass(frozen=True)
@@ -472,7 +467,9 @@ class RecordComparator:
         self._fields = tuple(fields)
         self._translate = translate or _raw_attributes
         self._missing_penalty = missing_penalty
-        self._specs = tuple(_spec_for(field.similarity) for field in self._fields)
+        self._specs = tuple(
+            similarity_spec(field.similarity) for field in self._fields
+        )
         # Field indices cheap-to-expensive: the staged evaluation order
         # of decide (ties broken by declaration order).
         self._staged_order = tuple(

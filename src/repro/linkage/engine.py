@@ -59,7 +59,6 @@ __all__ = [
     "EngineRun",
     "ParallelComparisonEngine",
     "PreparedRecord",
-    "prepare_records",
 ]
 
 #: ``"sharded"`` is accepted by :func:`repro.linkage.resolve` (which
@@ -74,15 +73,6 @@ IdPair = tuple[str, str]
 # config — one attempt, no retries, abort on the first failure with a
 # ChunkExecutionError naming the chunk.
 _CHECKPOINT_PASSTHROUGH = ResilienceConfig(failure="fail")
-
-
-def prepare_records(
-    comparator: RecordComparator, records: Iterable[Record]
-) -> dict[str, PreparedRecord]:
-    """Prepare every record once, keyed by record id."""
-    return {
-        record.record_id: comparator.prepare(record) for record in records
-    }
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from repro.core.errors import DataModelError
 from repro.core.record import Record
-from repro.io.stream import record_from_row
+from repro.io.jsonl import record_from_row
 from repro.outofcore.budget import MemoryBudget, record_nbytes
 
 __all__ = ["IndexedRecordStore"]

@@ -12,8 +12,8 @@ _lazy.export(
         ),
         "corpus_stats": "AttributeTailStatistics attribute_tail_statistics",
         "fusion": (
-            "CopyDetectionQuality accuracy_estimation_error "
-            "copy_detection_quality estimation_rmse fusion_accuracy"
+            "CopyDetectionQuality copy_detection_quality estimation_rmse "
+            "fusion_accuracy"
         ),
         "matching": "PairQuality as_pair_set pair_quality",
         "report": "format_cell render_kv render_table",

@@ -10,7 +10,6 @@ from repro.fusion.base import FusionResult
 
 __all__ = [
     "fusion_accuracy",
-    "accuracy_estimation_error",
     "estimation_rmse",
     "CopyDetectionQuality",
     "copy_detection_quality",
@@ -41,13 +40,6 @@ def estimation_rmse(
         (estimates[source] - planted[source]) ** 2 for source in shared
     )
     return math.sqrt(squared / len(shared))
-
-
-def accuracy_estimation_error(
-    result: FusionResult, planted: Mapping[str, float]
-) -> float:
-    """RMSE between a fusion result's estimates and planted accuracies."""
-    return estimation_rmse(result.source_accuracy, planted)
 
 
 @dataclass(frozen=True)

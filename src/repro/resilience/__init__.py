@@ -6,8 +6,8 @@ the stack degrade gracefully instead of aborting:
 
 - :class:`RetryPolicy` — exponential backoff with a cap and
   deterministic jitter, timed through an injectable clock/sleep.
-- :data:`FailurePolicy` — ``"fail"`` (abort fast), ``"retry"`` (retry,
-  bisect, then raise on the isolated poison item), ``"skip"``
+- ``ResilienceConfig.failure`` — ``"fail"`` (abort fast), ``"retry"``
+  (retry, bisect, then raise on the isolated poison item), ``"skip"``
   (quarantine and complete with partial results).
 - :class:`ResilienceConfig` — the one object threaded through
   :class:`~repro.linkage.engine.ParallelComparisonEngine`,
@@ -37,9 +37,9 @@ _lazy.export(
         "executor": "ResilientChunkExecutor ResilientOutcome",
         "policy": (
             "ChunkExecutionError ChunkResultInvalid ChunkTimeoutError "
-            "DeadlineExceededError FailurePolicy InjectedCrash "
-            "InjectedHang InjectedWorkerDeath PoisonPairError "
-            "ResilienceConfig ResilienceError RetryPolicy"
+            "DeadlineExceededError InjectedCrash InjectedHang "
+            "InjectedWorkerDeath PoisonPairError ResilienceConfig "
+            "ResilienceError RetryPolicy"
         ),
         "workers": "WorkerDied WorkerPool",
     },

@@ -1,6 +1,6 @@
 """The dead-letter log: quarantined work, preserved not lost.
 
-Under ``FailurePolicy="skip"`` a unit of work that keeps failing after
+Under ``failure="skip"`` a unit of work that keeps failing after
 retries and bisection is *quarantined*: pulled out of the run and
 appended here with everything needed to triage it later — which chunk,
 what kind of failure, how many attempts, the offending items, and when.

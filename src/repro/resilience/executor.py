@@ -17,8 +17,8 @@ guarantees:
    and each half gets a fresh attempt budget, recursively, isolating
    the *poison item* from its innocent neighbours in O(log n) rounds.
 3. **Graceful degradation** — what happens to the isolated failure is
-   the :data:`~repro.resilience.policy.FailurePolicy`'s call: ``"fail"``
-   aborts on first failure, ``"retry"`` raises
+   :attr:`~repro.resilience.policy.ResilienceConfig.failure`'s call:
+   ``"fail"`` aborts on first failure, ``"retry"`` raises
    :class:`~repro.resilience.policy.PoisonPairError` after exhaustion,
    ``"skip"`` quarantines into the
    :class:`~repro.resilience.deadletter.DeadLetterLog` and the run

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 from repro.core.errors import ConfigurationError, ReproError, reduce_by_state
 
@@ -27,7 +27,6 @@ __all__ = [
     "ChunkResultInvalid",
     "ChunkTimeoutError",
     "DeadlineExceededError",
-    "FailurePolicy",
     "InjectedCrash",
     "InjectedHang",
     "InjectedWorkerDeath",
@@ -37,7 +36,8 @@ __all__ = [
     "RetryPolicy",
 ]
 
-#: What to do with a unit of work that keeps failing.
+#: What to do with a unit of work that keeps failing
+#: (:attr:`ResilienceConfig.failure`).
 #:
 #: - ``"fail"``  — abort on the *first* failure, no retries (fail fast).
 #: - ``"retry"`` — retry with backoff, bisect repeated failures down to
@@ -45,8 +45,6 @@ __all__ = [
 #: - ``"skip"``  — like ``"retry"``, but quarantine persistent failures
 #:   into a :class:`~repro.resilience.deadletter.DeadLetterLog` and
 #:   complete the run with partial results.
-FailurePolicy = Literal["fail", "retry", "skip"]
-
 FAILURE_POLICIES: tuple[str, ...] = ("fail", "retry", "skip")
 
 
@@ -85,7 +83,7 @@ class ChunkExecutionError(ResilienceError):
 class PoisonPairError(ChunkExecutionError):
     """Bisection isolated a single item that fails every attempt.
 
-    Raised under ``FailurePolicy="retry"``; under ``"skip"`` the same
+    Raised under ``failure="retry"``; under ``"skip"`` the same
     item is quarantined instead.
     """
 

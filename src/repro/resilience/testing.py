@@ -41,6 +41,9 @@ Fault kinds
   shard's first two incarnations and lets the third run clean, which
   is how repeated-crash-then-recover timelines stay deterministic.
 
+:func:`crash`, :func:`kill` and :func:`flap` build the rules of their
+kind; any kind is ``FaultSpec(kind, ...)``.
+
 Targeting composes: ``chunk`` matches the top-level chunk index,
 ``item`` matches any chunk *containing* that item (which is how a
 poison pair keeps failing through bisection until it is isolated),
@@ -89,10 +92,7 @@ __all__ = [
     "KILL_EXIT_CODE",
     "crash",
     "flap",
-    "garbage",
-    "hang",
     "kill",
-    "slow",
 ]
 
 FAULT_KINDS: tuple[str, ...] = (
@@ -189,21 +189,6 @@ def crash(
     )
 
 
-def hang(
-    chunk: int | None = None,
-    item: object | None = None,
-    attempts=None,
-    max_fires: int | None = None,
-    shard: int | None = None,
-    incarnations=None,
-) -> FaultSpec:
-    """A hang rule: the attempt burns its full timeout, then fails."""
-    return FaultSpec(
-        "hang", chunk, item, attempts, max_fires,
-        shard=shard, incarnations=incarnations,
-    )
-
-
 def kill(
     chunk: int | None = None,
     item: object | None = None,
@@ -223,44 +208,6 @@ def kill(
     return FaultSpec(
         "kill", chunk, item, attempts, max_fires,
         shard=shard, incarnations=incarnations,
-    )
-
-
-def garbage(
-    chunk: int | None = None,
-    item: object | None = None,
-    attempts=None,
-    max_fires: int | None = None,
-    payload: object = None,
-    shard: int | None = None,
-    incarnations=None,
-) -> FaultSpec:
-    """A garbage rule: the attempt's result is replaced by ``payload``."""
-    return FaultSpec(
-        "garbage", chunk, item, attempts, max_fires, payload,
-        shard=shard, incarnations=incarnations,
-    )
-
-
-def slow(
-    chunk: int | None = None,
-    item: object | None = None,
-    attempts=None,
-    max_fires: int | None = None,
-    shard: int | None = None,
-    incarnations=None,
-    delay: float = 0.05,
-) -> FaultSpec:
-    """A latency rule: the attempt is delayed ``delay`` seconds.
-
-    The attempt still runs (and usually succeeds) after the delay — a
-    degraded worker, not a dead one. Hang detection built on heartbeat
-    *sequence numbers* keeps making progress through a slow fault;
-    detection built on wall-clock gaps would falsely kill the worker.
-    """
-    return FaultSpec(
-        "slow", chunk, item, attempts, max_fires,
-        shard=shard, incarnations=incarnations, delay=delay,
     )
 
 

@@ -18,6 +18,5 @@ _lazy.export(
             "Cell answer_with_pschema answer_with_schema "
             "answer_without_alignment cell_quality true_answer_cells"
         ),
-        "transforms": "ScaleTransform discover_scale_transform known_unit_ratios",
     },
 )

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
-from repro.io.stream import record_from_row
+from repro.io.jsonl import record_from_row
 from repro.obs import NULL_TRACER
 from repro.outofcore import IndexedRecordStore
 from repro.recovery import RunStore

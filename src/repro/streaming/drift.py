@@ -26,8 +26,7 @@ schedule for any tick without disturbing emission noise, and an
 *emission* RNG drives coverage/noise/copying. Each
 :meth:`DriftWorld.stream` call builds fresh RNGs, so every pass over
 the stream is identical — the restartability checkpoint resume relies
-on (wrap it in :class:`repro.io.GeneratorRecordStream` where a
-re-iterable is required).
+on.
 """
 
 from __future__ import annotations

@@ -519,8 +519,8 @@ class StreamingResolver:
         """Restore the last checkpoint, replaying the open window.
 
         ``records`` must be a *fresh iterator over the same
-        deterministic stream* the killed run consumed (e.g. a new pass
-        over a :class:`~repro.io.GeneratorRecordStream`). The first
+        deterministic stream* the killed run consumed (e.g. a new
+        :meth:`~repro.streaming.DriftWorld.stream` call). The first
         ``consumed`` records are taken from it: closed-window records
         and the checkpointed entities are loaded into the projection
         as saved (zero comparisons, no re-fusion), open-window records

@@ -100,13 +100,6 @@ class TumblingWindower:
         """Records dropped for arriving after their window closed."""
         return self._late_records
 
-    def pending_records(self) -> tuple[Record, ...]:
-        """Buffered records of still-open windows (checkpoint payload)."""
-        ordered: list[Record] = []
-        for index in sorted(self._pending):
-            ordered.extend(self._pending[index])
-        return tuple(ordered)
-
     def _window_of(self, timestamp: float) -> int:
         return int(timestamp // self._config.size)
 

@@ -33,11 +33,11 @@ _lazy.export(
     globals(),
     {
         "admission": "SHED_MODES AdmissionGate Overloaded OverloadPolicy",
-        "breaker": "BREAKER_STATES CircuitBreaker",
+        "breaker": "CircuitBreaker",
         "heartbeat": "HeartbeatEmitter progress_token read_heartbeat",
         "supervisor": (
-            "SUPERVISION_EVENT_KINDS SupervisionEvent "
-            "SupervisionExhaustedError SupervisionPolicy Supervisor"
+            "SupervisionEvent SupervisionExhaustedError SupervisionPolicy "
+            "Supervisor"
         ),
     },
 )

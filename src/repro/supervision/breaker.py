@@ -28,9 +28,7 @@ from repro.core.errors import ConfigurationError
 from repro.obs import NULL_TRACER
 from repro.obs.clock import SystemClock
 
-__all__ = ["BREAKER_STATES", "CircuitBreaker"]
-
-BREAKER_STATES: tuple[str, ...] = ("closed", "half_open", "open")
+__all__ = ["CircuitBreaker"]
 
 _STATE_GAUGE = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 

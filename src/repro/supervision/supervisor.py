@@ -56,21 +56,11 @@ from repro.supervision.heartbeat import (
 )
 
 __all__ = [
-    "SUPERVISION_EVENT_KINDS",
     "SupervisionEvent",
     "SupervisionExhaustedError",
     "SupervisionPolicy",
     "Supervisor",
 ]
-
-SUPERVISION_EVENT_KINDS: tuple[str, ...] = (
-    "start",
-    "death",
-    "hang",
-    "restart",
-    "recovered",
-    "exhausted",
-)
 
 
 class SupervisionExhaustedError(ReproError):
@@ -93,7 +83,8 @@ class SupervisionExhaustedError(ReproError):
 class SupervisionEvent:
     """One entry in the supervisor's decision timeline.
 
-    ``kind`` is one of :data:`SUPERVISION_EVENT_KINDS`;
+    ``kind`` is one of ``"start"``, ``"death"``, ``"hang"``,
+    ``"restart"``, ``"recovered"`` and ``"exhausted"``;
     ``incarnation`` is which launch of the shard the event concerns
     (1 = first launch, each restart increments it).
     """

@@ -14,10 +14,10 @@ _lazy.export(
         "evolution": (
             "EvolvingWorldConfig TemporalStreamConfig evolve_world "
             "generate_temporal_dataset stream_temporal_observations "
-            "stream_temporal_records stream_world_snapshots"
+            "stream_world_snapshots"
         ),
         "sources": "CorpusConfig SourceProfile generate_dataset",
-        "vocab": "AttributeSpec CategoryVocabulary builtin_catalog category",
+        "vocab": "AttributeSpec CategoryVocabulary category",
         "world": "Entity World WorldConfig generate_world",
     },
 )

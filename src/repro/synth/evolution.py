@@ -42,7 +42,6 @@ __all__ = [
     "TemporalStreamConfig",
     "generate_temporal_dataset",
     "stream_temporal_observations",
-    "stream_temporal_records",
 ]
 
 
@@ -277,15 +276,6 @@ def stream_temporal_observations(
                 )
                 yield record, entity_id
                 counter += 1
-
-
-def stream_temporal_records(
-    config: TemporalStreamConfig | None = None,
-) -> Iterator[Record]:
-    """The records of :func:`stream_temporal_observations`, unbounded."""
-    return (
-        record for record, _ in stream_temporal_observations(config)
-    )
 
 
 def generate_temporal_dataset(

@@ -21,7 +21,6 @@ from repro.core.errors import ConfigurationError
 __all__ = [
     "AttributeSpec",
     "CategoryVocabulary",
-    "builtin_catalog",
     "category",
 ]
 
@@ -489,11 +488,6 @@ _BUILTIN: dict[str, CategoryVocabulary] = {
         _TELEVISION,
     )
 }
-
-
-def builtin_catalog() -> dict[str, CategoryVocabulary]:
-    """All built-in category vocabularies, keyed by category name."""
-    return dict(_BUILTIN)
 
 
 def category(name: str) -> CategoryVocabulary:

@@ -49,7 +49,7 @@ class WorldConfig:
     ----------
     categories:
         Names of built-in categories to populate (see
-        :func:`repro.synth.vocab.builtin_catalog`).
+        :func:`repro.synth.vocab.category`).
     entities_per_category:
         How many entities each category gets.
     zipf_exponent:

@@ -12,14 +12,12 @@ _lazy.export(
         ),
         "phonetic": "soundex",
         "similarity": (
-            "cosine_similarity damerau_levenshtein_distance "
-            "dice_similarity exact_similarity jaccard_similarity "
-            "jaro_similarity jaro_winkler_similarity levenshtein_distance "
-            "levenshtein_similarity measurement_similarity "
-            "monge_elkan_similarity numeric_similarity overlap_coefficient "
-            "product_name_similarity"
+            "cosine_similarity dice_similarity exact_similarity "
+            "jaccard_similarity jaro_similarity jaro_winkler_similarity "
+            "levenshtein_distance levenshtein_similarity "
+            "measurement_similarity monge_elkan_similarity "
+            "numeric_similarity overlap_coefficient product_name_similarity"
         ),
-        "tfidf": "TfidfModel soft_tfidf_similarity",
-        "tokens": "qgrams shingles token_counts word_tokens",
+        "tokens": "qgrams word_tokens",
     },
 )

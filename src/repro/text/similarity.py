@@ -5,7 +5,7 @@ that comparators can mix them freely. Edit-distance primitives are also
 exposed raw for callers that need counts.
 
 The toolbox covers the families the record-linkage literature relies
-on: edit-based (Levenshtein, Damerau, Jaro, Jaro-Winkler), token-based
+on: edit-based (Levenshtein, Jaro, Jaro-Winkler), token-based
 (Jaccard, Dice, overlap, cosine), hybrid (Monge-Elkan), and typed
 (numeric with relative tolerance, measurements with unit conversion).
 """
@@ -21,7 +21,6 @@ from repro.text.tokens import word_tokens
 
 __all__ = [
     "levenshtein_distance",
-    "damerau_levenshtein_distance",
     "levenshtein_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",
@@ -83,39 +82,6 @@ def levenshtein_distance(a: str, b: str) -> int:
         plus = (horizontal_minus | ~(vertical | horizontal_plus)) & full
         minus = horizontal_plus & vertical
     return distance
-
-
-def damerau_levenshtein_distance(a: str, b: str) -> int:
-    """Edit distance that additionally allows adjacent transpositions."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    # Optimal string alignment variant: O(len(a) * len(b)), three rows.
-    two_ago: list[int] | None = None
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            best = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + cost,
-            )
-            if (
-                two_ago is not None
-                and i > 1
-                and j > 1
-                and ca == b[j - 2]
-                and a[i - 2] == cb
-            ):
-                best = min(best, two_ago[j - 2] + 1)
-            current.append(best)
-        two_ago, previous = previous, current
-    return previous[-1]
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -285,8 +251,8 @@ def monge_elkan_tokens(
     if not tokens_a or not tokens_b:
         return 0.0
     grid = [[inner(x, y) for y in tokens_b] for x in tokens_a]
-    forward = sum(map(max, grid)) / len(tokens_a)
-    backward = sum(map(max, zip(*grid))) / len(tokens_b)
+    forward = math.fsum(map(max, grid)) / len(tokens_a)
+    backward = math.fsum(map(max, zip(*grid))) / len(tokens_b)
     return (forward + backward) / 2.0
 
 
@@ -356,10 +322,6 @@ def _numeric_token_set(tokens: Iterable[str]) -> set[str]:
     }
 
 
-def _numeric_tokens(text: str) -> set[str]:
-    return _numeric_token_set(word_tokens(text))
-
-
 def model_number_factor(
     numbers_a: frozenset[str] | set[str],
     numbers_b: frozenset[str] | set[str],
@@ -404,7 +366,7 @@ def product_name_similarity_tokens(
 
     Identical arithmetic to :func:`product_name_similarity`; ``numbers_*``
     must be the numeric-token subsets of ``tokens_*`` (see
-    :func:`repro.linkage.engine.prepare_records`, which caches both).
+    :meth:`repro.linkage.RecordComparator.prepare`, which caches both).
     ``inner`` scores one token pair, as in :func:`monge_elkan_tokens`.
     """
     base = monge_elkan_tokens(tokens_a, tokens_b, inner)

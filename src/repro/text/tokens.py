@@ -1,26 +1,21 @@
 """Tokenizers used by blocking, schema matching, and similarity.
 
-Three token granularities cover all consumers in the library:
+Two token granularities cover all consumers in the library:
 
 * **word tokens** — for token blocking and set similarities;
-* **q-grams** — character n-grams for typo-robust blocking and matching;
-* **shingles** — word n-grams for longer text fields.
+* **q-grams** — character n-grams for typo-robust blocking and matching.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from functools import lru_cache
-from typing import Iterable
 
 __all__ = [
     "TOKEN_CACHE_MAXSIZE",
     "word_tokens",
     "word_token_tuple",
     "qgrams",
-    "shingles",
-    "token_counts",
 ]
 
 _WORD = re.compile(r"[a-z0-9]+")
@@ -67,21 +62,3 @@ def qgrams(text: str, q: int = 3, pad: bool = True) -> list[str]:
         return [lowered] if lowered else []
     return [lowered[i : i + q] for i in range(len(lowered) - q + 1)]
 
-
-def shingles(text: str, n: int = 2) -> list[str]:
-    """Word n-grams of ``text``.
-
-    >>> shingles("big data integration", n=2)
-    ['big data', 'data integration']
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    words = word_tokens(text)
-    if len(words) < n:
-        return [" ".join(words)] if words else []
-    return [" ".join(words[i : i + n]) for i in range(len(words) - n + 1)]
-
-
-def token_counts(tokens: Iterable[str]) -> Counter[str]:
-    """Multiset view of a token sequence (for cosine/TF-IDF)."""
-    return Counter(tokens)

@@ -21,13 +21,9 @@ from repro.core import ConfigurationError, Record
 from repro.core.pipeline import BDIPipeline, PipelineConfig
 from repro.columnar import (
     ColumnarBlock,
-    block_from_bytes,
-    block_to_bytes,
     build_block,
     column_kind,
-    match_block,
     match_id_pairs,
-    score_block,
     score_id_pairs,
 )
 from repro.columnar.block import (
@@ -44,7 +40,6 @@ from repro.linkage import (
     ThresholdClassifier,
     TokenBlocker,
     default_product_comparator,
-    prepare_records,
     resolve,
 )
 from repro.obs import Tracer
@@ -148,7 +143,7 @@ class TestKernelScalarEquality:
     @settings(max_examples=60, deadline=None)
     def test_score_vectors_byte_identical(self, records):
         comparator = _all_kinds_comparator()
-        prepared = prepare_records(comparator, records)
+        prepared = {r.record_id: comparator.prepare(r) for r in records}
         block = build_block(comparator, records)
         pairs = _all_pairs(records)
         vectors, __ = score_id_pairs(block, pairs)
@@ -165,7 +160,7 @@ class TestKernelScalarEquality:
     @settings(max_examples=60, deadline=None)
     def test_match_decisions_identical(self, records, threshold, penalty):
         comparator = _all_kinds_comparator(missing_penalty=penalty)
-        prepared = prepare_records(comparator, records)
+        prepared = {r.record_id: comparator.prepare(r) for r in records}
         block = build_block(comparator, records)
         pairs = _all_pairs(records)
         matches, __, stats = match_id_pairs(block, pairs, threshold)
@@ -181,18 +176,6 @@ class TestKernelScalarEquality:
             stats["columnar.pairs_vectorized"]
             + stats["columnar.pairs_residual"]
         ) == len(pairs)
-
-    @given(records=_record_batches())
-    @settings(max_examples=30, deadline=None)
-    def test_serialized_block_scores_identically(self, records):
-        comparator = _all_kinds_comparator()
-        block = build_block(comparator, records)
-        clone = block_from_bytes(block_to_bytes(block))
-        pairs = _all_pairs(records)
-        assert score_id_pairs(clone, pairs)[0] == score_id_pairs(block, pairs)[0]
-        assert match_id_pairs(clone, pairs, 0.7) == match_id_pairs(
-            block, pairs, 0.7
-        )
 
 
 class TestBlockStructure:
@@ -226,21 +209,6 @@ class TestBlockStructure:
         from repro.outofcore import columnar_block_nbytes
 
         assert columnar_block_nbytes(first) == first.nbytes
-
-    def test_sugar_apis_cover_cross_products(self):
-        records = [
-            Record("a", "s1", {"name": "canon pro 512"}),
-            Record("b", "s2", {"name": "canon pro 512"}),
-            Record("c", "s3", {"name": "nikon z50"}),
-        ]
-        comparator = default_product_comparator()
-        block = build_block(comparator, records)
-        vectors = score_block(block, left_ids=["a"])
-        assert [(v.left_id, v.right_id) for v in vectors] == [
-            ("a", "a"), ("a", "b"), ("a", "c")
-        ]
-        matches, __ = match_block(block, 0.7, left_ids=["a"], right_ids=["b"])
-        assert [(left, right) for left, right, __s in matches] == [("a", "b")]
 
     def test_unknown_record_id_raises(self):
         block = build_block(

@@ -34,7 +34,6 @@ from repro.linkage import (
     TokenBlocker,
     default_product_comparator,
     plain_threshold,
-    prepare_records,
     progressive_resolution_curve,
     resolve,
 )
@@ -92,7 +91,7 @@ class TestPreparedRecords:
     def test_prepared_vectors_byte_identical(self, corpus):
         records, by_id, pairs = corpus
         comparator = default_product_comparator()
-        prepared = prepare_records(comparator, records)
+        prepared = {r.record_id: comparator.prepare(r) for r in records}
         for left, right in pairs:
             naive = comparator.compare(by_id[left], by_id[right])
             fast = comparator.compare_prepared(prepared[left], prepared[right])
@@ -101,7 +100,7 @@ class TestPreparedRecords:
     def test_prepare_keyed_by_record_id(self, corpus):
         records, __, __ = corpus
         comparator = default_product_comparator()
-        prepared = prepare_records(comparator, records)
+        prepared = {r.record_id: comparator.prepare(r) for r in records}
         assert set(prepared) == {record.record_id for record in records}
         assert all(
             isinstance(p, PreparedRecord) for p in prepared.values()
@@ -230,7 +229,7 @@ class TestScoreBounded:
     def test_decisions_agree_with_full_scoring(self, corpus):
         records, by_id, pairs = corpus
         comparator = default_product_comparator()
-        prepared = prepare_records(comparator, records)
+        prepared = {r.record_id: comparator.prepare(r) for r in records}
         n_early = 0
         for left, right in pairs:
             full = comparator.compare(by_id[left], by_id[right])
@@ -644,7 +643,7 @@ class TestOneDecision:
             ],
             missing_penalty=0.5,
         )
-        prepared = prepare_records(comparator, records)
+        prepared = {r.record_id: comparator.prepare(r) for r in records}
         before = [
             comparator.decide(prepared[left], prepared[right], 0.7)
             for left, right in pairs[:400]

@@ -3,15 +3,13 @@
 Each test wires several subsystems together and asserts an
 *equivalence* or *round-trip* property that only holds when the seams
 line up: persistence feeding the pipeline, sharded linkage
-matching sequential linkage, schema translation feeding comparators,
-and claims surviving the CSV round-trip into fusion.
+matching sequential linkage, and schema translation feeding comparators.
 """
 
 import pytest
 
 from repro import BDIPipeline, FourVKnobs, PipelineConfig, build_corpus
-from repro.fusion import AccuVote, VotingFuser
-from repro.io import load_claims, load_dataset, save_claims, save_dataset
+from repro.io import load_dataset, save_dataset
 from repro.linkage import (
     FieldComparator,
     RecordComparator,
@@ -25,10 +23,8 @@ from repro.linkage.blocking import NAME_ALIASES, first_token_key
 from repro.quality import fusion_accuracy, pairwise_cluster_quality
 from repro.schema import build_mediated_schema
 from repro.synth import (
-    ClaimWorldConfig,
     CorpusConfig,
     WorldConfig,
-    generate_claims,
     generate_dataset,
     generate_world,
 )
@@ -51,16 +47,6 @@ class TestPersistencePipeline:
             map(sorted, restored.clusters)
         )
         assert original.fusion.chosen == restored.fusion.chosen
-
-    def test_claims_round_trip_preserves_fusion(self, tmp_path):
-        planted = generate_claims(
-            ClaimWorldConfig(n_items=80, n_independent=6, seed=3)
-        )
-        save_claims(planted.claims, tmp_path / "claims.csv")
-        reloaded = load_claims(tmp_path / "claims.csv")
-        original = AccuVote().fuse(planted.claims)
-        restored = AccuVote().fuse(reloaded)
-        assert original.chosen == restored.chosen
 
 
 class TestDistributedEqualsSequential:

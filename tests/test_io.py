@@ -1,19 +1,11 @@
-"""Tests for dataset/claims persistence round-trips."""
+"""Tests for the dataset persistence round-trip."""
 
 import json
 
 import pytest
 
 from repro.core import DataModelError, Dataset, GroundTruth, Record, Source
-from repro.fusion import Claim, ClaimSet
-from repro.io import (
-    load_claims,
-    load_dataset,
-    load_truth,
-    save_claims,
-    save_dataset,
-    save_truth,
-)
+from repro.io import load_dataset, save_dataset
 from repro.synth import FourVKnobs, build_corpus
 
 
@@ -102,38 +94,3 @@ class TestDatasetRoundTrip:
             loaded.ground_truth.record_to_entity
             == corpus.dataset.ground_truth.record_to_entity
         )
-
-
-class TestClaimsRoundTrip:
-    def test_round_trip(self, tmp_path):
-        claims = ClaimSet(
-            [Claim("s1", "i1", "a,b"), Claim("s2", "i1", "c")]
-        )
-        path = save_claims(claims, tmp_path / "claims.csv")
-        loaded = load_claims(path)
-        assert [
-            (c.source_id, c.item_id, c.value) for c in loaded
-        ] == [(c.source_id, c.item_id, c.value) for c in claims]
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataModelError):
-            load_claims(path)
-
-    def test_bad_column_count(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("source,item,value\nonly,two\n")
-        with pytest.raises(DataModelError):
-            load_claims(path)
-
-    def test_truth_round_trip(self, tmp_path):
-        truth = {"i1": "x", "i2": "y"}
-        path = save_truth(truth, tmp_path / "truth.csv")
-        assert load_truth(path) == truth
-
-    def test_truth_duplicate_item_rejected(self, tmp_path):
-        path = tmp_path / "truth.csv"
-        path.write_text("item,value\ni1,x\ni1,y\n")
-        with pytest.raises(DataModelError):
-            load_truth(path)

@@ -17,11 +17,8 @@ from repro.linkage import (
     TokenBlocker,
 )
 from repro.linkage.blocking import (
-    attribute_key,
-    compound_key,
     first_token_key,
     normalized_attribute_key,
-    prefix_key,
     soundex_key,
     token_set_key,
 )
@@ -65,19 +62,12 @@ class TestBlockCollection:
 
 
 class TestKeyFunctions:
-    def test_attribute_key(self, records):
-        assert attribute_key("color")(records[0]) == "black"
-        assert attribute_key("color")(records[3]) is None
-
     def test_normalized_key(self):
         r = record("x", "  CANON Pro ")
         assert normalized_attribute_key("name")(r) == "canon pro"
 
     def test_first_token(self, records):
         assert first_token_key("name")(records[0]) == "canon"
-
-    def test_prefix(self, records):
-        assert prefix_key("name", 3)(records[0]) == "can"
 
     def test_soundex_collides_for_typo(self, records):
         key = soundex_key("name")
@@ -87,11 +77,6 @@ class TestKeyFunctions:
         assert set(token_set_key("name")(records[0])) == {
             "canon", "powershot", "a95",
         }
-
-    def test_compound(self, records):
-        key = compound_key(first_token_key("name"), attribute_key("color"))
-        assert key(records[0]) == "canon|black"
-        assert key(records[3]) is None  # color missing
 
 
 class TestStandardBlocker:
@@ -158,12 +143,12 @@ class TestSortedNeighborhood:
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            SortedNeighborhoodBlocker(attribute_key("name"), window=1)
+            SortedNeighborhoodBlocker(normalized_attribute_key("name"), window=1)
 
     @pytest.mark.parametrize("window", [1, 0])
     def test_invalid_window_is_a_configuration_error(self, window):
         with pytest.raises(ConfigurationError, match="window must be >= 2"):
-            SortedNeighborhoodBlocker(attribute_key("name"), window=window)
+            SortedNeighborhoodBlocker(normalized_attribute_key("name"), window=window)
 
     def test_window_size_monotone_in_candidates(self, records):
         small = SortedNeighborhoodBlocker(
@@ -211,7 +196,7 @@ class TestQGram:
 
     def test_invalid_q(self):
         with pytest.raises(ConfigurationError):
-            QGramBlocker(attribute_key("name"), q=0)
+            QGramBlocker(normalized_attribute_key("name"), q=0)
 
 
 class TestSuffixArray:
@@ -256,9 +241,11 @@ class TestTokenBlocker:
 CAPPED = {
     "base": lambda cap: KeyBlocker(max_block_size=cap),
     "token": lambda cap: TokenBlocker(max_block_size=cap),
-    "qgram": lambda cap: QGramBlocker(attribute_key("name"), max_block_size=cap),
+    "qgram": lambda cap: QGramBlocker(
+        normalized_attribute_key("name"), max_block_size=cap
+    ),
     "suffix": lambda cap: SuffixArrayBlocker(
-        attribute_key("name"), max_block_size=cap
+        normalized_attribute_key("name"), max_block_size=cap
     ),
 }
 

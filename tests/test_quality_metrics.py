@@ -13,8 +13,8 @@ from repro.quality import (
     blocking_quality,
     clusters_to_pairs,
     copy_detection_quality,
+    estimation_rmse,
     fusion_accuracy,
-    accuracy_estimation_error,
     pair_quality,
     pairwise_cluster_quality,
     render_kv,
@@ -146,12 +146,14 @@ class TestFusionQuality:
         result = FusionResult(
             chosen={}, source_accuracy={"s1": 0.8, "s2": 0.6}
         )
-        rmse = accuracy_estimation_error(result, {"s1": 0.9, "s2": 0.6})
+        rmse = estimation_rmse(
+            result.source_accuracy, {"s1": 0.9, "s2": 0.6}
+        )
         assert rmse == pytest.approx(math.sqrt(0.01 / 2))
 
     def test_estimation_error_no_overlap_is_nan(self):
         result = FusionResult(chosen={})
-        assert math.isnan(accuracy_estimation_error(result, {"s1": 0.9}))
+        assert math.isnan(estimation_rmse(result.source_accuracy, {"s1": 0.9}))
 
     def test_copy_detection_quality(self):
         detected = {

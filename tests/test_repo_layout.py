@@ -229,9 +229,9 @@ def test_one_module_decides_staleness():
     assert [name for name, text in texts.items() if private.search(text)] == []
 
 
-#: The builtin ``sum`` calls ``repro.fusion`` and ``repro.schema`` keep,
-#: by module and enclosing function: each adds integers, where every
-#: order is exact.
+#: The builtin ``sum`` calls ``repro.fusion``, ``repro.schema`` and
+#: ``repro.text`` keep, by module and enclosing function: each adds
+#: integers, where every order is exact.
 INTEGER_SUMS = {
     ("fusion/base.py", "ClaimIndex.__init__"): 1,  # n_claims
     ("fusion/base.py", "FusionResult.accuracy_against"): 1,  # correct count
@@ -239,6 +239,8 @@ INTEGER_SUMS = {
     ("fusion/copydetect.py", "CopyDetector.direction"): 1,  # sum(counts)
     ("fusion/voting.py", "VotingFuser.fuse"): 1,  # the count total
     ("schema/correspondence.py", "score_all_pairs"): 1,  # math.comb pairs
+    ("text/similarity.py", "cosine_similarity"): 3,  # token count products
+    ("text/similarity.py", "model_number_factor.partnered"): 1,  # a count
 }
 
 
@@ -268,14 +270,15 @@ def _builtin_sums(path: Path) -> dict[tuple[str, str], int]:
 
 
 def test_fusion_sums_are_exact():
-    """Every float sum in fusion and schema alignment is ``math.fsum``,
-    whose result does not depend on the order of its terms or on the
-    Python version (builtin ``sum`` compensates since 3.12, and adds in
-    whatever order it is handed). No fixed addition order may come
-    back: no ``ordered_sum`` and no ``functools.reduce`` under
-    ``repro.fusion`` or ``repro.outofcore``, and builtin ``sum`` under
-    ``repro.fusion`` and ``repro.schema`` only on the integer sums named
-    in :data:`INTEGER_SUMS`."""
+    """Every float sum in fusion, schema alignment and the text
+    similarities is ``math.fsum``, whose result does not depend on the
+    order of its terms or on the Python version (builtin ``sum``
+    compensates since 3.12, and adds in whatever order it is handed).
+    No fixed addition order may come back: no ``ordered_sum`` and no
+    ``functools.reduce`` under ``repro.fusion`` or ``repro.outofcore``,
+    and builtin ``sum`` under ``repro.fusion``, ``repro.schema`` and
+    ``repro.text`` only on the integer sums named in
+    :data:`INTEGER_SUMS`."""
     source = ROOT / "src" / "repro"
     ordered = {"ordered_sum", "reduce"}
     for package in ("fusion", "outofcore"):
@@ -289,7 +292,7 @@ def test_fusion_sums_are_exact():
             }
             assert not named & ordered, path.relative_to(source)
     sums: dict[tuple[str, str], int] = {}
-    for package in ("fusion", "schema"):
+    for package in ("fusion", "schema", "text"):
         for path in sorted((source / package).glob("*.py")):
             sums.update(_builtin_sums(path))
     assert sums == INTEGER_SUMS
@@ -354,3 +357,117 @@ def test_memos_belong_to_what_uses_them():
         for path in sorted(root.rglob("*.[mp][dy]"))
         if gone.search(path.read_text(encoding="utf-8"))
     ] == []
+
+
+#: Exported names nothing outside ``tests/`` reaches, each with the
+#: reason it stays.
+ALLOWLIST = {
+    "estimation_rmse": "the metric the streaming drift tests score with",
+    "load_dataset": "reads what save_dataset writes; validates outside input",
+    "task_pairs": "the tests' reference for what a MatchTask compares",
+}
+
+
+def _exported_names() -> dict[str, str]:
+    """Every name in a package's lazy table or a module's ``__all__``
+    under ``src/repro``, with the file that exports it."""
+    source = ROOT / "src" / "repro"
+    exported: dict[str, str] = {}
+    for path in sorted(source.rglob("*.py")):
+        where = str(path.relative_to(source))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "export"
+            ):
+                table = ast.literal_eval(node.args[1])
+                for names in table.values():
+                    exported.update(dict.fromkeys(names.split(), where))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                names = ast.literal_eval(node.value)
+                exported.update(dict.fromkeys(names, where))
+    return exported
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """The identifiers ``tree`` reads: names, attributes, import aliases
+    and the names inside string annotations. Definitions, ``__all__``
+    and lazy-table strings and docstrings are not references."""
+    found: set[str] = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(
+            node.ctx, ast.Store
+        ):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found |= _references(ast.parse(node.value, mode="eval"))
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """Code only its own tests call reproduces nothing and is carried by
+    every later change: every exported name under ``src/repro`` is read
+    somewhere in ``src/``, ``benchmarks/`` or ``examples/`` (its own
+    module counts), or is in :data:`ALLOWLIST` with its reason. An
+    allowlisted name that gains a caller leaves the list."""
+    reached: set[str] = set()
+    for root in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / root).rglob("*.py")):
+            reached |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    exported = _exported_names()
+    unreached = {
+        name: where for name, where in exported.items() if name not in reached
+    }
+    assert sorted(unreached) == sorted(ALLOWLIST), unreached
+    assert len(ALLOWLIST) <= 4 and all(ALLOWLIST.values())
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute reached from
+    the longest module prefix of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            if not hasattr(value, part):
+                return False
+            value = getattr(value, part)
+        return True
+    return False
+
+
+def test_the_readme_names_only_what_exists():
+    """Every ``repro.…`` dotted name in the README, and every name its
+    Python examples import from ``repro``, resolves."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\brepro(?:\.\w+)+", text))
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith(
+                "repro"
+            ):
+                named.update(
+                    f"{node.module}.{alias.name}" for alias in node.names
+                )
+    assert len(named) > 20, "the patterns went stale"
+    assert sorted(name for name in named if not _resolves(name)) == []

@@ -41,8 +41,6 @@ from repro.resilience.testing import (
     FaultInjector,
     FaultSpec,
     crash,
-    garbage,
-    hang,
 )
 from repro.text import exact_similarity
 
@@ -230,7 +228,9 @@ class TestFaultInjector:
         assert [event.attempt for event in injector.history] == [1, 2]
 
     def test_garbage_substitutes_payload(self):
-        injector = FaultInjector(garbage(chunk=2, payload="junk"))
+        injector = FaultInjector(
+            FaultSpec("garbage", chunk=2, payload="junk")
+        )
         assert injector.on_result(2, [POISON], 1, "real") == "junk"
         assert injector.on_result(1, [POISON], 1, "real") == "real"
 
@@ -347,7 +347,8 @@ class TestSerialRecovery:
     ):
         records, pairs = workload
         config = resilience_config(
-            injector=fault_injector(hang(chunk=1, attempts=1)), timeout=4.0
+            injector=fault_injector(FaultSpec("hang", chunk=1, attempts=1)),
+            timeout=4.0,
         )
         tracer = Tracer()
         run = _engine(config, tracer=tracer).match_pairs(
@@ -366,7 +367,7 @@ class TestSerialRecovery:
         records, pairs = workload
         config = resilience_config(
             failure="skip",
-            injector=fault_injector(hang(item=POISON)),
+            injector=fault_injector(FaultSpec("hang", item=POISON)),
             timeout=2.0,
             max_attempts=2,
         )
@@ -380,7 +381,9 @@ class TestSerialRecovery:
     ):
         records, pairs = workload
         config = resilience_config(
-            injector=fault_injector(garbage(chunk=0, attempts=1, payload=None))
+            injector=fault_injector(
+                FaultSpec("garbage", chunk=0, attempts=1, payload=None)
+            )
         )
         tracer = Tracer()
         run = _engine(config, tracer=tracer).match_pairs(
@@ -438,7 +441,7 @@ class TestDeadline:
         # gets dispatched.
         return resilience_config(
             failure=failure,
-            injector=fault_injector(hang(chunk=0)),
+            injector=fault_injector(FaultSpec("hang", chunk=0)),
             timeout=3.0,
             deadline=5.0,
             max_attempts=2,
@@ -476,7 +479,7 @@ class TestHeartbeat:
         records, pairs = workload
         config = resilience_config(
             failure="skip",
-            injector=fault_injector(hang(chunk=3)),
+            injector=fault_injector(FaultSpec("hang", chunk=3)),
             timeout=4.0,
             max_attempts=2,
         )

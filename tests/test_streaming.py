@@ -1290,7 +1290,7 @@ class TestUnboundedGeneratorPins:
         from repro.synth import (
             TemporalStreamConfig,
             generate_temporal_dataset,
-            stream_temporal_records,
+            stream_temporal_observations,
         )
 
         config = TemporalStreamConfig(
@@ -1300,17 +1300,12 @@ class TestUnboundedGeneratorPins:
         bounded = sorted(
             dataset.records(), key=lambda r: r.record_id
         )
-        streamed = list(
-            itertools.islice(stream_temporal_records(config), len(bounded))
-        )
+        records = (r for r, _ in stream_temporal_observations(config))
+        streamed = list(itertools.islice(records, len(bounded)))
         assert sorted(streamed, key=lambda r: r.record_id) == bounded
         # The stream keeps going past the bounded horizon, with epochs
         # advancing as event time.
-        tail = list(
-            itertools.islice(
-                stream_temporal_records(config), len(bounded) + 12
-            )
-        )[len(bounded) :]
+        tail = list(itertools.islice(records, 12))
         assert tail and all(
             r.timestamp >= config.n_epochs for r in tail
         )

@@ -54,12 +54,10 @@ from repro.resilience import (
 )
 from repro.resilience.testing import (
     FaultInjector,
+    FaultSpec,
     crash,
     flap,
-    garbage,
-    hang,
     kill,
-    slow,
 )
 from repro.serve import ResolutionService
 from repro.supervision import (
@@ -414,7 +412,7 @@ class TestChaosSpecs:
     def test_slow_fault_injects_latency_then_proceeds(self):
         naps = []
         injector = FaultInjector(
-            slow(chunk=1, delay=2.5), sleeper=naps.append
+            FaultSpec("slow", chunk=1, delay=2.5), sleeper=naps.append
         )
         injector.on_attempt(0, ["a"], 1)  # wrong chunk: no delay
         injector.on_attempt(1, ["a"], 1)  # delayed, not raised
@@ -423,7 +421,7 @@ class TestChaosSpecs:
 
     def test_slow_fault_rejects_bad_delay(self):
         with pytest.raises(ConfigurationError):
-            slow(delay=-1.0)
+            FaultSpec("slow", delay=-1.0)
 
     def test_flap_fault_is_a_base_exception_with_identity(self):
         injector = FaultInjector(flap(chunk=0))
@@ -813,7 +811,7 @@ class TestSupervisorProcess:
         # wall clocks) detects the freeze, kills it, and the restarted
         # incarnation runs clean.
         injector = FaultInjector(
-            slow(chunk=1, shard=0, incarnations=(1,), delay=60.0)
+            FaultSpec("slow", chunk=1, shard=0, incarnations=(1,), delay=60.0)
         )
         policy = SupervisionPolicy(
             max_restarts=1,
@@ -1148,9 +1146,9 @@ class TestServeOverload:
             spec, timeout, deadline = {
                 "crash_once": (crash(chunk=position, attempts=1), None, None),
                 "crash_always": (crash(chunk=position), None, None),
-                "hang": (hang(chunk=position), 1.5, None),
+                "hang": (FaultSpec("hang", chunk=position), 1.5, None),
                 "garbage_once": (
-                    garbage(chunk=position, attempts=1), None, None
+                    FaultSpec("garbage", chunk=position, attempts=1), None, None
                 ),
                 "deadline": (crash(chunk=position), None, 2.5),
             }[fault]

@@ -5,15 +5,15 @@ import random
 import pytest
 
 from repro.core import ConfigurationError
-from repro.synth import WorldConfig, builtin_catalog, category, generate_world
+from repro.synth import WorldConfig, category, generate_world
+from repro.synth.vocab import _BUILTIN
 from repro.synth.world import zipf_weights
 
 
 class TestVocab:
     def test_catalog_has_expected_categories(self):
-        catalog = builtin_catalog()
         assert {"camera", "notebook", "headphone", "book", "flight"} <= set(
-            catalog
+            _BUILTIN
         )
 
     def test_unknown_category_raises(self):
@@ -21,7 +21,7 @@ class TestVocab:
             category("spaceship")
 
     def test_every_category_has_identifier(self):
-        for vocab in builtin_catalog().values():
+        for vocab in _BUILTIN.values():
             kinds = [spec.kind for spec in vocab.attributes]
             assert "identifier" in kinds
 

@@ -10,7 +10,6 @@ from repro.linkage import FieldComparator, RecordComparator
 from repro.linkage.comparison import MEMO_MAXSIZE
 from repro.text import (
     cosine_similarity,
-    damerau_levenshtein_distance,
     dice_similarity,
     exact_similarity,
     jaccard_similarity,
@@ -84,16 +83,6 @@ class TestLevenshtein:
     @settings(max_examples=150, deadline=None)
     def test_equals_the_dynamic_program(self, a, b):
         assert levenshtein_distance(a, b) == reference_levenshtein(a, b)
-
-
-class TestDamerau:
-    def test_transposition_counts_one(self):
-        assert damerau_levenshtein_distance("ab", "ba") == 1
-        assert levenshtein_distance("ab", "ba") == 2
-
-    @given(short_text, short_text)
-    def test_never_exceeds_levenshtein(self, a, b):
-        assert damerau_levenshtein_distance(a, b) <= levenshtein_distance(a, b)
 
 
 class TestJaro:

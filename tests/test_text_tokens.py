@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text import qgrams, shingles, soundex, word_tokens
+from repro.text import qgrams, soundex, word_tokens
 
 
 class TestWordTokens:
@@ -42,21 +42,6 @@ class TestQgrams:
         lowered = text.lower()
         if len(lowered) >= q:
             assert len(grams) == len(lowered) - q + 1
-
-
-class TestShingles:
-    def test_bigrams(self):
-        assert shingles("big data integration", n=2) == [
-            "big data",
-            "data integration",
-        ]
-
-    def test_short_input(self):
-        assert shingles("big", n=2) == ["big"]
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            shingles("a b", n=0)
 
 
 class TestSoundex:

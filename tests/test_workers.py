@@ -199,7 +199,7 @@ def test_discovery_finds_the_named_errors():
     assert {
         "ChunkExecutionError", "PoisonPairError", "DeadlineExceededError",
         "InjectedWorkerDeath", "SupervisionExhaustedError",
-        "CheckpointMismatchError", "ConvergenceError", "WorkerDied",
+        "CheckpointMismatchError", "WorkerDied",
     } <= names
 
 
