@@ -20,7 +20,7 @@ from repro.linkage import (
     meta_block,
     resolve,
 )
-from repro.fusion import AccuVote, Claim, ClaimSet
+from repro.fusion import AccuVote, ClaimSet
 from repro.quality import (
     bcubed_quality,
     blocking_quality,
@@ -110,17 +110,17 @@ def main() -> None:
 
     # --- Stage 3: data fusion -------------------------------------
     claims = ClaimSet()
-    seen = set()
     for cluster in clusters:
         item_prefix = min(cluster)
         for record_id in cluster:
             record = dataset.record(record_id)
             for attribute, value in schema.translate(record).items():
-                key = (record.source_id, f"{item_prefix}::{attribute}")
-                if key in seen:
-                    continue
-                seen.add(key)
-                claims.add(Claim(key[0], key[1], canonical_value(value)))
+                # A source's first claim on an item wins.
+                claims.offer(
+                    record.source_id,
+                    f"{item_prefix}::{attribute}",
+                    canonical_value(value),
+                )
     fused = AccuVote(n_false_values=8).fuse(claims)
     ranked = sorted(
         fused.source_accuracy.items(), key=lambda kv: -kv[1]

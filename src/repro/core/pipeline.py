@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import repro.fusion
 from repro.core.dataset import Dataset
 from repro.core.errors import ConfigurationError, GroundTruthError
-from repro.fusion import Claim, ClaimSet, CRHNumericFuser
+from repro.fusion import ClaimSet, CRHNumericFuser
 from repro.linkage import (
     ThresholdClassifier,
     TokenBlocker,
@@ -515,21 +515,17 @@ class BDIPipeline:
             with tracer.span("pipeline.claims", **streaming) as span:
 
                 def compute_claims():
+                    # A source's first claim on an item wins: the claim
+                    # set refuses later ones as they are offered, the
+                    # spilled groups drop them as they stream out.
                     if budget is None:
                         claims = ClaimSet()
-
-                        def add(source_id, item_id, value):
-                            # A source's first claim on an item wins.
-                            if claims.value_of(source_id, item_id) is None:
-                                claims.add(Claim(source_id, item_id, value))
-
+                        offer = claims.offer
                     else:
-                        # The spilled groups drop a source's later claims
-                        # on an item as they stream out.
                         claims = SpillableClaimGroups(
                             spill_store.sub("claims"), budget
                         )
-                        add = claims.add
+                        offer = claims.add
                     # One canonical form per distinct raw value, kept for
                     # the stage. The budget does not count these forms:
                     # one string per distinct value of ``records``.
@@ -543,7 +539,9 @@ class BDIPipeline:
                             if form is None:
                                 form = canonical_value(value)
                                 canonical[value] = form
-                            add(source_id, f"{cluster_id}::{attribute}", form)
+                            offer(
+                                source_id, f"{cluster_id}::{attribute}", form
+                            )
                     return claims
 
                 # Spilled groups are rebuilt, not replayed: a ledger

@@ -24,7 +24,6 @@ that name it.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, pairwise, repeat
@@ -69,13 +68,15 @@ class ClaimIndex:
 
     What every sweep reads: :attr:`value_table`. Who claims what, as
     bitmasks — the half of copy detection that does not depend on what
-    is believed true: :attr:`bitsets`.
+    is believed true: :attr:`bitsets`. All of it is read from the set's
+    columns: per item its ``{source: value}`` map, per source its items,
+    each in claim order.
     """
 
     def __init__(
         self,
-        by_item: Mapping[str, Sequence[Claim]],
-        by_source: Mapping[str, Sequence[Claim]],
+        by_item: Mapping[str, Mapping[str, str]],
+        by_source: Mapping[str, Sequence[str]],
     ) -> None:
         self._by_item = by_item
         self._by_source = by_source
@@ -105,15 +106,15 @@ class ClaimIndex:
         numbered: dict[Pattern, tuple[int, int]] = {}
         slot_of: dict[str, dict[str, int]] = {}
         n_slots = 0
-        for item, claims in self._by_item.items():
+        for item, claimed in self._by_item.items():
             local: dict[str, int] = {}
             supporters: list[list[int]] = []
-            for claim in claims:
-                k = local.get(claim.value)
+            for source, value in claimed.items():
+                k = local.get(value)
                 if k is None:
-                    k = local[claim.value] = len(supporters)
+                    k = local[value] = len(supporters)
                     supporters.append([])
-                supporters[k].append(position[claim.source_id])
+                supporters[k].append(position[source])
             pattern = tuple(map(tuple, supporters))
             number, first = numbered.setdefault(
                 pattern, (len(patterns), n_slots)
@@ -125,9 +126,10 @@ class ClaimIndex:
             for value in local:
                 local[value] += first
             slot_of[item] = local
+        by_item = self._by_item
         slots = [
-            [slot_of[claim.item_id][claim.value] for claim in claims]
-            for claims in self._by_source.values()
+            [slot_of[item][by_item[item][source]] for item in items]
+            for source, items in self._by_source.items()
         ]
         return groups, patterns, slots
 
@@ -144,8 +146,8 @@ class ClaimIndex:
             shift[item] = n_slots - starts[number]
             n_slots += len(values)
         return [
-            [shift[claim.item_id] + slot for claim, slot in zip(claims, own)]
-            for claims, own in zip(self._by_source.values(), slots)
+            [shift[item] + slot for item, slot in zip(items, own)]
+            for items, own in zip(self._by_source.values(), slots)
         ]
 
     @cached_property
@@ -185,10 +187,16 @@ class ClaimIndex:
 
 
 class ClaimSet:
-    """An indexed collection of claims.
+    """An indexed collection of claims, held as columns.
 
     Enforces that a source makes at most one claim per item (the
-    single-truth assumption of the classical fusion setting).
+    single-truth assumption of the classical fusion setting): the first
+    claim on a ``(source, item)`` wins. The claims are kept as ids and
+    values, never as objects: per item an insertion-ordered
+    ``{source: value}`` map, per source its items in claim order, and
+    the claim order itself as two parallel id lists. A :class:`Claim`
+    is built only when one is asked for (:attr:`claims`, iteration,
+    :meth:`claims_for`, :meth:`claims_by`), per call and never kept.
     """
 
     #: The :class:`ClaimIndex` of :meth:`index` — the sweep's value table
@@ -197,31 +205,45 @@ class ClaimSet:
     _index: ClaimIndex | None = None
 
     def __init__(self, claims: Iterable[Claim] = ()) -> None:
-        self._claims: list[Claim] = []
-        self._by_item: dict[str, list[Claim]] = defaultdict(list)
-        self._by_source: dict[str, list[Claim]] = defaultdict(list)
-        self._value: dict[tuple[str, str], str] = {}
+        self._by_item: dict[str, dict[str, str]] = {}
+        self._by_source: dict[str, list[str]] = {}
+        self._claim_sources: list[str] = []
+        self._claim_items: list[str] = []
         for claim in claims:
             self.add(claim)
+
+    def offer(self, source_id: str, item_id: str, value: str) -> bool:
+        """Add a claim unless ``source_id`` already claims ``item_id``
+        (the first claim wins); whether it was added."""
+        if not source_id or not item_id:
+            raise DataModelError("claims need non-empty source and item ids")
+        claimed = self._by_item.get(item_id)
+        if claimed is None:
+            claimed = self._by_item[item_id] = {}
+        elif source_id in claimed:
+            return False
+        claimed[source_id] = value
+        items = self._by_source.get(source_id)
+        if items is None:
+            items = self._by_source[source_id] = []
+        items.append(item_id)
+        self._claim_sources.append(source_id)
+        self._claim_items.append(item_id)
+        return True
 
     def add(self, claim: Claim) -> None:
         """Add a claim; rejects a second claim by the same source on the
         same item."""
-        key = (claim.source_id, claim.item_id)
-        if key in self._value:
+        if not self.offer(claim.source_id, claim.item_id, claim.value):
             raise DataModelError(
                 f"source {claim.source_id!r} already claims item "
                 f"{claim.item_id!r}"
             )
-        self._claims.append(claim)
-        self._by_item[claim.item_id].append(claim)
-        self._by_source[claim.source_id].append(claim)
-        self._value[key] = claim.value
 
     @property
     def claims(self) -> tuple[Claim, ...]:
         """All claims in insertion order."""
-        return tuple(self._claims)
+        return tuple(self)
 
     def items(self) -> tuple[str, ...]:
         """All item ids, in first-seen order."""
@@ -232,39 +254,44 @@ class ClaimSet:
         return tuple(self._by_source)
 
     def claims_for(self, item_id: str) -> tuple[Claim, ...]:
-        """All claims about ``item_id``."""
-        return tuple(self._by_item.get(item_id, ()))
+        """All claims about ``item_id``, in claim order."""
+        return tuple(
+            Claim(source, item_id, value)
+            for source, value in self._by_item.get(item_id, {}).items()
+        )
 
     def claims_by(self, source_id: str) -> tuple[Claim, ...]:
-        """All claims made by ``source_id``."""
-        return tuple(self._by_source.get(source_id, ()))
+        """All claims made by ``source_id``, in claim order."""
+        by_item = self._by_item
+        return tuple(
+            Claim(source_id, item, by_item[item][source_id])
+            for item in self._by_source.get(source_id, ())
+        )
 
     def value_of(self, source_id: str, item_id: str) -> str | None:
         """The value ``source_id`` claims for ``item_id``, if any."""
-        return self._value.get((source_id, item_id))
+        claimed = self._by_item.get(item_id)
+        return None if claimed is None else claimed.get(source_id)
 
     def values_for(self, item_id: str) -> tuple[str, ...]:
         """Distinct values claimed for ``item_id``, in first-seen order."""
-        seen: dict[str, None] = {}
-        for claim in self._by_item.get(item_id, ()):
-            seen.setdefault(claim.value, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self._by_item.get(item_id, {}).values()))
 
     def supporters(self, item_id: str, value: str) -> tuple[str, ...]:
         """Sources claiming ``value`` for ``item_id``."""
         return tuple(
-            claim.source_id
-            for claim in self._by_item.get(item_id, ())
-            if claim.value == value
+            source
+            for source, said in self._by_item.get(item_id, {}).items()
+            if said == value
         )
 
     def shared_items(self, source_a: str, source_b: str) -> tuple[str, ...]:
         """Items both sources claim (the overlap copy detection studies)."""
-        items_a = {claim.item_id for claim in self._by_source.get(source_a, ())}
+        items_a = set(self._by_source.get(source_a, ()))
         return tuple(
-            claim.item_id
-            for claim in self._by_source.get(source_b, ())
-            if claim.item_id in items_a
+            item
+            for item in self._by_source.get(source_b, ())
+            if item in items_a
         )
 
     def index(self) -> ClaimIndex:
@@ -272,7 +299,7 @@ class ClaimSet:
         copy detection reads, each built on first use; all rebuilt when
         claims were added since."""
         index = self._index
-        if index is None or index.n_claims != len(self._claims):
+        if index is None or index.n_claims != len(self):
             index = self._index = ClaimIndex(self._by_item, self._by_source)
         return index
 
@@ -281,16 +308,26 @@ class ClaimSet:
         state.pop("_index", None)
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        if "_claims" in state:
+            # Written before the columns: one Claim object per claim,
+            # in insertion order, beside per-item and per-source lists.
+            ClaimSet.__init__(self, state["_claims"])
+        else:
+            self.__dict__.update(state)
+
     def restricted_to_sources(self, source_ids: Iterable[str]) -> "ClaimSet":
         """A new claim set keeping only claims by the given sources."""
         keep = set(source_ids)
-        return ClaimSet(
-            claim for claim in self._claims if claim.source_id in keep
-        )
+        subset = ClaimSet()
+        for source, item in zip(self._claim_sources, self._claim_items):
+            if source in keep:
+                subset.offer(source, item, self._by_item[item][source])
+        return subset
 
     def require_nonempty(self) -> None:
         """Raise :class:`EmptyInputError` when there are no claims."""
-        if not self._claims:
+        if not self._claim_sources:
             raise EmptyInputError("claim set is empty")
 
     def groups(self) -> list[Group]:
@@ -364,14 +401,16 @@ class ClaimSet:
         return chosen, confidence
 
     def __len__(self) -> int:
-        return len(self._claims)
+        return len(self._claim_sources)
 
     def __iter__(self) -> Iterator[Claim]:
-        return iter(self._claims)
+        by_item = self._by_item
+        for source, item in zip(self._claim_sources, self._claim_items):
+            yield Claim(source, item, by_item[item][source])
 
     def __repr__(self) -> str:
         return (
-            f"ClaimSet(claims={len(self._claims)}, "
+            f"ClaimSet(claims={len(self)}, "
             f"items={len(self._by_item)}, sources={len(self._by_source)})"
         )
 

@@ -70,7 +70,7 @@ class BlockingGraph:
         """Global mean edge weight (the WEP threshold)."""
         if not self._weights:
             return 0.0
-        return sum(self._weights.values()) / len(self._weights)
+        return math.fsum(self._weights.values()) / len(self._weights)
 
 
 def build_blocking_graph(
@@ -130,7 +130,7 @@ def _prune_wnp(graph: BlockingGraph) -> set[Edge]:
         neighbors = graph.neighbors(node)
         if not neighbors:
             continue
-        local_mean = sum(neighbors.values()) / len(neighbors)
+        local_mean = math.fsum(neighbors.values()) / len(neighbors)
         for other, weight in neighbors.items():
             if weight >= local_mean:
                 kept.add(frozenset((node, other)))

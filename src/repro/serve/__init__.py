@@ -36,7 +36,7 @@ _lazy.export(
         ".linkage.projection": "entity_id_for",
         "cache": "MISS GenerationCache",
         "service": "IngestResult ResolutionService ResolvedEntity",
-        "store": "EntityStore record_to_row",
+        "store": "EntityStore",
         "traffic": "TrafficConfig TrafficResult percentile run_traffic",
     },
 )

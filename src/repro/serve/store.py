@@ -41,13 +41,13 @@ from repro.obs import NULL_TRACER
 from repro.outofcore import IndexedRecordStore
 from repro.recovery import RunStore
 
-__all__ = ["EntityStore", "record_to_row"]
+__all__ = ["EntityStore"]
 
 _LOG_NAME = "records.jsonl"
 _CURRENT_KEY = "current"
 
 
-def record_to_row(record: Record) -> dict:
+def _record_to_row(record: Record) -> dict:
     """The JSONL row for one record (inverse of ``record_from_row``)."""
     row = {
         "record_id": record.record_id,
@@ -154,7 +154,7 @@ class EntityStore:
         this returns, so an acknowledged ingest survives ``kill -9``.
         """
         line = (
-            json.dumps(record_to_row(record), sort_keys=True) + "\n"
+            json.dumps(_record_to_row(record), sort_keys=True) + "\n"
         ).encode("utf-8")
         with self._log_path.open("ab") as handle:
             handle.write(line)

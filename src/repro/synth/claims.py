@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.errors import ConfigurationError
-from repro.fusion.base import Claim, ClaimSet
+from repro.fusion.base import ClaimSet
 
 __all__ = [
     "ClaimWorldConfig",
@@ -177,7 +177,7 @@ def generate_claims(config: ClaimWorldConfig | None = None) -> PlantedClaims:
                 continue
             value = independent_answer(source, item)
             answers[(source, item)] = value
-            claim_set.add(Claim(source, item, value))
+            claim_set.offer(source, item, value)
 
     # Copiers are materialized in creation order so chain parents are
     # already answered when a chained copier consults them.
@@ -192,7 +192,7 @@ def generate_claims(config: ClaimWorldConfig | None = None) -> PlantedClaims:
             else:
                 value = independent_answer(copier, item)
             answers[(copier, item)] = value
-            claim_set.add(Claim(copier, item, value))
+            claim_set.offer(copier, item, value)
 
     return PlantedClaims(
         claims=claim_set,

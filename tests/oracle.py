@@ -14,6 +14,10 @@ terms, as in the library: exact, so no order of adding is promised.
 Copy detection — the walk over every shared item of a source pair, and
 the independence discount as the model states it.
 
+The claim store — the claim index as it was read from one ``Claim``
+object per claim, grouped by item and by source, before claims were
+columns (:func:`reference_claim_index`).
+
 Text — the textbook window scan Jaro used before it was rewritten over
 ``str.find``, and Jaro-Winkler on top of it, uncached and taking its
 arguments in the order given; the row-by-row dynamic program Levenshtein
@@ -39,6 +43,9 @@ record attribute.
 import contextlib
 import math
 import re
+from functools import cached_property
+from itertools import accumulate
+from typing import Mapping, Sequence
 from unittest import mock
 
 from repro.fusion import (
@@ -51,7 +58,7 @@ from repro.fusion import (
     copydetect,
     truthfinder,
 )
-from repro.fusion.base import FusionResult
+from repro.fusion.base import _SET, Claim, FusionResult, Group, Pattern
 from repro.fusion.online import vote_count
 from repro.linkage import BatchStats, IncrementalLinker, ProbeResult
 from repro.linkage import IdentifierDetection, LinkageResult
@@ -264,6 +271,142 @@ def naive_detect(detector, claims, truths, accuracies):
             if probability > 0.0:
                 probabilities[key] = probability
     return probabilities
+
+
+# --- the claim store: one Claim object per claim ------------------------
+
+
+def reference_claim_index(claims):
+    """The claim index as it was built over ``Claim`` objects — ``claims``
+    in claim order, one per (source, item) — grouped by item and by
+    source."""
+    by_item, by_source = {}, {}
+    for claim in claims:
+        by_item.setdefault(claim.item_id, []).append(claim)
+        by_source.setdefault(claim.source_id, []).append(claim)
+    return ClaimObjectIndex(by_item, by_source)
+
+
+class ClaimObjectIndex:
+    """What fusion reads of a :class:`ClaimSet` beyond its claims, each
+    part built on first use and valid while that set holds ``n_claims``
+    claims (claims are only ever added).
+
+    What every sweep reads: :attr:`value_table`. Who claims what, as
+    bitmasks — the half of copy detection that does not depend on what
+    is believed true: :attr:`bitsets`.
+    """
+
+    def __init__(
+        self,
+        by_item: Mapping[str, Sequence[Claim]],
+        by_source: Mapping[str, Sequence[Claim]],
+    ) -> None:
+        self._by_item = by_item
+        self._by_source = by_source
+        self.n_claims = sum(map(len, by_source.values()))
+
+    @cached_property
+    def value_table(
+        self,
+    ) -> tuple[list[Group], list[Pattern], list[list[int]]]:
+        """``(groups, patterns, slots)``, in one pass over the claims by
+        item and one by source.
+
+        ``groups`` holds every item in first-seen order as a
+        :data:`Group`; a source's *position* is its first-seen rank.
+        ``patterns`` holds each distinct :data:`Pattern` once, numbered
+        in first-seen order, and every group of a pattern shares that
+        tuple as its supporters. Numbering the values of every pattern
+        one after another gives each ``(pattern, value index)`` a flat
+        *slot*, and ``slots[position]`` lists the slots of that source's
+        claims in its own claim order — so a sweep's scores, one list
+        per pattern, concatenated, are one list each source's mean reads
+        by index.
+        """
+        position = {source: p for p, source in enumerate(self._by_source)}
+        groups: list[Group] = []
+        patterns: list[Pattern] = []
+        numbered: dict[Pattern, tuple[int, int]] = {}
+        slot_of: dict[str, dict[str, int]] = {}
+        n_slots = 0
+        for item, claims in self._by_item.items():
+            local: dict[str, int] = {}
+            supporters: list[list[int]] = []
+            for claim in claims:
+                k = local.get(claim.value)
+                if k is None:
+                    k = local[claim.value] = len(supporters)
+                    supporters.append([])
+                supporters[k].append(position[claim.source_id])
+            pattern = tuple(map(tuple, supporters))
+            number, first = numbered.setdefault(
+                pattern, (len(patterns), n_slots)
+            )
+            if number == len(patterns):
+                patterns.append(pattern)
+                n_slots += len(pattern)
+            groups.append((item, list(local), patterns[number], number))
+            for value in local:
+                local[value] += first
+            slot_of[item] = local
+        slots = [
+            [slot_of[claim.item_id][claim.value] for claim in claims]
+            for claims in self._by_source.values()
+        ]
+        return groups, patterns, slots
+
+    @cached_property
+    def group_slots(self) -> list[list[int]]:
+        """:attr:`value_table`'s ``slots``, numbered per group instead of
+        per pattern — every group's values one after another — for a
+        sweep whose rule reads values and so scores each group alone."""
+        groups, patterns, slots = self.value_table
+        starts = [0, *accumulate(map(len, patterns))]
+        shift: dict[str, int] = {}
+        n_slots = 0
+        for item, values, __, number in groups:
+            shift[item] = n_slots - starts[number]
+            n_slots += len(values)
+        return [
+            [shift[claim.item_id] + slot for claim, slot in zip(claims, own)]
+            for claims, own in zip(self._by_source.values(), slots)
+        ]
+
+    @cached_property
+    def bitsets(
+        self,
+    ) -> tuple[dict[str, int], dict[str, int], dict[tuple[str, str], int]]:
+        """``(items, keys, key_number)``, from the value table's groups.
+
+        Item ``i`` is the ``i``-th group and claim key ``(item, value)``
+        is numbered as :attr:`group_slots` numbers slots, every group's
+        values one after another (``key_number``). ``items[source]`` has
+        bit ``i`` set for each item the source claims and
+        ``keys[source]`` the bit of each of its claim keys, so what two
+        sources share is the popcount of an ``&``. Each mask is read
+        once from a ``"0"``/``"1"`` string, lowest bit last: OR-ing a
+        bit in per claim copies the growing int each time (8.2 against
+        4.9 ms on ``fuse_copiers``' 27k claims).
+        """
+        groups = self.value_table[0]
+        key_number: dict[tuple[str, str], int] = {}
+        for item, values, __, __ in groups:
+            for value in values:
+                key_number[item, value] = len(key_number)
+        items = [bytearray(b"0") * len(groups) for __ in self._by_source]
+        keys = [bytearray(b"0") * len(key_number) for __ in self._by_source]
+        key = 0
+        for i, (__, __, supporters, __) in enumerate(groups):
+            for who in supporters:
+                for p in who:
+                    items[p][i] = keys[p][key] = _SET
+                key += 1
+        return (
+            {s: int(bits[::-1], 2) for s, bits in zip(self._by_source, items)},
+            {s: int(bits[::-1], 2) for s, bits in zip(self._by_source, keys)},
+            key_number,
+        )
 
 
 # --- text: the window scan ---------------------------------------------

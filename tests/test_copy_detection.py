@@ -11,6 +11,7 @@ and in dict order (``json.dumps``, never ``approx``).
 import json
 import pickle
 import random
+from collections import defaultdict
 from unittest import mock
 
 import pytest
@@ -251,18 +252,24 @@ class TestHotPath:
 
 
 def _parent_shaped_state(claims):
-    """``ClaimSet.__dict__`` as the commit before the index pickled it."""
+    """``ClaimSet.__dict__`` as it was before the index, and before the
+    claims were columns: one ``Claim`` object per claim."""
+    claims = list(claims)
     state = {
-        "_claims": list(claims),
-        "_by_item": {},
-        "_by_source": {},
+        "_claims": claims,
+        "_by_item": defaultdict(list),
+        "_by_source": defaultdict(list),
         "_value": {},
     }
     for claim in claims:
-        state["_by_item"].setdefault(claim.item_id, []).append(claim)
-        state["_by_source"].setdefault(claim.source_id, []).append(claim)
+        state["_by_item"][claim.item_id].append(claim)
+        state["_by_source"][claim.source_id].append(claim)
         state["_value"][(claim.source_id, claim.item_id)] = claim.value
     return state
+
+
+#: The columns a pickled ``ClaimSet`` carries, and nothing else.
+COLUMNS = ["_by_item", "_by_source", "_claim_items", "_claim_sources"]
 
 
 #: Each part of the claim index, by its attribute, and a fuser that
@@ -283,19 +290,23 @@ class TestIndexLifetime:
         cold = pickle.dumps(claims)
         digest = result_digest(make().fuse(claims))
         assert built in vars(claims.__dict__["_index"])
-        assert sorted(claims.__getstate__()) == sorted(
-            _parent_shaped_state(claims)
-        )
+        state = claims.__getstate__()
+        assert sorted(state) == COLUMNS
+        assert state == ClaimSet(wide_world).__dict__
         assert pickle.dumps(claims) == cold
         loaded = pickle.loads(pickle.dumps(claims))
         assert "_index" not in loaded.__dict__
         assert result_digest(make().fuse(loaded)) == digest
 
     def test_state_written_before_the_index_loads(self, wide_world, part):
-        # What unpickling does with a state and no ``__setstate__``.
         make = INDEX_PARTS[part][1]
-        old = ClaimSet.__new__(ClaimSet)
-        old.__dict__.update(_parent_shaped_state(wide_world))
+        # The bytes pickling wrote when that state was the whole object.
+        state = _parent_shaped_state(wide_world)
+        with mock.patch.object(ClaimSet, "__getstate__", lambda self: state):
+            written = pickle.dumps(ClaimSet())
+        old = pickle.loads(written)
+        assert type(old) is ClaimSet
+        assert old.__getstate__() == ClaimSet(wide_world).__getstate__()
         assert result_digest(make().fuse(old)) == result_digest(
             make().fuse(wide_world)
         )

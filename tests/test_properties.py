@@ -267,6 +267,115 @@ class TestFusionInvariants:
             assert budget.spill_count > 0
 
 
+#: Claim triples over few sources and items, so a (source, item) pair is
+#: often claimed again, with the same value or another.
+claim_triples = st.lists(
+    st.tuples(
+        st.sampled_from(["s0", "s1", "s2", "s3"]),
+        st.sampled_from(["i0", "i1", "i2", "i3", "i4", "i5"]),
+        st.sampled_from(["v0", "v1", "v2"]),
+    ),
+    max_size=40,
+)
+
+
+class TestClaimStore:
+    @given(triples=claim_triples, kept=st.sets(st.sampled_from(["s0", "s2"])))
+    @settings(max_examples=60, deadline=None)
+    def test_offered_columns_equal_the_claim_walk(self, triples, kept):
+        # The oracle is the claim index as it was built over one Claim
+        # object per claim: offered triples, first claim per (source,
+        # item) winning, must read back as that index over those claims.
+        from tests.oracle import reference_claim_index
+
+        claims = ClaimSet()
+        first: dict[tuple[str, str], Claim] = {}
+        for source, item, value in triples:
+            assert claims.offer(source, item, value) == (
+                (source, item) not in first
+            )
+            first.setdefault((source, item), Claim(source, item, value))
+        walk = list(first.values())
+        reference = reference_claim_index(walk)
+        assert len(claims) == reference.n_claims == len(walk)
+        assert claims.claims == tuple(walk) and list(claims) == walk
+        assert claims.items() == tuple(reference._by_item)
+        assert claims.sources() == tuple(reference._by_source)
+        index = claims.index()
+        assert index.value_table == reference.value_table
+        assert index.group_slots == reference.group_slots
+        assert index.bitsets == reference.bitsets
+        for item in ("i0", "i1", "i2", "i3", "i4", "i5"):
+            about = reference._by_item.get(item, [])
+            assert claims.claims_for(item) == tuple(about)
+            values = tuple(dict.fromkeys(claim.value for claim in about))
+            assert claims.values_for(item) == values
+            for value in ("v0", "v1", "v2"):
+                assert claims.supporters(item, value) == tuple(
+                    claim.source_id for claim in about if claim.value == value
+                )
+        for source in ("s0", "s1", "s2", "s3"):
+            made = reference._by_source.get(source, [])
+            assert claims.claims_by(source) == tuple(made)
+            for item in ("i0", "i1", "i2", "i3", "i4", "i5"):
+                claim = first.get((source, item))
+                assert claims.value_of(source, item) == (
+                    claim and claim.value
+                )
+            for other in ("s0", "s1", "s2", "s3"):
+                theirs = [
+                    claim.item_id
+                    for claim in reference._by_source.get(other, [])
+                ]
+                assert claims.shared_items(other, source) == tuple(
+                    claim.item_id for claim in made if claim.item_id in theirs
+                )
+        assert claims.restricted_to_sources(kept).claims == tuple(
+            claim for claim in walk if claim.source_id in kept
+        )
+
+    def test_a_second_claim_and_an_empty_id_are_refused(self):
+        from repro.core.errors import DataModelError
+
+        claims = ClaimSet([Claim("s", "i", "v")])
+        for value in ("v", "w"):
+            with pytest.raises(DataModelError, match="already claims"):
+                claims.add(Claim("s", "i", value))
+            assert not claims.offer("s", "i", value)
+        for source, item in (("", "i"), ("s", ""), ("", "")):
+            with pytest.raises(DataModelError, match="non-empty"):
+                claims.offer(source, item, "v")
+            with pytest.raises(DataModelError, match="non-empty"):
+                Claim(source, item, "v")
+        assert claims.claims == (Claim("s", "i", "v"),)
+        assert claims.items() == ("i",) and claims.sources() == ("s",)
+
+    def test_no_object_per_claim(self):
+        # 20,000 claims over 2,000 items and 40 sources: the cyclic
+        # collector tracks an object per source (its item list) and a
+        # handful per set, never one per claim.
+        import gc
+
+        triples = [
+            (f"s{s}", f"i{i}", f"v{s * i % 5}")
+            for i in range(2_000)
+            for s in range(40)
+            if (s + i) % 4 == 0
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            claims = ClaimSet()
+            for triple in triples:
+                claims.offer(*triple)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(claims) == 20_000
+        assert added <= len(claims.items()) + len(claims.sources()) + 10
+
+
 #: Claimed measurements: units that convert into one another, a decimal
 #: comma, a bare number and a value that is no number at all.
 MEASUREMENTS = ("10 g", "10,5 g", "0.0105 kg", "12 g", "12", "40 g",

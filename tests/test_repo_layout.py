@@ -238,6 +238,7 @@ INTEGER_SUMS = {
     ("fusion/copydetect.py", "CopyDetector._dependence"): 1,  # sum(counts)
     ("fusion/copydetect.py", "CopyDetector.direction"): 1,  # sum(counts)
     ("fusion/voting.py", "VotingFuser.fuse"): 1,  # the count total
+    ("linkage/metablocking.py", "meta_block"): 1,  # total_memberships
     ("schema/correspondence.py", "score_all_pairs"): 1,  # math.comb pairs
     ("text/similarity.py", "cosine_similarity"): 3,  # token count products
     ("text/similarity.py", "model_number_factor.partnered"): 1,  # a count
@@ -270,15 +271,15 @@ def _builtin_sums(path: Path) -> dict[tuple[str, str], int]:
 
 
 def test_fusion_sums_are_exact():
-    """Every float sum in fusion, schema alignment and the text
-    similarities is ``math.fsum``, whose result does not depend on the
-    order of its terms or on the Python version (builtin ``sum``
-    compensates since 3.12, and adds in whatever order it is handed).
-    No fixed addition order may come back: no ``ordered_sum`` and no
-    ``functools.reduce`` under ``repro.fusion`` or ``repro.outofcore``,
-    and builtin ``sum`` under ``repro.fusion``, ``repro.schema`` and
-    ``repro.text`` only on the integer sums named in
-    :data:`INTEGER_SUMS`."""
+    """Every float sum in fusion, schema alignment, the text
+    similarities and meta-blocking is ``math.fsum``, whose result does
+    not depend on the order of its terms or on the Python version
+    (builtin ``sum`` compensates since 3.12, and adds in whatever order
+    it is handed). No fixed addition order may come back: no
+    ``ordered_sum`` and no ``functools.reduce`` under ``repro.fusion``
+    or ``repro.outofcore``, and builtin ``sum`` under ``repro.fusion``,
+    ``repro.schema``, ``repro.text`` and ``repro.linkage.metablocking``
+    only on the integer sums named in :data:`INTEGER_SUMS`."""
     source = ROOT / "src" / "repro"
     ordered = {"ordered_sum", "reduce"}
     for package in ("fusion", "outofcore"):
@@ -295,6 +296,7 @@ def test_fusion_sums_are_exact():
     for package in ("fusion", "schema", "text"):
         for path in sorted((source / package).glob("*.py")):
             sums.update(_builtin_sums(path))
+    sums.update(_builtin_sums(source / "linkage" / "metablocking.py"))
     assert sums == INTEGER_SUMS
 
 
