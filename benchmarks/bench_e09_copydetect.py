@@ -19,7 +19,6 @@ from repro.synth import ClaimWorldConfig, generate_claims
 
 COPY_RATES = (0.1, 0.25, 0.4, 0.6, 0.8, 0.95)
 SEEDS = (13, 14, 15)
-DETECTOR = dict(copy_rate=0.6, n_false_values=8)  # blind to the true rate
 
 
 def run_rate(copy_rate: float, seed: int):
@@ -36,7 +35,8 @@ def run_rate(copy_rate: float, seed: int):
     )
     truths = VotingFuser().fuse(planted.claims).chosen
     accuracies = {s: 0.8 for s in planted.claims.sources()}
-    detected = CopyDetector(**DETECTOR).detect(
+    # The detector is blind to the planted rate.
+    detected = CopyDetector(copy_rate=0.6, n_false_values=8).detect(
         planted.claims, truths, accuracies
     )
     direct = copy_detection_quality(detected, planted.copier_of)

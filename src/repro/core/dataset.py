@@ -127,8 +127,9 @@ class Dataset:
             truth = truth.restricted_to(surviving)
         return Dataset(sources, truth, name=self._name)
 
-    def merged_with(self, other: "Dataset", name: str | None = None) -> "Dataset":
-        """Union of two datasets with disjoint sources (velocity updates)."""
+    def merged_with(self, other: "Dataset") -> "Dataset":
+        """Union of two datasets with disjoint sources (velocity updates),
+        named ``"<name>+<other name>"``."""
         overlap = set(self._sources) & set(other._sources)
         if overlap:
             raise DataModelError(
@@ -146,7 +147,7 @@ class Dataset:
         return Dataset(
             list(self.sources) + list(other.sources),
             truth,
-            name=name or f"{self._name}+{other._name}",
+            name=f"{self._name}+{other._name}",
         )
 
     @property

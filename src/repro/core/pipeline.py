@@ -548,7 +548,9 @@ class BDIPipeline:
                 # artifact would be the very thing that does not fit.
                 ledger = store if budget is None else None
                 claim_set = self._stage(ledger, "claims", compute_claims, span)
-                span.set("n_claims", len(claim_set))
+                if budget is None:
+                    # Spilled claims are counted as fusion streams them.
+                    span.set("n_claims", len(claim_set))
                 span.set("n_items", len(claim_set.items()))
 
             # 4. Fusion, by the fuser the config selects: a solver is

@@ -111,9 +111,9 @@ class Record:
             self._record_id, self._source_id, attributes, self._timestamp
         )
 
-    def text(self, separator: str = " ") -> str:
-        """All attribute values joined into one string (for token blocking)."""
-        return separator.join(self._attributes.values())
+    def text(self) -> str:
+        """All attribute values joined by spaces (for token blocking)."""
+        return " ".join(self._attributes.values())
 
     def __reduce__(self):
         # MappingProxyType (and slots) defeat default pickling; rebuild

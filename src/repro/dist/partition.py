@@ -135,22 +135,19 @@ def naive_partition(
 def block_split_partition(
     blocks: BlockCollection,
     n_reducers: int,
-    max_task_comparisons: int | None = None,
 ) -> list[list[MatchTask]]:
     """BlockSplit: sub-divide big blocks, then LPT-assign the tasks.
 
-    A block is split when its comparison count exceeds
-    ``max_task_comparisons`` (default: total comparisons divided by
-    ``2 · n_reducers`` — enough granularity for LPT to balance). A
-    block of size *m* split into *k* even sub-blocks emits *k*
-    within-sub-block tasks and *k(k-1)/2* cross tasks, which together
-    cover exactly the block's original pairs.
+    A block is split when its comparison count exceeds the total
+    comparisons divided by ``2 · n_reducers`` — enough granularity for
+    LPT to balance. A block of size *m* split into *k* even sub-blocks
+    emits *k* within-sub-block tasks and *k(k-1)/2* cross tasks, which
+    together cover exactly the block's original pairs.
     """
     if n_reducers < 1:
         raise ConfigurationError("n_reducers must be >= 1")
     total = blocks.n_comparisons
-    if max_task_comparisons is None:
-        max_task_comparisons = max(1, total // (2 * n_reducers) or 1)
+    max_task_comparisons = max(1, total // (2 * n_reducers) or 1)
     tasks: list[MatchTask] = []
     for block in blocks:
         if len(block) < 2:

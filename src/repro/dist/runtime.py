@@ -93,6 +93,9 @@ __all__ = [
 #: semantics for chaos tests, zero fork overhead for tiny corpora).
 SHARD_BACKENDS: tuple[str, ...] = ("process", "inline")
 
+#: The most shards :func:`plan_shards` considers on its own.
+MAX_SHARDS = 8
+
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -166,23 +169,21 @@ class ShardedResolveRun:
 def plan_shards(
     n_pairs: int,
     *,
-    model: ClusterCostModel | None = None,
-    max_shards: int = 8,
     n_shards: int | None = None,
 ) -> ShardPlan:
-    """Choose a shard count for ``n_pairs`` comparisons.
+    """Choose a shard count for ``n_pairs`` comparisons, from 1 to
+    :data:`MAX_SHARDS` (or ``n_shards``, when it pins the count).
 
-    Predicted makespan of ``k`` shards is the startup cost of going
+    Predicted makespan of ``k`` shards under the default
+    :class:`ClusterCostModel` is the startup cost of going
     distributed at all (``k > 1``), plus per-shard task overhead, plus
     the slowest shard's comparison work (``⌈n_pairs / k⌉``). The
     smallest ``k`` wins ties, so tiny workloads stay single-shard.
     """
-    if max_shards < 1:
-        raise ConfigurationError("max_shards must be >= 1")
     if n_shards is not None and n_shards < 1:
         raise ConfigurationError("n_shards must be >= 1")
-    model = model if model is not None else ClusterCostModel()
-    considered = max(max_shards, n_shards or 1)
+    model = ClusterCostModel()
+    considered = max(MAX_SHARDS, n_shards or 1)
 
     def predicted(k: int) -> float:
         return (
@@ -391,7 +392,6 @@ def sharded_resolve(
     n_shards: int | None = None,
     backend: str = "process",
     chunk_size: int = 2048,
-    cost_model: ClusterCostModel | None = None,
     tracer=None,
     resilience=None,
     checkpoint=None,
@@ -406,7 +406,7 @@ def sharded_resolve(
     ``n_shards``, backend, and representation. See the module docstring
     for the four coordinated steps. ``candidate_pairs`` (unique pairs)
     replaces the blocker's output when given; ``n_shards=None`` lets
-    :func:`plan_shards` choose from the cost model.
+    :func:`plan_shards` choose.
     """
     if backend not in SHARD_BACKENDS:
         raise ConfigurationError(
@@ -422,7 +422,7 @@ def sharded_resolve(
             if candidate_pairs is not None
             else _block_pairs(blocker, records, tracer, "dist.block")
         )
-        plan = plan_shards(len(ordered), model=cost_model, n_shards=n_shards)
+        plan = plan_shards(len(ordered), n_shards=n_shards)
         buckets, spanning = _partition_pairs(ordered, plan.n_shards)
         store = as_store(checkpoint)
         signatures: list[str] = []

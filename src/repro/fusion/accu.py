@@ -38,6 +38,12 @@ from repro.recovery import claims_signature, config_fingerprint
 
 __all__ = ["AccuVote"]
 
+#: Every source's accuracy before the first round, unless known.
+INITIAL_ACCURACY = 0.8
+
+#: How far an accuracy may still move in the round that converges.
+TOLERANCE = 1e-4
+
 
 class AccuVote(Fuser):
     """Iterative Bayesian fusion with per-source accuracy estimation.
@@ -47,15 +53,13 @@ class AccuVote(Fuser):
     n_false_values:
         Assumed number of distinct wrong values per item (the uniform
         false-value model's ``n``).
-    initial_accuracy:
-        Starting accuracy for every source; fixed accuracies can be
-        supplied per source instead via ``known_accuracies``.
     known_accuracies:
         When provided, accuracies are *not* re-estimated — the
         algorithm becomes single-pass Bayesian voting with known
         source quality (used by online fusion).
-    max_iterations, tolerance:
-        Convergence control on the accuracy vector.
+    max_iterations:
+        Convergence control on the accuracy vector, which has converged
+        once no accuracy moves by :data:`TOLERANCE`.
     tracer, checkpoint:
         As in :class:`~repro.fusion.truthfinder.TruthFinder`: a span
         carrying the per-iteration accuracy-change deltas, and a store
@@ -68,22 +72,16 @@ class AccuVote(Fuser):
     def __init__(
         self,
         n_false_values: int = 10,
-        initial_accuracy: float = 0.8,
         known_accuracies: Mapping[str, float] | None = None,
         max_iterations: int = 50,
-        tolerance: float = 1e-4,
         tracer=None,
         checkpoint=None,
     ) -> None:
         if n_false_values < 1:
             raise ConfigurationError("n_false_values must be >= 1")
-        if not 0.0 < initial_accuracy < 1.0:
-            raise ConfigurationError("initial_accuracy must be in (0, 1)")
         self._n = n_false_values
-        self._initial_accuracy = initial_accuracy
         self._known = dict(known_accuracies) if known_accuracies else None
         self._max_iterations = max_iterations
-        self._tolerance = tolerance
         self._tracer = tracer
         self._checkpoint = checkpoint
 
@@ -92,10 +90,10 @@ class AccuVote(Fuser):
             SCORED_STATE,
             claims_signature(claims),
             self._n,
-            self._initial_accuracy,
+            INITIAL_ACCURACY,
             self._known,
             self._max_iterations,
-            self._tolerance,
+            TOLERANCE,
         )
 
     def item_scorer(self, accuracy: Mapping[str, float]) -> ItemScorer:
@@ -123,10 +121,10 @@ class AccuVote(Fuser):
             accuracy, change = reweigh(
                 accuracy, means, _ACCURACY_FLOOR, _ACCURACY_CEIL
             )
-            return (accuracy, scores), change, change < self._tolerance
+            return (accuracy, scores), change, change < TOLERANCE
 
         accuracy = {
-            source: (known or {}).get(source, self._initial_accuracy)
+            source: (known or {}).get(source, INITIAL_ACCURACY)
             for source in claims.sources()
         }
         (accuracy, scores), iterations = fixed_point(

@@ -29,6 +29,7 @@ from typing import Mapping
 
 from repro.core.errors import ConfigurationError
 from repro.core.fixedpoint import fixed_point
+from repro.fusion.accu import INITIAL_ACCURACY
 from repro.fusion.base import (
     ClaimSet,
     Fuser,
@@ -46,6 +47,9 @@ from repro.recovery import claims_signature, config_fingerprint
 
 __all__ = ["AccuCopy"]
 
+#: How far an accuracy may still move in a round that ends the rounds.
+TOLERANCE = 1e-3
+
 #: The one refusal of claims that are not resident, raised by
 #: :meth:`AccuCopy.fuse` and — before any stage runs — by
 #: ``BDIPipeline.run(memory_budget=...)``.
@@ -61,13 +65,17 @@ class AccuCopy(Fuser):
 
     Parameters
     ----------
-    n_false_values, initial_accuracy:
-        As in :class:`~repro.fusion.accu.AccuVote`.
+    n_false_values:
+        As in :class:`~repro.fusion.accu.AccuVote`, whose
+        :data:`~repro.fusion.accu.INITIAL_ACCURACY` every source starts
+        from.
     detector:
         The copy detector (its ``copy_rate`` is also the discount
         strength).
     outer_iterations:
-        Rounds of (detect → discount-vote → re-estimate accuracy).
+        Rounds of (detect → discount-vote → re-estimate accuracy); the
+        rounds stop early once the winners repeat and no accuracy moves
+        by :data:`TOLERANCE`.
     tracer:
         An :class:`repro.obs.Tracer` (default no-op); each fuse records
         a span carrying the per-round accuracy-change deltas.
@@ -84,22 +92,16 @@ class AccuCopy(Fuser):
     def __init__(
         self,
         n_false_values: int = 10,
-        initial_accuracy: float = 0.8,
         detector: CopyDetector | None = None,
         outer_iterations: int = 5,
-        tolerance: float = 1e-3,
         tracer=None,
         checkpoint=None,
     ) -> None:
-        if not 0.0 < initial_accuracy < 1.0:
-            raise ConfigurationError("initial_accuracy must be in (0, 1)")
         self._n = n_false_values
-        self._initial_accuracy = initial_accuracy
         self._detector = detector or CopyDetector(
             n_false_values=n_false_values
         )
         self._outer_iterations = outer_iterations
-        self._tolerance = tolerance
         self._tracer = tracer
         self._checkpoint = checkpoint
 
@@ -107,10 +109,10 @@ class AccuCopy(Fuser):
         return config_fingerprint(
             claims_signature(claims),
             self._n,
-            self._initial_accuracy,
+            INITIAL_ACCURACY,
             self._detector,
             self._outer_iterations,
-            self._tolerance,
+            TOLERANCE,
         )
 
     def item_scorer(
@@ -174,14 +176,14 @@ class AccuCopy(Fuser):
             accuracy, change = reweigh(
                 accuracy, means, _ACCURACY_FLOOR, _ACCURACY_CEIL
             )
-            done = chosen == result.chosen and change < self._tolerance
+            done = chosen == result.chosen and change < TOLERANCE
             result = FusionResult(
                 chosen, confidence, accuracy, copy_probability=copying
             )
             return result, change, done
 
         # Bootstrap truths with plain voting; accuracies with the prior.
-        accuracy = dict.fromkeys(claims.sources(), self._initial_accuracy)
+        accuracy = dict.fromkeys(claims.sources(), INITIAL_ACCURACY)
         result, iterations = fixed_point(
             step,
             replace(VotingFuser().fuse(claims), source_accuracy=accuracy),

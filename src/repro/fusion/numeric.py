@@ -33,6 +33,9 @@ __all__ = ["CRHNumericFuser"]
 LossName = Literal["absolute", "squared"]
 _MIN_WEIGHT = 1e-6
 
+#: How far a source weight may still move in the round that converges.
+TOLERANCE = 1e-6
+
 #: One item's claims as CRH reads them: each distinct number and the
 #: positions of the sources claiming it.
 Entries = Sequence[tuple[float, Sequence[int]]]
@@ -110,13 +113,13 @@ class CRHNumericFuser:
     loss:
         ``"absolute"`` (robust; weighted-median truths) or
         ``"squared"`` (weighted-mean truths).
-    max_iterations, tolerance:
-        Convergence control on the source-weight vector.
+    max_iterations:
+        Convergence control on the source-weight vector, which has
+        converged once no weight moves by :data:`TOLERANCE`.
     """
 
     loss: LossName = "absolute"
     max_iterations: int = 50
-    tolerance: float = 1e-6
 
     name = "crh"
 
@@ -191,7 +194,7 @@ class CRHNumericFuser:
             change = max(abs(new_weights[p] - weights[p]) for p in claimed)
             for p, weight in new_weights.items():
                 weights[p] = weight
-            if change < self.tolerance:
+            if change < TOLERANCE:
                 break
         return truths, {p: weights[p] for p in claimed}, iterations
 

@@ -26,6 +26,9 @@ __all__ = ["OnlineFusion", "OnlineTrace", "claim_posterior", "vote_count"]
 _ACCURACY_FLOOR = 0.01
 _ACCURACY_CEIL = 0.99
 
+#: The posterior at which an item's leader is final.
+STOP_POSTERIOR = 0.99
+
 
 def vote_count(accuracy: float, n_false_values: int) -> float:
     """The Bayesian vote weight of one claim by a source.
@@ -91,24 +94,21 @@ class OnlineFusion:
         order and the vote counts.
     n_false_values:
         The Bayesian vote model's ``n``.
-    stop_posterior:
-        An item terminates early once its leader's posterior reaches
-        this bar, in addition to the cannot-be-overturned rule.
+
+    An item terminates early once its leader's posterior reaches
+    :data:`STOP_POSTERIOR`, in addition to the cannot-be-overturned
+    rule.
     """
 
     def __init__(
         self,
         accuracies: Mapping[str, float],
         n_false_values: int = 10,
-        stop_posterior: float = 0.99,
     ) -> None:
         if not accuracies:
             raise ConfigurationError("accuracies must be non-empty")
-        if not 0.5 < stop_posterior <= 1.0:
-            raise ConfigurationError("stop_posterior must be in (0.5, 1]")
         self._accuracy = dict(accuracies)
         self._n = n_false_values
-        self._stop_posterior = stop_posterior
 
     def _vote_count(self, source: str) -> float:
         return vote_count(self._accuracy.get(source, 0.5), self._n)
@@ -175,7 +175,7 @@ class OnlineFusion:
                     leader_score - max(runner_up, 0.0)
                     > remaining_weight[item]
                 )
-                if posterior >= self._stop_posterior or unbeatable:
+                if posterior >= STOP_POSTERIOR or unbeatable:
                     finalized[item] = leader
                     final_confidence[item] = posterior
             snapshot = {}

@@ -9,7 +9,7 @@ claims likely-true values*. TruthFinder iterates that fixed point:
 * value confidence combines its supporters' trust scores
   ``τ(s) = -ln(1 - t(s))`` (so several moderately trusted supporters
   beat one strongly trusted one), squashed through a logistic with
-  dampening ``γ``;
+  dampening ``γ`` (:data:`DAMPENING`; lower values slow saturation);
 * optionally, similar values *imply* each other: a value gains
   confidence from similar claimed values (``implication_weight ·
   similarity``), which matters for formatted values.
@@ -38,17 +38,18 @@ __all__ = ["TruthFinder"]
 
 _MAX_TRUST = 1.0 - 1e-6
 
+#: Every source's trustworthiness before the first round.
+INITIAL_TRUST = 0.9
+
+#: γ in the logistic squash of accumulated trust scores.
+DAMPENING = 0.3
+
 
 class TruthFinder(Fuser):
     """Iterative trust/confidence propagation.
 
     Parameters
     ----------
-    initial_trust:
-        Starting trustworthiness of every source.
-    dampening:
-        γ in the logistic squash of accumulated trust scores; lower
-        values slow saturation.
     implication_weight, similarity:
         When both set, a value's raw score gains
         ``implication_weight · similarity(v, v') · score(v')`` from
@@ -72,8 +73,6 @@ class TruthFinder(Fuser):
 
     def __init__(
         self,
-        initial_trust: float = 0.9,
-        dampening: float = 0.3,
         implication_weight: float = 0.0,
         similarity: Callable[[str, str], float] | None = None,
         max_iterations: int = 50,
@@ -81,18 +80,12 @@ class TruthFinder(Fuser):
         tracer=None,
         checkpoint=None,
     ) -> None:
-        if not 0.0 < initial_trust < 1.0:
-            raise ConfigurationError("initial_trust must be in (0, 1)")
-        if dampening <= 0:
-            raise ConfigurationError("dampening must be positive")
         if implication_weight < 0:
             raise ConfigurationError("implication_weight must be >= 0")
         if implication_weight > 0 and similarity is None:
             raise ConfigurationError(
                 "implication_weight needs a similarity function"
             )
-        self._initial_trust = initial_trust
-        self._dampening = dampening
         self._implication_weight = implication_weight
         self._similarity = similarity
         self._max_iterations = max_iterations
@@ -104,8 +97,8 @@ class TruthFinder(Fuser):
         return config_fingerprint(
             SCORED_STATE,
             claims_signature(claims),
-            self._initial_trust,
-            self._dampening,
+            INITIAL_TRUST,
+            DAMPENING,
             self._implication_weight,
             self._max_iterations,
             self._tolerance,
@@ -137,7 +130,7 @@ class TruthFinder(Fuser):
                     for value, score in zip(values, raw)
                 ]
             return [
-                1.0 / (1.0 + math.exp(-self._dampening * score))
+                1.0 / (1.0 + math.exp(-DAMPENING * score))
                 for score in raw
             ]
 
@@ -155,7 +148,7 @@ class TruthFinder(Fuser):
             trust, change = reweigh(trust, means, 0.0, _MAX_TRUST)
             return (trust, scores), change, change < self._tolerance
 
-        trust = dict.fromkeys(claims.sources(), self._initial_trust)
+        trust = dict.fromkeys(claims.sources(), INITIAL_TRUST)
         (trust, scores), iterations = fixed_point(
             step,
             (trust, None),

@@ -25,6 +25,12 @@ from repro.linkage.comparison import ComparisonVector
 
 __all__ = ["LabeledPair", "ActiveThresholdLearner", "noisy_oracle"]
 
+#: Where the learned threshold starts.
+INITIAL_THRESHOLD = 0.5
+
+#: The share of each uncertainty batch drawn at random.
+EXPLORATION = 0.25
+
 Oracle = Callable[[str, str], bool]
 
 
@@ -73,11 +79,10 @@ class ActiveThresholdLearner:
         Oracle queries per round.
     strategy:
         ``"uncertainty"`` queries the unlabeled pairs whose score is
-        nearest the current threshold (with an ``exploration`` fraction
-        of random picks mixed in — pure boundary sampling is unstable
-        under label noise); ``"random"`` is the baseline.
-    exploration:
-        Fraction of each uncertainty batch drawn at random.
+        nearest the current threshold (with an :data:`EXPLORATION`
+        fraction of random picks mixed in — pure boundary sampling is
+        unstable under label noise); ``"random"`` is the baseline. The
+        threshold starts at :data:`INITIAL_THRESHOLD`.
     seed:
         Randomness for the random strategy, exploration, tie-breaking.
     """
@@ -87,8 +92,6 @@ class ActiveThresholdLearner:
         vectors: Sequence[ComparisonVector],
         batch_size: int = 10,
         strategy: str = "uncertainty",
-        initial_threshold: float = 0.5,
-        exploration: float = 0.25,
         seed: int = 0,
     ) -> None:
         if not vectors:
@@ -97,13 +100,10 @@ class ActiveThresholdLearner:
             raise ConfigurationError("batch_size must be >= 1")
         if strategy not in ("uncertainty", "random"):
             raise ConfigurationError(f"unknown strategy {strategy!r}")
-        if not 0.0 <= exploration <= 1.0:
-            raise ConfigurationError("exploration must be in [0, 1]")
         self._vectors = list(vectors)
         self._batch_size = batch_size
         self._strategy = strategy
-        self._threshold = initial_threshold
-        self._exploration = exploration
+        self._threshold = INITIAL_THRESHOLD
         self._rng = random.Random(seed)
         self._labeled: list[LabeledPair] = []
         self._labeled_keys: set[frozenset[str]] = set()
@@ -133,7 +133,7 @@ class ActiveThresholdLearner:
         if self._strategy == "random":
             self._rng.shuffle(unlabeled)
             return unlabeled[: self._batch_size]
-        n_random = round(self._batch_size * self._exploration)
+        n_random = round(self._batch_size * EXPLORATION)
         n_boundary = self._batch_size - n_random
         unlabeled.sort(
             key=lambda vector: (

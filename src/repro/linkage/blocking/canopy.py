@@ -32,9 +32,9 @@ class CanopyBlocker(Blocker):
         Jaccard thresholds with ``0 <= loose <= tight <= 1``. ``loose``
         admits records into a canopy; ``tight`` removes them from the
         seed pool.
-    seed:
-        Seed-order randomness (canopy results depend on seed order;
-        fixing it keeps runs reproducible).
+
+    Canopy results depend on seed order, which one fixed seed shuffles,
+    so runs are reproducible.
     """
 
     name = "canopy"
@@ -44,7 +44,6 @@ class CanopyBlocker(Blocker):
         text_function: Callable[[Record], str] | None = None,
         loose: float = 0.3,
         tight: float = 0.6,
-        seed: int = 0,
     ) -> None:
         if not 0.0 <= loose <= tight <= 1.0:
             raise ConfigurationError(
@@ -53,7 +52,6 @@ class CanopyBlocker(Blocker):
         self._text_function = text_function or (lambda r: r.text())
         self._loose = loose
         self._tight = tight
-        self._seed = seed
 
     def block(self, records: Sequence[Record]) -> BlockCollection:
         tokens: dict[str, frozenset[str]] = {
@@ -68,7 +66,7 @@ class CanopyBlocker(Blocker):
             for token in record_tokens:
                 index.setdefault(token, set()).add(record_id)
 
-        rng = random.Random(self._seed)
+        rng = random.Random(0)
         pool = sorted(tokens)
         rng.shuffle(pool)
         alive = set(pool)

@@ -12,7 +12,7 @@ S-curve whose threshold ``(1/bands)^(1/rows)`` the constructor reports.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.record import Record
@@ -45,11 +45,8 @@ class MinHashBlocker(KeyBlocker):
     bands:
         Number of LSH bands. More bands → lower similarity threshold
         (more candidates).
-    text_function:
-        Record → text whose word tokens are sketched (defaults to all
-        attribute values).
-    seed:
-        Seeds the hash-family parameters.
+
+    The hash-family parameters are drawn from one fixed seed.
     """
 
     name = "minhash-lsh"
@@ -58,8 +55,6 @@ class MinHashBlocker(KeyBlocker):
         self,
         n_hashes: int = 64,
         bands: int = 16,
-        text_function: Callable[[Record], str] | None = None,
-        seed: int = 0,
     ) -> None:
         super().__init__()
         if n_hashes < 1 or bands < 1:
@@ -71,8 +66,7 @@ class MinHashBlocker(KeyBlocker):
         self._n_hashes = n_hashes
         self._bands = bands
         self._rows = n_hashes // bands
-        self._text_function = text_function or (lambda r: r.text())
-        rng = random.Random(seed)
+        rng = random.Random(0)
         self._a = [
             rng.randrange(1, _MERSENNE_PRIME) for __ in range(n_hashes)
         ]
@@ -101,7 +95,7 @@ class MinHashBlocker(KeyBlocker):
 
     def record_keys(self, record: Record) -> list[str]:
         """One key per band: the band index and its slice of the sketch."""
-        tokens = word_tokens(normalize_value(self._text_function(record)))
+        tokens = word_tokens(normalize_value(record.text()))
         sketch = self._sketch(tokens)
         if sketch is None:
             return []

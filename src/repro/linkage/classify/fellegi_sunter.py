@@ -31,6 +31,13 @@ __all__ = ["FellegiSunterModel", "fit_fellegi_sunter"]
 
 _EPSILON = 1e-6
 
+#: How far the parameters may still move, summed, in the step that
+#: converges.
+TOLERANCE = 1e-6
+
+#: The match prevalence EM starts from.
+INITIAL_PREVALENCE = 0.1
+
 
 def _clamp(value: float) -> float:
     return min(1.0 - _EPSILON, max(_EPSILON, value))
@@ -116,8 +123,6 @@ def fit_fellegi_sunter(
     vectors: Sequence[ComparisonVector],
     agreement_threshold: float = 0.85,
     max_iterations: int = 100,
-    tolerance: float = 1e-6,
-    initial_prevalence: float = 0.1,
     tracer=None,
     checkpoint=None,
 ) -> FellegiSunterModel:
@@ -162,7 +167,7 @@ def fit_fellegi_sunter(
                 likelihood_match / total if total > 0 else 0.5
             )
         # M-step.
-        expected_matches = sum(
+        expected_matches = math.fsum(
             responsibilities[p] * count for p, count in patterns.items()
         )
         expected_non = total_pairs - expected_matches
@@ -170,12 +175,12 @@ def fit_fellegi_sunter(
         new_m: list[float] = []
         new_u: list[float] = []
         for index in range(n_fields):
-            agree_match = sum(
+            agree_match = math.fsum(
                 responsibilities[p] * count
                 for p, count in patterns.items()
                 if p[index]
             )
-            agree_non = sum(
+            agree_non = math.fsum(
                 (1.0 - responsibilities[p]) * count
                 for p, count in patterns.items()
                 if p[index]
@@ -190,26 +195,28 @@ def fit_fellegi_sunter(
                 if expected_non > 0
                 else 0.5
             )
-        delta = (
-            abs(new_prevalence - prevalence)
-            + sum(abs(a - b) for a, b in zip(new_m, m))
-            + sum(abs(a - b) for a, b in zip(new_u, u))
+        delta = math.fsum(
+            [
+                abs(new_prevalence - prevalence),
+                *(abs(a - b) for a, b in zip(new_m, m)),
+                *(abs(a - b) for a, b in zip(new_u, u)),
+            ]
         )
-        return (new_m, new_u, new_prevalence), delta, delta < tolerance
+        return (new_m, new_u, new_prevalence), delta, delta < TOLERANCE
 
     def signature() -> str:
         return config_fingerprint(
             sorted(patterns.items()),
             agreement_threshold,
             max_iterations,
-            tolerance,
-            initial_prevalence,
+            TOLERANCE,
+            INITIAL_PREVALENCE,
         )
 
     # Initialization: matches agree often, non-matches rarely.
     (m, u, prevalence), __ = fixed_point(
         step,
-        ([0.9] * n_fields, [0.1] * n_fields, initial_prevalence),
+        ([0.9] * n_fields, [0.1] * n_fields, INITIAL_PREVALENCE),
         max_iterations=max_iterations,
         span="classify.fellegi_sunter_em",
         counter="classify.em_iterations",
@@ -223,7 +230,7 @@ def fit_fellegi_sunter(
 
     # EM's two components are label-symmetric; orient so the "match"
     # component is the one agreeing more (standard identifiability fix).
-    if sum(m) < sum(u):
+    if math.fsum(m) < math.fsum(u):
         m, u = u, m
         prevalence = 1.0 - prevalence
 

@@ -336,8 +336,8 @@ class FieldComparator:
     def prepare(self, attributes: Mapping[str, str]) -> Any | None:
         """Hoist this field's per-value work out of the pair loop.
 
-        Returns the payload :meth:`compare_payloads` consumes, or
-        ``None`` when the field is missing from ``attributes``.
+        Returns the payload this field's similarity reads, or ``None``
+        when the field is missing from ``attributes``.
         """
         value = self._lookup(attributes)
         if value is None:
@@ -345,16 +345,6 @@ class FieldComparator:
         return _prepare_value(
             similarity_spec(self.similarity).prepare, self.normalize, value
         )
-
-    def compare_payloads(self, left: Any | None, right: Any | None) -> float | None:
-        """Similarity from prepared payloads; ``None`` when either is missing.
-
-        Arithmetic-identical to :meth:`compare` on the values the
-        payloads were prepared from.
-        """
-        if left is None or right is None:
-            return None
-        return similarity_spec(self.similarity).similarity(left, right)
 
 
 @dataclass(frozen=True)

@@ -126,14 +126,12 @@ def detect_identifier_attributes(
 def link_by_identifier(
     records: Sequence[Record],
     detections: Sequence[IdentifierDetection],
-    min_cluster_sources: int = 1,
 ) -> list[list[str]]:
     """Cluster records sharing a normalized identifier value.
 
     Only values of detected identifier attributes participate. Values
     shared within a single source are honored too (duplicate listings
-    exist). ``min_cluster_sources`` can require identifier clusters to
-    span several sources before they are trusted.
+    exist).
     """
     identifier_attributes = {
         (detection.source_id, detection.attribute)
@@ -152,9 +150,6 @@ def link_by_identifier(
     for value in sorted(by_value):
         group = by_value[value]
         if len(group) < 2:
-            continue
-        sources = {record.source_id for record in group}
-        if len(sources) < min_cluster_sources:
             continue
         anchor = group[0].record_id
         for other in group[1:]:

@@ -27,6 +27,10 @@ from repro.core.record import Record
 
 __all__ = ["TemporalField", "TemporalMatcher", "link_temporal_stream"]
 
+#: How many of a cluster's most recent members a new record is scored
+#: against.
+COMPARE_LAST = 3
+
 
 @dataclass(frozen=True)
 class TemporalField:
@@ -109,12 +113,11 @@ class TemporalMatcher:
 def link_temporal_stream(
     records: Sequence[Record],
     matcher: TemporalMatcher,
-    compare_last: int = 3,
 ) -> list[list[str]]:
     """Cluster a time-ordered record stream incrementally.
 
     Records are processed in timestamp order (early binding). Each new
-    record is scored against the ``compare_last`` most recent members
+    record is scored against the :data:`COMPARE_LAST` most recent members
     of every existing cluster and joins the best-scoring cluster above
     the matcher's threshold, else starts its own. Comparing against
     recent members (not the earliest) is what lets a cluster *follow*
@@ -128,7 +131,7 @@ def link_temporal_stream(
         best_index = -1
         best_score = matcher.match_threshold
         for index, cluster in enumerate(clusters):
-            recent = cluster[-compare_last:]
+            recent = cluster[-COMPARE_LAST:]
             score = max(matcher.score(record, member) for member in recent)
             if score >= best_score and (
                 best_index == -1 or score > best_score

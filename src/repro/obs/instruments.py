@@ -26,19 +26,17 @@ BLOCK_SIZE_BUCKETS: tuple[float, ...] = (
 )
 
 
-def observe_block_collection(tracer, blocks, prefix: str = "blocking") -> None:
+def observe_block_collection(tracer, blocks) -> None:
     """Record a block collection's shape into the tracer's metrics.
 
-    Emits ``{prefix}.blocks_built`` and ``{prefix}.comparisons``
-    counters plus a ``{prefix}.block_size`` histogram — the block-size
+    Emits ``blocking.blocks_built`` and ``blocking.comparisons``
+    counters plus a ``blocking.block_size`` histogram — the block-size
     distribution is the skew signal the load-balancing experiments
     (and `max_block_size` tuning) turn on.
     """
-    tracer.counter(f"{prefix}.blocks_built").inc(len(blocks))
-    tracer.counter(f"{prefix}.comparisons").inc(blocks.n_comparisons)
-    histogram = tracer.histogram(
-        f"{prefix}.block_size", BLOCK_SIZE_BUCKETS
-    )
+    tracer.counter("blocking.blocks_built").inc(len(blocks))
+    tracer.counter("blocking.comparisons").inc(blocks.n_comparisons)
+    histogram = tracer.histogram("blocking.block_size", BLOCK_SIZE_BUCKETS)
     histogram.observe_many(float(len(block)) for block in blocks)
 
 
@@ -49,39 +47,35 @@ STREAM_LAG_BUCKETS: tuple[float, ...] = (
 )
 
 
-def observe_stream_window(tracer, result, prefix: str = "streaming") -> None:
+def observe_stream_window(tracer, result) -> None:
     """Record one closed streaming window into the tracer's metrics.
 
     ``result`` is a :class:`repro.streaming.runtime.WindowResult` (duck
     typed — anything with the same counters works). Emits the
     per-window cost counters, the watermark/match-rate gauges the
     drift dashboards plot, and the ingest-to-visible lag histogram
-    (``{prefix}.lag``) whose p99 the streaming benchmark gates.
+    (``streaming.lag``) whose p99 the streaming benchmark gates.
     """
-    tracer.counter(f"{prefix}.windows_closed").inc()
-    tracer.counter(f"{prefix}.window_records").inc(result.n_records)
-    tracer.counter(f"{prefix}.comparisons").inc(result.comparisons)
-    tracer.counter(f"{prefix}.matches").inc(result.matches)
-    tracer.gauge(f"{prefix}.watermark").set(result.watermark)
-    tracer.gauge(f"{prefix}.entities_touched").set(
+    tracer.counter("streaming.windows_closed").inc()
+    tracer.counter("streaming.window_records").inc(result.n_records)
+    tracer.counter("streaming.comparisons").inc(result.comparisons)
+    tracer.counter("streaming.matches").inc(result.matches)
+    tracer.gauge("streaming.watermark").set(result.watermark)
+    tracer.gauge("streaming.entities_touched").set(
         float(result.entities_touched)
     )
-    histogram = tracer.histogram(f"{prefix}.lag", STREAM_LAG_BUCKETS)
+    histogram = tracer.histogram("streaming.lag", STREAM_LAG_BUCKETS)
     histogram.observe_many(result.lags)
 
 
-def observe_candidate_pruning(
-    tracer, n_before: int, n_after: int, prefix: str = "metablocking"
-) -> None:
+def observe_candidate_pruning(tracer, n_before: int, n_after: int) -> None:
     """Record a pruning pass: pairs in, retained, pruned."""
-    tracer.counter(f"{prefix}.pairs_before").inc(n_before)
-    tracer.counter(f"{prefix}.pairs_retained").inc(n_after)
-    tracer.counter(f"{prefix}.pairs_pruned").inc(max(0, n_before - n_after))
+    tracer.counter("metablocking.pairs_before").inc(n_before)
+    tracer.counter("metablocking.pairs_retained").inc(n_after)
+    tracer.counter("metablocking.pairs_pruned").inc(max(0, n_before - n_after))
 
 
-def observe_supervisor(
-    tracer, supervisor, prefix: str = "supervision"
-) -> None:
+def observe_supervisor(tracer, supervisor) -> None:
     """Publish a supervisor's healing summary as gauges.
 
     The :class:`~repro.supervision.Supervisor` already counts its
@@ -96,11 +90,11 @@ def observe_supervisor(
             restarts_by_shard[event.shard] = (
                 restarts_by_shard.get(event.shard, 0) + 1
             )
-    tracer.gauge(f"{prefix}.events").set(float(len(supervisor.events)))
-    tracer.gauge(f"{prefix}.healed_shards").set(
+    tracer.gauge("supervision.events").set(float(len(supervisor.events)))
+    tracer.gauge("supervision.healed_shards").set(
         float(len(restarts_by_shard))
     )
-    tracer.gauge(f"{prefix}.max_shard_restarts").set(
+    tracer.gauge("supervision.max_shard_restarts").set(
         float(max(restarts_by_shard.values(), default=0))
     )
 

@@ -219,12 +219,10 @@ class MetricsRegistry:
                         else better(current, incoming),
                     )
 
-    def merge_counters(
-        self, counts: Mapping[str, int | float], prefix: str = ""
-    ) -> None:
+    def merge_counters(self, counts: Mapping[str, int | float]) -> None:
         """Fold a plain counter dict (the degenerate worker snapshot)."""
         for name, value in counts.items():
-            self.counter(prefix + name).inc(value)
+            self.counter(name).inc(value)
 
     def to_dict(self) -> dict:
         """Alias of :meth:`snapshot` for report serialization."""

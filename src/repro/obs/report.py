@@ -48,8 +48,8 @@ class RunReport:
             "metrics": self.metrics,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
@@ -86,7 +86,7 @@ class RunReport:
 
     # --- rendering ---------------------------------------------------
 
-    def render(self, show_buckets: bool = True) -> str:
+    def render(self) -> str:
         """The human-readable report: span tree, then metric tables."""
         lines = [f"run report: {self.name}"]
         for root in self.spans:
@@ -124,7 +124,7 @@ class RunReport:
                         f" max={_format_value(data['max'])}"
                     )
                 lines.append(summary)
-                if show_buckets and data["count"]:
+                if data["count"]:
                     for bound, count in zip(
                         data["buckets"], data["counts"]
                     ):

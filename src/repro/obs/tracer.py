@@ -98,19 +98,15 @@ class Tracer:
     clock:
         Timestamp source; defaults to monotonic wall time. Tests inject
         :class:`~repro.obs.clock.ManualClock` for exact durations.
-    metrics:
-        The metrics registry to write into; defaults to a fresh one.
+
+    The tracer writes into a fresh :class:`MetricsRegistry` of its own.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Clock | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         self._clock = clock or SystemClock()
-        self._metrics = metrics or MetricsRegistry()
+        self._metrics = MetricsRegistry()
         self._roots: list[Span] = []
         self._stack: list[Span] = []
 

@@ -75,10 +75,16 @@ class SpillableClaimGroups:
         self._item_seq: dict[str, int] = {}
         self._source_seq: dict[str, int] = {}
         self._n_added = 0
+        self._n_kept: int | None = None
 
     def __len__(self) -> int:
-        """Claims added (before (source, item) deduplication)."""
-        return self._n_added
+        """Claims kept: those :meth:`groups` streams, each source's
+        first claim on an item. Known after a whole pass over the groups;
+        asked before one, it makes one."""
+        if self._n_kept is None:
+            for __ in self.groups():
+                pass
+        return self._n_kept
 
     def add(self, source_id: str, item_id: str, value: str) -> None:
         """Register one claim; later duplicates of a (source, item) are
@@ -90,6 +96,7 @@ class SpillableClaimGroups:
             entry_nbytes(item_id, source_id, value, 0, 0),
         )
         self._n_added += 1
+        self._n_kept = None
 
     def sources(self) -> tuple[str, ...]:
         """Source ids in first-seen order (ClaimSet.sources semantics)."""
@@ -102,7 +109,7 @@ class SpillableClaimGroups:
     def summary(self) -> ClaimStreamSummary:
         """The stream's cardinalities for reports and results."""
         return ClaimStreamSummary(
-            n_claims=self._n_added,
+            n_claims=len(self),
             n_items=len(self._item_seq),
             n_sources=len(self._source_seq),
         )
@@ -121,6 +128,7 @@ class SpillableClaimGroups:
         """
         position = self._source_seq
         item = None
+        kept = 0
         for number, __, item_id, source_id, value in (
             self._sorter.sorted_stream()
         ):
@@ -132,6 +140,7 @@ class SpillableClaimGroups:
             if source_id in seen:
                 continue
             seen.add(source_id)
+            kept += 1
             k = local.get(value)
             if k is None:
                 k = local[value] = len(supporters)
@@ -139,6 +148,7 @@ class SpillableClaimGroups:
             supporters[k].append(position[source_id])
         if item is not None:
             yield item, list(local), supporters, pattern
+        self._n_kept = kept
 
     def score(
         self, score_item: ItemScorer, reads_values: bool = False

@@ -77,10 +77,9 @@ class SpillableBlockIndex:
     key map, which is what ``KeyBlocker.block`` does.
     """
 
-    def __init__(self, store, budget: MemoryBudget, *, name: str = "index") -> None:
+    def __init__(self, store, budget: MemoryBudget) -> None:
         self._store = store
         self._budget = budget
-        self._name = name
         self._by_key: dict[str, list[str]] = {}
         self._resident = 0
         self._n_runs = 0
@@ -104,7 +103,7 @@ class SpillableBlockIndex:
 
     def _spill(self) -> None:
         items = sorted(self._by_key.items())
-        meta = self._store.save_stream(f"{self._name}.run.{self._n_runs}", items)
+        meta = self._store.save_stream(f"index.run.{self._n_runs}", items)
         self._n_runs += 1
         self._by_key = {}
         self._budget.remove(self._resident)
@@ -129,7 +128,7 @@ class SpillableBlockIndex:
                 self._resident = 0
             return
         streams = [
-            _tagged(self._store.load_stream(f"{self._name}.run.{index}"), index)
+            _tagged(self._store.load_stream(f"index.run.{index}"), index)
             for index in range(self._n_runs)
         ]
         # Merging on (key, run index) keeps a key split across spills in
@@ -239,10 +238,9 @@ class ExternalPairDeduper:
     sequence the in-memory resolver builds — lazily.
     """
 
-    def __init__(self, store, budget: MemoryBudget, *, name: str = "pairs") -> None:
+    def __init__(self, store, budget: MemoryBudget) -> None:
         self._store = store
         self._budget = budget
-        self._name = name
         self._buffer: set[tuple[str, str]] = set()
         self._resident = 0
         self._n_runs = 0
@@ -282,7 +280,7 @@ class ExternalPairDeduper:
 
     def _spill(self) -> None:
         meta = self._store.save_stream(
-            f"{self._name}.run.{self._n_runs}", sorted(self._buffer)
+            f"pairs.run.{self._n_runs}", sorted(self._buffer)
         )
         self._n_runs += 1
         self._buffer = set()
@@ -299,7 +297,7 @@ class ExternalPairDeduper:
             source: Iterable = ordered
         else:
             streams = [
-                self._store.load_stream(f"{self._name}.run.{index}")
+                self._store.load_stream(f"pairs.run.{index}")
                 for index in range(self._n_runs)
             ]
             source = heapq.merge(*streams)

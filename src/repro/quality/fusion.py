@@ -75,12 +75,11 @@ class CopyDetectionQuality:
 def copy_detection_quality(
     detected: Mapping[tuple[str, str], float],
     planted_copier_of: Mapping[str, str],
-    threshold: float = 0.5,
     include_siblings: bool = False,
 ) -> CopyDetectionQuality:
     """Score detected copy probabilities against planted copier edges.
 
-    A detected pair ``(a, b)`` with probability ≥ ``threshold`` counts
+    A detected pair ``(a, b)`` with probability ≥ 0.5 counts
     as a predicted copying relation between ``a`` and ``b`` in either
     direction (direction is notoriously hard; the canonical evaluation
     scores the undirected relation). Planted edges are
@@ -91,7 +90,7 @@ def copy_detection_quality(
     predicted: set[frozenset[str]] = {
         frozenset(pair)
         for pair, probability in detected.items()
-        if probability >= threshold and pair[0] != pair[1]
+        if probability >= 0.5 and pair[0] != pair[1]
     }
     actual: set[frozenset[str]] = {
         frozenset((copier, parent))

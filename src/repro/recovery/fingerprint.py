@@ -45,7 +45,6 @@ NONSEMANTIC_FIELDS = frozenset(
         "tracer",
         "dead_letter_path",
         "dead_letter_max_entries",
-        "dead_letter_max_bytes",
         "heartbeat",
         "supervision",
     }

@@ -131,9 +131,6 @@ class RunStore:
         existing one resumes it (subject to the fingerprint check).
     run_id:
         Recorded in the manifest for humans and CI artifacts.
-    fingerprint:
-        Optional config fingerprint to bind immediately (see
-        :meth:`bind_fingerprint`).
     tracer:
         An :class:`repro.obs.Tracer` for the ``recovery.*`` counters;
         reassignable via :attr:`tracer` (the pipeline binds its run
@@ -148,7 +145,6 @@ class RunStore:
         self,
         root: str | os.PathLike,
         run_id: str = "run",
-        fingerprint: str | None = None,
         tracer=None,
         durable: bool = True,
     ) -> None:
@@ -159,8 +155,6 @@ class RunStore:
         self._prefix = ""
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._manifest = self._load_manifest(run_id)
-        if fingerprint is not None:
-            self.bind_fingerprint(fingerprint)
 
     def __reduce__(self):
         # The location travels, not the open state: a worker reopens it.

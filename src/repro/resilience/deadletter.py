@@ -102,14 +102,12 @@ class DeadLetterLog:
     :meth:`restore`) are assumed already persisted and are not
     re-written.
 
-    ``max_entries`` / ``max_bytes`` bound the log: once either limit
-    is exceeded, the *oldest* entries rotate out — in memory and, when
-    durable, by atomically rewriting the sink — with the retained-tail
-    guarantee that the newest ``max_entries`` entries (respectively the
-    newest entries fitting in ``max_bytes``, and always at least the
-    newest one) survive. :attr:`dropped` counts everything rotated
-    away, so a sustained skip-mode fault storm stays accounted for
-    even though the log stops growing.
+    ``max_entries`` bounds the log: once it is exceeded, the *oldest*
+    entries rotate out — in memory and, when durable, by atomically
+    rewriting the sink — with the retained-tail guarantee that the
+    newest ``max_entries`` entries survive. :attr:`dropped` counts
+    everything rotated away, so a sustained skip-mode fault storm stays
+    accounted for even though the log stops growing.
     """
 
     def __init__(
@@ -117,21 +115,16 @@ class DeadLetterLog:
         entries: Iterable[DeadLetterEntry] = (),
         path: str | None = None,
         max_entries: int | None = None,
-        max_bytes: int | None = None,
     ) -> None:
-        for name, value in (
-            ("max_entries", max_entries), ("max_bytes", max_bytes),
+        if max_entries is not None and (
+            not isinstance(max_entries, int) or max_entries < 1
         ):
-            if value is not None and (
-                not isinstance(value, int) or value < 1
-            ):
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}"
-                )
+            raise ValueError(
+                f"max_entries must be an integer >= 1, got {max_entries!r}"
+            )
         self._entries: list[DeadLetterEntry] = list(entries)
         self._path = path
         self._max_entries = max_entries
-        self._max_bytes = max_bytes
         #: Entries rotated out over this log's lifetime.
         self.dropped = 0
         #: How many rotation passes actually dropped entries.
@@ -158,32 +151,11 @@ class DeadLetterLog:
             os.fsync(handle.fileno())
 
     def _rotate(self) -> None:
-        """Drop the oldest entries past the configured bounds.
-
-        Retained-tail guarantee: the suffix that survives is always the
-        newest entries, and never empty while the log has any — even a
-        single entry larger than ``max_bytes`` is kept, because losing
-        the *latest* quarantine would defeat the log's purpose.
-        """
-        if self._max_entries is None and self._max_bytes is None:
+        """Drop the oldest entries past ``max_entries``: the suffix that
+        survives is always the newest entries."""
+        if self._max_entries is None:
             return
-        keep_from = 0
-        if (
-            self._max_entries is not None
-            and len(self._entries) > self._max_entries
-        ):
-            keep_from = len(self._entries) - self._max_entries
-        if self._max_bytes is not None and self._entries:
-            total = 0
-            cutoff = len(self._entries) - 1
-            for index in range(len(self._entries) - 1, -1, -1):
-                total += len(
-                    self._line(self._entries[index]).encode("utf-8")
-                ) + 1
-                if total > self._max_bytes and index < len(self._entries) - 1:
-                    break
-                cutoff = index
-            keep_from = max(keep_from, cutoff)
+        keep_from = len(self._entries) - self._max_entries
         if keep_from <= 0:
             return
         self.dropped += keep_from
@@ -259,8 +231,8 @@ class DeadLetterLog:
     def from_dicts(cls, data: Iterable[dict]) -> "DeadLetterLog":
         return cls(DeadLetterEntry.from_dict(item) for item in data)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dicts(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dicts(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "DeadLetterLog":

@@ -209,7 +209,6 @@ class ResilientChunkExecutor:
             dead_letters=DeadLetterLog(
                 path=self._config.dead_letter_path,
                 max_entries=self._config.dead_letter_max_entries,
-                max_bytes=self._config.dead_letter_max_bytes,
             ),
         )
         budget = self._config.deadline if deadline is None else deadline

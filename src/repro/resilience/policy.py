@@ -229,10 +229,11 @@ class RetryPolicy:
             raw *= 1.0 + self.jitter * _unit_fraction(f"{salt}#{attempt}")
         return raw
 
-    def schedule(self, salt: str = "") -> tuple[float, ...]:
-        """The full backoff schedule: delays after attempts 1..n-1."""
+    def schedule(self) -> tuple[float, ...]:
+        """The full backoff schedule: delays after attempts 1..n-1,
+        unsalted."""
         return tuple(
-            self.delay(attempt, salt)
+            self.delay(attempt)
             for attempt in range(1, self.max_attempts)
         )
 
@@ -258,9 +259,9 @@ class ResilienceConfig:
     executor's :class:`~repro.resilience.deadletter.DeadLetterLog`
     appends each entry to that JSONL file with flush+fsync as it is
     written, so quarantined work survives process death mid-run.
-    ``dead_letter_max_entries`` / ``dead_letter_max_bytes`` bound that
-    log under sustained skip-mode faults (oldest entries rotate out,
-    the newest tail is always retained).
+    ``dead_letter_max_entries`` bounds that log under sustained
+    skip-mode faults (oldest entries rotate out, the newest tail is
+    always retained).
 
     ``heartbeat``, when set (a
     :class:`repro.supervision.HeartbeatEmitter`), is beaten before
@@ -278,7 +279,6 @@ class ResilienceConfig:
     fault_injector: object | None = None
     dead_letter_path: str | None = None
     dead_letter_max_entries: int | None = None
-    dead_letter_max_bytes: int | None = None
     heartbeat: object | None = None
 
     def __post_init__(self) -> None:
@@ -301,14 +301,12 @@ class ResilienceConfig:
                 raise ConfigurationError(
                     f"{name} must be > 0, got {value!r}"
                 )
-        for name in ("dead_letter_max_entries", "dead_letter_max_bytes"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, int) or value < 1:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= 1, got {value!r}"
-                )
+        value = self.dead_letter_max_entries
+        if value is not None and (not isinstance(value, int) or value < 1):
+            raise ConfigurationError(
+                "dead_letter_max_entries must be an integer >= 1, "
+                f"got {value!r}"
+            )
         if (
             self.timeout is not None
             and self.deadline is not None

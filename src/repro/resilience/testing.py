@@ -180,20 +180,14 @@ def crash(
     attempts=None,
     max_fires: int | None = None,
     shard: int | None = None,
-    incarnations=None,
 ) -> FaultSpec:
     """A crash rule (see :class:`FaultSpec` for targeting)."""
-    return FaultSpec(
-        "crash", chunk, item, attempts, max_fires,
-        shard=shard, incarnations=incarnations,
-    )
+    return FaultSpec("crash", chunk, item, attempts, max_fires, shard=shard)
 
 
 def kill(
     chunk: int | None = None,
-    item: object | None = None,
     attempts=None,
-    max_fires: int | None = None,
     shard: int | None = None,
     incarnations=None,
 ) -> FaultSpec:
@@ -206,15 +200,13 @@ def kill(
     supervised worker.
     """
     return FaultSpec(
-        "kill", chunk, item, attempts, max_fires,
-        shard=shard, incarnations=incarnations,
+        "kill", chunk, attempts=attempts, shard=shard,
+        incarnations=incarnations,
     )
 
 
 def flap(
     chunk: int | None = None,
-    item: object | None = None,
-    attempts=None,
     max_fires: int | None = None,
     shard: int | None = None,
     incarnations=None,
@@ -229,8 +221,8 @@ def flap(
     binds the incarnation number before every (re)launch.
     """
     return FaultSpec(
-        "flap", chunk, item, attempts, max_fires,
-        shard=shard, incarnations=incarnations,
+        "flap", chunk, max_fires=max_fires, shard=shard,
+        incarnations=incarnations,
     )
 
 

@@ -18,6 +18,9 @@ from repro.schema.correspondence import Correspondence
 
 __all__ = ["cluster_attributes", "cluster_attributes_robust"]
 
+#: The share of a clique's pairs a component must hold to stay whole.
+MIN_COHESION = 0.3
+
 
 def cluster_attributes(
     correspondences: Iterable[Correspondence],
@@ -37,13 +40,12 @@ def cluster_attributes(
 def cluster_attributes_robust(
     correspondences: Sequence[Correspondence],
     all_attributes: Iterable[SourceAttribute] = (),
-    min_cohesion: float = 0.3,
 ) -> list[list[SourceAttribute]]:
     """Connected components, then split low-cohesion components.
 
     A component's *cohesion* is its number of internal correspondences
     divided by the pairs a clique would have. Components below
-    ``min_cohesion`` are re-clustered keeping only their
+    :data:`MIN_COHESION` are re-clustered keeping only their
     above-median-score edges — a cheap approximation of correlation
     clustering that reliably severs single-edge bridges.
     """
@@ -64,7 +66,7 @@ def cluster_attributes_robust(
         ]
         possible = len(component) * (len(component) - 1) // 2
         cohesion = len(internal) / possible if possible else 1.0
-        if cohesion >= min_cohesion or not internal:
+        if cohesion >= MIN_COHESION or not internal:
             result.append(component)
             continue
         scores = sorted(score for __, __, score in internal)

@@ -103,23 +103,17 @@ def score_all_pairs(
 def select_correspondences(
     scored: Iterable[Correspondence],
     threshold: float = 0.6,
-    one_to_one: bool = True,
 ) -> list[Correspondence]:
-    """Keep correspondences above ``threshold``.
+    """Keep correspondences above ``threshold``, one to one.
 
-    With ``one_to_one`` (default) a greedy best-first pass enforces
-    that, per source pair, each attribute participates in at most one
-    correspondence: pairs are taken in descending score order and a
-    pair is kept only when both endpoints are still free with respect
-    to the other's source.
+    A greedy best-first pass enforces that, per source pair, each
+    attribute participates in at most one correspondence: pairs are
+    taken in descending score order and a pair is kept only when both
+    endpoints are still free with respect to the other's source.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ConfigurationError("threshold must be in [0, 1]")
     surviving = [c for c in scored if c.score >= threshold]
-    if not one_to_one:
-        return sorted(
-            surviving, key=lambda c: (-c.score, c.left, c.right)
-        )
     surviving.sort(key=lambda c: (-c.score, c.left, c.right))
     taken: set[tuple[SourceAttribute, str]] = set()
     selected: list[Correspondence] = []

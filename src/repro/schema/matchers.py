@@ -36,6 +36,10 @@ __all__ = ["AttributeMatcher", "NameMatcher", "InstanceMatcher", "HybridMatcher"
 #: bounds lean inclusive by far more than rounding can move a score.
 _MARGIN = 1e-9
 
+#: The numeric share above which an attribute counts as numeric; the
+#: instance score is zero across the gate.
+NUMERIC_GATE = 0.5
+
 
 class NameScores(dict):
     """``names[a, b]``: the max of character-level (Jaro-Winkler) and
@@ -140,20 +144,19 @@ class InstanceMatcher(AttributeMatcher):
       (mean log-magnitude in base units), which separates numeric
       attributes measured on different scales.
 
-    ``numeric_gate`` further suppresses matches between an essentially
-    numeric attribute and an essentially textual one.
+    :data:`NUMERIC_GATE` further suppresses matches between an
+    essentially numeric attribute and an essentially textual one.
     """
 
     name = "instance"
-    numeric_gate: float = 0.5
 
     def score(self, a: AttributeProfile, b: AttributeProfile) -> float:
         if a.n_records == 0 or b.n_records == 0:
             return 0.0
         values_a, tokens_a, fraction_a, log_a = a.features
         values_b, tokens_b, fraction_b, log_b = b.features
-        numeric = fraction_a > self.numeric_gate
-        if numeric != (fraction_b > self.numeric_gate):
+        numeric = fraction_a > NUMERIC_GATE
+        if numeric != (fraction_b > NUMERIC_GATE):
             return 0.0
         value_overlap = _overlap(values_a, values_b)
         token_overlap = _overlap(tokens_a, tokens_b)
@@ -165,17 +168,18 @@ class InstanceMatcher(AttributeMatcher):
         return max(value_overlap, 0.5 * token_overlap + 0.5 * scale)
 
     def candidate_pairs(self, profiles, min_score, names=None):
-        """Pairs on one side of ``numeric_gate`` that share a value or value
-        token (postings), or are numeric columns carried by scale alone:
-        ``0.5 * scale >= min_score`` when the mean logs are within ``1.5 *
-        (1 - 2 * min_score)`` of each other (a band join)."""
+        """Pairs on one side of :data:`NUMERIC_GATE` that share a value
+        or value token (postings), or are numeric columns carried by
+        scale alone: ``0.5 * scale >= min_score`` when the mean logs are
+        within ``1.5 * (1 - 2 * min_score)`` of each other (a band
+        join)."""
         postings: dict[tuple[bool, str], list[int]] = defaultdict(list)
         scales: list[tuple[float, int]] = []
         for index, profile in enumerate(profiles):
             if profile.n_records == 0:
                 continue
             values, tokens, fraction, mean_log = profile.features
-            numeric = fraction > self.numeric_gate
+            numeric = fraction > NUMERIC_GATE
             for key in values | tokens:
                 postings[numeric, key].append(index)
             if numeric and mean_log is not None:

@@ -27,7 +27,7 @@ from repro.schema.correspondence import (
     score_all_pairs,
     select_correspondences,
 )
-from repro.schema.matchers import AttributeMatcher, HybridMatcher
+from repro.schema.matchers import HybridMatcher
 from repro.text.normalize import normalize_attribute_name
 
 __all__ = ["MediatedAttribute", "MediatedSchema", "build_mediated_schema"]
@@ -137,32 +137,28 @@ def canonical_name(members: Iterable[SourceAttribute]) -> str:
 
 def build_mediated_schema(
     dataset: Dataset,
-    matcher: AttributeMatcher | None = None,
     threshold: float = 0.6,
-    one_to_one: bool = True,
-    min_cohesion: float = 0.3,
     profiles: Mapping[SourceAttribute, AttributeProfile] | None = None,
     tracer=None,
 ) -> MediatedSchema:
     """End-to-end deterministic mediated-schema construction.
 
     Profiles attributes (unless given the dataset's ``profiles``), scores
-    the cross-source pairs that reach ``threshold`` with ``matcher``
-    (default :class:`HybridMatcher`), selects correspondences among them,
-    clusters those (with cohesion-based splitting), and names each cluster
+    the cross-source pairs that reach ``threshold`` with a
+    :class:`HybridMatcher`, selects correspondences among them one to
+    one, clusters those (with cohesion-based splitting), and names each cluster
     by its most common member name — with clusters sharing a name told
     apart by a numeric suffix. ``tracer`` receives the ``schema.*`` counts.
     """
-    matcher = matcher or HybridMatcher()
     if profiles is None:
         profiles = profile_attributes(dataset)
-    scored = score_all_pairs(profiles, matcher, threshold, tracer=tracer)
-    selected = select_correspondences(
-        scored, threshold=threshold, one_to_one=one_to_one
+    scored = score_all_pairs(
+        profiles, HybridMatcher(), threshold, tracer=tracer
     )
+    selected = select_correspondences(scored, threshold=threshold)
     report_counts(tracer, {"schema.correspondences_selected": len(selected)})
     clusters = cluster_attributes_robust(
-        selected, all_attributes=profiles.keys(), min_cohesion=min_cohesion
+        selected, all_attributes=profiles.keys()
     )
     used_names: Counter[str] = Counter()
     mediated: list[MediatedAttribute] = []

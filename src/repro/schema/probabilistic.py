@@ -35,7 +35,7 @@ from repro.schema.correspondence import (
     score_all_pairs,
     select_correspondences,
 )
-from repro.schema.matchers import AttributeMatcher, HybridMatcher
+from repro.schema.matchers import HybridMatcher
 from repro.schema.mediated import (
     MediatedAttribute,
     MediatedSchema,
@@ -47,6 +47,10 @@ __all__ = [
     "ProbabilisticMediatedSchema",
     "build_probabilistic_mediated_schema",
 ]
+
+#: How many of the most probable uncertain cluster edges a schema
+#: resolves; the rest resolve to "no merge".
+MAX_UNCERTAIN_EDGES = 12
 
 
 @dataclass(frozen=True)
@@ -129,12 +133,12 @@ def _uncertain_cluster_edges(
     index_of: Mapping[SourceAttribute, int],
     low: float,
     high: float,
-    max_edges: int,
 ) -> list[tuple[int, int, float]]:
     """Collapse uncertain correspondences onto certain-cluster pairs.
 
     Parallel edges between the same cluster pair combine by noisy-or;
-    only the ``max_edges`` most probable cluster edges are kept (the
+    only the :data:`MAX_UNCERTAIN_EDGES` most probable cluster edges are
+    kept (the
     rest are treated as absent, i.e. resolved to "no merge").
     """
     combined: dict[tuple[int, int], float] = {}
@@ -152,7 +156,7 @@ def _uncertain_cluster_edges(
         ((a, b, p) for (a, b), p in combined.items()),
         key=lambda edge: (-edge[2], edge[0], edge[1]),
     )
-    return edges[:max_edges]
+    return edges[:MAX_UNCERTAIN_EDGES]
 
 
 def _top_k_subsets(
@@ -236,19 +240,18 @@ def _schema_from_assignment(
 
 def build_probabilistic_mediated_schema(
     dataset: Dataset,
-    matcher: AttributeMatcher | None = None,
     certain_threshold: float = 0.8,
     uncertain_threshold: float = 0.45,
     max_schemas: int = 8,
-    max_uncertain_edges: int = 12,
-    one_to_one: bool = True,
     tracer=None,
 ) -> ProbabilisticMediatedSchema:
     """Build a probabilistic mediated schema over ``dataset``.
 
-    Correspondences scoring ≥ ``certain_threshold`` are merged in every
-    candidate; those in ``[uncertain_threshold, certain_threshold)``
-    become probabilistic edges; lower scores are discarded. The top
+    Attribute pairs are scored with a :class:`HybridMatcher` and
+    selected one to one. Correspondences scoring ≥ ``certain_threshold``
+    are merged in every candidate; those in ``[uncertain_threshold,
+    certain_threshold)`` become probabilistic edges; lower scores are
+    discarded. The top
     ``max_schemas`` edge resolutions (by probability) become the
     candidate schemas. ``tracer`` receives the ``schema.*`` pair counts.
     """
@@ -256,15 +259,11 @@ def build_probabilistic_mediated_schema(
         raise ConfigurationError(
             "need 0 <= uncertain_threshold < certain_threshold <= 1"
         )
-    matcher = matcher or HybridMatcher()
     profiles = profile_attributes(dataset)
     scored = score_all_pairs(
-        profiles, matcher, min_score=uncertain_threshold, tracer=tracer
+        profiles, HybridMatcher(), min_score=uncertain_threshold, tracer=tracer
     )
-    if one_to_one:
-        scored = select_correspondences(
-            scored, threshold=uncertain_threshold, one_to_one=True
-        )
+    scored = select_correspondences(scored, threshold=uncertain_threshold)
     certain = [c for c in scored if c.score >= certain_threshold]
     uncertain = [c for c in scored if c.score < certain_threshold]
     all_attributes = sorted(profiles.keys())
@@ -274,7 +273,6 @@ def build_probabilistic_mediated_schema(
         index_of,
         uncertain_threshold,
         certain_threshold,
-        max_uncertain_edges,
     )
     subsets = _top_k_subsets([p for __, __, p in edges], max_schemas)
     candidates = [

@@ -67,8 +67,8 @@ class GreedySourceSelector:
         Fusion model used both to integrate and to compute expected
         accuracy.
     cost_weight:
-        Scales source costs into expected-accuracy units; 0 ignores
-        cost (pure accuracy-greedy).
+        The cost of adding a source (every source costs one unit), in
+        expected-accuracy units; 0 ignores cost (pure accuracy-greedy).
     stop_when_unprofitable:
         Stop at the first step whose best gain − scaled cost < 0 (the
         less-is-more stopping rule). Otherwise rank all sources.
@@ -90,14 +90,9 @@ class GreedySourceSelector:
         self._stop = stop_when_unprofitable
         self._max_sources = max_sources
 
-    def select(
-        self,
-        claims: ClaimSet,
-        costs: Mapping[str, float] | None = None,
-    ) -> SelectionResult:
+    def select(self, claims: ClaimSet) -> SelectionResult:
         """Run the greedy selection over all sources in ``claims``."""
         claims.require_nonempty()
-        costs = costs or {}
         remaining = list(claims.sources())
         selected: list[str] = []
         steps: list[SelectionStep] = []
@@ -112,7 +107,7 @@ class GreedySourceSelector:
                 gain = marginal_gain(
                     claims, selected, candidate, self._fuser
                 )
-                score = gain - self._cost_weight * costs.get(candidate, 1.0)
+                score = gain - self._cost_weight
                 if score > best_score or (
                     score == best_score
                     and (best_source is None or candidate < best_source)
@@ -121,7 +116,7 @@ class GreedySourceSelector:
                     best_score = score
                     best_gain = gain
             assert best_source is not None
-            scaled_cost = self._cost_weight * costs.get(best_source, 1.0)
+            scaled_cost = self._cost_weight
             if self._stop and best_gain - scaled_cost < 0:
                 stopped_early = True
                 break

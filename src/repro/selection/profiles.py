@@ -19,7 +19,6 @@ class SourceStats:
     n_claims: int
     coverage: float
     accuracy_estimate: float
-    cost: float = 1.0
 
     @property
     def expected_correct_items(self) -> float:
@@ -30,7 +29,6 @@ class SourceStats:
 def profile_sources(
     claims: ClaimSet,
     reference_truth: Mapping[str, str] | None = None,
-    costs: Mapping[str, float] | None = None,
 ) -> dict[str, SourceStats]:
     """Profile every source in a claim set.
 
@@ -56,6 +54,5 @@ def profile_sources(
             n_claims=len(source_claims),
             coverage=len(source_claims) / n_items if n_items else 0.0,
             accuracy_estimate=accuracy,
-            cost=(costs or {}).get(source, 1.0),
         )
     return stats

@@ -61,6 +61,10 @@ __all__ = ["IngestResult", "ResolutionService", "ResolvedEntity"]
 # Read-path LRU size (entries), keyed by generation stamp.
 CACHE_CAPACITY = 1024
 
+#: The most candidates an arriving record is compared with; part of the
+#: linkage configuration a store is bound to.
+MAX_CANDIDATES_PER_RECORD = 1000
+
 
 @dataclass(frozen=True)
 class ResolvedEntity:
@@ -152,10 +156,10 @@ class ResolutionService:
         its watermark replayed.
     key_functions, comparator, classifier:
         The incremental linkage machinery (identical semantics to the
-        batch pipeline's blocking/comparison/classification). With
-        ``max_candidates_per_record`` they are the deployment's linkage
-        configuration, which the store is bound to: reopening a root
-        under another one raises
+        batch pipeline's blocking/comparison/classification), with at
+        most :data:`MAX_CANDIDATES_PER_RECORD` candidates per arriving
+        record. They are the deployment's linkage configuration, which
+        the store is bound to: reopening a root under another one raises
         :class:`~repro.recovery.CheckpointMismatchError` instead of
         serving the other deployment's entities. Everything else —
         accuracies (runtime pushes), the refresh blocker (future
@@ -196,7 +200,6 @@ class ResolutionService:
         refresh_blocker: Blocker | None = None,
         source_accuracies: Mapping[str, float] | None = None,
         resilience: ResilienceConfig | None = None,
-        max_candidates_per_record: int = 1000,
         tracer=None,
         durable: bool = True,
         overload: OverloadPolicy | None = None,
@@ -214,7 +217,6 @@ class ResolutionService:
         self._executor = ResilientChunkExecutor(
             resilience, tracer=self._tracer, scope="serve.ingest"
         )
-        self._max_candidates = max_candidates_per_record
         self._store = EntityStore(root, tracer=self._tracer, durable=durable)
         self._store.run_store.bind_fingerprint(
             config_fingerprint(
@@ -222,7 +224,7 @@ class ResolutionService:
                 self._key_functions,
                 comparator,
                 classifier,
-                max_candidates_per_record,
+                MAX_CANDIDATES_PER_RECORD,
             )
         )
         self._cache = GenerationCache(CACHE_CAPACITY, tracer=self._tracer)
@@ -230,7 +232,6 @@ class ResolutionService:
         self._dead_letters = DeadLetterLog(
             path=resilience.dead_letter_path,
             max_entries=resilience.dead_letter_max_entries,
-            max_bytes=resilience.dead_letter_max_bytes,
         )
         if overload is not None and not isinstance(overload, OverloadPolicy):
             raise ConfigurationError(
@@ -270,7 +271,7 @@ class ResolutionService:
             self._comparator,
             self._classifier,
             self._accuracy_of,
-            max_candidates_per_record=self._max_candidates,
+            max_candidates_per_record=MAX_CANDIDATES_PER_RECORD,
         )
 
     def _restore(self) -> _Generation:
@@ -693,7 +694,7 @@ class ResolutionService:
             self._tracer.counter("serve.refreshes").inc()
             return fresh.number
 
-    def refresh_async(self, deadline: float | None = None) -> threading.Thread:
+    def refresh_async(self) -> threading.Thread:
         """The background refresh hook: :meth:`refresh` on a thread.
 
         A failing background refresh never kills the thread with an
@@ -704,7 +705,7 @@ class ResolutionService:
 
         def target() -> None:
             try:
-                self.refresh(deadline)
+                self.refresh()
             except Exception:  # noqa: BLE001, S110 - recorded in health()
                 pass
 

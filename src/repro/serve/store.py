@@ -166,15 +166,13 @@ class EntityStore:
         self._tracer.counter("serve.log_appends").inc()
         return position
 
-    def open_record_store(self, budget=None) -> IndexedRecordStore:
+    def open_record_store(self) -> IndexedRecordStore:
         """Random access over the log via an offset index.
 
         The returned :class:`IndexedRecordStore` snapshots the log as
-        of now — records appended later need a fresh open. ``budget``
-        is an optional :class:`repro.outofcore.MemoryBudget` bounding
-        its read cache.
+        of now — records appended later need a fresh open.
         """
-        return IndexedRecordStore(self._log_path, budget=budget)
+        return IndexedRecordStore(self._log_path)
 
     def records_from(self, start: int, stop: int | None = None):
         """Yield log records with positions in ``[start, stop)``.

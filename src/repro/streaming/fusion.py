@@ -33,8 +33,8 @@ class DecayedAccuracyTracker:
     Each source carries decayed ``correct`` / ``total`` pseudo-counts;
     the point estimate blends them with a Beta-like prior::
 
-        accuracy = (prior_strength * prior + correct)
-                   / (prior_strength + total)
+        accuracy = (DEFAULT_PRIOR_STRENGTH * prior + correct)
+                   / (DEFAULT_PRIOR_STRENGTH + total)
 
     :meth:`advance` multiplies every count by ``decay`` — one call per
     closed window keeps the effective memory at ``1 / (1 - decay)``
@@ -46,18 +46,14 @@ class DecayedAccuracyTracker:
         self,
         priors: Mapping[str, float],
         decay: float = 1.0,
-        prior_strength: float = DEFAULT_PRIOR_STRENGTH,
         default_prior: float = 0.5,
     ) -> None:
         if not 0.0 < decay <= 1.0:
             raise ConfigurationError("decay must be in (0, 1]")
-        if prior_strength <= 0.0:
-            raise ConfigurationError("prior_strength must be > 0")
         if not 0.0 < default_prior < 1.0:
             raise ConfigurationError("default_prior must be in (0, 1)")
         self._priors = dict(priors)
         self._decay = decay
-        self._strength = prior_strength
         self._default_prior = default_prior
         self._correct: dict[str, float] = {}
         self._total: dict[str, float] = {}
@@ -90,7 +86,9 @@ class DecayedAccuracyTracker:
         prior = self.prior(source)
         total = self._total.get(source, 0.0)
         correct = self._correct.get(source, 0.0)
-        return (self._strength * prior + correct) / (self._strength + total)
+        return (DEFAULT_PRIOR_STRENGTH * prior + correct) / (
+            DEFAULT_PRIOR_STRENGTH + total
+        )
 
     def estimates(self) -> dict[str, float]:
         """Estimates for every source seen or configured, sorted by id."""

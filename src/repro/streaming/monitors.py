@@ -6,7 +6,7 @@ linker's per-window match rate (a copier joining the stream doubles
 agreement; a schema break kills it). Monitors watch one signal each,
 with the firing discipline re-resolution triggers need:
 
-* **sustained**: a shift must persist for ``patience`` consecutive
+* **sustained**: a shift must persist for :data:`PATIENCE` consecutive
   windows before the monitor fires — one noisy window never triggers a
   batch re-resolution;
 * **latched**: after firing, the monitor re-baselines to the new level
@@ -25,10 +25,18 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from repro.core.errors import ConfigurationError
 from repro.obs import NULL_TRACER
 
 __all__ = ["AccuracyShiftMonitor", "MatchRateMonitor", "MonitorEvent"]
+
+#: How many consecutive windows a shift must last to fire.
+PATIENCE = 2
+
+#: How far a source's accuracy estimate must move to count as shifted.
+ACCURACY_SHIFT = 0.15
+
+#: How far the match rate must move to count as shifted.
+MATCH_RATE_SHIFT = 0.2
 
 
 @dataclass(frozen=True)
@@ -59,13 +67,14 @@ class _Latch:
         self.baseline = baseline
         self.streak = 0
 
-    def observe(self, value: float, threshold: float, patience: int) -> bool:
-        """True exactly when a shift has been sustained ``patience`` windows."""
+    def observe(self, value: float, threshold: float) -> bool:
+        """True exactly when a shift beyond ``threshold`` has been
+        sustained :data:`PATIENCE` windows."""
         if abs(value - self.baseline) > threshold:
             self.streak += 1
         else:
             self.streak = 0
-        if self.streak >= patience:
+        if self.streak >= PATIENCE:
             # Latch onto the new level; quiet until the next shift.
             self.baseline = value
             self.streak = 0
@@ -86,27 +95,19 @@ class AccuracyShiftMonitor:
     """Fires when a source's accuracy estimate departs its latched level.
 
     Baselines start at the first observed estimate per source (the
-    prior, before evidence arrives). A shift of more than ``threshold``
-    sustained for ``patience`` consecutive windows fires one event and
-    re-baselines to the shifted level.
+    prior, before evidence arrives). A shift of more than
+    :data:`ACCURACY_SHIFT` sustained for :data:`PATIENCE` consecutive
+    windows fires one event and re-baselines to the shifted level.
     """
 
     name = "accuracy_shift"
 
     def __init__(
         self,
-        threshold: float = 0.15,
-        patience: int = 2,
         tracer=None,
         baselines: Mapping[str, float] | None = None,
         default_baseline: float | None = None,
     ) -> None:
-        if threshold <= 0.0:
-            raise ConfigurationError("threshold must be > 0")
-        if patience < 1:
-            raise ConfigurationError("patience must be >= 1")
-        self._threshold = threshold
-        self._patience = patience
         self._tracer = tracer if tracer is not None else NULL_TRACER
         #: Where a source's baseline starts: its configured prior if
         #: given, else ``default_baseline``, else its first observed
@@ -133,7 +134,7 @@ class AccuracyShiftMonitor:
                 latch = _Latch(self._first_baseline(source, value))
                 self._latches[source] = latch
             baseline = latch.baseline
-            if latch.observe(value, self._threshold, self._patience):
+            if latch.observe(value, ACCURACY_SHIFT):
                 events.append(
                     MonitorEvent(
                         window=window,
@@ -167,34 +168,20 @@ class MatchRateMonitor:
     """Fires when the per-window linkage match rate shifts level.
 
     The match rate is ``matches / comparisons`` per closed window
-    (windows with fewer than ``min_comparisons`` comparisons are
-    skipped — a near-empty window's rate is noise): accepted decisions
+    (a window without comparisons has no rate and is skipped): accepted
+    decisions
     over decisions made. The linker decides a record once per entity it
     links to, so each (record, entity) link is one vote whatever the
     entity's size, and the rate does not climb merely because entities
     grow. The baseline latches on the first qualifying window; a
-    sustained shift beyond ``threshold`` fires once and re-baselines,
+    sustained shift beyond :data:`MATCH_RATE_SHIFT` fires once and
+    re-baselines,
     exactly like :class:`AccuracyShiftMonitor`.
     """
 
     name = "match_rate"
 
-    def __init__(
-        self,
-        threshold: float = 0.2,
-        patience: int = 2,
-        min_comparisons: int = 1,
-        tracer=None,
-    ) -> None:
-        if threshold <= 0.0:
-            raise ConfigurationError("threshold must be > 0")
-        if patience < 1:
-            raise ConfigurationError("patience must be >= 1")
-        if min_comparisons < 1:
-            raise ConfigurationError("min_comparisons must be >= 1")
-        self._threshold = threshold
-        self._patience = patience
-        self._min_comparisons = min_comparisons
+    def __init__(self, tracer=None) -> None:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._latch: _Latch | None = None
 
@@ -202,7 +189,7 @@ class MatchRateMonitor:
         self, window: int, matches: int, comparisons: int
     ) -> list[MonitorEvent]:
         """Fold one window's linkage counters; return fired events."""
-        if comparisons < self._min_comparisons:
+        if not comparisons:
             return []
         rate = matches / comparisons
         self._tracer.gauge("streaming.match_rate").set(rate)
@@ -210,7 +197,7 @@ class MatchRateMonitor:
             self._latch = _Latch(rate)
             return []
         baseline = self._latch.baseline
-        if not self._latch.observe(rate, self._threshold, self._patience):
+        if not self._latch.observe(rate, MATCH_RATE_SHIFT):
             return []
         self._tracer.counter("streaming.monitor.fired").inc()
         self._tracer.counter(f"streaming.monitor.{self.name}.fired").inc()

@@ -210,7 +210,6 @@ class StreamingResolver:
         source_accuracies: Mapping[str, float] | None = None,
         window: WindowConfig | None = None,
         decay: float | None = None,
-        prior_strength: float = DEFAULT_PRIOR_STRENGTH,
         tracked_attributes: Sequence[str] | None = None,
         on_drift: Callable[[MonitorEvent, "StreamingResolver"], None] | None = None,
         checkpoint_store=None,
@@ -249,7 +248,6 @@ class StreamingResolver:
         self._tracker = DecayedAccuracyTracker(
             self._accuracies,
             decay=decay if decay is not None else 1.0,
-            prior_strength=prior_strength,
             default_prior=DEFAULT_SOURCE_ACCURACY,
         )
         self._monitors = (
@@ -263,12 +261,13 @@ class StreamingResolver:
         self._on_drift = on_drift
         self._store = checkpoint_store
         if checkpoint_store is not None:
-            # The default accuracy keeps its place, so a checkpoint
-            # written when it was an option still binds.
+            # The default accuracy and the prior strength keep their
+            # places, so a checkpoint written when they were options
+            # still binds.
             checkpoint_store.bind_fingerprint(
                 config_fingerprint(
                     "streaming", self._windower.config, decay,
-                    prior_strength, self._tracked, self._accuracies,
+                    DEFAULT_PRIOR_STRENGTH, self._tracked, self._accuracies,
                     DEFAULT_SOURCE_ACCURACY, max_candidates_per_record,
                     comparator, classifier,
                 )

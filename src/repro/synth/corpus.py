@@ -30,18 +30,18 @@ class FourVKnobs:
       prevalence.
     * ``veracity`` scales typo, error, and missing rates downward from
       clean (0 = clean corpus, 1 = very dirty) and adds copier sources.
-    * ``velocity`` is consumed by the velocity substrate, not here; it
-      is carried along for reporting.
+
+    Velocity is the velocity substrate's (``repro.velocity``), not a
+    dial here.
     """
 
     volume: float = 0.3
     variety: float = 0.5
     veracity: float = 0.3
-    velocity: float = 0.0
     seed: int = 29
 
     def __post_init__(self) -> None:
-        for name in ("volume", "variety", "veracity", "velocity"):
+        for name in ("volume", "variety", "veracity"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1]")

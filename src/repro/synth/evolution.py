@@ -44,6 +44,9 @@ __all__ = [
     "stream_temporal_observations",
 ]
 
+#: Records each entity of a temporal stream emits per epoch.
+OBSERVATIONS_PER_EPOCH = 2
+
 
 @dataclass(frozen=True)
 class EvolvingWorldConfig:
@@ -159,7 +162,7 @@ class TemporalStreamConfig:
     """Knobs for the temporal-linkage record stream (the E7 workload).
 
     ``n_entities`` evolving entities are observed over ``n_epochs``
-    epochs; at each epoch each entity emits ``observations_per_epoch``
+    epochs; at each epoch each entity emits :data:`OBSERVATIONS_PER_EPOCH`
     records carrying its *current* attribute values. Each mutable
     attribute changes between epochs with probability
     ``evolution_rate``. ``namesake_fraction`` of entities share their
@@ -170,7 +173,6 @@ class TemporalStreamConfig:
 
     n_entities: int = 50
     n_epochs: int = 5
-    observations_per_epoch: int = 2
     evolution_rate: float = 0.3
     namesake_fraction: float = 0.2
     missing_rate: float = 0.15
@@ -181,8 +183,6 @@ class TemporalStreamConfig:
             raise ConfigurationError("n_entities must be >= 2")
         if self.n_epochs < 1:
             raise ConfigurationError("n_epochs must be >= 1")
-        if self.observations_per_epoch < 1:
-            raise ConfigurationError("observations_per_epoch must be >= 1")
         for name in ("evolution_rate", "namesake_fraction", "missing_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -224,7 +224,7 @@ def stream_temporal_observations(
     iterator owns a private RNG seeded from ``config.seed``, so the
     stream replays identically (restartable), and the bounded dataset
     is an exact prefix: its records are the first
-    ``n_epochs * n_entities * observations_per_epoch`` yields for the
+    ``n_epochs * n_entities * OBSERVATIONS_PER_EPOCH`` yields for the
     same config.
     """
     config = config or TemporalStreamConfig()
@@ -263,7 +263,7 @@ def stream_temporal_observations(
                         }[attribute]
                         values[attribute] = rng.choice(pool)
         for entity_id, values in state.items():
-            for __ in range(config.observations_per_epoch):
+            for __ in range(OBSERVATIONS_PER_EPOCH):
                 attributes = {"name": values["name"]}
                 for attribute in ("affiliation", "city", "topic"):
                     if rng.random() >= config.missing_rate:
@@ -293,9 +293,7 @@ def generate_temporal_dataset(
     exact prefix of the stream by construction.
     """
     config = config or TemporalStreamConfig()
-    n_records = (
-        config.n_epochs * config.n_entities * config.observations_per_epoch
-    )
+    n_records = config.n_epochs * config.n_entities * OBSERVATIONS_PER_EPOCH
     source = Source("stream.example.org")
     record_to_entity: dict[str, str] = {}
     for record, entity_id in itertools.islice(

@@ -404,7 +404,6 @@ def build_source_profiles(
 def generate_dataset(
     world: World,
     config: CorpusConfig | None = None,
-    source_profiles: Sequence[SourceProfile] | None = None,
 ) -> Dataset:
     """Render ``world`` through ``config.n_sources`` heterogeneous sources.
 
@@ -412,9 +411,6 @@ def generate_dataset(
     record→entity mapping, the exact (source attribute → mediated
     attribute) mapping, and the true value of every (entity, mediated
     attribute) data item.
-
-    ``source_profiles`` lets callers (e.g. the velocity substrate)
-    pin the source templates across snapshots.
     """
     config = config or CorpusConfig()
     rng = random.Random(config.seed)
@@ -434,10 +430,7 @@ def generate_dataset(
     for source_index in range(config.n_sources):
         source_category = categories[source_index % len(categories)]
         vocabulary = world.vocabulary(source_category)
-        if source_profiles is not None:
-            profile = source_profiles[source_index]
-        else:
-            profile = _build_profile(source_index, vocabulary, config, rng)
+        profile = _build_profile(source_index, vocabulary, config, rng)
         relative = size_weights[source_index] / size_weights[0]
         size = config.min_source_size + round(max_span * relative)
         candidates = world.entities_in(source_category)

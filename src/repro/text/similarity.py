@@ -283,10 +283,15 @@ def numeric_similarity(a: float, b: float, tolerance: float = 0.1) -> float:
     return max(0.0, 1.0 - relative_gap / tolerance)
 
 
-def measurement_similarity(a: str, b: str, tolerance: float = 0.05) -> float:
+#: The relative gap at which two measurements stop being similar.
+MEASUREMENT_TOLERANCE = 0.05
+
+
+def measurement_similarity(a: str, b: str) -> float:
     """Similarity of two measurement strings after unit normalization.
 
-    ``"5.5 in"`` vs ``"13.97 cm"`` score 1.0. Falls back to normalized
+    ``"5.5 in"`` vs ``"13.97 cm"`` score 1.0, and the score falls to 0 at
+    a relative gap of :data:`MEASUREMENT_TOLERANCE`. Falls back to normalized
     Levenshtein when either side fails to parse as a measurement, so it
     is safe to apply to arbitrary value strings.
     """
@@ -298,7 +303,9 @@ def measurement_similarity(a: str, b: str, tolerance: float = 0.05) -> float:
     base_b = meas_b.in_base_unit()
     if base_a.unit != base_b.unit:
         return 0.0
-    return numeric_similarity(base_a.value, base_b.value, tolerance=tolerance)
+    return numeric_similarity(
+        base_a.value, base_b.value, tolerance=MEASUREMENT_TOLERANCE
+    )
 
 
 def exact_similarity(a: str, b: str) -> float:

@@ -11,7 +11,6 @@ recomputation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -101,17 +100,13 @@ class SnapshotMaintainer:
     def process_stream(
         self,
         snapshots: Iterable[Dataset],
-        max_snapshots: int | None = None,
     ) -> Iterator[SnapshotCost]:
         """Fold snapshots as they arrive; yield each snapshot's cost.
 
         Pull-driven, so an *unbounded* snapshot iterator (e.g.
         :func:`repro.synth.stream_world_snapshots` rendered to
-        datasets) works: stop iterating to stop consuming, or bound
-        the run with ``max_snapshots``.
+        datasets) works: stop iterating to stop consuming.
         """
-        if max_snapshots is not None:
-            snapshots = itertools.islice(snapshots, max_snapshots)
         for dataset in snapshots:
             yield self.process_snapshot(dataset)
 

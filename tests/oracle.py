@@ -151,7 +151,7 @@ def naive_truthfinder_scorer(fuser, trust):
                 for value, score in raw.items()
             }
         return {
-            value: 1.0 / (1.0 + math.exp(-fuser._dampening * score))
+            value: 1.0 / (1.0 + math.exp(-truthfinder.DAMPENING * score))
             for value, score in raw.items()
         }
 

@@ -436,23 +436,21 @@ class TestPartitioning:
 
 
 class TestPlanning:
-    MODEL = ClusterCostModel(
-        comparison_cost=1.0, task_overhead=2.0, startup=50.0
-    )
+    MODEL = ClusterCostModel()
 
     def test_tiny_workload_stays_single_shard(self):
-        plan = plan_shards(10, model=self.MODEL)
+        plan = plan_shards(10)
         assert plan.n_shards == 1
         assert not plan.pinned
 
     def test_large_workload_goes_wide(self):
-        plan = plan_shards(100_000, model=self.MODEL, max_shards=8)
+        plan = plan_shards(100_000)
         assert plan.n_shards > 1
         # The chosen candidate really is the argmin.
         assert plan.predicted_cost == min(c for __, c in plan.candidates)
 
     def test_pinned_plan_prices_the_choice(self):
-        plan = plan_shards(100, model=self.MODEL, n_shards=5)
+        plan = plan_shards(100, n_shards=5)
         assert plan.pinned and plan.n_shards == 5
         predicted = (
             self.MODEL.startup + self.MODEL.task_overhead * 5
@@ -461,8 +459,6 @@ class TestPlanning:
         assert plan.predicted_cost == predicted
 
     def test_invalid_arguments_rejected(self):
-        with pytest.raises(ConfigurationError):
-            plan_shards(10, max_shards=0)
         with pytest.raises(ConfigurationError):
             plan_shards(10, n_shards=0)
 

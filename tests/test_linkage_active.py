@@ -78,8 +78,6 @@ class TestLearnerMechanics:
             ActiveThresholdLearner(vectors, batch_size=0)
         with pytest.raises(ConfigurationError):
             ActiveThresholdLearner(vectors, strategy="psychic")
-        with pytest.raises(ConfigurationError):
-            ActiveThresholdLearner(vectors, exploration=1.5)
 
     def test_never_relabels_a_pair(self):
         vectors = [vector(f"a{i}", f"b{i}", i / 10) for i in range(10)]
@@ -105,9 +103,7 @@ class TestLearnerMechanics:
 
     def test_one_class_labels_move_threshold_conservatively(self):
         vectors = [vector(f"u{i}", f"u{i}'", 0.3 + i / 100) for i in range(8)]
-        learner = ActiveThresholdLearner(
-            vectors, batch_size=4, initial_threshold=0.5
-        )
+        learner = ActiveThresholdLearner(vectors, batch_size=4)
         learner.run_round(lambda a, b: False)  # everything non-match
         assert learner.predict_matches() == set()
 

@@ -76,8 +76,8 @@ class TestMinHashBlocker:
 
     def test_deterministic(self, corpus):
         records = list(corpus.records())
-        a = MinHashBlocker(32, 8, seed=4).block(records).candidate_pairs()
-        b = MinHashBlocker(32, 8, seed=4).block(records).candidate_pairs()
+        a = MinHashBlocker(32, 8).block(records).candidate_pairs()
+        b = MinHashBlocker(32, 8).block(records).candidate_pairs()
         assert a == b
 
     def test_empty_text_skipped(self):

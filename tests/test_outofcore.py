@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConfigurationError
+from repro.core import ConfigurationError, Dataset, Record, Source
 from repro.core.errors import EmptyInputError
 from repro.core.pipeline import BDIPipeline, PipelineConfig
 from repro.io import load_dataset, save_dataset
@@ -638,6 +638,45 @@ class TestStreamingPipeline:
         gauges = tracer.report().metrics.get("gauges", {})
         assert gauges["outofcore.peak_tracked_bytes"] <= 30_000
         assert gauges["outofcore.spill_count"] > 0
+
+    def test_claims_are_counted_after_first_claim_wins(self, tmp_path):
+        # Source s1 lists one camera twice in two colours; the two
+        # records link, so s1 claims each of the camera's items twice
+        # and only its first claim counts, in memory and spilled.
+        camera = ("Acme X100 Camera", "AX100-77")
+        notebook = ("Borealis Z9 Notebook", "BZ9-2201")
+        listed = {
+            "s1": [(camera, "black"), (camera, "silver")],
+            "s2": [(camera, "black"), (notebook, "grey")],
+            "s3": [(camera, "black"), (notebook, "grey")],
+        }
+        dataset = Dataset(
+            [
+                Source(
+                    source,
+                    [
+                        Record(
+                            f"{source}/{index}",
+                            source,
+                            {"name": name, "sku": sku, "color": color},
+                        )
+                        for index, ((name, sku), color) in enumerate(rows)
+                    ],
+                )
+                for source, rows in listed.items()
+            ]
+        )
+        counted = []
+        for options in ({}, {"memory_budget": 10_000_000}):
+            tracer = Tracer()
+            result = BDIPipeline(PipelineConfig()).run(
+                dataset, tracer=tracer, spill_dir=tmp_path, **options
+            )
+            span = tracer.roots[0].find("pipeline.claims")
+            counted.append(
+                (len(result.claims), span.attributes.get("n_claims"))
+            )
+        assert counted == [(15, 15), (15, None)]
 
     def test_evaluation_identical(self, tmp_path):
         dataset = _dataset(seed=13)

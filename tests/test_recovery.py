@@ -266,7 +266,7 @@ class TestFingerprints:
         assert "refusing" in str(excinfo.value)
         # The guard survives reopening the directory.
         with pytest.raises(CheckpointMismatchError):
-            RunStore(tmp_path, fingerprint="ccc")
+            RunStore(tmp_path).bind_fingerprint("ccc")
 
 
 # --- satellite: durable dead letters ---------------------------------
@@ -674,9 +674,9 @@ class TestSolverResume:
     def test_truthfinder_param_change_recomputes(self, tmp_path):
         claims = _claims()
         store = RunStore(tmp_path)
-        TruthFinder(dampening=0.3, checkpoint=store).fuse(claims)
-        baseline = TruthFinder(dampening=0.4).fuse(claims)
-        resumed = TruthFinder(dampening=0.4, checkpoint=store).fuse(claims)
+        TruthFinder(tolerance=1e-4, checkpoint=store).fuse(claims)
+        baseline = TruthFinder(tolerance=1e-9).fuse(claims)
+        resumed = TruthFinder(tolerance=1e-9, checkpoint=store).fuse(claims)
         assert resumed.chosen == baseline.chosen
         assert resumed.confidence == baseline.confidence
         assert resumed.iterations == baseline.iterations
@@ -1056,7 +1056,7 @@ def _solver_row(root, change, tracer):
     if change == "claims":
         claims.add(Claim("src9", "item0", "truth"))
     result = TruthFinder(
-        dampening=0.5 if change == "parameters" else 0.3,
+        tolerance=1e-9 if change == "parameters" else 1e-4,
         tracer=tracer,
         checkpoint=RunStore(root),
     ).fuse(claims)
@@ -1215,3 +1215,114 @@ def test_staleness_table(tmp_path, row, change, expected):
         assert replayed > 0 and recomputed == 0
     else:
         assert recomputed > 0
+
+
+# --- fingerprints that stores written earlier still bind --------------
+
+
+def _em_signature(monkeypatch) -> str:
+    from repro.linkage.classify import fellegi_sunter
+
+    seen = []
+    loop = fellegi_sunter.fixed_point
+
+    def capture(step, initial, **kwargs):
+        seen.append(kwargs["signature"]())
+        return loop(step, initial, **kwargs)
+
+    monkeypatch.setattr(fellegi_sunter, "fixed_point", capture)
+    fit_fellegi_sunter(_fs_vectors())
+    return seen[0]
+
+
+def _fs_vectors():
+    from repro.linkage import ComparisonVector
+
+    return [
+        ComparisonVector(
+            f"a{i}", f"b{i}", (i % 3 / 2, i % 5 / 4, i % 2 * 1.0), 0.5
+        )
+        for i in range(40)
+    ]
+
+
+def _streamed(tmp_path) -> str:
+    """What the ledger's stream configuration binds its store to."""
+    from repro.streaming import (
+        CONFLICT_ATTRIBUTES,
+        DriftStreamConfig,
+        DriftWorld,
+    )
+
+    store = RunStore(tmp_path, durable=False)
+    world = DriftWorld(DriftStreamConfig(n_entities=25, n_sources=6, seed=3))
+    StreamingResolver(
+        key_functions=[first_token_key("name")],
+        comparator=default_product_comparator(),
+        classifier=ThresholdClassifier(0.72),
+        source_accuracies=world.accuracies_at(0.0),
+        window=WindowConfig(size=2.0),
+        max_candidates_per_record=64,
+        tracked_attributes=CONFLICT_ATTRIBUTES,
+        checkpoint_store=store,
+    )
+    return store.fingerprint
+
+
+def _served(tmp_path) -> str:
+    from repro.serve import ResolutionService
+
+    ResolutionService(
+        tmp_path,
+        key_functions=[first_token_key("name")],
+        comparator=default_product_comparator(),
+        classifier=ThresholdClassifier(0.72),
+        durable=False,
+    )
+    return RunStore(tmp_path, run_id="serve", durable=False).fingerprint
+
+
+#: What each checkpointing component binds to or signs with under one
+#: fixed configuration, recorded before its options became constants:
+#: a store written then must still bind now.
+FINGERPRINTS = {
+    "service": (
+        "82d0ab3ff5b2e9d0422b1f4475b1d1d2deec0430db8c9e2c5a5161c76afbc3d3"
+    ),
+    "streaming": (
+        "434e14b8c877ecdda5f917982452ea8c2a6e11b18de8540528311122d8645683"
+    ),
+    "pipeline": (
+        "c5db26c8d6d0e459593f6daa5c18621b27bb30b77a1b5d2b170fcad995211112"
+    ),
+    "engine": (
+        "adccb02645763d69e2ffdbcda95c9805567ea3c8281bacc9aaeb98c3b83caa14"
+    ),
+    "accuvote": (
+        "7be5143f65c42eac7208cf3a98ccaa5d22486db0b4fe3454d7d263f01409232b"
+    ),
+    "truthfinder": (
+        "4c9f5e97178f9335cf0a75fab3565232b9811ac10049f374ee916be205673ac7"
+    ),
+    "accucopy": (
+        "c81e9e08f8618e8ae537eadab4dc864900615c2614ad7ce55c185e6f910833f0"
+    ),
+    "em": (
+        "1fecaf5dcc1350d96b374926d7098423f7dcf9092a4c82777e144e5067781cfa"
+    ),
+}
+
+
+def test_fingerprints_do_not_move(tmp_path, monkeypatch):
+    claims = _claims()
+    found = {
+        "service": _served(tmp_path / "serve"),
+        "streaming": _streamed(tmp_path / "stream"),
+        "pipeline": config_fingerprint(PipelineConfig()),
+        "engine": config_fingerprint(default_product_comparator(), 0.7),
+        "accuvote": AccuVote()._state_signature(claims),
+        "truthfinder": TruthFinder()._state_signature(claims),
+        "accucopy": AccuCopy()._state_signature(claims),
+        "em": _em_signature(monkeypatch),
+    }
+    assert found == FINGERPRINTS

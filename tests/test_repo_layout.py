@@ -229,15 +229,17 @@ def test_one_module_decides_staleness():
     assert [name for name, text in texts.items() if private.search(text)] == []
 
 
-#: The builtin ``sum`` calls ``repro.fusion``, ``repro.schema`` and
-#: ``repro.text`` keep, by module and enclosing function: each adds
-#: integers, where every order is exact.
+#: The builtin ``sum`` calls ``repro.fusion``, ``repro.schema``,
+#: ``repro.text``, meta-blocking and the Fellegi-Sunter EM keep, by
+#: module and enclosing function: each adds integers, where every order
+#: is exact.
 INTEGER_SUMS = {
     ("fusion/base.py", "ClaimIndex.__init__"): 1,  # n_claims
     ("fusion/base.py", "FusionResult.accuracy_against"): 1,  # correct count
     ("fusion/copydetect.py", "CopyDetector._dependence"): 1,  # sum(counts)
     ("fusion/copydetect.py", "CopyDetector.direction"): 1,  # sum(counts)
     ("fusion/voting.py", "VotingFuser.fuse"): 1,  # the count total
+    ("classify/fellegi_sunter.py", "fit_fellegi_sunter"): 1,  # total_pairs
     ("linkage/metablocking.py", "meta_block"): 1,  # total_memberships
     ("schema/correspondence.py", "score_all_pairs"): 1,  # math.comb pairs
     ("text/similarity.py", "cosine_similarity"): 3,  # token count products
@@ -272,14 +274,16 @@ def _builtin_sums(path: Path) -> dict[tuple[str, str], int]:
 
 def test_fusion_sums_are_exact():
     """Every float sum in fusion, schema alignment, the text
-    similarities and meta-blocking is ``math.fsum``, whose result does
+    similarities, meta-blocking and the Fellegi-Sunter EM is
+    ``math.fsum``, whose result does
     not depend on the order of its terms or on the Python version
     (builtin ``sum`` compensates since 3.12, and adds in whatever order
     it is handed). No fixed addition order may come back: no
     ``ordered_sum`` and no ``functools.reduce`` under ``repro.fusion``
     or ``repro.outofcore``, and builtin ``sum`` under ``repro.fusion``,
-    ``repro.schema``, ``repro.text`` and ``repro.linkage.metablocking``
-    only on the integer sums named in :data:`INTEGER_SUMS`."""
+    ``repro.schema``, ``repro.text``, ``repro.linkage.metablocking``
+    and ``repro.linkage.classify.fellegi_sunter`` only on the integer
+    sums named in :data:`INTEGER_SUMS`."""
     source = ROOT / "src" / "repro"
     ordered = {"ordered_sum", "reduce"}
     for package in ("fusion", "outofcore"):
@@ -297,6 +301,9 @@ def test_fusion_sums_are_exact():
         for path in sorted((source / package).glob("*.py")):
             sums.update(_builtin_sums(path))
     sums.update(_builtin_sums(source / "linkage" / "metablocking.py"))
+    sums.update(
+        _builtin_sums(source / "linkage" / "classify" / "fellegi_sunter.py")
+    )
     assert sums == INTEGER_SUMS
 
 
@@ -473,3 +480,368 @@ def test_the_readme_names_only_what_exists():
                 )
     assert len(named) > 20, "the patterns went stale"
     assert sorted(name for name in named if not _resolves(name)) == []
+
+
+#: Parameters that are seams, not options: a test hands in a fake
+#: tracer, clock or sleeper, and a deployment says where its state
+#: lives.
+SEAMS = {
+    "checkpoint",
+    "checkpoint_store",
+    "clock",
+    "dead_letter_path",
+    "heartbeat_dir",
+    "path",
+    "root",
+    "sleeper",
+    "spill_dir",
+    "store",
+    "tracer",
+}
+
+#: Types whose fields are what a call returns, not what it is told.
+RESULT_TYPES = {"AttributeProfile", "ResilientOutcome", "TrafficResult"}
+
+#: The surfaces the ledger calls, which become one configuration value
+#: in a ledger PR (ROADMAP item 2).
+LEDGER_BOUND = {"resolve", "PipelineConfig", "BDIPipeline.run"}
+
+#: Options that nothing outside ``tests/`` sets, each with the reason it
+#: stays an option.
+OPTION_ALLOWLIST = {
+    "AccuCopy.detector": (
+        "the copy tests hand in a detector of another rate or overlap"
+    ),
+    "AccuCopy.outer_iterations": (
+        "max_iterations=0 is the refusal each solver is tested for"
+    ),
+    "AccuVote.max_iterations": (
+        "max_iterations=0 is the refusal each solver is tested for"
+    ),
+    "CRHNumericFuser.loss": (
+        "CRH's squared loss, its second published rule, is tested"
+    ),
+    "CRHNumericFuser.max_iterations": (
+        "max_iterations=0 is the refusal each solver is tested for"
+    ),
+    "CanopyBlocker.text_function": (
+        "the streaming-refusal tests key canopies on one attribute"
+    ),
+    "ClaimWorldConfig.copier_chains": (
+        "the generator test plants copier chains"
+    ),
+    "CopyDetector.min_overlap": "the detector tests sweep the overlap floor",
+    "CopyDetector.prior": (
+        "AccuCopy's fingerprint renders its detector field by field"
+    ),
+    "CorpusConfig.source_size_zipf": (
+        "batch_link passes it through a dict the pin does not read"
+    ),
+    "DriftStreamConfig.accuracy_high": (
+        "the streaming tests plant flips, copiers and truth churn"
+    ),
+    "DriftStreamConfig.accuracy_low": (
+        "the streaming tests plant flips, copiers and truth churn"
+    ),
+    "DriftStreamConfig.copier_accuracy": (
+        "the streaming tests plant flips, copiers and truth churn"
+    ),
+    "DriftStreamConfig.copier_at": (
+        "the streaming tests plant flips, copiers and truth churn"
+    ),
+    "DriftStreamConfig.copier_parent": (
+        "the streaming tests plant flips, copiers and truth churn"
+    ),
+    "DriftStreamConfig.copy_rate": (
+        "the streaming tests plant flips, copiers and truth churn"
+    ),
+    "DriftStreamConfig.coverage": (
+        "the streaming tests plant flips, copiers and truth churn"
+    ),
+    "DriftStreamConfig.truth_change_rate": (
+        "the streaming tests plant flips, copiers and truth churn"
+    ),
+    "EvolvingWorldConfig.replace": (
+        "a test lets entities die without replacement"
+    ),
+    "FaultInjector.fired.kind": (
+        "the fault toolkit's audit filter, read by its tests"
+    ),
+    "FaultSpec.delay": "a fault-toolkit rule the resilience tests drive",
+    "FaultSpec.payload": "a fault-toolkit rule the resilience tests drive",
+    "FieldComparator.normalize": (
+        "the engine oracles compare raw and normalized fields"
+    ),
+    "GreedySourceSelector.max_sources": (
+        "the less-is-more tests cap the selection; E11 ranks all"
+    ),
+    "GreedySourceSelector.stop_when_unprofitable": (
+        "the less-is-more stop is tested; E11 ranks all"
+    ),
+    "HybridMatcher.name_weight": (
+        "the matcher oracle sweeps the weight across its branch point"
+    ),
+    "ManualClock.start": "a fake clock's start, set by the tests that use it",
+    "NumericClaimWorldConfig.coverage": (
+        "the numeric fusion tests vary the planted world"
+    ),
+    "NumericClaimWorldConfig.noise_range": (
+        "the numeric fusion tests vary the planted world"
+    ),
+    "NumericClaimWorldConfig.value_range": (
+        "the numeric fusion tests vary the planted world"
+    ),
+    "OverloadPolicy.admission_retry_after": (
+        "overload tests pin the hint a refused ingest returns"
+    ),
+    "RecordComparator.missing_penalty": (
+        "the engine oracles draw it; fingerprints render it"
+    ),
+    "ResilienceConfig.dead_letter_max_entries": (
+        "a serve test bounds the log under a fault storm"
+    ),
+    "ResilienceConfig.timeout": (
+        "the hang scenario and the timeout tests bound an attempt"
+    ),
+    "ResolutionService.ingest.deadline": "overload tests bound one ingest",
+    "ResolutionService.refresh.deadline": (
+        "an overload test bounds one refresh"
+    ),
+    "RetryPolicy.jitter": "the backoff tests pin jittered schedules",
+    "SnapshotConfig.replace_sources": (
+        "a test retires sources without replacement"
+    ),
+    "SupervisionPolicy.stale_polls": "the heartbeat tests tune staleness",
+    "ThresholdClassifier.review_threshold": (
+        "the three-way review band; fingerprints render it"
+    ),
+    "TokenBlocker.min_token_length": (
+        "the blocking tests and the lattice key on short tokens"
+    ),
+    "TrafficConfig.get_fraction": (
+        "serve_mixed passes it through a dict the pin does not read"
+    ),
+    "TrafficConfig.ingest_fraction": (
+        "serve_mixed passes it through a dict the pin does not read"
+    ),
+    "TruthFinder.implication_weight": (
+        "value implication, held by golden digests"
+    ),
+    "TruthFinder.max_iterations": (
+        "max_iterations=0 is the refusal each solver is tested for"
+    ),
+    "TruthFinder.similarity": "value implication, held by golden digests",
+    "TruthFinder.tolerance": "the resume tests tighten it to run many rounds",
+    "WindowConfig.lag": "the late-record tests lag the watermark",
+    "WindowConfig.late": "the late-record tests choose the late policy",
+    "baseline_order.reference_truth": (
+        "the selection tests order by planted truth"
+    ),
+    "crash.max_fires": "a fault-toolkit rule the resilience tests drive",
+    "crash.shard": "a fault-toolkit rule the resilience tests drive",
+    "default_product_comparator.translate": (
+        "how a comparator reads a mediated schema (item 24)"
+    ),
+    "detect_identifier_attributes.min_score": "the detector tests sweep it",
+    "detect_identifier_attributes.per_source": "the detector tests sweep it",
+    "fit_fellegi_sunter.max_iterations": (
+        "max_iterations=0 is the refusal each solver is tested for"
+    ),
+    "fuse_entity.pick": (
+        "the live vote's claim rule; the differential tests call each"
+    ),
+    "jaro_winkler_similarity.prefix_weight": (
+        "Winkler's p; the similarity tests check its bound"
+    ),
+    "meta_block.node_degree": "a CNP test keeps one edge per node",
+    "profile_attributes.sources": "a test profiles one source",
+    "qgrams.pad": "the unpadded q-gram set, pinned by its tests",
+    "score_all_pairs.cross_source_only": (
+        "the matcher oracle sweeps within-source pairs too"
+    ),
+    "sharded_resolve.chunk_size": "the kill and resume tests cut small chunks",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """A dataclass's own ``__init__`` fields, each with whether it has
+    a default."""
+    fields = []
+    for statement in node.body:
+        if not (
+            isinstance(statement, ast.AnnAssign)
+            and isinstance(statement.target, ast.Name)
+            and "ClassVar" not in ast.unparse(statement.annotation)
+        ):
+            continue
+        value = statement.value
+        if isinstance(value, ast.Call) and any(
+            keyword.arg == "init"
+            and getattr(keyword.value, "value", None) is False
+            for keyword in value.keywords
+        ):
+            continue
+        fields.append((statement.target.id, value is not None))
+    return fields
+
+
+def _parameters(function: ast.FunctionDef, method: bool):
+    """``(name, position or None, has a default)`` per parameter, the
+    bound ``self``/``cls`` left out."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    decorators = map(ast.unparse, function.decorator_list)
+    if method and "staticmethod" not in decorators:
+        positional = positional[1:]
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        yield arg.arg, index, index >= first_default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        yield arg.arg, None, default is not None
+
+
+def _options() -> dict[str, tuple[set[str], str, int | None]]:
+    """Every defaulted parameter of a public function, method or
+    constructor under ``src/repro``, and every defaulted field of a
+    public dataclass: ``{"Owner.name": (callee names, name, position)}``.
+    A constructor's callees are its class and the subclasses that
+    inherit it; a dataclass field is also set by ``replace``."""
+    functions, classes = [], {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                functions.append(node)
+            elif isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+
+    def bases(name):
+        return [ast.unparse(b).split(".")[-1] for b in classes[name].bases]
+
+    def constructor(name):
+        """The class whose ``__init__`` (or fields) ``name()`` calls."""
+        node = classes[name]
+        if _is_dataclass(node) or any(
+            getattr(s, "name", None) == "__init__" for s in node.body
+        ):
+            return name
+        return next(
+            (constructor(b) for b in bases(name) if b in classes), None
+        )
+
+    def all_fields(name):
+        inherited = [
+            field
+            for base in bases(name)
+            if base in classes and _is_dataclass(classes[base])
+            for field in all_fields(base)
+        ]
+        own = _fields(classes[name])
+        names = {field for field, __ in own}
+        return [f for f in inherited if f[0] not in names] + own
+
+    options = {}
+    for node in functions:
+        for name, index, default in _parameters(node, method=False):
+            if default:
+                options[f"{node.name}.{name}"] = ({node.name}, name, index)
+    for owner, node in classes.items():
+        if owner in RESULT_TYPES:
+            continue
+        built_by = {c for c in classes if constructor(c) == owner}
+        methods = {
+            s.name: s for s in node.body if isinstance(s, ast.FunctionDef)
+        }
+        if _is_dataclass(node) and "__init__" not in methods:
+            own = {field for field, __ in _fields(node)}
+            for index, (name, default) in enumerate(all_fields(owner)):
+                if default and name in own:
+                    options[f"{owner}.{name}"] = (
+                        built_by | {"replace"}, name, index
+                    )
+        for method, function in methods.items():
+            if method.startswith("_") and method != "__init__":
+                continue
+            callees = built_by if method == "__init__" else {method}
+            qualified = owner if method == "__init__" else f"{owner}.{method}"
+            for name, index, default in _parameters(function, method=True):
+                if default:
+                    options[f"{qualified}.{name}"] = (callees, name, index)
+    return options
+
+
+def _calls(roots) -> dict[str, list[tuple[int, set[str]]]]:
+    """``{callee name: [(positional arguments, keywords)]}`` over every
+    call under ``roots``: ``cls(...)`` is the enclosing class,
+    ``super().__init__`` its base, ``partial(f, ...)`` a call of ``f``,
+    and ``replace(obj, ...)`` sets its keywords only. A ``*`` or ``**``
+    argument sets nothing by name."""
+    found: dict[str, list[tuple[int, set[str]]]] = {}
+
+    def visit(node, owner, base):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases = [ast.unparse(b).split(".")[-1] for b in child.bases]
+                visit(child, child.name, bases[0] if bases else None)
+                continue
+            if isinstance(child, ast.Call):
+                function, args = child.func, list(child.args)
+                name = getattr(function, "id", getattr(function, "attr", None))
+                if name == "cls":
+                    name = owner
+                if name == "__init__" and "super" in ast.unparse(function):
+                    name = base
+                if name == "partial" and args:
+                    target = args.pop(0)
+                    name = getattr(target, "id", getattr(target, "attr", None))
+                if name == "replace":
+                    args = []
+                positional = sum(not isinstance(a, ast.Starred) for a in args)
+                keywords = {k.arg for k in child.keywords if k.arg}
+                found.setdefault(name, []).append((positional, keywords))
+            visit(child, owner, base)
+
+    for root in roots:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
+    return found
+
+
+def _unset_options(roots) -> set[str]:
+    calls = _calls(roots)
+    return {
+        option
+        for option, (callees, name, index) in _options().items()
+        if not any(
+            name in keywords or (index is not None and positional > index)
+            for callee in callees
+            for positional, keywords in calls.get(callee, [])
+        )
+    }
+
+
+def test_every_option_has_a_caller():
+    """An option no program sets is a constant with a branch nobody
+    runs: every defaulted parameter of a public function, method or
+    constructor under ``src/repro`` and every defaulted field of a
+    public dataclass is passed, by name or by position, by some call in
+    ``src/``, ``benchmarks/`` or ``examples/``. Seams (:data:`SEAMS`),
+    result types (:data:`RESULT_TYPES`) and the ledger-bound surfaces
+    (:data:`LEDGER_BOUND`) are exempt; :data:`OPTION_ALLOWLIST` holds
+    the rest, each with its reason, and an entry that gains a caller
+    leaves the list."""
+    unset = {
+        option
+        for option in _unset_options(("src", "benchmarks", "examples"))
+        if option.rsplit(".", 1)[1] not in SEAMS
+        and option.rsplit(".", 1)[0] not in LEDGER_BOUND
+    }
+    assert sorted(unset) == sorted(OPTION_ALLOWLIST), sorted(
+        unset ^ set(OPTION_ALLOWLIST)
+    )
+    assert all(OPTION_ALLOWLIST.values())

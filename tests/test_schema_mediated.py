@@ -57,16 +57,9 @@ class TestSelectCorrespondences:
             self.c("a", "y", 0.8),  # a already matched into s2
             self.c("b", "y", 0.7),
         ]
-        kept = select_correspondences(scored, threshold=0.5, one_to_one=True)
+        kept = select_correspondences(scored, threshold=0.5)
         pairs = {(c.left[1], c.right[1]) for c in kept}
         assert pairs == {("a", "x"), ("b", "y")}
-
-    def test_many_to_many_allowed_when_disabled(self):
-        scored = [self.c("a", "x", 0.9), self.c("a", "y", 0.8)]
-        kept = select_correspondences(
-            scored, threshold=0.5, one_to_one=False
-        )
-        assert len(kept) == 2
 
     def test_one_to_one_allows_different_source_pairs(self):
         scored = [
@@ -96,18 +89,18 @@ class TestClustering:
         assert clusters == [[("s1", "a")]]
 
     def test_robust_splits_bridge(self):
-        # Two tight cliques joined by one weak bridge edge.
-        left = [("s1", "a"), ("s2", "a"), ("s3", "a")]
-        right = [("s4", "z"), ("s5", "z"), ("s6", "z")]
+        # Two strong chains joined by one weak bridge edge: 7 of 28
+        # possible pairs, below the cohesion a component keeps.
+        left = [(f"s{i}", "a") for i in range(4)]
+        right = [(f"s{i + 4}", "z") for i in range(4)]
         edges = []
-        for i in range(3):
-            for j in range(i + 1, 3):
-                edges.append(Correspondence(left[i], left[j], 0.9))
-                edges.append(Correspondence(right[i], right[j], 0.9))
+        for chain in (left, right):
+            for a, b in zip(chain, chain[1:]):
+                edges.append(Correspondence(a, b, 0.9))
         edges.append(Correspondence(left[0], right[0], 0.55))
-        clusters = cluster_attributes_robust(edges, min_cohesion=0.5)
+        clusters = cluster_attributes_robust(edges)
         sizes = sorted(len(c) for c in clusters)
-        assert sizes == [3, 3]
+        assert sizes == [4, 4]
 
 
 #: Raw values a redundant corpus repeats: case and spacing variants,

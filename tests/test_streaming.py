@@ -191,7 +191,7 @@ class TestDecayedAccuracyTracker:
         assert tracker.accuracy("unseen") == 0.55
 
     def test_blend_formula_exact(self):
-        tracker = DecayedAccuracyTracker({"s": 0.6}, prior_strength=8.0)
+        tracker = DecayedAccuracyTracker({"s": 0.6})
         for correct in (True, True, True, False):
             tracker.observe("s", correct)
         assert tracker.accuracy("s") == pytest.approx(
@@ -200,7 +200,7 @@ class TestDecayedAccuracyTracker:
 
     def test_advance_decays_counts(self):
         tracker = DecayedAccuracyTracker(
-            {"s": 0.6}, decay=0.5, prior_strength=8.0
+            {"s": 0.6}, decay=0.5
         )
         for correct in (True, True, True, False):
             tracker.observe("s", correct)
@@ -244,8 +244,6 @@ class TestDecayedAccuracyTracker:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DecayedAccuracyTracker({}, decay=0.0)
-        with pytest.raises(ConfigurationError):
-            DecayedAccuracyTracker({}, prior_strength=0.0)
 
 
 # ---------------------------------------------------------------------
@@ -255,7 +253,7 @@ class TestDecayedAccuracyTracker:
 class TestMonitors:
 
     def test_accuracy_shift_fires_once_per_sustained_shift(self):
-        monitor = AccuracyShiftMonitor(threshold=0.1, patience=2)
+        monitor = AccuracyShiftMonitor()
         events = []
         levels = [0.9] * 4 + [0.5] * 8
         for window, level in enumerate(levels):
@@ -267,24 +265,22 @@ class TestMonitors:
         assert events[0].value == pytest.approx(0.5)
 
     def test_one_noisy_window_never_fires(self):
-        monitor = AccuracyShiftMonitor(threshold=0.1, patience=2)
+        monitor = AccuracyShiftMonitor()
         events = []
         for window, level in enumerate([0.9, 0.9, 0.4, 0.9, 0.9, 0.9]):
             events.extend(monitor.observe(window, {"s": level}))
         assert events == []
 
     def test_relatch_fires_again_on_second_shift(self):
-        monitor = AccuracyShiftMonitor(threshold=0.1, patience=1)
+        monitor = AccuracyShiftMonitor()
         events = []
         for window, level in enumerate([0.9, 0.5, 0.5, 0.5, 0.9, 0.9]):
             events.extend(monitor.observe(window, {"s": level}))
         # One event per level change, never one per window.
-        assert [event.window for event in events] == [1, 4]
+        assert [event.window for event in events] == [2, 5]
 
     def test_prior_anchored_baseline_flags_new_source(self):
-        monitor = AccuracyShiftMonitor(
-            threshold=0.1, patience=2, default_baseline=0.8
-        )
+        monitor = AccuracyShiftMonitor(default_baseline=0.8)
         events = []
         for window in range(4):
             events.extend(monitor.observe(window, {"new": 0.5}))
@@ -292,7 +288,7 @@ class TestMonitors:
         assert events[0].baseline == pytest.approx(0.8)
 
     def test_match_rate_monitor_fires_on_sustained_rate_shift(self):
-        monitor = MatchRateMonitor(threshold=0.2, patience=2)
+        monitor = MatchRateMonitor()
         events = []
         rates = [(8, 10)] * 3 + [(2, 10)] * 5
         for window, (matches, comparisons) in enumerate(rates):
@@ -301,41 +297,41 @@ class TestMonitors:
         assert events[0].subject == "match_rate"
 
     def test_match_rate_skips_thin_windows(self):
-        monitor = MatchRateMonitor(
-            threshold=0.2, patience=1, min_comparisons=5
-        )
+        monitor = MatchRateMonitor()
         assert monitor.observe(0, 4, 5) == []
-        # 0/2 would be a huge shift, but 2 comparisons is noise.
-        assert monitor.observe(1, 0, 2) == []
-        assert monitor.observe(2, 0, 0) == []
-        (event,) = monitor.observe(3, 0, 10)
-        assert event.window == 3
+        # A window without comparisons has no rate: it neither shifts
+        # the level nor breaks a streak.
+        assert monitor.observe(1, 0, 0) == []
+        assert monitor.observe(2, 0, 10) == []
+        assert monitor.observe(3, 0, 0) == []
+        (event,) = monitor.observe(4, 0, 10)
+        assert event.window == 4
 
     def test_state_restore_round_trip(self):
-        monitor = AccuracyShiftMonitor(threshold=0.1, patience=3)
-        for window, level in enumerate([0.9, 0.9, 0.6, 0.6]):
+        monitor = AccuracyShiftMonitor()
+        for window, level in enumerate([0.9, 0.9, 0.6]):
             monitor.observe(window, {"s": level})
-        twin = AccuracyShiftMonitor(threshold=0.1, patience=3)
+        twin = AccuracyShiftMonitor()
         twin.restore(monitor.state())
         # Both are one sustained window away from firing.
-        assert len(twin.observe(4, {"s": 0.6})) == 1
-        assert len(monitor.observe(4, {"s": 0.6})) == 1
+        assert len(twin.observe(3, {"s": 0.6})) == 1
+        assert len(monitor.observe(3, {"s": 0.6})) == 1
 
     def test_event_is_json_able(self):
-        monitor = MatchRateMonitor(threshold=0.1, patience=1)
+        monitor = MatchRateMonitor()
         monitor.observe(0, 9, 10)
-        (event,) = monitor.observe(1, 1, 10)
+        monitor.observe(1, 1, 10)
+        (event,) = monitor.observe(2, 1, 10)
         payload = json.loads(json.dumps(event.to_json()))
         assert payload["monitor"] == "match_rate"
-        assert payload["window"] == 1
+        assert payload["window"] == 2
 
     def test_monitor_counters(self):
         tracer = Tracer()
-        monitor = AccuracyShiftMonitor(
-            threshold=0.1, patience=1, tracer=tracer
-        )
+        monitor = AccuracyShiftMonitor(tracer=tracer)
         monitor.observe(0, {"s": 0.9})
         monitor.observe(1, {"s": 0.5})
+        monitor.observe(2, {"s": 0.5})
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["streaming.monitor.fired"] == 1
         assert counters["streaming.monitor.accuracy_shift.fired"] == 1
@@ -1293,9 +1289,7 @@ class TestUnboundedGeneratorPins:
             stream_temporal_observations,
         )
 
-        config = TemporalStreamConfig(
-            n_entities=6, n_epochs=3, observations_per_epoch=2, seed=17
-        )
+        config = TemporalStreamConfig(n_entities=6, n_epochs=3, seed=17)
         dataset = generate_temporal_dataset(config)
         bounded = sorted(
             dataset.records(), key=lambda r: r.record_id
@@ -1375,7 +1369,7 @@ class TestSnapshotMaintainerStream:
 
         bounded = maintainer()
         assert (
-            list(bounded.process_stream(iter(datasets), max_snapshots=2))
+            list(itertools.islice(bounded.process_stream(iter(datasets)), 2))
             == expected[:2]
         )
 
@@ -1430,13 +1424,13 @@ class TestObserveStreamWindow:
         resolver = make_resolver(world.accuracies_at(0.0))
         (result, *_rest) = resolver.run(world.take(120))
         tracer = Tracer()
-        observe_stream_window(tracer, result, prefix="probe")
+        observe_stream_window(tracer, result)
         snapshot = tracer.metrics.snapshot()
-        assert snapshot["counters"]["probe.windows_closed"] == 1
+        assert snapshot["counters"]["streaming.windows_closed"] == 1
         assert (
-            snapshot["counters"]["probe.window_records"]
+            snapshot["counters"]["streaming.window_records"]
             == result.n_records
         )
-        assert snapshot["gauges"]["probe.watermark"] == result.watermark
-        histogram = snapshot["histograms"]["probe.lag"]
+        assert snapshot["gauges"]["streaming.watermark"] == result.watermark
+        histogram = snapshot["histograms"]["streaming.lag"]
         assert histogram["count"] == result.n_records

@@ -452,13 +452,13 @@ class TestChaosSpecs:
 # --- dead-letter rotation (satellite regression) -----------------------
 
 
-def _entry(index, padding=""):
+def _entry(index):
     return DeadLetterEntry(
         scope="test",
         chunk_id=str(index),
         kind="crash",
         error_type="RuntimeError",
-        error=f"boom {index}{padding}",
+        error=f"boom {index}",
         attempts=1,
         items=((f"a{index}", f"b{index}"),),
         quarantined_at=float(index),
@@ -474,24 +474,6 @@ class TestDeadLetterRotation:
         assert log.dropped == 2
         assert log.rotations == 2
         assert len(log) == 3
-
-    def test_max_bytes_keeps_the_newest_fitting_suffix(self):
-        line = len(
-            json.dumps(_entry(0).to_dict(), sort_keys=True, ensure_ascii=False)
-            .encode("utf-8")
-        ) + 1
-        log = DeadLetterLog(max_bytes=2 * line)
-        for index in range(5):
-            log.add(_entry(index))
-        assert [entry.chunk_id for entry in log.entries] == ["3", "4"]
-        assert log.dropped == 3
-
-    def test_oversized_latest_entry_is_always_retained(self):
-        log = DeadLetterLog(max_bytes=10)
-        log.add(_entry(0, padding="x" * 500))
-        log.add(_entry(1, padding="y" * 500))
-        assert len(log) == 1
-        assert log.entries[0].chunk_id == "1"
 
     def test_durable_sink_is_rewritten_to_the_retained_tail(self, tmp_path):
         path = str(tmp_path / "dead_letters.jsonl")
@@ -516,8 +498,6 @@ class TestDeadLetterRotation:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             DeadLetterLog(max_entries=0)
-        with pytest.raises(ValueError):
-            DeadLetterLog(max_bytes=0)
 
     def test_serve_ingest_storm_stays_bounded(self, tmp_path):
         injector = FaultInjector(crash())
