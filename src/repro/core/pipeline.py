@@ -579,8 +579,11 @@ class BDIPipeline:
                 fusion = self._stage(store, "fusion", compute_fusion, span)
                 span.set("iterations", fusion.iterations)
             if budget is not None:
+                # Counted before the release drops the resident runs: a
+                # resumed run replays fusion and has not counted them yet.
+                summary = claim_set.summary()
                 claim_set.release()
-                claim_set = claim_set.summary()
+                claim_set = summary
 
             # 5. Entity table.
             with tracer.span("pipeline.entity_table") as span:

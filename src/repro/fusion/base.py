@@ -513,7 +513,7 @@ Scores = tuple
 
 
 def score(
-    claims, score_item: ItemScorer, reads_values: bool = False
+    claims: ClaimSet, score_item: ItemScorer, reads_values: bool = False
 ) -> tuple[Scores, dict[str, float]]:
     """One pass of ``score_item`` over every item of a claim source.
 

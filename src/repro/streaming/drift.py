@@ -12,7 +12,7 @@ stable identifying ``name`` (the linkage signal — always reported
 correctly, so linkage quality is held fixed while *fusion* inputs
 drift) plus conflict attributes whose reported values are true with
 probability equal to the source's *current* planted accuracy,
-otherwise one of :data:`N_FALSE_VALUES` planted wrong values (the
+otherwise one of ``n_false_values`` planted wrong values (the
 uniform-false-value model of :mod:`repro.synth.claims`). The copier
 re-publishes the parent's emitted values per item with probability
 ``copy_rate`` — the record-level analogue of
@@ -50,12 +50,6 @@ __all__ = [
 #: The fused-and-scored attributes; ``name`` is identity, not content.
 CONFLICT_ATTRIBUTES: tuple[str, ...] = ("price", "color", "stock")
 
-#: How many planted wrong values each (entity, attribute, version) has.
-N_FALSE_VALUES = 4
-
-#: The chance that a conflict attribute is missing from a record.
-MISSING_RATE = 0.1
-
 _BRANDS = (
     "acme", "borealis", "cirrus", "dynamo", "ember",
     "flux", "gale", "helix", "ion", "junction",
@@ -74,8 +68,7 @@ class DriftStreamConfig:
     and republishes ``copier_parent``'s emitted values with
     probability ``copy_rate`` per item (answering independently with
     accuracy ``copier_accuracy`` otherwise) — the relationship drift
-    the match-rate monitor must flag. Each conflict attribute of an
-    emitted record is missing with probability :data:`MISSING_RATE`.
+    the match-rate monitor must flag.
     """
 
     n_entities: int = 12
@@ -90,6 +83,8 @@ class DriftStreamConfig:
     copy_rate: float = 0.9
     copier_accuracy: float = 0.5
     coverage: float = 0.6
+    missing_rate: float = 0.1
+    n_false_values: int = 4
     truth_change_rate: float = 0.0
     seed: int = 29
 
@@ -107,7 +102,7 @@ class DriftStreamConfig:
                 "accuracy_low must be <= accuracy_high"
             )
         for name in (
-            "copy_rate", "coverage", "truth_change_rate",
+            "copy_rate", "coverage", "missing_rate", "truth_change_rate",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -120,6 +115,8 @@ class DriftStreamConfig:
             raise ConfigurationError(
                 "copier_parent must index a planted source"
             )
+        if self.n_false_values < 1:
+            raise ConfigurationError("n_false_values must be >= 1")
 
 
 class DriftWorld:
@@ -201,7 +198,7 @@ class DriftWorld:
     ) -> list[str]:
         return [
             f"{attribute}-{entity:04d}-v{version}-f{j}"
-            for j in range(N_FALSE_VALUES)
+            for j in range(self.config.n_false_values)
         ]
 
     def _truth_schedule(self) -> Iterator[dict[tuple[int, str], int]]:
@@ -266,7 +263,7 @@ class DriftWorld:
                         continue
                     attributes = {"name": self.entity_name(entity)}
                     for attribute in CONFLICT_ATTRIBUTES:
-                        if emit_rng.random() < MISSING_RATE:
+                        if emit_rng.random() < config.missing_rate:
                             continue
                         version = versions[(entity, attribute)]
                         if emit_rng.random() < accuracy:

@@ -74,12 +74,12 @@ class DecayedAccuracyTracker:
             self._correct[source] *= self._decay
             self._total[source] *= self._decay
 
-    def observe(self, source: str, correct: bool, weight: float = 1.0) -> None:
+    def observe(self, source: str, correct: bool) -> None:
         """Fold one claim outcome into ``source``'s counts."""
         self._correct[source] = self._correct.get(source, 0.0) + (
-            weight if correct else 0.0
+            1.0 if correct else 0.0
         )
-        self._total[source] = self._total.get(source, 0.0) + weight
+        self._total[source] = self._total.get(source, 0.0) + 1.0
 
     def accuracy(self, source: str) -> float:
         """The current point estimate for ``source``."""

@@ -667,7 +667,15 @@ class TestStreamingPipeline:
             ]
         )
         counted = []
-        for options in ({}, {"memory_budget": 10_000_000}):
+        # The last two runs share a checkpoint: the second replays the
+        # fusion stage, so no fusion pass counts the spilled claims.
+        resumable = {"checkpoint": tmp_path / "ckpt"}
+        for options in (
+            {},
+            {"memory_budget": 10_000_000},
+            {"memory_budget": 10_000_000, **resumable},
+            {"memory_budget": 10_000_000, **resumable},
+        ):
             tracer = Tracer()
             result = BDIPipeline(PipelineConfig()).run(
                 dataset, tracer=tracer, spill_dir=tmp_path, **options
@@ -676,7 +684,7 @@ class TestStreamingPipeline:
             counted.append(
                 (len(result.claims), span.attributes.get("n_claims"))
             )
-        assert counted == [(15, 15), (15, None)]
+        assert counted == [(15, 15)] + [(15, None)] * 3
 
     def test_evaluation_identical(self, tmp_path):
         dataset = _dataset(seed=13)
@@ -824,6 +832,17 @@ class TestKillAndResume:
             base.fusion.confidence
         )
         assert resumed.entity_table == base.entity_table
+        assert len(resumed.claims) == len(base.claims)
+        # A rerun of the finished run replays fusion from the ledger and
+        # still counts every spilled claim.
+        rerun = BDIPipeline(config).run(
+            dataset,
+            checkpoint=checkpoint,
+            memory_budget=30_000,
+            spill_dir=spill_dir,
+        )
+        assert len(rerun.claims) == len(base.claims)
+        assert rerun.entity_table == base.entity_table
 
     def test_streamed_truthfinder_resumes_by_stage(self, tmp_path):
         # TruthFinder's solver checkpoint signs its claims by hashing

@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -502,6 +503,15 @@ SEAMS = {
 #: Types whose fields are what a call returns, not what it is told.
 RESULT_TYPES = {"AttributeProfile", "ResilientOutcome", "TrafficResult"}
 
+#: The type a seam holds where its code does not annotate it: a call
+#: on ``tracer`` or ``self._tracer`` is a call on a :class:`Tracer`.
+SEAM_TYPES = {"tracer": "Tracer", "checkpoint": "RunStore"}
+
+#: Classes that answer for another by duck typing — a null object, an
+#: out-of-core twin — and take what it takes: a call that may reach one
+#: may reach the other.
+STAND_INS = {"NullTracer": "Tracer", "SpillableClaimGroups": "ClaimSet"}
+
 #: The surfaces the ledger calls, which become one configuration value
 #: in a ledger PR (ROADMAP item 2).
 LEDGER_BOUND = {"resolve", "PipelineConfig", "BDIPipeline.run"}
@@ -558,6 +568,12 @@ OPTION_ALLOWLIST = {
     "DriftStreamConfig.coverage": (
         "the streaming tests plant flips, copiers and truth churn"
     ),
+    "DriftStreamConfig.missing_rate": (
+        "hashed by the ledger's input digest of the stream workload"
+    ),
+    "DriftStreamConfig.n_false_values": (
+        "hashed by the ledger's input digest of the stream workload"
+    ),
     "DriftStreamConfig.truth_change_rate": (
         "the streaming tests plant flips, copiers and truth churn"
     ),
@@ -594,8 +610,12 @@ OPTION_ALLOWLIST = {
     "OverloadPolicy.admission_retry_after": (
         "overload tests pin the hint a refused ingest returns"
     ),
+    "Record.get.default": "Record.get answers as Mapping.get does",
     "RecordComparator.missing_penalty": (
         "the engine oracles draw it; fingerprints render it"
+    ),
+    "RecordComparator.score_bounded.exact_scores": (
+        "the engine oracle checks exact and decision-only scoring"
     ),
     "ResilienceConfig.dead_letter_max_entries": (
         "a serve test bounds the log under a fault storm"
@@ -610,6 +630,9 @@ OPTION_ALLOWLIST = {
     "RetryPolicy.jitter": "the backoff tests pin jittered schedules",
     "SnapshotConfig.replace_sources": (
         "a test retires sources without replacement"
+    ),
+    "StreamingResolver.run.max_windows": (
+        "the resume tests stop the stream after a few windows"
     ),
     "SupervisionPolicy.stale_polls": "the heartbeat tests tune staleness",
     "ThresholdClassifier.review_threshold": (
@@ -704,123 +727,314 @@ def _parameters(function: ast.FunctionDef, method: bool):
         yield arg.arg, None, default is not None
 
 
-def _options() -> dict[str, tuple[set[str], str, int | None]]:
-    """Every defaulted parameter of a public function, method or
-    constructor under ``src/repro``, and every defaulted field of a
-    public dataclass: ``{"Owner.name": (callee names, name, position)}``.
-    A constructor's callees are its class and the subclasses that
-    inherit it; a dataclass field is also set by ``replace``."""
-    functions, classes = [], {}
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if getattr(node, "name", "_").startswith("_"):
-                continue
-            if isinstance(node, ast.FunctionDef):
-                functions.append(node)
-            elif isinstance(node, ast.ClassDef):
-                classes[node.name] = node
+def _parse(*roots) -> list[ast.Module]:
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for root in roots
+        for path in sorted((ROOT / root).rglob("*.py"))
+    ]
 
-    def bases(name):
-        return [ast.unparse(b).split(".")[-1] for b in classes[name].bases]
 
-    def constructor(name):
+class _Classes:
+    """The public classes of a set of modules: their bases, the methods
+    each defines, and what each method and function is annotated to
+    return."""
+
+    def __init__(self, modules) -> None:
+        self.nodes: dict[str, ast.ClassDef] = {}
+        self.returns: dict[str, list] = {}
+        self.defined_by: dict[str, set[str]] = {}
+        for module in modules:
+            for node in module.body:
+                if isinstance(node, ast.FunctionDef):
+                    self.returns.setdefault(node.name, []).append(
+                        node.returns
+                    )
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                if not node.name.startswith("_"):
+                    self.nodes[node.name] = node
+                for statement in node.body:
+                    if isinstance(statement, ast.FunctionDef):
+                        self.defined_by.setdefault(
+                            statement.name, set()
+                        ).add(node.name)
+                        self.returns.setdefault(statement.name, []).append(
+                            statement.returns
+                        )
+
+    def bases(self, name: str) -> list[str]:
+        node = self.nodes.get(name)
+        if node is None:
+            return []
+        return [ast.unparse(b).split(".")[-1] for b in node.bases]
+
+    def ancestry(self, name: str) -> set[str]:
+        seen, todo = set(), [name]
+        while todo:
+            current = todo.pop()
+            if current not in seen:
+                seen.add(current)
+                todo.extend(self.bases(current))
+        return seen
+
+    def related(self, a: str, b: str) -> bool:
+        """Whether a call on an ``a`` may run ``b``'s method: one is
+        the other, derives from it or stands in for it."""
+        a, b = STAND_INS.get(a, a), STAND_INS.get(b, b)
+        return a in self.ancestry(b) or b in self.ancestry(a)
+
+    def ambiguous(self, method: str) -> bool:
+        """Whether a call of ``method`` on a receiver of unknown type
+        may be some other method: two classes define the name, or a
+        builtin type has it."""
+        return len(self.defined_by.get(method, ())) > 1 or any(
+            hasattr(builtin, method)
+            for builtin in (dict, list, set, str, bytes, tuple, int, float)
+        )
+
+    def constructor(self, name: str) -> str | None:
         """The class whose ``__init__`` (or fields) ``name()`` calls."""
-        node = classes[name]
+        node = self.nodes[name]
         if _is_dataclass(node) or any(
             getattr(s, "name", None) == "__init__" for s in node.body
         ):
             return name
         return next(
-            (constructor(b) for b in bases(name) if b in classes), None
+            (
+                self.constructor(b)
+                for b in self.bases(name)
+                if b in self.nodes
+            ),
+            None,
         )
 
-    def all_fields(name):
+    def fields(self, name: str):
         inherited = [
             field
-            for base in bases(name)
-            if base in classes and _is_dataclass(classes[base])
-            for field in all_fields(base)
+            for base in self.bases(name)
+            if base in self.nodes and _is_dataclass(self.nodes[base])
+            for field in self.fields(base)
         ]
-        own = _fields(classes[name])
+        own = _fields(self.nodes[name])
         names = {field for field, __ in own}
         return [f for f in inherited if f[0] not in names] + own
 
+
+def _options(modules, classes: _Classes) -> dict:
+    """Every defaulted parameter of a public function, method or
+    constructor in ``modules``, and every defaulted field of a public
+    dataclass: ``{"Owner.name": (callee names, name, position,
+    method owner)}``. A constructor's callees are its class and the
+    subclasses that inherit it; a dataclass field is also set by
+    ``replace``. A method's option names the class that owns it, which
+    a call's receiver must be related to."""
     options = {}
-    for node in functions:
-        for name, index, default in _parameters(node, method=False):
-            if default:
-                options[f"{node.name}.{name}"] = ({node.name}, name, index)
-    for owner, node in classes.items():
+    for module in modules:
+        for node in module.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith(
+                "_"
+            ):
+                for name, index, default in _parameters(node, method=False):
+                    if default:
+                        options[f"{node.name}.{name}"] = (
+                            {node.name}, name, index, None
+                        )
+    for owner, node in classes.nodes.items():
         if owner in RESULT_TYPES:
             continue
-        built_by = {c for c in classes if constructor(c) == owner}
+        built_by = {
+            c for c in classes.nodes if classes.constructor(c) == owner
+        }
         methods = {
             s.name: s for s in node.body if isinstance(s, ast.FunctionDef)
         }
         if _is_dataclass(node) and "__init__" not in methods:
             own = {field for field, __ in _fields(node)}
-            for index, (name, default) in enumerate(all_fields(owner)):
+            for index, (name, default) in enumerate(classes.fields(owner)):
                 if default and name in own:
                     options[f"{owner}.{name}"] = (
-                        built_by | {"replace"}, name, index
+                        built_by | {"replace"}, name, index, None
                     )
         for method, function in methods.items():
             if method.startswith("_") and method != "__init__":
                 continue
-            callees = built_by if method == "__init__" else {method}
-            qualified = owner if method == "__init__" else f"{owner}.{method}"
+            if method == "__init__":
+                callees, qualified, receiver = built_by, owner, None
+            else:
+                callees, qualified, receiver = (
+                    {method}, f"{owner}.{method}", owner
+                )
             for name, index, default in _parameters(function, method=True):
                 if default:
-                    options[f"{qualified}.{name}"] = (callees, name, index)
+                    options[f"{qualified}.{name}"] = (
+                        callees, name, index, receiver
+                    )
     return options
 
 
-def _calls(roots) -> dict[str, list[tuple[int, set[str]]]]:
-    """``{callee name: [(positional arguments, keywords)]}`` over every
-    call under ``roots``: ``cls(...)`` is the enclosing class,
-    ``super().__init__`` its base, ``partial(f, ...)`` a call of ``f``,
-    and ``replace(obj, ...)`` sets its keywords only. A ``*`` or ``**``
-    argument sets nothing by name."""
-    found: dict[str, list[tuple[int, set[str]]]] = {}
+def _mentions(annotation) -> set[str]:
+    """The names an annotation mentions (a quoted one is parsed)."""
+    if isinstance(annotation, ast.Constant) and isinstance(
+        annotation.value, str
+    ):
+        annotation = ast.parse(annotation.value, mode="eval")
+    return {
+        getattr(n, "id", getattr(n, "attr", None))
+        for n in ast.walk(annotation)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
 
-    def visit(node, owner, base):
+
+def _made(nodes, classes: _Classes, key) -> dict[str, set[str]]:
+    """``{key(target): {class}}`` over the assignments in ``nodes`` of
+    a call of a known class."""
+    types: dict[str, set[str]] = {}
+    for node in nodes:
+        for child in ast.walk(node):
+            if isinstance(child, ast.Assign) and isinstance(
+                child.value, ast.Call
+            ):
+                made = getattr(child.value.func, "id", None)
+                for target in child.targets:
+                    name = key(target)
+                    if name is not None and made in classes.nodes:
+                        types.setdefault(name, set()).add(made)
+    return types
+
+
+def _calls(modules, classes: _Classes) -> dict[str, list]:
+    """``{callee name: [(positional arguments, keywords, receiver
+    types)]}`` over every call in ``modules``: ``cls(...)`` is the
+    enclosing class, ``super().__init__`` its base, ``partial(f, ...)``
+    a call of ``f``, and ``replace(obj, ...)`` sets its keywords only.
+    A ``*`` or ``**`` argument sets nothing by name. An attribute
+    call's receiver types come from ``self``, a class, a constructor
+    call, a parameter's annotation, an assignment of a constructor call
+    to the name or ``self`` attribute, :data:`SEAM_TYPES`, or the
+    annotated returns of the method that made it; ``None`` when none of
+    these says."""
+    found: dict[str, list] = {}
+
+    def own(target):
+        return getattr(target, "id", None)
+
+    def attribute(target):
+        if (
+            isinstance(target, ast.Attribute)
+            and getattr(target.value, "id", None) == "self"
+        ):
+            return target.attr
+        return None
+
+    def returned(method):
+        annotations = classes.returns.get(method, [None])
+        if None in annotations:
+            return None
+        return set().union(*map(_mentions, annotations))
+
+    def seam(name):
+        return {SEAM_TYPES[name]} if name in SEAM_TYPES else None
+
+    def receiver(node, owner, local, members):
+        if isinstance(node, ast.Name):
+            if node.id in ("self", "cls") and owner:
+                return {owner}
+            if node.id in classes.nodes:
+                return {node.id}
+            return local.get(node.id, seam(node.id))
+        if attribute(node) is not None:
+            name = attribute(node)
+            return members.get(name, seam(name.lstrip("_")))
+        if isinstance(node, ast.Call):
+            made = getattr(node.func, "id", None)
+            if made in classes.nodes:
+                return {made}
+            if isinstance(node.func, ast.Attribute):
+                return returned(node.func.attr)
+        return None
+
+    def visit(node, owner, base, local, members):
+        def called(function):
+            name = getattr(function, "id", getattr(function, "attr", None))
+            if isinstance(function, ast.Attribute):
+                return name, receiver(function.value, owner, local, members)
+            return name, None
+
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 bases = [ast.unparse(b).split(".")[-1] for b in child.bases]
-                visit(child, child.name, bases[0] if bases else None)
+                visit(
+                    child,
+                    child.name,
+                    bases[0] if bases else None,
+                    {},
+                    _made(child.body, classes, attribute),
+                )
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = child.args
+                annotated = {
+                    arg.arg: _mentions(arg.annotation)
+                    for arg in arguments.posonlyargs
+                    + arguments.args
+                    + arguments.kwonlyargs
+                    if arg.annotation is not None
+                }
+                inner = {
+                    **local, **annotated, **_made(child.body, classes, own)
+                }
+                visit(child, owner, base, inner, members)
                 continue
             if isinstance(child, ast.Call):
-                function, args = child.func, list(child.args)
-                name = getattr(function, "id", getattr(function, "attr", None))
+                args = list(child.args)
+                name, receivers = called(child.func)
                 if name == "cls":
                     name = owner
-                if name == "__init__" and "super" in ast.unparse(function):
+                if name == "__init__" and "super" in ast.unparse(child.func):
                     name = base
                 if name == "partial" and args:
-                    target = args.pop(0)
-                    name = getattr(target, "id", getattr(target, "attr", None))
+                    name, receivers = called(args.pop(0))
                 if name == "replace":
                     args = []
                 positional = sum(not isinstance(a, ast.Starred) for a in args)
                 keywords = {k.arg for k in child.keywords if k.arg}
-                found.setdefault(name, []).append((positional, keywords))
-            visit(child, owner, base)
+                found.setdefault(name, []).append(
+                    (positional, keywords, receivers)
+                )
+            visit(child, owner, base, local, members)
 
-    for root in roots:
-        for path in sorted((ROOT / root).rglob("*.py")):
-            visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
+    for module in modules:
+        visit(module, None, None, {}, {})
     return found
 
 
-def _unset_options(roots) -> set[str]:
-    calls = _calls(roots)
+def _unset_options(callers, package=None) -> set[str]:
+    """The options in ``package`` (default: ``src/repro``) that no
+    call in ``callers`` sets. A method's option is set only by a call
+    on a receiver related to its class, or, when the receiver's type
+    is not known, by a call of a method name nothing else defines."""
+    package = _parse("src/repro") if package is None else package
+    classes = _Classes(package)
+    calls = _calls(callers, classes)
+
+    def sets(receivers, owner, callee):
+        if owner is None:
+            return True
+        if receivers is None:
+            return not classes.ambiguous(callee)
+        return any(classes.related(r, owner) for r in receivers)
+
     return {
         option
-        for option, (callees, name, index) in _options().items()
+        for option, (callees, name, index, owner) in _options(
+            package, classes
+        ).items()
         if not any(
-            name in keywords or (index is not None and positional > index)
+            (name in keywords or (index is not None and positional > index))
+            and sets(receivers, owner, callee)
             for callee in callees
-            for positional, keywords in calls.get(callee, [])
+            for positional, keywords, receivers in calls.get(callee, [])
         )
     }
 
@@ -837,7 +1051,7 @@ def test_every_option_has_a_caller():
     leaves the list."""
     unset = {
         option
-        for option in _unset_options(("src", "benchmarks", "examples"))
+        for option in _unset_options(_parse("src", "benchmarks", "examples"))
         if option.rsplit(".", 1)[1] not in SEAMS
         and option.rsplit(".", 1)[0] not in LEDGER_BOUND
     }
@@ -845,3 +1059,42 @@ def test_every_option_has_a_caller():
         unset ^ set(OPTION_ALLOWLIST)
     )
     assert all(OPTION_ALLOWLIST.values())
+
+
+def test_a_same_named_method_is_not_a_caller():
+    """A call sets a method's option only on a receiver that may be of
+    the method's class: a method of the same name on another class, or
+    on a builtin, does not set it, nor does a call on a receiver of
+    unknown type when more than one class defines the name."""
+    package = [
+        ast.parse(
+            textwrap.dedent(
+                """
+                class Fuser:
+                    def fuse(self, claims, rounds=1): ...
+                class Other:
+                    def fuse(self, claims, rounds=1): ...
+                class Row:
+                    def get(self, key, default=None): ...
+                    def render(self, width=80): ...
+                """
+            )
+        )
+    ]
+
+    def unset(caller):
+        return _unset_options([ast.parse(caller)], package)
+
+    every = {
+        "Fuser.fuse.rounds",
+        "Other.fuse.rounds",
+        "Row.get.default",
+        "Row.render.width",
+    }
+    assert unset("Other().fuse(c, rounds=2)") == every - {"Other.fuse.rounds"}
+    assert unset("def f(fuser):\n    fuser.fuse(c, rounds=2)") == every
+    assert unset("def f(fuser: Fuser):\n    fuser.fuse(c, 2)") == every - {
+        "Fuser.fuse.rounds"
+    }
+    assert unset("{}.get('key', 0)") == every
+    assert unset("row.render(width=40)") == every - {"Row.render.width"}
